@@ -105,16 +105,16 @@ def base(r: Ring, kind: str, rng: random.Random, depth: int):
 
 def same_charpoly_pair(r: Ring, rng: random.Random, depth: int):
     """Two matrices with one characteristic polynomial in different classes:
-    d + pi^k C and d + pi^k J, with C the companion matrix of (x - e)^3 and
-    J = e*I + E01.  (C - e)^2 is nonzero mod pi and (J - e)^2 is zero, so
-    no conjugation maps one onto the other."""
-    d, e, k = rand_elem(r, rng), rand_elem(r, rng), depth
+    d + pi^k C and d + pi^k J (k = depth), with C the companion matrix of
+    (x - e)^3 and J = e*I + E01.  (C - e)^2 is nonzero mod pi and (J - e)^2
+    is zero, so no conjugation maps one onto the other."""
+    d, e = rand_elem(r, rng), rand_elem(r, rng)
     three = 3 % r.card if r.flavor == "z" else r.pack([3])
     e2 = r.mul(e, e)
     c = companion(r.mul(e2, e), r.neg(r.mul(three, e2)), r.mul(three, e))
     j = scalar(3, e)
     j[0][1] = 1
-    a, b = shift(r, d, k, c), shift(r, d, k, j)
+    a, b = shift(r, d, depth, c), shift(r, d, depth, j)
     require(charpoly(r, a) == charpoly(r, b), "same-charpoly pair construction")
     return conjugate(r, a, rng), conjugate(r, b, rng)
 
