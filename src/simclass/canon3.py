@@ -16,9 +16,11 @@ each with its own exact reduction over the length-(l-j) ring:
   beta is conjugated onto the shape [[d, pi^m, 0], [0, d, 1],
   [a, b, c+d]] and then normalized type by type.  The normalization
   separates classes completely for lengths <= 2 but not beyond, so the
-  result is mapped onto a fixed per-ring transversal of such classes
-  (hard_family) with explicit similarity tests; the transversal is
-  built once per ring by sweeping all pi-power shapes.
+  result is mapped onto a fixed transversal of such classes with
+  explicit similarity tests.  Classes only merge within one
+  characteristic polynomial, so the transversal is kept in buckets keyed
+  by it, each built on first use from the pi-power shapes with that
+  polynomial alone; hard_family is the union of all buckets of a ring.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import product
 
 from .canon2 import CanonicalForm2, canon2, recombine, split_scalar
-from .errors import BadParams, NotHardCase, WrongResidueType
+from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
 from .matrix import Mat, block_diag, companion, diag, e_matrix, identity
 from .modsolve import is_similar
 from .ring import RingCtx, RingElem, Section
@@ -495,72 +497,99 @@ def classify_hard(e: EParams):
     raise NotHardCase(f"m={m}, val(a)={va}, val(b)={vb} fit no type")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def _hard_index(tctx: RingCtx):
-    """Transversal of the hard-body classes over tctx, plus a lookup index.
+def _bucket_shapes(tctx: RingCtx, key: tuple) -> list:
+    """Sweep positions (m, a, b, c, d) of the pi-power shapes whose
+    characteristic polynomial is key, in sweep order.
 
-    Sweeps every pi-power shape (slot exponent and five entries),
-    normalizes each, and deduplicates the resulting forms; every class
-    with a one-eigenvalue non-cyclic residue contains such a shape, so
-    the sweep is complete.  Normalization alone can leave one class as
-    several forms at length >= 3, so similar forms are merged, keeping
-    the first in sweep order.  Only forms with equal characteristic
-    polynomials can collide, which keeps the merge cheap.
+    With E = d*I + N and N = [[0, pi^m, 0], [0, 0, 1], [a, b, c]], N has
+    companion coefficients (pi^m*a, b, c), and substituting x - d gives
+    c = k2 - 3d, b = k1 + 2*k2*d - 3d^2 and
+    pi^m*a = k0 + k1*d + k2*d^2 - d^3 for key = (k0, k1, k2).  So each d
+    fixes b and c, and the (m, a) pairs solve one equation: multiplying
+    by pi^m shifts the packed digits up by m in both flavors, so a is
+    that product shifted back down plus any value in the top m digits.
     """
-    p, card, length = tctx.p, tctx.cardinality, tctx.length
-    nonunits = range(0, card, p) if tctx.flavor == "z" else [v for v in range(card) if v % p == 0]
+    k0, k1, k2 = key
+    p, length, card = tctx.p, tctx.length, tctx.cardinality
+    add, sub, mul = tctx.add_raw, tctx.sub_raw, tctx.mul_raw
+    shapes = []
+    for d in range(card):
+        d3 = add(d, add(d, d))
+        c = sub(k2, d3)
+        b = sub(add(k1, mul(add(k2, k2), d)), mul(d3, d))
+        if c % p or b % p:
+            continue
+        dd = mul(d, d)
+        t = sub(add(k0, add(mul(k1, d), mul(k2, dd))), mul(dd, d))
+        for m in range(1, length):
+            if t % p ** (m + 1):
+                break  # val(t) <= m leaves no non-unit a with pi^m*a = t
+            top = p ** (length - m)
+            shapes.extend((m, t // p**m + top * k, b, c, d) for k in range(p**m))
+        if t == 0:  # the slot is zero, so every non-unit a fits
+            shapes.extend((length, a, b, c, d) for a in range(0, card, p))
+    shapes.sort()
+    return shapes
+
+
+@lru_cache(maxsize=None)
+def _hard_bucket(tctx: RingCtx, key: tuple) -> tuple:
+    """Hard-body classes over tctx with characteristic polynomial key.
+
+    Returns (sweep position, form, rebuilt form) per class, ordered by
+    position.  Every class with a one-eigenvalue non-cyclic residue
+    contains a pi-power shape, so normalizing each shape of the key and
+    deduplicating the forms finds every class.  Normalization alone can
+    leave one class as several forms at length >= 3, so similar forms
+    are merged, keeping the first in sweep order; classes only merge
+    within one characteristic polynomial, so the bucket is complete.
+    """
     seen = {}
-    for m in range(1, length + 1):
-        for av in nonunits:
-            for bv in nonunits:
-                for cv in nonunits:
-                    for dv in range(card):
-                        e = EParams(
-                            tctx,
-                            m,
-                            RingElem(tctx, av),
-                            RingElem(tctx, bv),
-                            RingElem(tctx, cv),
-                            RingElem(tctx, dv),
-                        )
-                        form, _ = classify_hard(e)
-                        seen.setdefault(form, None)
-    reps = []
-    rebuilds = []
-    buckets = {}  # charpoly -> indices into reps
-    for f in seen:
-        rb = f.rebuild()
-        key = tuple(x.val for x in rb.charpoly())
-        merged = False
-        for idx in buckets.get(key, ()):
-            if is_similar(rebuilds[idx], rb)[0]:
-                merged = True
-                break
-        if not merged:
-            buckets.setdefault(key, []).append(len(reps))
-            reps.append(f)
-            rebuilds.append(rb)
-    return tuple(reps), buckets, tuple(rebuilds)
+    for pos in _bucket_shapes(tctx, key):
+        m, *vals = pos
+        form, _ = classify_hard(EParams(tctx, m, *(RingElem(tctx, v) for v in vals)))
+        seen.setdefault(form, pos)
+    entries = []
+    for form, pos in seen.items():
+        rb = form.rebuild()
+        if not any(is_similar(rep, rb)[0] for _, _, rep in entries):
+            entries.append((pos, form, rb))
+    return tuple(entries)
 
 
 def hard_family(tctx: RingCtx) -> tuple:
-    """One normalized form per hard-body class over tctx, in a fixed order."""
-    return _hard_index(tctx)[0]
+    """One normalized form per hard-body class over tctx.
+
+    The union of every characteristic-polynomial bucket, ordered by each
+    form's first position in the sweep over (m, a, b, c, d).  A shape
+    reduces to d*I plus a nilpotent mod pi, so only keys congruent to the
+    coefficients of (x - d)^3 mod pi can hold one.
+    """
+    p, card = tctx.p, tctx.cardinality
+    entries = []
+    for d in range(p):
+        r0, r1, r2 = d**3 % p, -3 * d * d % p, 3 * d % p
+        for key in product(range(r0, card, p), range(r1, card, p), range(r2, card, p)):
+            entries.extend(_hard_bucket(tctx, key))
+    entries.sort(key=lambda e: e[0])
+    return tuple(form for _, form, _ in entries)
 
 
 def hard_class_rep(h: HardForm) -> tuple:
-    """(transversal form of h's class, conjugator onto its rebuild)."""
-    forms, buckets, rebuilds = _hard_index(h.ctx)
+    """(transversal form of h's class, conjugator onto its rebuild).
+
+    Builds and searches only the bucket of h's characteristic polynomial.
+    """
     rb = h.rebuild()
     key = tuple(x.val for x in rb.charpoly())
-    for idx in buckets.get(key, ()):
-        if forms[idx] == h:
+    for _, form, rep in _hard_bucket(h.ctx, key):
+        if form == h:
             return h, identity(h.ctx, 3)
-        ok, x = is_similar(rb, rebuilds[idx])
+        ok, x = is_similar(rb, rep)
         if ok:
             # rb X = X rep, so X^-1 rb X is the representative
-            return forms[idx], x.inverse()
-    raise AssertionError("hard class missing from its family")  # sweep is exhaustive
+            return form, x.inverse()
+    raise VerificationFailed(f"hard class of {h} missing from its bucket")
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +681,8 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     sp = split_scalar(alpha)
     if sp.level == ctx.length:
         form = CanonicalForm3(ctx, sp.level, sp.d, ScalarBody(), identity(ctx, 3))
-        assert form.rebuild() == alpha
+        if form.rebuild() != alpha:
+            raise VerificationFailed("canon3 scalar form does not rebuild its input")
         return form
     beta = sp.beta
     tctx = beta.ctx
@@ -660,7 +690,8 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     if rt.kind == "cyclic":
         x = _cyclic_row_witness3(beta)
         body = CyclicBody(beta.charpoly())
-        assert beta.conjugate_by(x) == companion(tctx, body.coeffs)
+        if beta.conjugate_by(x) != companion(tctx, body.coeffs):
+            raise VerificationFailed("cyclic row witness does not reach the companion form")
     elif rt.kind == "split":
         a, block, x1 = hensel_block_split(beta)
         inner, inner_wit = canon2(block)
@@ -674,7 +705,8 @@ def canon3(alpha: Mat) -> CanonicalForm3:
         body = HardBody(rep)
     witness = x.lift(ctx.length)
     form = CanonicalForm3(ctx, sp.level, sp.d, body, witness)
-    assert alpha.conjugate_by(witness) == form.rebuild(), "canon3 witness check failed"
+    if alpha.conjugate_by(witness) != form.rebuild():
+        raise VerificationFailed("canon3 witness check failed")
     return form
 
 

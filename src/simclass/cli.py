@@ -12,7 +12,10 @@ first * X = X * second exactly, where (first, second) is (A, B) for
 
 Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
 similar, 64 usage or input error, 65 budget exceeded, 70 verification
-mismatch.
+mismatch: `verify` found counts that disagree, or an exact identity a
+result must satisfy (a witness or intertwiner identity, a cardinality)
+failed, which is raised as VerificationFailed and is never skipped by
+`python -O`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from .canon2 import canon2, count2, enumerate2
 from .canon3 import canon3
 from .census import count3, enumerate3, gf_coeffs, type_histogram
-from .errors import BudgetExceeded, SearchBudgetExceeded, SimclassError
+from .errors import BudgetExceeded, SearchBudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
 from .modsolve import centralizer_order, is_similar
 from .oracle import group_order, orbit_census, verify_counts
@@ -72,7 +75,8 @@ def _cmd_canon(args) -> int:
         raise SimclassError("canon expects a 2x2 or 3x3 matrix")
     canonical = form.rebuild()
     x = w.inverse()  # w m w^-1 = canonical, so m x = x canonical
-    assert m @ x == x @ canonical
+    if m @ x != x @ canonical:
+        raise VerificationFailed("canon witness fails m x = x canonical")
     _print_json(
         {
             "ring": ctx.descriptor,
@@ -284,6 +288,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, SearchBudgetExceeded) as exc:
         print(f"simclass: budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
+    except VerificationFailed as exc:
+        print(f"simclass: verification failed: {exc}", file=sys.stderr)
+        return EX_MISMATCH
     except SimclassError as exc:
         print(f"simclass: {exc}", file=sys.stderr)
         return EX_USAGE

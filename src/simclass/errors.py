@@ -51,3 +51,7 @@ class NotHardCase(SimclassError):
 
 class NonIntegralDivision(SimclassError):
     """An exact integer division left a remainder (formula transcription bug)."""
+
+
+class VerificationFailed(SimclassError):
+    """An exact identity that a result must satisfy did not hold."""

@@ -13,6 +13,7 @@ matrix, so companion(ctx, coeffs).charpoly() == coeffs.
 from __future__ import annotations
 
 import json
+import operator
 
 from .errors import BadParams, CtxMismatch, NotInvertible
 from .ring import RingCtx, RingElem, parse_ring
@@ -34,11 +35,24 @@ __all__ = [
 
 
 def _raw(ctx: RingCtx, x) -> int:
-    if isinstance(x, RingElem):
+    """Packed value of an entry: a RingElem of ctx or an integer.
+
+    Integers are taken through operator.index, so int and numpy integers
+    pass while floats, strings and bools are refused, never truncated.
+    """
+    if type(x) is int:
+        v = x
+    elif isinstance(x, RingElem):
         if x.ctx != ctx:
             raise CtxMismatch(f"{x.ctx} vs {ctx}")
         return x.val
-    v = int(x)
+    elif isinstance(x, bool):
+        raise BadParams(f"matrix entry {x!r} is a bool, not an integer")
+    else:
+        try:
+            v = operator.index(x)
+        except TypeError:
+            raise BadParams(f"matrix entry {x!r} is not an integer") from None
     if ctx.flavor == "z":
         return v % ctx.cardinality
     if not 0 <= v < ctx.cardinality:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CtxMismatch, SearchBudgetExceeded
-from .matrix import Mat
+from .errors import CtxMismatch, SearchBudgetExceeded, VerificationFailed
+from .matrix import Mat, identity
 from .ring import RingCtx
 
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -246,16 +246,22 @@ def _unvec(ctx: RingCtx, n: int, v) -> Mat:
     return Mat(ctx, n, [v[_vec_pos(n, i, j)] for i in range(n) for j in range(n)])
 
 
-def intertwiner(a1: Mat, a2: Mat) -> IntertwinerModule:
+def _check_pair(a1: Mat, a2: Mat):
     if a1.ctx != a2.ctx or a1.n != a2.n:
-        raise CtxMismatch("intertwiner needs matching ring and size")
+        raise CtxMismatch("the two matrices need matching ring and size")
+
+
+def intertwiner(a1: Mat, a2: Mat) -> IntertwinerModule:
+    _check_pair(a1, a2)
     ctx, n = a1.ctx, a1.n
     raw_gens, size = smith_kernel(ctx, build_intertwiner_matrix(a1, a2))
     basis = howellize(ctx, raw_gens, n * n)
-    assert basis.size == size, "Smith and Howell cardinalities disagree"
+    if basis.size != size:
+        raise VerificationFailed("Smith and Howell cardinalities disagree")
     gens = tuple(_unvec(ctx, n, row) for row in basis.rows)
     for g in gens:
-        assert a1 @ g == g @ a2, "kernel generator fails the intertwining identity"
+        if a1 @ g != g @ a2:
+            raise VerificationFailed("kernel generator fails the intertwining identity")
     return IntertwinerModule(a1, a2, gens, basis, size)
 
 
@@ -342,8 +348,10 @@ def find_unit_element(module: IntertwinerModule, cap: int = DEFAULT_SEARCH_CAP):
                 if l:
                     term = g.scale(g.ctx.elem(l))
                     x = term if x is None else x + term
-            assert x is not None and x.is_invertible()
-            assert module.a1 @ x == x @ module.a2
+            if x is None or not x.is_invertible():
+                raise VerificationFailed("lifted residue-span hit is not a unit")
+            if module.a1 @ x != x @ module.a2:
+                raise VerificationFailed("lifted unit fails the intertwining identity")
             return x
     return None
 
@@ -352,8 +360,15 @@ def is_similar(a1: Mat, a2: Mat, cap: int = DEFAULT_SEARCH_CAP):
     """Exact similarity decision with witness.
 
     Returns (True, X) with alpha_1 X = X alpha_2 and X a unit, or
-    (False, None).
+    (False, None).  Equal matrices, scalar matrices (similar only to
+    themselves) and different characteristic polynomials are decided
+    before the intertwiner module is built.
     """
+    _check_pair(a1, a2)
+    if a1 == a2:
+        return True, identity(a1.ctx, a1.n)
+    if a1.is_scalar() or a2.is_scalar() or a1.charpoly() != a2.charpoly():
+        return False, None
     module = intertwiner(a1, a2)
     x = find_unit_element(module, cap)
     return (x is not None), x
@@ -379,5 +394,6 @@ def centralizer_order(a: Mat, cap: int = DEFAULT_SEARCH_CAP) -> int:
         if _det_mod_p(vec, n, p):
             n_inv += 1
     fiber, rem = divmod(module.size, p**r)
-    assert rem == 0
+    if rem:
+        raise VerificationFailed(f"|S| = {module.size} is not a multiple of {p}^{r}")
     return n_inv * fiber

@@ -309,9 +309,14 @@ def orbit_census(
         path = os.path.join(cache_dir, f"{ctx.flavor}-{ctx.p}-{ctx.length}-n{n}.orbits")
         if os.path.exists(path) and not want_labels:
             try:
-                return load_census(path)
+                header, census = _read_census(path)
             except (BadParams, OSError, ValueError):
-                pass  # unreadable or stale cache: recompute and overwrite
+                header = None  # unreadable or stale cache: recompute and overwrite
+            # a file written for another ring, size or generating set is stale too
+            if header is not None and all(
+                header.get(k) == v for k, v in _cache_key(ctx, n).items()
+            ):
+                return census
     if want_labels is None:
         want_labels = nstates <= 2**24
     codec = _StateCodec(ctx, n)
@@ -452,12 +457,19 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
 CACHE_VERSION = 1
 
 
+def _cache_key(ctx: RingCtx, n: int) -> dict:
+    """Header fields that tie a cache file to one census request."""
+    return {
+        "ring": ctx.descriptor,
+        "n": n,
+        "generators": [g.rows() for g in gl_generators(ctx, n)],
+    }
+
+
 def save_census(census: OrbitCensus, path: str):
     header = {
         "version": CACHE_VERSION,
-        "ring": census.ctx.descriptor,
-        "n": census.n,
-        "generators": [g.rows() for g in gl_generators(census.ctx, census.n)],
+        **_cache_key(census.ctx, census.n),
         "classes": int(census.reps.size),
         "states": int(census.sizes.sum()),
     }
@@ -478,6 +490,10 @@ def save_census(census: OrbitCensus, path: str):
 
 
 def load_census(path: str) -> OrbitCensus:
+    return _read_census(path)[1]
+
+
+def _read_census(path: str) -> tuple[dict, OrbitCensus]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         raw = fh.read()
@@ -492,4 +508,4 @@ def load_census(path: str) -> OrbitCensus:
     sizes = pairs[:, 1].astype(np.int64)
     if int(sizes.sum()) != header["states"]:
         raise BadParams(f"cache file {path} is inconsistent")
-    return OrbitCensus(ctx, n, reps, sizes, None)
+    return header, OrbitCensus(ctx, n, reps, sizes, None)

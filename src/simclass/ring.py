@@ -13,7 +13,7 @@ arithmetic is digit-wise mod p with polynomial convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -61,6 +61,8 @@ class RingCtx:
     flavor: str
     p: int
     length: int
+    # p**length, stored once: every ring operation reads it
+    cardinality: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in ("z", "t"):
@@ -71,6 +73,7 @@ class RingCtx:
             raise BadLevel(f"length must be >= 1, got {self.length}")
         if self.p**self.length >= MAX_CARDINALITY:
             raise BadDescriptor("ring cardinality must be below 2**63")
+        object.__setattr__(self, "cardinality", self.p**self.length)
 
     # ------------------------------------------------------------------
     # descriptors
@@ -81,10 +84,6 @@ class RingCtx:
 
     def __str__(self):
         return self.descriptor
-
-    @property
-    def cardinality(self) -> int:
-        return self.p**self.length
 
     @property
     def q(self) -> int:

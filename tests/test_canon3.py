@@ -24,12 +24,13 @@ from simclass import (
     identity,
     is_similar,
     j_matrix,
+    parse_ring,
     reduce_to_e_form,
     residue_type,
     ring_ctx,
     scalar,
 )
-from simclass.canon3 import CyclicBody, ScalarBody, SplitBody
+from simclass.canon3 import CyclicBody, HardBody, ScalarBody, SplitBody, _hard_bucket
 from conftest import rand_invertible, rand_mat
 
 
@@ -223,6 +224,60 @@ def test_hard_family_tags_separate_classes():
         for h2 in fam:
             if h1.tag != h2.tag:
                 assert not is_similar(h1.rebuild(), h2.rebuild())[0]
+
+
+def _reference_sweep(tctx):
+    """The whole-ring sweep the per-charpolynomial buckets replaced.
+
+    Normalizes every pi-power shape in (m, a, b, c, d) order, keeps each
+    form's first occurrence and merges similar forms within one
+    characteristic polynomial.  Returns (forms, {charpoly: forms}).
+    """
+    p, card, length = tctx.p, tctx.cardinality, tctx.length
+    nonunits = range(0, card, p)
+    seen = {}
+    for m, av, bv, cv, dv in itertools.product(
+        range(1, length + 1), nonunits, nonunits, nonunits, range(card)
+    ):
+        seen.setdefault(classify_hard(ep(tctx, m, av, bv, cv, dv))[0], None)
+    reps, buckets = [], {}
+    for f in seen:
+        rb = f.rebuild()
+        bucket = buckets.setdefault(tuple(x.val for x in rb.charpoly()), [])
+        if not any(is_similar(g.rebuild(), rb)[0] for g in bucket):
+            bucket.append(f)
+            reps.append(f)
+    return reps, buckets
+
+
+@pytest.mark.parametrize(
+    "desc", ["z:2:1", "z:2:2", "z:3:1", "z:3:2", "t:2:2", "t:3:2", "z:2:3", "t:2:3"]
+)
+def test_hard_family_matches_the_global_sweep(desc):
+    ctx = parse_ring(desc)
+    reps, buckets = _reference_sweep(ctx)
+    assert list(hard_family(ctx)) == reps
+    for key, forms in buckets.items():
+        assert [form for _, form, _ in _hard_bucket(ctx, key)] == forms
+
+
+@pytest.mark.parametrize("desc", ["t:3:3", "z:7:2"])
+def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
+    # one shape per tag: I, II, III1, III0
+    ctx = parse_ring(desc)
+    p = ctx.p
+    shapes = [
+        j_matrix(ctx, p, 0),
+        e_matrix(ctx, 1, 0, p, p, 1),
+        e_matrix(ctx, 1, p, 0, 0, 2),
+        e_matrix(ctx, 2, p, p * p, 0, 1),
+    ]
+    for shape in shapes:
+        m = shape.conjugate_by(rand_invertible(ctx, 3, rng))
+        f = canon3(m)
+        assert isinstance(f.body, HardBody)
+        assert f.witness.is_invertible() and m.conjugate_by(f.witness) == f.rebuild()
+        assert canon3(f.rebuild()) == f
 
 
 def test_hard_class_rep_collapses_conjugates(rng):

@@ -1,15 +1,28 @@
 """Command line surface: output shapes, exit codes, witness conventions."""
 
 import json
+import os
+import subprocess
+import sys
 
 from simclass import Mat, ring_ctx
 from simclass.cli import (
     EX_BUDGET,
     EX_DIFFERENT,
+    EX_MISMATCH,
     EX_OK,
     EX_USAGE,
     main,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args, timeout):
+    """Run a fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def run(capsys, *argv):
@@ -105,6 +118,38 @@ def test_similar_yes_and_witness(capsys):
     assert Mat.from_rows(ctx, a) @ x == x @ Mat.from_rows(ctx, b)
 
 
+def test_similar_equal_scalars_over_a_large_field(capsys):
+    s = "[[3,0,0],[0,3,0],[0,0,3]]"
+    code, out, _ = run(capsys, "similar", "--ring", "z:7:1", s, s)
+    assert code == EX_OK
+    assert json.loads(out) == {"similar": True, "witness": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def test_canon_hard_input_over_z125_returns():
+    # one characteristic-polynomial bucket, not the whole ring's index
+    proc = run_python("-m", "simclass.cli", "canon", "--ring", "z:5:3",
+                      "[[0,0,0],[0,0,1],[0,0,0]]", timeout=60)
+    assert proc.returncode == EX_OK, proc.stderr
+    assert json.loads(proc.stdout)["form"]["body"]["kind"] == "hard"
+
+
+def test_broken_witness_exits_70_under_optimize():
+    # a cyclic-residue input that is not a companion matrix, with the row
+    # witness replaced by the identity: the exact check must still fire
+    # under -O, which strips assert statements
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "from simclass.matrix import identity\n"
+        "c3 = importlib.import_module('simclass.canon3')\n"
+        "c3._cyclic_row_witness3 = lambda beta: identity(beta.ctx, 3)\n"
+        "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1,1,0],[0,1,1],[0,0,1]]']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH
+    assert "verification failed" in proc.stderr
+
+
 def test_similar_no(capsys):
     code, out, _ = run(capsys, "similar", "--ring", "z:2:2",
                        "[[0,1],[0,0]]", "[[0,2],[0,0]]")
@@ -178,6 +223,8 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "canon", "--ring", "q:2:2", "[[1,0],[0,1]]")[0] == EX_USAGE
     assert run(capsys, "canon", "--ring", "z:2:2", "/no/such/file")[0] == EX_USAGE
     assert run(capsys, "canon", "--ring", "z:2:2", "[[1,0],[0,1],[0,0]]")[0] == EX_USAGE
+    assert run(capsys, "canon", "--ring", "z:2:2", "[[1.9,0],[0,0]]")[0] == EX_USAGE
+    assert run(capsys, "canon", "--ring", "z:2:2", "[[true,0],[0,0]]")[0] == EX_USAGE
     assert run(capsys, "nonsense")[0] == EX_USAGE
 
 

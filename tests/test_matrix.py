@@ -1,8 +1,10 @@
 """Matrix layer: arithmetic, determinants, charpoly, builders, JSON."""
 
+import numpy as np
 import pytest
 
 from simclass import (
+    BadParams,
     Mat,
     NotInvertible,
     block_diag,
@@ -31,6 +33,15 @@ def test_constructors_and_accessors():
     assert scalar(ctx, 2, 3).rows() == [[3, 0], [0, 3]]
     assert diag(ctx, [1, 2, 3]).rows() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
     assert elementary(ctx, 2, 1, 2, 3).rows() == [[1, 3], [0, 1]]
+
+
+def test_entries_must_be_integers():
+    ctx = ring_ctx("z", 2, 2)
+    m = Mat.from_rows(ctx, [[np.int64(5), np.uint8(2)], [ctx.elem(3), 0]])
+    assert m.rows() == [[1, 2], [3, 0]]
+    for bad in (1.9, 1.0, True, np.True_, "1", None):
+        with pytest.raises(BadParams):
+            Mat.from_rows(ctx, [[bad, 0], [0, 0]])
 
 
 def test_matmul_matches_entry_formula(rng):

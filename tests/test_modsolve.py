@@ -111,6 +111,19 @@ def test_identity_is_always_similar_to_itself():
     assert ok and x.is_invertible()
 
 
+def test_is_similar_decides_cheap_cases_without_the_unit_search():
+    # over F_101 the residue spans here have up to 101^9 points, far past
+    # the search cap, so each answer must come from a prefilter exit
+    f101 = ring_ctx("z", 101, 1)
+    assert is_similar(j_matrix(f101, 0, 0), j_matrix(f101, 1, 0)) == (False, None)
+    s = scalar(f101, 3, 5)
+    ok, x = is_similar(s, s)
+    assert ok and x == identity(f101, 3)
+    # same characteristic polynomial (x - 5)^3, but only one side scalar
+    assert is_similar(s, j_matrix(f101, 0, 5)) == (False, None)
+    assert is_similar(j_matrix(f101, 0, 5), s) == (False, None)
+
+
 def test_mixed_ring_similarity_is_rejected():
     from simclass import CtxMismatch
 

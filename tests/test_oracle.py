@@ -225,6 +225,16 @@ def test_orbit_census_uses_and_survives_cache(tmp_path):
     assert list(third.reps) == list(first.reps)
 
 
+def test_orbit_census_ignores_a_cache_file_for_another_ring(tmp_path):
+    d = str(tmp_path)
+    orbit_census(ring_ctx("z", 3, 1), 2, cache_dir=d)
+    os.replace(os.path.join(d, "z-3-1-n2.orbits"), os.path.join(d, "z-2-2-n2.orbits"))
+    census = orbit_census(ring_ctx("z", 2, 2), 2, cache_dir=d)
+    assert census.class_count("M") == 28
+    # the foreign file was overwritten with the right census
+    assert load_census(os.path.join(d, "z-2-2-n2.orbits")).class_count("M") == 28
+
+
 # ----------------------------------------------------------------------
 # the full cross-check report
 
