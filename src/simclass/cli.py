@@ -13,9 +13,9 @@ first * X = X * second exactly, where (first, second) is (A, B) for
 Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
 similar, 64 usage or input error, 65 budget exceeded, 70 verification
 mismatch: `verify` found counts that disagree, or an exact identity a
-result must satisfy (a witness or intertwiner identity, a cardinality)
-failed, which is raised as VerificationFailed and is never skipped by
-`python -O`.
+result must satisfy (a witness or intertwiner identity, a cardinality,
+the orbit oracle's partition of the states) failed, which is raised as
+VerificationFailed and is never skipped by `python -O`.
 """
 
 from __future__ import annotations
@@ -143,9 +143,7 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_oracle_census(args) -> int:
     ctx = parse_ring(args.ring)
-    census = orbit_census(
-        ctx, args.n, max_states=args.max_states, jobs=args.jobs, cache_dir=args.cache
-    )
+    census = orbit_census(ctx, args.n, max_states=args.max_states, cache_dir=args.cache)
     _print_json(
         {
             "ring": ctx.descriptor,
@@ -176,8 +174,7 @@ def _cmd_centralizer(args) -> int:
 
 def _cmd_verify(args) -> int:
     ctx = parse_ring(args.ring)
-    report = verify_counts(ctx, args.n, max_states=args.max_states, jobs=args.jobs,
-                           cache_dir=args.cache)
+    report = verify_counts(ctx, args.n, max_states=args.max_states, cache_dir=args.cache)
     for row in report["counts"]:
         print(
             "{} n={} {}: oracle={} formula={} enumerated={} {}".format(
@@ -212,7 +209,6 @@ def _add_oracle_opts(sp):
     sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
     sp.add_argument("--max-states", type=int, default=2**28,
                     help="largest state space the orbit search may visit")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for the orbit search")
     sp.add_argument("--cache", default=None,
                     help="census cache directory (default: env SIMCLASS_CACHE_DIR)")
 

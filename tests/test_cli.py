@@ -150,6 +150,32 @@ def test_broken_witness_exits_70_under_optimize():
     assert "verification failed" in proc.stderr
 
 
+def test_oracle_partition_mismatch_exits_70_under_optimize(tmp_path):
+    # a bitmap marker that also marks one neighbour of every batch loses
+    # states from the census; the partition check must fire under -O
+    script = (
+        "import importlib, sys\n"
+        "from simclass import VerificationFailed, ring_ctx\n"
+        "from simclass.cli import main\n"
+        "o = importlib.import_module('simclass.oracle')\n"
+        "real = o._set_bits\n"
+        "def leaky(bitmap, ids):\n"
+        "    real(bitmap, ids)\n"
+        "    real(bitmap, ids[:1] ^ 1)\n"
+        "o._set_bits = leaky\n"
+        "try:\n"
+        "    o.orbit_census(ring_ctx('z', 2, 1), 3, want_labels=True)\n"
+        "    sys.exit('no VerificationFailed')\n"
+        "except VerificationFailed:\n"
+        "    pass\n"
+        f"sys.exit(main(['oracle-census', '--ring', 'z:2:1', '--cache', {str(tmp_path)!r}]))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "verification failed" in proc.stderr
+    assert os.listdir(tmp_path) == []  # nothing cached from a failed census
+
+
 def test_similar_no(capsys):
     code, out, _ = run(capsys, "similar", "--ring", "z:2:2",
                        "[[0,1],[0,0]]", "[[0,2],[0,0]]")

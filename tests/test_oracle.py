@@ -7,6 +7,8 @@ import pytest
 from simclass import (
     BadParams,
     BudgetExceeded,
+    Mat,
+    VerificationFailed,
     centralizer_order,
     gl_generators,
     group_order,
@@ -23,6 +25,7 @@ from simclass import (
     scalar,
     verify_counts,
 )
+import simclass.oracle as oracle
 from simclass.oracle import mat_of, state_of
 from conftest import rand_invertible, rand_mat
 
@@ -138,6 +141,7 @@ CENSUS_CASES = [
     (("z", 3, 2), 2, 117, None),
     (("z", 2, 2), 3, 144, 60),
     (("t", 2, 2), 3, 144, None),
+    (("z", 3, 1), 3, 39, 24),
 ]
 
 
@@ -178,12 +182,86 @@ def test_orbit_census_budget():
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
 
 
-def test_orbit_census_jobs_agree():
-    ctx = ring_ctx("z", 3, 1)
-    a = orbit_census(ctx, 3, jobs=1)
-    b = orbit_census(ctx, 3, jobs=2)
-    assert list(a.reps) == list(b.reps) and list(a.sizes) == list(b.sizes)
-    assert a.class_count("M") == 39 and a.class_count("GL") == 24
+def test_orbit_census_labels_only_on_request(tmp_path, monkeypatch):
+    ctx = ring_ctx("z", 2, 2)
+    monkeypatch.delenv("SIMCLASS_CACHE_DIR", raising=False)
+    plain = orbit_census(ctx, 2)
+    assert plain.labels is None
+    with pytest.raises(BadParams):
+        plain.index_of(identity(ctx, 2))
+    d = str(tmp_path)
+    assert orbit_census(ctx, 2, cache_dir=d).labels is None  # computed, then saved
+    assert orbit_census(ctx, 2, cache_dir=d).labels is None  # read back
+    # labels are never cached, so asking for them recomputes
+    labelled = orbit_census(ctx, 2, want_labels=True, cache_dir=d)
+    assert labelled.labels is not None
+    assert list(labelled.reps) == list(plain.reps)
+    assert labelled.index_of(identity(ctx, 2)) == labelled.index_of(scalar(ctx, 2, 1))
+
+
+def _reference_orbit(m, gens):
+    """The conjugation orbit of m as a Python set, by plain BFS."""
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x.conjugate_by(g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _reference_gens(ctx, n):
+    gens = list(gl_generators(ctx, n))
+    return gens + [g.inverse() for g in gens]
+
+
+@pytest.mark.parametrize(
+    "desc,n", [(("z", 2, 1), 3), (("z", 3, 1), 2), (("t", 2, 2), 2), (("t", 3, 1), 2)]
+)
+def test_orbit_census_matches_reference_bfs(desc, n):
+    ctx = ring_ctx(*desc)
+    gens = _reference_gens(ctx, n)
+    labels = [-1] * ctx.cardinality ** (n * n)
+    reps, sizes = [], []
+    for seed in range(len(labels)):
+        if labels[seed] < 0:
+            orbit = _reference_orbit(mat_of(ctx, n, seed), gens)
+            for m in orbit:
+                labels[state_of(m)] = len(reps)
+            reps.append(seed)
+            sizes.append(len(orbit))
+    census = orbit_census(ctx, n, want_labels=True)
+    assert census.reps.tolist() == reps
+    assert census.sizes.tolist() == sizes
+    assert census.labels.tolist() == labels
+
+
+def test_orbit_of_over_a_t_flavor_ring_matches_reference_bfs(rng):
+    ctx = ring_ctx("t", 2, 2)
+    gens = _reference_gens(ctx, 3)
+    total = group_order(ctx, 3)
+    for rows in ([[0, 2, 0], [0, 0, 0], [0, 0, 0]], [[1, 2, 0], [0, 1, 2], [0, 0, 1]],
+                 [[0, 1, 0], [0, 0, 0], [0, 0, 0]]):
+        m = Mat.from_rows(ctx, rows)
+        least = min(_reference_orbit(m, gens), key=state_of)
+        for x in (m, m.conjugate_by(rand_invertible(ctx, 3, rng))):
+            size, rep = orbit_of(x)
+            assert size * centralizer_order(x) == total
+            assert rep == least
+
+
+def test_orbit_sizes_must_divide_the_group_order(monkeypatch):
+    ctx = ring_ctx("z", 2, 1)
+    monkeypatch.setattr(oracle, "group_order", lambda ctx, n: 1)
+    with pytest.raises(VerificationFailed):
+        orbit_census(ctx, 3, want_labels=True)
+    with pytest.raises(VerificationFailed):
+        orbit_states(j_matrix(ctx, 0, 0))
 
 
 # ----------------------------------------------------------------------
