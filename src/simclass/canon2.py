@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLevel, BadParams, BudgetExceeded
+from .errors import BadLevel, BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, companion, identity, scalar
 from .ring import RingCtx, RingElem, Section, section_of
 
@@ -84,7 +84,7 @@ def recombine(ctx: RingCtx, level: int, d: Section, body: Mat | None, n: int) ->
     vals = list(out.vals)
     for i in range(n * n):
         vals[i] = ctx.add_raw(vals[i], body.vals[i] * shift)
-    return Mat(ctx, n, vals)
+    return Mat._unchecked(ctx, n, vals)
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,16 @@ def canon2(alpha: Mat) -> tuple[CanonicalForm2, Mat]:
     sp = split_scalar(alpha)
     if sp.level == ctx.length:
         form = CanonicalForm2(ctx, sp.level, sp.d, None, None)
-        assert form.rebuild() == alpha
+        if form.rebuild() != alpha:
+            raise VerificationFailed("canon2 scalar form does not rebuild its input")
         return form, identity(ctx, 2)
     beta = sp.beta
     a0, a1 = beta.charpoly()  # c = -det, e = trace
     p = _cyclic_row_witness(beta)
     x = p.lift(ctx.length)
     form = CanonicalForm2(ctx, sp.level, sp.d, a0, a1)
-    assert alpha.conjugate_by(x) == form.rebuild(), "canon2 witness check failed"
+    if alpha.conjugate_by(x) != form.rebuild():
+        raise VerificationFailed("canon2 witness check failed")
     return form, x
 
 

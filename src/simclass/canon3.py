@@ -21,6 +21,8 @@ each with its own exact reduction over the length-(l-j) ring:
   characteristic polynomial, so the transversal is kept in buckets keyed
   by it, each built on first use from the pi-power shapes with that
   polynomial alone; hard_family is the union of all buckets of a ring.
+  Within a bucket, similarity tests run only between forms with equal
+  signatures (see _signature), a cheap invariant of the class.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import product
 from .canon2 import CanonicalForm2, canon2, recombine, split_scalar
 from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
 from .matrix import Mat, block_diag, companion, diag, e_matrix, identity
-from .modsolve import is_similar
+from .modsolve import _diagonalize, _rref, build_intertwiner_matrix, is_similar
 from .ring import RingCtx, RingElem, Section
 
 __all__ = [
@@ -59,31 +61,6 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # residue field linear algebra (plain ints mod p)
-
-
-def _rref(rows, p):
-    """Reduced row echelon form over F_p; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    piv = []
-    r = 0
-    for c in range(nc):
-        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], piv
 
 
 def _left_kernel(m: Mat):
@@ -532,28 +509,46 @@ def _bucket_shapes(tctx: RingCtx, key: tuple) -> list:
     return shapes
 
 
+def _signature(a: Mat) -> tuple:
+    """Sorted Smith exponents of X -> aX - Xa and X -> a^2 X - X a^2.
+
+    Conjugating a by g conjugates both maps by the invertible map
+    X -> gXg^-1, so similar matrices have equal signatures.
+    """
+    a2 = a @ a
+    return tuple(
+        tuple(sorted(_diagonalize(a.ctx, build_intertwiner_matrix(b, b)))) for b in (a, a2)
+    )
+
+
 @lru_cache(maxsize=None)
 def _hard_bucket(tctx: RingCtx, key: tuple) -> tuple:
     """Hard-body classes over tctx with characteristic polynomial key.
 
-    Returns (sweep position, form, rebuilt form) per class, ordered by
-    position.  Every class with a one-eigenvalue non-cyclic residue
-    contains a pi-power shape, so normalizing each shape of the key and
-    deduplicating the forms finds every class.  Normalization alone can
-    leave one class as several forms at length >= 3, so similar forms
-    are merged, keeping the first in sweep order; classes only merge
-    within one characteristic polynomial, so the bucket is complete.
+    Returns (sweep position, form, (rebuilt form, signature)) per class,
+    ordered by position.  Every class with a one-eigenvalue non-cyclic
+    residue contains a pi-power shape, so normalizing each shape of the
+    key and deduplicating the forms finds every class.  Normalization
+    alone can leave one class as several forms at length >= 3, so
+    similar forms are merged, keeping the first in sweep order; classes
+    only merge within one characteristic polynomial, so the bucket is
+    complete.  A form is tested only against kept forms of its own
+    signature: the kept forms are pairwise non-similar, so this finds
+    the same unique match, if any, as testing against all of them.
     """
     seen = {}
     for pos in _bucket_shapes(tctx, key):
         m, *vals = pos
         form, _ = classify_hard(EParams(tctx, m, *(RingElem(tctx, v) for v in vals)))
         seen.setdefault(form, pos)
-    entries = []
+    entries, kept = [], {}
     for form, pos in seen.items():
         rb = form.rebuild()
-        if not any(is_similar(rep, rb)[0] for _, _, rep in entries):
-            entries.append((pos, form, rb))
+        sig = _signature(rb)
+        same = kept.setdefault(sig, [])
+        if not any(is_similar(rep, rb)[0] for rep in same):
+            same.append(rb)
+            entries.append((pos, form, (rb, sig)))
     return tuple(entries)
 
 
@@ -578,13 +573,17 @@ def hard_family(tctx: RingCtx) -> tuple:
 def hard_class_rep(h: HardForm) -> tuple:
     """(transversal form of h's class, conjugator onto its rebuild).
 
-    Builds and searches only the bucket of h's characteristic polynomial.
+    Builds and searches only the bucket of h's characteristic polynomial,
+    testing similarity only against forms with h's signature.
     """
     rb = h.rebuild()
-    key = tuple(x.val for x in rb.charpoly())
-    for _, form, rep in _hard_bucket(h.ctx, key):
-        if form == h:
-            return h, identity(h.ctx, 3)
+    bucket = _hard_bucket(h.ctx, tuple(x.val for x in rb.charpoly()))
+    if any(form == h for _, form, _ in bucket):
+        return h, identity(h.ctx, 3)
+    sig = _signature(rb)
+    for _, form, (rep, rep_sig) in bucket:
+        if rep_sig != sig:
+            continue
         ok, x = is_similar(rb, rep)
         if ok:
             # rb X = X rep, so X^-1 rb X is the representative

@@ -5,6 +5,15 @@ public accessors hand out RingElem values.  Only n in {1, 2, 3} is
 supported, which keeps determinants, adjugates and characteristic
 polynomials explicit and exact.
 
+Mat(...), Mat.from_rows and mat_from_json validate every entry (an
+integer, in range for a "t" ring, reduced for a "z" ring).  The shape
+constructors below (scalar, diag, companion, block_diag, elementary,
+e_matrix) put each value they are given through the same check once.
+Results of ring operations (products, sums, differences, negation,
+scaling, adjugates, truncation) and matrices assembled from checked
+values are built with the unchecked Mat._unchecked, since their entries
+are already reduced.
+
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
 matrix, so companion(ctx, coeffs).charpoly() == coeffs.
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 import json
 import operator
+from functools import reduce
 
 from .errors import BadParams, CtxMismatch, NotInvertible
 from .ring import RingCtx, RingElem, parse_ring
@@ -43,7 +53,7 @@ def _raw(ctx: RingCtx, x) -> int:
     if type(x) is int:
         v = x
     elif isinstance(x, RingElem):
-        if x.ctx != ctx:
+        if x.ctx is not ctx and x.ctx != ctx:
             raise CtxMismatch(f"{x.ctx} vs {ctx}")
         return x.val
     elif isinstance(x, bool):
@@ -60,20 +70,31 @@ def _raw(ctx: RingCtx, x) -> int:
     return v
 
 
+def _check_size(n: int):
+    if n not in (1, 2, 3):
+        raise BadParams(f"only n in {{1,2,3}} supported, got {n}")
+
+
 class Mat:
     """An n x n matrix over a RingCtx."""
 
     __slots__ = ("ctx", "n", "vals")
 
     def __init__(self, ctx: RingCtx, n: int, vals):
-        if n not in (1, 2, 3):
-            raise BadParams(f"only n in {{1,2,3}} supported, got {n}")
+        _check_size(n)
         vals = tuple(_raw(ctx, v) for v in vals)
         if len(vals) != n * n:
             raise BadParams(f"expected {n * n} entries, got {len(vals)}")
         self.ctx = ctx
         self.n = n
         self.vals = vals
+
+    @classmethod
+    def _unchecked(cls, ctx: RingCtx, n: int, vals) -> "Mat":
+        """A matrix of already reduced packed values; nothing is checked."""
+        m = object.__new__(cls)
+        m.ctx, m.n, m.vals = ctx, n, tuple(vals)
+        return m
 
     @classmethod
     def from_rows(cls, ctx: RingCtx, rows) -> "Mat":
@@ -116,34 +137,37 @@ class Mat:
     def __add__(self, other):
         self._check(other)
         add = self.ctx.add_raw
-        return Mat(self.ctx, self.n, [add(a, b) for a, b in zip(self.vals, other.vals)])
+        return Mat._unchecked(self.ctx, self.n, [add(a, b) for a, b in zip(self.vals, other.vals)])
 
     def __sub__(self, other):
         self._check(other)
         sub = self.ctx.sub_raw
-        return Mat(self.ctx, self.n, [sub(a, b) for a, b in zip(self.vals, other.vals)])
+        return Mat._unchecked(self.ctx, self.n, [sub(a, b) for a, b in zip(self.vals, other.vals)])
 
     def __neg__(self):
         neg = self.ctx.neg_raw
-        return Mat(self.ctx, self.n, [neg(a) for a in self.vals])
+        return Mat._unchecked(self.ctx, self.n, [neg(a) for a in self.vals])
 
     def __matmul__(self, other):
         self._check(other)
         n, add, mul = self.n, self.ctx.add_raw, self.ctx.mul_raw
         a, b = self.vals, other.vals
-        out = []
-        for i in range(n):
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s = add(s, mul(a[i * n + k], b[k * n + j]))
-                out.append(s)
-        return Mat(self.ctx, n, out)
+        rows = [a[i : i + n] for i in range(0, n * n, n)]
+        cols = [b[j::n] for j in range(n)]
+        if n == 3:  # unrolled: the hot case
+            out = [
+                add(add(mul(x0, y0), mul(x1, y1)), mul(x2, y2))
+                for x0, x1, x2 in rows
+                for y0, y1, y2 in cols
+            ]
+        else:
+            out = [reduce(add, map(mul, r, c)) for r in rows for c in cols]
+        return Mat._unchecked(self.ctx, n, out)
 
     def scale(self, e) -> "Mat":
         v = _raw(self.ctx, e)
         mul = self.ctx.mul_raw
-        return Mat(self.ctx, self.n, [mul(v, a) for a in self.vals])
+        return Mat._unchecked(self.ctx, self.n, [mul(v, a) for a in self.vals])
 
     def trace(self) -> RingElem:
         add = self.ctx.add_raw
@@ -191,9 +215,9 @@ class Mat:
         v, n, ctx = self.vals, self.n, self.ctx
         sub, mul = ctx.sub_raw, ctx.mul_raw
         if n == 1:
-            return Mat(ctx, 1, [1])
+            return Mat._unchecked(ctx, 1, [1])
         if n == 2:
-            return Mat(ctx, 2, [v[3], ctx.neg_raw(v[1]), ctx.neg_raw(v[2]), v[0]])
+            return Mat._unchecked(ctx, 2, [v[3], ctx.neg_raw(v[1]), ctx.neg_raw(v[2]), v[0]])
 
         def minor(r0, r1, c0, c1):
             return sub(mul(v[r0 * 3 + c0], v[r1 * 3 + c1]), mul(v[r0 * 3 + c1], v[r1 * 3 + c0]))
@@ -205,7 +229,7 @@ class Mat:
                 r, c = rows[i], rows[j]
                 m = minor(r[0], r[1], c[0], c[1])
                 out.append(m if (i + j) % 2 == 0 else ctx.neg_raw(m))
-        return Mat(ctx, 3, out)
+        return Mat._unchecked(ctx, 3, out)
 
     def inverse(self) -> "Mat":
         d = self.det()
@@ -229,7 +253,7 @@ class Mat:
     def truncate(self, level: int) -> "Mat":
         ctx = self.ctx.truncated(level)
         mod = self.ctx.mod_pi_raw
-        return Mat(ctx, self.n, [mod(a, level) for a in self.vals])
+        return Mat._unchecked(ctx, self.n, [mod(a, level) for a in self.vals])
 
     def lift(self, length: int) -> "Mat":
         return Mat(self.ctx.extended(length), self.n, self.vals)
@@ -257,8 +281,9 @@ def zero(ctx: RingCtx, n: int) -> Mat:
 
 
 def scalar(ctx: RingCtx, n: int, d) -> Mat:
+    _check_size(n)
     v = _raw(ctx, d)
-    return Mat(ctx, n, [v if i % (n + 1) == 0 else 0 for i in range(n * n)])
+    return Mat._unchecked(ctx, n, [v if i % (n + 1) == 0 else 0 for i in range(n * n)])
 
 
 def diag(ctx: RingCtx, entries) -> Mat:
@@ -268,7 +293,7 @@ def diag(ctx: RingCtx, entries) -> Mat:
     vals = list(out.vals)
     for i, e in enumerate(entries):
         vals[i * n + i] = _raw(ctx, e)
-    return Mat(ctx, n, vals)
+    return Mat._unchecked(ctx, n, vals)
 
 
 def companion(ctx: RingCtx, coeffs) -> Mat:
@@ -286,7 +311,7 @@ def companion(ctx: RingCtx, coeffs) -> Mat:
         vals[i * n + i + 1] = 1
     for j, c in enumerate(coeffs):
         vals[(n - 1) * n + j] = c
-    return Mat(ctx, n, vals)
+    return Mat._unchecked(ctx, n, vals)
 
 
 def block_diag(ctx: RingCtx, parts) -> Mat:
@@ -309,7 +334,7 @@ def block_diag(ctx: RingCtx, parts) -> Mat:
         else:
             vals[off * n + off] = _raw(ctx, p)
         off += s
-    return Mat(ctx, n, vals)
+    return Mat._unchecked(ctx, n, vals)
 
 
 def elementary(ctx: RingCtx, n: int, i: int, j: int, x) -> Mat:
@@ -319,7 +344,7 @@ def elementary(ctx: RingCtx, n: int, i: int, j: int, x) -> Mat:
     m = identity(ctx, n)
     vals = list(m.vals)
     vals[(i - 1) * n + (j - 1)] = _raw(ctx, x)
-    return Mat(ctx, n, vals)
+    return Mat._unchecked(ctx, n, vals)
 
 
 def e_matrix(ctx: RingCtx, m: int, a, b, c, d) -> Mat:
@@ -332,11 +357,7 @@ def e_matrix(ctx: RingCtx, m: int, a, b, c, d) -> Mat:
         raise BadParams(f"e_matrix needs m >= 1, got {m}")
     ar, br, cr, dr = (_raw(ctx, x) for x in (a, b, c, d))
     add = ctx.add_raw
-    return Mat(
-        ctx,
-        3,
-        [dr, ctx.pi_pow_raw(m), 0, 0, dr, 1, ar, br, add(cr, dr)],
-    )
+    return Mat._unchecked(ctx, 3, [dr, ctx.pi_pow_raw(m), 0, 0, dr, 1, ar, br, add(cr, dr)])
 
 
 def j_matrix(ctx: RingCtx, c, d) -> Mat:

@@ -59,18 +59,46 @@ def build_intertwiner_matrix(a1: Mat, a2: Mat) -> list[list[int]]:
     return rows
 
 
-def smith_kernel(ctx: RingCtx, mat: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Kernel generators and kernel size of a square system over ctx.
+def _rref(rows, p: int, ncols: int | None = None):
+    """Reduced row echelon form over F_p, pivoting only in the first
+    ncols columns (default: all); returns (rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    piv = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows[:r], piv
 
-    Diagonalizes U*mat*V = diag(pi^e_s) by exact row/column operations
-    (the minimal-valuation entry divides the rest of the submatrix, so
-    all eliminations are exact), then pulls the diagonal kernel back
-    through V.  Returns (generators, cardinality).
+
+def _diagonalize(ctx: RingCtx, W: list[list[int]], V=()) -> list[int]:
+    """Smith diagonalization of the square system W, in place.
+
+    Exact row/column operations bring W to diag(pi^e_s): the
+    minimal-valuation entry of the remaining submatrix is the pivot and
+    divides the rest, so every elimination is exact and the exponents
+    come out non-decreasing.  Column operations are also applied to the
+    rows of V.  Returns the exponents e_s (length for a zero pivot);
+    as Smith invariants they depend only on W up to invertible row and
+    column changes.
     """
-    k = len(mat)
+    k = len(W)
     length = ctx.length
-    W = [row[:] for row in mat]
-    V = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
     val, inv, mul, sub, div = (
         ctx.val_raw,
         ctx.inv_raw,
@@ -124,6 +152,21 @@ def smith_kernel(ctx: RingCtx, mat: list[list[int]]) -> tuple[list[list[int]], i
             for row in V:
                 if row[s]:
                     row[c] = sub(row[c], mul(f, row[s]))
+    return exps
+
+
+def smith_kernel(ctx: RingCtx, mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Kernel generators and kernel size of a square system over ctx.
+
+    Diagonalizes U*mat*V = diag(pi^e_s) (see _diagonalize), then pulls
+    the diagonal kernel back through V.  Returns (generators,
+    cardinality).
+    """
+    k = len(mat)
+    length = ctx.length
+    V = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
+    exps = _diagonalize(ctx, [row[:] for row in mat], V)
+    mul = ctx.mul_raw
     gens = []
     size = 1
     for s in range(k):
@@ -243,7 +286,7 @@ class IntertwinerModule:
 
 
 def _unvec(ctx: RingCtx, n: int, v) -> Mat:
-    return Mat(ctx, n, [v[_vec_pos(n, i, j)] for i in range(n) for j in range(n)])
+    return Mat._unchecked(ctx, n, [v[_vec_pos(n, i, j)] for i in range(n) for j in range(n)])
 
 
 def _check_pair(a1: Mat, a2: Mat):
@@ -277,23 +320,9 @@ def _residue_rref(module: IntertwinerModule):
     rows = [[x % p for x in m.vals] + [1 if i == j else 0 for j in range(g)]
             for i, m in enumerate(module.gens)]
     k = module.a1.n ** 2
-    pivot_cols = []
-    r = 0
-    for c in range(k):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    basis_rows = [tuple(row[:k]) for row in rows[:r]]
-    combos = [tuple(row[k:]) for row in rows[:r]]
+    rows, _ = _rref(rows, p, k)
+    basis_rows = [tuple(row[:k]) for row in rows]
+    combos = [tuple(row[k:]) for row in rows]
     return basis_rows, combos
 
 

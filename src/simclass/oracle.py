@@ -17,6 +17,8 @@ ascending-seed sweep makes every orbit's seed its minimal member.  Each
 entry is one digit mod p^length ("z") or length digits mod p ("t");
 digit s of entry k has place value card^(n^2-1-k) * mod^s, so decoding
 is (ids // place) % mod and encoding is place @ digits, exact in int64.
+A ring and size whose ids or matmul sums would not fit raise
+BudgetExceeded before any state is packed.
 Conjugation is linear in the digits, and the actions of all generators
 are stacked into one (k*dim x dim) matrix: one matmul per block.
 
@@ -178,6 +180,12 @@ def _conjugator(ctx: RingCtx, n: int):
     """
     card, n2 = ctx.cardinality, n * n
     mod, per = (card, 1) if ctx.flavor == "z" else (ctx.p, ctx.length)
+    # state ids, below card^(n^2), must fit int64, and the float64 matmul
+    # is exact only while every sum, below dim * mod^2, stays below 2^53
+    if card**n2 > 2**63 or n2 * per * mod**2 > 2**53:
+        raise BudgetExceeded(
+            f"{n}x{n} states over {ctx.descriptor} are too large for the exact int64 kernel"
+        )
     place = np.array(
         [card ** (n2 - 1 - i // per) * mod ** (i % per) for i in range(n2 * per)], dtype=np.int64
     )
@@ -362,6 +370,7 @@ def orbit_census(
 
 def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
     """Sorted state ids of the conjugation orbit of m."""
+    images = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
     seen = np.array([state_of(m)], dtype=np.int64)
 
     def claim(ids):
@@ -375,7 +384,7 @@ def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
         seen = np.insert(seen, pos[new], fresh)
         return fresh
 
-    _flood(_conjugator(m.ctx, m.n), seen, claim)
+    _flood(images, seen, claim)
     _check_orbit_sizes(m.ctx, m.n, [seen.size])
     return seen
 

@@ -9,6 +9,15 @@ resp. t) packs to p, so pi**j packs to p**j and all digit-level helpers
 (valuation, truncation, sections) are flavor independent.  Only
 addition and multiplication differ: "z" arithmetic carries, "t"
 arithmetic is digit-wise mod p with polynomial convolution.
+
+A context binds its flavor's add_raw, sub_raw, mul_raw and neg_raw as
+plain functions once, so a ring operation is one call with no flavor
+test: "z" contexts bind them when constructed, "t" contexts on their
+first arithmetic call.  For a "t" ring of at most 1024 elements
+that first call also builds the add, mul and negation tables the bound
+functions look up; larger "t" rings bind the digit-loop functions.  The
+raw functions trust their arguments to be packed values of the ring;
+RingElem checks the range of the value it wraps.
 """
 
 from __future__ import annotations
@@ -73,7 +82,15 @@ class RingCtx:
             raise BadLevel(f"length must be >= 1, got {self.length}")
         if self.p**self.length >= MAX_CARDINALITY:
             raise BadDescriptor("ring cardinality must be below 2**63")
-        object.__setattr__(self, "cardinality", self.p**self.length)
+        card = self.p**self.length
+        object.__setattr__(self, "cardinality", card)
+        if self.flavor == "z":
+            self._bind(
+                lambda a, b: (a + b) % card,
+                lambda a, b: (a - b) % card,
+                lambda a, b: a * b % card,
+                lambda a: -a % card,
+            )
 
     # ------------------------------------------------------------------
     # descriptors
@@ -182,29 +199,46 @@ class RingCtx:
             u = self._poly_mul(u, self._poly_add(two, self._poly_neg(self._poly_mul(a, u))))
         return u
 
-    def add_raw(self, a: int, b: int) -> int:
-        if self.flavor == "z":
-            return (a + b) % self.cardinality
-        tab = self._tables[0]
-        if tab is not None:
-            return tab[a * self.cardinality + b]
-        return self._poly_add(a, b)
+    def __reduce__(self):
+        # the bound functions are closures, so pickle the descriptor only
+        return ring_ctx, (self.flavor, self.p, self.length)
 
-    def neg_raw(self, a: int) -> int:
-        if self.flavor == "z":
-            return -a % self.cardinality
-        return self._poly_neg(a)
+    def _bind(self, add, sub, mul, neg):
+        """Install the arithmetic as instance attributes, which shadow the
+        stand-in methods below."""
+        for name, fn in (("add_raw", add), ("sub_raw", sub), ("mul_raw", mul), ("neg_raw", neg)):
+            object.__setattr__(self, name, fn)
+
+    def _bind_t(self) -> "RingCtx":
+        """Bind the "t" arithmetic, table driven for small rings."""
+        add, mul, _ = self._tables
+        if add is None:
+            padd, pneg = self._poly_add, self._poly_neg
+            self._bind(padd, lambda a, b: padd(a, pneg(b)), self._poly_mul, pneg)
+        else:
+            P = self.cardinality
+            neg = [self._poly_neg(a) for a in range(P)]
+            self._bind(
+                lambda a, b: add[a * P + b],
+                lambda a, b: add[a * P + neg[b]],
+                lambda a, b: mul[a * P + b],
+                neg.__getitem__,
+            )
+        return self
+
+    # stand-ins, called only before a "t" context has bound its arithmetic
+
+    def add_raw(self, a: int, b: int) -> int:
+        return self._bind_t().add_raw(a, b)
 
     def sub_raw(self, a: int, b: int) -> int:
-        return self.add_raw(a, self.neg_raw(b))
+        return self._bind_t().sub_raw(a, b)
 
     def mul_raw(self, a: int, b: int) -> int:
-        if self.flavor == "z":
-            return a * b % self.cardinality
-        tab = self._tables[1]
-        if tab is not None:
-            return tab[a * self.cardinality + b]
-        return self._poly_mul(a, b)
+        return self._bind_t().mul_raw(a, b)
+
+    def neg_raw(self, a: int) -> int:
+        return self._bind_t().neg_raw(a)
 
     def inv_raw(self, a: int) -> int:
         if a % self.p == 0:

@@ -1,5 +1,6 @@
 """3x3 pipeline: residue typing, block split, pi-power shapes, canon3."""
 
+import importlib
 import itertools
 
 import pytest
@@ -30,7 +31,14 @@ from simclass import (
     ring_ctx,
     scalar,
 )
-from simclass.canon3 import CyclicBody, HardBody, ScalarBody, SplitBody, _hard_bucket
+from simclass.canon3 import (
+    CyclicBody,
+    HardBody,
+    ScalarBody,
+    SplitBody,
+    _hard_bucket,
+    _signature,
+)
 from conftest import rand_invertible, rand_mat
 
 
@@ -278,6 +286,57 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert isinstance(f.body, HardBody)
         assert f.witness.is_invertible() and m.conjugate_by(f.witness) == f.rebuild()
         assert canon3(f.rebuild()) == f
+
+
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:3:2", "t:3:2"])
+def test_signature_is_a_similarity_invariant(desc, rng):
+    ctx = parse_ring(desc)
+    fam = hard_family(ctx)
+    for h in rng.sample(fam, 12):
+        a = h.rebuild()
+        sig = _signature(a)
+        for _ in range(3):
+            assert _signature(a.conjugate_by(rand_invertible(ctx, 3, rng))) == sig
+
+
+@pytest.mark.parametrize("desc,bound", [("z:2:3", 164), ("z:3:2", 105)])
+def test_bucket_merges_only_test_forms_of_one_signature(desc, bound, monkeypatch):
+    # every bucket of the ring and of its truncations, as enumerate3
+    # builds them; without the signature gate this is 1124 and 243 calls
+    c3 = importlib.import_module("simclass.canon3")
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return is_similar(a, b)
+
+    monkeypatch.setattr(c3, "is_similar", counting)
+    c3._hard_bucket.cache_clear()
+    ctx = parse_ring(desc)
+    for level in range(1, ctx.length + 1):
+        hard_family(ctx.truncated(level))
+    assert 0 < len(calls) <= bound
+
+
+def test_hard_class_rep_matches_an_ungated_search(rng):
+    # the signature gate skips only reps that cannot be similar, so the
+    # first similar rep in bucket order, and its witness, are unchanged;
+    # checked on normalized shapes that are not themselves transversal forms
+    ctx = ring_ctx("z", 2, 3)
+    fam = set(hard_family(ctx))
+    checked = 0
+    while checked < 12:
+        m = rng.randrange(1, 4)
+        h, _ = classify_hard(ep(ctx, m, *(2 * rng.randrange(4) for _ in range(3)), rng.randrange(8)))
+        if h in fam:
+            continue
+        rb = h.rebuild()
+        for _, form, (rep, _) in _hard_bucket(ctx, tuple(x.val for x in rb.charpoly())):
+            ok, x = is_similar(rb, rep)
+            if ok:
+                break
+        assert ok and hard_class_rep(h) == (form, x.inverse())
+        checked += 1
 
 
 def test_hard_class_rep_collapses_conjugates(rng):

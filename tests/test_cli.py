@@ -150,6 +150,28 @@ def test_broken_witness_exits_70_under_optimize():
     assert "verification failed" in proc.stderr
 
 
+def test_broken_canon2_witness_raises_and_exits_70_under_optimize():
+    # a 2x2 input that is not a companion matrix, with the row witness
+    # replaced by the identity: canon2 itself must raise under -O
+    script = (
+        "import importlib, sys\n"
+        "from simclass import Mat, VerificationFailed, canon2, ring_ctx\n"
+        "from simclass.cli import main\n"
+        "from simclass.matrix import identity\n"
+        "c2 = importlib.import_module('simclass.canon2')\n"
+        "c2._cyclic_row_witness = lambda beta: identity(beta.ctx, 2)\n"
+        "try:\n"
+        "    canon2(Mat.from_rows(ring_ctx('z', 2, 2), [[1, 1], [0, 1]]))\n"
+        "    sys.exit('no VerificationFailed')\n"
+        "except VerificationFailed:\n"
+        "    pass\n"
+        "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1,1],[0,1]]']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "canon2 witness check failed" in proc.stderr
+
+
 def test_oracle_partition_mismatch_exits_70_under_optimize(tmp_path):
     # a bitmap marker that also marks one neighbour of every batch loses
     # states from the census; the partition check must fire under -O

@@ -44,6 +44,30 @@ def test_entries_must_be_integers():
             Mat.from_rows(ctx, [[bad, 0], [0, 0]])
 
 
+def test_public_constructors_validate_while_ring_results_skip_it(rng):
+    t = ring_ctx("t", 3, 2)
+    for bad in (1.0, 2.5, True, False, "1", 9, -1):  # 9 and -1 are outside t:3:2
+        with pytest.raises(BadParams):
+            Mat(t, 2, [bad, 0, 0, 0])
+        with pytest.raises(BadParams):
+            mat_from_json({"ring": "t:3:2", "entries": [[0, bad], [0, 0]]})
+        for build in (
+            lambda: scalar(t, 3, bad),
+            lambda: diag(t, [0, bad, 1]),
+            lambda: companion(t, [1, bad]),
+            lambda: e_matrix(t, 1, bad, 0, 0, 0),
+            lambda: elementary(t, 3, 1, 2, bad),
+            lambda: block_diag(t, [bad, identity(t, 2)]),
+        ):
+            with pytest.raises(BadParams):
+                build()
+    # results of ring operations equal their validated rebuilds
+    for ctx in (t, ring_ctx("z", 2, 3)):
+        a, b = rand_mat(ctx, 3, rng), rand_invertible(ctx, 3, rng)
+        for m in (a @ b, a + b, a - b, -a, a.scale(2), b.inverse(), a.truncate(1), scalar(ctx, 3, 4)):
+            assert type(m.vals) is tuple and m == Mat(m.ctx, m.n, m.vals)
+
+
 def test_matmul_matches_entry_formula(rng):
     ctx = ring_ctx("z", 3, 2)
     for _ in range(20):

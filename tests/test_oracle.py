@@ -121,6 +121,18 @@ def test_orbit_states_sorted_and_budget(rng):
         orbit_states(j_matrix(ctx, 1, 0), max_orbit=2)
 
 
+def test_orbit_of_refuses_state_spaces_too_large_to_pack():
+    # 256^9 states do not fit int64, even for a one-state orbit; a 1x1
+    # entry near 2^60 would lose bits in the float64 matmul
+    with pytest.raises(BudgetExceeded):
+        orbit_of(scalar(ring_ctx("z", 2, 8), 3, 255))
+    with pytest.raises(BudgetExceeded):
+        orbit_states(Mat(ring_ctx("z", 2, 60), 1, [2**60 - 1]))
+    # 128^9 = 2^63 states: every id still fits
+    assert orbit_of(scalar(ring_ctx("z", 2, 7), 3, 127))[0] == 1
+    assert orbit_of(Mat(ring_ctx("z", 2, 20), 1, [2**20 - 1]))[0] == 1
+
+
 def test_same_class_agrees_with_is_similar(rng):
     ctx = ring_ctx("z", 2, 2)
     for n in (2, 3):

@@ -1,5 +1,7 @@
 """Ring contexts: packed arithmetic, valuations, digits, sections."""
 
+import pickle
+
 import pytest
 
 from simclass import (
@@ -7,6 +9,7 @@ from simclass import (
     BadLevel,
     DigitOutOfRange,
     NonUnit,
+    RingCtx,
     RingElem,
     parse_ring,
     ring_ctx,
@@ -31,12 +34,14 @@ def test_parse_ring_rejects_bad_descriptors(desc):
 
 
 def test_integer_flavor_matches_modular_arithmetic():
-    ctx = ring_ctx("z", 2, 3)
-    for a in range(8):
-        for b in range(8):
-            assert ctx.add_raw(a, b) == (a + b) % 8
-            assert ctx.mul_raw(a, b) == (a * b) % 8
-            assert ctx.sub_raw(a, b) == (a - b) % 8
+    for ctx in (ring_ctx("z", 2, 3), ring_ctx("z", 5, 2)):
+        q = ctx.cardinality
+        for a in range(q):
+            assert ctx.neg_raw(a) == -a % q
+            for b in range(q):
+                assert ctx.add_raw(a, b) == (a + b) % q
+                assert ctx.mul_raw(a, b) == (a * b) % q
+                assert ctx.sub_raw(a, b) == (a - b) % q
 
 
 def test_poly_flavor_multiplies_without_carries():
@@ -146,3 +151,27 @@ def test_elem_validates_range():
     ctx = ring_ctx("z", 2, 2)
     with pytest.raises(Exception):
         RingElem(ctx, 4)
+
+
+@pytest.mark.parametrize("p,length", [(3, 2), (2, 3), (5, 2), (3, 7)])
+def test_bound_t_ops_match_the_digit_loops(p, length):
+    # a fresh, non-interned context binds its ops on the first call;
+    # t:3:7 is past the table limit and binds the digit loops themselves
+    ctx = RingCtx("t", p, length)
+    assert "mul_raw" not in vars(ctx)
+    assert ctx.mul_raw(1, 1) == 1 and "mul_raw" in vars(ctx)
+    card = ctx.cardinality
+    vals = range(card) if card <= 1024 else range(0, card, 37)
+    for a in vals:
+        assert ctx.neg_raw(a) == ctx._poly_neg(a)
+        for b in vals:
+            assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
+            assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
+            assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
+
+
+def test_contexts_with_bound_ops_pickle_to_the_interned_context():
+    for ctx in (ring_ctx("z", 2, 3), ring_ctx("t", 2, 3), ring_ctx("t", 3, 7)):
+        ctx.mul_raw(1, 1)
+        back = pickle.loads(pickle.dumps(RingElem(ctx, 1)))
+        assert back.ctx is ctx and back.ctx.mul_raw(1, 1) == 1
