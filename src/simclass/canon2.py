@@ -13,6 +13,7 @@ to the rebuilt canonical matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BadLevel, BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, companion, identity, scalar
@@ -69,7 +70,8 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
                 x = ctx.sub_raw(x, d.value.val)
             vals.append(tctx.mod_pi_raw(ctx.div_pi_raw(x, level), length - level))
     beta = Mat(tctx, n, vals)
-    assert not beta.residue().is_scalar(), "scalar split level not maximal"
+    if beta.residue().is_scalar():
+        raise VerificationFailed("scalar split level not maximal")
     return ScalarSplit(level, d, beta)
 
 
@@ -116,26 +118,42 @@ class CanonicalForm2:
         }
 
 
+def _row_times(w, m: Mat) -> list:
+    """Row vector w times m, on raw entries."""
+    ctx, n = m.ctx, m.n
+    add, mul = ctx.add_raw, ctx.mul_raw
+    out = []
+    for j in range(n):
+        s = 0
+        for i in range(n):
+            s = add(s, mul(w[i], m.raw(i, j)))
+        out.append(s)
+    return out
+
+
 def _cyclic_row_witness(beta: Mat) -> Mat:
-    """P with rows (w, w*beta) and unit determinant.
+    """P with rows w, w beta, ..., w beta^(n-1) and unit determinant.
 
     P beta P^{-1} is then exactly the companion matrix of beta's
-    characteristic polynomial (Cayley-Hamilton).  Candidate rows are
-    tried in a fixed order; one of them always works when the residue
-    of beta is non-scalar, including the diagonal-residue case which
-    the two standard rows alone would miss.
+    characteristic polynomial (Cayley-Hamilton).  Candidates w are the
+    residue row vectors whose first nonzero entry is 1, in lex order;
+    unit multiples of a witness row are witness rows, so the first hit
+    is also the first among all residue vectors in lex order.  A hit
+    exists whenever the residue of beta is cyclic, which every
+    non-scalar 2x2 residue is; there at most two of the lines (0, 1),
+    (1, 0), (1, 1) are eigenlines, so the search stops within three
+    candidates.
     """
-    ctx = beta.ctx
-    one, zero = 1, 0
-    for w in ((one, zero), (zero, one), (one, one)):
-        row2 = (
-            ctx.add_raw(ctx.mul_raw(w[0], beta.raw(0, 0)), ctx.mul_raw(w[1], beta.raw(1, 0))),
-            ctx.add_raw(ctx.mul_raw(w[0], beta.raw(0, 1)), ctx.mul_raw(w[1], beta.raw(1, 1))),
-        )
-        p = Mat(ctx, 2, [w[0], w[1], row2[0], row2[1]])
-        if p.is_invertible():
-            return p
-    raise AssertionError("no cyclic row vector found for a non-scalar residue")
+    ctx, n = beta.ctx, beta.n
+    for lead in range(n - 1, -1, -1):
+        for tail in product(range(ctx.p), repeat=n - 1 - lead):
+            rows = [[0] * lead + [1, *tail]]
+            while len(rows) < n:
+                rows.append(_row_times(rows[-1], beta))
+            cand = Mat._unchecked(ctx, n, [x for row in rows for x in row])
+            if cand.is_invertible():
+                return cand
+    raise VerificationFailed("no cyclic row vector for a cyclic residue")
 
 
 def canon2(alpha: Mat) -> tuple[CanonicalForm2, Mat]:

@@ -31,10 +31,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .canon2 import CanonicalForm2, canon2, recombine, split_scalar
+from .canon2 import (
+    CanonicalForm2,
+    _cyclic_row_witness,
+    _row_times,
+    canon2,
+    recombine,
+    split_scalar,
+)
 from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
 from .matrix import Mat, block_diag, companion, diag, e_matrix, identity
-from .modsolve import _diagonalize, _rref, build_intertwiner_matrix, is_similar
+from .modsolve import _diagonalize, build_intertwiner_matrix, is_similar
 from .ring import RingCtx, RingElem, Section
 
 __all__ = [
@@ -63,6 +70,30 @@ __all__ = [
 # residue field linear algebra (plain ints mod p)
 
 
+def _rref(rows, p: int):
+    """Reduced row echelon form over F_p; returns (rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    piv = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows[:r], piv
+
+
 def _left_kernel(m: Mat):
     """Basis of {w : w m = 0} for m over a residue field."""
     p, n = m.ctx.p, m.n
@@ -75,18 +106,6 @@ def _left_kernel(m: Mat):
             v[c] = -rr[ri][f] % p
         basis.append(tuple(v))
     return basis
-
-
-def _row_times(w, m: Mat):
-    ctx, n = m.ctx, m.n
-    add, mul = ctx.add_raw, ctx.mul_raw
-    out = []
-    for j in range(n):
-        s = 0
-        for i in range(n):
-            s = add(s, mul(w[i], m.raw(i, j)))
-        out.append(s)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +141,7 @@ def residue_type(m: Mat) -> ResidueType:
     rr, piv = _rref(aug, p)
     if 2 in piv:
         return ResidueType("cyclic")
-    assert piv == [0, 1]  # r non-scalar, so {r, I} is independent
+    # r is non-scalar, so {r, I} is independent and piv == [0, 1]
     s, t = rr[0][2], rr[1][2]
     roots = [d for d in range(p) if (d * d - s * d - t) % p == 0]
     if len(roots) == 1:
@@ -131,13 +150,12 @@ def residue_type(m: Mat) -> ResidueType:
     # an irreducible quadratic minimal polynomial is impossible in odd
     # dimension, so two distinct roots remain; the trace says which one
     # is doubled
-    assert len(roots) == 2
-    r1, r2_ = roots
-    tr = r.trace().val
-    if (r1 + 2 * r2_ - tr) % p == 0:
-        return ResidueType("split", (r1, r2_))
-    assert (r2_ + 2 * r1 - tr) % p == 0
-    return ResidueType("split", (r2_, r1))
+    if len(roots) == 2:
+        tr = r.trace().val
+        for single, double in (roots, roots[::-1]):
+            if (single + 2 * double - tr) % p == 0:
+                return ResidueType("split", (single, double))
+    raise VerificationFailed(f"residue minimal polynomial x^2 - {s}x - {t} fits no shape")
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +193,6 @@ def hensel_block_split(beta: Mat):
     shifted_b = Mat(res.ctx, 3, [(res.vals[k] - (bbar if k % 4 == 0 else 0)) % p for k in range(9)])
     ka = _left_kernel(shifted_a)
     kb = _left_kernel(shifted_b)
-    assert len(ka) == 1 and len(kb) == 2
     x_total = Mat(ctx, 3, list(ka[0]) + list(kb[0]) + list(kb[1]))
     gamma = beta.conjugate_by(x_total)
     length = ctx.length
@@ -198,7 +215,6 @@ def hensel_block_split(beta: Mat):
         gamma = gamma.conjugate_by(u)
         x_total = u @ x_total
         k *= 2
-    assert gamma.raw(0, 1) == 0 and gamma.raw(0, 2) == 0
     # row 1 is clear, so clearing column 1 is exactly linear
     m00 = ctx.sub_raw(gamma.raw(0, 0), gamma.raw(1, 1))
     m11 = ctx.sub_raw(gamma.raw(0, 0), gamma.raw(2, 2))
@@ -214,11 +230,10 @@ def hensel_block_split(beta: Mat):
     low = Mat(ctx, 3, [1, 0, 0, x, 1, 0, y, 0, 1])
     gamma = gamma.conjugate_by(low)
     x_total = low @ x_total
-    assert gamma.raw(1, 0) == 0 and gamma.raw(2, 0) == 0
-    assert gamma.raw(0, 1) == 0 and gamma.raw(0, 2) == 0
     a = gamma.entry(0, 0)
     b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    assert a.val % p == abar and beta.conjugate_by(x_total) == block_diag(ctx, [a, b])
+    if a.val % p != abar or beta.conjugate_by(x_total) != block_diag(ctx, [a, b]):
+        raise VerificationFailed("block split witness check failed")
     return a, b, x_total
 
 
@@ -286,7 +301,6 @@ def reduce_to_e_form(beta: Mat):
     p = res.ctx.p
     nbar = Mat(res.ctx, 3, [(res.vals[k] - (dbar if k % 4 == 0 else 0)) % p for k in range(9)])
     ker = _left_kernel(nbar)
-    assert len(ker) == 2
     w2 = next(
         tuple(1 if k == i else 0 for k in range(3))
         for i in range(3)
@@ -303,19 +317,17 @@ def reduce_to_e_form(beta: Mat):
         gamma = gamma.conjugate_by(x)
         x_total = x @ x_total
 
-    step(diag(ctx, [1, 1, gamma.entry(1, 2)]))  # (1,2) slot becomes 1
-    assert gamma.raw(1, 2) == 1
+    # each step fixes one entry of the shape: (1,2) = 1, (0,2) = 0,
+    # (1,0) = 0, (1,1) = (0,0), then (0,1) an exact pi power
+    step(diag(ctx, [1, 1, gamma.entry(1, 2)]))
     step(Mat(ctx, 3, [1, ctx.neg_raw(gamma.raw(0, 2)), 0, 0, 1, 0, 0, 0, 1]))
-    assert gamma.raw(0, 2) == 0
     step(Mat(ctx, 3, [1, 0, 0, 0, 1, 0, gamma.raw(1, 0), 0, 1]))
-    assert gamma.raw(1, 0) == 0
     step(Mat(ctx, 3, [1, 0, 0, 0, 1, 0, 0, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)), 1]))
-    assert gamma.raw(1, 1) == gamma.raw(0, 0)
     _, u = ctx.unit_split_raw(gamma.raw(0, 1))
     step(diag(ctx, [ctx.inv_raw(u), 1, 1]))
     e = as_e_params(gamma)
-    assert e is not None, "pi-power shape reduction failed"
-    assert beta.conjugate_by(x_total) == e.rebuild()
+    if e is None or beta.conjugate_by(x_total) != e.rebuild():
+        raise VerificationFailed("pi-power shape reduction failed")
     return e, x_total
 
 
@@ -400,17 +412,14 @@ def classify_hard(e: EParams):
         if vb >= length:  # then m = va = length too: nothing but the J shape
             return HardForm("I", length, e.a, e.b, e.c, e.d), x_total
         # first eliminate a: each step multiplies b by a unit mod higher
-        # valuation and strictly raises val(a), so it ends within length steps
-        guard = 0
+        # valuation and strictly raises val(a), so it ends within length
+        # steps; a step that does not is a stall and raises
         while cur.a:
-            tb, ub = cur.b.unit_split()
-            assert tb == vb
+            _, ub = cur.b.unit_split()
             x = ctx.mul_raw(ctx.div_pi_raw(cur.a.val, vb), ctx.inv_raw(ub.val))
             old = cur.a.valuation()
-            ok = try_step(_lower_step(ctx, cur.m, x))
-            assert ok and cur.a.valuation() > old, "a elimination stalled"
-            guard += 1
-            assert guard <= length
+            if not try_step(_lower_step(ctx, cur.m, x)) or cur.a.valuation() <= old:
+                raise VerificationFailed("a elimination stalled")
         if cur.m > vb:
             # with a = 0 the triangular basis change f1 = (pi^(m-vb)-1)e1,
             # f2 = e2 - c*lam*e1, f3 = lam*e1 + e3 (lam = unit part of b,
@@ -430,16 +439,16 @@ def classify_hard(e: EParams):
                     0, 0, 1,
                 ],
             )
-            ok = try_step(x)
-            assert ok and cur.m == vb and not cur.a, "slot exponent lowering failed"
+            if not try_step(x) or cur.m != vb or cur.a:
+                raise VerificationFailed("slot exponent lowering failed")
         return HardForm("II", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
 
     if va < m and va < vb:
         if cur.m >= length and cur.a:
             # slot is zero, so a single diagonal scaling strips the unit
             ta, ua = cur.a.unit_split()
-            ok = try_step(diag(ctx, [ua, 1, 1]))
-            assert ok and cur.a.val == ctx.pi_pow_raw(ta)
+            if not try_step(diag(ctx, [ua, 1, 1])) or cur.a.val != ctx.pi_pow_raw(ta):
+                raise VerificationFailed("scaling a to a pi power failed")
         ta = cur.a.valuation()
         for s in range(length - 1, ta - 1, -1):
             delta = cur.d.digits()[s]
@@ -456,7 +465,8 @@ def classify_hard(e: EParams):
             low = ctx.mod_pi_raw(cur.d.val, s)
             if not try_step(h):
                 break  # would leave the shape (possible only past length 2)
-            assert cur.d.digits()[s] == 0 and ctx.mod_pi_raw(cur.d.val, s) == low
+            if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
+                raise VerificationFailed(f"pinning digit {s} of d failed")
         return HardForm("III0", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
 
     if m <= va and m < vb:
@@ -468,7 +478,8 @@ def classify_hard(e: EParams):
             low = ctx.mod_pi_raw(cur.d.val, s)
             if not try_step(_lower_step(ctx, cur.m, x)):
                 break
-            assert cur.d.digits()[s] == 0 and ctx.mod_pi_raw(cur.d.val, s) == low
+            if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
+                raise VerificationFailed(f"pinning digit {s} of d failed")
         return HardForm("III1", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
 
     raise NotHardCase(f"m={m}, val(a)={va}, val(b)={vb} fit no type")  # unreachable
@@ -657,22 +668,6 @@ class CanonicalForm3:
         return out
 
 
-def _cyclic_row_witness3(beta: Mat) -> Mat:
-    """First residue row vector (lex order) whose length-3 orbit under
-    right multiplication is a basis; exists whenever the residue is
-    cyclic, and any residue witness lifts to a unit one."""
-    ctx = beta.ctx
-    for w in product(range(ctx.p), repeat=3):
-        if w == (0, 0, 0):
-            continue
-        r2 = _row_times(w, beta)
-        r3 = _row_times(r2, beta)
-        cand = Mat(ctx, 3, list(w) + r2 + r3)
-        if cand.is_invertible():
-            return cand
-    raise AssertionError("no cyclic row vector for a cyclic residue")
-
-
 def canon3(alpha: Mat) -> CanonicalForm3:
     if alpha.n != 3:
         raise BadParams("canon3 expects a 3x3 matrix")
@@ -687,7 +682,7 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     tctx = beta.ctx
     rt = residue_type(beta)
     if rt.kind == "cyclic":
-        x = _cyclic_row_witness3(beta)
+        x = _cyclic_row_witness(beta)
         body = CyclicBody(beta.charpoly())
         if beta.conjugate_by(x) != companion(tctx, body.coeffs):
             raise VerificationFailed("cyclic row witness does not reach the companion form")

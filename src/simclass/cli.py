@@ -13,9 +13,10 @@ first * X = X * second exactly, where (first, second) is (A, B) for
 Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
 similar, 64 usage or input error, 65 budget exceeded, 70 verification
 mismatch: `verify` found counts that disagree, or an exact identity a
-result must satisfy (a witness or intertwiner identity, a cardinality,
-the orbit oracle's partition of the states) failed, which is raised as
-VerificationFailed and is never skipped by `python -O`.
+result must satisfy (a witness or intertwiner identity, a centralizer
+order dividing |GL_n|, the orbit oracle's partition of the states)
+failed, which is raised as VerificationFailed and is never skipped by
+`python -O`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .canon3 import canon3
 from .census import count3, enumerate3, gf_coeffs, type_histogram
 from .errors import BudgetExceeded, SearchBudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
-from .modsolve import centralizer_order, is_similar
-from .oracle import group_order, orbit_census, verify_counts
+from .modsolve import centralizer_order, group_order, is_similar
+from .oracle import orbit_census, verify_counts
 from .ring import parse_ring
 
 EX_OK = 0

@@ -5,7 +5,7 @@ public accessors hand out RingElem values.  Only n in {1, 2, 3} is
 supported, which keeps determinants, adjugates and characteristic
 polynomials explicit and exact.
 
-Mat(...), Mat.from_rows and mat_from_json validate every entry (an
+Mat(...) and Mat.from_rows validate every entry (an
 integer, in range for a "t" ring, reduced for a "z" ring).  The shape
 constructors below (scalar, diag, companion, block_diag, elementary,
 e_matrix) put each value they are given through the same check once.
@@ -21,12 +21,11 @@ matrix, so companion(ctx, coeffs).charpoly() == coeffs.
 
 from __future__ import annotations
 
-import json
 import operator
 from functools import reduce
 
 from .errors import BadParams, CtxMismatch, NotInvertible
-from .ring import RingCtx, RingElem, parse_ring
+from .ring import RingCtx, RingElem
 
 __all__ = [
     "Mat",
@@ -39,8 +38,6 @@ __all__ = [
     "elementary",
     "e_matrix",
     "j_matrix",
-    "mat_to_json",
-    "mat_from_json",
 ]
 
 
@@ -362,22 +359,3 @@ def e_matrix(ctx: RingCtx, m: int, a, b, c, d) -> Mat:
 
 def j_matrix(ctx: RingCtx, c, d) -> Mat:
     return e_matrix(ctx, ctx.length, 0, 0, c, d)
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def mat_to_json(m: Mat) -> dict:
-    return {"ring": m.ctx.descriptor, "n": m.n, "entries": m.rows()}
-
-
-def mat_from_json(obj) -> Mat:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    ctx = parse_ring(obj["ring"])
-    entries = obj["entries"]
-    n = obj.get("n", len(entries))
-    if len(entries) != n or any(len(r) != n for r in entries):
-        raise BadParams(f"entry grid is not {n}x{n}")
-    return Mat.from_rows(ctx, entries)

@@ -4,14 +4,16 @@ For matrices alpha_1, alpha_2 the intertwiner module
 
     S = { X : alpha_1 X = X alpha_2 }
 
-is the kernel of a k x k linear map over the ring (k = n^2), computed
-by an exact Smith-style diagonalization (valuation pivoting; every
-pivot is a power of pi) and stored as a Howell basis, which makes
-membership and cardinality canonical.  alpha_1 and alpha_2 are similar
-iff S contains a unit, and X in S is a unit iff its residue mod the
-maximal ideal is invertible, so the unit search runs over the residue
-span of the reduced generators, an F_q vector space of dimension at
-most k.
+is the kernel of a k x k linear map over the ring (k = n^2).  One exact
+Smith diagonalization U W V = diag(pi^e_s) (valuation pivoting; every
+pivot is a power of pi) gives both |S| = prod q^e_s and generators, the
+columns of V scaled by pi^(length - e_s).  alpha_1 and alpha_2 are
+similar iff S contains a unit, and X in S is a unit iff its residue mod
+the maximal ideal is invertible.  The generators with a zero pivot are
+columns of the invertible V, so their residues are a basis of S mod pi,
+and every other generator is a multiple of pi; the unit search scans the
+F_q span of those residues (dimension r <= k) and lifts a hit
+sum c_i g_i back to S.
 
 The intertwiner system is assembled column-major: vec(X) stacks the
 columns of X, so the system matrix is I (x) alpha_1 - alpha_2^T (x) I.
@@ -29,13 +31,22 @@ from .ring import RingCtx
 DEFAULT_SEARCH_CAP = 10_000_000
 
 __all__ = [
-    "HowellBasis",
+    "group_order",
     "IntertwinerModule",
     "intertwiner",
     "find_unit_element",
     "is_similar",
     "centralizer_order",
 ]
+
+
+def group_order(ctx: RingCtx, n: int) -> int:
+    """Order of the invertible n x n matrices over ctx."""
+    p, length = ctx.p, ctx.length
+    out = p ** ((length - 1) * n * n)
+    for k in range(n):
+        out *= p**n - p**k
+    return out
 
 
 def _vec_pos(n: int, i: int, j: int) -> int:
@@ -57,33 +68,6 @@ def build_intertwiner_matrix(a1: Mat, a2: Mat) -> list[list[int]]:
                 c = _vec_pos(n, i, m)
                 rows[r][c] = sub(rows[r][c], a2.raw(m, j))
     return rows
-
-
-def _rref(rows, p: int, ncols: int | None = None):
-    """Reduced row echelon form over F_p, pivoting only in the first
-    ncols columns (default: all); returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    piv = []
-    r = 0
-    for c in range(ncols):
-        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], piv
 
 
 def _diagonalize(ctx: RingCtx, W: list[list[int]], V=()) -> list[int]:
@@ -182,106 +166,12 @@ def smith_kernel(ctx: RingCtx, mat: list[list[int]]) -> tuple[list[list[int]], i
 
 
 @dataclass(frozen=True)
-class HowellBasis:
-    """Echelon basis of a submodule of A^k with canonical membership.
-
-    Pivots are powers of pi in strictly increasing columns; entries in
-    a pivot column above the pivot are reduced modulo it, and for every
-    pivot pi^e the annihilator multiple pi^(length-e) * row lies in the
-    span of the later rows, which is what makes leading-coefficient
-    reduction a complete membership test.
-    """
-
-    ctx: RingCtx
-    width: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[tuple[int, int], ...]  # (column, valuation)
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for _, e in self.pivots:
-            out *= self.ctx.p ** (self.ctx.length - e)
-        return out
-
-    def contains(self, vec) -> bool:
-        ctx = self.ctx
-        v = list(vec)
-        for row, (c, e) in zip(self.rows, self.pivots):
-            x = v[c]
-            if ctx.mod_pi_raw(x, e) != 0:
-                return False
-            f = ctx.div_pi_raw(x, e)
-            if f:
-                for i in range(c, self.width):
-                    if row[i]:
-                        v[i] = ctx.sub_raw(v[i], ctx.mul_raw(f, row[i]))
-        return not any(v)
-
-
-def howellize(ctx: RingCtx, gens, width: int) -> HowellBasis:
-    length = ctx.length
-    val, inv, mul, sub, div = (
-        ctx.val_raw,
-        ctx.inv_raw,
-        ctx.mul_raw,
-        ctx.sub_raw,
-        ctx.div_pi_raw,
-    )
-    pivots: dict[int, list[int]] = {}
-    queue = [list(g) for g in gens]
-
-    def place(v, c):
-        """Install v as the pivot of column c, queueing its annihilator."""
-        e = val(v[c])
-        u = inv(div(v[c], e))
-        if u != 1:
-            v = [mul(u, x) for x in v]
-        pivots[c] = v
-        if e > 0:
-            shift = ctx.pi_pow_raw(length - e)
-            ann = [mul(shift, x) for x in v]
-            if any(ann):
-                queue.append(ann)
-
-    while queue:
-        v = queue.pop()
-        while True:
-            c = next((i for i, x in enumerate(v) if x), None)
-            if c is None:
-                break
-            w = pivots.get(c)
-            if w is None:
-                place(v, c)
-                break
-            ew = val(w[c])
-            if val(v[c]) < ew:
-                place(v, c)  # lower valuation wins; old pivot re-enters
-                v = w
-                continue
-            f = div(v[c], ew)
-            v = [sub(a, mul(f, b)) for a, b in zip(v, w)]
-    cols = sorted(pivots)
-    rows = [pivots[c] for c in cols]
-    piv = [(c, val(pivots[c][c])) for c in cols]
-    # reduce entries above each pivot modulo the pivot
-    for idx, (c, e) in enumerate(piv):
-        for r in range(idx):
-            x = rows[r][c]
-            f = div(sub(x, ctx.mod_pi_raw(x, e)), e)
-            if f:
-                rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], rows[idx])]
-    return HowellBasis(ctx, width, tuple(tuple(r) for r in rows), tuple(piv))
-
-
-@dataclass(frozen=True)
 class IntertwinerModule:
-    """The module S = {X : alpha_1 X = X alpha_2} with a Howell basis."""
+    """The module S = {X : alpha_1 X = X alpha_2}: Smith generators and |S|."""
 
     a1: Mat
     a2: Mat
     gens: tuple[Mat, ...]
-    basis: HowellBasis
     size: int
 
 
@@ -298,32 +188,29 @@ def intertwiner(a1: Mat, a2: Mat) -> IntertwinerModule:
     _check_pair(a1, a2)
     ctx, n = a1.ctx, a1.n
     raw_gens, size = smith_kernel(ctx, build_intertwiner_matrix(a1, a2))
-    basis = howellize(ctx, raw_gens, n * n)
-    if basis.size != size:
-        raise VerificationFailed("Smith and Howell cardinalities disagree")
-    gens = tuple(_unvec(ctx, n, row) for row in basis.rows)
+    gens = tuple(_unvec(ctx, n, row) for row in raw_gens)
     for g in gens:
         if a1 @ g != g @ a2:
             raise VerificationFailed("kernel generator fails the intertwining identity")
-    return IntertwinerModule(a1, a2, gens, basis, size)
+    return IntertwinerModule(a1, a2, gens, size)
 
 
-def _residue_rref(module: IntertwinerModule):
-    """RREF over F_q of the reduced generators, with row transform.
-
-    Returns (basis_rows, combos): basis_rows are F_q matrices as flat
-    tuples mod p, combos[i] gives the F_q coefficients expressing
-    basis_rows[i] in terms of module.gens.
-    """
+def _residue_basis(module: IntertwinerModule) -> list[tuple[Mat, tuple]]:
+    """(generator, residue mod p) for the generators with a zero Smith
+    pivot, the only ones with a nonzero residue; see the module
+    docstring for why these residues are a basis of S mod pi."""
     p = module.a1.ctx.p
-    g = len(module.gens)
-    rows = [[x % p for x in m.vals] + [1 if i == j else 0 for j in range(g)]
-            for i, m in enumerate(module.gens)]
-    k = module.a1.n ** 2
-    rows, _ = _rref(rows, p, k)
-    basis_rows = [tuple(row[:k]) for row in rows]
-    combos = [tuple(row[k:]) for row in rows]
-    return basis_rows, combos
+    out = []
+    for g in module.gens:
+        res = tuple(x % p for x in g.vals)
+        if any(res):
+            out.append((g, res))
+    return out
+
+
+def _check_budget(p: int, r: int, cap: int):
+    if p**r > cap:
+        raise SearchBudgetExceeded(f"residue span has {p}^{r} elements, cap {cap}")
 
 
 def _det_mod_p(vals, n: int, p: int) -> int:
@@ -353,31 +240,25 @@ def _iter_span(basis_rows, p: int):
 def find_unit_element(module: IntertwinerModule, cap: int = DEFAULT_SEARCH_CAP):
     """First unit of S in the fixed residue-span enumeration, or None.
 
-    X in S is a unit iff X mod pi is invertible, and the reduction of S
-    is exactly the F_q span of the reduced generators, so it suffices
-    to scan that span; any hit is lifted back to an exact element of S
-    through the recorded generator combination.
+    X in S is a unit iff X mod pi is invertible, and the residue basis
+    spans the reduction of S, so it suffices to scan that span; a hit
+    with coefficients c_i is lifted to the exact element sum c_i g_i.
     """
     ctx, n = module.a1.ctx, module.a1.n
     p = ctx.p
-    basis_rows, combos = _residue_rref(module)
-    r = len(basis_rows)
-    if r == 0:
+    basis = _residue_basis(module)
+    if not basis:
         return None
-    if p**r > cap:
-        raise SearchBudgetExceeded(f"residue span has {p}^{r} elements, cap {cap}")
-    for coeffs, vec in _iter_span(basis_rows, p):
+    _check_budget(p, len(basis), cap)
+    gens, rows = zip(*basis)
+    for coeffs, vec in _iter_span(rows, p):
         if _det_mod_p(vec, n, p):
-            lam = [0] * len(module.gens)
-            for c, combo in zip(coeffs, combos):
-                if c:
-                    lam = [(a + c * b) % p for a, b in zip(lam, combo)]
             x = None
-            for l, g in zip(lam, module.gens):
-                if l:
-                    term = g.scale(g.ctx.elem(l))
+            for c, g in zip(coeffs, gens):
+                if c:
+                    term = g.scale(ctx.elem(c))
                     x = term if x is None else x + term
-            if x is None or not x.is_invertible():
+            if not x.is_invertible():
                 raise VerificationFailed("lifted residue-span hit is not a unit")
             if module.a1 @ x != x @ module.a2:
                 raise VerificationFailed("lifted unit fails the intertwining identity")
@@ -409,20 +290,20 @@ def centralizer_order(a: Mat, cap: int = DEFAULT_SEARCH_CAP) -> int:
     The reduction map S -> S mod pi is onto the residue span (dimension
     r), every fiber has |S|/q^r elements, and a member is a unit iff
     its residue is invertible, so the order is
-    (#invertible residues) * |S| / q^r.
+    (#invertible residues) * |S| / q^r.  As the order of a subgroup it
+    must divide |GL_n(A)|, which is checked.
     """
     module = intertwiner(a, a)
     ctx, n = a.ctx, a.n
     p = ctx.p
-    basis_rows, _ = _residue_rref(module)
-    r = len(basis_rows)
-    if p**r > cap:
-        raise SearchBudgetExceeded(f"residue span has {p}^{r} elements, cap {cap}")
-    n_inv = 0
-    for _, vec in _iter_span(basis_rows, p):
-        if _det_mod_p(vec, n, p):
-            n_inv += 1
+    rows = [res for _, res in _residue_basis(module)]
+    r = len(rows)
+    _check_budget(p, r, cap)
+    n_inv = sum(1 for _, vec in _iter_span(rows, p) if _det_mod_p(vec, n, p))
     fiber, rem = divmod(module.size, p**r)
     if rem:
         raise VerificationFailed(f"|S| = {module.size} is not a multiple of {p}^{r}")
-    return n_inv * fiber
+    order = n_inv * fiber
+    if not order or group_order(ctx, n) % order:
+        raise VerificationFailed(f"centralizer order {order} does not divide |GL_{n}|")
+    return order

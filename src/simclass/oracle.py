@@ -42,6 +42,7 @@ from .canon3 import canon3
 from .census import count3, enumerate3
 from .errors import BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, diag, elementary
+from .modsolve import group_order
 from .ring import RingCtx, parse_ring
 
 __all__ = [
@@ -57,20 +58,10 @@ __all__ = [
     "same_class",
     "verify_counts",
     "save_census",
-    "load_census",
 ]
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
-
-
-def group_order(ctx: RingCtx, n: int) -> int:
-    """Order of the invertible n x n matrices over ctx."""
-    p, length = ctx.p, ctx.length
-    out = p ** ((length - 1) * n * n)
-    for k in range(n):
-        out *= p**n - p**k
-    return out
 
 
 def _prime_factors(n: int):
@@ -488,10 +479,6 @@ def save_census(census: OrbitCensus, path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def load_census(path: str) -> OrbitCensus:
-    return _read_census(path)[1]
 
 
 def _read_census(path: str) -> tuple[dict, OrbitCensus]:

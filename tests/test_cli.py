@@ -142,7 +142,7 @@ def test_broken_witness_exits_70_under_optimize():
         "from simclass.cli import main\n"
         "from simclass.matrix import identity\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
-        "c3._cyclic_row_witness3 = lambda beta: identity(beta.ctx, 3)\n"
+        "c3._cyclic_row_witness = lambda beta: identity(beta.ctx, 3)\n"
         "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1,1,0],[0,1,1],[0,0,1]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -170,6 +170,44 @@ def test_broken_canon2_witness_raises_and_exits_70_under_optimize():
     proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == EX_MISMATCH, proc.stderr
     assert "canon2 witness check failed" in proc.stderr
+
+
+def test_centralizer_not_dividing_the_group_order_exits_70_under_optimize():
+    # a doubled |S| makes the centralizer of J(0,0) over F_2 count 16,
+    # which does not divide |GL_3(F_2)| = 168
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "ms = importlib.import_module('simclass.modsolve')\n"
+        "real = ms.smith_kernel\n"
+        "def doubled(ctx, mat):\n"
+        "    gens, size = real(ctx, mat)\n"
+        "    return gens, 2 * size\n"
+        "ms.smith_kernel = doubled\n"
+        "sys.exit(main(['centralizer', '--ring', 'z:2:1', '[[0,0,0],[0,0,1],[0,0,0]]']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "does not divide" in proc.stderr
+
+
+def test_broken_block_split_raises_under_optimize():
+    # with the 2x2 solves zeroed the refinement never clears the blocks;
+    # the final witness check must still fire under -O
+    script = (
+        "import importlib, sys\n"
+        "from simclass import Mat, VerificationFailed, hensel_block_split, ring_ctx\n"
+        "c3 = importlib.import_module('simclass.canon3')\n"
+        "c3._solve2 = lambda *args: (0, 0)\n"
+        "m = Mat.from_rows(ring_ctx('z', 2, 2), [[1, 0, 0], [1, 0, 2], [2, 2, 2]])\n"
+        "try:\n"
+        "    hensel_block_split(m)\n"
+        "except VerificationFailed:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('no VerificationFailed')\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_partition_mismatch_exits_70_under_optimize(tmp_path):

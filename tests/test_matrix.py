@@ -1,4 +1,4 @@
-"""Matrix layer: arithmetic, determinants, charpoly, builders, JSON."""
+"""Matrix layer: arithmetic, determinants, charpoly, builders."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from simclass import (
     elementary,
     identity,
     j_matrix,
-    mat_from_json,
-    mat_to_json,
     ring_ctx,
     scalar,
     zero,
@@ -50,7 +48,7 @@ def test_public_constructors_validate_while_ring_results_skip_it(rng):
         with pytest.raises(BadParams):
             Mat(t, 2, [bad, 0, 0, 0])
         with pytest.raises(BadParams):
-            mat_from_json({"ring": "t:3:2", "entries": [[0, bad], [0, 0]]})
+            Mat.from_rows(t, [[0, bad], [0, 0]])
         for build in (
             lambda: scalar(t, 3, bad),
             lambda: diag(t, [0, bad, 1]),
@@ -170,11 +168,3 @@ def test_residue_truncate_lift():
     assert m.truncate(2).lift(3).rows() == [[1, 2], [3, 0]]
     assert m.is_scalar() is False
     assert scalar(ctx, 2, 5).is_scalar()
-
-
-def test_matrix_json_round_trip():
-    ctx = ring_ctx("t", 3, 2)
-    m = Mat.from_rows(ctx, [[1, 4], [7, 0]])
-    j = mat_to_json(m)
-    assert j == {"ring": "t:3:2", "n": 2, "entries": [[1, 4], [7, 0]]}
-    assert mat_from_json(j) == m

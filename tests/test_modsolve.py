@@ -1,8 +1,11 @@
 """Intertwiner modules, similarity decisions, centralizer orders."""
 
+import numpy as np
 import pytest
 
+import simclass.modsolve as modsolve
 from simclass import (
+    VerificationFailed,
     canon2,
     centralizer_order,
     companion,
@@ -26,6 +29,48 @@ def test_intertwiner_basis_solves_the_defining_equation(rng):
             mod = intertwiner(a1, a2)
             for x in mod.gens:
                 assert a1 @ x == x @ a2
+
+
+def _direct_intertwiner_count(a1, a2) -> int:
+    """|{X : a1 X = X a2}| by evaluating both sides on every X at once,
+    with the ring's addition and multiplication as lookup tables."""
+    ctx, n = a1.ctx, a1.n
+    card = range(ctx.cardinality)
+    add = np.array([[ctx.add_raw(x, y) for y in card] for x in card])
+    mul = np.array([[ctx.mul_raw(x, y) for y in card] for x in card])
+    xs = np.indices((ctx.cardinality,) * (n * n)).reshape(n * n, -1)  # row-major entries
+    ok = np.ones(xs.shape[1], dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            lhs = rhs = np.zeros(xs.shape[1], dtype=np.int64)
+            for m in range(n):
+                lhs = add[lhs, mul[a1.raw(i, m), xs[m * n + j]]]
+                rhs = add[rhs, mul[xs[i * n + m], a2.raw(m, j)]]
+            ok &= lhs == rhs
+    return int(ok.sum())
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 2), 2), (("t", 2, 2), 2),
+                                    (("z", 2, 1), 3), (("z", 3, 1), 3)])
+def test_intertwiner_size_matches_a_direct_count(desc, n, rng):
+    ctx = ring_ctx(*desc)
+    for _ in range(3):
+        a = rand_mat(ctx, n, rng)
+        for b in (rand_mat(ctx, n, rng), a, a.conjugate_by(rand_invertible(ctx, n, rng))):
+            assert intertwiner(a, b).size == _direct_intertwiner_count(a, b)
+
+
+def test_centralizer_order_must_divide_the_group_order(monkeypatch):
+    # a doubled |S| gives 16 for J(0,0) over F_2, which does not divide 168
+    real = modsolve.smith_kernel
+
+    def doubled(ctx, mat):
+        gens, size = real(ctx, mat)
+        return gens, 2 * size
+
+    monkeypatch.setattr(modsolve, "smith_kernel", doubled)
+    with pytest.raises(VerificationFailed):
+        centralizer_order(j_matrix(ring_ctx("z", 2, 1), 0, 0))
 
 
 def test_centralizer_is_never_empty(rng):

@@ -15,7 +15,6 @@ from simclass import (
     identity,
     is_similar,
     j_matrix,
-    load_census,
     orbit_census,
     orbit_of,
     orbit_states,
@@ -285,7 +284,7 @@ def test_census_cache_round_trip(tmp_path):
     census = orbit_census(ctx, 2)
     path = str(tmp_path / "f2-n2.orbits")
     save_census(census, path)
-    loaded = load_census(path)
+    _, loaded = oracle._read_census(path)
     assert loaded.ctx is ctx and loaded.n == 2
     assert list(loaded.reps) == list(census.reps)
     assert list(loaded.sizes) == list(census.sizes)
@@ -298,7 +297,7 @@ def test_census_cache_rejects_foreign_version(tmp_path):
     raw = open(path, "rb").read()
     open(path, "wb").write(raw.replace(b'"version": 1', b'"version": 99', 1))
     with pytest.raises(BadParams):
-        load_census(path)
+        oracle._read_census(path)
 
 
 def test_orbit_census_uses_and_survives_cache(tmp_path):
@@ -322,7 +321,8 @@ def test_orbit_census_ignores_a_cache_file_for_another_ring(tmp_path):
     census = orbit_census(ring_ctx("z", 2, 2), 2, cache_dir=d)
     assert census.class_count("M") == 28
     # the foreign file was overwritten with the right census
-    assert load_census(os.path.join(d, "z-2-2-n2.orbits")).class_count("M") == 28
+    _, rewritten = oracle._read_census(os.path.join(d, "z-2-2-n2.orbits"))
+    assert rewritten.class_count("M") == 28
 
 
 # ----------------------------------------------------------------------
