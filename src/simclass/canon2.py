@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BadLevel, BadParams, BudgetExceeded, VerificationFailed
+from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
 from .matrix import Mat, companion, identity, scalar
 from .ring import RingCtx, RingElem, Section, section_of
 
@@ -213,28 +213,35 @@ def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     return out
 
 
-def count2(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
-    """Number of similarity classes of 2x2 matrices at the given level."""
+def _check_count_args(q: int, level: int, group: str, mode: str):
+    """Refuse what count2 and count3 cannot count, before any shortcut."""
     if q < 2 or level < 0:
         raise BadParams("need q >= 2 and level >= 0")
+    if group not in ("M", "GL"):
+        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
+    if mode not in ("closed", "closed_form", "recursion"):
+        raise BadParams(f"mode must be 'closed' or 'recursion', got {mode!r}")
+
+
+def _exact_div(num: int, den: int) -> int:
+    if num % den:
+        raise NonIntegralDivision(f"{num} not divisible by {den}")
+    return num // den
+
+
+def count2(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
+    """Number of similarity classes of 2x2 matrices at the given level."""
+    _check_count_args(q, level, group, mode)
     if level == 0:
         return 1
-    if mode in ("closed", "closed_form"):
-        if group == "M":
-            num = q ** (2 * level + 1) - q**level
-            assert num % (q - 1) == 0
-            return num // (q - 1)
-        if group == "GL":
-            return q ** (2 * level) - q ** (level - 1)
-        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
     if mode != "recursion":
-        raise BadLevel(f"mode must be 'closed' or 'recursion', got {mode!r}")
+        if group == "M":
+            return _exact_div(q ** (2 * level + 1) - q**level, q - 1)
+        return q ** (2 * level) - q ** (level - 1)
     if group == "M":
         w = [q, q * q]
-    elif group == "GL":
-        w = [q - 1, q * q - q]
     else:
-        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
+        w = [q - 1, q * q - q]
     for _ in range(level - 1):
         w = [q * w[0], q * q * w[0] + q * q * w[1]]
     return w[0] + w[1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .canon2 import enumerate2
+from .canon2 import _check_count_args, _exact_div, enumerate2
 from .canon3 import (
     CanonicalForm3,
     CyclicBody,
@@ -122,22 +122,13 @@ def level_vector(q: int, level: int, group: str = "M") -> CountVector:
     return v
 
 
-def _exact_div(num: int, den: int) -> int:
-    if num % den:
-        raise NonIntegralDivision(f"{num} not divisible by {den}")
-    return num // den
-
-
 def count3(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
     """Number of 3x3 similarity classes at the given level."""
-    if q < 2 or level < 0:
-        raise BadParams("need q >= 2 and level >= 0")
+    _check_count_args(q, level, group, mode)
     if level == 0:
         return 1
     if mode == "recursion":
         return sum(level_vector(q, level, group))
-    if mode not in ("closed", "closed_form"):
-        raise BadParams(f"mode must be 'closed' or 'recursion', got {mode!r}")
     i = level
     if group == "M":
         num = (
@@ -150,18 +141,16 @@ def count3(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
             + 2 * q**i
         )
         return _exact_div(num, (q - 1) * (q * q - 1))
-    if group == "GL":
-        num = (
-            q ** (3 * i + 2)
-            - q ** (3 * i)
-            + 2 * q ** (3 * i - 2)
-            - q ** (2 * i + 1)
-            - q ** (2 * i - 1)
-            - 2 * q ** (2 * i - 2)
-            + 2 * q ** (i - 1)
-        )
-        return _exact_div(num, q * q - 1)
-    raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
+    num = (
+        q ** (3 * i + 2)
+        - q ** (3 * i)
+        + 2 * q ** (3 * i - 2)
+        - q ** (2 * i + 1)
+        - q ** (2 * i - 1)
+        - 2 * q ** (2 * i - 2)
+        + 2 * q ** (i - 1)
+    )
+    return _exact_div(num, q * q - 1)
 
 
 def theta(q: int, level: int) -> int:
@@ -188,8 +177,8 @@ def gf_coeffs(q: int, group: str = "M", terms: int = 1):
     reusing the closed form of count3; the tests check the two agree
     coefficient by coefficient.
     """
-    if terms < 1:
-        raise BadParams("need terms >= 1")
+    if q < 2 or terms < 1:
+        raise BadParams("need q >= 2 and terms >= 1")
     if group == "M":
         scale = Fraction(1, (q - 1) * (q * q - 1))
         series = [

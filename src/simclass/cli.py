@@ -144,7 +144,7 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_oracle_census(args) -> int:
     ctx = parse_ring(args.ring)
-    census = orbit_census(ctx, args.n, max_states=args.max_states, cache_dir=args.cache)
+    census = orbit_census(ctx, args.n, max_states=args.max_states)
     _print_json(
         {
             "ring": ctx.descriptor,
@@ -175,7 +175,7 @@ def _cmd_centralizer(args) -> int:
 
 def _cmd_verify(args) -> int:
     ctx = parse_ring(args.ring)
-    report = verify_counts(ctx, args.n, max_states=args.max_states, cache_dir=args.cache)
+    report = verify_counts(ctx, args.n, max_states=args.max_states)
     for row in report["counts"]:
         print(
             "{} n={} {}: oracle={} formula={} enumerated={} {}".format(
@@ -210,8 +210,6 @@ def _add_oracle_opts(sp):
     sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
     sp.add_argument("--max-states", type=int, default=2**28,
                     help="largest state space the orbit search may visit")
-    sp.add_argument("--cache", default=None,
-                    help="census cache directory (default: env SIMCLASS_CACHE_DIR)")
 
 
 def build_parser() -> _Parser:

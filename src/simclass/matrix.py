@@ -6,7 +6,8 @@ supported, which keeps determinants, adjugates and characteristic
 polynomials explicit and exact.
 
 Mat(...) and Mat.from_rows validate every entry (an
-integer, in range for a "t" ring, reduced for a "z" ring).  The shape
+integer, in range for a "t" ring, reduced for a "z" ring); from_rows
+also refuses rows that do not form a square matrix.  The shape
 constructors below (scalar, diag, companion, block_diag, elementary,
 e_matrix) put each value they are given through the same check once.
 Results of ring operations (products, sums, differences, negation,
@@ -96,6 +97,9 @@ class Mat:
     @classmethod
     def from_rows(cls, ctx: RingCtx, rows) -> "Mat":
         rows = [list(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
+            lengths = [len(r) for r in rows]
+            raise BadParams(f"{len(rows)} rows of lengths {lengths} do not form a square matrix")
         return cls(ctx, len(rows), [x for r in rows for x in r])
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ columns of X, so the system matrix is I (x) alpha_1 - alpha_2^T (x) I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import CtxMismatch, SearchBudgetExceeded, VerificationFailed
 from .matrix import Mat, identity
@@ -159,9 +158,7 @@ def smith_kernel(ctx: RingCtx, mat: list[list[int]]) -> tuple[list[list[int]], i
             continue
         size *= ctx.p**e
         shift = ctx.pi_pow_raw(length - e)
-        gen = [mul(shift, V[r][s]) for r in range(k)]
-        if any(gen):
-            gens.append(gen)
+        gens.append([mul(shift, V[r][s]) for r in range(k)])
     return gens, size
 
 
@@ -226,15 +223,31 @@ def _det_mod_p(vals, n: int, p: int) -> int:
 
 
 def _iter_span(basis_rows, p: int):
-    """Yield (coeffs, vector mod p) over the span, lexicographically."""
+    """Yield (coeffs, vector mod p) over the span, lexicographically.
+
+    The coefficients step like an odometer, last one fastest.  A step
+    that raises coefficient i wraps every later one from p - 1 to 0,
+    which adds each later row once more (p times a row is 0), so the
+    vector moves by the precomputed sum of rows i.. in one add.
+    """
     r = len(basis_rows)
     k = len(basis_rows[0]) if r else 0
-    for coeffs in product(range(p), repeat=r):
-        acc = [0] * k
-        for c, row in zip(coeffs, basis_rows):
-            if c:
-                acc = [(a + c * b) % p for a, b in zip(acc, row)]
-        yield coeffs, acc
+    suffix = [[0] * k]
+    for row in reversed(basis_rows):
+        suffix.append([(a + b) % p for a, b in zip(row, suffix[-1])])
+    suffix.reverse()
+    coeffs = [0] * r
+    acc = [0] * k
+    while True:
+        yield tuple(coeffs), acc
+        i = r - 1
+        while i >= 0 and coeffs[i] == p - 1:
+            coeffs[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        coeffs[i] += 1
+        acc = [(a + b) % p for a, b in zip(acc, suffix[i])]
 
 
 def find_unit_element(module: IntertwinerModule, cap: int = DEFAULT_SEARCH_CAP):

@@ -29,10 +29,7 @@ memory is bounded by its bitmap and labels, not by its widest frontier
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +40,7 @@ from .census import count3, enumerate3
 from .errors import BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, diag, elementary
 from .modsolve import group_order
-from .ring import RingCtx, parse_ring
+from .ring import RingCtx
 
 __all__ = [
     "group_order",
@@ -57,7 +54,6 @@ __all__ = [
     "orbit_of",
     "same_class",
     "verify_counts",
-    "save_census",
 ]
 
 DEFAULT_MAX_STATES = 2**28
@@ -299,31 +295,15 @@ def orbit_census(
     n: int,
     max_states: int = DEFAULT_MAX_STATES,
     want_labels: bool = False,
-    cache_dir: str | None = None,
 ) -> OrbitCensus:
     """Full orbit census of n x n matrices over ctx.
 
     want_labels also fills the state -> orbit index array that
-    `index_of` reads; it always recomputes.  Otherwise cache_dir (or
-    SIMCLASS_CACHE_DIR) caches (rep, size) pairs on disk.
+    `index_of` reads.
     """
     nstates = ctx.cardinality ** (n * n)
     if nstates > max_states:
         raise BudgetExceeded(f"{nstates} states over {ctx.descriptor} exceed cap {max_states}")
-    cache_dir = cache_dir or os.environ.get("SIMCLASS_CACHE_DIR")
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"{ctx.flavor}-{ctx.p}-{ctx.length}-n{n}.orbits")
-        if os.path.exists(path) and not want_labels:
-            try:
-                header, census = _read_census(path)
-            except (BadParams, OSError, ValueError):
-                header = None  # unreadable or stale cache: recompute and overwrite
-            # a file written for another ring, size or generating set is stale too
-            if header is not None and all(
-                header.get(k) == v for k, v in _cache_key(ctx, n).items()
-            ):
-                return census
     images = _conjugator(ctx, n)
     bitmap = np.zeros((nstates + 7) // 8, dtype=np.uint8)
     pad = nstates % 8
@@ -354,8 +334,6 @@ def orbit_census(
             f"orbits over {ctx.descriptor} cover {int(census.sizes.sum())} of {nstates} states"
         )
     _check_orbit_sizes(ctx, n, sizes)
-    if path:
-        save_census(census, path)
     return census
 
 
@@ -396,7 +374,7 @@ def same_class(a: Mat, b: Mat) -> bool:
 
 
 def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
-                  **census_kwargs) -> dict:
+                  max_states: int = DEFAULT_MAX_STATES) -> dict:
     """Cross-check the orbit census against every other count of classes.
 
     For both matrix groups, compares the orbit count with the closed
@@ -411,7 +389,7 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
         count_fn, enum_fn, canon_fn = count3, enumerate3, canon3
     else:
         raise BadParams("counts are implemented for n in {2, 3}")
-    census = orbit_census(ctx, n, **census_kwargs)
+    census = orbit_census(ctx, n, max_states=max_states)
     report = {"ring": ctx.descriptor, "n": n, "counts": [], "mismatches": 0}
     for group in ("M", "GL"):
         oracle_ct = census.class_count(group)
@@ -440,60 +418,3 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     if agreed != samples:
         report["mismatches"] += samples - agreed
     return report
-
-
-# ----------------------------------------------------------------------
-# disk cache
-
-
-CACHE_VERSION = 1
-
-
-def _cache_key(ctx: RingCtx, n: int) -> dict:
-    """Header fields that tie a cache file to one census request."""
-    return {
-        "ring": ctx.descriptor,
-        "n": n,
-        "generators": [g.rows() for g in gl_generators(ctx, n)],
-    }
-
-
-def save_census(census: OrbitCensus, path: str):
-    header = {
-        "version": CACHE_VERSION,
-        **_cache_key(census.ctx, census.n),
-        "classes": int(census.reps.size),
-        "states": int(census.sizes.sum()),
-    }
-    pairs = np.empty((census.reps.size, 2), dtype="<u8")
-    pairs[:, 0] = census.reps
-    pairs[:, 1] = census.sizes
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(pairs.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_census(path: str) -> tuple[dict, OrbitCensus]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        raw = fh.read()
-    if header.get("version") != CACHE_VERSION:
-        raise BadParams(f"cache file {path} has an unknown format version")
-    ctx = parse_ring(header["ring"])
-    n = header["n"]
-    pairs = np.frombuffer(raw, dtype="<u8").reshape(-1, 2)
-    if pairs.shape[0] != header["classes"]:
-        raise BadParams(f"cache file {path} is truncated")
-    reps = pairs[:, 0].astype(np.int64)
-    sizes = pairs[:, 1].astype(np.int64)
-    if int(sizes.sum()) != header["states"]:
-        raise BadParams(f"cache file {path} is inconsistent")
-    return header, OrbitCensus(ctx, n, reps, sizes, None)

@@ -1,24 +1,18 @@
-"""Shared fixtures: a per-session orbit cache and random matrix helpers."""
+"""Shared fixtures: a per-session orbit census memo and random matrix helpers."""
 
-import os
+import functools
 import random
 
 import pytest
 
-from simclass import Mat, ring_ctx
+from simclass import Mat, orbit_census, ring_ctx
 
 
-@pytest.fixture(scope="session", autouse=True)
-def orbit_cache_dir(tmp_path_factory):
-    """Compute each orbit census once per session, on disk."""
-    path = tmp_path_factory.mktemp("orbit-cache")
-    old = os.environ.get("SIMCLASS_CACHE_DIR")
-    os.environ["SIMCLASS_CACHE_DIR"] = str(path)
-    yield str(path)
-    if old is None:
-        os.environ.pop("SIMCLASS_CACHE_DIR", None)
-    else:
-        os.environ["SIMCLASS_CACHE_DIR"] = old
+@pytest.fixture(scope="session")
+def shared_census():
+    """census(ctx, n): the labelled orbit census, built once per session
+    for each ring and size; callers only read it."""
+    return functools.cache(lambda ctx, n: orbit_census(ctx, n, want_labels=True))
 
 
 def rand_mat(ctx, n, rng):

@@ -66,9 +66,9 @@ def test_criterion_01_closed_form_counts():
     _line(1, f"nine anchor counts exact, slowest call {worst * 1e6:.0f}us")
 
 
-def test_criterion_02_oracle_agreement():
+def test_criterion_02_oracle_agreement(shared_census):
     t0 = time.perf_counter()
-    c3x3 = orbit_census(ring_ctx("z", 2, 2), 3)
+    c3x3 = shared_census(ring_ctx("z", 2, 2), 3)
     assert c3x3.class_count("M") == 144 and c3x3.class_count("GL") == 60
     assert orbit_census(ring_ctx("z", 2, 2), 2).class_count("M") == 28
     assert orbit_census(ring_ctx("z", 3, 2), 2).class_count("M") == 117
@@ -77,10 +77,10 @@ def test_criterion_02_oracle_agreement():
     _line(2, f"orbit censuses 144/60, 28, 117 in {elapsed:.1f}s")
 
 
-def test_criterion_03_residue_field_dependence():
+def test_criterion_03_residue_field_dependence(shared_census):
     pairs_3x3 = (
-        orbit_census(ring_ctx("z", 2, 2), 3).class_count("M"),
-        orbit_census(ring_ctx("t", 2, 2), 3).class_count("M"),
+        shared_census(ring_ctx("z", 2, 2), 3).class_count("M"),
+        shared_census(ring_ctx("t", 2, 2), 3).class_count("M"),
     )
     assert pairs_3x3 == (144, 144)
     for p, expect in ((2, 28), (3, 117)):
@@ -195,9 +195,9 @@ def test_criterion_09_generating_functions():
     _line(9, "series coefficients match the closed counts through level 10")
 
 
-def test_criterion_10_is_similar_vs_oracle():
+def test_criterion_10_is_similar_vs_oracle(shared_census):
     ctx = ring_ctx("z", 2, 2)
-    census = orbit_census(ctx, 3, want_labels=True)
+    census = shared_census(ctx, 3)
     rng = random.Random(10)
     hits = 0
     for _ in range(1000):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from simclass import (
+    BadParams,
     BudgetExceeded,
     Mat,
     canon2,
@@ -155,6 +156,13 @@ def test_count2_closed_form_values():
     assert count2(3, 2, "M") == 117
     assert count2(2, 2, "GL") == 14
     assert count2(2, 0, "M") == 1
+
+
+def test_count2_rejects_bad_arguments():
+    for args in ((1, 2), (2, -1), (2, 2, "SL"), (2, 2, "M", "guess"),
+                 (2, 0, "bogus"), (2, 0, "M", "guess")):
+        with pytest.raises(BadParams):
+            count2(*args)
 
 
 def test_count2_recursion_agrees_with_closed_form():

@@ -112,6 +112,11 @@ def test_count3_rejects_bad_arguments():
         count3(2, 2, "SL")
     with pytest.raises(BadParams):
         count3(2, 2, "M", "guess")
+    # level 0 has one class, but only for a group and mode that exist
+    with pytest.raises(BadParams):
+        count3(2, 0, "bogus")
+    with pytest.raises(BadParams):
+        count3(2, 0, "M", "guess")
 
 
 def test_vectors():
@@ -141,6 +146,12 @@ def test_gf_coeffs_match_counts():
 def test_gf_coeffs_first_terms_at_q2():
     assert gf_coeffs(2, "M", 5) == [1, 14, 144, 1296, 10976]
     assert gf_coeffs(2, "GL", 3) == [1, 6, 60]
+
+
+def test_gf_coeffs_rejects_bad_arguments():
+    for q, group, terms in ((1, "M", 3), (0, "GL", 3), (-1, "M", 3), (2, "M", 0), (2, "SL", 3)):
+        with pytest.raises(BadParams):
+            gf_coeffs(q, group, terms)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,14 @@ def test_entries_must_be_integers():
             Mat.from_rows(ctx, [[bad, 0], [0, 0]])
 
 
+def test_from_rows_refuses_rows_that_are_not_square():
+    ctx = ring_ctx("z", 2, 2)
+    # [[1, 2, 3], [0]] has four entries, but is not [[1, 2], [3, 0]]
+    for rows in ([[1, 2, 3], [0]], [[1, 2], [3]], [[1, 2], [3, 0, 0]], [[1, 0], [0, 1], []]):
+        with pytest.raises(BadParams):
+            Mat.from_rows(ctx, rows)
+
+
 def test_public_constructors_validate_while_ring_results_skip_it(rng):
     t = ring_ctx("t", 3, 2)
     for bad in (1.0, 2.5, True, False, "1", 9, -1):  # 9 and -1 are outside t:3:2

@@ -1,5 +1,7 @@
 """Intertwiner modules, similarity decisions, centralizer orders."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,18 @@ def test_find_unit_element_returns_unit(rng):
     mod = intertwiner(m, m)
     x = find_unit_element(mod)
     assert x is not None and x.is_invertible() and m @ x == x @ m
+
+
+def test_iter_span_steps_through_the_span_lexicographically(rng):
+    # reference: every coefficient tuple in itertools order, each vector
+    # summed from zero
+    for p, r, k in ((2, 4, 9), (3, 3, 4), (7, 2, 9), (11, 2, 5), (5, 1, 3), (3, 0, 0)):
+        rows = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
+        want = []
+        for coeffs in itertools.product(range(p), repeat=r):
+            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(k)]
+            want.append((coeffs, vec))
+        assert list(modsolve._iter_span(rows, p)) == want
 
 
 def test_identity_is_always_similar_to_itself():

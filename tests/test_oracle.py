@@ -1,6 +1,4 @@
-"""Brute-force conjugation-orbit oracle and its disk cache."""
-
-import os
+"""Brute-force conjugation-orbit oracle."""
 
 import pytest
 
@@ -20,7 +18,6 @@ from simclass import (
     orbit_states,
     ring_ctx,
     same_class,
-    save_census,
     scalar,
     verify_counts,
 )
@@ -157,9 +154,9 @@ CENSUS_CASES = [
 
 
 @pytest.mark.parametrize("desc,n,m_classes,gl_classes", CENSUS_CASES)
-def test_orbit_census_class_counts(desc, n, m_classes, gl_classes):
+def test_orbit_census_class_counts(shared_census, desc, n, m_classes, gl_classes):
     ctx = ring_ctx(*desc)
-    census = orbit_census(ctx, n)
+    census = shared_census(ctx, n)
     assert census.class_count("M") == m_classes
     if gl_classes is not None:
         assert census.class_count("GL") == gl_classes
@@ -191,20 +188,17 @@ def test_orbit_census_labels(rng):
 def test_orbit_census_budget():
     with pytest.raises(BudgetExceeded):
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
+    with pytest.raises(BudgetExceeded):
+        verify_counts(ring_ctx("z", 2, 2), 3, max_states=1000)
 
 
-def test_orbit_census_labels_only_on_request(tmp_path, monkeypatch):
+def test_orbit_census_labels_only_on_request():
     ctx = ring_ctx("z", 2, 2)
-    monkeypatch.delenv("SIMCLASS_CACHE_DIR", raising=False)
     plain = orbit_census(ctx, 2)
     assert plain.labels is None
     with pytest.raises(BadParams):
         plain.index_of(identity(ctx, 2))
-    d = str(tmp_path)
-    assert orbit_census(ctx, 2, cache_dir=d).labels is None  # computed, then saved
-    assert orbit_census(ctx, 2, cache_dir=d).labels is None  # read back
-    # labels are never cached, so asking for them recomputes
-    labelled = orbit_census(ctx, 2, want_labels=True, cache_dir=d)
+    labelled = orbit_census(ctx, 2, want_labels=True)
     assert labelled.labels is not None
     assert list(labelled.reps) == list(plain.reps)
     assert labelled.index_of(identity(ctx, 2)) == labelled.index_of(scalar(ctx, 2, 1))
@@ -273,56 +267,6 @@ def test_orbit_sizes_must_divide_the_group_order(monkeypatch):
         orbit_census(ctx, 3, want_labels=True)
     with pytest.raises(VerificationFailed):
         orbit_states(j_matrix(ctx, 0, 0))
-
-
-# ----------------------------------------------------------------------
-# disk cache
-
-
-def test_census_cache_round_trip(tmp_path):
-    ctx = ring_ctx("z", 2, 1)
-    census = orbit_census(ctx, 2)
-    path = str(tmp_path / "f2-n2.orbits")
-    save_census(census, path)
-    _, loaded = oracle._read_census(path)
-    assert loaded.ctx is ctx and loaded.n == 2
-    assert list(loaded.reps) == list(census.reps)
-    assert list(loaded.sizes) == list(census.sizes)
-
-
-def test_census_cache_rejects_foreign_version(tmp_path):
-    ctx = ring_ctx("z", 2, 1)
-    path = str(tmp_path / "f2-n2.orbits")
-    save_census(orbit_census(ctx, 2), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw.replace(b'"version": 1', b'"version": 99', 1))
-    with pytest.raises(BadParams):
-        oracle._read_census(path)
-
-
-def test_orbit_census_uses_and_survives_cache(tmp_path):
-    ctx = ring_ctx("z", 2, 1)
-    d = str(tmp_path)
-    first = orbit_census(ctx, 3, cache_dir=d)
-    files = os.listdir(d)
-    assert files == ["z-2-1-n3.orbits"]
-    second = orbit_census(ctx, 3, cache_dir=d)
-    assert list(second.reps) == list(first.reps)
-    # a corrupt cache is ignored, not fatal
-    open(os.path.join(d, files[0]), "wb").write(b"garbage")
-    third = orbit_census(ctx, 3, cache_dir=d)
-    assert list(third.reps) == list(first.reps)
-
-
-def test_orbit_census_ignores_a_cache_file_for_another_ring(tmp_path):
-    d = str(tmp_path)
-    orbit_census(ring_ctx("z", 3, 1), 2, cache_dir=d)
-    os.replace(os.path.join(d, "z-3-1-n2.orbits"), os.path.join(d, "z-2-2-n2.orbits"))
-    census = orbit_census(ring_ctx("z", 2, 2), 2, cache_dir=d)
-    assert census.class_count("M") == 28
-    # the foreign file was overwritten with the right census
-    _, rewritten = oracle._read_census(os.path.join(d, "z-2-2-n2.orbits"))
-    assert rewritten.class_count("M") == 28
 
 
 # ----------------------------------------------------------------------
