@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
-from .matrix import Mat, companion, identity, scalar
+from .matrix import Mat, _raw, companion, identity, scalar
 from .ring import RingCtx, RingElem, Section, section_of
 
 __all__ = [
@@ -77,15 +77,16 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
 
 def recombine(ctx: RingCtx, level: int, d: Section, body: Mat | None, n: int) -> Mat:
     """d*I + pi^level * lift(body) over ctx; inverse of split_scalar."""
-    out = scalar(ctx, n, d.value)
     if level == ctx.length:
-        return out
+        return scalar(ctx, n, d.value)
+    dv = _raw(ctx, d.value)
     if body is None or body.ctx.length != ctx.length - level:
         raise BadParams("body must live over the length-(l-j) ring")
+    # multiplying by pi^level shifts the packed digits up in both flavors
     shift = ctx.p**level
-    vals = list(out.vals)
-    for i in range(n * n):
-        vals[i] = ctx.add_raw(vals[i], body.vals[i] * shift)
+    vals = [v * shift for v in body.vals]
+    for i in range(0, n * n, n + 1):
+        vals[i] = ctx.add_raw(vals[i], dv)
     return Mat._unchecked(ctx, n, vals)
 
 

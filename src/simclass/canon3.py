@@ -14,15 +14,16 @@ each with its own exact reduction over the length-(l-j) ring:
   complete invariant at every length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
   beta is conjugated onto the shape [[d, pi^m, 0], [0, d, 1],
-  [a, b, c+d]] and then normalized type by type.  The normalization
-  separates classes completely for lengths <= 2 but not beyond, so the
-  result is mapped onto a fixed transversal of such classes with
-  explicit similarity tests.  Classes only merge within one
-  characteristic polynomial, so the transversal is kept in buckets keyed
-  by it, each built on first use from the pi-power shapes with that
-  polynomial alone; hard_family is the union of all buckets of a ring.
-  Within a bucket, similarity tests run only between forms with equal
-  signatures (see _signature), a cheap invariant of the class.
+  [a, b, c+d]] and then normalized type by type.  The transversal is
+  kept in buckets keyed by the characteristic polynomial, each built on
+  first use from the pi-power shapes with that polynomial alone;
+  hard_family is the union of all buckets of a ring.  Over lengths <= 2
+  the normalization separates classes completely, so a bucket is just
+  the distinct normalized forms and a form is its own representative.
+  Beyond that it does not, so the forms of a bucket are merged with
+  explicit similarity tests (classes only merge within one
+  characteristic polynomial), and those run only between forms with
+  equal signatures (see _signature), a cheap invariant of the class.
 """
 
 from __future__ import annotations
@@ -345,10 +346,11 @@ class HardForm:
                 when the slot is zero, d pinned below val(a).
     tag "III1": m <= val(a), m < val(b); d pinned below m.
 
-    The stated normalizations are guaranteed over rings of length <= 2;
-    over longer rings a normalization step is skipped whenever it would
-    leave the shape, keeping the result deterministic and conjugate to
-    the input.
+    The stated normalizations are guaranteed over rings of length <= 2,
+    and there distinct forms are distinct classes; over longer rings a
+    normalization step is skipped whenever it would leave the shape,
+    keeping the result deterministic and conjugate to the input, and
+    the hard index merges forms of one class (see _hard_bucket).
     """
 
     tag: str
@@ -376,12 +378,61 @@ class HardForm:
         }
 
 
-def _lower_step(ctx: RingCtx, m: int, x: int) -> Mat:
-    """[[1,0,0],[x,1,0],[x^2 pi^m, 2x pi^m, 1]]; preserves the shape."""
+# Each normalization step is unipotent or diagonal, so its builder
+# returns the step matrix together with its inverse in closed form.
+
+
+def _lower_step(ctx: RingCtx, m: int, x: int) -> tuple:
+    """L(x) = [[1,0,0],[x,1,0],[x^2 pi^m, 2x pi^m, 1]] and L(-x).
+
+    L preserves the shape, and L(x) L(y) = L(x + y), so L(x)^-1 = L(-x).
+    """
     pim = ctx.pi_pow_raw(m)
-    x2 = ctx.mul_raw(x, x)
-    two_x = ctx.add_raw(x, x)
-    return Mat(ctx, 3, [1, 0, 0, x, 1, 0, ctx.mul_raw(x2, pim), ctx.mul_raw(two_x, pim), 1])
+
+    def lower(x):
+        x2 = ctx.mul_raw(x, x)
+        two_x = ctx.add_raw(x, x)
+        return Mat._unchecked(
+            ctx, 3, [1, 0, 0, x, 1, 0, ctx.mul_raw(x2, pim), ctx.mul_raw(two_x, pim), 1]
+        )
+
+    return lower(x), lower(ctx.neg_raw(x))
+
+
+def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> tuple:
+    """The slot-lowering triangle for k = m - val(b) >= 1, and its inverse.
+
+    The inverse has columns f1 = mu*e1, f2 = e2 - c*lam*e1 and
+    f3 = lam*e1 + e3, with mu = pi^k - 1 a unit: first row
+    (mu, -c*lam, lam).  The step itself has first row
+    (mu^-1, mu^-1*c*lam, -mu^-1*lam).
+    """
+    mul, neg = ctx.mul_raw, ctx.neg_raw
+    mu = ctx.sub_raw(ctx.pi_pow_raw(k), 1)
+    mu_inv = ctx.inv_raw(mu)
+    c_lam = mul(c, lam)
+    x = [mu_inv, mul(mu_inv, c_lam), neg(mul(mu_inv, lam)), 0, 1, 0, 0, 0, 1]
+    x_inv = [mu, neg(c_lam), lam, 0, 1, 0, 0, 0, 1]
+    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, x_inv)
+
+
+def _diag_step(ctx: RingCtx, u: int) -> tuple:
+    """diag(u, 1, 1) for a unit u, and diag(u^-1, 1, 1)."""
+    return diag(ctx, [u, 1, 1]), diag(ctx, [ctx.inv_raw(u), 1, 1])
+
+
+def _pin_step(ctx: RingCtx, v: int, a: int, c: int) -> tuple:
+    """h = [[1, v^2 a - v c, v], [0, 1, 0], [0, -v a, 1]] and its inverse.
+
+    h = I + N with N^2 = -v^2 a E_01 and N^3 = 0, so h^-1 = I - N + N^2.
+    """
+    add, sub, mul, neg = ctx.add_raw, ctx.sub_raw, ctx.mul_raw, ctx.neg_raw
+    v2a = mul(mul(v, v), a)
+    vc = mul(v, c)
+    va = mul(v, a)
+    h = [1, sub(v2a, vc), v, 0, 1, 0, 0, neg(va), 1]
+    h_inv = [1, sub(vc, add(v2a, v2a)), neg(v), 0, 1, 0, 0, va, 1]
+    return Mat._unchecked(ctx, 3, h), Mat._unchecked(ctx, 3, h_inv)
 
 
 def classify_hard(e: EParams):
@@ -390,27 +441,46 @@ def classify_hard(e: EParams):
     X conjugates the rebuilt input onto the rebuilt form.  See HardForm
     for the per-type normalizations and their depth guarantees.
     """
+    form, steps = _normalize_hard(e)
+    x_total = identity(e.ctx, 3)
+    for x in steps:
+        x_total = x @ x_total
+    return form, x_total
+
+
+def _normalize_hard(e: EParams):
+    """(HardForm, the step matrices taken, in order).
+
+    A bucket build needs the form only, so the steps are multiplied
+    into a witness by classify_hard alone.
+    """
     ctx = e.ctx
     length = ctx.length
     gamma = e.rebuild()
-    x_total = identity(ctx, 3)
+    ident = identity(ctx, 3)
+    steps = []
     cur = e
     va, vb = e.a.valuation(), e.b.valuation()
     m = e.m
 
-    def try_step(x: Mat) -> bool:
-        nonlocal gamma, x_total, cur
-        nxt = gamma.conjugate_by(x)
+    def try_step(step: tuple) -> bool:
+        # every step comes with its inverse in closed form; the pair is
+        # checked exactly, so a wrong inverse fails here, not in the witness
+        nonlocal gamma, cur
+        x, x_inv = step
+        if x @ x_inv != ident:
+            raise VerificationFailed("classify_hard step and its inverse do not multiply to I")
+        nxt = x @ gamma @ x_inv
         got = as_e_params(nxt)
         if got is None:
             return False
         gamma, cur = nxt, got
-        x_total = x @ x_total
+        steps.append(x)
         return True
 
     if vb <= m and vb <= va:
         if vb >= length:  # then m = va = length too: nothing but the J shape
-            return HardForm("I", length, e.a, e.b, e.c, e.d), x_total
+            return HardForm("I", length, e.a, e.b, e.c, e.d), steps
         # first eliminate a: each step multiplies b by a unit mod higher
         # valuation and strictly raises val(a), so it ends within length
         # steps; a step that does not is a stall and raises
@@ -421,33 +491,20 @@ def classify_hard(e: EParams):
             if not try_step(_lower_step(ctx, cur.m, x)) or cur.a.valuation() <= old:
                 raise VerificationFailed("a elimination stalled")
         if cur.m > vb:
-            # with a = 0 the triangular basis change f1 = (pi^(m-vb)-1)e1,
-            # f2 = e2 - c*lam*e1, f3 = lam*e1 + e3 (lam = unit part of b,
+            # with a = 0 the slot-lowering triangle (lam = unit part of b,
             # inverted) lowers the slot exponent to val(b) exactly, fixing
             # a = 0 and b, c, d on the nose
             _, ub = cur.b.unit_split()
-            lam = ctx.inv_raw(ub.val)
-            mu_inv = ctx.inv_raw(ctx.sub_raw(ctx.pi_pow_raw(cur.m - vb), 1))
-            x = Mat(
-                ctx,
-                3,
-                [
-                    mu_inv,
-                    ctx.mul_raw(mu_inv, ctx.mul_raw(cur.c.val, lam)),
-                    ctx.neg_raw(ctx.mul_raw(mu_inv, lam)),
-                    0, 1, 0,
-                    0, 0, 1,
-                ],
-            )
-            if not try_step(x) or cur.m != vb or cur.a:
+            step = _slot_step(ctx, cur.m - vb, ctx.inv_raw(ub.val), cur.c.val)
+            if not try_step(step) or cur.m != vb or cur.a:
                 raise VerificationFailed("slot exponent lowering failed")
-        return HardForm("II", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
+        return HardForm("II", cur.m, cur.a, cur.b, cur.c, cur.d), steps
 
     if va < m and va < vb:
         if cur.m >= length and cur.a:
             # slot is zero, so a single diagonal scaling strips the unit
             ta, ua = cur.a.unit_split()
-            if not try_step(diag(ctx, [ua, 1, 1])) or cur.a.val != ctx.pi_pow_raw(ta):
+            if not try_step(_diag_step(ctx, ua.val)) or cur.a.val != ctx.pi_pow_raw(ta):
                 raise VerificationFailed("scaling a to a pi power failed")
         ta = cur.a.valuation()
         for s in range(length - 1, ta - 1, -1):
@@ -458,16 +515,12 @@ def classify_hard(e: EParams):
             v = ctx.neg_raw(
                 ctx.mul_raw(ctx.mul_raw(delta, ctx.pi_pow_raw(s - ta)), ctx.inv_raw(ua.val))
             )
-            v2a = ctx.mul_raw(ctx.mul_raw(v, v), cur.a.val)
-            vc = ctx.mul_raw(v, cur.c.val)
-            va_ = ctx.mul_raw(v, cur.a.val)
-            h = Mat(ctx, 3, [1, ctx.sub_raw(v2a, vc), v, 0, 1, 0, 0, ctx.neg_raw(va_), 1])
             low = ctx.mod_pi_raw(cur.d.val, s)
-            if not try_step(h):
+            if not try_step(_pin_step(ctx, v, cur.a.val, cur.c.val)):
                 break  # would leave the shape (possible only past length 2)
             if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
                 raise VerificationFailed(f"pinning digit {s} of d failed")
-        return HardForm("III0", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
+        return HardForm("III0", cur.m, cur.a, cur.b, cur.c, cur.d), steps
 
     if m <= va and m < vb:
         for s in range(length - 1, m - 1, -1):
@@ -480,7 +533,7 @@ def classify_hard(e: EParams):
                 break
             if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
                 raise VerificationFailed(f"pinning digit {s} of d failed")
-        return HardForm("III1", cur.m, cur.a, cur.b, cur.c, cur.d), x_total
+        return HardForm("III1", cur.m, cur.a, cur.b, cur.c, cur.d), steps
 
     raise NotHardCase(f"m={m}, val(a)={va}, val(b)={vb} fit no type")  # unreachable
 
@@ -536,22 +589,27 @@ def _signature(a: Mat) -> tuple:
 def _hard_bucket(tctx: RingCtx, key: tuple) -> tuple:
     """Hard-body classes over tctx with characteristic polynomial key.
 
-    Returns (sweep position, form, (rebuilt form, signature)) per class,
-    ordered by position.  Every class with a one-eigenvalue non-cyclic
-    residue contains a pi-power shape, so normalizing each shape of the
-    key and deduplicating the forms finds every class.  Normalization
-    alone can leave one class as several forms at length >= 3, so
-    similar forms are merged, keeping the first in sweep order; classes
-    only merge within one characteristic polynomial, so the bucket is
-    complete.  A form is tested only against kept forms of its own
-    signature: the kept forms are pairwise non-similar, so this finds
-    the same unique match, if any, as testing against all of them.
+    Returns (sweep position, form, merge data) per class, ordered by
+    position.  Every class with a one-eigenvalue non-cyclic residue
+    contains a pi-power shape, so normalizing each shape of the key and
+    deduplicating the forms finds every class.  Over rings of length <= 2
+    normalization separates classes, so the distinct forms are the
+    bucket and the merge data is None.  From length 3 on it can leave one
+    class as several forms, so similar forms are merged, keeping the
+    first in sweep order, and the merge data is (rebuilt form,
+    signature); classes only merge within one characteristic polynomial,
+    so the bucket is complete.  A form is tested only against kept forms
+    of its own signature: the kept forms are pairwise non-similar, so
+    this finds the same unique match, if any, as testing against all of
+    them.
     """
     seen = {}
     for pos in _bucket_shapes(tctx, key):
         m, *vals = pos
-        form, _ = classify_hard(EParams(tctx, m, *(RingElem(tctx, v) for v in vals)))
+        form, _ = _normalize_hard(EParams(tctx, m, *(RingElem(tctx, v) for v in vals)))
         seen.setdefault(form, pos)
+    if tctx.length <= 2:
+        return tuple((pos, form, None) for form, pos in seen.items())
     entries, kept = [], {}
     for form, pos in seen.items():
         rb = form.rebuild()
@@ -584,21 +642,24 @@ def hard_family(tctx: RingCtx) -> tuple:
 def hard_class_rep(h: HardForm) -> tuple:
     """(transversal form of h's class, conjugator onto its rebuild).
 
-    Builds and searches only the bucket of h's characteristic polynomial,
-    testing similarity only against forms with h's signature.
+    Builds and searches only the bucket of h's characteristic polynomial.
+    Over rings of length <= 2 every normalized form is in its bucket, so
+    a miss is a fault; from length 3 on, similarity is tested against the
+    bucket forms with h's signature.
     """
     rb = h.rebuild()
     bucket = _hard_bucket(h.ctx, tuple(x.val for x in rb.charpoly()))
     if any(form == h for _, form, _ in bucket):
         return h, identity(h.ctx, 3)
-    sig = _signature(rb)
-    for _, form, (rep, rep_sig) in bucket:
-        if rep_sig != sig:
-            continue
-        ok, x = is_similar(rb, rep)
-        if ok:
-            # rb X = X rep, so X^-1 rb X is the representative
-            return form, x.inverse()
+    if h.ctx.length > 2:
+        sig = _signature(rb)
+        for _, form, (rep, rep_sig) in bucket:
+            if rep_sig != sig:
+                continue
+            ok, x = is_similar(rb, rep)
+            if ok:
+                # rb X = X rep, so X^-1 rb X is the representative
+                return form, x.inverse()
     raise VerificationFailed(f"hard class of {h} missing from its bucket")
 
 

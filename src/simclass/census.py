@@ -246,9 +246,11 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     if count3(ctx.q, ctx.length, group) > budget:
         raise BudgetExceeded(f"enumerate3 over {ctx.descriptor} exceeds budget {budget}")
     length, p = ctx.length, ctx.p
+    ident = identity(ctx, 3)  # one shared witness: each form is a canon3 fixed point
     out = []
 
-    def emit(form: CanonicalForm3):
+    def emit(level: int, d: Section, body):
+        form = CanonicalForm3(ctx, level, d, body, ident)
         out.append((form, form.rebuild()))
 
     for level in range(length + 1):
@@ -257,34 +259,31 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
             if group == "GL" and level >= 1 and not d.value.is_unit():
                 continue
             if level == length:
-                emit(CanonicalForm3(ctx, level, d, ScalarBody(), identity(ctx, 3)))
+                emit(level, d, ScalarBody())
                 continue
             tctx = ctx.truncated(length - level)
             gl_zero = group == "GL" and level == 0
-            for c0 in range(tctx.cardinality):
-                if gl_zero and c0 % p == 0:
+            elems = [RingElem(tctx, v) for v in range(tctx.cardinality)]
+            for c0 in elems:
+                if gl_zero and c0.val % p == 0:
                     continue  # residue determinant of a companion is its constant term
-                for c1 in range(tctx.cardinality):
-                    for c2 in range(tctx.cardinality):
-                        body = CyclicBody(
-                            (RingElem(tctx, c0), RingElem(tctx, c1), RingElem(tctx, c2))
-                        )
-                        emit(CanonicalForm3(ctx, level, d, body, identity(ctx, 3)))
+                for c1 in elems:
+                    for c2 in elems:
+                        emit(level, d, CyclicBody((c0, c1, c2)))
             inners = _split_inner_forms(tctx)
-            for av in range(tctx.cardinality):
-                if gl_zero and av % p == 0:
+            for a in elems:
+                if gl_zero and a.val % p == 0:
                     continue
                 for inner in inners:
-                    if inner.d.value.val % p == av % p:
+                    if inner.d.value.val % p == a.val % p:
                         continue  # the two residue eigenvalues must differ
                     if gl_zero and inner.d.value.val % p == 0:
                         continue
-                    body = SplitBody(RingElem(tctx, av), inner)
-                    emit(CanonicalForm3(ctx, level, d, body, identity(ctx, 3)))
+                    emit(level, d, SplitBody(a, inner))
             for hf in hard_family(tctx):
                 if gl_zero and hf.d.val % p == 0:
                     continue  # the residue is J-shaped, so d decides invertibility
-                emit(CanonicalForm3(ctx, level, d, HardBody(hf), identity(ctx, 3)))
+                emit(level, d, HardBody(hf))
     return out
 
 

@@ -28,7 +28,13 @@ import sys
 from .canon2 import canon2, count2, enumerate2
 from .canon3 import canon3
 from .census import count3, enumerate3, gf_coeffs, type_histogram
-from .errors import BudgetExceeded, SearchBudgetExceeded, SimclassError, VerificationFailed
+from .errors import (
+    BadParams,
+    BudgetExceeded,
+    SearchBudgetExceeded,
+    SimclassError,
+    VerificationFailed,
+)
 from .matrix import Mat
 from .modsolve import centralizer_order, group_order, is_similar
 from .oracle import orbit_census, verify_counts
@@ -112,6 +118,8 @@ def _cmd_gf(args) -> int:
     if args.n == 3:
         coeffs = gf_coeffs(args.q, _group(args), args.terms)
     else:
+        if args.q < 2 or args.terms < 1:
+            raise BadParams("need q >= 2 and terms >= 1")  # as gf_coeffs says for n = 3
         coeffs = [count2(args.q, i, _group(args)) for i in range(args.terms)]
     print(" ".join(str(c) for c in coeffs))
     return EX_OK

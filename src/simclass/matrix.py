@@ -15,6 +15,11 @@ scaling, adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
 are already reduced.
 
+The 3x3 product, determinant and adjugate over a "z" ring work on plain
+integers and reduce each entry once mod p^length, which is exact because
+reduction is a ring map; over a small "t" ring the product indexes the
+ring's addition and multiplication tables directly.
+
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
 matrix, so companion(ctx, coeffs).charpoly() == coeffs.
@@ -150,12 +155,38 @@ class Mat:
         return Mat._unchecked(self.ctx, self.n, [neg(a) for a in self.vals])
 
     def __matmul__(self, other):
-        self._check(other)
-        n, add, mul = self.n, self.ctx.add_raw, self.ctx.mul_raw
+        if other.ctx is not self.ctx or other.n != self.n:
+            self._check(other)
+        ctx, n = self.ctx, self.n
+        if n == 3 and ctx.flavor == "z":  # the hot case: unrolled, one reduction per entry
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = self.vals
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = other.vals
+            c = ctx.cardinality
+            out = (
+                (a0 * b0 + a1 * b3 + a2 * b6) % c,
+                (a0 * b1 + a1 * b4 + a2 * b7) % c,
+                (a0 * b2 + a1 * b5 + a2 * b8) % c,
+                (a3 * b0 + a4 * b3 + a5 * b6) % c,
+                (a3 * b1 + a4 * b4 + a5 * b7) % c,
+                (a3 * b2 + a4 * b5 + a5 * b8) % c,
+                (a6 * b0 + a7 * b3 + a8 * b6) % c,
+                (a6 * b1 + a7 * b4 + a8 * b7) % c,
+                (a6 * b2 + a7 * b5 + a8 * b8) % c,
+            )
+            return Mat._unchecked(ctx, 3, out)
+        add, mul = ctx.add_raw, ctx.mul_raw
         a, b = self.vals, other.vals
         rows = [a[i : i + n] for i in range(0, n * n, n)]
         cols = [b[j::n] for j in range(n)]
-        if n == 3:  # unrolled: the hot case
+        tadd, tmul, _ = ctx._tables
+        if n == 3 and tadd is not None:  # a small "t" ring: index its tables inline
+            P = ctx.cardinality
+            out = [
+                tadd[tadd[tmul[x0 * P + y0] * P + tmul[x1 * P + y1]] * P + tmul[x2 * P + y2]]
+                for x0, x1, x2 in rows
+                for y0, y1, y2 in cols
+            ]
+        elif n == 3:  # unrolled
             out = [
                 add(add(mul(x0, y0), mul(x1, y1)), mul(x2, y2))
                 for x0, x1, x2 in rows
@@ -163,7 +194,7 @@ class Mat:
             ]
         else:
             out = [reduce(add, map(mul, r, c)) for r in rows for c in cols]
-        return Mat._unchecked(self.ctx, n, out)
+        return Mat._unchecked(ctx, n, out)
 
     def scale(self, e) -> "Mat":
         v = _raw(self.ctx, e)
@@ -184,6 +215,10 @@ class Mat:
             return RingElem(self.ctx, v[0])
         if n == 2:
             return RingElem(self.ctx, sub(mul(v[0], v[3]), mul(v[1], v[2])))
+        if self.ctx.flavor == "z":  # integer arithmetic, one reduction
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
+            d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
+            return RingElem(self.ctx, d % self.ctx.cardinality)
         m = [
             mul(v[0], sub(mul(v[4], v[8]), mul(v[5], v[7]))),
             mul(v[1], sub(mul(v[3], v[8]), mul(v[5], v[6]))),
@@ -219,6 +254,21 @@ class Mat:
             return Mat._unchecked(ctx, 1, [1])
         if n == 2:
             return Mat._unchecked(ctx, 2, [v[3], ctx.neg_raw(v[1]), ctx.neg_raw(v[2]), v[0]])
+        if ctx.flavor == "z":  # transposed cofactors, one reduction each
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
+            c = ctx.cardinality
+            out = (
+                (v4 * v8 - v5 * v7) % c,
+                (v2 * v7 - v1 * v8) % c,
+                (v1 * v5 - v2 * v4) % c,
+                (v5 * v6 - v3 * v8) % c,
+                (v0 * v8 - v2 * v6) % c,
+                (v2 * v3 - v0 * v5) % c,
+                (v3 * v7 - v4 * v6) % c,
+                (v1 * v6 - v0 * v7) % c,
+                (v0 * v4 - v1 * v3) % c,
+            )
+            return Mat._unchecked(ctx, 3, out)
 
         def minor(r0, r1, c0, c1):
             return sub(mul(v[r0 * 3 + c0], v[r1 * 3 + c1]), mul(v[r0 * 3 + c1], v[r1 * 3 + c0]))
@@ -304,15 +354,11 @@ def companion(ctx: RingCtx, coeffs) -> Mat:
     at the bottom; its charpoly() is exactly the coeffs tuple.
     """
     coeffs = [_raw(ctx, c) for c in coeffs]
-    n = len(coeffs)
-    if n not in (2, 3):
-        raise BadParams("companion only for n in {2,3}")
-    vals = [0] * (n * n)
-    for i in range(n - 1):
-        vals[i * n + i + 1] = 1
-    for j, c in enumerate(coeffs):
-        vals[(n - 1) * n + j] = c
-    return Mat._unchecked(ctx, n, vals)
+    if len(coeffs) == 2:
+        return Mat._unchecked(ctx, 2, (0, 1, *coeffs))
+    if len(coeffs) == 3:
+        return Mat._unchecked(ctx, 3, (0, 1, 0, 0, 0, 1, *coeffs))
+    raise BadParams("companion only for n in {2,3}")
 
 
 def block_diag(ctx: RingCtx, parts) -> Mat:

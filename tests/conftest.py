@@ -1,11 +1,24 @@
-"""Shared fixtures: a per-session orbit census memo and random matrix helpers."""
+"""Shared fixtures: a per-session orbit census memo, random matrix helpers
+and a fresh-interpreter runner."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from simclass import Mat, orbit_census, ring_ctx
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args, timeout):
+    """Run a fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

@@ -36,10 +36,15 @@ from simclass.canon3 import (
     HardBody,
     ScalarBody,
     SplitBody,
+    _diag_step,
     _hard_bucket,
+    _lower_step,
+    _pin_step,
     _signature,
+    _slot_step,
 )
-from conftest import rand_invertible, rand_mat
+from simclass.cli import EX_MISMATCH
+from conftest import rand_invertible, rand_mat, run_python
 
 
 def ep(ctx, m, a, b, c, d):
@@ -216,6 +221,76 @@ def test_classify_hard_tag_matches_valuation_pattern(rng):
             assert h.tag == "III1"
 
 
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2"])
+def test_classify_hard_steps_come_with_their_inverses(desc, rng):
+    ctx = parse_ring(desc)
+    card, length = ctx.cardinality, ctx.length
+    ident = identity(ctx, 3)
+
+    def elem():
+        return rng.randrange(card)
+
+    def unit():
+        while True:
+            u = elem()
+            if ctx.is_unit_raw(u):
+                return u
+
+    for _ in range(50):
+        steps = [
+            _lower_step(ctx, rng.randrange(1, length + 1), elem()),
+            _slot_step(ctx, rng.randrange(1, length + 1), unit(), elem()),
+            _diag_step(ctx, unit()),
+            _pin_step(ctx, elem(), elem(), elem()),
+        ]
+        for x, x_inv in steps:
+            assert x @ x_inv == ident and x_inv @ x == ident
+            assert x_inv == x.inverse()
+
+
+def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
+    # each builder gets an inverse off by pi in one entry, fed a shape
+    # that takes its step; the per-step check must fire under -O, which
+    # strips assert statements, and the CLI must exit 70
+    script = (
+        "import importlib, sys\n"
+        "from simclass import EParams, VerificationFailed, classify_hard, ring_ctx\n"
+        "from simclass.cli import main\n"
+        "from simclass.matrix import Mat\n"
+        "c3 = importlib.import_module('simclass.canon3')\n"
+        "def off_by_pi(build):\n"
+        "    def wrong(ctx, *args):\n"
+        "        x, x_inv = build(ctx, *args)\n"
+        "        vals = list(x_inv.vals)\n"
+        "        vals[0] = ctx.add_raw(vals[0], ctx.pi_pow_raw(1))\n"
+        "        return x, Mat(ctx, 3, vals)\n"
+        "    return wrong\n"
+        "cases = [\n"
+        "    ('_lower_step', ('z', 2, 2), (1, 2, 2, 0, 0)),\n"
+        "    ('_slot_step', ('z', 2, 2), (2, 0, 2, 0, 0)),\n"
+        "    ('_diag_step', ('z', 3, 2), (2, 6, 0, 0, 0)),\n"
+        "    ('_pin_step', ('z', 2, 2), (2, 2, 0, 0, 2)),\n"
+        "]\n"
+        "for name, desc, (m, *vals) in cases:\n"
+        "    ctx = ring_ctx(*desc)\n"
+        "    e = EParams(ctx, m, *(ctx.elem(v) for v in vals))\n"
+        "    real = getattr(c3, name)\n"
+        "    classify_hard(e)\n"
+        "    setattr(c3, name, off_by_pi(real))\n"
+        "    try:\n"
+        "        classify_hard(e)\n"
+        "        sys.exit(f'no VerificationFailed with a wrong {name} inverse')\n"
+        "    except VerificationFailed:\n"
+        "        pass\n"
+        "    setattr(c3, name, real)\n"
+        "c3._lower_step = off_by_pi(c3._lower_step)\n"
+        "sys.exit(main(['canon', '--ring', 'z:2:2', '[[0,2,0],[0,0,1],[2,2,0]]']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "do not multiply to I" in proc.stderr
+
+
 def test_hard_family_members_are_their_own_class_reps():
     for desc in [("z", 2, 1), ("z", 2, 2), ("z", 3, 2), ("t", 2, 2)]:
         ctx = ring_ctx(*desc)
@@ -259,9 +334,13 @@ def _reference_sweep(tctx):
 
 
 @pytest.mark.parametrize(
-    "desc", ["z:2:1", "z:2:2", "z:3:1", "z:3:2", "t:2:2", "t:3:2", "z:2:3", "t:2:3"]
+    "desc",
+    ["z:2:1", "z:2:2", "z:3:1", "z:3:2", "t:2:2", "t:3:2", "z:2:3", "t:2:3"]
+    + [pytest.param(d, marks=pytest.mark.slow) for d in ("z:5:2", "t:5:2")],
 )
 def test_hard_family_matches_the_global_sweep(desc):
+    # at length <= 2 the buckets merge nothing, so this checks that the
+    # merged reference finds no two similar normalized forms there
     ctx = parse_ring(desc)
     reps, buckets = _reference_sweep(ctx)
     assert list(hard_family(ctx)) == reps
@@ -288,6 +367,33 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert canon3(f.rebuild()) == f
 
 
+def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(rng, monkeypatch):
+    # the z:31:2 buckets (built here first: no other test uses the ring
+    # in-process) are merge-free, so a cold hard canon3 never reaches the
+    # residue-span scan, whose cost grows as p^r
+    c3 = importlib.import_module("simclass.canon3")
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return is_similar(a, b)
+
+    monkeypatch.setattr(c3, "is_similar", counting)
+    ctx = parse_ring("z:31:2")
+    p = ctx.p
+    shapes = {
+        "I": j_matrix(ctx, 0, 0),
+        "II": e_matrix(ctx, 1, 0, p, p, 1),
+        "III1": e_matrix(ctx, 1, p, 0, 0, 2),
+    }
+    for tag, shape in shapes.items():
+        m = shape if tag == "I" else shape.conjugate_by(rand_invertible(ctx, 3, rng))
+        f = canon3(m)
+        assert isinstance(f.body, HardBody) and f.body.form.tag == tag
+        assert m.conjugate_by(f.witness) == f.rebuild()
+    assert calls == []
+
+
 @pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:3:2", "t:3:2"])
 def test_signature_is_a_similarity_invariant(desc, rng):
     ctx = parse_ring(desc)
@@ -299,23 +405,41 @@ def test_signature_is_a_similarity_invariant(desc, rng):
             assert _signature(a.conjugate_by(rand_invertible(ctx, 3, rng))) == sig
 
 
-@pytest.mark.parametrize("desc,bound", [("z:2:3", 164), ("z:3:2", 105)])
-def test_bucket_merges_only_test_forms_of_one_signature(desc, bound, monkeypatch):
-    # every bucket of the ring and of its truncations, as enumerate3
-    # builds them; without the signature gate this is 1124 and 243 calls
+def _count_bucket_calls(monkeypatch, desc):
+    """is_similar and _signature calls made building every bucket of the
+    ring and of its truncations, as enumerate3 builds them, from cold."""
     c3 = importlib.import_module("simclass.canon3")
-    calls = []
+    calls = {"is_similar": 0, "_signature": 0}
 
-    def counting(a, b):
-        calls.append(1)
-        return is_similar(a, b)
+    def counting(name):
+        real = getattr(c3, name)
 
-    monkeypatch.setattr(c3, "is_similar", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(c3, name, counting(name))
     c3._hard_bucket.cache_clear()
     ctx = parse_ring(desc)
     for level in range(1, ctx.length + 1):
         hard_family(ctx.truncated(level))
-    assert 0 < len(calls) <= bound
+    return calls
+
+
+@pytest.mark.parametrize("desc,bound", [("z:2:3", 164)])
+def test_bucket_merges_only_test_forms_of_one_signature(desc, bound, monkeypatch):
+    # without the signature gate this is 1124 calls
+    assert 0 < _count_bucket_calls(monkeypatch, desc)["is_similar"] <= bound
+
+
+@pytest.mark.parametrize("desc", ["z:3:2", "t:3:2", "z:5:2"])
+def test_length_two_buckets_make_no_solver_calls(desc, monkeypatch):
+    # normalization separates classes at length <= 2, so no bucket of
+    # the ring or its truncation merges, nor computes a signature
+    assert _count_bucket_calls(monkeypatch, desc) == {"is_similar": 0, "_signature": 0}
 
 
 def test_hard_class_rep_matches_an_ungated_search(rng):

@@ -13,6 +13,7 @@ from simclass import (
     enumerate3,
     gf_coeffs,
     level_vector,
+    parse_ring,
     ring_ctx,
     scalar,
     theta,
@@ -167,6 +168,12 @@ def test_enumerate3_counts():
         (("t", 2, 2), "M", 144),
         (("z", 3, 1), "M", 39),
         (("z", 3, 1), "GL", 24),
+        # merge-free hard buckets: the count certifies that distinct
+        # normalized forms are distinct classes at length 2
+        (("z", 5, 2), "M", 20175),
+        (("z", 5, 2), "GL", 15540),
+        (("t", 5, 2), "M", 20175),
+        (("t", 5, 2), "GL", 15540),
     ]
     for desc, group, expected in cases:
         ctx = ring_ctx(*desc)
@@ -198,6 +205,17 @@ def test_enumerate3_gl_reps_are_invertible():
 def test_enumerate3_larger_ring_matches_count():
     ctx = ring_ctx("z", 3, 2)
     assert len(enumerate3(ctx)) == 1179
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("desc", ["z:7:2", "t:7:2"])
+def test_enumerate3_matches_count_on_length_two_rings_past_the_default_tier(desc):
+    # one form per class, as many as the closed form counts (139699 for M)
+    ctx = parse_ring(desc)
+    for group in ("M", "GL"):
+        reps = enumerate3(ctx, group)
+        assert len(reps) == count3(ctx.q, ctx.length, group)
+        assert len({form for form, _ in reps}) == len(reps)
 
 
 def test_enumerate3_budget():

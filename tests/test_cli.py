@@ -1,9 +1,6 @@
 """Command line surface: output shapes, exit codes, witness conventions."""
 
 import json
-import os
-import subprocess
-import sys
 
 from simclass import Mat, ring_ctx
 from simclass.cli import (
@@ -14,15 +11,7 @@ from simclass.cli import (
     EX_USAGE,
     main,
 )
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def run_python(*args, timeout):
-    """Run a fresh interpreter with this checkout's package on the path."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+from conftest import run_python
 
 
 def run(capsys, *argv):
@@ -65,6 +54,14 @@ def test_gf_two_by_two(capsys):
     code, out, _ = run(capsys, "gf", "--n", "2", "--q", "2", "--terms", "4")
     assert code == EX_OK
     assert out.split() == ["1", "6", "28", "120"]
+
+
+def test_gf_refuses_fewer_than_one_term_for_both_sizes(capsys):
+    for n in ("2", "3"):
+        for terms in ("0", "-5"):
+            code, out, err = run(capsys, "gf", "--n", n, "--q", "2", "--terms", terms)
+            assert (code, out) == (EX_USAGE, "")
+            assert "need q >= 2 and terms >= 1" in err
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +128,14 @@ def test_canon_hard_input_over_z125_returns():
                       "[[0,0,0],[0,0,1],[0,0,0]]", timeout=60)
     assert proc.returncode == EX_OK, proc.stderr
     assert json.loads(proc.stdout)["form"]["body"]["kind"] == "hard"
+
+
+def test_canon_hard_input_over_z31_len2_returns():
+    # a merge-free bucket: no residue-span scan that grows with p
+    proc = run_python("-m", "simclass.cli", "canon", "--ring", "z:31:2",
+                      "[[0,0,0],[0,0,1],[0,0,0]]", timeout=60)
+    assert proc.returncode == EX_OK, proc.stderr
+    assert json.loads(proc.stdout)["form"]["body"]["type"] == "I"
 
 
 def test_broken_witness_exits_70_under_optimize():
