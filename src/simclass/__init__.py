@@ -9,6 +9,10 @@ The package binds the functions canon2 and canon3 under the names of
 their submodules, so ``simclass.canon3`` (and ``import simclass.canon3
 as c3``) is the function; the module itself is reached with
 ``importlib.import_module("simclass.canon3")``.
+
+The orbit-oracle names (orbit_census, verify_counts, ...) are resolved
+on first access, so only a process that uses the oracle imports
+simclass.oracle and numpy.
 """
 
 from .canon2 import CanonicalForm2, ScalarSplit, canon2, count2, enumerate2, recombine, split_scalar
@@ -80,19 +84,38 @@ from .modsolve import (
     intertwiner,
     is_similar,
 )
-from .oracle import (
-    OrbitCensus,
-    gl_generators,
-    orbit_census,
-    orbit_of,
-    orbit_states,
-    same_class,
-    unit_group_generators,
-    verify_counts,
-)
 from .ring import RingCtx, RingElem, Section, parse_ring, ring_ctx, section, section_of
 
 __version__ = "0.1.0"
+
+# the orbit oracle, and numpy with it, loads on first use of one of these
+_ORACLE_NAMES = frozenset(
+    {
+        "OrbitCensus",
+        "gl_generators",
+        "orbit_census",
+        "orbit_of",
+        "orbit_states",
+        "same_class",
+        "unit_group_generators",
+        "verify_counts",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
+
 
 __all__ = [
     "BadDescriptor",

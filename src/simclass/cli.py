@@ -37,7 +37,6 @@ from .errors import (
 )
 from .matrix import Mat
 from .modsolve import centralizer_order, group_order, is_similar
-from .oracle import orbit_census, verify_counts
 from .ring import parse_ring
 
 EX_OK = 0
@@ -151,6 +150,8 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_oracle_census(args) -> int:
+    from .oracle import orbit_census  # numpy loads only for the oracle commands
+
     ctx = parse_ring(args.ring)
     census = orbit_census(ctx, args.n, max_states=args.max_states)
     _print_json(
@@ -182,6 +183,8 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import verify_counts
+
     ctx = parse_ring(args.ring)
     report = verify_counts(ctx, args.n, max_states=args.max_states)
     for row in report["counts"]:
@@ -204,19 +207,29 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _non_negative(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_group(sp):
     sp.add_argument("--group", default="m", type=str.lower, choices=["m", "gl"],
                     help="all matrices (m) or invertible ones (gl)")
 
 
 def _add_budget(sp):
-    sp.add_argument("--budget", type=int, default=10_000_000,
+    sp.add_argument("--budget", type=_non_negative, default=10_000_000,
                     help="largest representative list this command may build")
 
 
 def _add_oracle_opts(sp):
     sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
-    sp.add_argument("--max-states", type=int, default=2**28,
+    sp.add_argument("--max-states", type=_non_negative, default=2**28,
                     help="largest state space the orbit search may visit")
 
 

@@ -178,7 +178,7 @@ class Mat:
         a, b = self.vals, other.vals
         rows = [a[i : i + n] for i in range(0, n * n, n)]
         cols = [b[j::n] for j in range(n)]
-        tadd, tmul, _ = ctx._tables
+        tadd, tmul, _, _ = ctx._tables
         if n == 3 and tadd is not None:  # a small "t" ring: index its tables inline
             P = ctx.cardinality
             out = [

@@ -14,16 +14,22 @@ A context binds its flavor's add_raw, sub_raw, mul_raw and neg_raw as
 plain functions once, so a ring operation is one call with no flavor
 test: "z" contexts bind them when constructed, "t" contexts on their
 first arithmetic call.  For a "t" ring of at most 1024 elements
-that first call also builds the add, mul and negation tables the bound
-functions look up; larger "t" rings bind the digit-loop functions.  The
+that first call also builds the add, mul, negation and inverse tables
+the bound functions look up.  They are built by digit recurrence: the
+tables of F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)),
+starting at F_p, with one table lookup per entry (see _t_tables).
+Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
+...), which are also the reference the tables are tested against.  The
 raw functions trust their arguments to be packed values of the ring;
 RingElem checks the range of the value it wraps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     BadDescriptor,
@@ -61,6 +67,59 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _t_tables(p: int, length: int):
+    """The (add, mul, neg, inv) tables of F_p[t]/(t^length), built by digit
+    recurrence.
+
+    add and mul are flat lists indexed a*P + b (P = p**length); neg and
+    inv are indexed by a, and inv is 0 at non-units.  Write x = x0 + t*x1,
+    with x0 the lowest digit and x1 in the ring one digit shorter.  Then
+
+        x + y = (x0 + y0) + t*(x1 + y1)
+        x * y = x0*y + t*(x1 * (y mod t^(k-1)))
+
+    at length k, so the length-k tables follow from the length-(k-1) ones,
+    one row at a time, with one lookup per entry and no digit loop.  The
+    entries are one shared int object per ring value, so a table costs a
+    pointer per entry.
+    """
+    P = p**length
+    vals = list(range(P))
+    add = [vals[(a + b) % p] for a in range(p) for b in range(p)]
+    mul = [vals[a * b % p] for a in range(p) for b in range(p)]
+    Q = p  # cardinality of the ring that add and mul belong to
+    while Q < P:
+        R = Q * p
+        # shifted[x0][h]: x0 + (y0 + t*h) for y0 = 0 .. p-1
+        shifted = [
+            [tuple(vals[(x0 + y0) % p + p * h] for y0 in range(p)) for h in range(Q)]
+            for x0 in range(p)
+        ]
+        next_add = []
+        for x1 in range(Q):
+            high = add[x1 * Q : x1 * Q + Q]  # x1 + y1 for every y1
+            for x0 in range(p):
+                next_add.extend(chain.from_iterable(map(shifted[x0].__getitem__, high)))
+        # scaled[x0][y]: x0*y as a row offset into next_add
+        scaled = [
+            [(x0 * y0 % p + p * h) * R for h in mul[x0 * Q : x0 * Q + Q] for y0 in range(p)]
+            for x0 in range(p)
+        ]
+        next_mul = []
+        for x1 in range(Q):
+            # t*(x1 * (y mod t^(k-1))) for every y
+            high = [p * v for v in mul[x1 * Q : x1 * Q + Q]] * p
+            for x0 in range(p):
+                next_mul.extend(map(next_add.__getitem__, map(operator.add, scaled[x0], high)))
+        add, mul, Q = next_add, next_mul, R
+    neg = mul[(p - 1) * P : p * P]  # the row of -1
+    inv = [0] * P
+    for a in range(P):
+        if a % p:  # the b in row a of mul with a*b = 1
+            inv[a] = vals[mul.index(1, a * P, a * P + P) - a * P]
+    return add, mul, neg, inv
 
 
 @dataclass(frozen=True)
@@ -112,32 +171,14 @@ class RingCtx:
 
     @property
     def _tables(self):
-        """Lazily built (add, mul, inv) lookup tables for small "t" rings.
-
-        inv[x] is 0 for non-units; tables are flat lists indexed a*P+b.
-        """
+        """Lazily built (add, mul, neg, inv) lookup tables for small "t"
+        rings, all None for other rings; see _t_tables."""
         tabs = self.__dict__.get("_tables_cache")
         if tabs is None:
-            P = self.cardinality
-            if self.flavor != "t" or P > _TABLE_LIMIT:
-                tabs = (None, None, None)
+            if self.flavor != "t" or self.cardinality > _TABLE_LIMIT:
+                tabs = (None, None, None, None)
             else:
-                add = [0] * (P * P)
-                mul = [0] * (P * P)
-                for a in range(P):
-                    base = a * P
-                    for b in range(a, P):
-                        s = self._poly_add(a, b)
-                        m = self._poly_mul(a, b)
-                        add[base + b] = s
-                        add[b * P + a] = s
-                        mul[base + b] = m
-                        mul[b * P + a] = m
-                inv = [0] * P
-                for a in range(P):
-                    if a % self.p:
-                        inv[a] = self._poly_inv(a)
-                tabs = (add, mul, inv)
+                tabs = _t_tables(self.p, self.length)
             object.__setattr__(self, "_tables_cache", tabs)
         return tabs
 
@@ -211,13 +252,12 @@ class RingCtx:
 
     def _bind_t(self) -> "RingCtx":
         """Bind the "t" arithmetic, table driven for small rings."""
-        add, mul, _ = self._tables
+        add, mul, neg, _ = self._tables
         if add is None:
             padd, pneg = self._poly_add, self._poly_neg
             self._bind(padd, lambda a, b: padd(a, pneg(b)), self._poly_mul, pneg)
         else:
             P = self.cardinality
-            neg = [self._poly_neg(a) for a in range(P)]
             self._bind(
                 lambda a, b: add[a * P + b],
                 lambda a, b: add[a * P + neg[b]],
@@ -245,7 +285,7 @@ class RingCtx:
             raise NonUnit(f"{a} is not a unit in {self.descriptor}")
         if self.flavor == "z":
             return pow(a, -1, self.cardinality)
-        tab = self._tables[2]
+        tab = self._tables[3]
         if tab is not None:
             return tab[a]
         return self._poly_inv(a)

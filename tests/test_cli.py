@@ -138,6 +138,37 @@ def test_canon_hard_input_over_z31_len2_returns():
     assert json.loads(proc.stdout)["form"]["body"]["type"] == "I"
 
 
+def test_numpy_loads_only_with_the_oracle():
+    # a fresh interpreter: importing the package and running the non-oracle
+    # commands leaves numpy unloaded; the oracle names still resolve
+    script = (
+        "import contextlib, importlib, io, sys\n"
+        "def check(step):\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit('numpy loaded by ' + step)\n"
+        "import simclass\n"
+        "check('import simclass')\n"
+        "import simclass.cli\n"
+        "check('import simclass.cli')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    if simclass.cli.main(['count', '--q', '2', '--level', '2']) != 0:\n"
+        "        sys.exit('count failed')\n"
+        "    check('count')\n"
+        "    if simclass.cli.main(['canon', '--ring', 'z:2:2', '[[0,0,0],[0,0,1],[0,0,0]]']) != 0:\n"
+        "        sys.exit('canon failed')\n"
+        "    check('a hard canon')\n"
+        "resolved = {name: getattr(simclass, name) for name in simclass.__all__}\n"
+        "oracle = importlib.import_module('simclass.oracle')\n"
+        "for name in ('OrbitCensus', 'orbit_census', 'orbit_of', 'orbit_states',\n"
+        "             'gl_generators', 'unit_group_generators', 'same_class', 'verify_counts'):\n"
+        "    if resolved[name] is not getattr(oracle, name):\n"
+        "        sys.exit(name + ' is not the oracle object')\n"
+        "print('ok')\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
 def test_broken_witness_exits_70_under_optimize():
     # a cyclic-residue input that is not a companion matrix, with the row
     # witness replaced by the identity: the exact check must still fire
@@ -319,6 +350,18 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "nonsense")[0] == EX_USAGE
     for q in ("1", "0", "-1"):
         assert run(capsys, "gf", "--q", q, "--terms", "3")[0] == EX_USAGE
+
+
+def test_negative_budget_exits_64(capsys):
+    for cmd, value in (("enumerate", "-1"), ("histogram", "-5")):
+        code, _, err = run(capsys, cmd, "--ring", "z:2:1", "--budget", value)
+        assert code == EX_USAGE and f"must be >= 0, got {value}" in err
+
+
+def test_negative_max_states_exits_64(capsys):
+    for cmd in ("oracle-census", "verify"):
+        code, _, err = run(capsys, cmd, "--ring", "z:2:1", "--max-states", "-3")
+        assert code == EX_USAGE and "must be >= 0, got -3" in err
 
 
 def test_budget_exit_65(capsys):

@@ -1,6 +1,7 @@
 """Ring contexts: packed arithmetic, valuations, digits, sections."""
 
 import pickle
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from simclass import (
     section,
     section_of,
 )
+from simclass.ring import _TABLE_LIMIT
 
 
 def test_parse_ring_round_trip():
@@ -153,21 +155,46 @@ def test_elem_validates_range():
         RingElem(ctx, 4)
 
 
-@pytest.mark.parametrize("p,length", [(3, 2), (2, 3), (5, 2), (3, 7)])
+@pytest.mark.parametrize(
+    "p,length",
+    [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), (3, 7)],
+)
 def test_bound_t_ops_match_the_digit_loops(p, length):
     # a fresh, non-interned context binds its ops on the first call;
-    # t:3:7 is past the table limit and binds the digit loops themselves
+    # t:p:1 is the recurrence's base case, t:2:10 has exactly _TABLE_LIMIT
+    # elements, and t:3:7 is past the limit and binds the digit loops themselves
     ctx = RingCtx("t", p, length)
     assert "mul_raw" not in vars(ctx)
     assert ctx.mul_raw(1, 1) == 1 and "mul_raw" in vars(ctx)
     card = ctx.cardinality
-    vals = range(card) if card <= 1024 else range(0, card, 37)
-    for a in vals:
+    if card > _TABLE_LIMIT:
+        rows = cols = range(0, card, 37)
+    elif card > 100:  # sampled rows against every column
+        rows = [0, 1, p, card - 1, *random.Random(card).sample(range(card), 4)]
+        cols = range(card)
+    else:
+        rows = cols = range(card)
+    for a in rows:
         assert ctx.neg_raw(a) == ctx._poly_neg(a)
-        for b in vals:
+        if a % p:
+            assert ctx.inv_raw(a) == ctx._poly_inv(a)
+        for b in cols:
             assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
             assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
             assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
+    if card <= _TABLE_LIMIT:
+        # the tables hold one int object per ring value
+        assert len({id(v) for tab in ctx._tables for v in tab}) <= card
+
+
+def test_t_rings_past_the_table_limit_build_no_table():
+    ctx = RingCtx("t", 2, 11)
+    assert ctx.cardinality == 2 * _TABLE_LIMIT
+    assert ctx.mul_raw(3, 5) == ctx._poly_mul(3, 5)
+    assert ctx._tables == (None, None, None, None)
+    bound = vars(ctx)
+    assert bound["add_raw"] == ctx._poly_add and bound["mul_raw"] == ctx._poly_mul
+    assert bound["neg_raw"] == ctx._poly_neg
 
 
 def test_contexts_with_bound_ops_pickle_to_the_interned_context():
