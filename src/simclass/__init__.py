@@ -29,7 +29,6 @@ from .canon3 import (
     canon3,
     centralizer_shape,
     classify_hard,
-    hard_class_rep,
     hard_family,
     hensel_block_split,
     reduce_to_e_form,
@@ -170,7 +169,6 @@ __all__ = [
     "gf_coeffs",
     "gl_generators",
     "group_order",
-    "hard_class_rep",
     "hard_family",
     "hensel_block_split",
     "identity",

@@ -14,16 +14,14 @@ each with its own exact reduction over the length-(l-j) ring:
   complete invariant at every length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
   beta is conjugated onto the shape [[d, pi^m, 0], [0, d, 1],
-  [a, b, c+d]] and then normalized type by type.  The transversal is
-  kept in buckets keyed by the characteristic polynomial, each built on
-  first use from the pi-power shapes with that polynomial alone;
-  hard_family is the union of all buckets of a ring.  Over lengths <= 2
-  the normalization separates classes completely, so a bucket is just
-  the distinct normalized forms and a form is its own representative.
-  Beyond that it does not, so the forms of a bucket are merged with
-  explicit similarity tests (classes only merge within one
-  characteristic polynomial), and those run only between forms with
-  equal signatures (see _signature), a cheap invariant of the class.
+  [a, b, c+d]] and then normalized type by type (see HardForm).  Types
+  I, II and III1 are normalized by explicit shape-preserving steps.
+  Type III0 goes through the transpose: E^T is conjugate to the shape
+  swap(E) (see _swap), which is of type III1, and A ~ B iff
+  A^T ~ B^T, so the III0 form of E is the swap of swap(E)'s III1 form.
+  The normal form is the class representative itself: no similarity
+  solver is consulted, and hard_family is the set of distinct forms of
+  all pi-power shapes of a ring.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .canon2 import (
 )
 from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
 from .matrix import Mat, block_diag, companion, diag, e_matrix, identity
-from .modsolve import _diagonalize, build_intertwiner_matrix, is_similar
 from .ring import RingCtx, RingElem, Section
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "HardForm",
     "classify_hard",
     "hard_family",
-    "hard_class_rep",
     "ScalarBody",
     "CyclicBody",
     "SplitBody",
@@ -342,15 +338,18 @@ class HardForm:
 
     tag "I":    a = b = 0 and the slot is zero (pure J shape).
     tag "II":   val(b) <= min(m, val(a)); normalized to m = val(b), a = 0.
-    tag "III0": val(a) < min(m, val(b)); a scaled to an exact pi power
-                when the slot is zero, d pinned below val(a).
+    tag "III0": val(a) < min(m, val(b)); the swap (see _swap) of the
+                III1 form of the swapped shape, so d is pinned below
+                val(a), and a is an exact pi power when the slot is zero.
     tag "III1": m <= val(a), m < val(b); d pinned below m.
 
-    The stated normalizations are guaranteed over rings of length <= 2,
-    and there distinct forms are distinct classes; over longer rings a
-    normalization step is skipped whenever it would leave the shape,
-    keeping the result deterministic and conjugate to the input, and
-    the hard index merges forms of one class (see _hard_bucket).
+    Distinct forms are distinct classes at every length, so the form is
+    the class representative.  Certificates: enumerate3, which emits
+    hard_family, checks on every run that it emits count3 classes
+    (tests run it on z:2:5, t:2:5, z:3:3 and t:3:3 and below); the
+    orbit census agrees with count3 on z:2:3 and t:2:3; and the oracle
+    confirms the III0 pairs over z:2:3 that the normal forms before the
+    swap left apart.
     """
 
     tag: str
@@ -416,67 +415,75 @@ def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> tuple:
     return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, x_inv)
 
 
-def _diag_step(ctx: RingCtx, u: int) -> tuple:
-    """diag(u, 1, 1) for a unit u, and diag(u^-1, 1, 1)."""
-    return diag(ctx, [u, 1, 1]), diag(ctx, [ctx.inv_raw(u), 1, 1])
+def _swap(e) -> tuple:
+    """(swap(E), G) for the shape E of an EParams or HardForm e.
 
-
-def _pin_step(ctx: RingCtx, v: int, a: int, c: int) -> tuple:
-    """h = [[1, v^2 a - v c, v], [0, 1, 0], [0, -v a, 1]] and its inverse.
-
-    h = I + N with N^2 = -v^2 a E_01 and N^3 = 0, so h^-1 = I - N + N^2.
+    With E = d*I + N(m, a, b, c) and a = pi^k * w (k = length and w = 1
+    when a = 0), G = [[w^-1, 0, 0], [0, 0, 1], [0, 1, c]] satisfies
+    G E^T G^-1 = swap(E), the shape with m' = k, a' = pi^m * w and the
+    same b, c, d.  swap maps type III0 onto type III1.
     """
-    add, sub, mul, neg = ctx.add_raw, ctx.sub_raw, ctx.mul_raw, ctx.neg_raw
-    v2a = mul(mul(v, v), a)
-    vc = mul(v, c)
-    va = mul(v, a)
-    h = [1, sub(v2a, vc), v, 0, 1, 0, 0, neg(va), 1]
-    h_inv = [1, sub(vc, add(v2a, v2a)), neg(v), 0, 1, 0, 0, va, 1]
-    return Mat._unchecked(ctx, 3, h), Mat._unchecked(ctx, 3, h_inv)
+    ctx = e.ctx
+    k, w = ctx.unit_split_raw(e.a.val)
+    a = RingElem(ctx, ctx.mul_raw(ctx.pi_pow_raw(e.m), w))
+    g = Mat._unchecked(ctx, 3, [ctx.inv_raw(w), 0, 0, 0, 0, 1, 0, 1, e.c.val])
+    return EParams(ctx, k, a, e.b, e.c, e.d), g
 
 
 def classify_hard(e: EParams):
     """Normalize a pi-power shape; returns (HardForm, X).
 
     X conjugates the rebuilt input onto the rebuilt form.  See HardForm
-    for the per-type normalizations and their depth guarantees.
+    for the per-type normalizations.
     """
     form, steps = _normalize_hard(e)
     x_total = identity(e.ctx, 3)
     for x in steps:
         x_total = x @ x_total
+    if form.tag == "III0":
+        # the steps X' took swap(E) to swap(form), so with G_E and G_form
+        # from _swap, Y = G_form ((X' G_E)^T)^-1 takes E to the form
+        x_total = _swap(form)[1] @ (x_total @ _swap(e)[1]).transpose().inverse()
+        if e.rebuild().conjugate_by(x_total) != form.rebuild():
+            raise VerificationFailed("III0 witness through the transpose failed")
     return form, x_total
 
 
 def _normalize_hard(e: EParams):
     """(HardForm, the step matrices taken, in order).
 
-    A bucket build needs the form only, so the steps are multiplied
-    into a witness by classify_hard alone.
+    hard_family needs the form only, so the steps are multiplied into a
+    witness by classify_hard alone.  For type III0 they are the steps of
+    the III1 normalization of swap(e).
     """
+    va, vb, m = e.a.valuation(), e.b.valuation(), e.m
+    if va < m and va < vb:
+        # E^T ~ swap(E), of type III1, and A ~ B iff A^T ~ B^T
+        f1, steps = _normalize_hard(_swap(e)[0])
+        f = _swap(f1)[0]
+        if f1.tag != "III1" or not f.a.valuation() < min(f.m, f.b.valuation()):
+            raise VerificationFailed(f"swap of {f1} is not of type III0")
+        return HardForm("III0", f.m, f.a, f.b, f.c, f.d), steps
+
     ctx = e.ctx
     length = ctx.length
     gamma = e.rebuild()
     ident = identity(ctx, 3)
     steps = []
     cur = e
-    va, vb = e.a.valuation(), e.b.valuation()
-    m = e.m
 
-    def try_step(step: tuple) -> bool:
+    def take(step: tuple):
         # every step comes with its inverse in closed form; the pair is
         # checked exactly, so a wrong inverse fails here, not in the witness
         nonlocal gamma, cur
         x, x_inv = step
         if x @ x_inv != ident:
             raise VerificationFailed("classify_hard step and its inverse do not multiply to I")
-        nxt = x @ gamma @ x_inv
-        got = as_e_params(nxt)
-        if got is None:
-            return False
-        gamma, cur = nxt, got
+        gamma = x @ gamma @ x_inv
+        cur = as_e_params(gamma)
+        if cur is None:
+            raise VerificationFailed("classify_hard step left the pi-power shape")
         steps.append(x)
-        return True
 
     if vb <= m and vb <= va:
         if vb >= length:  # then m = va = length too: nothing but the J shape
@@ -488,39 +495,18 @@ def _normalize_hard(e: EParams):
             _, ub = cur.b.unit_split()
             x = ctx.mul_raw(ctx.div_pi_raw(cur.a.val, vb), ctx.inv_raw(ub.val))
             old = cur.a.valuation()
-            if not try_step(_lower_step(ctx, cur.m, x)) or cur.a.valuation() <= old:
+            take(_lower_step(ctx, cur.m, x))
+            if cur.a.valuation() <= old:
                 raise VerificationFailed("a elimination stalled")
         if cur.m > vb:
             # with a = 0 the slot-lowering triangle (lam = unit part of b,
             # inverted) lowers the slot exponent to val(b) exactly, fixing
             # a = 0 and b, c, d on the nose
             _, ub = cur.b.unit_split()
-            step = _slot_step(ctx, cur.m - vb, ctx.inv_raw(ub.val), cur.c.val)
-            if not try_step(step) or cur.m != vb or cur.a:
+            take(_slot_step(ctx, cur.m - vb, ctx.inv_raw(ub.val), cur.c.val))
+            if cur.m != vb or cur.a:
                 raise VerificationFailed("slot exponent lowering failed")
         return HardForm("II", cur.m, cur.a, cur.b, cur.c, cur.d), steps
-
-    if va < m and va < vb:
-        if cur.m >= length and cur.a:
-            # slot is zero, so a single diagonal scaling strips the unit
-            ta, ua = cur.a.unit_split()
-            if not try_step(_diag_step(ctx, ua.val)) or cur.a.val != ctx.pi_pow_raw(ta):
-                raise VerificationFailed("scaling a to a pi power failed")
-        ta = cur.a.valuation()
-        for s in range(length - 1, ta - 1, -1):
-            delta = cur.d.digits()[s]
-            if delta == 0:
-                continue
-            _, ua = cur.a.unit_split()
-            v = ctx.neg_raw(
-                ctx.mul_raw(ctx.mul_raw(delta, ctx.pi_pow_raw(s - ta)), ctx.inv_raw(ua.val))
-            )
-            low = ctx.mod_pi_raw(cur.d.val, s)
-            if not try_step(_pin_step(ctx, v, cur.a.val, cur.c.val)):
-                break  # would leave the shape (possible only past length 2)
-            if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
-                raise VerificationFailed(f"pinning digit {s} of d failed")
-        return HardForm("III0", cur.m, cur.a, cur.b, cur.c, cur.d), steps
 
     if m <= va and m < vb:
         for s in range(length - 1, m - 1, -1):
@@ -529,8 +515,7 @@ def _normalize_hard(e: EParams):
                 continue
             x = ctx.mul_raw(delta, ctx.pi_pow_raw(s - m))
             low = ctx.mod_pi_raw(cur.d.val, s)
-            if not try_step(_lower_step(ctx, cur.m, x)):
-                break
+            take(_lower_step(ctx, cur.m, x))
             if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
                 raise VerificationFailed(f"pinning digit {s} of d failed")
         return HardForm("III1", cur.m, cur.a, cur.b, cur.c, cur.d), steps
@@ -538,129 +523,22 @@ def _normalize_hard(e: EParams):
     raise NotHardCase(f"m={m}, val(a)={va}, val(b)={vb} fit no type")  # unreachable
 
 
-def _bucket_shapes(tctx: RingCtx, key: tuple) -> list:
-    """Sweep positions (m, a, b, c, d) of the pi-power shapes whose
-    characteristic polynomial is key, in sweep order.
-
-    With E = d*I + N and N = [[0, pi^m, 0], [0, 0, 1], [a, b, c]], N has
-    companion coefficients (pi^m*a, b, c), and substituting x - d gives
-    c = k2 - 3d, b = k1 + 2*k2*d - 3d^2 and
-    pi^m*a = k0 + k1*d + k2*d^2 - d^3 for key = (k0, k1, k2).  So each d
-    fixes b and c, and the (m, a) pairs solve one equation: multiplying
-    by pi^m shifts the packed digits up by m in both flavors, so a is
-    that product shifted back down plus any value in the top m digits.
-    """
-    k0, k1, k2 = key
-    p, length, card = tctx.p, tctx.length, tctx.cardinality
-    add, sub, mul = tctx.add_raw, tctx.sub_raw, tctx.mul_raw
-    shapes = []
-    for d in range(card):
-        d3 = add(d, add(d, d))
-        c = sub(k2, d3)
-        b = sub(add(k1, mul(add(k2, k2), d)), mul(d3, d))
-        if c % p or b % p:
-            continue
-        dd = mul(d, d)
-        t = sub(add(k0, add(mul(k1, d), mul(k2, dd))), mul(dd, d))
-        for m in range(1, length):
-            if t % p ** (m + 1):
-                break  # val(t) <= m leaves no non-unit a with pi^m*a = t
-            top = p ** (length - m)
-            shapes.extend((m, t // p**m + top * k, b, c, d) for k in range(p**m))
-        if t == 0:  # the slot is zero, so every non-unit a fits
-            shapes.extend((length, a, b, c, d) for a in range(0, card, p))
-    shapes.sort()
-    return shapes
-
-
-def _signature(a: Mat) -> tuple:
-    """Sorted Smith exponents of X -> aX - Xa and X -> a^2 X - X a^2.
-
-    Conjugating a by g conjugates both maps by the invertible map
-    X -> gXg^-1, so similar matrices have equal signatures.
-    """
-    a2 = a @ a
-    return tuple(
-        tuple(sorted(_diagonalize(a.ctx, build_intertwiner_matrix(b, b)))) for b in (a, a2)
-    )
-
-
 @lru_cache(maxsize=None)
-def _hard_bucket(tctx: RingCtx, key: tuple) -> tuple:
-    """Hard-body classes over tctx with characteristic polynomial key.
-
-    Returns (sweep position, form, merge data) per class, ordered by
-    position.  Every class with a one-eigenvalue non-cyclic residue
-    contains a pi-power shape, so normalizing each shape of the key and
-    deduplicating the forms finds every class.  Over rings of length <= 2
-    normalization separates classes, so the distinct forms are the
-    bucket and the merge data is None.  From length 3 on it can leave one
-    class as several forms, so similar forms are merged, keeping the
-    first in sweep order, and the merge data is (rebuilt form,
-    signature); classes only merge within one characteristic polynomial,
-    so the bucket is complete.  A form is tested only against kept forms
-    of its own signature: the kept forms are pairwise non-similar, so
-    this finds the same unique match, if any, as testing against all of
-    them.
-    """
-    seen = {}
-    for pos in _bucket_shapes(tctx, key):
-        m, *vals = pos
-        form, _ = _normalize_hard(EParams(tctx, m, *(RingElem(tctx, v) for v in vals)))
-        seen.setdefault(form, pos)
-    if tctx.length <= 2:
-        return tuple((pos, form, None) for form, pos in seen.items())
-    entries, kept = [], {}
-    for form, pos in seen.items():
-        rb = form.rebuild()
-        sig = _signature(rb)
-        same = kept.setdefault(sig, [])
-        if not any(is_similar(rep, rb)[0] for rep in same):
-            same.append(rb)
-            entries.append((pos, form, (rb, sig)))
-    return tuple(entries)
-
-
 def hard_family(tctx: RingCtx) -> tuple:
     """One normalized form per hard-body class over tctx.
 
-    The union of every characteristic-polynomial bucket, ordered by each
-    form's first position in the sweep over (m, a, b, c, d).  A shape
-    reduces to d*I plus a nilpotent mod pi, so only keys congruent to the
-    coefficients of (x - d)^3 mod pi can hold one.
+    Every class with a one-eigenvalue non-cyclic residue contains a
+    pi-power shape, and normal forms separate classes, so the transversal
+    is the distinct forms of all shapes, ordered by each form's first
+    position in the sweep over (m, a, b, c, d).
     """
-    p, card = tctx.p, tctx.cardinality
-    entries = []
-    for d in range(p):
-        r0, r1, r2 = d**3 % p, -3 * d * d % p, 3 * d % p
-        for key in product(range(r0, card, p), range(r1, card, p), range(r2, card, p)):
-            entries.extend(_hard_bucket(tctx, key))
-    entries.sort(key=lambda e: e[0])
-    return tuple(form for _, form, _ in entries)
-
-
-def hard_class_rep(h: HardForm) -> tuple:
-    """(transversal form of h's class, conjugator onto its rebuild).
-
-    Builds and searches only the bucket of h's characteristic polynomial.
-    Over rings of length <= 2 every normalized form is in its bucket, so
-    a miss is a fault; from length 3 on, similarity is tested against the
-    bucket forms with h's signature.
-    """
-    rb = h.rebuild()
-    bucket = _hard_bucket(h.ctx, tuple(x.val for x in rb.charpoly()))
-    if any(form == h for _, form, _ in bucket):
-        return h, identity(h.ctx, 3)
-    if h.ctx.length > 2:
-        sig = _signature(rb)
-        for _, form, (rep, rep_sig) in bucket:
-            if rep_sig != sig:
-                continue
-            ok, x = is_similar(rb, rep)
-            if ok:
-                # rb X = X rep, so X^-1 rb X is the representative
-                return form, x.inverse()
-    raise VerificationFailed(f"hard class of {h} missing from its bucket")
+    length, card, p = tctx.length, tctx.cardinality, tctx.p
+    nonunits = [RingElem(tctx, v) for v in range(0, card, p)]
+    elems = [RingElem(tctx, v) for v in range(card)]
+    seen = {}
+    for m, a, b, c, d in product(range(1, length + 1), nonunits, nonunits, nonunits, elems):
+        seen.setdefault(_normalize_hard(EParams(tctx, m, a, b, c, d))[0], None)
+    return tuple(seen)
 
 
 # ----------------------------------------------------------------------
@@ -690,8 +568,7 @@ class HardBody:
 
 @dataclass(frozen=True)
 class CanonicalForm3:
-    """Complete class descriptor (level, d, body); see module docstring
-    for the depth guarantees of hard bodies."""
+    """Complete class descriptor (level, d, body)."""
 
     ctx: RingCtx
     level: int
@@ -755,9 +632,8 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     else:
         e, x1 = reduce_to_e_form(beta)
         hard, x2 = classify_hard(e)
-        rep, x3 = hard_class_rep(hard)
-        x = x3 @ x2 @ x1
-        body = HardBody(rep)
+        x = x2 @ x1
+        body = HardBody(hard)
     witness = x.lift(ctx.length)
     form = CanonicalForm3(ctx, sp.level, sp.d, body, witness)
     if alpha.conjugate_by(witness) != form.rebuild():

@@ -7,9 +7,12 @@ l.  Closed forms for the totals and the "rest" bucket are also
 implemented and cross-checked against the recursion in the tests.
 
 Enumeration builds one representative per class directly, family by
-family; no orbit search is involved.  Hard bodies come from the shared
-per-ring transversal (hard_family), so enumeration and canon3 agree on
-representatives by construction.
+family; no orbit search and no similarity solver is involved.  Hard
+bodies come from hard_family, the distinct canon3 normal forms of the
+ring's pi-power shapes, so enumeration and canon3 agree on
+representatives by construction.  Each enumeration checks its class
+count against count3, which certifies, ring by ring, that those normal
+forms separate classes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .canon3 import (
     SplitBody,
     hard_family,
 )
-from .errors import BadParams, BudgetExceeded, NonIntegralDivision
+from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
 from .matrix import identity
 from .ring import RingCtx, RingElem, Section
 
@@ -239,11 +242,13 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
 
     Deterministic order: level ascending, then the scalar part, then
     cyclic, split and hard bodies (each family in lexicographic
-    parameter order).  Every emitted form is a canon3 fixed point.
+    parameter order).  Every emitted form is a canon3 fixed point, and
+    a run that emits other than count3 classes raises VerificationFailed.
     """
     if group not in ("M", "GL"):
         raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-    if count3(ctx.q, ctx.length, group) > budget:
+    total = count3(ctx.q, ctx.length, group)
+    if total > budget:
         raise BudgetExceeded(f"enumerate3 over {ctx.descriptor} exceeds budget {budget}")
     length, p = ctx.length, ctx.p
     ident = identity(ctx, 3)  # one shared witness: each form is a canon3 fixed point
@@ -284,6 +289,12 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
                 if gl_zero and hf.d.val % p == 0:
                     continue  # the residue is J-shaped, so d decides invertibility
                 emit(level, d, HardBody(hf))
+    if len(out) != total:
+        # the hard transversal rests on normal forms alone, so a gap in
+        # them shows up here as a count mismatch
+        raise VerificationFailed(
+            f"enumerate3 over {ctx.descriptor} emitted {len(out)} {group} classes, count3 gives {total}"
+        )
     return out
 
 

@@ -288,6 +288,10 @@ class Mat:
             raise NotInvertible(f"determinant {d.val} is not a unit")
         return self.adjugate().scale(d.inverse())
 
+    def transpose(self) -> "Mat":
+        n = self.n
+        return Mat._unchecked(self.ctx, n, [self.vals[j * n + i] for i in range(n) for j in range(n)])
+
     def conjugate_by(self, g: "Mat") -> "Mat":
         """g @ self @ g^{-1}."""
         return g @ self @ g.inverse()

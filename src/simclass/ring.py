@@ -12,12 +12,14 @@ arithmetic is digit-wise mod p with polynomial convolution.
 
 A context binds its flavor's add_raw, sub_raw, mul_raw and neg_raw as
 plain functions once, so a ring operation is one call with no flavor
-test: "z" contexts bind them when constructed, "t" contexts on their
-first arithmetic call.  For a "t" ring of at most 1024 elements
-that first call also builds the add, mul, negation and inverse tables
-the bound functions look up.  They are built by digit recurrence: the
-tables of F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)),
-starting at F_p, with one table lookup per entry (see _t_tables).
+test: "z" contexts and every length-1 context (F_p, whatever the
+flavor) bind modular arithmetic when constructed, other "t" contexts on
+their first arithmetic call.  For a "t" ring of length >= 2 and at most
+1024 elements that first call also builds the add, mul, negation and
+inverse tables the bound functions look up.  They are built by digit
+recurrence: the tables of F_p[t]/(t^k) follow row by row from those of
+F_p[t]/(t^(k-1)), starting at F_p, with one table lookup per entry (see
+_t_tables).
 Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
 ...), which are also the reference the tables are tested against.  The
 raw functions trust their arguments to be packed values of the ring;
@@ -143,7 +145,7 @@ class RingCtx:
             raise BadDescriptor("ring cardinality must be below 2**63")
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
-        if self.flavor == "z":
+        if self.flavor == "z" or self.length == 1:  # length 1: both flavors are F_p
             self._bind(
                 lambda a, b: (a + b) % card,
                 lambda a, b: (a - b) % card,
@@ -171,11 +173,12 @@ class RingCtx:
 
     @property
     def _tables(self):
-        """Lazily built (add, mul, neg, inv) lookup tables for small "t"
-        rings, all None for other rings; see _t_tables."""
+        """Lazily built (add, mul, neg, inv) lookup tables for "t" rings
+        of length >= 2 and at most _TABLE_LIMIT elements, all None for
+        other rings; see _t_tables."""
         tabs = self.__dict__.get("_tables_cache")
         if tabs is None:
-            if self.flavor != "t" or self.cardinality > _TABLE_LIMIT:
+            if self.flavor != "t" or self.length == 1 or self.cardinality > _TABLE_LIMIT:
                 tabs = (None, None, None, None)
             else:
                 tabs = _t_tables(self.p, self.length)
@@ -283,7 +286,7 @@ class RingCtx:
     def inv_raw(self, a: int) -> int:
         if a % self.p == 0:
             raise NonUnit(f"{a} is not a unit in {self.descriptor}")
-        if self.flavor == "z":
+        if self.flavor == "z" or self.length == 1:
             return pow(a, -1, self.cardinality)
         tab = self._tables[3]
         if tab is not None:

@@ -19,16 +19,17 @@ from simclass import (
     companion,
     diag,
     e_matrix,
-    hard_class_rep,
     hard_family,
     hensel_block_split,
     identity,
     is_similar,
     j_matrix,
+    orbit_states,
     parse_ring,
     reduce_to_e_form,
     residue_type,
     ring_ctx,
+    same_class,
     scalar,
 )
 from simclass.canon3 import (
@@ -36,12 +37,9 @@ from simclass.canon3 import (
     HardBody,
     ScalarBody,
     SplitBody,
-    _diag_step,
-    _hard_bucket,
     _lower_step,
-    _pin_step,
-    _signature,
     _slot_step,
+    _swap,
 )
 from simclass.cli import EX_MISMATCH
 from conftest import rand_invertible, rand_mat, run_python
@@ -240,8 +238,6 @@ def test_classify_hard_steps_come_with_their_inverses(desc, rng):
         steps = [
             _lower_step(ctx, rng.randrange(1, length + 1), elem()),
             _slot_step(ctx, rng.randrange(1, length + 1), unit(), elem()),
-            _diag_step(ctx, unit()),
-            _pin_step(ctx, elem(), elem(), elem()),
         ]
         for x, x_inv in steps:
             assert x @ x_inv == ident and x_inv @ x == ident
@@ -268,8 +264,6 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "cases = [\n"
         "    ('_lower_step', ('z', 2, 2), (1, 2, 2, 0, 0)),\n"
         "    ('_slot_step', ('z', 2, 2), (2, 0, 2, 0, 0)),\n"
-        "    ('_diag_step', ('z', 3, 2), (2, 6, 0, 0, 0)),\n"
-        "    ('_pin_step', ('z', 2, 2), (2, 2, 0, 0, 2)),\n"
         "]\n"
         "for name, desc, (m, *vals) in cases:\n"
         "    ctx = ring_ctx(*desc)\n"
@@ -283,6 +277,17 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "    except VerificationFailed:\n"
         "        pass\n"
         "    setattr(c3, name, real)\n"
+        "# a III0 witness built through a wrong transpose conjugator\n"
+        "real_swap = c3._swap\n"
+        "c3._swap = lambda e: (real_swap(e)[0], Mat(e.ctx, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))\n"
+        "ctx = ring_ctx('z', 3, 2)\n"
+        "try:\n"
+        "    classify_hard(EParams(ctx, 2, *(ctx.elem(v) for v in (6, 0, 0, 0))))\n"
+        "    sys.exit('no VerificationFailed with a wrong III0 conjugator')\n"
+        "except VerificationFailed as exc:\n"
+        "    if 'transpose' not in str(exc):\n"
+        "        raise\n"
+        "c3._swap = real_swap\n"
         "c3._lower_step = off_by_pi(c3._lower_step)\n"
         "sys.exit(main(['canon', '--ring', 'z:2:2', '[[0,2,0],[0,0,1],[2,2,0]]']))\n"
     )
@@ -292,13 +297,14 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
 
 
 def test_hard_family_members_are_their_own_class_reps():
-    for desc in [("z", 2, 1), ("z", 2, 2), ("z", 3, 2), ("t", 2, 2)]:
-        ctx = ring_ctx(*desc)
+    # every form is a classify_hard fixed point with identity witness
+    for desc in ["z:2:1", "z:2:2", "z:3:2", "t:2:2", "z:2:3", "t:2:3"]:
+        ctx = parse_ring(desc)
         fam = hard_family(ctx)
         assert len(fam) == len(set(fam))
         for h in fam:
-            rep, x = hard_class_rep(h)
-            assert rep == h and x == identity(ctx, 3)
+            again, x = classify_hard(EParams(ctx, h.m, h.a, h.b, h.c, h.d))
+            assert again == h and x == identity(ctx, 3)
 
 
 def test_hard_family_tags_separate_classes():
@@ -310,11 +316,11 @@ def test_hard_family_tags_separate_classes():
 
 
 def _reference_sweep(tctx):
-    """The whole-ring sweep the per-charpolynomial buckets replaced.
+    """The hard transversal by solver merges.
 
     Normalizes every pi-power shape in (m, a, b, c, d) order, keeps each
     form's first occurrence and merges similar forms within one
-    characteristic polynomial.  Returns (forms, {charpoly: forms}).
+    characteristic polynomial.  Returns the kept forms.
     """
     p, card, length = tctx.p, tctx.cardinality, tctx.length
     nonunits = range(0, card, p)
@@ -330,22 +336,23 @@ def _reference_sweep(tctx):
         if not any(is_similar(g.rebuild(), rb)[0] for g in bucket):
             bucket.append(f)
             reps.append(f)
-    return reps, buckets
+    return reps
 
 
 @pytest.mark.parametrize(
     "desc",
     ["z:2:1", "z:2:2", "z:3:1", "z:3:2", "t:2:2", "t:3:2", "z:2:3", "t:2:3"]
-    + [pytest.param(d, marks=pytest.mark.slow) for d in ("z:5:2", "t:5:2")],
+    + [
+        pytest.param(d, marks=pytest.mark.slow)
+        for d in ("z:5:2", "t:5:2", "z:3:3", "z:2:4", "t:2:4")
+    ],
 )
 def test_hard_family_matches_the_global_sweep(desc):
-    # at length <= 2 the buckets merge nothing, so this checks that the
-    # merged reference finds no two similar normalized forms there
+    # the reference merges similar forms, so list equality says that no two
+    # forms are similar and that each is the first of its class in the
+    # sweep: class-for-class agreement with the solver, in order
     ctx = parse_ring(desc)
-    reps, buckets = _reference_sweep(ctx)
-    assert list(hard_family(ctx)) == reps
-    for key, forms in buckets.items():
-        assert [form for _, form, _ in _hard_bucket(ctx, key)] == forms
+    assert list(hard_family(ctx)) == _reference_sweep(ctx)
 
 
 @pytest.mark.parametrize("desc", ["t:3:3", "z:7:2"])
@@ -367,113 +374,104 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert canon3(f.rebuild()) == f
 
 
-def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(rng, monkeypatch):
-    # the z:31:2 buckets (built here first: no other test uses the ring
-    # in-process) are merge-free, so a cold hard canon3 never reaches the
-    # residue-span scan, whose cost grows as p^r
-    c3 = importlib.import_module("simclass.canon3")
-    calls = []
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make every similarity-solver call raise, and empty the hard_family
+    cache so that the families are built under the patch."""
 
-    def counting(a, b):
-        calls.append(1)
-        return is_similar(a, b)
+    def refuse(*args):
+        raise AssertionError("the similarity solver was called")
 
-    monkeypatch.setattr(c3, "is_similar", counting)
-    ctx = parse_ring("z:31:2")
-    p = ctx.p
-    shapes = {
-        "I": j_matrix(ctx, 0, 0),
-        "II": e_matrix(ctx, 1, 0, p, p, 1),
-        "III1": e_matrix(ctx, 1, p, 0, 0, 2),
-    }
-    for tag, shape in shapes.items():
-        m = shape if tag == "I" else shape.conjugate_by(rand_invertible(ctx, 3, rng))
-        f = canon3(m)
-        assert isinstance(f.body, HardBody) and f.body.form.tag == tag
-        assert m.conjugate_by(f.witness) == f.rebuild()
-    assert calls == []
+    monkeypatch.setattr(importlib.import_module("simclass.modsolve"), "intertwiner", refuse)
+    hard_family.cache_clear()
+    yield
+    hard_family.cache_clear()
 
 
-@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:3:2", "t:3:2"])
-def test_signature_is_a_similarity_invariant(desc, rng):
-    ctx = parse_ring(desc)
-    fam = hard_family(ctx)
-    for h in rng.sample(fam, 12):
-        a = h.rebuild()
-        sig = _signature(a)
-        for _ in range(3):
-            assert _signature(a.conjugate_by(rand_invertible(ctx, 3, rng))) == sig
-
-
-def _count_bucket_calls(monkeypatch, desc):
-    """is_similar and _signature calls made building every bucket of the
-    ring and of its truncations, as enumerate3 builds them, from cold."""
-    c3 = importlib.import_module("simclass.canon3")
-    calls = {"is_similar": 0, "_signature": 0}
-
-    def counting(name):
-        real = getattr(c3, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(c3, name, counting(name))
-    c3._hard_bucket.cache_clear()
-    ctx = parse_ring(desc)
-    for level in range(1, ctx.length + 1):
-        hard_family(ctx.truncated(level))
-    return calls
-
-
-@pytest.mark.parametrize("desc,bound", [("z:2:3", 164)])
-def test_bucket_merges_only_test_forms_of_one_signature(desc, bound, monkeypatch):
-    # without the signature gate this is 1124 calls
-    assert 0 < _count_bucket_calls(monkeypatch, desc)["is_similar"] <= bound
+def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(no_solver, rng):
+    # the hard transversal is the normal forms themselves: building it,
+    # and a cold hard canon3 of each tag, never consults the solver
+    for desc in ("z:2:3", "t:2:3"):
+        hard_family(parse_ring(desc))
+    for desc in ("z:5:3", "z:7:3", "t:5:3", "z:31:2"):
+        ctx = parse_ring(desc)
+        p = ctx.p
+        shapes = {
+            "I": j_matrix(ctx, 0, 0),
+            "II": e_matrix(ctx, 1, 0, p, p, 1),
+            "III0": e_matrix(ctx, 2, p, p * p, 0, 1),
+            "III1": e_matrix(ctx, 1, p, 0, 0, 2),
+        }
+        for tag, shape in shapes.items():
+            m = shape if tag == "I" else shape.conjugate_by(rand_invertible(ctx, 3, rng))
+            f = canon3(m)
+            assert isinstance(f.body, HardBody) and f.body.form.tag == tag
+            assert m.conjugate_by(f.witness) == f.rebuild()
 
 
 @pytest.mark.parametrize("desc", ["z:3:2", "t:3:2", "z:5:2"])
-def test_length_two_buckets_make_no_solver_calls(desc, monkeypatch):
-    # normalization separates classes at length <= 2, so no bucket of
-    # the ring or its truncation merges, nor computes a signature
-    assert _count_bucket_calls(monkeypatch, desc) == {"is_similar": 0, "_signature": 0}
-
-
-def test_hard_class_rep_matches_an_ungated_search(rng):
-    # the signature gate skips only reps that cannot be similar, so the
-    # first similar rep in bucket order, and its witness, are unchanged;
-    # checked on normalized shapes that are not themselves transversal forms
-    ctx = ring_ctx("z", 2, 3)
-    fam = set(hard_family(ctx))
-    checked = 0
-    while checked < 12:
-        m = rng.randrange(1, 4)
-        h, _ = classify_hard(ep(ctx, m, *(2 * rng.randrange(4) for _ in range(3)), rng.randrange(8)))
-        if h in fam:
-            continue
-        rb = h.rebuild()
-        for _, form, (rep, _) in _hard_bucket(ctx, tuple(x.val for x in rb.charpoly())):
-            ok, x = is_similar(rb, rep)
-            if ok:
-                break
-        assert ok and hard_class_rep(h) == (form, x.inverse())
-        checked += 1
+def test_length_two_buckets_make_no_solver_calls(desc, no_solver):
+    # the families of the ring and of its truncation, as enumerate3 builds them
+    ctx = parse_ring(desc)
+    for level in range(1, ctx.length + 1):
+        hard_family(ctx.truncated(level))
 
 
 def test_hard_class_rep_collapses_conjugates(rng):
-    ctx = ring_ctx("z", 2, 2)
-    fam = hard_family(ctx)
-    for h in fam[:12]:
-        g = rand_invertible(ctx, 3, rng)
-        m = h.rebuild().conjugate_by(g)
-        e, x1 = reduce_to_e_form(m)
-        h2, x2 = classify_hard(e)
-        rep, x3 = hard_class_rep(h2)
-        assert rep == h
-        assert m.conjugate_by(x3 @ x2 @ x1) == rep.rebuild()
+    # the classify_hard form of any conjugate of a family form is that form
+    for desc in ["z:2:2", "z:2:3", "t:2:3"]:
+        ctx = parse_ring(desc)
+        fam = hard_family(ctx)
+        for h in rng.sample(fam, 12) + [h for h in fam if h.tag == "III0"][:6]:
+            m = h.rebuild().conjugate_by(rand_invertible(ctx, 3, rng))
+            e, x1 = reduce_to_e_form(m)
+            h2, x2 = classify_hard(e)
+            assert h2 == h
+            assert m.conjugate_by(x2 @ x1) == h.rebuild()
+
+
+# ----------------------------------------------------------------------
+# the transpose swap behind type III0
+
+
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2"])
+def test_swap_conjugates_the_transpose(desc, rng):
+    ctx = parse_ring(desc)
+    p, card, length = ctx.p, ctx.cardinality, ctx.length
+    for _ in range(100):
+        e = ep(ctx, rng.randrange(1, length + 1), *(p * rng.randrange(card // p) for _ in range(3)),
+               rng.randrange(card))
+        s, g = _swap(e)
+        assert g @ e.rebuild().transpose() @ g.inverse() == s.rebuild()
+
+
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2"])
+def test_swap_is_an_involution_on_iii0_forms(desc):
+    ctx = parse_ring(desc)
+    forms = [h for h in hard_family(ctx) if h.tag == "III0"]
+    assert forms
+    for h in forms:
+        s, _ = _swap(h)
+        back, _ = _swap(s)
+        assert (back.m, back.a, back.b, back.c, back.d) == (h.m, h.a, h.b, h.c, h.d)
+
+
+# the III0 pairs (m, b, c, d) with a = 2 and a = 6 that normal forms left
+# as two forms over z:2:3 before III0 went through the transpose, and a
+# solver merge joined
+_SPLIT_III0_PAIRS = [(2, b, c, d) for b in (0, 4) for c in (0, 2, 4, 6) for d in (0, 1)] + [
+    (3, b, c, d) for b, c in ((0, 0), (0, 4), (4, 2), (4, 6)) for d in (0, 1)
+]
+
+
+def test_once_split_iii0_pairs_are_one_class():
+    ctx = ring_ctx("z", 2, 3)
+    assert len(_SPLIT_III0_PAIRS) == 24
+    for m, b, c, d in _SPLIT_III0_PAIRS:
+        x, y = (e_matrix(ctx, m, a, b, c, d) for a in (2, 6))
+        assert canon3(x) == canon3(y)
+        assert canon3(x).body.form.tag == "III0"
+        assert orbit_states(x).size == 43008 and same_class(x, y)
 
 
 # ----------------------------------------------------------------------

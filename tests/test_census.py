@@ -1,11 +1,14 @@
 """Counting layer: transfer recursion, closed forms, series, enumeration."""
 
+import importlib
+
 import pytest
 
 from simclass import (
     BadParams,
     BudgetExceeded,
     CountVector,
+    VerificationFailed,
     base_vector,
     canon3,
     classify_form,
@@ -21,6 +24,8 @@ from simclass import (
     transfer_power,
     type_histogram,
 )
+from simclass.cli import EX_MISMATCH
+from conftest import run_python
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -168,8 +173,8 @@ def test_enumerate3_counts():
         (("t", 2, 2), "M", 144),
         (("z", 3, 1), "M", 39),
         (("z", 3, 1), "GL", 24),
-        # merge-free hard buckets: the count certifies that distinct
-        # normalized forms are distinct classes at length 2
+        # the count certifies that distinct normal forms are distinct
+        # classes at length 2
         (("z", 5, 2), "M", 20175),
         (("z", 5, 2), "GL", 15540),
         (("t", 5, 2), "M", 20175),
@@ -216,6 +221,45 @@ def test_enumerate3_matches_count_on_length_two_rings_past_the_default_tier(desc
         reps = enumerate3(ctx, group)
         assert len(reps) == count3(ctx.q, ctx.length, group)
         assert len({form for form, _ in reps}) == len(reps)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("desc", ["z:3:3", "t:3:3", "z:2:4", "t:2:4", "z:2:5", "t:2:5"])
+def test_enumerate3_matches_count_past_length_two(desc):
+    # the hard transversal is the normal forms alone, so the count
+    # certifies that they separate classes (90304 M classes at z:2:5)
+    ctx = parse_ring(desc)
+    for group in ("M", "GL"):
+        reps = enumerate3(ctx, group)
+        assert len(reps) == count3(ctx.q, ctx.length, group)
+        assert len({form for form, _ in reps}) == len(reps)
+
+
+@pytest.mark.slow
+def test_enumerate3_matches_count_over_z125():
+    # 2542125 classes; about 8.5 minutes and 1.3 GB peak RSS on 2 vCPU
+    assert len(enumerate3(ring_ctx("z", 5, 3))) == count3(5, 3) == 2542125
+
+
+def test_enumerate3_checks_its_count(monkeypatch):
+    # a hard family that repeats a form is caught, also under -O, where the
+    # CLI exits 70
+    census = importlib.import_module("simclass.census")
+    real = census.hard_family
+    monkeypatch.setattr(census, "hard_family", lambda tctx: real(tctx) + real(tctx)[:1])
+    with pytest.raises(VerificationFailed, match="count3 gives 144"):
+        enumerate3(ring_ctx("z", 2, 2))
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "census = importlib.import_module('simclass.census')\n"
+        "real = census.hard_family\n"
+        "census.hard_family = lambda tctx: real(tctx) + real(tctx)[:1]\n"
+        "sys.exit(main(['enumerate', '--ring', 'z:2:2', '--group', 'gl']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "count3 gives 60" in proc.stderr
 
 
 def test_enumerate3_budget():

@@ -123,7 +123,7 @@ def test_similar_equal_scalars_over_a_large_field(capsys):
 
 
 def test_canon_hard_input_over_z125_returns():
-    # one characteristic-polynomial bucket, not the whole ring's index
+    # the hard form is the normal form itself: no index is built
     proc = run_python("-m", "simclass.cli", "canon", "--ring", "z:5:3",
                       "[[0,0,0],[0,0,1],[0,0,0]]", timeout=60)
     assert proc.returncode == EX_OK, proc.stderr
@@ -131,7 +131,7 @@ def test_canon_hard_input_over_z125_returns():
 
 
 def test_canon_hard_input_over_z31_len2_returns():
-    # a merge-free bucket: no residue-span scan that grows with p
+    # no index and no residue-span scan that grows with p
     proc = run_python("-m", "simclass.cli", "canon", "--ring", "z:31:2",
                       "[[0,0,0],[0,0,1],[0,0,0]]", timeout=60)
     assert proc.returncode == EX_OK, proc.stderr

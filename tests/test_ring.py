@@ -160,11 +160,12 @@ def test_elem_validates_range():
     [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), (3, 7)],
 )
 def test_bound_t_ops_match_the_digit_loops(p, length):
-    # a fresh, non-interned context binds its ops on the first call;
-    # t:p:1 is the recurrence's base case, t:2:10 has exactly _TABLE_LIMIT
-    # elements, and t:3:7 is past the limit and binds the digit loops themselves
+    # a fresh, non-interned context binds its ops on the first call, or
+    # when constructed at length 1 (F_p, modular arithmetic, no tables);
+    # t:2:10 has exactly _TABLE_LIMIT elements, and t:3:7 is past the
+    # limit and binds the digit loops themselves
     ctx = RingCtx("t", p, length)
-    assert "mul_raw" not in vars(ctx)
+    assert ("mul_raw" in vars(ctx)) == (length == 1)
     assert ctx.mul_raw(1, 1) == 1 and "mul_raw" in vars(ctx)
     card = ctx.cardinality
     if card > _TABLE_LIMIT:
@@ -182,9 +183,22 @@ def test_bound_t_ops_match_the_digit_loops(p, length):
             assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
             assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
             assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
-    if card <= _TABLE_LIMIT:
+    if length > 1 and card <= _TABLE_LIMIT:
         # the tables hold one int object per ring value
         assert len({id(v) for tab in ctx._tables for v in tab}) <= card
+
+
+def test_length_one_t_rings_build_no_table():
+    ctx = RingCtx("t", 1021, 1)
+    pairs = random.Random(1021).sample(range(1021 * 1021), 2000)
+    for a, b in (divmod(x, 1021) for x in pairs):
+        assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
+        assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
+        assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
+        assert ctx.neg_raw(a) == ctx._poly_neg(a)
+        if a:
+            assert ctx.inv_raw(a) == ctx._poly_inv(a)
+    assert ctx._tables == (None, None, None, None)
 
 
 def test_t_rings_past_the_table_limit_build_no_table():
