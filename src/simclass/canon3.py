@@ -20,8 +20,8 @@ each with its own exact reduction over the length-(l-j) ring:
   swap(E) (see _swap), which is of type III1, and A ~ B iff
   A^T ~ B^T, so the III0 form of E is the swap of swap(E)'s III1 form.
   The normal form is the class representative itself: no similarity
-  solver is consulted, and hard_family is the set of distinct forms of
-  all pi-power shapes of a ring.
+  solver is consulted, and hard_family builds the forms of a ring
+  directly from the tag conditions, one candidate per form.
 """
 
 from __future__ import annotations
@@ -344,12 +344,16 @@ class HardForm:
     tag "III1": m <= val(a), m < val(b); d pinned below m.
 
     Distinct forms are distinct classes at every length, so the form is
-    the class representative.  Certificates: enumerate3, which emits
+    the class representative.  Certificates: hard_family generates the
+    forms from the tag conditions above and checks that each is a
+    fixed point of the normalization; enumerate3, which emits
     hard_family, checks on every run that it emits count3 classes
-    (tests run it on z:2:5, t:2:5, z:3:3 and t:3:3 and below); the
-    orbit census agrees with count3 on z:2:3 and t:2:3; and the oracle
-    confirms the III0 pairs over z:2:3 that the normal forms before the
-    swap left apart.
+    (tests run it on z:2:6, t:5:3, z:2:5, t:2:5, z:3:3 and t:3:3 and
+    below, and on z:5:3); the tests find the same forms as a sweep of
+    every pi-power shape merged by the similarity solver, up to z:3:3
+    and t:2:4; the orbit census agrees with count3 on z:2:3 and t:2:3;
+    and the oracle confirms the III0 pairs over z:2:3 that the normal
+    forms before the swap left apart.
     """
 
     tag: str
@@ -525,20 +529,61 @@ def _normalize_hard(e: EParams):
 
 @lru_cache(maxsize=None)
 def hard_family(tctx: RingCtx) -> tuple:
-    """One normalized form per hard-body class over tctx.
+    """One normal form per hard-body class over tctx, in lexicographic
+    (m, a, b, c, d) order.
 
-    Every class with a one-eigenvalue non-cyclic residue contains a
-    pi-power shape, and normal forms separate classes, so the transversal
-    is the distinct forms of all shapes, ordered by each form's first
-    position in the sweep over (m, a, b, c, d).
+    The forms are built from the tag conditions of HardForm, one
+    candidate per form, with c in the maximal ideal throughout:
+
+    - I:    (length, 0, 0, c, d) for every d;
+    - II:   (m, 0, b, c, d) for 1 <= m < length, val(b) = m, every d;
+    - III1: (m, a, b, c, d) for 1 <= m < length, val(a) >= m,
+            val(b) > m and d < p^m, i.e. no digit of d at or above m;
+    - III0: the swap (see _swap) of each III1 candidate with val(a) > m.
+
+    Each candidate must come back unchanged from _normalize_hard and the
+    sorted forms must be distinct, or VerificationFailed is raised.  That
+    every normal form is a candidate is certified by enumerate3, whose
+    class count is checked against count3.
     """
     length, card, p = tctx.length, tctx.cardinality, tctx.p
-    nonunits = [RingElem(tctx, v) for v in range(0, card, p)]
     elems = [RingElem(tctx, v) for v in range(card)]
-    seen = {}
-    for m, a, b, c, d in product(range(1, length + 1), nonunits, nonunits, nonunits, elems):
-        seen.setdefault(_normalize_hard(EParams(tctx, m, a, b, c, d))[0], None)
-    return tuple(seen)
+    zero = elems[0]
+
+    def at_least(v):  # the elements of valuation >= v
+        return elems[:: p ** min(v, length)]
+
+    ideal = at_least(1)
+    forms = []
+
+    def keep(tag: str, e: EParams):
+        f = _normalize_hard(e)[0]
+        if f != HardForm(tag, e.m, e.a, e.b, e.c, e.d):
+            params = (e.m, e.a.val, e.b.val, e.c.val, e.d.val)
+            raise VerificationFailed(
+                f"{tag} candidate {params} over {tctx.descriptor} is no normal form"
+            )
+        forms.append(f)
+
+    for c, d in product(ideal, elems):
+        keep("I", EParams(tctx, length, zero, zero, c, d))
+    for m in range(1, length):
+        for b, c, d in product(at_least(m), ideal, elems):
+            if b.valuation() == m:
+                keep("II", EParams(tctx, m, zero, b, c, d))
+        for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, elems[: p**m]):
+            e = EParams(tctx, m, a, b, c, d)
+            keep("III1", e)
+            if a.valuation() > m:
+                keep("III0", _swap(e)[0])
+
+    def key(f: HardForm) -> tuple:
+        return f.m, f.a.val, f.b.val, f.c.val, f.d.val
+
+    forms.sort(key=key)
+    if any(key(f) >= key(g) for f, g in zip(forms, forms[1:])):
+        raise VerificationFailed(f"hard_family over {tctx.descriptor} repeats a form")
+    return tuple(forms)
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,13 @@ implemented and cross-checked against the recursion in the tests.
 
 Enumeration builds one representative per class directly, family by
 family; no orbit search and no similarity solver is involved.  Hard
-bodies come from hard_family, the distinct canon3 normal forms of the
-ring's pi-power shapes, so enumeration and canon3 agree on
-representatives by construction.  Each enumeration checks its class
-count against count3, which certifies, ring by ring, that those normal
-forms separate classes.
+bodies come from hard_family, which generates the canon3 normal forms
+of pi-power shapes from their tag conditions and checks each is a
+normalization fixed point, so enumeration and canon3 agree on
+representatives by construction.  Enumeration is a stream: the CLI
+prints each class as it is built.  Each enumeration checks its class
+count against count3 after its last class, which certifies, ring by
+ring, that those normal forms separate classes and miss none.
 """
 
 from __future__ import annotations
@@ -238,13 +240,21 @@ def _split_inner_forms(tctx: RingCtx):
 
 
 def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One representative per class over ctx, as (CanonicalForm3, Mat).
+    """One representative per class over ctx, as a list of
+    (CanonicalForm3, Mat) pairs.
 
     Deterministic order: level ascending, then the scalar part, then
     cyclic, split and hard bodies (each family in lexicographic
     parameter order).  Every emitted form is a canon3 fixed point, and
     a run that emits other than count3 classes raises VerificationFailed.
     """
+    return [(form, form.rebuild()) for form in _enumerate3(ctx, group, budget)]
+
+
+def _enumerate3(ctx: RingCtx, group: str, budget: int):
+    """Generator behind enumerate3: yields its forms one by one, and
+    raises VerificationFailed after the last one if they were other than
+    count3 classes.  Bad parameters raise before the first form."""
     if group not in ("M", "GL"):
         raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
     total = count3(ctx.q, ctx.length, group)
@@ -252,11 +262,12 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
         raise BudgetExceeded(f"enumerate3 over {ctx.descriptor} exceeds budget {budget}")
     length, p = ctx.length, ctx.p
     ident = identity(ctx, 3)  # one shared witness: each form is a canon3 fixed point
-    out = []
+    emitted = 0
 
     def emit(level: int, d: Section, body):
-        form = CanonicalForm3(ctx, level, d, body, ident)
-        out.append((form, form.rebuild()))
+        nonlocal emitted
+        emitted += 1
+        return CanonicalForm3(ctx, level, d, body, ident)
 
     for level in range(length + 1):
         for dv in range(p**level):
@@ -264,7 +275,7 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
             if group == "GL" and level >= 1 and not d.value.is_unit():
                 continue
             if level == length:
-                emit(level, d, ScalarBody())
+                yield emit(level, d, ScalarBody())
                 continue
             tctx = ctx.truncated(length - level)
             gl_zero = group == "GL" and level == 0
@@ -274,7 +285,7 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
                     continue  # residue determinant of a companion is its constant term
                 for c1 in elems:
                     for c2 in elems:
-                        emit(level, d, CyclicBody((c0, c1, c2)))
+                        yield emit(level, d, CyclicBody((c0, c1, c2)))
             inners = _split_inner_forms(tctx)
             for a in elems:
                 if gl_zero and a.val % p == 0:
@@ -284,18 +295,17 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
                         continue  # the two residue eigenvalues must differ
                     if gl_zero and inner.d.value.val % p == 0:
                         continue
-                    emit(level, d, SplitBody(a, inner))
+                    yield emit(level, d, SplitBody(a, inner))
             for hf in hard_family(tctx):
                 if gl_zero and hf.d.val % p == 0:
                     continue  # the residue is J-shaped, so d decides invertibility
-                emit(level, d, HardBody(hf))
-    if len(out) != total:
+                yield emit(level, d, HardBody(hf))
+    if emitted != total:
         # the hard transversal rests on normal forms alone, so a gap in
         # them shows up here as a count mismatch
         raise VerificationFailed(
-            f"enumerate3 over {ctx.descriptor} emitted {len(out)} {group} classes, count3 gives {total}"
+            f"enumerate3 over {ctx.descriptor} emitted {emitted} {group} classes, count3 gives {total}"
         )
-    return out
 
 
 def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
@@ -304,7 +314,7 @@ def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     for level in range(1, ctx.length + 1):
         tctx = ctx.truncated(level)
         counts = [0, 0, 0, 0]
-        for form, _ in enumerate3(tctx, group, budget):
+        for form in _enumerate3(tctx, group, budget):
             counts[classify_form(form)] += 1
         out.append(CountVector(*counts))
     return out

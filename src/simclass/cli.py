@@ -16,7 +16,9 @@ mismatch: `verify` found counts that disagree, or an exact identity a
 result must satisfy (a witness or intertwiner identity, a centralizer
 order dividing |GL_n|, the orbit oracle's partition of the states)
 failed, which is raised as VerificationFailed and is never skipped by
-`python -O`.
+`python -O`.  `enumerate` streams one line per class as it builds it
+and compares the number of classes with count3 after the last line, so
+a count mismatch exits 70 after the output.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 
 from .canon2 import canon2, count2, enumerate2
 from .canon3 import canon3
-from .census import count3, enumerate3, gf_coeffs, type_histogram
+from .census import _enumerate3, count3, gf_coeffs, type_histogram
 from .errors import (
     BadParams,
     BudgetExceeded,
@@ -126,12 +128,9 @@ def _cmd_gf(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ctx = parse_ring(args.ring)
-    if args.n == 2:
-        entries = [(f, f.rebuild()) for f in enumerate2(ctx, _group(args), args.budget)]
-    else:
-        entries = enumerate3(ctx, _group(args), args.budget)
-    for form, mat in entries:
-        _print_json({"form": form.to_json(), "matrix": mat.rows()})
+    enum = enumerate2 if args.n == 2 else _enumerate3
+    for form in enum(ctx, _group(args), args.budget):
+        _print_json({"form": form.to_json(), "matrix": form.rebuild().rows()})
     return EX_OK
 
 

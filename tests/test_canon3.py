@@ -2,13 +2,16 @@
 
 import importlib
 import itertools
+from collections import Counter
 
 import pytest
 
 from simclass import (
     CentralizerShape,
     EParams,
+    HardForm,
     Mat,
+    VerificationFailed,
     WrongResidueType,
     block_diag,
     canon2,
@@ -298,7 +301,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
 
 def test_hard_family_members_are_their_own_class_reps():
     # every form is a classify_hard fixed point with identity witness
-    for desc in ["z:2:1", "z:2:2", "z:3:2", "t:2:2", "z:2:3", "t:2:3"]:
+    for desc in ["z:2:1", "z:2:2", "z:3:2", "t:2:2", "z:2:3", "t:2:3", "z:5:2", "t:5:2"]:
         ctx = parse_ring(desc)
         fam = hard_family(ctx)
         assert len(fam) == len(set(fam))
@@ -348,11 +351,36 @@ def _reference_sweep(tctx):
     ],
 )
 def test_hard_family_matches_the_global_sweep(desc):
-    # the reference merges similar forms, so list equality says that no two
-    # forms are similar and that each is the first of its class in the
-    # sweep: class-for-class agreement with the solver, in order
+    # the reference merges similar forms, so equal sets of equal length say
+    # that hard_family holds every normal form of the sweep and no two
+    # similar forms: class-for-class agreement with the solver
     ctx = parse_ring(desc)
-    assert list(hard_family(ctx)) == _reference_sweep(ctx)
+    fam, ref = hard_family(ctx), _reference_sweep(ctx)
+    assert Counter(f.tag for f in fam) == Counter(f.tag for f in ref)
+    assert set(fam) == set(ref) and len(fam) == len(ref)
+    keys = [(f.m, f.a.val, f.b.val, f.c.val, f.d.val) for f in fam]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+def test_hard_family_checks_each_candidate_is_a_normal_form(monkeypatch):
+    # a normalization that moves one candidate's d is caught, not emitted
+    c3 = importlib.import_module("simclass.canon3")
+    real = c3._normalize_hard
+
+    def moved(e):
+        form, steps = real(e)
+        params = (form.m, form.a.val, form.b.val, form.c.val, form.d.val)
+        if form.tag == "III1" and params == (1, 0, 0, 4, 1):
+            form = HardForm(form.tag, form.m, form.a, form.b, form.c, e.ctx.elem(0))
+        return form, steps
+
+    monkeypatch.setattr(c3, "_normalize_hard", moved)
+    hard_family.cache_clear()
+    try:
+        with pytest.raises(VerificationFailed, match="III1 candidate"):
+            hard_family(parse_ring("z:2:3"))
+    finally:
+        hard_family.cache_clear()
 
 
 @pytest.mark.parametrize("desc", ["t:3:3", "z:7:2"])

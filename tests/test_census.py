@@ -224,10 +224,13 @@ def test_enumerate3_matches_count_on_length_two_rings_past_the_default_tier(desc
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("desc", ["z:3:3", "t:3:3", "z:2:4", "t:2:4", "z:2:5", "t:2:5"])
+@pytest.mark.parametrize(
+    "desc", ["z:3:3", "t:3:3", "z:2:4", "t:2:4", "z:2:5", "t:2:5", "t:5:3", "z:2:6"]
+)
 def test_enumerate3_matches_count_past_length_two(desc):
     # the hard transversal is the normal forms alone, so the count
-    # certifies that they separate classes (90304 M classes at z:2:5)
+    # certifies that they separate classes (90304 M classes at z:2:5,
+    # 732544 at z:2:6)
     ctx = parse_ring(desc)
     for group in ("M", "GL"):
         reps = enumerate3(ctx, group)
@@ -237,13 +240,13 @@ def test_enumerate3_matches_count_past_length_two(desc):
 
 @pytest.mark.slow
 def test_enumerate3_matches_count_over_z125():
-    # 2542125 classes; about 8.5 minutes and 1.3 GB peak RSS on 2 vCPU
+    # 2542125 classes; about 35-45 s and 1.3 GB peak RSS on 2 vCPU
     assert len(enumerate3(ring_ctx("z", 5, 3))) == count3(5, 3) == 2542125
 
 
 def test_enumerate3_checks_its_count(monkeypatch):
     # a hard family that repeats a form is caught, also under -O, where the
-    # CLI exits 70
+    # CLI exits 70 after streaming every line
     census = importlib.import_module("simclass.census")
     real = census.hard_family
     monkeypatch.setattr(census, "hard_family", lambda tctx: real(tctx) + real(tctx)[:1])
@@ -260,6 +263,7 @@ def test_enumerate3_checks_its_count(monkeypatch):
     proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == EX_MISMATCH, proc.stderr
     assert "count3 gives 60" in proc.stderr
+    assert len(proc.stdout.splitlines()) == 61
 
 
 def test_enumerate3_budget():
