@@ -44,7 +44,6 @@ from .census import (
     level_vector,
     theta,
     transfer_matrix,
-    transfer_power,
     type_histogram,
 )
 from .errors import (
@@ -71,18 +70,10 @@ from .matrix import (
     e_matrix,
     elementary,
     identity,
-    j_matrix,
     scalar,
     zero,
 )
-from .modsolve import (
-    IntertwinerModule,
-    centralizer_order,
-    find_unit_element,
-    group_order,
-    intertwiner,
-    is_similar,
-)
+from .modsolve import centralizer_order, group_order, is_similar
 from .ring import RingCtx, RingElem, Section, parse_ring, ring_ctx, section, section_of
 
 __version__ = "0.1.0"
@@ -95,7 +86,6 @@ _ORACLE_NAMES = frozenset(
         "orbit_census",
         "orbit_of",
         "orbit_states",
-        "same_class",
         "unit_group_generators",
         "verify_counts",
     }
@@ -131,7 +121,6 @@ __all__ = [
     "EParams",
     "HardBody",
     "HardForm",
-    "IntertwinerModule",
     "Mat",
     "NonIntegralDivision",
     "NonUnit",
@@ -165,16 +154,13 @@ __all__ = [
     "elementary",
     "enumerate2",
     "enumerate3",
-    "find_unit_element",
     "gf_coeffs",
     "gl_generators",
     "group_order",
     "hard_family",
     "hensel_block_split",
     "identity",
-    "intertwiner",
     "is_similar",
-    "j_matrix",
     "level_vector",
     "orbit_census",
     "orbit_of",
@@ -184,14 +170,12 @@ __all__ = [
     "reduce_to_e_form",
     "residue_type",
     "ring_ctx",
-    "same_class",
     "scalar",
     "section",
     "section_of",
     "split_scalar",
     "theta",
     "transfer_matrix",
-    "transfer_power",
     "type_histogram",
     "unit_group_generators",
     "verify_counts",

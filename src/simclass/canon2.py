@@ -173,7 +173,7 @@ def canon2(alpha: Mat) -> tuple[CanonicalForm2, Mat]:
     p = _cyclic_row_witness(beta)
     x = p.lift(ctx.length)
     form = CanonicalForm2(ctx, sp.level, sp.d, a0, a1)
-    if alpha.conjugate_by(x) != form.rebuild():
+    if not x.conjugates(alpha, form.rebuild()):
         raise VerificationFailed("canon2 witness check failed")
     return form, x
 

@@ -39,7 +39,7 @@ from .canon2 import (
     split_scalar,
 )
 from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
-from .matrix import Mat, block_diag, companion, diag, e_matrix, identity
+from .matrix import Mat, block_diag, companion, e_matrix, identity
 from .ring import RingCtx, RingElem, Section
 
 __all__ = [
@@ -169,6 +169,27 @@ def _solve2(ctx: RingCtx, m00, m01, m10, m11, r0, r1):
     return x, y
 
 
+def _shear(ctx: RingCtx, *cells) -> tuple:
+    """(I + N, I - N) for N = sum of x E_ij over the (i, j, x) cells.
+
+    The callers' N satisfy N^2 = 0 (one row or one column off the
+    diagonal), so I - N is the inverse of I + N.
+    """
+    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    y = x[:]
+    for i, j, v in cells:
+        x[3 * i + j], y[3 * i + j] = v, ctx.neg_raw(v)
+    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
+
+
+def _scaling(ctx: RingCtx, k: int, u: int) -> tuple:
+    """(D, D^-1) for D the identity with entry (k, k) the unit u."""
+    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    y = x[:]
+    x[4 * k], y[4 * k] = u, ctx.inv_raw(u)
+    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
+
+
 def hensel_block_split(beta: Mat):
     """Exact block refinement of a split-residue matrix.
 
@@ -208,8 +229,8 @@ def hensel_block_split(beta: Mat):
             ctx.neg_raw(gamma.raw(0, 1)),
             ctx.neg_raw(gamma.raw(0, 2)),
         )
-        u = Mat(ctx, 3, [1, x, y, 0, 1, 0, 0, 0, 1])
-        gamma = gamma.conjugate_by(u)
+        u, u_inv = _shear(ctx, (0, 1, x), (0, 2, y))
+        gamma = u @ gamma @ u_inv
         x_total = u @ x_total
         k *= 2
     # row 1 is clear, so clearing column 1 is exactly linear
@@ -224,12 +245,12 @@ def hensel_block_split(beta: Mat):
         ctx.neg_raw(gamma.raw(1, 0)),
         ctx.neg_raw(gamma.raw(2, 0)),
     )
-    low = Mat(ctx, 3, [1, 0, 0, x, 1, 0, y, 0, 1])
-    gamma = gamma.conjugate_by(low)
+    low, low_inv = _shear(ctx, (1, 0, x), (2, 0, y))
+    gamma = low @ gamma @ low_inv
     x_total = low @ x_total
     a = gamma.entry(0, 0)
     b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    if a.val % p != abar or beta.conjugate_by(x_total) != block_diag(ctx, [a, b]):
+    if a.val % p != abar or not x_total.conjugates(beta, block_diag(ctx, [a, b])):
         raise VerificationFailed("block split witness check failed")
     return a, b, x_total
 
@@ -309,21 +330,23 @@ def reduce_to_e_form(beta: Mat):
     x_total = Mat(ctx, 3, list(w1) + list(w2) + list(w3))
     gamma = beta.conjugate_by(x_total)
 
-    def step(x: Mat):
+    def step(pair: tuple):
         nonlocal gamma, x_total
-        gamma = gamma.conjugate_by(x)
+        x, x_inv = pair
+        gamma = x @ gamma @ x_inv
         x_total = x @ x_total
 
     # each step fixes one entry of the shape: (1,2) = 1, (0,2) = 0,
-    # (1,0) = 0, (1,1) = (0,0), then (0,1) an exact pi power
-    step(diag(ctx, [1, 1, gamma.entry(1, 2)]))
-    step(Mat(ctx, 3, [1, ctx.neg_raw(gamma.raw(0, 2)), 0, 0, 1, 0, 0, 0, 1]))
-    step(Mat(ctx, 3, [1, 0, 0, 0, 1, 0, gamma.raw(1, 0), 0, 1]))
-    step(Mat(ctx, 3, [1, 0, 0, 0, 1, 0, 0, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)), 1]))
+    # (1,0) = 0, (1,1) = (0,0), then (0,1) an exact pi power; each is
+    # diagonal or a shear, with its inverse in closed form
+    step(_scaling(ctx, 2, gamma.raw(1, 2)))
+    step(_shear(ctx, (0, 1, ctx.neg_raw(gamma.raw(0, 2)))))
+    step(_shear(ctx, (2, 0, gamma.raw(1, 0))))
+    step(_shear(ctx, (2, 1, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)))))
     _, u = ctx.unit_split_raw(gamma.raw(0, 1))
-    step(diag(ctx, [ctx.inv_raw(u), 1, 1]))
+    step(_scaling(ctx, 0, ctx.inv_raw(u)))
     e = as_e_params(gamma)
-    if e is None or beta.conjugate_by(x_total) != e.rebuild():
+    if e is None or not x_total.conjugates(beta, e.rebuild()):
         raise VerificationFailed("pi-power shape reduction failed")
     return e, x_total
 
@@ -350,10 +373,10 @@ class HardForm:
     hard_family, checks on every run that it emits count3 classes
     (tests run it on z:2:6, t:5:3, z:2:5, t:2:5, z:3:3 and t:3:3 and
     below, and on z:5:3); the tests find the same forms as a sweep of
-    every pi-power shape merged by the similarity solver, up to z:3:3
-    and t:2:4; the orbit census agrees with count3 on z:2:3 and t:2:3;
-    and the oracle confirms the III0 pairs over z:2:3 that the normal
-    forms before the swap left apart.
+    every pi-power shape merged by their reference similarity solver,
+    up to z:3:3 and t:2:4; the orbit census agrees with count3 on z:2:3
+    and t:2:3; and the oracle confirms the III0 pairs over z:2:3 that
+    the normal forms before the swap left apart.
     """
 
     tag: str
@@ -448,7 +471,7 @@ def classify_hard(e: EParams):
         # the steps X' took swap(E) to swap(form), so with G_E and G_form
         # from _swap, Y = G_form ((X' G_E)^T)^-1 takes E to the form
         x_total = _swap(form)[1] @ (x_total @ _swap(e)[1]).transpose().inverse()
-        if e.rebuild().conjugate_by(x_total) != form.rebuild():
+        if not x_total.conjugates(e.rebuild(), form.rebuild()):
             raise VerificationFailed("III0 witness through the transpose failed")
     return form, x_total
 
@@ -667,7 +690,7 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     if rt.kind == "cyclic":
         x = _cyclic_row_witness(beta)
         body = CyclicBody(beta.charpoly())
-        if beta.conjugate_by(x) != companion(tctx, body.coeffs):
+        if not x.conjugates(beta, companion(tctx, body.coeffs)):
             raise VerificationFailed("cyclic row witness does not reach the companion form")
     elif rt.kind == "split":
         a, block, x1 = hensel_block_split(beta)
@@ -681,7 +704,7 @@ def canon3(alpha: Mat) -> CanonicalForm3:
         body = HardBody(hard)
     witness = x.lift(ctx.length)
     form = CanonicalForm3(ctx, sp.level, sp.d, body, witness)
-    if alpha.conjugate_by(witness) != form.rebuild():
+    if not witness.conjugates(alpha, form.rebuild()):
         raise VerificationFailed("canon3 witness check failed")
     return form
 

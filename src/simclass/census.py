@@ -38,7 +38,6 @@ from .ring import RingCtx, RingElem, Section
 __all__ = [
     "CountVector",
     "transfer_matrix",
-    "transfer_power",
     "base_vector",
     "level_vector",
     "count3",
@@ -66,43 +65,6 @@ def transfer_matrix(q: int):
         [q * q - q, q * q, 0, 0],
         [q, 0, q * q, 0],
         [q**3, q**3, q**3 + q, q**3],
-    ]
-
-
-def transfer_power(q: int, level: int, mode: str = "iterate"):
-    """level-th power of the transfer matrix.
-
-    mode "iterate" multiplies the matrix out; "closed" fills in the
-    closed-form entries (whose divisions must all be exact).  The two
-    agree for every level, which the tests check.
-    """
-    if q < 2 or level < 0:
-        raise BadParams("need q >= 2 and level >= 0")
-    if mode == "iterate":
-        out = [[int(i == j) for j in range(4)] for i in range(4)]
-        t = transfer_matrix(q)
-        for _ in range(level):
-            out = [
-                [sum(out[i][k] * t[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)
-            ]
-        return out
-    if mode not in ("closed", "closed_form"):
-        raise BadParams(f"mode must be 'iterate' or 'closed', got {mode!r}")
-    i = level
-    if i == 0:
-        return [[int(r == c) for c in range(4)] for r in range(4)]
-    geo = _exact_div(q**i - 1, q - 1)  # 1 + q + ... + q^(i-1)
-    return [
-        [q**i, 0, 0, 0],
-        [q ** (2 * i) - q**i, q ** (2 * i), 0, 0],
-        [q**i * geo, 0, q ** (2 * i), 0],
-        [
-            theta(q, i),
-            q ** (2 * i + 1) * geo,
-            q ** (2 * i - 1) * (q * q + 1) * geo,
-            q ** (3 * i),
-        ],
     ]
 
 

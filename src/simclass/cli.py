@@ -11,12 +11,12 @@ first * X = X * second exactly, where (first, second) is (A, B) for
 `similar A B` and (input, canonical) for `canon`.
 
 Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
-similar, 64 usage or input error, 65 budget exceeded, 70 verification
-mismatch: `verify` found counts that disagree, or an exact identity a
-result must satisfy (a witness or intertwiner identity, a centralizer
-order dividing |GL_n|, the orbit oracle's partition of the states)
-failed, which is raised as VerificationFailed and is never skipped by
-`python -O`.  `enumerate` streams one line per class as it builds it
+similar, 64 usage or input error, 65 budget exceeded (an enumeration's
+--budget or the orbit oracle's --max-states), 70 verification mismatch:
+`verify` found counts that disagree, or an exact identity a result must
+satisfy (a witness identity, a centralizer order dividing |GL_n|, the
+orbit oracle's partition of the states) failed, which is raised as
+VerificationFailed and is never skipped by `python -O`.  `enumerate` streams one line per class as it builds it
 and compares the number of classes with count3 after the last line, so
 a count mismatch exits 70 after the output.
 """
@@ -30,13 +30,7 @@ import sys
 from .canon2 import canon2, count2, enumerate2
 from .canon3 import canon3
 from .census import _enumerate3, count3, gf_coeffs, type_histogram
-from .errors import (
-    BadParams,
-    BudgetExceeded,
-    SearchBudgetExceeded,
-    SimclassError,
-    VerificationFailed,
-)
+from .errors import BadParams, BudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
 from .modsolve import centralizer_order, group_order, is_similar
 from .ring import parse_ring
@@ -83,7 +77,7 @@ def _cmd_canon(args) -> int:
         raise SimclassError("canon expects a 2x2 or 3x3 matrix")
     canonical = form.rebuild()
     x = w.inverse()  # w m w^-1 = canonical, so m x = x canonical
-    if m @ x != x @ canonical:
+    if not x.conjugates(canonical, m):
         raise VerificationFailed("canon witness fails m x = x canonical")
     _print_json(
         {
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse error paths
         return exc.code if isinstance(exc.code, int) else EX_USAGE
-    except (BudgetExceeded, SearchBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"simclass: budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
     except VerificationFailed as exc:

@@ -34,7 +34,10 @@ class BadParams(SimclassError):
 
 
 class SearchBudgetExceeded(SimclassError):
-    """A residue-span search would exceed the configured cap."""
+    """A residue-span search would exceed the configured cap.
+
+    Nothing in the package searches a residue span any more; the class
+    stays exported for callers that still catch it."""
 
 
 class BudgetExceeded(SimclassError):

@@ -43,7 +43,6 @@ __all__ = [
     "block_diag",
     "elementary",
     "e_matrix",
-    "j_matrix",
 ]
 
 
@@ -296,6 +295,11 @@ class Mat:
         """g @ self @ g^{-1}."""
         return g @ self @ g.inverse()
 
+    def conjugates(self, a: "Mat", c: "Mat") -> bool:
+        """Whether self @ a @ self^{-1} == c, decided without an inverse:
+        it holds iff self @ a == c @ self and self is a unit."""
+        return self @ a == c @ self and self.is_invertible()
+
     def commutes_with(self, other: "Mat") -> bool:
         return self @ other == other @ self
 
@@ -409,7 +413,3 @@ def e_matrix(ctx: RingCtx, m: int, a, b, c, d) -> Mat:
     ar, br, cr, dr = (_raw(ctx, x) for x in (a, b, c, d))
     add = ctx.add_raw
     return Mat._unchecked(ctx, 3, [dr, ctx.pi_pow_raw(m), 0, 0, dr, 1, ar, br, add(cr, dr)])
-
-
-def j_matrix(ctx: RingCtx, c, d) -> Mat:
-    return e_matrix(ctx, ctx.length, 0, 0, c, d)

@@ -52,7 +52,6 @@ __all__ = [
     "orbit_census",
     "orbit_states",
     "orbit_of",
-    "same_class",
     "verify_counts",
 ]
 
@@ -362,15 +361,6 @@ def orbit_of(m: Mat, max_orbit: int = 10_000_000) -> tuple[int, Mat]:
     """(orbit size, lexicographically least orbit member) of m."""
     states = orbit_states(m, max_orbit)
     return int(states.size), mat_of(m.ctx, m.n, int(states[0]))
-
-
-def same_class(a: Mat, b: Mat) -> bool:
-    """Orbit-based similarity check (independent of the canonical forms)."""
-    if a.ctx != b.ctx or a.n != b.n:
-        raise BadParams("matrices live over different rings")
-    orb = orbit_states(a)
-    pos = np.searchsorted(orb, state_of(b))
-    return pos < orb.size and int(orb[pos]) == state_of(b)
 
 
 def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,

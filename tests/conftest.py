@@ -1,5 +1,6 @@
-"""Shared fixtures: a per-session orbit census memo, random matrix helpers
-and a fresh-interpreter runner."""
+"""Shared fixtures: a per-session orbit census memo, random matrix helpers,
+a fresh-interpreter runner, the Hypothesis profile, and the helpers that
+only tests use (j_matrix, transfer_power, same_class)."""
 
 import functools
 import os
@@ -7,9 +8,17 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
-from simclass import Mat, orbit_census, ring_ctx
+from simclass import Mat, e_matrix, orbit_census, orbit_states, ring_ctx, theta, transfer_matrix
+from simclass.oracle import state_of
+
+# every run draws the same examples, and no example database is written
+settings.register_profile("simclass", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("simclass")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -50,3 +59,48 @@ RINGS_LEN2 = [("z", 2, 2), ("z", 3, 2), ("t", 2, 2), ("t", 3, 2)]
 @pytest.fixture(params=RINGS_LEN2, ids=lambda r: f"{r[0]}:{r[1]}:{r[2]}")
 def ctx_len2(request):
     return ring_ctx(*request.param)
+
+
+def j_matrix(ctx, c, d):
+    """The J(c, d) shape: the pi-power shape with a zero slot."""
+    return e_matrix(ctx, ctx.length, 0, 0, c, d)
+
+
+def same_class(a, b) -> bool:
+    """Orbit-based similarity check (independent of the canonical forms)."""
+    orb = orbit_states(a)
+    pos = np.searchsorted(orb, state_of(b))
+    return pos < orb.size and int(orb[pos]) == state_of(b)
+
+
+def transfer_power(q: int, level: int, mode: str = "iterate"):
+    """level-th power of census.transfer_matrix.
+
+    mode "iterate" multiplies the matrix out; any other mode fills in
+    the closed-form entries.  The two agree for every level, which the
+    tests check.
+    """
+    if mode == "iterate":
+        out = [[int(i == j) for j in range(4)] for i in range(4)]
+        t = transfer_matrix(q)
+        for _ in range(level):
+            out = [
+                [sum(out[i][k] * t[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)
+            ]
+        return out
+    i = level
+    if i == 0:
+        return [[int(r == c) for c in range(4)] for r in range(4)]
+    geo = sum(q**k for k in range(i))
+    return [
+        [q**i, 0, 0, 0],
+        [q ** (2 * i) - q**i, q ** (2 * i), 0, 0],
+        [q**i * geo, 0, q ** (2 * i), 0],
+        [
+            theta(q, i),
+            q ** (2 * i + 1) * geo,
+            q ** (2 * i - 1) * (q * q + 1) * geo,
+            q ** (3 * i),
+        ],
+    ]

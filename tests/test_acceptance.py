@@ -13,7 +13,6 @@ import pytest
 from simclass import (
     CountVector,
     canon3,
-    centralizer_order,
     centralizer_shape,
     count2,
     count3,
@@ -23,15 +22,14 @@ from simclass import (
     group_order,
     hard_family,
     is_similar,
-    j_matrix,
     orbit_census,
     orbit_of,
     ring_ctx,
     transfer_matrix,
-    transfer_power,
     type_histogram,
 )
-from conftest import rand_invertible, rand_mat
+import reference_solver as ref
+from conftest import j_matrix, rand_invertible, rand_mat, transfer_power
 
 COUNT_ANCHORS = [
     (2, 1, "M", 14),
@@ -128,9 +126,11 @@ def test_criterion_05_canonical_soundness():
 
 
 def _assert_pairwise_dissimilar(reps):
+    # the reference solver, not the form-based is_similar: these reps are
+    # canonical forms, which that would only compare with themselves
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
-            ok, _ = is_similar(a, b)
+            ok, _ = ref.is_similar(a, b)
             assert not ok
 
 
@@ -162,18 +162,18 @@ def test_criterion_07_centralizer_formulas():
         total = group_order(ctx, 3)
         for h in hard_family(ctx):
             mat = h.rebuild()
-            exact = centralizer_order(mat)
+            exact = ref.centralizer_order(mat)
             assert centralizer_shape(h).order(ctx.q) == exact
             size, _ = orbit_of(mat)
             assert exact * size == total
     z4 = ring_ctx("z", 2, 2)
     orders = sorted(
-        {centralizer_order(h.rebuild()) for h in hard_family(z4)}
+        {ref.centralizer_order(h.rebuild()) for h in hard_family(z4)}
     )
     assert {256, 64, 128} <= set(orders)
     f2 = ring_ctx("z", 2, 1)
-    assert centralizer_order(j_matrix(f2, 0, 0)) == 8
-    _line(7, "shape formula = solver order = group/orbit on every hard rep")
+    assert ref.centralizer_order(j_matrix(f2, 0, 0)) == 8
+    _line(7, "shape formula = reference scan = group/orbit on every hard rep")
 
 
 def test_criterion_08_transfer_matrix_identity():

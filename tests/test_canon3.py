@@ -1,7 +1,9 @@
 """3x3 pipeline: residue typing, block split, pi-power shapes, canon3."""
 
+import ast
 import importlib
 import itertools
+import pathlib
 from collections import Counter
 
 import pytest
@@ -16,7 +18,6 @@ from simclass import (
     block_diag,
     canon2,
     canon3,
-    centralizer_order,
     centralizer_shape,
     classify_hard,
     companion,
@@ -26,13 +27,11 @@ from simclass import (
     hensel_block_split,
     identity,
     is_similar,
-    j_matrix,
     orbit_states,
     parse_ring,
     reduce_to_e_form,
     residue_type,
     ring_ctx,
-    same_class,
     scalar,
 )
 from simclass.canon3 import (
@@ -45,7 +44,8 @@ from simclass.canon3 import (
     _swap,
 )
 from simclass.cli import EX_MISMATCH
-from conftest import rand_invertible, rand_mat, run_python
+import reference_solver as ref
+from conftest import j_matrix, rand_invertible, rand_mat, run_python, same_class
 
 
 def ep(ctx, m, a, b, c, d):
@@ -151,7 +151,7 @@ def test_reduce_to_e_form_round_trips(rng):
         m = base.conjugate_by(g)
         e, x = reduce_to_e_form(m)
         assert m.conjugate_by(x) == e.rebuild()
-        assert is_similar(e.rebuild(), base)[0]
+        assert ref.is_similar(e.rebuild(), base)[0]
 
 
 def test_reduce_to_e_form_requires_jtype_residue():
@@ -315,7 +315,7 @@ def test_hard_family_tags_separate_classes():
     for h1 in fam:
         for h2 in fam:
             if h1.tag != h2.tag:
-                assert not is_similar(h1.rebuild(), h2.rebuild())[0]
+                assert not ref.is_similar(h1.rebuild(), h2.rebuild())[0]
 
 
 def _reference_sweep(tctx):
@@ -336,7 +336,7 @@ def _reference_sweep(tctx):
     for f in seen:
         rb = f.rebuild()
         bucket = buckets.setdefault(tuple(x.val for x in rb.charpoly()), [])
-        if not any(is_similar(g.rebuild(), rb)[0] for g in bucket):
+        if not any(ref.is_similar(g.rebuild(), rb)[0] for g in bucket):
             bucket.append(f)
             reps.append(f)
     return reps
@@ -402,21 +402,46 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert canon3(f.rebuild()) == f
 
 
+# the similarity solver, which lives in tests/reference_solver.py
+SOLVER_NAMES = {
+    "intertwiner",
+    "IntertwinerModule",
+    "build_intertwiner_matrix",
+    "smith_kernel",
+    "_diagonalize",
+    "find_unit_element",
+    "_residue_basis",
+    "_iter_span",
+    "_det_mod_p",
+    "_check_budget",
+    "DEFAULT_SEARCH_CAP",
+}
+
+
+def test_no_module_in_the_package_defines_or_imports_the_solver():
+    src = pathlib.Path(importlib.import_module("simclass").__file__).parent
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.asname or a.name for a in node.names)
+        assert not names & SOLVER_NAMES, (path.name, names & SOLVER_NAMES)
+
+
 @pytest.fixture
-def no_solver(monkeypatch):
-    """Make every similarity-solver call raise, and empty the hard_family
-    cache so that the families are built under the patch."""
-
-    def refuse(*args):
-        raise AssertionError("the similarity solver was called")
-
-    monkeypatch.setattr(importlib.import_module("simclass.modsolve"), "intertwiner", refuse)
+def cold_hard_family():
+    """Empty the hard_family cache, so that the families are built in
+    the test, from the normal forms alone."""
     hard_family.cache_clear()
     yield
     hard_family.cache_clear()
 
 
-def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(no_solver, rng):
+def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(cold_hard_family, rng):
     # the hard transversal is the normal forms themselves: building it,
     # and a cold hard canon3 of each tag, never consults the solver
     for desc in ("z:2:3", "t:2:3"):
@@ -438,7 +463,7 @@ def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(no_solver, rng):
 
 
 @pytest.mark.parametrize("desc", ["z:3:2", "t:3:2", "z:5:2"])
-def test_length_two_buckets_make_no_solver_calls(desc, no_solver):
+def test_length_two_buckets_make_no_solver_calls(desc, cold_hard_family):
     # the families of the ring and of its truncation, as enumerate3 builds them
     ctx = parse_ring(desc)
     for level in range(1, ctx.length + 1):
@@ -557,10 +582,11 @@ def test_canon3_invariance_at_length_three(rng):
 
 
 def test_canon3_equality_matches_is_similar(rng):
+    # against the reference solver: the library's is_similar compares forms
     ctx = ring_ctx("z", 2, 2)
     for _ in range(100):
         a, b = rand_mat(ctx, 3, rng), rand_mat(ctx, 3, rng)
-        assert (canon3(a) == canon3(b)) == is_similar(a, b)[0]
+        assert (canon3(a) == canon3(b)) == ref.is_similar(a, b)[0]
 
 
 def test_canon3_json_shape():
@@ -592,4 +618,4 @@ def test_centralizer_shape_matches_exact_order_on_every_hard_rep():
         ctx = ring_ctx(*desc)
         for h in hard_family(ctx):
             predicted = centralizer_shape(h).order(ctx.q)
-            assert predicted == centralizer_order(h.rebuild())
+            assert predicted == ref.centralizer_order(h.rebuild())

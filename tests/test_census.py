@@ -21,11 +21,10 @@ from simclass import (
     scalar,
     theta,
     transfer_matrix,
-    transfer_power,
     type_histogram,
 )
 from simclass.cli import EX_MISMATCH
-from conftest import run_python
+from conftest import run_python, transfer_power
 
 ANCHORS = [
     (2, 1, "M", 14),

@@ -1,6 +1,7 @@
 """Command line surface: output shapes, exit codes, witness conventions."""
 
 import json
+import time
 
 from simclass import Mat, ring_ctx
 from simclass.cli import (
@@ -122,6 +123,25 @@ def test_similar_equal_scalars_over_a_large_field(capsys):
     assert json.loads(out) == {"similar": True, "witness": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 
+def test_similar_nilpotent_pair_over_f31(capsys):
+    # the reference solver's residue span here has 31^5 points; the forms
+    # decide it at once
+    a, b = "[[0,1,0],[0,0,0],[0,0,0]]", "[[0,0,0],[0,0,1],[0,0,0]]"
+    code, out, _ = run(capsys, "similar", "--ring", "z:31:1", a, b)
+    assert code == EX_OK
+    ctx = ring_ctx("z", 31, 1)
+    x = Mat.from_rows(ctx, json.loads(out)["witness"])
+    ma, mb = Mat.from_rows(ctx, json.loads(a)), Mat.from_rows(ctx, json.loads(b))
+    assert x.is_invertible() and ma @ x == x @ mb
+
+
+def test_centralizer_of_j_shape_over_f31(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "centralizer", "--ring", "z:31:1", "[[0,0,0],[0,0,1],[0,0,0]]")
+    assert time.perf_counter() - t0 < 1
+    assert code == EX_OK and json.loads(out)["order"] == 26811900
+
+
 def test_canon_hard_input_over_z125_returns():
     # the hard form is the normal form itself: no index is built
     proc = run_python("-m", "simclass.cli", "canon", "--ring", "z:5:3",
@@ -160,7 +180,7 @@ def test_numpy_loads_only_with_the_oracle():
         "resolved = {name: getattr(simclass, name) for name in simclass.__all__}\n"
         "oracle = importlib.import_module('simclass.oracle')\n"
         "for name in ('OrbitCensus', 'orbit_census', 'orbit_of', 'orbit_states',\n"
-        "             'gl_generators', 'unit_group_generators', 'same_class', 'verify_counts'):\n"
+        "             'gl_generators', 'unit_group_generators', 'verify_counts'):\n"
         "    if resolved[name] is not getattr(oracle, name):\n"
         "        sys.exit(name + ' is not the oracle object')\n"
         "print('ok')\n"
@@ -209,22 +229,37 @@ def test_broken_canon2_witness_raises_and_exits_70_under_optimize():
 
 
 def test_centralizer_not_dividing_the_group_order_exits_70_under_optimize():
-    # a doubled |S| makes the centralizer of J(0,0) over F_2 count 16,
-    # which does not divide |GL_3(F_2)| = 168
+    # a cyclic unit count off by a factor q makes the centralizer of the
+    # nilpotent Jordan block over F_2 count 4, which does not divide
+    # |GL_2(F_2)| = 6
     script = (
         "import importlib, sys\n"
         "from simclass.cli import main\n"
         "ms = importlib.import_module('simclass.modsolve')\n"
-        "real = ms.smith_kernel\n"
-        "def doubled(ctx, mat):\n"
-        "    gens, size = real(ctx, mat)\n"
-        "    return gens, 2 * size\n"
-        "ms.smith_kernel = doubled\n"
-        "sys.exit(main(['centralizer', '--ring', 'z:2:1', '[[0,0,0],[0,0,1],[0,0,0]]']))\n"
+        "real = ms._cyclic_units\n"
+        "ms._cyclic_units = lambda q, i, coeffs: q * real(q, i, coeffs)\n"
+        "sys.exit(main(['centralizer', '--ring', 'z:2:1', '[[0,1],[0,0]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == EX_MISMATCH, proc.stderr
     assert "does not divide" in proc.stderr
+
+
+def test_broken_similarity_witness_exits_70_under_optimize():
+    # with every form witness replaced by the identity the forms still
+    # agree, so the explicit check on X = W_A^-1 W_B must fire under -O
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "from simclass.matrix import identity\n"
+        "ms = importlib.import_module('simclass.modsolve')\n"
+        "real = ms._form\n"
+        "ms._form = lambda m: (real(m)[0], identity(m.ctx, m.n))\n"
+        "sys.exit(main(['similar', '--ring', 'z:2:2', '[[0,1],[0,0]]', '[[3,1],[3,1]]']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "similarity witness" in proc.stderr
 
 
 def test_broken_block_split_raises_under_optimize():

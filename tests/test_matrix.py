@@ -13,12 +13,11 @@ from simclass import (
     e_matrix,
     elementary,
     identity,
-    j_matrix,
     ring_ctx,
     scalar,
     zero,
 )
-from conftest import rand_invertible, rand_mat
+from conftest import j_matrix, rand_invertible, rand_mat
 
 
 def test_constructors_and_accessors():

@@ -1,26 +1,34 @@
-"""Intertwiner modules, similarity decisions, centralizer orders."""
+"""Similarity decisions and centralizer orders from canonical forms,
+checked against the reference solver (intertwiner modules and their
+residue spans, in reference_solver.py) and against exact counts."""
 
+import importlib
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-import simclass.modsolve as modsolve
+import reference_solver as ref
 from simclass import (
+    Mat,
+    SearchBudgetExceeded,
     VerificationFailed,
     canon2,
     centralizer_order,
     companion,
-    find_unit_element,
+    diag,
+    enumerate2,
+    enumerate3,
     group_order,
     identity,
-    intertwiner,
     is_similar,
-    j_matrix,
+    parse_ring,
     ring_ctx,
     scalar,
 )
-from conftest import rand_invertible, rand_mat
+from conftest import j_matrix, rand_invertible, rand_mat
+from reference_solver import find_unit_element, intertwiner
 
 
 def test_intertwiner_basis_solves_the_defining_equation(rng):
@@ -63,16 +71,13 @@ def test_intertwiner_size_matches_a_direct_count(desc, n, rng):
 
 
 def test_centralizer_order_must_divide_the_group_order(monkeypatch):
-    # a doubled |S| gives 16 for J(0,0) over F_2, which does not divide 168
-    real = modsolve.smith_kernel
-
-    def doubled(ctx, mat):
-        gens, size = real(ctx, mat)
-        return gens, 2 * size
-
-    monkeypatch.setattr(modsolve, "smith_kernel", doubled)
-    with pytest.raises(VerificationFailed):
-        centralizer_order(j_matrix(ring_ctx("z", 2, 1), 0, 0))
+    # a cyclic unit count off by a factor q gives 4 for the nilpotent
+    # Jordan block over F_2, which does not divide |GL_2(F_2)| = 6
+    modsolve = importlib.import_module("simclass.modsolve")
+    real = modsolve._cyclic_units
+    monkeypatch.setattr(modsolve, "_cyclic_units", lambda q, i, coeffs: q * real(q, i, coeffs))
+    with pytest.raises(VerificationFailed, match="does not divide"):
+        centralizer_order(Mat.from_rows(ring_ctx("z", 2, 1), [[0, 1], [0, 0]]))
 
 
 def test_centralizer_is_never_empty(rng):
@@ -108,7 +113,7 @@ def test_is_similar_agrees_with_canonical_forms_2x2(rng):
     for _ in range(60):
         a, b = rand_mat(ctx, 2, rng), rand_mat(ctx, 2, rng)
         ok, _ = is_similar(a, b)
-        assert ok == (canon2(a)[0] == canon2(b)[0])
+        assert ok == (canon2(a)[0] == canon2(b)[0]) == ref.is_similar(a, b)[0]
 
 
 def test_scalar_centralizer_is_the_whole_group():
@@ -161,7 +166,7 @@ def test_iter_span_steps_through_the_span_lexicographically(rng):
         for coeffs in itertools.product(range(p), repeat=r):
             vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(k)]
             want.append((coeffs, vec))
-        assert list(modsolve._iter_span(rows, p)) == want
+        assert list(ref._iter_span(rows, p)) == want
 
 
 def test_identity_is_always_similar_to_itself():
@@ -172,7 +177,8 @@ def test_identity_is_always_similar_to_itself():
 
 def test_is_similar_decides_cheap_cases_without_the_unit_search():
     # over F_101 the residue spans here have up to 101^9 points, far past
-    # the search cap, so each answer must come from a prefilter exit
+    # the reference solver's search cap; each answer comes from an exit
+    # taken before any canonical form is computed
     f101 = ring_ctx("z", 101, 1)
     assert is_similar(j_matrix(f101, 0, 0), j_matrix(f101, 1, 0)) == (False, None)
     s = scalar(f101, 3, 5)
@@ -190,3 +196,76 @@ def test_mixed_ring_similarity_is_rejected():
     b = identity(ring_ctx("t", 2, 2), 2)
     with pytest.raises(CtxMismatch):
         is_similar(a, b)
+
+
+# ----------------------------------------------------------------------
+# over F_31, where the reference solver's residue spans pass its cap
+
+
+def test_similar_pairs_over_f31_are_decided_with_checked_witnesses():
+    ctx = ring_ctx("z", 31, 1)
+    nil1 = Mat.from_rows(ctx, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    nil2 = Mat.from_rows(ctx, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    d = diag(ctx, [1, 1, 2])
+    g = Mat.from_rows(ctx, [[1, 2, 3], [0, 1, 4], [5, 0, 1]])
+    for a, b in ((nil1, nil2), (d, d.conjugate_by(g))):
+        ok, x = is_similar(a, b)
+        assert ok and x.is_invertible() and a @ x == x @ b
+    with pytest.raises(SearchBudgetExceeded):
+        ref.is_similar(nil1, nil2)
+
+
+def test_centralizer_of_the_nilpotent_j_shape_over_f31():
+    ctx = ring_ctx("z", 31, 1)
+    t0 = time.perf_counter()
+    assert centralizer_order(j_matrix(ctx, 0, 0)) == 26811900 == 31**3 * 30**2
+    assert time.perf_counter() - t0 < 1
+
+
+# ----------------------------------------------------------------------
+# the form-based decisions against the reference solver
+
+
+def _pairs(ctx, n, rng, count):
+    """Random pairs with one characteristic polynomial, about half of them
+    similar: conjugates of two class representatives from one bucket."""
+    reps = [f.rebuild() for f in enumerate2(ctx)] if n == 2 else [m for _, m in enumerate3(ctx)]
+    buckets = {}
+    for m in reps:
+        buckets.setdefault(tuple(c.val for c in m.charpoly()), []).append(m)
+    shared = [b for b in buckets.values() if len(b) > 1]
+    for _ in range(count):
+        bucket = rng.choice(shared)
+        a = rng.choice(bucket)
+        b = a if rng.random() < 0.5 else rng.choice(bucket)
+        yield (a.conjugate_by(rand_invertible(ctx, n, rng)),
+               b.conjugate_by(rand_invertible(ctx, n, rng)))
+
+
+@pytest.mark.parametrize("desc", ["z:2:2", "t:2:2", "z:3:2", "t:3:2", "z:2:3", "t:2:3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_form_decisions_match_the_reference_solver(desc, n, rng):
+    ctx = parse_ring(desc)
+    similar = 0
+    for a, b in _pairs(ctx, n, rng, 20):
+        ok, x = is_similar(a, b)
+        assert ok == ref.is_similar(a, b)[0]
+        if ok:
+            similar += 1
+            assert x.is_invertible() and a @ x == x @ b
+        assert centralizer_order(a) == ref.centralizer_order(a)
+    assert 0 < similar < 20
+    for _ in range(4):
+        m = rand_mat(ctx, n, rng)
+        assert centralizer_order(m) == ref.centralizer_order(m)
+
+
+@pytest.mark.parametrize("desc", ["z:2:2", "t:2:2", "z:3:2", "t:2:3"])
+def test_class_equation_over_the_enumerated_transversal(desc):
+    # the orbits of the class representatives, |GL_n| / |C| each, cover
+    # every matrix exactly once
+    ctx = parse_ring(desc)
+    for n, reps in ((2, [f.rebuild() for f in enumerate2(ctx)]),
+                    (3, [m for _, m in enumerate3(ctx)])):
+        total = group_order(ctx, n)
+        assert sum(total // centralizer_order(m) for m in reps) == ctx.cardinality ** (n * n)

@@ -12,18 +12,16 @@ from simclass import (
     group_order,
     identity,
     is_similar,
-    j_matrix,
     orbit_census,
     orbit_of,
     orbit_states,
     ring_ctx,
-    same_class,
     scalar,
     verify_counts,
 )
 import simclass.oracle as oracle
 from simclass.oracle import mat_of, state_of
-from conftest import rand_invertible, rand_mat
+from conftest import j_matrix, rand_invertible, rand_mat, same_class
 
 
 # ----------------------------------------------------------------------
