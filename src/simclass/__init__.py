@@ -20,19 +20,13 @@ from .canon3 import (
     CanonicalForm3,
     CentralizerShape,
     CyclicBody,
-    EParams,
     HardBody,
     HardForm,
     ScalarBody,
     SplitBody,
-    as_e_params,
     canon3,
     centralizer_shape,
-    classify_hard,
     hard_family,
-    hensel_block_split,
-    reduce_to_e_form,
-    residue_type,
 )
 from .census import (
     CountVector,
@@ -55,12 +49,10 @@ from .errors import (
     DigitOutOfRange,
     NonIntegralDivision,
     NonUnit,
-    NotHardCase,
     NotInvertible,
     SearchBudgetExceeded,
     SimclassError,
     VerificationFailed,
-    WrongResidueType,
 )
 from .matrix import (
     Mat,
@@ -118,13 +110,11 @@ __all__ = [
     "CtxMismatch",
     "CyclicBody",
     "DigitOutOfRange",
-    "EParams",
     "HardBody",
     "HardForm",
     "Mat",
     "NonIntegralDivision",
     "NonUnit",
-    "NotHardCase",
     "NotInvertible",
     "OrbitCensus",
     "RingCtx",
@@ -136,8 +126,6 @@ __all__ = [
     "SimclassError",
     "SplitBody",
     "VerificationFailed",
-    "WrongResidueType",
-    "as_e_params",
     "base_vector",
     "block_diag",
     "canon2",
@@ -145,7 +133,6 @@ __all__ = [
     "centralizer_order",
     "centralizer_shape",
     "classify_form",
-    "classify_hard",
     "companion",
     "count2",
     "count3",
@@ -158,7 +145,6 @@ __all__ = [
     "gl_generators",
     "group_order",
     "hard_family",
-    "hensel_block_split",
     "identity",
     "is_similar",
     "level_vector",
@@ -167,8 +153,6 @@ __all__ = [
     "orbit_states",
     "parse_ring",
     "recombine",
-    "reduce_to_e_form",
-    "residue_type",
     "ring_ctx",
     "scalar",
     "section",

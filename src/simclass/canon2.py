@@ -42,22 +42,13 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
     """Maximal scalar split; shared by the 2x2 and 3x3 pipelines."""
     ctx, n = alpha.ctx, alpha.n
     length = ctx.length
-    val = ctx.val_raw
     d0 = alpha.raw(0, 0)
-    level = length
-    for lvl in range(length):
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                x = alpha.raw(i, j) if i != j else ctx.sub_raw(alpha.raw(i, j), d0)
-                if x and val(x) <= lvl:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            level = lvl
-            break
+    # the least valuation of alpha - d0*I; val(0) = length
+    level = min(
+        ctx.val_raw(alpha.raw(i, j) if i != j else ctx.sub_raw(alpha.raw(i, j), d0))
+        for i in range(n)
+        for j in range(n)
+    )
     d = section_of(RingElem(ctx, d0), level)
     if level == length:
         return ScalarSplit(level, d, None)
@@ -141,13 +132,23 @@ def _cyclic_row_witness(beta: Mat) -> Mat:
     unit multiples of a witness row are witness rows, so the first hit
     is also the first among all residue vectors in lex order.  A hit
     exists whenever the residue of beta is cyclic, which every
-    non-scalar 2x2 residue is; there at most two of the lines (0, 1),
-    (1, 0), (1, 1) are eigenlines, so the search stops within three
-    candidates.
+    non-scalar 2x2 residue is.
+
+    The entries after the leading 1 range over min(p, 4) digits only,
+    so the cost does not grow with p, and the first hit is that of the
+    full scan.  A non-cyclic row lies in one of at most n <= 3 maximal
+    proper invariant subspaces (one per distinct irreducible factor of
+    the characteristic polynomial).  An affine line of candidates (last
+    entry varying) lies inside one of them or meets each in at most one
+    point, so it has a hit among its first four points or none; two
+    parallel lines of one lead span the space, so at most three lines of
+    a lead lie inside one, and the first line with a hit has its middle
+    entry below 4.
     """
     ctx, n = beta.ctx, beta.n
+    digits = range(min(ctx.p, 4))
     for lead in range(n - 1, -1, -1):
-        for tail in product(range(ctx.p), repeat=n - 1 - lead):
+        for tail in product(digits, repeat=n - 1 - lead):
             rows = [[0] * lead + [1, *tail]]
             while len(rows) < n:
                 rows.append(_row_times(rows[-1], beta))
@@ -220,7 +221,7 @@ def _check_count_args(q: int, level: int, group: str, mode: str):
         raise BadParams("need q >= 2 and level >= 0")
     if group not in ("M", "GL"):
         raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-    if mode not in ("closed", "closed_form", "recursion"):
+    if mode not in ("closed", "recursion"):
         raise BadParams(f"mode must be 'closed' or 'recursion', got {mode!r}")
 
 

@@ -1,27 +1,28 @@
 """Canonical forms of 3x3 matrices over a chain ring.
 
 After the scalar split alpha = d*I + pi^j * beta (shared with canon2),
-the residue of beta is non-scalar and falls into one of three shapes,
-each with its own exact reduction over the length-(l-j) ring:
+the residue of beta is non-scalar.  canon3 reads its type once, off the
+minimal polynomial of the residue (see _residue_type), and takes one of
+three exact reductions over the length-(l-j) ring:
 
 - cyclic residue (minimal polynomial of the residue has degree 3):
   beta is similar to the companion matrix of its characteristic
   polynomial; the coefficient triple is a complete invariant at every
   length.
 - split residue (diagonalizable with eigenvalues a, b, b and a != b):
-  an exact block refinement separates a 1x1 block lifting a from a 2x2
-  block lifting b, and the block is finished by canon2.  Again a
-  complete invariant at every length.
+  an exact block refinement (_block_split) separates a 1x1 block
+  lifting a from a 2x2 block lifting b, and the block is finished by
+  canon2.  Again a complete invariant at every length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
-  beta is conjugated onto the shape [[d, pi^m, 0], [0, d, 1],
-  [a, b, c+d]] and then normalized type by type (see HardForm).  Types
-  I, II and III1 are normalized by explicit shape-preserving steps.
-  Type III0 goes through the transpose: E^T is conjugate to the shape
-  swap(E) (see _swap), which is of type III1, and A ~ B iff
-  A^T ~ B^T, so the III0 form of E is the swap of swap(E)'s III1 form.
-  The normal form is the class representative itself: no similarity
-  solver is consulted, and hard_family builds the forms of a ring
-  directly from the tag conditions, one candidate per form.
+  beta is conjugated onto the pi-power shape HardForm (_e_form) and
+  then normalized type by type (_classify_hard).  Types I, II and III1
+  are normalized by explicit shape-preserving steps.  Type III0 goes
+  through the transpose: E^T is conjugate to the shape swap(E) (see
+  _swap), which is of type III1, and A ~ B iff A^T ~ B^T, so the III0
+  form of E is the swap of swap(E)'s III1 form.  The normal form is the
+  class representative itself: no similarity solver is consulted, and
+  hard_family builds the forms of a ring directly from the type
+  conditions, one candidate per form.
 """
 
 from __future__ import annotations
@@ -38,19 +39,12 @@ from .canon2 import (
     recombine,
     split_scalar,
 )
-from .errors import BadParams, NotHardCase, VerificationFailed, WrongResidueType
-from .matrix import Mat, block_diag, companion, e_matrix, identity
+from .errors import BadParams, VerificationFailed
+from .matrix import Mat, block_diag, companion, e_matrix, identity, scalar
 from .ring import RingCtx, RingElem, Section
 
 __all__ = [
-    "ResidueType",
-    "residue_type",
-    "hensel_block_split",
-    "EParams",
-    "as_e_params",
-    "reduce_to_e_form",
     "HardForm",
-    "classify_hard",
     "hard_family",
     "ScalarBody",
     "CyclicBody",
@@ -109,26 +103,22 @@ def _left_kernel(m: Mat):
 # residue classification
 
 
-@dataclass(frozen=True)
-class ResidueType:
-    """Shape of a matrix over the residue field.
+def _residue_type(m: Mat) -> tuple:
+    """Type of the residue of the 3x3 matrix m, with its eigenvalues.
 
-    kind is one of "scalar", "split", "jtype", "cyclic"; data is () for
-    scalar/cyclic, (single, double) eigenvalues for split, and (d,) for
-    jtype, all as integers in [0, p).
+    One of ("scalar", s), ("cyclic",), ("split", single, double) with
+    single != double, or ("jtype", d); eigenvalues are ints in [0, p).
+    A non-scalar, non-cyclic residue has minimal polynomial x^2 - s x - t,
+    whose roots sum to s.  It splits, since an irreducible quadratic
+    minimal polynomial is impossible in odd dimension, and the root that
+    the characteristic polynomial doubles is read off the trace
+    single + 2 double: double = tr - s and single = s - double.  So the
+    eigenvalues cost no search over the residue field.
     """
-
-    kind: str
-    data: tuple = ()
-
-
-def residue_type(m: Mat) -> ResidueType:
     r = m if m.ctx.length == 1 else m.residue()
     p = r.ctx.p
     if r.is_scalar():
-        return ResidueType("scalar", (r.raw(0, 0),))
-    if r.n != 3:
-        raise BadParams("residue_type expects a 3x3 matrix")
+        return "scalar", r.raw(0, 0)
     r2 = r @ r
     # minimal polynomial degree: is r^2 = s*r + t*I solvable?
     aug = []
@@ -137,22 +127,14 @@ def residue_type(m: Mat) -> ResidueType:
             aug.append([r.raw(i, j), 1 if i == j else 0, r2.raw(i, j)])
     rr, piv = _rref(aug, p)
     if 2 in piv:
-        return ResidueType("cyclic")
+        return ("cyclic",)
     # r is non-scalar, so {r, I} is independent and piv == [0, 1]
     s, t = rr[0][2], rr[1][2]
-    roots = [d for d in range(p) if (d * d - s * d - t) % p == 0]
-    if len(roots) == 1:
-        # x^2 - s x - t = (x - d)^2: one eigenvalue, minpoly degree 2
-        return ResidueType("jtype", (roots[0],))
-    # an irreducible quadratic minimal polynomial is impossible in odd
-    # dimension, so two distinct roots remain; the trace says which one
-    # is doubled
-    if len(roots) == 2:
-        tr = r.trace().val
-        for single, double in (roots, roots[::-1]):
-            if (single + 2 * double - tr) % p == 0:
-                return ResidueType("split", (single, double))
-    raise VerificationFailed(f"residue minimal polynomial x^2 - {s}x - {t} fits no shape")
+    double = (r.trace().val - s) % p
+    single = (s - double) % p
+    if (double * double - s * double - t) % p:
+        raise VerificationFailed(f"residue minimal polynomial x^2 - {s}x - {t} fits no shape")
+    return ("jtype", double) if single == double else ("split", single, double)
 
 
 # ----------------------------------------------------------------------
@@ -190,27 +172,22 @@ def _scaling(ctx: RingCtx, k: int, u: int) -> tuple:
     return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
 
 
-def hensel_block_split(beta: Mat):
-    """Exact block refinement of a split-residue matrix.
+def _block_split(beta: Mat, abar: int, bbar: int):
+    """Exact block refinement of a matrix whose residue is split, with
+    eigenvalue abar once and bbar twice (see _residue_type).
 
-    Returns (a, B, X) with X beta X^{-1} = diag(a) ++ B; a lifts the
-    multiplicity-1 eigenvalue, B is 2x2 with both residue eigenvalues
-    equal to the doubled one.  The first conjugation diagonalizes the
-    residue by left eigenvectors; a quadratically convergent iteration
-    then clears row 1 off the diagonal, and one linear solve clears
-    column 1 without touching the cleared row.
+    Returns (a, B, X) with X beta X^{-1} = diag(a) ++ B; a lifts abar,
+    B is 2x2 with both residue eigenvalues equal to bbar.  The first
+    conjugation diagonalizes the residue by left eigenvectors; a
+    quadratically convergent iteration then clears row 1 off the
+    diagonal, and one linear solve clears column 1 without touching the
+    cleared row.
     """
     ctx = beta.ctx
-    rt = residue_type(beta)
-    if rt.kind != "split":
-        raise WrongResidueType(f"expected split residue, got {rt.kind}")
-    abar, bbar = rt.data
     res = beta.residue()
     p = res.ctx.p
-    shifted_a = Mat(res.ctx, 3, [(res.vals[k] - (abar if k % 4 == 0 else 0)) % p for k in range(9)])
-    shifted_b = Mat(res.ctx, 3, [(res.vals[k] - (bbar if k % 4 == 0 else 0)) % p for k in range(9)])
-    ka = _left_kernel(shifted_a)
-    kb = _left_kernel(shifted_b)
+    ka = _left_kernel(res - scalar(res.ctx, 3, abar))
+    kb = _left_kernel(res - scalar(res.ctx, 3, bbar))
     x_total = Mat(ctx, 3, list(ka[0]) + list(kb[0]) + list(kb[1]))
     gamma = beta.conjugate_by(x_total)
     length = ctx.length
@@ -260,14 +237,35 @@ def hensel_block_split(beta: Mat):
 
 
 @dataclass(frozen=True)
-class EParams:
-    """Parameters of the shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]].
+class HardForm:
+    """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]].
 
     a, b, c lie in the maximal ideal and 1 <= m <= length, with
-    m = length exactly when the (1,2) slot is zero.
+    m = length exactly when the (1,2) slot is zero.  The type tag is
+    read off (m, val(a), val(b)), and _normalize_hard takes each type to
+    its normal form, which has:
+
+    tag "I":    val(b) = length, so m = val(a) = length too: a = b = 0
+                and the slot is zero (pure J shape).
+    tag "II":   val(b) <= min(m, val(a)); normalized to m = val(b), a = 0.
+    tag "III0": val(a) < min(m, val(b)); the swap (see _swap) of the
+                III1 form of the swapped shape, so d is pinned below
+                val(a), and a is an exact pi power when the slot is zero.
+    tag "III1": m <= val(a), m < val(b); d pinned below m.
+
+    Distinct normal forms are distinct classes at every length, so the
+    normal form is the class representative.  Certificates: hard_family
+    generates the forms from the type conditions above and checks that
+    each is a fixed point of the normalization; enumerate3, which emits
+    hard_family, checks on every run that it emits count3 classes
+    (tests run it on z:2:6, t:5:3, z:2:5, t:2:5, z:3:3 and t:3:3 and
+    below, and on z:5:3); the tests find the same forms as a sweep of
+    every pi-power shape merged by their reference similarity solver,
+    up to z:3:3 and t:2:4; the orbit census agrees with count3 on z:2:3
+    and t:2:3; and the oracle confirms the III0 pairs over z:2:3 that
+    the normal forms before the swap left apart.
     """
 
-    ctx: RingCtx
     m: int
     a: RingElem
     b: RingElem
@@ -275,21 +273,41 @@ class EParams:
     d: RingElem
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.ctx.length:
-            raise BadParams(f"slot exponent {self.m} outside [1, {self.ctx.length}]")
+        ctx = self.ctx
+        if not 1 <= self.m <= ctx.length:
+            raise BadParams(f"slot exponent {self.m} outside [1, {ctx.length}]")
         for name in ("a", "b", "c"):
             e: RingElem = getattr(self, name)
-            if e.ctx != self.ctx or e.is_unit():
-                raise BadParams(f"{name} must be a non-unit over {self.ctx.descriptor}")
+            if e.ctx != ctx or e.is_unit():
+                raise BadParams(f"{name} must be a non-unit over {ctx.descriptor}")
+
+    @property
+    def ctx(self) -> RingCtx:
+        return self.a.ctx
+
+    @property
+    def tag(self) -> str:
+        va, vb = self.a.valuation(), self.b.valuation()
+        if vb <= min(self.m, va):
+            return "I" if vb >= self.ctx.length else "II"
+        return "III0" if va < self.m else "III1"
 
     def rebuild(self) -> Mat:
         return e_matrix(self.ctx, self.m, self.a, self.b, self.c, self.d)
 
+    def to_json(self) -> dict:
+        return {
+            "type": self.tag,
+            "m": self.m,
+            "a": self.a.val,
+            "b": self.b.val,
+            "c": self.c.val,
+            "d": self.d.val,
+        }
 
-def as_e_params(m: Mat) -> EParams | None:
-    """Recognize the exact shape above; None if any entry is off."""
-    if m.n != 3:
-        raise BadParams("as_e_params expects a 3x3 matrix")
+
+def _as_hard_form(m: Mat) -> HardForm | None:
+    """Recognize the exact pi-power shape of HardForm; None if any entry is off."""
     ctx = m.ctx
     d = m.raw(0, 0)
     if m.raw(0, 2) or m.raw(1, 0) or m.raw(1, 1) != d or m.raw(1, 2) != 1:
@@ -302,22 +320,19 @@ def as_e_params(m: Mat) -> EParams | None:
     c = ctx.sub_raw(m.raw(2, 2), d)
     if any(ctx.is_unit_raw(v) for v in (a, b, c)):
         return None
-    return EParams(ctx, t, RingElem(ctx, a), RingElem(ctx, b), RingElem(ctx, c), RingElem(ctx, d))
+    return HardForm(t, RingElem(ctx, a), RingElem(ctx, b), RingElem(ctx, c), RingElem(ctx, d))
 
 
-def reduce_to_e_form(beta: Mat):
-    """Conjugate a jtype-residue matrix onto the pi-power shape.
+def _e_form(beta: Mat, dbar: int):
+    """Conjugate a matrix whose residue is jtype, with eigenvalue dbar,
+    onto the pi-power shape.
 
-    Returns (EParams, X) with X beta X^{-1} equal to the rebuilt shape.
+    Returns (HardForm, X) with X beta X^{-1} equal to the rebuilt shape.
     """
     ctx = beta.ctx
-    rt = residue_type(beta)
-    if rt.kind != "jtype":
-        raise WrongResidueType(f"expected jtype residue, got {rt.kind}")
-    dbar = rt.data[0]
     res = beta.residue()
     p = res.ctx.p
-    nbar = Mat(res.ctx, 3, [(res.vals[k] - (dbar if k % 4 == 0 else 0)) % p for k in range(9)])
+    nbar = res - scalar(res.ctx, 3, dbar)
     ker = _left_kernel(nbar)
     w2 = next(
         tuple(1 if k == i else 0 for k in range(3))
@@ -345,7 +360,7 @@ def reduce_to_e_form(beta: Mat):
     step(_shear(ctx, (2, 1, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)))))
     _, u = ctx.unit_split_raw(gamma.raw(0, 1))
     step(_scaling(ctx, 0, ctx.inv_raw(u)))
-    e = as_e_params(gamma)
+    e = _as_hard_form(gamma)
     if e is None or not x_total.conjugates(beta, e.rebuild()):
         raise VerificationFailed("pi-power shape reduction failed")
     return e, x_total
@@ -353,55 +368,6 @@ def reduce_to_e_form(beta: Mat):
 
 # ----------------------------------------------------------------------
 # jtype normal forms
-
-
-@dataclass(frozen=True)
-class HardForm:
-    """Normalized pi-power shape with its type tag.
-
-    tag "I":    a = b = 0 and the slot is zero (pure J shape).
-    tag "II":   val(b) <= min(m, val(a)); normalized to m = val(b), a = 0.
-    tag "III0": val(a) < min(m, val(b)); the swap (see _swap) of the
-                III1 form of the swapped shape, so d is pinned below
-                val(a), and a is an exact pi power when the slot is zero.
-    tag "III1": m <= val(a), m < val(b); d pinned below m.
-
-    Distinct forms are distinct classes at every length, so the form is
-    the class representative.  Certificates: hard_family generates the
-    forms from the tag conditions above and checks that each is a
-    fixed point of the normalization; enumerate3, which emits
-    hard_family, checks on every run that it emits count3 classes
-    (tests run it on z:2:6, t:5:3, z:2:5, t:2:5, z:3:3 and t:3:3 and
-    below, and on z:5:3); the tests find the same forms as a sweep of
-    every pi-power shape merged by their reference similarity solver,
-    up to z:3:3 and t:2:4; the orbit census agrees with count3 on z:2:3
-    and t:2:3; and the oracle confirms the III0 pairs over z:2:3 that
-    the normal forms before the swap left apart.
-    """
-
-    tag: str
-    m: int
-    a: RingElem
-    b: RingElem
-    c: RingElem
-    d: RingElem
-
-    @property
-    def ctx(self) -> RingCtx:
-        return self.a.ctx
-
-    def rebuild(self) -> Mat:
-        return e_matrix(self.ctx, self.m, self.a, self.b, self.c, self.d)
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.tag,
-            "m": self.m,
-            "a": self.a.val,
-            "b": self.b.val,
-            "c": self.c.val,
-            "d": self.d.val,
-        }
 
 
 # Each normalization step is unipotent or diagonal, so its builder
@@ -442,8 +408,8 @@ def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> tuple:
     return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, x_inv)
 
 
-def _swap(e) -> tuple:
-    """(swap(E), G) for the shape E of an EParams or HardForm e.
+def _swap(e: HardForm) -> tuple:
+    """(swap(E), G) for the shape E = e.rebuild().
 
     With E = d*I + N(m, a, b, c) and a = pi^k * w (k = length and w = 1
     when a = 0), G = [[w^-1, 0, 0], [0, 0, 1], [0, 1, c]] satisfies
@@ -454,11 +420,11 @@ def _swap(e) -> tuple:
     k, w = ctx.unit_split_raw(e.a.val)
     a = RingElem(ctx, ctx.mul_raw(ctx.pi_pow_raw(e.m), w))
     g = Mat._unchecked(ctx, 3, [ctx.inv_raw(w), 0, 0, 0, 0, 1, 0, 1, e.c.val])
-    return EParams(ctx, k, a, e.b, e.c, e.d), g
+    return HardForm(k, a, e.b, e.c, e.d), g
 
 
-def classify_hard(e: EParams):
-    """Normalize a pi-power shape; returns (HardForm, X).
+def _classify_hard(e: HardForm):
+    """Normalize a pi-power shape; returns (normal form, X).
 
     X conjugates the rebuilt input onto the rebuilt form.  See HardForm
     for the per-type normalizations.
@@ -476,24 +442,25 @@ def classify_hard(e: EParams):
     return form, x_total
 
 
-def _normalize_hard(e: EParams):
-    """(HardForm, the step matrices taken, in order).
+def _normalize_hard(e: HardForm):
+    """(normal form, the step matrices taken, in order).
 
     hard_family needs the form only, so the steps are multiplied into a
-    witness by classify_hard alone.  For type III0 they are the steps of
+    witness by _classify_hard alone.  For type III0 they are the steps of
     the III1 normalization of swap(e).
     """
-    va, vb, m = e.a.valuation(), e.b.valuation(), e.m
-    if va < m and va < vb:
+    tag = e.tag
+    if tag == "III0":
         # E^T ~ swap(E), of type III1, and A ~ B iff A^T ~ B^T
         f1, steps = _normalize_hard(_swap(e)[0])
         f = _swap(f1)[0]
-        if f1.tag != "III1" or not f.a.valuation() < min(f.m, f.b.valuation()):
+        if f1.tag != "III1" or f.tag != "III0":
             raise VerificationFailed(f"swap of {f1} is not of type III0")
-        return HardForm("III0", f.m, f.a, f.b, f.c, f.d), steps
+        return f, steps
+    if tag == "I":  # nothing but the J shape
+        return e, []
 
     ctx = e.ctx
-    length = ctx.length
     gamma = e.rebuild()
     ident = identity(ctx, 3)
     steps = []
@@ -505,16 +472,15 @@ def _normalize_hard(e: EParams):
         nonlocal gamma, cur
         x, x_inv = step
         if x @ x_inv != ident:
-            raise VerificationFailed("classify_hard step and its inverse do not multiply to I")
+            raise VerificationFailed("hard normalization step and its inverse do not multiply to I")
         gamma = x @ gamma @ x_inv
-        cur = as_e_params(gamma)
+        cur = _as_hard_form(gamma)
         if cur is None:
-            raise VerificationFailed("classify_hard step left the pi-power shape")
+            raise VerificationFailed("hard normalization step left the pi-power shape")
         steps.append(x)
 
-    if vb <= m and vb <= va:
-        if vb >= length:  # then m = va = length too: nothing but the J shape
-            return HardForm("I", length, e.a, e.b, e.c, e.d), steps
+    if tag == "II":
+        vb = e.b.valuation()
         # first eliminate a: each step multiplies b by a unit mod higher
         # valuation and strictly raises val(a), so it ends within length
         # steps; a step that does not is a stall and raises
@@ -533,21 +499,20 @@ def _normalize_hard(e: EParams):
             take(_slot_step(ctx, cur.m - vb, ctx.inv_raw(ub.val), cur.c.val))
             if cur.m != vb or cur.a:
                 raise VerificationFailed("slot exponent lowering failed")
-        return HardForm("II", cur.m, cur.a, cur.b, cur.c, cur.d), steps
+        return cur, steps
 
-    if m <= va and m < vb:
-        for s in range(length - 1, m - 1, -1):
-            delta = cur.d.digits()[s]
-            if delta == 0:
-                continue
-            x = ctx.mul_raw(delta, ctx.pi_pow_raw(s - m))
-            low = ctx.mod_pi_raw(cur.d.val, s)
-            take(_lower_step(ctx, cur.m, x))
-            if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
-                raise VerificationFailed(f"pinning digit {s} of d failed")
-        return HardForm("III1", cur.m, cur.a, cur.b, cur.c, cur.d), steps
-
-    raise NotHardCase(f"m={m}, val(a)={va}, val(b)={vb} fit no type")  # unreachable
+    # III1: pin the digits of d at and above m
+    m = e.m
+    for s in range(ctx.length - 1, m - 1, -1):
+        delta = cur.d.digits()[s]
+        if delta == 0:
+            continue
+        x = ctx.mul_raw(delta, ctx.pi_pow_raw(s - m))
+        low = ctx.mod_pi_raw(cur.d.val, s)
+        take(_lower_step(ctx, cur.m, x))
+        if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
+            raise VerificationFailed(f"pinning digit {s} of d failed")
+    return cur, steps
 
 
 @lru_cache(maxsize=None)
@@ -555,7 +520,7 @@ def hard_family(tctx: RingCtx) -> tuple:
     """One normal form per hard-body class over tctx, in lexicographic
     (m, a, b, c, d) order.
 
-    The forms are built from the tag conditions of HardForm, one
+    The forms are built from the type conditions of HardForm, one
     candidate per form, with c in the maximal ideal throughout:
 
     - I:    (length, 0, 0, c, d) for every d;
@@ -579,26 +544,25 @@ def hard_family(tctx: RingCtx) -> tuple:
     ideal = at_least(1)
     forms = []
 
-    def keep(tag: str, e: EParams):
-        f = _normalize_hard(e)[0]
-        if f != HardForm(tag, e.m, e.a, e.b, e.c, e.d):
+    def keep(e: HardForm):
+        if _normalize_hard(e)[0] != e:
             params = (e.m, e.a.val, e.b.val, e.c.val, e.d.val)
             raise VerificationFailed(
-                f"{tag} candidate {params} over {tctx.descriptor} is no normal form"
+                f"{e.tag} candidate {params} over {tctx.descriptor} is no normal form"
             )
-        forms.append(f)
+        forms.append(e)
 
     for c, d in product(ideal, elems):
-        keep("I", EParams(tctx, length, zero, zero, c, d))
+        keep(HardForm(length, zero, zero, c, d))
     for m in range(1, length):
         for b, c, d in product(at_least(m), ideal, elems):
             if b.valuation() == m:
-                keep("II", EParams(tctx, m, zero, b, c, d))
+                keep(HardForm(m, zero, b, c, d))
         for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, elems[: p**m]):
-            e = EParams(tctx, m, a, b, c, d)
-            keep("III1", e)
+            e = HardForm(m, a, b, c, d)
+            keep(e)
             if a.valuation() > m:
-                keep("III0", _swap(e)[0])
+                keep(_swap(e)[0])
 
     def key(f: HardForm) -> tuple:
         return f.m, f.a.val, f.b.val, f.c.val, f.d.val
@@ -675,6 +639,13 @@ class CanonicalForm3:
 
 
 def canon3(alpha: Mat) -> CanonicalForm3:
+    """The class descriptor of alpha, with witness X: X alpha X^-1 is
+    the rebuilt form.
+
+    The residue type of the body beta is read once, and its eigenvalues
+    go to the one reduction that type takes; the composed witness is
+    checked exactly against alpha.
+    """
     if alpha.n != 3:
         raise BadParams("canon3 expects a 3x3 matrix")
     ctx = alpha.ctx
@@ -686,20 +657,20 @@ def canon3(alpha: Mat) -> CanonicalForm3:
         return form
     beta = sp.beta
     tctx = beta.ctx
-    rt = residue_type(beta)
-    if rt.kind == "cyclic":
+    kind, *eigenvalues = _residue_type(beta)
+    if kind == "cyclic":
         x = _cyclic_row_witness(beta)
         body = CyclicBody(beta.charpoly())
         if not x.conjugates(beta, companion(tctx, body.coeffs)):
             raise VerificationFailed("cyclic row witness does not reach the companion form")
-    elif rt.kind == "split":
-        a, block, x1 = hensel_block_split(beta)
+    elif kind == "split":
+        a, block, x1 = _block_split(beta, *eigenvalues)
         inner, inner_wit = canon2(block)
         x = block_diag(tctx, [1, inner_wit]) @ x1
         body = SplitBody(a, inner)
     else:
-        e, x1 = reduce_to_e_form(beta)
-        hard, x2 = classify_hard(e)
+        e, x1 = _e_form(beta, *eigenvalues)
+        hard, x2 = _classify_hard(e)
         x = x2 @ x1
         body = HardBody(hard)
     witness = x.lift(ctx.length)
@@ -720,12 +691,9 @@ class CentralizerShape:
         return (q - 1) ** self.unit_rank * q**self.affine_dim
 
 
-def centralizer_shape(f, i: int | None = None) -> CentralizerShape:
-    """Shape from (m, val(a), val(b)) alone; f is an EParams or HardForm
-    over the length-i ring (i defaults to that length)."""
-    if i is None:
-        i = f.a.ctx.length
-    va, vb = f.a.valuation(), f.b.valuation()
-    if vb <= f.m and vb <= va:
-        return CentralizerShape(2, 3 * i + 2 * vb - 2)
-    return CentralizerShape(1, 3 * i + 2 * min(f.m, va) - 1)
+def centralizer_shape(f: HardForm) -> CentralizerShape:
+    """Shape from (m, val(a), val(b)) alone, over the length-i ring of f."""
+    i = f.ctx.length
+    if f.tag in ("I", "II"):
+        return CentralizerShape(2, 3 * i + 2 * f.b.valuation() - 2)
+    return CentralizerShape(1, 3 * i + 2 * min(f.m, f.a.valuation()) - 1)

@@ -44,17 +44,11 @@ class BudgetExceeded(SimclassError):
     """An enumeration or census would exceed the configured budget."""
 
 
-class WrongResidueType(SimclassError):
-    """A canonicalization step received a matrix of the wrong residue type."""
-
-
-class NotHardCase(SimclassError):
-    """classify_hard requires a matrix already in reduced shape."""
-
-
 class NonIntegralDivision(SimclassError):
     """An exact integer division left a remainder (formula transcription bug)."""
 
 
 class VerificationFailed(SimclassError):
-    """An exact identity that a result must satisfy did not hold."""
+    """An exact identity that a result must satisfy did not hold.
+
+    Raised explicitly, never by assert, so it also fires under python -O."""

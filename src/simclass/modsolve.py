@@ -121,7 +121,7 @@ def _form_order(form, n: int) -> int:
     elif isinstance(form.body, SplitBody):
         body = (q - 1) * q ** (i - 1) * _form_order(form.body.inner, 2)
     else:
-        body = centralizer_shape(form.body.form, i).order(q)
+        body = centralizer_shape(form.body.form).order(q)
     return q ** (n * n * j) * body
 
 

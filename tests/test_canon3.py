@@ -8,48 +8,53 @@ from collections import Counter
 
 import pytest
 
+import simclass
 from simclass import (
     CentralizerShape,
-    EParams,
     HardForm,
     Mat,
     VerificationFailed,
-    WrongResidueType,
     block_diag,
     canon2,
     canon3,
     centralizer_shape,
-    classify_hard,
     companion,
     diag,
     e_matrix,
     hard_family,
-    hensel_block_split,
     identity,
     is_similar,
     orbit_states,
     parse_ring,
-    reduce_to_e_form,
-    residue_type,
     ring_ctx,
     scalar,
-)
-from simclass.canon3 import (
-    CyclicBody,
-    HardBody,
-    ScalarBody,
-    SplitBody,
-    _lower_step,
-    _slot_step,
-    _swap,
 )
 from simclass.cli import EX_MISMATCH
 import reference_solver as ref
 from conftest import j_matrix, rand_invertible, rand_mat, run_python, same_class
 
+# the module, not the function simclass.canon3: the pipeline stages are private
+c3 = importlib.import_module("simclass.canon3")
+CyclicBody, HardBody, ScalarBody, SplitBody = c3.CyclicBody, c3.HardBody, c3.ScalarBody, c3.SplitBody
+residue_type, classify_hard = c3._residue_type, c3._classify_hard
+
 
 def ep(ctx, m, a, b, c, d):
-    return EParams(ctx, m, ctx.elem(a), ctx.elem(b), ctx.elem(c), ctx.elem(d))
+    return HardForm(m, ctx.elem(a), ctx.elem(b), ctx.elem(c), ctx.elem(d))
+
+
+def block_split(m):
+    """The split stage of canon3, fed the residue eigenvalues it is fed there."""
+    kind, *eigenvalues = residue_type(m)
+    assert kind == "split"
+    return c3._block_split(m, *eigenvalues)
+
+
+def e_form(m):
+    """The jtype stage of canon3, fed the residue eigenvalue it is fed there."""
+    kind, *eigenvalues = residue_type(m)
+    assert kind == "jtype"
+    return c3._e_form(m, *eigenvalues)
 
 
 # ----------------------------------------------------------------------
@@ -58,28 +63,54 @@ def ep(ctx, m, a, b, c, d):
 
 def test_residue_type_defining_cases():
     f2 = ring_ctx("z", 2, 1)
-    assert residue_type(identity(f2, 3)).kind == "scalar"
-    assert residue_type(diag(f2, [1, 0, 0])).kind == "split"
-    assert residue_type(diag(f2, [1, 0, 0])).data == (1, 0)
-    assert residue_type(j_matrix(f2, 0, 0)).kind == "jtype"
-    assert residue_type(j_matrix(f2, 0, 0)).data == (0,)
-    assert residue_type(companion(f2, tuple(f2.elem(v) for v in (1, 0, 0)))).kind == "cyclic"
+    assert residue_type(identity(f2, 3)) == ("scalar", 1)
+    assert residue_type(diag(f2, [1, 0, 0])) == ("split", 1, 0)
+    assert residue_type(j_matrix(f2, 0, 0)) == ("jtype", 0)
+    assert residue_type(companion(f2, tuple(f2.elem(v) for v in (1, 0, 0)))) == ("cyclic",)
 
 
 def test_residue_type_is_computed_modulo_pi(rng):
     ctx = ring_ctx("z", 2, 2)
     for _ in range(30):
         m = rand_mat(ctx, 3, rng)
-        assert residue_type(m).kind == residue_type(m.residue()).kind
+        assert residue_type(m) == residue_type(m.residue())
 
 
 def test_residue_type_partitions_all_of_f3():
     f3 = ring_ctx("z", 3, 1)
     kinds = {"scalar": 0, "split": 0, "jtype": 0, "cyclic": 0}
     for vals in itertools.product(range(3), repeat=9):
-        kinds[residue_type(Mat(f3, 3, list(vals))).kind] += 1
+        kinds[residue_type(Mat(f3, 3, list(vals)))[0]] += 1
     assert sum(kinds.values()) == 3**9
     assert kinds["scalar"] == 3
+
+
+def test_residue_eigenvalues_factor_the_charpoly(rng):
+    # (x - single)(x - double)^2 is the characteristic polynomial, in the
+    # companion convention (a0, a1, a2): x^3 - a2 x^2 - a1 x - a0
+    def check(m):
+        kind, *eig = residue_type(m)
+        if kind in ("scalar", "cyclic"):
+            return kind
+        s, d = eig if kind == "split" else eig * 2
+        assert (kind == "jtype") == (s == d)
+        p = m.ctx.p
+        expected = (s * d * d % p, -(2 * s * d + d * d) % p, (s + 2 * d) % p)
+        assert tuple(c.val for c in m.charpoly()) == expected
+        return kind
+
+    f3 = ring_ctx("z", 3, 1)
+    kinds = Counter(check(Mat(f3, 3, list(v))) for v in itertools.product(range(3), repeat=9))
+    assert kinds["split"] and kinds["jtype"]
+    for p in (5, 31, 101, 2**61 - 1):
+        for flavor in ("z", "t"):
+            ctx = ring_ctx(flavor, p, 1)
+            for _ in range(20):
+                g = rand_invertible(ctx, 3, rng)
+                s, d = rng.randrange(p), rng.randrange(p)
+                for shape in (diag(ctx, [s, d, d]), e_matrix(ctx, 1, 0, 0, 0, d)):
+                    assert check(shape.conjugate_by(g)) in ("split", "jtype", "scalar")
+                check(rand_mat(ctx, 3, rng))
 
 
 # ----------------------------------------------------------------------
@@ -90,14 +121,14 @@ def test_hensel_block_split_fixed_point():
     ctx = ring_ctx("z", 2, 2)
     b = Mat.from_rows(ctx, [[0, 2], [2, 2]])
     m = block_diag(ctx, [1, b])
-    a, blk, x = hensel_block_split(m)
+    a, blk, x = block_split(m)
     assert a.val == 1 and blk == b and x == identity(ctx, 3)
 
 
 def test_hensel_block_split_worked_example():
     ctx = ring_ctx("z", 2, 2)
     m = Mat.from_rows(ctx, [[1, 0, 0], [1, 0, 2], [2, 2, 2]])
-    a, blk, x = hensel_block_split(m)
+    a, blk, x = block_split(m)
     assert a.val == 1
     assert is_similar(blk, Mat.from_rows(ctx, [[0, 2], [2, 2]]))[0]
     assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
@@ -110,16 +141,10 @@ def test_hensel_block_split_round_trips(rng):
         g = rand_invertible(ctx, 3, rng)
         av = ctx.elem(rng.choice([1, 2, 4, 5, 7, 8]))  # unit: distinct from 0
         m = block_diag(ctx, [av, b0]).conjugate_by(g)
-        a, blk, x = hensel_block_split(m)
+        a, blk, x = block_split(m)
         assert a == av
         assert canon2(blk)[0] == canon2(b0)[0]
         assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
-
-
-def test_hensel_block_split_requires_split_residue():
-    ctx = ring_ctx("z", 2, 2)
-    with pytest.raises(WrongResidueType):
-        hensel_block_split(identity(ctx, 3))
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +154,7 @@ def test_hensel_block_split_requires_split_residue():
 def test_reduce_to_e_form_fixed_point():
     ctx = ring_ctx("z", 2, 2)
     m = e_matrix(ctx, 2, 2, 0, 2, 0)
-    e, x = reduce_to_e_form(m)
+    e, x = e_form(m)
     assert x == identity(ctx, 3)
     assert (e.m, e.a.val, e.b.val, e.c.val, e.d.val) == (2, 2, 0, 2, 0)
 
@@ -137,7 +162,7 @@ def test_reduce_to_e_form_fixed_point():
 def test_reduce_to_e_form_normalizes_the_23_entry():
     ctx = ring_ctx("z", 2, 2)
     m = Mat.from_rows(ctx, [[0, 0, 0], [0, 0, 3], [0, 0, 0]])
-    e, x = reduce_to_e_form(m)
+    e, x = e_form(m)
     assert m.conjugate_by(x) == e.rebuild()
     assert e.rebuild().raw(1, 2) == 1
     assert (e.m, e.a.val, e.b.val, e.c.val, e.d.val) == (2, 0, 0, 0, 0)
@@ -149,15 +174,9 @@ def test_reduce_to_e_form_round_trips(rng):
     for _ in range(200):
         g = rand_invertible(ctx, 3, rng)
         m = base.conjugate_by(g)
-        e, x = reduce_to_e_form(m)
+        e, x = e_form(m)
         assert m.conjugate_by(x) == e.rebuild()
         assert ref.is_similar(e.rebuild(), base)[0]
-
-
-def test_reduce_to_e_form_requires_jtype_residue():
-    ctx = ring_ctx("z", 2, 2)
-    with pytest.raises(WrongResidueType):
-        reduce_to_e_form(companion(ctx, tuple(ctx.elem(v) for v in (1, 0, 0))))
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +215,7 @@ def test_classify_hard_witness_and_idempotence_exhaustive_z4():
                 h, x = classify_hard(e)
                 tags[h.tag] += 1
                 assert e.rebuild().conjugate_by(x) == h.rebuild()
-                again, x2 = classify_hard(
-                    EParams(ctx, h.m, h.a, h.b, h.c, h.d)
-                )
+                again, x2 = classify_hard(HardForm(h.m, h.a, h.b, h.c, h.d))
                 assert again == h and x2 == identity(ctx, 3)
     assert all(v > 0 for v in tags.values())
 
@@ -239,8 +256,8 @@ def test_classify_hard_steps_come_with_their_inverses(desc, rng):
 
     for _ in range(50):
         steps = [
-            _lower_step(ctx, rng.randrange(1, length + 1), elem()),
-            _slot_step(ctx, rng.randrange(1, length + 1), unit(), elem()),
+            c3._lower_step(ctx, rng.randrange(1, length + 1), elem()),
+            c3._slot_step(ctx, rng.randrange(1, length + 1), unit(), elem()),
         ]
         for x, x_inv in steps:
             assert x @ x_inv == ident and x_inv @ x == ident
@@ -253,7 +270,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
     # strips assert statements, and the CLI must exit 70
     script = (
         "import importlib, sys\n"
-        "from simclass import EParams, VerificationFailed, classify_hard, ring_ctx\n"
+        "from simclass import HardForm, VerificationFailed, ring_ctx\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import Mat\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
@@ -270,12 +287,12 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "]\n"
         "for name, desc, (m, *vals) in cases:\n"
         "    ctx = ring_ctx(*desc)\n"
-        "    e = EParams(ctx, m, *(ctx.elem(v) for v in vals))\n"
+        "    e = HardForm(m, *(ctx.elem(v) for v in vals))\n"
         "    real = getattr(c3, name)\n"
-        "    classify_hard(e)\n"
+        "    c3._classify_hard(e)\n"
         "    setattr(c3, name, off_by_pi(real))\n"
         "    try:\n"
-        "        classify_hard(e)\n"
+        "        c3._classify_hard(e)\n"
         "        sys.exit(f'no VerificationFailed with a wrong {name} inverse')\n"
         "    except VerificationFailed:\n"
         "        pass\n"
@@ -285,7 +302,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "c3._swap = lambda e: (real_swap(e)[0], Mat(e.ctx, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))\n"
         "ctx = ring_ctx('z', 3, 2)\n"
         "try:\n"
-        "    classify_hard(EParams(ctx, 2, *(ctx.elem(v) for v in (6, 0, 0, 0))))\n"
+        "    c3._classify_hard(HardForm(2, *(ctx.elem(v) for v in (6, 0, 0, 0))))\n"
         "    sys.exit('no VerificationFailed with a wrong III0 conjugator')\n"
         "except VerificationFailed as exc:\n"
         "    if 'transpose' not in str(exc):\n"
@@ -306,7 +323,7 @@ def test_hard_family_members_are_their_own_class_reps():
         fam = hard_family(ctx)
         assert len(fam) == len(set(fam))
         for h in fam:
-            again, x = classify_hard(EParams(ctx, h.m, h.a, h.b, h.c, h.d))
+            again, x = classify_hard(HardForm(h.m, h.a, h.b, h.c, h.d))
             assert again == h and x == identity(ctx, 3)
 
 
@@ -364,14 +381,13 @@ def test_hard_family_matches_the_global_sweep(desc):
 
 def test_hard_family_checks_each_candidate_is_a_normal_form(monkeypatch):
     # a normalization that moves one candidate's d is caught, not emitted
-    c3 = importlib.import_module("simclass.canon3")
     real = c3._normalize_hard
 
     def moved(e):
         form, steps = real(e)
         params = (form.m, form.a.val, form.b.val, form.c.val, form.d.val)
         if form.tag == "III1" and params == (1, 0, 0, 4, 1):
-            form = HardForm(form.tag, form.m, form.a, form.b, form.c, e.ctx.elem(0))
+            form = HardForm(form.m, form.a, form.b, form.c, e.ctx.elem(0))
         return form, steps
 
     monkeypatch.setattr(c3, "_normalize_hard", moved)
@@ -400,6 +416,37 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert isinstance(f.body, HardBody)
         assert f.witness.is_invertible() and m.conjugate_by(f.witness) == f.rebuild()
         assert canon3(f.rebuild()) == f
+
+
+# the stages of canon3 that were public before they became private
+REMOVED_NAMES = {
+    "EParams",
+    "as_e_params",
+    "residue_type",
+    "ResidueType",
+    "hensel_block_split",
+    "reduce_to_e_form",
+    "classify_hard",
+    "WrongResidueType",
+    "NotHardCase",
+}
+
+
+def test_the_canon3_stages_are_not_public():
+    assert not REMOVED_NAMES & set(simclass.__all__)
+    assert not REMOVED_NAMES & set(dir(simclass))
+    assert not REMOVED_NAMES & set(c3.__all__)
+
+
+def test_hard_form_tag_is_read_off_the_valuations():
+    ctx = ring_ctx("z", 2, 3)
+    assert [ep(ctx, *v).tag for v in ((3, 0, 0, 0, 1), (2, 4, 2, 0, 0), (2, 2, 0, 0, 0),
+                                      (1, 2, 4, 0, 0))] == ["I", "II", "III0", "III1"]
+    # the J shape with a nonzero a is type III0, not I
+    assert ep(ctx, 3, 2, 0, 0, 0).tag == "III0"
+    for bad in ((0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 3, 0)):
+        with pytest.raises(simclass.BadParams):
+            ep(ctx, *bad)
 
 
 # the similarity solver, which lives in tests/reference_solver.py
@@ -477,7 +524,7 @@ def test_hard_class_rep_collapses_conjugates(rng):
         fam = hard_family(ctx)
         for h in rng.sample(fam, 12) + [h for h in fam if h.tag == "III0"][:6]:
             m = h.rebuild().conjugate_by(rand_invertible(ctx, 3, rng))
-            e, x1 = reduce_to_e_form(m)
+            e, x1 = e_form(m)
             h2, x2 = classify_hard(e)
             assert h2 == h
             assert m.conjugate_by(x2 @ x1) == h.rebuild()
@@ -494,7 +541,7 @@ def test_swap_conjugates_the_transpose(desc, rng):
     for _ in range(100):
         e = ep(ctx, rng.randrange(1, length + 1), *(p * rng.randrange(card // p) for _ in range(3)),
                rng.randrange(card))
-        s, g = _swap(e)
+        s, g = c3._swap(e)
         assert g @ e.rebuild().transpose() @ g.inverse() == s.rebuild()
 
 
@@ -504,8 +551,8 @@ def test_swap_is_an_involution_on_iii0_forms(desc):
     forms = [h for h in hard_family(ctx) if h.tag == "III0"]
     assert forms
     for h in forms:
-        s, _ = _swap(h)
-        back, _ = _swap(s)
+        s, _ = c3._swap(h)
+        back, _ = c3._swap(s)
         assert (back.m, back.a, back.b, back.c, back.d) == (h.m, h.a, h.b, h.c, h.d)
 
 

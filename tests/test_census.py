@@ -104,10 +104,6 @@ def test_count3_closed_matches_recursion():
                 )
 
 
-def test_count3_closed_form_alias():
-    assert count3(2, 2, "M", "closed_form") == 144
-
-
 def test_count3_rejects_bad_arguments():
     with pytest.raises(BadParams):
         count3(1, 2)
@@ -117,6 +113,8 @@ def test_count3_rejects_bad_arguments():
         count3(2, 2, "SL")
     with pytest.raises(BadParams):
         count3(2, 2, "M", "guess")
+    with pytest.raises(BadParams):  # the modes are "closed" and "recursion" only
+        count3(2, 2, "M", "closed_form")
     # level 0 has one class, but only for a group and mode that exist
     with pytest.raises(BadParams):
         count3(2, 0, "bogus")

@@ -264,21 +264,67 @@ def test_broken_similarity_witness_exits_70_under_optimize():
 
 def test_broken_block_split_raises_under_optimize():
     # with the 2x2 solves zeroed the refinement never clears the blocks;
-    # the final witness check must still fire under -O
+    # the final witness check must still fire under -O, and canon exit 70
     script = (
         "import importlib, sys\n"
-        "from simclass import Mat, VerificationFailed, hensel_block_split, ring_ctx\n"
+        "from simclass import Mat, VerificationFailed, ring_ctx\n"
+        "from simclass.cli import main\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
         "c3._solve2 = lambda *args: (0, 0)\n"
-        "m = Mat.from_rows(ring_ctx('z', 2, 2), [[1, 0, 0], [1, 0, 2], [2, 2, 2]])\n"
+        "rows = [[1, 0, 0], [1, 0, 2], [2, 2, 2]]\n"
+        "m = Mat.from_rows(ring_ctx('z', 2, 2), rows)\n"
         "try:\n"
-        "    hensel_block_split(m)\n"
+        "    c3._block_split(m, 1, 0)\n"
+        "    sys.exit('no VerificationFailed')\n"
         "except VerificationFailed:\n"
-        "    sys.exit(0)\n"
-        "sys.exit('no VerificationFailed')\n"
+        "    pass\n"
+        "sys.exit(main(['canon', '--ring', 'z:2:2', str(rows)]))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "block split witness" in proc.stderr
+
+
+def test_canon_and_similar_over_a_61_bit_prime():
+    # the residue type is read off the minimal polynomial and the cyclic
+    # row witness scans at most four digits per entry, so nothing here
+    # grows with p; each decision is timed in the child
+    script = (
+        "import contextlib, io, json, sys, time\n"
+        "from simclass import Mat, parse_ring\n"
+        "from simclass.cli import main\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(list(argv))\n"
+        "    took = time.perf_counter() - start\n"
+        "    if took > 1:\n"
+        "        sys.exit(f'{argv} took {took:.2f} s')\n"
+        "    return code, json.loads(out.getvalue())\n"
+        "P = 2**61 - 1\n"
+        "inputs = {\n"
+        "    'cyclic': [[0, 1, 0], [0, 0, 1], [0, 4, 5]],\n"
+        "    'split': [[2, 0, 0], [0, 2, 0], [7, 0, 5]],\n"
+        "    'hard': [[3, 0, 0], [5, 3, 0], [7, 0, 3]],\n"
+        "}\n"
+        "for desc in (f'z:{P}:1', f't:{P}:1'):\n"
+        "    ctx = parse_ring(desc)\n"
+        "    for kind, rows in inputs.items():\n"
+        "        code, out = run('canon', '--ring', desc, json.dumps(rows))\n"
+        "        m, x, c = (Mat.from_rows(ctx, r) for r in (rows, out['witness'], out['canonical']))\n"
+        "        if code or out['form']['body']['kind'] != kind or not x.conjugates(c, m):\n"
+        "            sys.exit(f'canon {kind} over {desc}: {code} {out}')\n"
+        "    a = Mat.from_rows(ctx, inputs['hard'])\n"
+        "    g = Mat.from_rows(ctx, [[1, 2, 3], [0, 1, 5], [P - 1, 0, 2]])\n"
+        "    b = a.conjugate_by(g)\n"
+        "    code, out = run('similar', '--ring', desc, json.dumps(a.rows()), json.dumps(b.rows()))\n"
+        "    x = Mat.from_rows(ctx, out['witness'])\n"
+        "    if code or not out['similar'] or not x.conjugates(b, a):\n"
+        "        sys.exit(f'similar over {desc}: {code} {out}')\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_oracle_partition_mismatch_exits_70_under_optimize():
