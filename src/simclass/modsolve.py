@@ -72,39 +72,70 @@ def is_similar(a1: Mat, a2: Mat):
     return True, x
 
 
-def _divide_root(f: list, r: int, q: int) -> tuple:
-    """(quotient, remainder) of f by x - r over F_q, leading coefficient first."""
-    quot = [f[0]]
-    for c in f[1:]:
-        quot.append((c + r * quot[-1]) % q)
-    rem = quot.pop()
-    return quot, rem
+def _poly_divmod(a: list, f: list, q: int) -> tuple:
+    """(quotient, remainder) of a by monic f over F_q, leading coefficient first."""
+    a, quot = list(a), []
+    while len(a) >= len(f):
+        c = a.pop(0)
+        quot.append(c)
+        for k in range(len(f) - 1):
+            a[k] = (a[k] - c * f[k + 1]) % q
+    while a and not a[0]:
+        a.pop(0)
+    return quot, a
 
 
-def _cyclic_units(q: int, i: int, coeffs) -> int:
-    """Units of A_i[x]/(f), f = x^n - sum a_k x^k from companion coeffs.
+def _poly_gcd(a: list, b: list, q: int) -> list:
+    """Monic gcd of a and b over F_q."""
+    while b:
+        inv = pow(b[0], -1, q)
+        b = [c * inv % q for c in b]
+        a, b = b, _poly_divmod(a, b, q)[1]
+    return a
 
-    f mod pi has degree n <= 3; each root found by scanning the residue
-    field is a distinct linear factor, and what is left once the roots
-    are divided out has degree 0, 2 or 3 and no root, so it is one
-    irreducible factor (or none).
+
+def _poly_mul(a: list, b: list, q: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            out[s + t] = (out[s + t] + x * y) % q
+    return out
+
+
+def _cyclic_units(q: int, i: int, f: list) -> int:
+    """Units of A_i[x]/(F), from the residue f = F mod pi, monic over F_q.
+
+    f has degree n <= 3, leading coefficient first.  Its distinct roots
+    in F_q are those of gcd(f, x^q - x), with x^q mod f computed by
+    square-and-multiply, so the cost is O(log q).  Dividing them out
+    once per multiplicity leaves a factor of degree 0, 2 or 3 with no
+    root, which is one irreducible factor (or none).
     """
-    n = len(coeffs)
-    f = [1] + [-c.val % q for c in reversed(coeffs)]  # residue of each coefficient
-    units = q ** (n * i)
-    for r in range(q):
-        root = False
-        while len(f) > 1:
-            quot, rem = _divide_root(f, r, q)
-            if rem:
-                break
-            f, root = quot, True
-        if root:
-            units = units // q * (q - 1)
+    n = len(f) - 1
+    xq = [1]
+    for bit in bin(q)[2:]:
+        xq = _poly_divmod(_poly_mul(xq, xq, q), f, q)[1]
+        if bit == "1":
+            xq = _poly_divmod(xq + [0], f, q)[1]
+    xq = [0] * (2 - len(xq)) + xq  # x^q - x, as deg f >= 2
+    xq[-2] = (xq[-2] - 1) % q
+    while xq and not xq[0]:
+        xq.pop(0)
+    roots = _poly_gcd(f, xq, q)
+    k = len(roots) - 1  # distinct roots
+    units = q ** (n * i - k) * (q - 1) ** k
+    while len(roots) > 1:
+        f = _poly_divmod(f, roots, q)[0]
+        roots = _poly_gcd(f, roots, q)
     deg = len(f) - 1
     if deg:
         units = units // q**deg * (q**deg - 1)
     return units
+
+
+def _residue_poly(coeffs, q: int) -> list:
+    """x^n - sum a_k x^k mod pi from companion coeffs (a_0, ..., a_{n-1})."""
+    return [1] + [-c.val % q for c in reversed(coeffs)]
 
 
 def _form_order(form, n: int) -> int:
@@ -115,9 +146,9 @@ def _form_order(form, n: int) -> int:
     if i == 0:
         return group_order(ctx, n)
     if n == 2:
-        body = _cyclic_units(q, i, (form.c, form.e))
+        body = _cyclic_units(q, i, _residue_poly((form.c, form.e), q))
     elif isinstance(form.body, CyclicBody):
-        body = _cyclic_units(q, i, form.body.coeffs)
+        body = _cyclic_units(q, i, _residue_poly(form.body.coeffs, q))
     elif isinstance(form.body, SplitBody):
         body = (q - 1) * q ** (i - 1) * _form_order(form.body.inner, 2)
     else:

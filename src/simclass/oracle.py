@@ -2,9 +2,12 @@
 
 Independent cross-check for the canonical forms and counting formulas:
 enumerate every n x n matrix over the ring as a packed integer state,
-then flood-fill conjugation orbits under a generating set of the unit
-group of matrices.  One kernel serves the whole-ring census (visited
-states in a bitmap) and single orbits (a sorted array).
+then flood-fill conjugation orbits under a generating set of GL_n:
+E_12(1), the n-cycle permutation matrix and diag(u, 1, ..., 1) for each
+generator u of the ring's unit group, 2 + |units| matrices (see
+gl_generators for why they generate the whole group).  One kernel
+serves the whole-ring census (visited states in a bitmap) and single
+orbits (a sorted array).
 
 Only the generators act, not their inverses: in a finite group
 g^-1 = g^(ord g - 1), so the forward closure of a state is its whole
@@ -20,7 +23,11 @@ is (ids // place) % mod and encoding is place @ digits, exact in int64.
 A ring and size whose ids or matmul sums would not fit raise
 BudgetExceeded before any state is packed.
 Conjugation is linear in the digits, and the actions of all generators
-are stacked into one (k*dim x dim) matrix: one matmul per block.
+are stacked into one (k*dim x dim) matrix: one matmul per block.  Both
+reductions mod `mod` (the digits of the ids and the matmul output) are
+written x - (x // mod) * mod, which equals x % mod because every x is
+>= 0; numpy divides by a scalar with libdivide's multiply-and-shift,
+but computes % with one hardware division per element.
 
 Frontiers are expanded BLOCK = 1024 states at a time, so a census's peak
 memory is bounded by its bitmap and labels, not by its widest frontier
@@ -80,7 +87,7 @@ def _primitive_root(card: int, p: int, phi: int) -> int:
             continue
         if all(pow(g, phi // f, card) != 1 for f in factors):
             return g
-    raise AssertionError("no generator found")
+    raise VerificationFailed(f"no unit of order {phi} modulo {card}")
 
 
 def unit_group_generators(ctx: RingCtx):
@@ -102,19 +109,24 @@ def unit_group_generators(ctx: RingCtx):
     return gens
 
 
-def _additive_generators(ctx: RingCtx):
-    if ctx.flavor == "z":
-        return [1]
-    return [ctx.p**s for s in range(ctx.length)]
-
-
 def gl_generators(ctx: RingCtx, n: int):
-    """Elementary matrices plus one diagonal block per unit generator."""
+    """Generators of GL_n(ctx): E_12(1), the n-cycle and diag(u, 1, ..., 1).
+
+    u runs over unit_group_generators(ctx); for n = 1 only the diagonal
+    ones are returned.  They generate the whole group: conjugating
+    E_12(1) by the n-cycle gives every E_{i,i+1}(1), and the commutators
+    [E_ij(1), E_jk(1)] = E_ik(1) give every E_ij(1).  Conjugating by
+    diag(u) gives E_1j(u) for every unit u, and in a local ring every x
+    is a sum of units (x = (x + 1) - 1 when x is not one), so every
+    E_ij(x) is reached.  GL_n of a local ring is the elementary group
+    times the diagonal matrices.
+    """
     gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                gens.extend(elementary(ctx, n, i, j, g) for g in _additive_generators(ctx))
+    if n > 1:
+        cycle = [0] * (n * n)
+        for i in range(n):
+            cycle[i * n + (i + 1) % n] = 1
+        gens += [elementary(ctx, n, 1, 2, 1), Mat(ctx, n, cycle)]
     for u in unit_group_generators(ctx):
         gens.append(diag(ctx, [u] + [1] * (n - 1)))
     return gens
@@ -172,28 +184,40 @@ def _conjugator(ctx: RingCtx, n: int):
         raise BudgetExceeded(
             f"{n}x{n} states over {ctx.descriptor} are too large for the exact int64 kernel"
         )
+    dim = n2 * per
     place = np.array(
-        [card ** (n2 - 1 - i // per) * mod ** (i % per) for i in range(n2 * per)], dtype=np.int64
+        [card ** (n2 - 1 - i // per) * mod ** (i % per) for i in range(dim)], dtype=np.int64
     )
     gens = gl_generators(ctx, n)
     # float64 only for the matmul, where BLAS is several times faster than
-    # numpy's int64 loop; it is exact, as every sum is below dim * mod^2
-    actions = np.concatenate([_conj_action(ctx, n, g, mod, per) for g in gens])
-    actions = actions.astype(np.float64)
+    # numpy's int64 loop; it is exact, as every sum is below dim * mod^2.
+    # GL_1(F_2) is trivial and has no generators: then there are no rows
+    actions = [_conj_action(ctx, n, g, mod, per) for g in gens]
+    actions = np.concatenate([np.empty((0, dim))] + actions).astype(np.float64)
     rows = actions.shape[0]
-    shape = (len(gens), place.size, -1)
     # reused across blocks: fresh arrays this size cost a page fault per page
     fbuf = np.empty(rows * BLOCK)
     ibuf = np.empty(rows * BLOCK, dtype=np.int64)
+    qbuf = np.empty(max(rows, dim) * BLOCK, dtype=np.int64)
+    dbuf = np.empty(dim * BLOCK, dtype=np.int64)
+
+    def reduce(x: np.ndarray) -> None:
+        """x %= mod in place, for x >= 0, as x - (x // mod) * mod."""
+        quot = qbuf[: x.size].reshape(x.shape)
+        np.floor_divide(x, mod, out=quot)
+        quot *= mod
+        x -= quot
 
     def images(ids: np.ndarray) -> np.ndarray:
-        digits = (ids[None, :] // place[:, None]) % mod
-        prod = fbuf[: rows * ids.size].reshape(rows, -1)
-        img = ibuf[: rows * ids.size].reshape(rows, -1)
+        digits = dbuf[: dim * ids.size].reshape(dim, ids.size)
+        prod = fbuf[: rows * ids.size].reshape(rows, ids.size)
+        img = ibuf[: rows * ids.size].reshape(rows, ids.size)
+        np.floor_divide(ids[None, :], place[:, None], out=digits)
+        reduce(digits)
         np.matmul(actions, digits, out=prod)
         img[...] = prod
-        img %= mod
-        return (place @ img.reshape(shape)).ravel()
+        reduce(img)
+        return (place @ img.reshape(len(gens), dim, ids.size)).ravel()
 
     return images
 

@@ -315,3 +315,30 @@ def centralizer_order(a: Mat) -> int:
     if not order or group_order(ctx, n) % order:
         raise VerificationFailed(f"centralizer order {order} does not divide |GL_{n}|")
     return order
+
+
+def cyclic_units_by_scan(q: int, i: int, f: list) -> int:
+    """Units of A_i[x]/(F) from f = F mod pi, by scanning F_q for roots.
+
+    The reference for simclass.modsolve._cyclic_units, which counts the
+    roots with a gcd instead: each root found is a distinct linear
+    factor, and what is left once the roots are divided out has degree
+    0, 2 or 3 and no root, so it is one irreducible factor (or none).
+    """
+    n = len(f) - 1
+    units = q ** (n * i)
+    for r in range(q):
+        root = False
+        while len(f) > 1:
+            quot = [f[0]]
+            for c in f[1:]:
+                quot.append((c + r * quot[-1]) % q)
+            if quot.pop():
+                break
+            f, root = quot, True
+        if root:
+            units = units // q * (q - 1)
+    deg = len(f) - 1
+    if deg:
+        units = units // q**deg * (q**deg - 1)
+    return units

@@ -1,5 +1,6 @@
 """Command line surface: output shapes, exit codes, witness conventions."""
 
+import importlib
 import json
 import time
 
@@ -350,6 +351,41 @@ def test_oracle_partition_mismatch_exits_70_under_optimize():
     proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == EX_MISMATCH, proc.stderr
     assert "verification failed" in proc.stderr
+
+
+def test_failed_primitive_root_search_exits_70(capsys, monkeypatch):
+    # with phi itself as the only "prime factor" every unit fails the
+    # order test, so the unit-group generator search finds none
+    oracle = importlib.import_module("simclass.oracle")
+    monkeypatch.setattr(oracle, "_prime_factors", lambda n: [1])
+    code, _, err = run(capsys, "oracle-census", "--ring", "z:3:1", "--n", "2")
+    assert code == EX_MISMATCH
+    assert "no unit of order 2 modulo 3" in err
+
+
+def test_centralizer_over_large_primes_returns():
+    # _cyclic_units counts residue roots with gcd(f, x^q - x), so its
+    # cost is O(log q); each answer is timed in the child
+    script = (
+        "import contextlib, io, json, sys, time\n"
+        "from simclass import group_order, parse_ring\n"
+        "from simclass.cli import main\n"
+        "P = 2**61 - 1\n"
+        "cases = [(f'z:{P}:1', [[0, 1, 0], [0, 0, 1], [0, 4, 5]]),\n"
+        "         (f't:{P}:1', [[0, 1, 0], [0, 0, 1], [0, 4, 5]]),\n"
+        "         ('z:1000003:2', [[2, 0, 0], [0, 2, 1000003], [7, 0, 5]])]\n"
+        "for desc, rows in cases:\n"
+        "    out = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['centralizer', '--ring', desc, json.dumps(rows)])\n"
+        "    took = time.perf_counter() - start\n"
+        "    order = json.loads(out.getvalue())['order']\n"
+        "    if code or took > 0.5 or group_order(parse_ring(desc), 3) % order:\n"
+        "        sys.exit(f'centralizer over {desc}: exit {code}, {took:.2f} s, order {order}')\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_similar_no(capsys):

@@ -70,6 +70,18 @@ def test_intertwiner_size_matches_a_direct_count(desc, n, rng):
             assert intertwiner(a, b).size == _direct_intertwiner_count(a, b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_cyclic_units_match_the_root_scan(q):
+    # every monic residue polynomial of degree 2 and 3: distinct and
+    # repeated roots, irreducible quadratics and cubics
+    cyclic_units = importlib.import_module("simclass.modsolve")._cyclic_units
+    for deg in (2, 3):
+        for tail in itertools.product(range(q), repeat=deg):
+            f = [1, *tail]
+            for i in (1, 2):
+                assert cyclic_units(q, i, f) == ref.cyclic_units_by_scan(q, i, f), (f, i)
+
+
 def test_centralizer_order_must_divide_the_group_order(monkeypatch):
     # a cyclic unit count off by a factor q gives 4 for the nilpotent
     # Jordan block over F_2, which does not divide |GL_2(F_2)| = 6

@@ -17,6 +17,7 @@ from simclass import (
     orbit_states,
     ring_ctx,
     scalar,
+    unit_group_generators,
     verify_counts,
 )
 import simclass.oracle as oracle
@@ -57,11 +58,16 @@ def _closure(gens):
 @pytest.mark.parametrize(
     "flavor,p,length,n",
     [("z", 2, 1, 2), ("z", 2, 2, 2), ("z", 2, 3, 2), ("z", 3, 1, 2),
-     ("t", 2, 2, 2), ("t", 3, 1, 2), ("z", 2, 1, 3)],
+     ("t", 2, 2, 2), ("t", 3, 1, 2), ("z", 2, 1, 3), ("z", 3, 1, 3), ("t", 3, 1, 3),
+     ("z", 3, 2, 2), ("t", 3, 2, 2), ("z", 5, 2, 1), ("t", 2, 3, 1),
+     # the two largest groups the default-tier censuses act with
+     pytest.param("z", 2, 2, 3, marks=pytest.mark.slow),
+     pytest.param("t", 2, 2, 3, marks=pytest.mark.slow)],
 )
 def test_gl_generators_generate_the_whole_group(flavor, p, length, n):
     ctx = ring_ctx(flavor, p, length)
     gens = gl_generators(ctx, n)
+    assert len(gens) == (2 if n > 1 else 0) + len(unit_group_generators(ctx))
     assert all(g.is_invertible() for g in gens)
     assert len(_closure(list(gens))) == group_order(ctx, n)
 
@@ -160,6 +166,16 @@ def test_orbit_census_class_counts(shared_census, desc, n, m_classes, gl_classes
         assert census.class_count("GL") == gl_classes
 
 
+@pytest.mark.parametrize("desc", [("z", 2, 1), ("z", 5, 2), ("t", 2, 3)])
+def test_one_by_one_orbits_are_singletons(desc):
+    # conjugation fixes every 1x1 matrix; GL_1(F_2) has no generators
+    ctx = ring_ctx(*desc)
+    census = orbit_census(ctx, 1, want_labels=True)
+    assert census.reps.tolist() == census.labels.tolist() == list(range(ctx.cardinality))
+    assert set(census.sizes.tolist()) == {1}
+    assert orbit_of(Mat(ctx, 1, [1]))[0] == 1
+
+
 def test_orbit_census_partition_properties():
     ctx = ring_ctx("z", 2, 2)
     census = orbit_census(ctx, 2)
@@ -256,6 +272,26 @@ def test_orbit_of_over_a_t_flavor_ring_matches_reference_bfs(rng):
             size, rep = orbit_of(x)
             assert size * centralizer_order(x) == total
             assert rep == least
+
+
+@pytest.mark.parametrize(
+    "rows,size",
+    [([[127, 64, 0], [0, 127, 0], [0, 0, 127]], 21),
+     ([[5, 64, 0], [0, 5, 64], [0, 0, 5]], 42),
+     ([[3, 0, 0], [64, 3, 0], [0, 0, 67]], 84)],
+)
+def test_orbit_states_near_the_int64_ceiling_match_reference_bfs(rows, size):
+    # 128^9 = 2^63 states: these orbits reach ids above 2^62, so the
+    # digit extraction divides, and the encoding sums back up to, ids
+    # near the top of int64
+    ctx = ring_ctx("z", 2, 7)
+    m = Mat.from_rows(ctx, rows)
+    states = orbit_states(m)
+    reference = _reference_orbit(m, _reference_gens(ctx, 3))
+    assert states.tolist() == sorted(state_of(x) for x in reference)
+    assert states.size == size
+    assert int(states.max()) >= 2**62
+    assert size * centralizer_order(m) == group_order(ctx, 3)
 
 
 def test_orbit_sizes_must_divide_the_group_order(monkeypatch):
