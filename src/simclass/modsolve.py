@@ -95,6 +95,7 @@ def _poly_gcd(a: list, b: list, q: int) -> list:
 
 
 def _poly_mul(a: list, b: list, q: int) -> list:
+    """Product of a and b over F_q."""
     out = [0] * (len(a) + len(b) - 1)
     for s, x in enumerate(a):
         for t, y in enumerate(b):
