@@ -15,14 +15,21 @@ on first access, so only a process that uses the oracle imports
 simclass.oracle and numpy.
 """
 
-from .canon2 import CanonicalForm2, ScalarSplit, canon2, count2, enumerate2, recombine, split_scalar
-from .canon3 import (
-    CanonicalForm3,
-    CentralizerShape,
+from .canon2 import (
+    CanonicalForm,
     CyclicBody,
+    ScalarBody,
+    ScalarSplit,
+    canon2,
+    count2,
+    enumerate2,
+    recombine,
+    split_scalar,
+)
+from .canon3 import (
+    CentralizerShape,
     HardBody,
     HardForm,
-    ScalarBody,
     SplitBody,
     canon3,
     centralizer_shape,
@@ -66,7 +73,7 @@ from .matrix import (
     zero,
 )
 from .modsolve import centralizer_order, group_order, is_similar
-from .ring import RingCtx, RingElem, Section, parse_ring, ring_ctx, section, section_of
+from .ring import RingCtx, RingElem, Section, parse_ring, ring_ctx, section_of
 
 __version__ = "0.1.0"
 
@@ -103,8 +110,7 @@ __all__ = [
     "BadLevel",
     "BadParams",
     "BudgetExceeded",
-    "CanonicalForm2",
-    "CanonicalForm3",
+    "CanonicalForm",
     "CentralizerShape",
     "CountVector",
     "CtxMismatch",
@@ -155,7 +161,6 @@ __all__ = [
     "recombine",
     "ring_ctx",
     "scalar",
-    "section",
     "section_of",
     "split_scalar",
     "theta",

@@ -1,18 +1,22 @@
-"""Canonical forms of 2x2 matrices over a chain ring.
+"""Canonical forms of 2x2 matrices over a chain ring, and the form type
+shared with canon3.
 
 Every matrix splits uniquely as alpha = d*I + pi^j * beta with j
 maximal, d in the digit section K_j and beta non-scalar modulo pi over
-the length-(l-j) ring.  For n = 2 a non-scalar-residue beta is cyclic,
-so it is similar to the companion matrix C(-det beta, tr beta), giving
-the complete invariant (j, d, -det beta, tr beta).
-
-Witness convention: canon2 returns (form, X) with X alpha X^{-1} equal
-to the rebuilt canonical matrix.
+the length-(l-j) ring.  A CanonicalForm is (n, j, d, body) together
+with a witness X, and X alpha X^{-1} is the rebuilt canonical matrix.
+The body is ScalarBody when alpha is scalar (j = l) and CyclicBody when
+the residue of beta is cyclic: beta is then similar to the companion
+matrix of its characteristic polynomial, whose coefficients are a
+complete invariant.  Both branches are shared with canon3 (see
+_canonical_form).  For n = 2 every non-scalar residue is cyclic, so
+canon2 needs no other body, and (j, d, -det beta, tr beta) is the
+complete invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
@@ -22,7 +26,9 @@ from .ring import RingCtx, RingElem, Section, section_of
 __all__ = [
     "ScalarSplit",
     "split_scalar",
-    "CanonicalForm2",
+    "ScalarBody",
+    "CyclicBody",
+    "CanonicalForm",
     "canon2",
     "enumerate2",
     "count2",
@@ -82,31 +88,59 @@ def recombine(ctx: RingCtx, level: int, d: Section, body: Mat | None, n: int) ->
 
 
 @dataclass(frozen=True)
-class CanonicalForm2:
-    """Complete 2x2 invariant (level, d, c, e); c = e = None for scalars.
+class ScalarBody:
+    """The body of a scalar matrix (level = length): there is none."""
 
-    The canonical matrix is d*I + pi^level * C(c, e) where C is the
-    companion matrix of x^2 - e*x - c over the length-(l-level) ring.
+    def to_json(self) -> dict:
+        return {"kind": "scalar"}
+
+
+@dataclass(frozen=True)
+class CyclicBody:
+    """The companion matrix of coeffs (see matrix.companion)."""
+
+    coeffs: tuple  # characteristic polynomial in companion convention
+
+    def matrix(self, tctx: RingCtx) -> Mat:
+        return companion(tctx, self.coeffs)
+
+    def to_json(self) -> dict:
+        return {"kind": "cyclic", "coeffs": [c.val for c in self.coeffs]}
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """Complete class descriptor (n, level, d, body) of an n x n matrix,
+    with a witness X: X alpha X^{-1} is the rebuilt form.
+
+    The canonical matrix is d*I + pi^level * B, with B the body's matrix
+    over the length-(l-level) ring.  Equal descriptors mean similar
+    matrices; the witness takes no part in equality.
     """
 
     ctx: RingCtx
+    n: int
     level: int
     d: Section
-    c: RingElem | None
-    e: RingElem | None
+    body: object
+    witness: Mat = field(compare=False, repr=False)
 
     def rebuild(self) -> Mat:
-        body = None
-        if self.level < self.ctx.length:
-            body = companion(self.c.ctx, (self.c, self.e))
-        return recombine(self.ctx, self.level, self.d, body, 2)
+        ctx, level = self.ctx, self.level
+        body = None if level == ctx.length else self.body.matrix(ctx.truncated(ctx.length - level))
+        return recombine(ctx, level, self.d, body, self.n)
 
     def to_json(self) -> dict:
+        if self.n == 2:  # 2x2 forms print the companion pair (c, e) of x^2 - e*x - c
+            c = e = None
+            if isinstance(self.body, CyclicBody):
+                c, e = (x.val for x in self.body.coeffs)
+            return {"j": self.level, "d": self.d.value.val, "c": c, "e": e}
         return {
+            "ring": self.ctx.descriptor,
             "j": self.level,
             "d": self.d.value.val,
-            "c": None if self.c is None else self.c.val,
-            "e": None if self.e is None else self.e.val,
+            "body": self.body.to_json(),
         }
 
 
@@ -158,25 +192,40 @@ def _cyclic_row_witness(beta: Mat) -> Mat:
     raise VerificationFailed("no cyclic row vector for a cyclic residue")
 
 
-def canon2(alpha: Mat) -> tuple[CanonicalForm2, Mat]:
-    """(complete invariant, witness X) with X alpha X^{-1} canonical."""
+def _cyclic_body(beta: Mat) -> tuple:
+    """(CyclicBody, X) for a beta with cyclic residue: X beta X^{-1} is
+    the companion matrix of its characteristic polynomial."""
+    return CyclicBody(beta.charpoly()), _cyclic_row_witness(beta)
+
+
+def _canonical_form(alpha: Mat, body_of) -> CanonicalForm:
+    """The form of alpha with its witness, checked exactly against alpha.
+
+    A scalar alpha gets ScalarBody and the identity.  Otherwise
+    body_of(beta), for the body beta of the scalar split, returns
+    (body, X) with X beta X^{-1} the body's matrix, and the witness is X
+    lifted to the ring of alpha: d*I is central, and pi^level times a
+    matrix depends on that matrix mod pi^(l-level) only.
+    """
+    ctx, n = alpha.ctx, alpha.n
+    sp = split_scalar(alpha)
+    if sp.beta is None:
+        body, x = ScalarBody(), identity(ctx, n)
+    else:
+        body, x = body_of(sp.beta)
+        x = x.lift(ctx.length)
+    form = CanonicalForm(ctx, n, sp.level, sp.d, body, x)
+    if not x.conjugates(alpha, form.rebuild()):
+        raise VerificationFailed(f"canon{n} witness check failed")
+    return form
+
+
+def canon2(alpha: Mat) -> CanonicalForm:
+    """The class descriptor of the 2x2 matrix alpha, with its witness."""
     if alpha.n != 2:
         raise BadParams("canon2 expects a 2x2 matrix")
-    ctx = alpha.ctx
-    sp = split_scalar(alpha)
-    if sp.level == ctx.length:
-        form = CanonicalForm2(ctx, sp.level, sp.d, None, None)
-        if form.rebuild() != alpha:
-            raise VerificationFailed("canon2 scalar form does not rebuild its input")
-        return form, identity(ctx, 2)
-    beta = sp.beta
-    a0, a1 = beta.charpoly()  # c = -det, e = trace
-    p = _cyclic_row_witness(beta)
-    x = p.lift(ctx.length)
-    form = CanonicalForm2(ctx, sp.level, sp.d, a0, a1)
-    if not x.conjugates(alpha, form.rebuild()):
-        raise VerificationFailed("canon2 witness check failed")
-    return form, x
+    # every non-scalar 2x2 residue is cyclic
+    return _canonical_form(alpha, _cyclic_body)
 
 
 def _gl_keep2(level: int, d: Section, c) -> bool:
@@ -186,16 +235,19 @@ def _gl_keep2(level: int, d: Section, c) -> bool:
 
 
 def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One CanonicalForm2 per class over ctx.
+    """One CanonicalForm per class over ctx, each its own canonical matrix
+    (identity witness).
 
     Deterministic order: level ascending, then d, then (c, e)
-    lexicographically by packed value.
+    lexicographically by packed value.  A run that emits other than
+    count2 classes raises VerificationFailed.
     """
     if group not in ("M", "GL"):
         raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
     if count2(ctx.q, ctx.length, "M") > budget:
         raise BudgetExceeded(f"enumerate2 over {ctx.descriptor} exceeds budget {budget}")
     length = ctx.length
+    ident = identity(ctx, 2)
     out = []
     for level in range(length + 1):
         for dv in range(ctx.p**level):
@@ -203,7 +255,7 @@ def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
             if level == length:
                 if group == "GL" and not d.value.is_unit():
                     continue
-                out.append(CanonicalForm2(ctx, level, d, None, None))
+                out.append(CanonicalForm(ctx, 2, level, d, ScalarBody(), ident))
                 continue
             tctx = ctx.truncated(length - level)
             for cv in range(tctx.cardinality):
@@ -211,18 +263,22 @@ def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
                 if group == "GL" and not _gl_keep2(level, d, c):
                     continue
                 for ev in range(tctx.cardinality):
-                    out.append(CanonicalForm2(ctx, level, d, c, RingElem(tctx, ev)))
+                    body = CyclicBody((c, RingElem(tctx, ev)))
+                    out.append(CanonicalForm(ctx, 2, level, d, body, ident))
+    total = count2(ctx.q, length, group)
+    if len(out) != total:
+        raise VerificationFailed(
+            f"enumerate2 over {ctx.descriptor} emitted {len(out)} {group} classes, count2 gives {total}"
+        )
     return out
 
 
-def _check_count_args(q: int, level: int, group: str, mode: str):
+def _check_count_args(q: int, level: int, group: str):
     """Refuse what count2 and count3 cannot count, before any shortcut."""
     if q < 2 or level < 0:
         raise BadParams("need q >= 2 and level >= 0")
     if group not in ("M", "GL"):
         raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-    if mode not in ("closed", "recursion"):
-        raise BadParams(f"mode must be 'closed' or 'recursion', got {mode!r}")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -231,19 +287,11 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def count2(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
+def count2(q: int, level: int, group: str = "M") -> int:
     """Number of similarity classes of 2x2 matrices at the given level."""
-    _check_count_args(q, level, group, mode)
+    _check_count_args(q, level, group)
     if level == 0:
         return 1
-    if mode != "recursion":
-        if group == "M":
-            return _exact_div(q ** (2 * level + 1) - q**level, q - 1)
-        return q ** (2 * level) - q ** (level - 1)
     if group == "M":
-        w = [q, q * q]
-    else:
-        w = [q - 1, q * q - q]
-    for _ in range(level - 1):
-        w = [q * w[0], q * q * w[0] + q * q * w[1]]
-    return w[0] + w[1]
+        return _exact_div(q ** (2 * level + 1) - q**level, q - 1)
+    return q ** (2 * level) - q ** (level - 1)

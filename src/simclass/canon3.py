@@ -1,14 +1,15 @@
 """Canonical forms of 3x3 matrices over a chain ring.
 
-After the scalar split alpha = d*I + pi^j * beta (shared with canon2),
-the residue of beta is non-scalar.  canon3 reads its type once, off the
-minimal polynomial of the residue (see _residue_type), and takes one of
-three exact reductions over the length-(l-j) ring:
+canon3 returns the CanonicalForm of canon2's module, and shares its
+scalar and cyclic branches (canon2._canonical_form).  After the scalar
+split alpha = d*I + pi^j * beta the residue of beta is non-scalar.
+canon3 reads its type once, off the minimal polynomial of the residue
+(see _residue_type), and takes one of three exact reductions over the
+length-(l-j) ring:
 
 - cyclic residue (minimal polynomial of the residue has degree 3):
-  beta is similar to the companion matrix of its characteristic
-  polynomial; the coefficient triple is a complete invariant at every
-  length.
+  the shared cyclic branch; the coefficient triple of the
+  characteristic polynomial is a complete invariant at every length.
 - split residue (diagonalizable with eigenvalues a, b, b and a != b):
   an exact block refinement (_block_split) separates a 1x1 block
   lifting a from a 2x2 block lifting b, and the block is finished by
@@ -27,30 +28,26 @@ three exact reductions over the length-(l-j) ring:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .canon2 import (
-    CanonicalForm2,
-    _cyclic_row_witness,
+    CanonicalForm,
+    _canonical_form,
+    _cyclic_body,
     _row_times,
     canon2,
-    recombine,
-    split_scalar,
 )
 from .errors import BadParams, VerificationFailed
-from .matrix import Mat, block_diag, companion, e_matrix, identity, scalar
-from .ring import RingCtx, RingElem, Section
+from .matrix import Mat, block_diag, e_matrix, identity, scalar
+from .ring import RingCtx, RingElem
 
 __all__ = [
     "HardForm",
     "hard_family",
-    "ScalarBody",
-    "CyclicBody",
     "SplitBody",
     "HardBody",
-    "CanonicalForm3",
     "canon3",
     "CentralizerShape",
     "centralizer_shape",
@@ -578,69 +575,49 @@ def hard_family(tctx: RingCtx) -> tuple:
 
 
 @dataclass(frozen=True)
-class ScalarBody:
-    pass
-
-
-@dataclass(frozen=True)
-class CyclicBody:
-    coeffs: tuple  # characteristic polynomial in companion convention
-
-
-@dataclass(frozen=True)
 class SplitBody:
+    """diag(a) ++ the rebuilt 2x2 form inner, over the body's ring."""
+
     a: RingElem
-    inner: CanonicalForm2
+    inner: CanonicalForm
+
+    def matrix(self, tctx: RingCtx) -> Mat:
+        return block_diag(tctx, [self.a, self.inner.rebuild()])
+
+    def to_json(self) -> dict:
+        return {"kind": "split", "a": self.a.val, "inner": self.inner.to_json()}
 
 
 @dataclass(frozen=True)
 class HardBody:
+    """A hard normal form (see HardForm)."""
+
     form: HardForm
 
-
-@dataclass(frozen=True)
-class CanonicalForm3:
-    """Complete class descriptor (level, d, body)."""
-
-    ctx: RingCtx
-    level: int
-    d: Section
-    body: object
-    witness: Mat = field(compare=False, repr=False, default=None)
-
-    def body_matrix(self) -> Mat | None:
-        b = self.body
-        if isinstance(b, ScalarBody):
-            return None
-        tctx = self.ctx.truncated(self.ctx.length - self.level)
-        if isinstance(b, CyclicBody):
-            return companion(tctx, b.coeffs)
-        if isinstance(b, SplitBody):
-            return block_diag(tctx, [b.a, b.inner.rebuild()])
-        return b.form.rebuild()
-
-    def rebuild(self) -> Mat:
-        return recombine(self.ctx, self.level, self.d, self.body_matrix(), 3)
+    def matrix(self, tctx: RingCtx) -> Mat:
+        return self.form.rebuild()
 
     def to_json(self) -> dict:
-        b = self.body
-        if isinstance(b, ScalarBody):
-            body = {"kind": "scalar"}
-        elif isinstance(b, CyclicBody):
-            body = {"kind": "cyclic", "coeffs": [c.val for c in b.coeffs]}
-        elif isinstance(b, SplitBody):
-            body = {"kind": "split", "a": b.a.val, "inner": b.inner.to_json()}
-        else:
-            body = {"kind": "hard", **b.form.to_json()}
-        out = {"ring": self.ctx.descriptor, "j": self.level, "d": self.d.value.val, "body": body}
-        if self.witness is not None:
-            out["witness"] = self.witness.rows()
-        return out
+        return {"kind": "hard", **self.form.to_json()}
 
 
-def canon3(alpha: Mat) -> CanonicalForm3:
-    """The class descriptor of alpha, with witness X: X alpha X^-1 is
-    the rebuilt form.
+def _body3(beta: Mat) -> tuple:
+    """(body, X) with X beta X^{-1} the body's matrix, for a 3x3 beta
+    with non-scalar residue."""
+    kind, *eigenvalues = _residue_type(beta)
+    if kind == "cyclic":
+        return _cyclic_body(beta)
+    if kind == "split":
+        a, block, x1 = _block_split(beta, *eigenvalues)
+        inner = canon2(block)
+        return SplitBody(a, inner), block_diag(beta.ctx, [1, inner.witness]) @ x1
+    e, x1 = _e_form(beta, *eigenvalues)
+    hard, x2 = _classify_hard(e)
+    return HardBody(hard), x2 @ x1
+
+
+def canon3(alpha: Mat) -> CanonicalForm:
+    """The class descriptor of the 3x3 matrix alpha, with its witness.
 
     The residue type of the body beta is read once, and its eigenvalues
     go to the one reduction that type takes; the composed witness is
@@ -648,36 +625,16 @@ def canon3(alpha: Mat) -> CanonicalForm3:
     """
     if alpha.n != 3:
         raise BadParams("canon3 expects a 3x3 matrix")
-    ctx = alpha.ctx
-    sp = split_scalar(alpha)
-    if sp.level == ctx.length:
-        form = CanonicalForm3(ctx, sp.level, sp.d, ScalarBody(), identity(ctx, 3))
-        if form.rebuild() != alpha:
-            raise VerificationFailed("canon3 scalar form does not rebuild its input")
-        return form
-    beta = sp.beta
-    tctx = beta.ctx
-    kind, *eigenvalues = _residue_type(beta)
-    if kind == "cyclic":
-        x = _cyclic_row_witness(beta)
-        body = CyclicBody(beta.charpoly())
-        if not x.conjugates(beta, companion(tctx, body.coeffs)):
-            raise VerificationFailed("cyclic row witness does not reach the companion form")
-    elif kind == "split":
-        a, block, x1 = _block_split(beta, *eigenvalues)
-        inner, inner_wit = canon2(block)
-        x = block_diag(tctx, [1, inner_wit]) @ x1
-        body = SplitBody(a, inner)
-    else:
-        e, x1 = _e_form(beta, *eigenvalues)
-        hard, x2 = _classify_hard(e)
-        x = x2 @ x1
-        body = HardBody(hard)
-    witness = x.lift(ctx.length)
-    form = CanonicalForm3(ctx, sp.level, sp.d, body, witness)
-    if not witness.conjugates(alpha, form.rebuild()):
-        raise VerificationFailed("canon3 witness check failed")
-    return form
+    return _canonical_form(alpha, _body3)
+
+
+def canon(alpha: Mat) -> CanonicalForm:
+    """canon2 or canon3, by the size of alpha."""
+    if alpha.n == 2:
+        return canon2(alpha)
+    if alpha.n == 3:
+        return canon3(alpha)
+    raise BadParams("canon expects a 2x2 or 3x3 matrix")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .canon2 import _check_count_args, _exact_div, enumerate2
-from .canon3 import (
-    CanonicalForm3,
+from .canon2 import (
+    CanonicalForm,
     CyclicBody,
-    HardBody,
     ScalarBody,
-    SplitBody,
-    hard_family,
+    _check_count_args,
+    _exact_div,
+    enumerate2,
 )
+from .canon3 import HardBody, SplitBody, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
 from .matrix import identity
 from .ring import RingCtx, RingElem, Section
@@ -89,13 +89,11 @@ def level_vector(q: int, level: int, group: str = "M") -> CountVector:
     return v
 
 
-def count3(q: int, level: int, group: str = "M", mode: str = "closed") -> int:
+def count3(q: int, level: int, group: str = "M") -> int:
     """Number of 3x3 similarity classes at the given level."""
-    _check_count_args(q, level, group, mode)
+    _check_count_args(q, level, group)
     if level == 0:
         return 1
-    if mode == "recursion":
-        return sum(level_vector(q, level, group))
     i = level
     if group == "M":
         num = (
@@ -180,7 +178,7 @@ def gf_coeffs(q: int, group: str = "M", terms: int = 1):
 # enumeration
 
 
-def classify_form(form: CanonicalForm3) -> int:
+def classify_form(form: CanonicalForm) -> int:
     """Bucket index used by the transfer recursion.
 
     0 scalar matrix; 1 split body whose 2x2 block is scalar; 2 hard body
@@ -203,7 +201,7 @@ def _split_inner_forms(tctx: RingCtx):
 
 def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     """One representative per class over ctx, as a list of
-    (CanonicalForm3, Mat) pairs.
+    (CanonicalForm, Mat) pairs.
 
     Deterministic order: level ascending, then the scalar part, then
     cyclic, split and hard bodies (each family in lexicographic
@@ -229,7 +227,7 @@ def _enumerate3(ctx: RingCtx, group: str, budget: int):
     def emit(level: int, d: Section, body):
         nonlocal emitted
         emitted += 1
-        return CanonicalForm3(ctx, level, d, body, ident)
+        return CanonicalForm(ctx, 3, level, d, body, ident)
 
     for level in range(length + 1):
         for dv in range(p**level):

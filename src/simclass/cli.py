@@ -8,7 +8,9 @@ matrices, gl for the invertible ones.
 
 Witness convention on output: a printed witness X satisfies
 first * X = X * second exactly, where (first, second) is (A, B) for
-`similar A B` and (input, canonical) for `canon`.
+`similar A B` and (input, canonical) for `canon`.  These are the only
+witnesses printed: a form's JSON carries none, so `enumerate` lines,
+whose matrices are their own canonical forms, have no witness either.
 
 Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
 similar, 64 usage or input error, 65 budget exceeded (an enumeration's
@@ -16,9 +18,11 @@ similar, 64 usage or input error, 65 budget exceeded (an enumeration's
 `verify` found counts that disagree, or an exact identity a result must
 satisfy (a witness identity, a centralizer order dividing |GL_n|, the
 orbit oracle's partition of the states) failed, which is raised as
-VerificationFailed and is never skipped by `python -O`.  `enumerate` streams one line per class as it builds it
-and compares the number of classes with count3 after the last line, so
-a count mismatch exits 70 after the output.
+VerificationFailed and is never skipped by `python -O`.  `enumerate`
+at --n 3 streams one line per class as it builds it and compares the
+number of classes with count3 after the last line, so a count mismatch
+exits 70 after the output; at --n 2 the classes are checked against
+count2 before the first line.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import argparse
 import json
 import sys
 
-from .canon2 import canon2, count2, enumerate2
-from .canon3 import canon3
+from .canon2 import count2, enumerate2
+from .canon3 import canon
 from .census import _enumerate3, count3, gf_coeffs, type_histogram
 from .errors import BadParams, BudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
@@ -68,15 +72,9 @@ def _print_json(obj):
 def _cmd_canon(args) -> int:
     ctx = parse_ring(args.ring)
     m = _read_matrix(ctx, args.matrix)
-    if m.n == 2:
-        form, w = canon2(m)
-    elif m.n == 3:
-        form = canon3(m)
-        w = form.witness
-    else:
-        raise SimclassError("canon expects a 2x2 or 3x3 matrix")
+    form = canon(m)
     canonical = form.rebuild()
-    x = w.inverse()  # w m w^-1 = canonical, so m x = x canonical
+    x = form.witness.inverse()  # W m W^-1 = canonical, so m x = x canonical
     if not x.conjugates(canonical, m):
         raise VerificationFailed("canon witness fails m x = x canonical")
     _print_json(

@@ -300,9 +300,6 @@ class Mat:
         it holds iff self @ a == c @ self and self is a unit."""
         return self @ a == c @ self and self.is_invertible()
 
-    def commutes_with(self, other: "Mat") -> bool:
-        return self @ other == other @ self
-
     # ------------------------------------------------------------------
     # level maps
 

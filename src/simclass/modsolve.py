@@ -1,9 +1,10 @@
 """Similarity decisions and centralizer orders read off canonical forms.
 
 Two n x n matrices (n <= 3) are similar iff their canonical forms are
-equal: equality for n = 1, canon2 for n = 2, canon3 for n = 3.  The
-forms carry witnesses W with W alpha W^-1 = C, so equal forms give the
-similarity witness X = W_1^-1 W_2, which is checked exactly.
+equal: equality for n = 1, the CanonicalForm of canon2 or canon3 for
+n = 2 or 3.  Each form carries its witness W with W alpha W^-1 = C, so
+equal forms give the similarity witness X = W_1^-1 W_2, which is
+checked exactly.
 
 Centralizer orders come from the form alpha = d + pi^j beta, with beta
 over A_i and i = l - j.  X commutes with alpha iff X mod pi^i commutes
@@ -23,8 +24,8 @@ As the order of a subgroup it must divide |GL_n(A)|, which is checked.
 
 from __future__ import annotations
 
-from .canon2 import canon2
-from .canon3 import CyclicBody, SplitBody, canon3, centralizer_shape
+from .canon2 import CyclicBody
+from .canon3 import SplitBody, canon, centralizer_shape
 from .errors import CtxMismatch, VerificationFailed
 from .matrix import Mat, identity
 from .ring import RingCtx
@@ -41,14 +42,6 @@ def group_order(ctx: RingCtx, n: int) -> int:
     return out
 
 
-def _form(m: Mat) -> tuple:
-    """(canonical form, witness W with W m W^-1 = the rebuilt form), n >= 2."""
-    if m.n == 2:
-        return canon2(m)
-    form = canon3(m)
-    return form, form.witness
-
-
 def is_similar(a1: Mat, a2: Mat):
     """Exact similarity decision with witness.
 
@@ -63,10 +56,10 @@ def is_similar(a1: Mat, a2: Mat):
         return True, identity(a1.ctx, a1.n)
     if a1.is_scalar() or a2.is_scalar() or a1.charpoly() != a2.charpoly():
         return False, None
-    (f1, w1), (f2, w2) = _form(a1), _form(a2)
+    f1, f2 = canon(a1), canon(a2)
     if f1 != f2:
         return False, None
-    x = w1.inverse() @ w2  # X alpha_2 X^-1 = alpha_1
+    x = f1.witness.inverse() @ f2.witness  # X alpha_2 X^-1 = alpha_1
     if not x.conjugates(a2, a1):
         raise VerificationFailed("similarity witness fails alpha_1 X = X alpha_2")
     return True, x
@@ -139,19 +132,17 @@ def _residue_poly(coeffs, q: int) -> list:
     return [1] + [-c.val % q for c in reversed(coeffs)]
 
 
-def _form_order(form, n: int) -> int:
-    """|C_GL_n(form.rebuild())| from a CanonicalForm2 (n = 2) or 3 (n = 3)."""
-    ctx = form.ctx
+def _form_order(form) -> int:
+    """|C_GL_n(form.rebuild())| from a CanonicalForm."""
+    ctx, n = form.ctx, form.n
     q, j = ctx.q, form.level
     i = ctx.length - j
     if i == 0:
         return group_order(ctx, n)
-    if n == 2:
-        body = _cyclic_units(q, i, _residue_poly((form.c, form.e), q))
-    elif isinstance(form.body, CyclicBody):
+    if isinstance(form.body, CyclicBody):
         body = _cyclic_units(q, i, _residue_poly(form.body.coeffs, q))
     elif isinstance(form.body, SplitBody):
-        body = (q - 1) * q ** (i - 1) * _form_order(form.body.inner, 2)
+        body = (q - 1) * q ** (i - 1) * _form_order(form.body.inner)
     else:
         body = centralizer_shape(form.body.form).order(q)
     return q ** (n * n * j) * body
@@ -160,7 +151,7 @@ def _form_order(form, n: int) -> int:
 def centralizer_order(a: Mat) -> int:
     """|{X in GL_n(A) : Xa = aX}| from the canonical form of a."""
     ctx, n = a.ctx, a.n
-    order = group_order(ctx, 1) if n == 1 else _form_order(_form(a)[0], n)
+    order = group_order(ctx, 1) if n == 1 else _form_order(canon(a))
     if not order or group_order(ctx, n) % order:
         raise VerificationFailed(f"centralizer order {order} does not divide |GL_{n}|")
     return order

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon2 import canon2, count2, enumerate2
-from .canon3 import canon3
+from .canon2 import count2, enumerate2
+from .canon3 import canon
 from .census import count3, enumerate3
 from .errors import BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, diag, elementary
@@ -398,9 +398,9 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     agrees.
     """
     if n == 2:
-        count_fn, enum_fn, canon_fn = count2, enumerate2, canon2
+        count_fn, enum_fn = count2, enumerate2
     elif n == 3:
-        count_fn, enum_fn, canon_fn = count3, enumerate3, canon3
+        count_fn, enum_fn = count3, enumerate3
     else:
         raise BadParams("counts are implemented for n in {2, 3}")
     census = orbit_census(ctx, n, max_states=max_states)
@@ -422,10 +422,7 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     for _ in range(samples):
         m = mat_of(ctx, n, rng.randrange(nstates))
         _, rep = orbit_of(m)
-        a, b = canon_fn(m), canon_fn(rep)
-        if n == 2:  # canon2 returns (form, witness)
-            a, b = a[0], b[0]
-        if a == b:
+        if canon(m) == canon(rep):
             agreed += 1
     report["canon_samples"] = samples
     report["canon_agreements"] = agreed

@@ -342,45 +342,11 @@ class RingCtx:
             a //= p
         return tuple(out)
 
-    def from_digits_raw(self, ds) -> int:
-        if len(ds) > self.length:
-            raise BadLevel(f"{len(ds)} digits in a length-{self.length} ring")
-        out = 0
-        for d in reversed(tuple(ds)):
-            if not 0 <= d < self.p:
-                raise DigitOutOfRange(f"digit {d} not in [0, {self.p})")
-            out = out * self.p + d
-        return out
-
     # ------------------------------------------------------------------
     # element constructors
 
     def elem(self, val: int) -> "RingElem":
         return RingElem(self, val % self.cardinality if self.flavor == "z" else val)
-
-    def zero(self) -> "RingElem":
-        return RingElem(self, 0)
-
-    def one(self) -> "RingElem":
-        return RingElem(self, 1)
-
-    def pi(self, t: int = 1) -> "RingElem":
-        return RingElem(self, self.pi_pow_raw(t))
-
-    def from_digits(self, ds) -> "RingElem":
-        return RingElem(self, self.from_digits_raw(ds))
-
-    def elements(self):
-        for v in range(self.cardinality):
-            yield RingElem(self, v)
-
-    def units(self):
-        for v in range(self.cardinality):
-            if v % self.p:
-                yield RingElem(self, v)
-
-    def residue_field(self) -> "RingCtx":
-        return ring_ctx(self.flavor, self.p, 1)
 
     def truncated(self, level: int) -> "RingCtx":
         if not 1 <= level <= self.length:
@@ -495,14 +461,6 @@ class Section:
     @property
     def ctx(self) -> RingCtx:
         return self.value.ctx
-
-
-def section(ctx: RingCtx, level: int, digits=()) -> Section:
-    """Build the K_level element with the given low digits."""
-    ds = tuple(digits)
-    if len(ds) > level:
-        raise BadLevel(f"{len(ds)} digits for a level-{level} section")
-    return Section(level, ctx.from_digits(ds))
 
 
 def section_of(x: RingElem, level: int) -> Section:

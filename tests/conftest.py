@@ -1,6 +1,6 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
-only tests use (j_matrix, transfer_power, same_class)."""
+only tests use (j_matrix, transfer_power, count2_recursion, same_class)."""
 
 import functools
 import os
@@ -71,6 +71,21 @@ def same_class(a, b) -> bool:
     orb = orbit_states(a)
     pos = np.searchsorted(orb, state_of(b))
     return pos < orb.size and int(orb[pos]) == state_of(b)
+
+
+def count2_recursion(q: int, level: int, group: str = "M") -> int:
+    """2x2 class count by a two-state transfer recursion (scalar classes,
+    the rest), the reference that count2's closed form is checked against.
+
+    There are q times as many scalar classes at each length, and q^2
+    non-scalar classes for every class one length down.
+    """
+    if level == 0:
+        return 1
+    w = [q, q * q] if group == "M" else [q - 1, q * q - q]
+    for _ in range(level - 1):
+        w = [q * w[0], q * q * w[0] + q * q * w[1]]
+    return w[0] + w[1]
 
 
 def transfer_power(q: int, level: int, mode: str = "iterate"):

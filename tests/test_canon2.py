@@ -1,5 +1,6 @@
 """2x2 pipeline: scalar split, canonical forms, enumeration, counts."""
 
+import importlib
 import itertools
 
 import pytest
@@ -8,6 +9,8 @@ from simclass import (
     BadParams,
     BudgetExceeded,
     Mat,
+    ScalarBody,
+    VerificationFailed,
     canon2,
     companion,
     count2,
@@ -18,7 +21,7 @@ from simclass import (
     split_scalar,
 )
 import reference_solver as ref
-from conftest import rand_invertible, rand_mat
+from conftest import count2_recursion, rand_invertible, rand_mat
 
 
 def test_split_scalar_examples():
@@ -57,36 +60,37 @@ def test_split_scalar_shared_with_3x3(rng):
 def test_canon2_worked_example():
     ctx = ring_ctx("z", 2, 2)
     m = Mat.from_rows(ctx, [[1, 2], [2, 1]])
-    form, x = canon2(m)
-    assert (form.level, form.d.value.val, form.c.val, form.e.val) == (1, 1, 1, 0)
+    form = canon2(m)
+    assert (form.level, form.d.value.val) == (1, 1)
+    assert [c.val for c in form.body.coeffs] == [1, 0]
     assert form.rebuild() == m  # this matrix is already canonical
-    assert m.conjugate_by(x) == m
+    assert m.conjugate_by(form.witness) == m
 
 
 def test_canon2_fixed_points():
     ctx = ring_ctx("z", 3, 2)
     c = companion(ctx, (ctx.elem(5), ctx.elem(7)))
-    form, x = canon2(c)
+    form = canon2(c)
     assert (form.level, form.d.value.val) == (0, 0)
     assert form.rebuild() == c
-    form, x = canon2(scalar(ctx, 2, 6))
+    form = canon2(scalar(ctx, 2, 6))
     assert form.level == 2 and form.d.value.val == 6
-    assert form.c is None and form.e is None
+    assert form.body == ScalarBody()
 
 
 def test_canon2_witness_is_exact(rng, ctx_len2):
     for _ in range(250):
         m = rand_mat(ctx_len2, 2, rng)
-        form, x = canon2(m)
-        assert x.is_invertible()
-        assert m.conjugate_by(x) == form.rebuild()
+        form = canon2(m)
+        assert form.witness.is_invertible()
+        assert m.conjugate_by(form.witness) == form.rebuild()
 
 
 def test_canon2_is_conjugation_invariant(rng, ctx_len2):
     for _ in range(250):
         m = rand_mat(ctx_len2, 2, rng)
         g = rand_invertible(ctx_len2, 2, rng)
-        assert canon2(m)[0] == canon2(m.conjugate_by(g))[0]
+        assert canon2(m) == canon2(m.conjugate_by(g))
 
 
 def test_canon2_equality_decides_similarity_exhaustively():
@@ -95,7 +99,7 @@ def test_canon2_equality_decides_similarity_exhaustively():
     by_form = {}
     for vals in itertools.product(range(4), repeat=4):
         m = Mat(ctx, 2, list(vals))
-        by_form.setdefault(canon2(m)[0], []).append(m)
+        by_form.setdefault(canon2(m), []).append(m)
     assert len(by_form) == count2(2, 2, "M") == 28
     reps = [ms[0] for ms in by_form.values()]
     for i in range(len(reps)):
@@ -116,8 +120,8 @@ def test_canon2_exhaustive_on_every_length_two_ring():
         seen = {}
         for vals in itertools.product(range(card), repeat=4):
             m = Mat(ctx, 2, list(vals))
-            f, w = canon2(m)
-            assert m.conjugate_by(w) == f.rebuild()
+            f = canon2(m)
+            assert m.conjugate_by(f.witness) == f.rebuild()
             seen[f] = seen.get(f, 0) + 1
         assert len(seen) == count2(ctx.q, 2, "M")
         assert set(seen) == set(enumerate2(ctx))
@@ -128,7 +132,7 @@ def test_canon2_matches_is_similar_on_random_pairs(rng):
     ctx = ring_ctx("z", 3, 2)
     for _ in range(150):
         a, b = rand_mat(ctx, 2, rng), rand_mat(ctx, 2, rng)
-        assert (canon2(a)[0] == canon2(b)[0]) == ref.is_similar(a, b)[0]
+        assert (canon2(a) == canon2(b)) == ref.is_similar(a, b)[0]
 
 
 def test_enumerate2_counts_and_distinctness(ctx_len2):
@@ -136,11 +140,28 @@ def test_enumerate2_counts_and_distinctness(ctx_len2):
     assert len(forms) == count2(ctx_len2.q, 2, "M")
     assert len(set(forms)) == len(forms)
     rebuilt = [f.rebuild() for f in forms]
-    assert all(canon2(m)[0] == f for f, m in zip(forms, rebuilt))
+    assert all(canon2(m) == f for f, m in zip(forms, rebuilt))
     gl = enumerate2(ctx_len2, "GL")
     assert len(gl) == count2(ctx_len2.q, 2, "GL")
     assert all(f.rebuild().is_invertible() for f in gl)
     assert all(not f.rebuild().is_invertible() for f in set(forms) - set(gl))
+
+
+def test_enumerate2_raises_when_it_misses_a_class(monkeypatch):
+    # a GL filter that drops the classes of the first (level, d, c) it
+    # would keep: enumerate2 must refuse the short list, not return it
+    c2 = importlib.import_module("simclass.canon2")
+    keep, dropped = c2._gl_keep2, []
+
+    def drop_first(level, d, c):
+        if keep(level, d, c) and not dropped:
+            dropped.append(c)
+            return False
+        return keep(level, d, c)
+
+    monkeypatch.setattr(c2, "_gl_keep2", drop_first)
+    with pytest.raises(VerificationFailed, match="count2 gives"):
+        enumerate2(ring_ctx("z", 3, 2), "GL")
 
 
 def test_enumerate2_budget():
@@ -159,8 +180,7 @@ def test_count2_closed_form_values():
 
 
 def test_count2_rejects_bad_arguments():
-    for args in ((1, 2), (2, -1), (2, 2, "SL"), (2, 2, "M", "guess"),
-                 (2, 0, "bogus"), (2, 0, "M", "guess")):
+    for args in ((1, 2), (2, -1), (2, 2, "SL"), (2, 0, "bogus")):
         with pytest.raises(BadParams):
             count2(*args)
 
@@ -169,12 +189,12 @@ def test_count2_recursion_agrees_with_closed_form():
     for q in (2, 3, 5, 7):
         for level in range(1, 9):
             for group in ("M", "GL"):
-                assert count2(q, level, group, "closed") == count2(q, level, group, "recursion")
+                assert count2(q, level, group) == count2_recursion(q, level, group)
 
 
 def test_form_json_shape():
     ctx = ring_ctx("z", 2, 2)
-    form, _ = canon2(Mat.from_rows(ctx, [[1, 2], [2, 1]]))
+    form = canon2(Mat.from_rows(ctx, [[1, 2], [2, 1]]))
     assert form.to_json() == {"j": 1, "d": 1, "c": 1, "e": 0}
-    form, _ = canon2(scalar(ctx, 2, 3))
+    form = canon2(scalar(ctx, 2, 3))
     assert form.to_json() == {"j": 2, "d": 3, "c": None, "e": None}

@@ -99,9 +99,7 @@ def test_count3_closed_matches_recursion():
     for q in (2, 3, 5, 7):
         for level in range(1, 11):
             for group in ("M", "GL"):
-                assert count3(q, level, group, "closed") == count3(
-                    q, level, group, "recursion"
-                )
+                assert count3(q, level, group) == sum(level_vector(q, level, group))
 
 
 def test_count3_rejects_bad_arguments():
@@ -111,15 +109,9 @@ def test_count3_rejects_bad_arguments():
         count3(2, -1)
     with pytest.raises(BadParams):
         count3(2, 2, "SL")
-    with pytest.raises(BadParams):
-        count3(2, 2, "M", "guess")
-    with pytest.raises(BadParams):  # the modes are "closed" and "recursion" only
-        count3(2, 2, "M", "closed_form")
-    # level 0 has one class, but only for a group and mode that exist
+    # level 0 has one class, but only for a group that exists
     with pytest.raises(BadParams):
         count3(2, 0, "bogus")
-    with pytest.raises(BadParams):
-        count3(2, 0, "M", "guess")
 
 
 def test_vectors():

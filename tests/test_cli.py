@@ -1,5 +1,6 @@
 """Command line surface: output shapes, exit codes, witness conventions."""
 
+import hashlib
 import importlib
 import json
 import time
@@ -95,6 +96,42 @@ def test_canon_2x2(capsys):
     c = Mat.from_rows(ctx, payload["canonical"])
     x = Mat.from_rows(ctx, payload["witness"])
     assert a @ x == x @ c
+
+
+def _witnesses(obj):
+    """Every value under a "witness" key, at any depth of the JSON."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "witness":
+                yield value
+            yield from _witnesses(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _witnesses(value)
+
+
+def test_every_witness_canon_prints_satisfies_input_x_equals_x_canonical(capsys):
+    cases = [
+        ("z:3:2", [[3, 0, 0], [5, 3, 0], [7, 0, 3]]),  # hard residue
+        ("z:2:2", [[1, 2, 0], [0, 1, 1], [2, 0, 3]]),  # hard residue
+        ("z:3:2", [[1, 2, 0], [0, 1, 3], [1, 0, 4]]),  # cyclic residue
+        ("z:2:2", [[1, 0, 0], [1, 0, 2], [2, 2, 2]]),  # split residue
+        ("t:2:2", [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),  # cyclic residue
+        ("z:2:2", [[3, 0, 0], [0, 3, 0], [0, 0, 3]]),  # scalar
+        ("z:3:2", [[1, 3], [0, 1]]),
+        ("t:3:2", [[2, 5], [7, 1]]),
+        ("z:2:2", [[2, 0], [0, 2]]),
+    ]
+    for desc, rows in cases:
+        code, out, _ = run(capsys, "canon", "--ring", desc, json.dumps(rows))
+        assert code == EX_OK
+        payload = json.loads(out)
+        ctx = ring_ctx(*(int(v) if v.isdigit() else v for v in desc.split(":")))
+        a, c = Mat.from_rows(ctx, rows), Mat.from_rows(ctx, payload["canonical"])
+        assert payload["witness"]
+        for w in _witnesses(payload):
+            x = Mat.from_rows(ctx, w)
+            assert x.is_invertible() and a @ x == x @ c, (desc, rows, w)
 
 
 def test_canon_reads_matrix_from_file(tmp_path, capsys):
@@ -193,13 +230,14 @@ def test_numpy_loads_only_with_the_oracle():
 def test_broken_witness_exits_70_under_optimize():
     # a cyclic-residue input that is not a companion matrix, with the row
     # witness replaced by the identity: the exact check must still fire
-    # under -O, which strips assert statements
+    # under -O, which strips assert statements (the cyclic branch, and so
+    # the row witness it calls, is canon2's, shared with canon3)
     script = (
         "import importlib, sys\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import identity\n"
-        "c3 = importlib.import_module('simclass.canon3')\n"
-        "c3._cyclic_row_witness = lambda beta: identity(beta.ctx, 3)\n"
+        "c2 = importlib.import_module('simclass.canon2')\n"
+        "c2._cyclic_row_witness = lambda beta: identity(beta.ctx, 3)\n"
         "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1,1,0],[0,1,1],[0,0,1]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -250,12 +288,12 @@ def test_broken_similarity_witness_exits_70_under_optimize():
     # with every form witness replaced by the identity the forms still
     # agree, so the explicit check on X = W_A^-1 W_B must fire under -O
     script = (
-        "import importlib, sys\n"
+        "import dataclasses, importlib, sys\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import identity\n"
         "ms = importlib.import_module('simclass.modsolve')\n"
-        "real = ms._form\n"
-        "ms._form = lambda m: (real(m)[0], identity(m.ctx, m.n))\n"
+        "real = ms.canon\n"
+        "ms.canon = lambda m: dataclasses.replace(real(m), witness=identity(m.ctx, m.n))\n"
         "sys.exit(main(['similar', '--ring', 'z:2:2', '[[0,1],[0,0]]', '[[3,1],[3,1]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -419,6 +457,15 @@ def test_enumerate_2x2_gl(capsys):
     assert len(out.strip().split("\n")) == 8
 
 
+def test_enumerate_lines_carry_no_witness(capsys):
+    for n in ("2", "3"):
+        for group in ("m", "gl"):
+            code, out, _ = run(capsys, "enumerate", "--ring", "z:3:1", "--n", n,
+                               "--group", group)
+            assert code == EX_OK
+            assert all(not list(_witnesses(json.loads(line))) for line in out.splitlines())
+
+
 def test_histogram(capsys):
     code, out, _ = run(capsys, "histogram", "--ring", "z:2:2")
     assert code == EX_OK
@@ -491,3 +538,114 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# ----------------------------------------------------------------------
+# pinned output: sha256 of exit code and stdout, one entry per call
+
+
+PINNED_CALLS = [
+    ("enumerate", "--ring", ring, "--n", n, "--group", group)
+    for ring in ("z:2:2", "t:2:2", "z:3:1")
+    for n in ("2", "3")
+    for group in ("m", "gl")
+] + [
+    ("canon", "--ring", "z:3:2", "[[1,2,0],[0,1,3],[1,0,4]]"),
+    ("canon", "--ring", "z:3:2", "[[3,0,0],[5,3,0],[7,0,3]]"),
+    ("canon", "--ring", "z:2:2", "[[1,2,0],[0,1,1],[2,0,3]]"),
+    ("canon", "--ring", "z:2:2", "[[1,0,0],[1,0,2],[2,2,2]]"),
+    ("canon", "--ring", "t:2:2", "[[1,1,0],[0,1,1],[0,0,1]]"),
+    ("canon", "--ring", "z:2:3", "[[4,0,0],[0,4,2],[6,2,4]]"),
+    ("canon", "--ring", "t:3:2", "[[3,0,0],[0,3,0],[0,0,3]]"),
+    ("canon", "--ring", "z:5:2", "[[7,3],[10,2]]"),
+    ("canon", "--ring", "t:2:2", "[[2,1],[3,0]]"),
+    ("similar", "--ring", "z:2:2", "[[0,1],[0,0]]", "[[3,1],[3,1]]"),
+    ("similar", "--ring", "z:2:2", "[[0,1],[0,0]]", "[[0,2],[0,0]]"),
+    ("similar", "--ring", "z:3:2", "[[1,2,0],[0,1,3],[1,0,4]]", "[[1,0,0],[3,1,0],[2,0,4]]"),
+    ("similar", "--ring", "z:3:2", "[[3,0,0],[5,3,0],[7,0,3]]", "[[5,5,1],[8,5,4],[1,7,8]]"),
+    ("similar", "--ring", "t:2:2", "[[0,0,0],[0,0,1],[0,0,0]]", "[[0,0,1],[0,0,0],[0,0,0]]"),
+    ("similar", "--ring", "z:2:2", "[[1,0,0],[1,0,2],[2,2,2]]", "[[0,1,0],[1,0,2],[2,2,2]]"),
+    ("centralizer", "--ring", "z:3:2", "[[1,2,0],[0,1,3],[1,0,4]]"),
+    ("centralizer", "--ring", "z:3:2", "[[3,0,0],[5,3,0],[7,0,3]]"),
+    ("centralizer", "--ring", "z:2:2", "[[1,0,0],[1,0,2],[2,2,2]]"),
+    ("centralizer", "--ring", "t:2:2", "[[0,0,0],[0,0,1],[0,0,0]]"),
+    ("centralizer", "--ring", "z:5:2", "[[7,3],[10,2]]"),
+    ("centralizer", "--ring", "t:3:2", "[[3,0],[0,3]]"),
+]
+
+PINNED_SHA256 = {
+    "enumerate --ring z:2:2 --n 2 --group m":
+        "7d2f52757847a35cb8ef312867a4c7d65c7e0c7e41875f93a0db734c923364cd",
+    "enumerate --ring z:2:2 --n 2 --group gl":
+        "38ad8dda866337b073bca8eff6d5fc4e1f0b8612c4ba630e5700c8ee240b6469",
+    "enumerate --ring z:2:2 --n 3 --group m":
+        "2d0996784b36e41ee0a3e0fc4bfe88c14abf12bf71749f87dd8068fd3805c809",
+    "enumerate --ring z:2:2 --n 3 --group gl":
+        "d53f49ab5fa5ff79fda34ca20fda788633b07016c0d3ec8ff7d987d26d30974f",
+    "enumerate --ring t:2:2 --n 2 --group m":
+        "7d2f52757847a35cb8ef312867a4c7d65c7e0c7e41875f93a0db734c923364cd",
+    "enumerate --ring t:2:2 --n 2 --group gl":
+        "38ad8dda866337b073bca8eff6d5fc4e1f0b8612c4ba630e5700c8ee240b6469",
+    "enumerate --ring t:2:2 --n 3 --group m":
+        "ca27a2d4a4438ac8cb9a6f99500a6d33c1d456b4c9dc543d28d48c8111237ff5",
+    "enumerate --ring t:2:2 --n 3 --group gl":
+        "74fb30503e6f74c1dd9b4d3fbc6b05c85e562495af8924469dffdbe7758421f8",
+    "enumerate --ring z:3:1 --n 2 --group m":
+        "32a4e07baf76fdfbafd01778f9e14f6ae3ccb10c348d1d8bbb4c91a8fd0a9d22",
+    "enumerate --ring z:3:1 --n 2 --group gl":
+        "46639b6906f68b25775d97f6ea4d85213e2a8b0d553fcf01c95c527d0946fb8f",
+    "enumerate --ring z:3:1 --n 3 --group m":
+        "719d95336193d9846ed8e380634fc8a3e5bd95e38e9f6dd0cabbef805d520e26",
+    "enumerate --ring z:3:1 --n 3 --group gl":
+        "04c43aa21dbf63a1adeee50721dc2aa608ec413f30b538d03d11b868af4eef6a",
+    "canon --ring z:3:2 [[1,2,0],[0,1,3],[1,0,4]]":
+        "d47033107193f4883a496b12839dbf37fcd1308746145a040b37be523c006f10",
+    "canon --ring z:3:2 [[3,0,0],[5,3,0],[7,0,3]]":
+        "74429865a6253c9e6c507f5c1fe15f0c2b36924803cbabfd2c64d7e45f6ff634",
+    "canon --ring z:2:2 [[1,2,0],[0,1,1],[2,0,3]]":
+        "711ab37214220cd768e6babe3dba85e1784d30848059dc820285f3219b20c8ba",
+    "canon --ring z:2:2 [[1,0,0],[1,0,2],[2,2,2]]":
+        "25cbfac73dd83015f6629131726172c1ac3a06201cac7eac6cb3507e38570ac1",
+    "canon --ring t:2:2 [[1,1,0],[0,1,1],[0,0,1]]":
+        "ed403758c93a10c93fd52c0bfc16c913104f6268c3cd83634f278f49f1e1ce6b",
+    "canon --ring z:2:3 [[4,0,0],[0,4,2],[6,2,4]]":
+        "edca4327321805fbab41fe24a34fc534feb26f2524feefe5b3b4858bd7e3ff1f",
+    "canon --ring t:3:2 [[3,0,0],[0,3,0],[0,0,3]]":
+        "a637c98e0597310d8655731b8ce0137c59073119a5714c5aea996f803f1786ab",
+    "canon --ring z:5:2 [[7,3],[10,2]]":
+        "04e677d5e90914d018b61eaf5a745829c74733eb77890a2c39e937f5caf6a6f8",
+    "canon --ring t:2:2 [[2,1],[3,0]]":
+        "b9baa38c95fcd55789cfca3200079e348c188dd977e96716626f1435f3b791f8",
+    "similar --ring z:2:2 [[0,1],[0,0]] [[3,1],[3,1]]":
+        "4206019de5b7d60cf66fb75f01825ded4ac7855f80ffc35d6a78fd8e5657b2d4",
+    "similar --ring z:2:2 [[0,1],[0,0]] [[0,2],[0,0]]":
+        "d5a57fa73cf12151b98897800c928119af21edd3ab070fd8f3eeb7ecdc3fe2e8",
+    "similar --ring z:3:2 [[1,2,0],[0,1,3],[1,0,4]] [[1,0,0],[3,1,0],[2,0,4]]":
+        "d5a57fa73cf12151b98897800c928119af21edd3ab070fd8f3eeb7ecdc3fe2e8",
+    "similar --ring z:3:2 [[3,0,0],[5,3,0],[7,0,3]] [[5,5,1],[8,5,4],[1,7,8]]":
+        "8982fe122a9f7006e552c4939c46dcc6add6ff06f9475d11023b403165e7a5c3",
+    "similar --ring t:2:2 [[0,0,0],[0,0,1],[0,0,0]] [[0,0,1],[0,0,0],[0,0,0]]":
+        "fac51a4960cca70caa0163c72f6bd6230ef39a5098536dc3c606cf00a23ae8ec",
+    "similar --ring z:2:2 [[1,0,0],[1,0,2],[2,2,2]] [[0,1,0],[1,0,2],[2,2,2]]":
+        "d5a57fa73cf12151b98897800c928119af21edd3ab070fd8f3eeb7ecdc3fe2e8",
+    "centralizer --ring z:3:2 [[1,2,0],[0,1,3],[1,0,4]]":
+        "2023229932a1a2a0ddeaec3f13bbbc7089961b3873b929758e9ef85fb8a358a0",
+    "centralizer --ring z:3:2 [[3,0,0],[5,3,0],[7,0,3]]":
+        "4331cdd95958db52cdae8e6b121fafa486696b78374add7e7cfd84b08fe81cdc",
+    "centralizer --ring z:2:2 [[1,0,0],[1,0,2],[2,2,2]]":
+        "1cbb4bf827fbe34e2b44d3856c089e07a44a065f6cf475e75b5b94c07e083d21",
+    "centralizer --ring t:2:2 [[0,0,0],[0,0,1],[0,0,0]]":
+        "5ddeec19381f8a38488d3d4aa72304d86cd2fefdd63a2b4b7ec7b4b8a9a682d8",
+    "centralizer --ring z:5:2 [[7,3],[10,2]]":
+        "5a8fa28c4b34f58f6f3b5691edf55770a72f6431233aa2ed8ce3e170ae8c5bdc",
+    "centralizer --ring t:3:2 [[3,0],[0,3]]":
+        "0b236659c2b0d98f7cbf5e171bd6214de5f0e09db34c9415a6e4b58801c49a19",
+}
+
+
+def test_cli_output_is_pinned(capsys):
+    got = {}
+    for argv in PINNED_CALLS:
+        code, out, _ = run(capsys, *argv)
+        got[" ".join(argv)] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == PINNED_SHA256
