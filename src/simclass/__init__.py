@@ -21,8 +21,6 @@ from .canon2 import (
     ScalarBody,
     ScalarSplit,
     canon2,
-    count2,
-    enumerate2,
     recombine,
     split_scalar,
 )
@@ -39,11 +37,12 @@ from .census import (
     CountVector,
     base_vector,
     classify_form,
+    count2,
     count3,
+    enumerate2,
     enumerate3,
     gf_coeffs,
     level_vector,
-    theta,
     transfer_matrix,
     type_histogram,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "scalar",
     "section_of",
     "split_scalar",
-    "theta",
     "transfer_matrix",
     "type_histogram",
     "unit_group_generators",

@@ -11,7 +11,8 @@ matrix of its characteristic polynomial, whose coefficients are a
 complete invariant.  Both branches are shared with canon3 (see
 _canonical_form).  For n = 2 every non-scalar residue is cyclic, so
 canon2 needs no other body, and (j, d, -det beta, tr beta) is the
-complete invariant.
+complete invariant.  This module holds forms only: class counts and
+the enumeration of classes, for both sizes, live in census.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
+from .errors import BadParams, VerificationFailed
 from .matrix import Mat, _raw, companion, identity, scalar
 from .ring import RingCtx, RingElem, Section, section_of
 
@@ -30,8 +31,6 @@ __all__ = [
     "CyclicBody",
     "CanonicalForm",
     "canon2",
-    "enumerate2",
-    "count2",
 ]
 
 
@@ -226,72 +225,3 @@ def canon2(alpha: Mat) -> CanonicalForm:
         raise BadParams("canon2 expects a 2x2 matrix")
     # every non-scalar 2x2 residue is cyclic
     return _canonical_form(alpha, _cyclic_body)
-
-
-def _gl_keep2(level: int, d: Section, c) -> bool:
-    if level >= 1:
-        return d.value.is_unit()
-    return c.is_unit()  # det(beta) = -c must be a unit when j = 0
-
-
-def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One CanonicalForm per class over ctx, each its own canonical matrix
-    (identity witness).
-
-    Deterministic order: level ascending, then d, then (c, e)
-    lexicographically by packed value.  A run that emits other than
-    count2 classes raises VerificationFailed.
-    """
-    if group not in ("M", "GL"):
-        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-    if count2(ctx.q, ctx.length, "M") > budget:
-        raise BudgetExceeded(f"enumerate2 over {ctx.descriptor} exceeds budget {budget}")
-    length = ctx.length
-    ident = identity(ctx, 2)
-    out = []
-    for level in range(length + 1):
-        for dv in range(ctx.p**level):
-            d = Section(level, RingElem(ctx, dv))
-            if level == length:
-                if group == "GL" and not d.value.is_unit():
-                    continue
-                out.append(CanonicalForm(ctx, 2, level, d, ScalarBody(), ident))
-                continue
-            tctx = ctx.truncated(length - level)
-            for cv in range(tctx.cardinality):
-                c = RingElem(tctx, cv)
-                if group == "GL" and not _gl_keep2(level, d, c):
-                    continue
-                for ev in range(tctx.cardinality):
-                    body = CyclicBody((c, RingElem(tctx, ev)))
-                    out.append(CanonicalForm(ctx, 2, level, d, body, ident))
-    total = count2(ctx.q, length, group)
-    if len(out) != total:
-        raise VerificationFailed(
-            f"enumerate2 over {ctx.descriptor} emitted {len(out)} {group} classes, count2 gives {total}"
-        )
-    return out
-
-
-def _check_count_args(q: int, level: int, group: str):
-    """Refuse what count2 and count3 cannot count, before any shortcut."""
-    if q < 2 or level < 0:
-        raise BadParams("need q >= 2 and level >= 0")
-    if group not in ("M", "GL"):
-        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-
-
-def _exact_div(num: int, den: int) -> int:
-    if num % den:
-        raise NonIntegralDivision(f"{num} not divisible by {den}")
-    return num // den
-
-
-def count2(q: int, level: int, group: str = "M") -> int:
-    """Number of similarity classes of 2x2 matrices at the given level."""
-    _check_count_args(q, level, group)
-    if level == 0:
-        return 1
-    if group == "M":
-        return _exact_div(q ** (2 * level + 1) - q**level, q - 1)
-    return q ** (2 * level) - q ** (level - 1)

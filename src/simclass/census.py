@@ -1,35 +1,33 @@
-"""Class counting, enumeration and residue-type census for 3x3 matrices.
+"""Class counts, enumeration and residue-type census for 2x2 and 3x3
+matrices.
 
-Counts follow a 4-state linear recursion: classes at one length are
-bucketed as (scalar, split-with-scalar-block, pure-J, rest) and the
-transfer matrix maps the bucket vector of length l-1 to that of length
-l.  Closed forms for the totals and the "rest" bucket are also
-implemented and cross-checked against the recursion in the tests.
+The 2x2 count has a closed form.  The 3x3 counts follow a 4-state
+linear recursion: classes at one length are bucketed as (scalar,
+split-with-scalar-block, pure-J, rest) and the transfer matrix maps the
+bucket vector of length l-1 to that of length l.  Closed forms for the
+totals are also implemented and cross-checked against the recursion in
+the tests.
 
 Enumeration builds one representative per class directly, family by
-family; no orbit search and no similarity solver is involved.  Hard
-bodies come from hard_family, which generates the canon3 normal forms
-of pi-power shapes from their tag conditions and checks each is a
-normalization fixed point, so enumeration and canon3 agree on
-representatives by construction.  Enumeration is a stream: the CLI
-prints each class as it is built.  Each enumeration checks its class
-count against count3 after its last class, which certifies, ring by
-ring, that those normal forms separate classes and miss none.
+family; no orbit search and no similarity solver is involved.  One
+stream serves both sizes: scalar and cyclic bodies for either, then
+split and hard bodies for 3x3.  Hard bodies come from hard_family,
+which generates the canon3 normal forms of pi-power shapes from their
+tag conditions and checks each is a normalization fixed point, so
+enumeration and canon3 agree on representatives by construction.  The
+CLI prints each class as it is built.  Each enumeration checks its
+class count against count2 or count3 after its last class, which
+certifies, ring by ring, that those normal forms separate classes and
+miss none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
-from .canon2 import (
-    CanonicalForm,
-    CyclicBody,
-    ScalarBody,
-    _check_count_args,
-    _exact_div,
-    enumerate2,
-)
+from .canon2 import CanonicalForm, CyclicBody, ScalarBody
 from .canon3 import HardBody, SplitBody, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
 from .matrix import identity
@@ -40,10 +38,11 @@ __all__ = [
     "transfer_matrix",
     "base_vector",
     "level_vector",
+    "count2",
     "count3",
-    "theta",
     "gf_coeffs",
     "classify_form",
+    "enumerate2",
     "enumerate3",
     "type_histogram",
 ]
@@ -89,6 +88,30 @@ def level_vector(q: int, level: int, group: str = "M") -> CountVector:
     return v
 
 
+def _check_count_args(q: int, level: int, group: str):
+    """Refuse what count2 and count3 cannot count, before any shortcut."""
+    if q < 2 or level < 0:
+        raise BadParams("need q >= 2 and level >= 0")
+    if group not in ("M", "GL"):
+        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
+
+
+def _exact_div(num: int, den: int) -> int:
+    if num % den:
+        raise NonIntegralDivision(f"{num} not divisible by {den}")
+    return num // den
+
+
+def count2(q: int, level: int, group: str = "M") -> int:
+    """Number of similarity classes of 2x2 matrices at the given level."""
+    _check_count_args(q, level, group)
+    if level == 0:
+        return 1
+    if group == "M":
+        return _exact_div(q ** (2 * level + 1) - q**level, q - 1)
+    return q ** (2 * level) - q ** (level - 1)
+
+
 def count3(q: int, level: int, group: str = "M") -> int:
     """Number of 3x3 similarity classes at the given level."""
     _check_count_args(q, level, group)
@@ -116,22 +139,6 @@ def count3(q: int, level: int, group: str = "M") -> int:
         + 2 * q ** (i - 1)
     )
     return _exact_div(num, q * q - 1)
-
-
-def theta(q: int, level: int) -> int:
-    """Closed form for the "rest" bucket (component 4 of level_vector).
-
-    The intermediate quotients are not individually integral, so the
-    product is taken over the rationals and checked at the end.
-    """
-    if q < 2 or level < 1:
-        raise BadParams("need q >= 2 and level >= 1")
-    i = level
-    inner = Fraction(q**4 + 1, q - 1) * Fraction(q**i + 1, q + 1) - Fraction(q**3 + 1, q - 1)
-    out = q ** (i - 1) * Fraction(q**i - 1, q - 1) * inner
-    if out.denominator != 1:
-        raise NonIntegralDivision(f"theta({q}, {level}) = {out} is not integral")
-    return int(out)
 
 
 def gf_coeffs(q: int, group: str = "M", terms: int = 1):
@@ -194,78 +201,95 @@ def classify_form(form: CanonicalForm) -> int:
     return 3
 
 
-def _split_inner_forms(tctx: RingCtx):
-    # 2x2 forms with scalar residue, i.e. positive split level
-    return [f for f in enumerate2(tctx) if f.level >= 1]
+def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
+    """A function that streams the bodies of the level-`level` forms over
+    ctx in enumeration order: the scalar body at level = length, else
+    the bodies over the length-(l-level) ring, cyclic ones first (by
+    coefficients, lexicographically), then, for n = 3, split and hard
+    ones (each family in lexicographic parameter order).  What the
+    stream reads is built here, once per level.
 
-
-def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One representative per class over ctx, as a list of
-    (CanonicalForm, Mat) pairs.
-
-    Deterministic order: level ascending, then the scalar part, then
-    cyclic, split and hard bodies (each family in lexicographic
-    parameter order).  Every emitted form is a canon3 fixed point, and
-    a run that emits other than count3 classes raises VerificationFailed.
+    The GL filter on the scalar part d (a unit from level 1 on) is the
+    caller's; at level 0 the bodies with a singular residue are dropped.
     """
-    return [(form, form.rebuild()) for form in _enumerate3(ctx, group, budget)]
+    if level == ctx.length:
+        return lambda: (ScalarBody(),)
+    tctx = ctx.truncated(ctx.length - level)
+    p = tctx.p
+    gl_zero = group == "GL" and level == 0
+    elems = [RingElem(tctx, v) for v in range(tctx.cardinality)]
+    # the residue determinant of a companion is its constant term up to
+    # sign, and a split residue is invertible iff both blocks' are
+    units = [x for x in elems if not gl_zero or x.val % p]
+
+    def cyclic():
+        return map(CyclicBody, product(units, *[elems] * (n - 1)))
+
+    if n == 2:
+        return cyclic
+    # 2x2 forms with scalar residue, i.e. positive split level
+    inners = [f for f in _enumerate(tctx, 2, "M", budget)
+              if f.level >= 1 and (not gl_zero or f.d.value.val % p)]
+    # a hard residue is J-shaped, so d decides invertibility
+    hards = [hf for hf in hard_family(tctx) if not gl_zero or hf.d.val % p]
+
+    def bodies3():
+        yield from cyclic()
+        for a in units:
+            for inner in inners:
+                if inner.d.value.val % p != a.val % p:  # distinct residue eigenvalues
+                    yield SplitBody(a, inner)
+        for hf in hards:
+            yield HardBody(hf)
+
+    return bodies3
 
 
-def _enumerate3(ctx: RingCtx, group: str, budget: int):
-    """Generator behind enumerate3: yields its forms one by one, and
-    raises VerificationFailed after the last one if they were other than
-    count3 classes.  Bad parameters raise before the first form."""
-    if group not in ("M", "GL"):
-        raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-    total = count3(ctx.q, ctx.length, group)
+def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
+    """One CanonicalForm per n x n class over ctx, each its own canonical
+    matrix (identity witness), streamed.
+
+    Deterministic order: level ascending, then the scalar part d, then
+    the bodies in the order of _bodies.  Bad parameters, and a class
+    count over budget, raise before the first form; a run that emits
+    other than count2 or count3 classes raises VerificationFailed after
+    the last one.
+    """
+    total = (count2 if n == 2 else count3)(ctx.q, ctx.length, group)
     if total > budget:
-        raise BudgetExceeded(f"enumerate3 over {ctx.descriptor} exceeds budget {budget}")
-    length, p = ctx.length, ctx.p
-    ident = identity(ctx, 3)  # one shared witness: each form is a canon3 fixed point
+        raise BudgetExceeded(f"enumerate{n} over {ctx.descriptor} exceeds budget {budget}")
+    ident = identity(ctx, n)  # one shared witness: each form is a fixed point
     emitted = 0
-
-    def emit(level: int, d: Section, body):
-        nonlocal emitted
-        emitted += 1
-        return CanonicalForm(ctx, 3, level, d, body, ident)
-
-    for level in range(length + 1):
-        for dv in range(p**level):
+    for level in range(ctx.length + 1):
+        bodies = _bodies(ctx, level, n, group, budget)
+        for dv in range(ctx.p**level):
             d = Section(level, RingElem(ctx, dv))
             if group == "GL" and level >= 1 and not d.value.is_unit():
                 continue
-            if level == length:
-                yield emit(level, d, ScalarBody())
-                continue
-            tctx = ctx.truncated(length - level)
-            gl_zero = group == "GL" and level == 0
-            elems = [RingElem(tctx, v) for v in range(tctx.cardinality)]
-            for c0 in elems:
-                if gl_zero and c0.val % p == 0:
-                    continue  # residue determinant of a companion is its constant term
-                for c1 in elems:
-                    for c2 in elems:
-                        yield emit(level, d, CyclicBody((c0, c1, c2)))
-            inners = _split_inner_forms(tctx)
-            for a in elems:
-                if gl_zero and a.val % p == 0:
-                    continue
-                for inner in inners:
-                    if inner.d.value.val % p == a.val % p:
-                        continue  # the two residue eigenvalues must differ
-                    if gl_zero and inner.d.value.val % p == 0:
-                        continue
-                    yield emit(level, d, SplitBody(a, inner))
-            for hf in hard_family(tctx):
-                if gl_zero and hf.d.val % p == 0:
-                    continue  # the residue is J-shaped, so d decides invertibility
-                yield emit(level, d, HardBody(hf))
+            for body in bodies():
+                emitted += 1
+                yield CanonicalForm(ctx, n, level, d, body, ident)
     if emitted != total:
         # the hard transversal rests on normal forms alone, so a gap in
         # them shows up here as a count mismatch
         raise VerificationFailed(
-            f"enumerate3 over {ctx.descriptor} emitted {emitted} {group} classes, count3 gives {total}"
+            f"enumerate{n} over {ctx.descriptor} emitted {emitted} {group} classes, "
+            f"count{n} gives {total}"
         )
+
+
+def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
+    """One CanonicalForm per 2x2 class over ctx, as a list in the order of
+    _enumerate, which raises unless there are count2 classes."""
+    return list(_enumerate(ctx, 2, group, budget))
+
+
+def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
+    """One representative per 3x3 class over ctx, as a list of
+    (CanonicalForm, Mat) pairs in the order of _enumerate, which raises
+    unless there are count3 classes.  Every form is a canon3 fixed
+    point."""
+    return [(form, form.rebuild()) for form in _enumerate(ctx, 3, group, budget)]
 
 
 def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
@@ -274,7 +298,7 @@ def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     for level in range(1, ctx.length + 1):
         tctx = ctx.truncated(level)
         counts = [0, 0, 0, 0]
-        for form in _enumerate3(tctx, group, budget):
+        for form in _enumerate(tctx, 3, group, budget):
             counts[classify_form(form)] += 1
         out.append(CountVector(*counts))
     return out

@@ -19,10 +19,10 @@ similar, 64 usage or input error, 65 budget exceeded (an enumeration's
 satisfy (a witness identity, a centralizer order dividing |GL_n|, the
 orbit oracle's partition of the states) failed, which is raised as
 VerificationFailed and is never skipped by `python -O`.  `enumerate`
-at --n 3 streams one line per class as it builds it and compares the
-number of classes with count3 after the last line, so a count mismatch
-exits 70 after the output; at --n 2 the classes are checked against
-count2 before the first line.
+streams one line per class as it builds it and compares the number of
+classes with count2 or count3 after the last line, so a count mismatch
+exits 70 after the output.  Its --budget bounds that class count, for
+both sizes and groups, and is checked before the first line.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import argparse
 import json
 import sys
 
-from .canon2 import count2, enumerate2
 from .canon3 import canon
-from .census import _enumerate3, count3, gf_coeffs, type_histogram
+from .census import _enumerate, count2, count3, gf_coeffs, type_histogram
 from .errors import BadParams, BudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
 from .modsolve import centralizer_order, group_order, is_similar
@@ -120,8 +119,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ctx = parse_ring(args.ring)
-    enum = enumerate2 if args.n == 2 else _enumerate3
-    for form in enum(ctx, _group(args), args.budget):
+    for form in _enumerate(ctx, args.n, _group(args), args.budget):
         _print_json({"form": form.to_json(), "matrix": form.rebuild().rows()})
     return EX_OK
 
@@ -215,7 +213,7 @@ def _add_group(sp):
 
 def _add_budget(sp):
     sp.add_argument("--budget", type=_non_negative, default=10_000_000,
-                    help="largest representative list this command may build")
+                    help="most classes this command may build")
 
 
 def _add_oracle_opts(sp):

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon2 import count2, enumerate2
 from .canon3 import canon
-from .census import count3, enumerate3
+from .census import _enumerate, count2, count3
 from .errors import BadParams, BudgetExceeded, VerificationFailed
 from .matrix import Mat, diag, elementary
 from .modsolve import group_order
@@ -397,18 +396,15 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     member of its orbit.  mismatches is 0 exactly when everything
     agrees.
     """
-    if n == 2:
-        count_fn, enum_fn = count2, enumerate2
-    elif n == 3:
-        count_fn, enum_fn = count3, enumerate3
-    else:
+    if n not in (2, 3):
         raise BadParams("counts are implemented for n in {2, 3}")
+    count_fn = count2 if n == 2 else count3
     census = orbit_census(ctx, n, max_states=max_states)
     report = {"ring": ctx.descriptor, "n": n, "counts": [], "mismatches": 0}
     for group in ("M", "GL"):
         oracle_ct = census.class_count(group)
         formula = count_fn(ctx.q, ctx.length, group)
-        enumerated = len(enum_fn(ctx, group))
+        enumerated = sum(1 for _ in _enumerate(ctx, n, group))
         ok = oracle_ct == formula == enumerated
         report["counts"].append(
             {"group": group, "oracle": oracle_ct, "formula": formula,

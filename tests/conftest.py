@@ -1,18 +1,20 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
-only tests use (j_matrix, transfer_power, count2_recursion, same_class)."""
+only tests use (j_matrix, theta, transfer_power, count2_recursion,
+same_class)."""
 
 import functools
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from simclass import Mat, e_matrix, orbit_census, orbit_states, ring_ctx, theta, transfer_matrix
+from simclass import Mat, e_matrix, orbit_census, orbit_states, ring_ctx, transfer_matrix
 from simclass.oracle import state_of
 
 # every run draws the same examples, and no example database is written
@@ -86,6 +88,21 @@ def count2_recursion(q: int, level: int, group: str = "M") -> int:
     for _ in range(level - 1):
         w = [q * w[0], q * q * w[0] + q * q * w[1]]
     return w[0] + w[1]
+
+
+def theta(q: int, level: int) -> int:
+    """Closed form for the "rest" bucket: the corner entry [3][0] of the
+    level-th power of census.transfer_matrix.
+
+    The intermediate quotients are not individually integral, so the
+    product is taken over the rationals and checked at the end.
+    """
+    i = level
+    inner = Fraction(q**4 + 1, q - 1) * Fraction(q**i + 1, q + 1) - Fraction(q**3 + 1, q - 1)
+    out = q ** (i - 1) * Fraction(q**i - 1, q - 1) * inner
+    if out.denominator != 1:
+        raise ValueError(f"theta({q}, {level}) = {out} is not integral")
+    return int(out)
 
 
 def transfer_power(q: int, level: int, mode: str = "iterate"):

@@ -21,7 +21,8 @@ from simclass import (
     split_scalar,
 )
 import reference_solver as ref
-from conftest import count2_recursion, rand_invertible, rand_mat
+from simclass.cli import EX_MISMATCH
+from conftest import count2_recursion, rand_invertible, rand_mat, run_python
 
 
 def test_split_scalar_examples():
@@ -148,20 +149,26 @@ def test_enumerate2_counts_and_distinctness(ctx_len2):
 
 
 def test_enumerate2_raises_when_it_misses_a_class(monkeypatch):
-    # a GL filter that drops the classes of the first (level, d, c) it
-    # would keep: enumerate2 must refuse the short list, not return it
-    c2 = importlib.import_module("simclass.canon2")
-    keep, dropped = c2._gl_keep2, []
-
-    def drop_first(level, d, c):
-        if keep(level, d, c) and not dropped:
-            dropped.append(c)
-            return False
-        return keep(level, d, c)
-
-    monkeypatch.setattr(c2, "_gl_keep2", drop_first)
-    with pytest.raises(VerificationFailed, match="count2 gives"):
+    # a count2 one class above the stream: the shared stream must refuse
+    # the short run, also under -O, where the CLI exits 70 after
+    # streaming every line
+    census = importlib.import_module("simclass.census")
+    real = census.count2
+    monkeypatch.setattr(census, "count2", lambda q, level, group="M": real(q, level, group) + 1)
+    with pytest.raises(VerificationFailed, match="count2 gives 79"):
         enumerate2(ring_ctx("z", 3, 2), "GL")
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "census = importlib.import_module('simclass.census')\n"
+        "real = census.count2\n"
+        "census.count2 = lambda q, level, group='M': real(q, level, group) + 1\n"
+        "sys.exit(main(['enumerate', '--n', '2', '--ring', 'z:3:2', '--group', 'gl']))\n"
+    )
+    proc = run_python("-O", "-c", script, timeout=60)
+    assert proc.returncode == EX_MISMATCH, proc.stderr
+    assert "count2 gives 79" in proc.stderr
+    assert len(proc.stdout.splitlines()) == 78
 
 
 def test_enumerate2_budget():

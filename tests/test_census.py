@@ -19,12 +19,11 @@ from simclass import (
     parse_ring,
     ring_ctx,
     scalar,
-    theta,
     transfer_matrix,
     type_histogram,
 )
 from simclass.cli import EX_MISMATCH
-from conftest import run_python, transfer_power
+from conftest import run_python, theta, transfer_power
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -212,9 +211,10 @@ def test_enumerate3_matches_count_on_length_two_rings_past_the_default_tier(desc
         assert len({form for form, _ in reps}) == len(reps)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
-    "desc", ["z:3:3", "t:3:3", "z:2:4", "t:2:4", "z:2:5", "t:2:5", "t:5:3", "z:2:6"]
+    "desc",
+    ["z:3:3", "z:2:4", "t:2:4"]
+    + [pytest.param(d, marks=pytest.mark.slow) for d in ("t:3:3", "z:2:5", "t:2:5", "t:5:3", "z:2:6")],
 )
 def test_enumerate3_matches_count_past_length_two(desc):
     # the hard transversal is the normal forms alone, so the count

@@ -533,6 +533,18 @@ def test_budget_exit_65(capsys):
     assert code == EX_BUDGET
 
 
+def test_budget_bounds_the_group_class_count(capsys):
+    # over z:3:2 there are 78 GL and 117 M classes of 2x2 matrices, and
+    # 1179 M classes of 3x3 ones; a refused run prints nothing
+    code, out, _ = run(capsys, "enumerate", "--ring", "z:3:2", "--n", "2",
+                       "--group", "gl", "--budget", "78")
+    assert code == EX_OK and len(out.splitlines()) == 78
+    for n, budget in (("2", "78"), ("3", "1178")):
+        code, out, err = run(capsys, "enumerate", "--ring", "z:3:2", "--n", n,
+                             "--group", "m", "--budget", budget)
+        assert code == EX_BUDGET and out == "" and "budget" in err
+
+
 def test_output_is_deterministic(capsys):
     args = ("enumerate", "--ring", "z:2:2", "--n", "2")
     _, out1, _ = run(capsys, *args)
