@@ -224,8 +224,8 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     x_total = low @ x_total
     a = gamma.entry(0, 0)
     b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    if a.val % p != abar or not x_total.conjugates(beta, block_diag(ctx, [a, b])):
-        raise VerificationFailed("block split witness check failed")
+    if a.val % p != abar:
+        raise VerificationFailed("block split lifted the wrong residue eigenvalue")
     return a, b, x_total
 
 
@@ -358,7 +358,7 @@ def _e_form(beta: Mat, dbar: int):
     _, u = ctx.unit_split_raw(gamma.raw(0, 1))
     step(_scaling(ctx, 0, ctx.inv_raw(u)))
     e = _as_hard_form(gamma)
-    if e is None or not x_total.conjugates(beta, e.rebuild()):
+    if e is None:
         raise VerificationFailed("pi-power shape reduction failed")
     return e, x_total
 
@@ -434,8 +434,6 @@ def _classify_hard(e: HardForm):
         # the steps X' took swap(E) to swap(form), so with G_E and G_form
         # from _swap, Y = G_form ((X' G_E)^T)^-1 takes E to the form
         x_total = _swap(form)[1] @ (x_total @ _swap(e)[1]).transpose().inverse()
-        if not x_total.conjugates(e.rebuild(), form.rebuild()):
-            raise VerificationFailed("III0 witness through the transpose failed")
     return form, x_total
 
 
@@ -459,17 +457,14 @@ def _normalize_hard(e: HardForm):
 
     ctx = e.ctx
     gamma = e.rebuild()
-    ident = identity(ctx, 3)
     steps = []
     cur = e
 
     def take(step: tuple):
-        # every step comes with its inverse in closed form; the pair is
-        # checked exactly, so a wrong inverse fails here, not in the witness
+        # every step comes with its inverse in closed form; a wrong inverse
+        # fails the shape check below or the witness check of the whole form
         nonlocal gamma, cur
         x, x_inv = step
-        if x @ x_inv != ident:
-            raise VerificationFailed("hard normalization step and its inverse do not multiply to I")
         gamma = x @ gamma @ x_inv
         cur = _as_hard_form(gamma)
         if cur is None:

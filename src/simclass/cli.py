@@ -177,6 +177,8 @@ def _cmd_verify(args) -> int:
     ctx = parse_ring(args.ring)
     report = verify_counts(ctx, args.n, max_states=args.max_states)
     for row in report["counts"]:
+        if row["error"]:
+            print(f"simclass: verification failed: {row['error']}", file=sys.stderr)
         print(
             "{} n={} {}: oracle={} formula={} enumerated={} {}".format(
                 report["ring"], report["n"], row["group"], row["oracle"],

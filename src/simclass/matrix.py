@@ -173,7 +173,6 @@ class Mat:
                 (a6 * b2 + a7 * b5 + a8 * b8) % c,
             )
             return Mat._unchecked(ctx, 3, out)
-        add, mul = ctx.add_raw, ctx.mul_raw
         a, b = self.vals, other.vals
         rows = [a[i : i + n] for i in range(0, n * n, n)]
         cols = [b[j::n] for j in range(n)]
@@ -185,13 +184,8 @@ class Mat:
                 for x0, x1, x2 in rows
                 for y0, y1, y2 in cols
             ]
-        elif n == 3:  # unrolled
-            out = [
-                add(add(mul(x0, y0), mul(x1, y1)), mul(x2, y2))
-                for x0, x1, x2 in rows
-                for y0, y1, y2 in cols
-            ]
         else:
+            add, mul = ctx.add_raw, ctx.mul_raw
             out = [reduce(add, map(mul, r, c)) for r in rows for c in cols]
         return Mat._unchecked(ctx, n, out)
 

@@ -10,16 +10,15 @@ resp. t) packs to p, so pi**j packs to p**j and all digit-level helpers
 addition and multiplication differ: "z" arithmetic carries, "t"
 arithmetic is digit-wise mod p with polynomial convolution.
 
-A context binds its flavor's add_raw, sub_raw, mul_raw and neg_raw as
-plain functions once, so a ring operation is one call with no flavor
-test: "z" contexts and every length-1 context (F_p, whatever the
-flavor) bind modular arithmetic when constructed, other "t" contexts on
-their first arithmetic call.  For a "t" ring of length >= 2 and at most
-1024 elements that first call also builds the add, mul, negation and
-inverse tables the bound functions look up.  They are built by digit
-recurrence: the tables of F_p[t]/(t^k) follow row by row from those of
-F_p[t]/(t^(k-1)), starting at F_p, with one table lookup per entry (see
-_t_tables).
+A context binds its add_raw, sub_raw, mul_raw, neg_raw and unit inverse
+as plain functions once, when constructed, so a ring operation is one
+call with no flavor test.  It picks one of three arithmetic kinds:
+"z" contexts and every length-1 context (F_p, whatever the flavor) bind
+modular arithmetic; a "t" context of length >= 2 and at most 1024
+elements builds its add, mul, negation and inverse tables and binds
+lookups into them.  The tables are built by digit recurrence: those of
+F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)), starting
+at F_p, with one table lookup per entry (see _t_tables).
 Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
 ...), which are also the reference the tables are tested against.  The
 raw functions trust their arguments to be packed values of the ring;
@@ -126,7 +125,11 @@ def _t_tables(p: int, length: int):
 
 @dataclass(frozen=True)
 class RingCtx:
-    """A ring A = Z/p^length ("z") or F_p[t]/(t^length) ("t")."""
+    """A ring A = Z/p^length ("z") or F_p[t]/(t^length) ("t").
+
+    add_raw, sub_raw, mul_raw, neg_raw and the unit inverse behind
+    inv_raw are instance attributes, bound in __post_init__.
+    """
 
     flavor: str
     p: int
@@ -145,13 +148,30 @@ class RingCtx:
             raise BadDescriptor("ring cardinality must be below 2**63")
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
-        if self.flavor == "z" or self.length == 1:  # length 1: both flavors are F_p
-            self._bind(
+        tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
+        if self.flavor == "z" or self.length == 1:  # modular; length 1: both flavors are F_p
+            ops = (
                 lambda a, b: (a + b) % card,
                 lambda a, b: (a - b) % card,
                 lambda a, b: a * b % card,
                 lambda a: -a % card,
+                lambda a: pow(a, -1, card),
             )
+        elif card <= _TABLE_LIMIT:
+            tables = add, mul, neg, inv = _t_tables(self.p, self.length)
+            ops = (
+                lambda a, b: add[a * card + b],
+                lambda a, b: add[a * card + neg[b]],
+                lambda a, b: mul[a * card + b],
+                neg.__getitem__,
+                inv.__getitem__,
+            )
+        else:  # the digit loops
+            padd, pneg = self._poly_add, self._poly_neg
+            ops = (padd, lambda a, b: padd(a, pneg(b)), self._poly_mul, pneg, self._poly_inv)
+        object.__setattr__(self, "_tables", tables)
+        for name, fn in zip(("add_raw", "sub_raw", "mul_raw", "neg_raw", "_unit_inv"), ops):
+            object.__setattr__(self, name, fn)
 
     # ------------------------------------------------------------------
     # descriptors
@@ -170,20 +190,6 @@ class RingCtx:
 
     # ------------------------------------------------------------------
     # raw integer arithmetic on packed values
-
-    @property
-    def _tables(self):
-        """Lazily built (add, mul, neg, inv) lookup tables for "t" rings
-        of length >= 2 and at most _TABLE_LIMIT elements, all None for
-        other rings; see _t_tables."""
-        tabs = self.__dict__.get("_tables_cache")
-        if tabs is None:
-            if self.flavor != "t" or self.length == 1 or self.cardinality > _TABLE_LIMIT:
-                tabs = (None, None, None, None)
-            else:
-                tabs = _t_tables(self.p, self.length)
-            object.__setattr__(self, "_tables_cache", tabs)
-        return tabs
 
     def _poly_add(self, a: int, b: int) -> int:
         p = self.p
@@ -247,51 +253,10 @@ class RingCtx:
         # the bound functions are closures, so pickle the descriptor only
         return ring_ctx, (self.flavor, self.p, self.length)
 
-    def _bind(self, add, sub, mul, neg):
-        """Install the arithmetic as instance attributes, which shadow the
-        stand-in methods below."""
-        for name, fn in (("add_raw", add), ("sub_raw", sub), ("mul_raw", mul), ("neg_raw", neg)):
-            object.__setattr__(self, name, fn)
-
-    def _bind_t(self) -> "RingCtx":
-        """Bind the "t" arithmetic, table driven for small rings."""
-        add, mul, neg, _ = self._tables
-        if add is None:
-            padd, pneg = self._poly_add, self._poly_neg
-            self._bind(padd, lambda a, b: padd(a, pneg(b)), self._poly_mul, pneg)
-        else:
-            P = self.cardinality
-            self._bind(
-                lambda a, b: add[a * P + b],
-                lambda a, b: add[a * P + neg[b]],
-                lambda a, b: mul[a * P + b],
-                neg.__getitem__,
-            )
-        return self
-
-    # stand-ins, called only before a "t" context has bound its arithmetic
-
-    def add_raw(self, a: int, b: int) -> int:
-        return self._bind_t().add_raw(a, b)
-
-    def sub_raw(self, a: int, b: int) -> int:
-        return self._bind_t().sub_raw(a, b)
-
-    def mul_raw(self, a: int, b: int) -> int:
-        return self._bind_t().mul_raw(a, b)
-
-    def neg_raw(self, a: int) -> int:
-        return self._bind_t().neg_raw(a)
-
     def inv_raw(self, a: int) -> int:
         if a % self.p == 0:
             raise NonUnit(f"{a} is not a unit in {self.descriptor}")
-        if self.flavor == "z" or self.length == 1:
-            return pow(a, -1, self.cardinality)
-        tab = self._tables[3]
-        if tab is not None:
-            return tab[a]
-        return self._poly_inv(a)
+        return self._unit_inv(a)
 
     def is_unit_raw(self, a: int) -> bool:
         return a % self.p != 0

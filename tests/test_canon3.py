@@ -268,12 +268,13 @@ def test_classify_hard_steps_come_with_their_inverses(desc, rng):
 
 
 def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
-    # each builder gets an inverse off by pi in one entry, fed a shape
-    # that takes its step; the per-step check must fire under -O, which
-    # strips assert statements, and the CLI must exit 70
+    # each step builder gets an inverse off by pi in one entry, and _swap a
+    # wrong III0 conjugator, each fed a shape that takes its step; the
+    # normal form then goes wrong, and under -O, which strips assert
+    # statements, CLI canon must still refuse it and exit 70
     script = (
-        "import importlib, sys\n"
-        "from simclass import HardForm, VerificationFailed, ring_ctx\n"
+        "import contextlib, importlib, io, json, sys\n"
+        "from simclass import HardForm, ring_ctx\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import Mat\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
@@ -284,39 +285,32 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "        vals[0] = ctx.add_raw(vals[0], ctx.pi_pow_raw(1))\n"
         "        return x, Mat(ctx, 3, vals)\n"
         "    return wrong\n"
+        "def identity_conjugator(swap):\n"
+        "    return lambda e: (swap(e)[0], Mat(e.ctx, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))\n"
         "cases = [\n"
-        "    ('_lower_step', ('z', 2, 2), (1, 2, 2, 0, 0)),\n"
-        "    ('_slot_step', ('z', 2, 2), (2, 0, 2, 0, 0)),\n"
+        "    ('_lower_step', off_by_pi, ('z', 2, 2), (1, 0, 0, 0, 3)),\n"
+        "    ('_slot_step', off_by_pi, ('z', 2, 2), (2, 0, 2, 0, 1)),\n"
+        "    ('_swap', identity_conjugator, ('z', 3, 2), (2, 6, 0, 0, 0)),\n"
         "]\n"
-        "for name, desc, (m, *vals) in cases:\n"
+        "def canon(desc, rows):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        code = main(['canon', '--ring', desc, json.dumps(rows)])\n"
+        "    return code, err.getvalue()\n"
+        "for name, fault, desc, (m, *vals) in cases:\n"
         "    ctx = ring_ctx(*desc)\n"
-        "    e = HardForm(m, *(ctx.elem(v) for v in vals))\n"
+        "    rows = HardForm(m, *(ctx.elem(v) for v in vals)).rebuild().rows()\n"
+        "    if canon(ctx.descriptor, rows)[0] != 0:\n"
+        "        sys.exit(f'canon of {rows} fails with a sound {name}')\n"
         "    real = getattr(c3, name)\n"
-        "    c3._classify_hard(e)\n"
-        "    setattr(c3, name, off_by_pi(real))\n"
-        "    try:\n"
-        "        c3._classify_hard(e)\n"
-        "        sys.exit(f'no VerificationFailed with a wrong {name} inverse')\n"
-        "    except VerificationFailed:\n"
-        "        pass\n"
+        "    setattr(c3, name, fault(real))\n"
+        "    code, err = canon(ctx.descriptor, rows)\n"
+        f"    if code != {EX_MISMATCH} or 'verification failed: ' not in err:\n"
+        "        sys.exit(f'a broken {name} gave exit {code}: {err!r}')\n"
         "    setattr(c3, name, real)\n"
-        "# a III0 witness built through a wrong transpose conjugator\n"
-        "real_swap = c3._swap\n"
-        "c3._swap = lambda e: (real_swap(e)[0], Mat(e.ctx, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))\n"
-        "ctx = ring_ctx('z', 3, 2)\n"
-        "try:\n"
-        "    c3._classify_hard(HardForm(2, *(ctx.elem(v) for v in (6, 0, 0, 0))))\n"
-        "    sys.exit('no VerificationFailed with a wrong III0 conjugator')\n"
-        "except VerificationFailed as exc:\n"
-        "    if 'transpose' not in str(exc):\n"
-        "        raise\n"
-        "c3._swap = real_swap\n"
-        "c3._lower_step = off_by_pi(c3._lower_step)\n"
-        "sys.exit(main(['canon', '--ring', 'z:2:2', '[[0,2,0],[0,0,1],[2,2,0]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
-    assert proc.returncode == EX_MISMATCH, proc.stderr
-    assert "do not multiply to I" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hard_family_members_are_their_own_class_reps():
@@ -480,6 +474,16 @@ def test_no_module_in_the_package_defines_or_imports_the_solver():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(a.asname or a.name for a in node.names)
         assert not names & SOLVER_NAMES, (path.name, names & SOLVER_NAMES)
+
+
+def test_no_module_in_the_package_uses_assert():
+    # python -O strips assert statements, so every load-bearing check in
+    # the package is an explicit raise
+    src = pathlib.Path(importlib.import_module("simclass").__file__).parent
+    for path in sorted(src.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
 
 
 @pytest.fixture

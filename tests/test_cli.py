@@ -303,25 +303,18 @@ def test_broken_similarity_witness_exits_70_under_optimize():
 
 def test_broken_block_split_raises_under_optimize():
     # with the 2x2 solves zeroed the refinement never clears the blocks;
-    # the final witness check must still fire under -O, and canon exit 70
+    # the witness check of the whole form must fire under -O, and canon
+    # exit 70
     script = (
         "import importlib, sys\n"
-        "from simclass import Mat, VerificationFailed, ring_ctx\n"
         "from simclass.cli import main\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
         "c3._solve2 = lambda *args: (0, 0)\n"
-        "rows = [[1, 0, 0], [1, 0, 2], [2, 2, 2]]\n"
-        "m = Mat.from_rows(ring_ctx('z', 2, 2), rows)\n"
-        "try:\n"
-        "    c3._block_split(m, 1, 0)\n"
-        "    sys.exit('no VerificationFailed')\n"
-        "except VerificationFailed:\n"
-        "    pass\n"
-        "sys.exit(main(['canon', '--ring', 'z:2:2', str(rows)]))\n"
+        "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1, 0, 0], [1, 0, 2], [2, 2, 2]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
     assert proc.returncode == EX_MISMATCH, proc.stderr
-    assert "block split witness" in proc.stderr
+    assert "verification failed: canon3 witness check failed" in proc.stderr
 
 
 def test_canon_and_similar_over_a_61_bit_prime():
@@ -495,6 +488,26 @@ def test_verify_clean_run(capsys):
     lines = out.strip().split("\n")
     assert any("M: oracle=6 formula=6 enumerated=6 ok" in ln for ln in lines)
     assert "canonical forms constant" in lines[-1]
+
+
+def test_verify_reports_an_enumeration_mismatch(capsys, monkeypatch):
+    # a closed form one M class too high: the stream refuses its count,
+    # and verify still prints the row, with the count it streamed
+    census, oracle = (importlib.import_module(f"simclass.{m}") for m in ("census", "oracle"))
+    real = census.count3
+
+    def count3(q, level, group="M"):
+        return 15 if (q, level, group) == (2, 1, "M") else real(q, level, group)
+
+    monkeypatch.setattr(census, "count3", count3)
+    monkeypatch.setattr(oracle, "count3", count3)
+    code, out, err = run(capsys, "verify", "--ring", "z:2:1", "--n", "3")
+    assert code == EX_MISMATCH
+    lines = out.splitlines()
+    assert lines[0] == "z:2:1 n=3 M: oracle=14 formula=15 enumerated=14 MISMATCH"
+    assert lines[1] == "z:2:1 n=3 GL: oracle=6 formula=6 enumerated=6 ok"
+    assert "canonical forms constant" in lines[2] and len(lines) == 3
+    assert "verification failed: enumerate3 over z:2:1 emitted 14 M classes" in err
 
 
 # ----------------------------------------------------------------------

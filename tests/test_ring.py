@@ -147,13 +147,12 @@ def test_elem_validates_range():
     [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), (3, 7)],
 )
 def test_bound_t_ops_match_the_digit_loops(p, length):
-    # a fresh, non-interned context binds its ops on the first call, or
-    # when constructed at length 1 (F_p, modular arithmetic, no tables);
-    # t:2:10 has exactly _TABLE_LIMIT elements, and t:3:7 is past the
-    # limit and binds the digit loops themselves
+    # every context binds when constructed: modular arithmetic at length 1
+    # (F_p, no tables), tables up to _TABLE_LIMIT elements (t:2:10 has
+    # exactly that many), and past it the digit loops themselves (t:3:7)
     ctx = RingCtx("t", p, length)
-    assert ("mul_raw" in vars(ctx)) == (length == 1)
-    assert ctx.mul_raw(1, 1) == 1 and "mul_raw" in vars(ctx)
+    assert all(name in vars(ctx) for name in ("add_raw", "sub_raw", "mul_raw", "neg_raw"))
+    assert ctx.mul_raw(1, 1) == 1
     card = ctx.cardinality
     if card > _TABLE_LIMIT:
         rows = cols = range(0, card, 37)
