@@ -52,7 +52,6 @@ from .errors import (
     BadParams,
     BudgetExceeded,
     CtxMismatch,
-    DigitOutOfRange,
     NonIntegralDivision,
     NonUnit,
     NotInvertible,
@@ -72,7 +71,7 @@ from .matrix import (
     zero,
 )
 from .modsolve import centralizer_order, group_order, is_similar
-from .ring import RingCtx, RingElem, Section, parse_ring, ring_ctx, section_of
+from .ring import RingCtx, parse_ring, ring_ctx
 
 __version__ = "0.1.0"
 
@@ -114,7 +113,6 @@ __all__ = [
     "CountVector",
     "CtxMismatch",
     "CyclicBody",
-    "DigitOutOfRange",
     "HardBody",
     "HardForm",
     "Mat",
@@ -123,11 +121,9 @@ __all__ = [
     "NotInvertible",
     "OrbitCensus",
     "RingCtx",
-    "RingElem",
     "ScalarBody",
     "ScalarSplit",
     "SearchBudgetExceeded",
-    "Section",
     "SimclassError",
     "SplitBody",
     "VerificationFailed",
@@ -160,7 +156,6 @@ __all__ = [
     "recombine",
     "ring_ctx",
     "scalar",
-    "section_of",
     "split_scalar",
     "transfer_matrix",
     "type_histogram",

@@ -2,9 +2,10 @@
 shared with canon3.
 
 Every matrix splits uniquely as alpha = d*I + pi^j * beta with j
-maximal, d in the digit section K_j and beta non-scalar modulo pi over
-the length-(l-j) ring.  A CanonicalForm is (n, j, d, body) together
-with a witness X, and X alpha X^{-1} is the rebuilt canonical matrix.
+maximal, d a packed value reduced mod pi^j (no digit at or above j)
+and beta non-scalar modulo pi over the length-(l-j) ring.  A
+CanonicalForm is (n, j, d, body) together with a witness X, and
+X alpha X^{-1} is the rebuilt canonical matrix.
 The body is ScalarBody when alpha is scalar (j = l) and CyclicBody when
 the residue of beta is cyclic: beta is then similar to the companion
 matrix of its characteristic polynomial, whose coefficients are a
@@ -22,7 +23,7 @@ from itertools import product
 
 from .errors import BadParams, VerificationFailed
 from .matrix import Mat, _raw, companion, identity, scalar
-from .ring import RingCtx, RingElem, Section, section_of
+from .ring import RingCtx
 
 __all__ = [
     "ScalarSplit",
@@ -39,7 +40,7 @@ class ScalarSplit:
     """alpha = d*I + pi^level * beta, with beta over the truncated ring."""
 
     level: int
-    d: Section
+    d: int  # reduced mod pi^level
     beta: Mat | None  # None iff alpha is scalar (level = length)
 
 
@@ -54,7 +55,7 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
         for i in range(n)
         for j in range(n)
     )
-    d = section_of(RingElem(ctx, d0), level)
+    d = ctx.mod_pi_raw(d0, level)
     if level == length:
         return ScalarSplit(level, d, None)
     tctx = ctx.truncated(length - level)
@@ -63,7 +64,7 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
         for j in range(n):
             x = alpha.raw(i, j)
             if i == j:
-                x = ctx.sub_raw(x, d.value.val)
+                x = ctx.sub_raw(x, d)
             vals.append(tctx.mod_pi_raw(ctx.div_pi_raw(x, level), length - level))
     beta = Mat(tctx, n, vals)
     if beta.residue().is_scalar():
@@ -71,11 +72,11 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
     return ScalarSplit(level, d, beta)
 
 
-def recombine(ctx: RingCtx, level: int, d: Section, body: Mat | None, n: int) -> Mat:
+def recombine(ctx: RingCtx, level: int, d: int, body: Mat | None, n: int) -> Mat:
     """d*I + pi^level * lift(body) over ctx; inverse of split_scalar."""
     if level == ctx.length:
-        return scalar(ctx, n, d.value)
-    dv = _raw(ctx, d.value)
+        return scalar(ctx, n, d)
+    dv = _raw(ctx, d)
     if body is None or body.ctx.length != ctx.length - level:
         raise BadParams("body must live over the length-(l-j) ring")
     # multiplying by pi^level shifts the packed digits up in both flavors
@@ -98,13 +99,13 @@ class ScalarBody:
 class CyclicBody:
     """The companion matrix of coeffs (see matrix.companion)."""
 
-    coeffs: tuple  # characteristic polynomial in companion convention
+    coeffs: tuple  # packed characteristic polynomial in companion convention
 
     def matrix(self, tctx: RingCtx) -> Mat:
         return companion(tctx, self.coeffs)
 
     def to_json(self) -> dict:
-        return {"kind": "cyclic", "coeffs": [c.val for c in self.coeffs]}
+        return {"kind": "cyclic", "coeffs": list(self.coeffs)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class CanonicalForm:
     ctx: RingCtx
     n: int
     level: int
-    d: Section
+    d: int  # reduced mod pi^level
     body: object
     witness: Mat = field(compare=False, repr=False)
 
@@ -133,12 +134,12 @@ class CanonicalForm:
         if self.n == 2:  # 2x2 forms print the companion pair (c, e) of x^2 - e*x - c
             c = e = None
             if isinstance(self.body, CyclicBody):
-                c, e = (x.val for x in self.body.coeffs)
-            return {"j": self.level, "d": self.d.value.val, "c": c, "e": e}
+                c, e = self.body.coeffs
+            return {"j": self.level, "d": self.d, "c": c, "e": e}
         return {
             "ring": self.ctx.descriptor,
             "j": self.level,
-            "d": self.d.value.val,
+            "d": self.d,
             "body": self.body.to_json(),
         }
 

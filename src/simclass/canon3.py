@@ -41,7 +41,7 @@ from .canon2 import (
 )
 from .errors import BadParams, VerificationFailed
 from .matrix import Mat, block_diag, e_matrix, identity, scalar
-from .ring import RingCtx, RingElem
+from .ring import RingCtx
 
 __all__ = [
     "HardForm",
@@ -127,7 +127,7 @@ def _residue_type(m: Mat) -> tuple:
         return ("cyclic",)
     # r is non-scalar, so {r, I} is independent and piv == [0, 1]
     s, t = rr[0][2], rr[1][2]
-    double = (r.trace().val - s) % p
+    double = (r.trace() - s) % p
     single = (s - double) % p
     if (double * double - s * double - t) % p:
         raise VerificationFailed(f"residue minimal polynomial x^2 - {s}x - {t} fits no shape")
@@ -222,9 +222,9 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     low, low_inv = _shear(ctx, (1, 0, x), (2, 0, y))
     gamma = low @ gamma @ low_inv
     x_total = low @ x_total
-    a = gamma.entry(0, 0)
+    a = gamma.raw(0, 0)
     b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    if a.val % p != abar:
+    if a % p != abar:
         raise VerificationFailed("block split lifted the wrong residue eigenvalue")
     return a, b, x_total
 
@@ -235,12 +235,12 @@ def _block_split(beta: Mat, abar: int, bbar: int):
 
 @dataclass(frozen=True)
 class HardForm:
-    """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]].
+    """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]] over ctx.
 
-    a, b, c lie in the maximal ideal and 1 <= m <= length, with
-    m = length exactly when the (1,2) slot is zero.  The type tag is
-    read off (m, val(a), val(b)), and _normalize_hard takes each type to
-    its normal form, which has:
+    a, b, c and d are packed values of ctx, a, b and c lie in the
+    maximal ideal, and 1 <= m <= length, with m = length exactly when the
+    (1,2) slot is zero.  The type tag is read off (m, val(a), val(b)),
+    and _normalize_hard takes each type to its normal form, which has:
 
     tag "I":    val(b) = length, so m = val(a) = length too: a = b = 0
                 and the slot is zero (pure J shape).
@@ -263,30 +263,29 @@ class HardForm:
     the normal forms before the swap left apart.
     """
 
+    ctx: RingCtx
     m: int
-    a: RingElem
-    b: RingElem
-    c: RingElem
-    d: RingElem
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
         ctx = self.ctx
         if not 1 <= self.m <= ctx.length:
             raise BadParams(f"slot exponent {self.m} outside [1, {ctx.length}]")
-        for name in ("a", "b", "c"):
-            e: RingElem = getattr(self, name)
-            if e.ctx != ctx or e.is_unit():
+        for name, v in zip("abcd", (self.a, self.b, self.c, self.d)):
+            if type(v) is not int or not 0 <= v < ctx.cardinality:
+                raise BadParams(f"{name} = {v!r} is not a packed value of {ctx.descriptor}")
+            if name != "d" and ctx.is_unit_raw(v):
                 raise BadParams(f"{name} must be a non-unit over {ctx.descriptor}")
 
     @property
-    def ctx(self) -> RingCtx:
-        return self.a.ctx
-
-    @property
     def tag(self) -> str:
-        va, vb = self.a.valuation(), self.b.valuation()
+        ctx = self.ctx
+        va, vb = ctx.val_raw(self.a), ctx.val_raw(self.b)
         if vb <= min(self.m, va):
-            return "I" if vb >= self.ctx.length else "II"
+            return "I" if vb >= ctx.length else "II"
         return "III0" if va < self.m else "III1"
 
     def rebuild(self) -> Mat:
@@ -296,10 +295,10 @@ class HardForm:
         return {
             "type": self.tag,
             "m": self.m,
-            "a": self.a.val,
-            "b": self.b.val,
-            "c": self.c.val,
-            "d": self.d.val,
+            "a": self.a,
+            "b": self.b,
+            "c": self.c,
+            "d": self.d,
         }
 
 
@@ -317,7 +316,7 @@ def _as_hard_form(m: Mat) -> HardForm | None:
     c = ctx.sub_raw(m.raw(2, 2), d)
     if any(ctx.is_unit_raw(v) for v in (a, b, c)):
         return None
-    return HardForm(t, RingElem(ctx, a), RingElem(ctx, b), RingElem(ctx, c), RingElem(ctx, d))
+    return HardForm(ctx, t, a, b, c, d)
 
 
 def _e_form(beta: Mat, dbar: int):
@@ -414,10 +413,10 @@ def _swap(e: HardForm) -> tuple:
     same b, c, d.  swap maps type III0 onto type III1.
     """
     ctx = e.ctx
-    k, w = ctx.unit_split_raw(e.a.val)
-    a = RingElem(ctx, ctx.mul_raw(ctx.pi_pow_raw(e.m), w))
-    g = Mat._unchecked(ctx, 3, [ctx.inv_raw(w), 0, 0, 0, 0, 1, 0, 1, e.c.val])
-    return HardForm(k, a, e.b, e.c, e.d), g
+    k, w = ctx.unit_split_raw(e.a)
+    a = ctx.mul_raw(ctx.pi_pow_raw(e.m), w)
+    g = Mat._unchecked(ctx, 3, [ctx.inv_raw(w), 0, 0, 0, 0, 1, 0, 1, e.c])
+    return HardForm(ctx, k, a, e.b, e.c, e.d), g
 
 
 def _classify_hard(e: HardForm):
@@ -472,23 +471,23 @@ def _normalize_hard(e: HardForm):
         steps.append(x)
 
     if tag == "II":
-        vb = e.b.valuation()
+        vb = ctx.val_raw(e.b)
         # first eliminate a: each step multiplies b by a unit mod higher
         # valuation and strictly raises val(a), so it ends within length
         # steps; a step that does not is a stall and raises
         while cur.a:
-            _, ub = cur.b.unit_split()
-            x = ctx.mul_raw(ctx.div_pi_raw(cur.a.val, vb), ctx.inv_raw(ub.val))
-            old = cur.a.valuation()
+            _, ub = ctx.unit_split_raw(cur.b)
+            x = ctx.mul_raw(ctx.div_pi_raw(cur.a, vb), ctx.inv_raw(ub))
+            old = ctx.val_raw(cur.a)
             take(_lower_step(ctx, cur.m, x))
-            if cur.a.valuation() <= old:
+            if ctx.val_raw(cur.a) <= old:
                 raise VerificationFailed("a elimination stalled")
         if cur.m > vb:
             # with a = 0 the slot-lowering triangle (lam = unit part of b,
             # inverted) lowers the slot exponent to val(b) exactly, fixing
             # a = 0 and b, c, d on the nose
-            _, ub = cur.b.unit_split()
-            take(_slot_step(ctx, cur.m - vb, ctx.inv_raw(ub.val), cur.c.val))
+            _, ub = ctx.unit_split_raw(cur.b)
+            take(_slot_step(ctx, cur.m - vb, ctx.inv_raw(ub), cur.c))
             if cur.m != vb or cur.a:
                 raise VerificationFailed("slot exponent lowering failed")
         return cur, steps
@@ -496,13 +495,13 @@ def _normalize_hard(e: HardForm):
     # III1: pin the digits of d at and above m
     m = e.m
     for s in range(ctx.length - 1, m - 1, -1):
-        delta = cur.d.digits()[s]
+        delta = ctx.digits_raw(cur.d)[s]
         if delta == 0:
             continue
         x = ctx.mul_raw(delta, ctx.pi_pow_raw(s - m))
-        low = ctx.mod_pi_raw(cur.d.val, s)
+        low = ctx.mod_pi_raw(cur.d, s)
         take(_lower_step(ctx, cur.m, x))
-        if cur.d.digits()[s] or ctx.mod_pi_raw(cur.d.val, s) != low:
+        if ctx.digits_raw(cur.d)[s] or ctx.mod_pi_raw(cur.d, s) != low:
             raise VerificationFailed(f"pinning digit {s} of d failed")
     return cur, steps
 
@@ -527,37 +526,35 @@ def hard_family(tctx: RingCtx) -> tuple:
     class count is checked against count3.
     """
     length, card, p = tctx.length, tctx.cardinality, tctx.p
-    elems = [RingElem(tctx, v) for v in range(card)]
-    zero = elems[0]
+    elems = range(card)
 
     def at_least(v):  # the elements of valuation >= v
-        return elems[:: p ** min(v, length)]
+        return range(0, card, p ** min(v, length))
 
     ideal = at_least(1)
     forms = []
 
+    def key(f: HardForm) -> tuple:
+        return f.m, f.a, f.b, f.c, f.d
+
     def keep(e: HardForm):
         if _normalize_hard(e)[0] != e:
-            params = (e.m, e.a.val, e.b.val, e.c.val, e.d.val)
             raise VerificationFailed(
-                f"{e.tag} candidate {params} over {tctx.descriptor} is no normal form"
+                f"{e.tag} candidate {key(e)} over {tctx.descriptor} is no normal form"
             )
         forms.append(e)
 
     for c, d in product(ideal, elems):
-        keep(HardForm(length, zero, zero, c, d))
+        keep(HardForm(tctx, length, 0, 0, c, d))
     for m in range(1, length):
         for b, c, d in product(at_least(m), ideal, elems):
-            if b.valuation() == m:
-                keep(HardForm(m, zero, b, c, d))
-        for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, elems[: p**m]):
-            e = HardForm(m, a, b, c, d)
+            if tctx.val_raw(b) == m:
+                keep(HardForm(tctx, m, 0, b, c, d))
+        for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, range(p**m)):
+            e = HardForm(tctx, m, a, b, c, d)
             keep(e)
-            if a.valuation() > m:
+            if tctx.val_raw(a) > m:
                 keep(_swap(e)[0])
-
-    def key(f: HardForm) -> tuple:
-        return f.m, f.a.val, f.b.val, f.c.val, f.d.val
 
     forms.sort(key=key)
     if any(key(f) >= key(g) for f, g in zip(forms, forms[1:])):
@@ -573,14 +570,14 @@ def hard_family(tctx: RingCtx) -> tuple:
 class SplitBody:
     """diag(a) ++ the rebuilt 2x2 form inner, over the body's ring."""
 
-    a: RingElem
+    a: int
     inner: CanonicalForm
 
     def matrix(self, tctx: RingCtx) -> Mat:
         return block_diag(tctx, [self.a, self.inner.rebuild()])
 
     def to_json(self) -> dict:
-        return {"kind": "split", "a": self.a.val, "inner": self.inner.to_json()}
+        return {"kind": "split", "a": self.a, "inner": self.inner.to_json()}
 
 
 @dataclass(frozen=True)
@@ -647,5 +644,5 @@ def centralizer_shape(f: HardForm) -> CentralizerShape:
     """Shape from (m, val(a), val(b)) alone, over the length-i ring of f."""
     i = f.ctx.length
     if f.tag in ("I", "II"):
-        return CentralizerShape(2, 3 * i + 2 * f.b.valuation() - 2)
-    return CentralizerShape(1, 3 * i + 2 * min(f.m, f.a.valuation()) - 1)
+        return CentralizerShape(2, 3 * i + 2 * f.ctx.val_raw(f.b) - 2)
+    return CentralizerShape(1, 3 * i + 2 * min(f.m, f.ctx.val_raw(f.a)) - 1)

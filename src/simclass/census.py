@@ -31,7 +31,7 @@ from .canon2 import CanonicalForm, CyclicBody, ScalarBody
 from .canon3 import HardBody, SplitBody, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
 from .matrix import identity
-from .ring import RingCtx, RingElem, Section
+from .ring import RingCtx
 
 __all__ = [
     "CountVector",
@@ -217,10 +217,10 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     tctx = ctx.truncated(ctx.length - level)
     p = tctx.p
     gl_zero = group == "GL" and level == 0
-    elems = [RingElem(tctx, v) for v in range(tctx.cardinality)]
+    elems = range(tctx.cardinality)
     # the residue determinant of a companion is its constant term up to
     # sign, and a split residue is invertible iff both blocks' are
-    units = [x for x in elems if not gl_zero or x.val % p]
+    units = [x for x in elems if not gl_zero or x % p]
 
     def cyclic():
         return map(CyclicBody, product(units, *[elems] * (n - 1)))
@@ -229,15 +229,15 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
         return cyclic
     # 2x2 forms with scalar residue, i.e. positive split level
     inners = [f for f in _enumerate(tctx, 2, "M", budget)
-              if f.level >= 1 and (not gl_zero or f.d.value.val % p)]
+              if f.level >= 1 and (not gl_zero or f.d % p)]
     # a hard residue is J-shaped, so d decides invertibility
-    hards = [hf for hf in hard_family(tctx) if not gl_zero or hf.d.val % p]
+    hards = [hf for hf in hard_family(tctx) if not gl_zero or hf.d % p]
 
     def bodies3():
         yield from cyclic()
         for a in units:
             for inner in inners:
-                if inner.d.value.val % p != a.val % p:  # distinct residue eigenvalues
+                if inner.d % p != a % p:  # distinct residue eigenvalues
                     yield SplitBody(a, inner)
         for hf in hards:
             yield HardBody(hf)
@@ -262,9 +262,8 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
     emitted = 0
     for level in range(ctx.length + 1):
         bodies = _bodies(ctx, level, n, group, budget)
-        for dv in range(ctx.p**level):
-            d = Section(level, RingElem(ctx, dv))
-            if group == "GL" and level >= 1 and not d.value.is_unit():
+        for d in range(ctx.p**level):
+            if group == "GL" and level >= 1 and not ctx.is_unit_raw(d):
                 continue
             for body in bodies():
                 emitted += 1

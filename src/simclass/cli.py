@@ -64,6 +64,20 @@ def _print_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _print_counts(counts):
+    """Print exact counts of any size.  The interpreter's limit on the
+    digits of an int-to-str conversion (Python 3.11, 3.10.7) is lifted for
+    this output only; parsing a descriptor or a matrix keeps it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(" ".join(map(str, counts)))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -102,7 +116,7 @@ def _group(args) -> str:
 
 def _cmd_count(args) -> int:
     fn = count2 if args.n == 2 else count3
-    print(fn(args.q, args.level, _group(args)))
+    _print_counts([fn(args.q, args.level, _group(args))])
     return EX_OK
 
 
@@ -113,7 +127,7 @@ def _cmd_gf(args) -> int:
         if args.q < 2 or args.terms < 1:
             raise BadParams("need q >= 2 and terms >= 1")  # as gf_coeffs says for n = 3
         coeffs = [count2(args.q, i, _group(args)) for i in range(args.terms)]
-    print(" ".join(str(c) for c in coeffs))
+    _print_counts(coeffs)
     return EX_OK
 
 

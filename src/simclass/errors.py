@@ -13,10 +13,6 @@ class BadLevel(SimclassError):
     """Level/length argument outside the valid range."""
 
 
-class DigitOutOfRange(SimclassError):
-    """A base-p digit outside [0, p)."""
-
-
 class NonUnit(SimclassError):
     """Inversion of a non-unit ring element."""
 

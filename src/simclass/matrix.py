@@ -1,9 +1,10 @@
 """Small square matrices over a finite chain ring.
 
-Entries are stored row-major as packed integers (see ring.py); the
-public accessors hand out RingElem values.  Only n in {1, 2, 3} is
-supported, which keeps determinants, adjugates and characteristic
-polynomials explicit and exact.
+Entries are stored row-major as packed integers (see ring.py), and
+the accessors, trace, determinant and characteristic polynomial hand
+out packed integers too.  Only n in {1, 2, 3} is supported, which
+keeps determinants, adjugates and characteristic polynomials explicit
+and exact.
 
 Mat(...) and Mat.from_rows validate every entry (an
 integer, in range for a "t" ring, reduced for a "z" ring); from_rows
@@ -31,7 +32,7 @@ import operator
 from functools import reduce
 
 from .errors import BadParams, CtxMismatch, NotInvertible
-from .ring import RingCtx, RingElem
+from .ring import RingCtx
 
 __all__ = [
     "Mat",
@@ -47,17 +48,13 @@ __all__ = [
 
 
 def _raw(ctx: RingCtx, x) -> int:
-    """Packed value of an entry: a RingElem of ctx or an integer.
+    """Packed value of an integer entry over ctx.
 
     Integers are taken through operator.index, so int and numpy integers
     pass while floats, strings and bools are refused, never truncated.
     """
     if type(x) is int:
         v = x
-    elif isinstance(x, RingElem):
-        if x.ctx is not ctx and x.ctx != ctx:
-            raise CtxMismatch(f"{x.ctx} vs {ctx}")
-        return x.val
     elif isinstance(x, bool):
         raise BadParams(f"matrix entry {x!r} is a bool, not an integer")
     else:
@@ -122,9 +119,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.ctx, self.n, self.vals))
-
-    def entry(self, i: int, j: int) -> RingElem:
-        return RingElem(self.ctx, self.vals[i * self.n + j])
 
     def raw(self, i: int, j: int) -> int:
         return self.vals[i * self.n + j]
@@ -194,51 +188,51 @@ class Mat:
         mul = self.ctx.mul_raw
         return Mat._unchecked(self.ctx, self.n, [mul(v, a) for a in self.vals])
 
-    def trace(self) -> RingElem:
+    def trace(self) -> int:
         add = self.ctx.add_raw
         s = 0
         for i in range(self.n):
             s = add(s, self.vals[i * self.n + i])
-        return RingElem(self.ctx, s)
+        return s
 
-    def det(self) -> RingElem:
+    def det(self) -> int:
         v, n = self.vals, self.n
         add, sub, mul = self.ctx.add_raw, self.ctx.sub_raw, self.ctx.mul_raw
         if n == 1:
-            return RingElem(self.ctx, v[0])
+            return v[0]
         if n == 2:
-            return RingElem(self.ctx, sub(mul(v[0], v[3]), mul(v[1], v[2])))
+            return sub(mul(v[0], v[3]), mul(v[1], v[2]))
         if self.ctx.flavor == "z":  # integer arithmetic, one reduction
             v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
             d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
-            return RingElem(self.ctx, d % self.ctx.cardinality)
+            return d % self.ctx.cardinality
         m = [
             mul(v[0], sub(mul(v[4], v[8]), mul(v[5], v[7]))),
             mul(v[1], sub(mul(v[3], v[8]), mul(v[5], v[6]))),
             mul(v[2], sub(mul(v[3], v[7]), mul(v[4], v[6]))),
         ]
-        return RingElem(self.ctx, add(sub(m[0], m[1]), m[2]))
+        return add(sub(m[0], m[1]), m[2])
 
-    def charpoly(self) -> tuple[RingElem, ...]:
+    def charpoly(self) -> tuple[int, ...]:
         """Companion coefficients (a_0, ..., a_{n-1})."""
         ctx, v, n = self.ctx, self.vals, self.n
         sub, mul, add = ctx.sub_raw, ctx.mul_raw, ctx.add_raw
-        tr = self.trace().val
+        tr = self.trace()
         if n == 1:
-            return (RingElem(ctx, tr),)
-        det = self.det().val
+            return (tr,)
+        det = self.det()
         if n == 2:
-            return (RingElem(ctx, ctx.neg_raw(det)), RingElem(ctx, tr))
+            return (ctx.neg_raw(det), tr)
         s2 = 0  # sum of principal 2x2 minors
         for i, j in ((0, 1), (0, 2), (1, 2)):
             s2 = add(
                 s2,
                 sub(mul(v[i * 3 + i], v[j * 3 + j]), mul(v[i * 3 + j], v[j * 3 + i])),
             )
-        return (RingElem(ctx, det), RingElem(ctx, ctx.neg_raw(s2)), RingElem(ctx, tr))
+        return (det, ctx.neg_raw(s2), tr)
 
     def is_invertible(self) -> bool:
-        return self.det().is_unit()
+        return self.ctx.is_unit_raw(self.det())
 
     def adjugate(self) -> "Mat":
         v, n, ctx = self.vals, self.n, self.ctx
@@ -277,9 +271,9 @@ class Mat:
 
     def inverse(self) -> "Mat":
         d = self.det()
-        if not d.is_unit():
-            raise NotInvertible(f"determinant {d.val} is not a unit")
-        return self.adjugate().scale(d.inverse())
+        if not self.ctx.is_unit_raw(d):
+            raise NotInvertible(f"determinant {d} is not a unit")
+        return self.adjugate().scale(self.ctx.inv_raw(d))
 
     def transpose(self) -> "Mat":
         n = self.n
@@ -361,7 +355,7 @@ def companion(ctx: RingCtx, coeffs) -> Mat:
 
 
 def block_diag(ctx: RingCtx, parts) -> Mat:
-    """Block diagonal matrix from RingElem/int scalars and Mat blocks."""
+    """Block diagonal matrix from integer scalars and Mat blocks."""
     sizes = []
     for p in parts:
         sizes.append(p.n if isinstance(p, Mat) else 1)

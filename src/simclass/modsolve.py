@@ -129,7 +129,7 @@ def _cyclic_units(q: int, i: int, f: list) -> int:
 
 def _residue_poly(coeffs, q: int) -> list:
     """x^n - sum a_k x^k mod pi from companion coeffs (a_0, ..., a_{n-1})."""
-    return [1] + [-c.val % q for c in reversed(coeffs)]
+    return [1] + [-c % q for c in reversed(coeffs)]
 
 
 def _form_order(form) -> int:

@@ -6,7 +6,7 @@ An element is stored as a canonical integer in [0, p**length).  For the
 t^j packs to p**j.  In both flavors the base-p digits of the packed
 value are the digit vector of the element and the uniformizer pi (p
 resp. t) packs to p, so pi**j packs to p**j and all digit-level helpers
-(valuation, truncation, sections) are flavor independent.  Only
+(valuation, truncation, digits) are flavor independent.  Only
 addition and multiplication differ: "z" arithmetic carries, "t"
 arithmetic is digit-wise mod p with polynomial convolution.
 
@@ -21,8 +21,10 @@ F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)), starting
 at F_p, with one table lookup per entry (see _t_tables).
 Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
 ...), which are also the reference the tables are tested against.  The
-raw functions trust their arguments to be packed values of the ring;
-RingElem checks the range of the value it wraps.
+raw functions trust their arguments to be packed values of the ring:
+an element is its packed integer, with no wrapper type, and values
+are range-checked where they enter, by Mat and the shape builders (see
+matrix._raw) and by HardForm.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .errors import (
-    BadDescriptor,
-    BadLevel,
-    CtxMismatch,
-    DigitOutOfRange,
-    NonUnit,
-)
+from .errors import BadDescriptor, BadLevel, NonUnit
 
 MAX_CARDINALITY = 2**63
 
@@ -140,12 +136,17 @@ class RingCtx:
     def __post_init__(self):
         if self.flavor not in ("z", "t"):
             raise BadDescriptor(f"unknown flavor {self.flavor!r}")
-        if not _is_prime(self.p):
+        if self.p < 2:
             raise BadDescriptor(f"p = {self.p} is not prime")
         if self.length < 1:
             raise BadLevel(f"length must be >= 1, got {self.length}")
-        if self.p**self.length >= MAX_CARDINALITY:
+        # bound the size before any big arithmetic: as p >= 2, a length of
+        # 63 or more is always too large, and primality is tested last
+        too_large = self.p >= MAX_CARDINALITY or self.length >= 63
+        if too_large or self.p**self.length >= MAX_CARDINALITY:
             raise BadDescriptor("ring cardinality must be below 2**63")
+        if not _is_prime(self.p):
+            raise BadDescriptor(f"p = {self.p} is not prime")
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
@@ -308,10 +309,7 @@ class RingCtx:
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # element constructors
-
-    def elem(self, val: int) -> "RingElem":
-        return RingElem(self, val % self.cardinality if self.flavor == "z" else val)
+    # levels
 
     def truncated(self, level: int) -> "RingCtx":
         if not 1 <= level <= self.length:
@@ -341,93 +339,3 @@ def parse_ring(descriptor: str) -> RingCtx:
     except ValueError:
         raise BadDescriptor(f"bad ring descriptor {descriptor!r}") from None
     return ring_ctx(flavor, p, length)
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a RingCtx, stored as its canonical packed integer."""
-
-    ctx: RingCtx
-    val: int
-
-    def __post_init__(self):
-        if not 0 <= self.val < self.ctx.cardinality:
-            raise DigitOutOfRange(f"{self.val} outside [0, {self.ctx.cardinality})")
-
-    def _check(self, other: "RingElem"):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise CtxMismatch(f"{self.ctx} vs {other.ctx}")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElem(self.ctx, self.ctx.add_raw(self.val, other.val))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElem(self.ctx, self.ctx.sub_raw(self.val, other.val))
-
-    def __neg__(self):
-        return RingElem(self.ctx, self.ctx.neg_raw(self.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElem(self.ctx, self.ctx.mul_raw(self.val, other.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def inverse(self) -> "RingElem":
-        return RingElem(self.ctx, self.ctx.inv_raw(self.val))
-
-    def is_unit(self) -> bool:
-        return self.ctx.is_unit_raw(self.val)
-
-    def valuation(self) -> int:
-        return self.ctx.val_raw(self.val)
-
-    def unit_split(self) -> tuple[int, "RingElem"]:
-        t, u = self.ctx.unit_split_raw(self.val)
-        return t, RingElem(self.ctx, u)
-
-    def digits(self) -> tuple[int, ...]:
-        return self.ctx.digits_raw(self.val)
-
-    def truncate(self, level: int) -> "RingElem":
-        return RingElem(self.ctx.truncated(level), self.ctx.mod_pi_raw(self.val, level))
-
-    def lift(self, length: int) -> "RingElem":
-        return RingElem(self.ctx.extended(length), self.val)
-
-    def residue(self) -> "RingElem":
-        return self.truncate(1)
-
-    def __repr__(self):
-        return f"<{self.val} in {self.ctx.descriptor}>"
-
-
-@dataclass(frozen=True)
-class Section:
-    """An element of the digit section K_level = {x : digits >= level are 0}.
-
-    K_0 = {0}, K_length = the whole ring.  Used for the scalar part of
-    the canonical forms: the value is carried in the ambient ring.
-    """
-
-    level: int
-    value: RingElem
-
-    def __post_init__(self):
-        ctx = self.value.ctx
-        if not 0 <= self.level <= ctx.length:
-            raise BadLevel(f"section level {self.level} outside [0, {ctx.length}]")
-        if ctx.mod_pi_raw(self.value.val, self.level) != self.value.val:
-            raise DigitOutOfRange(f"{self.value.val} has digits at or above {self.level}")
-
-    @property
-    def ctx(self) -> RingCtx:
-        return self.value.ctx
-
-
-def section_of(x: RingElem, level: int) -> Section:
-    """The K_level part of x (its digits below level)."""
-    return Section(level, RingElem(x.ctx, x.ctx.mod_pi_raw(x.val, level)))

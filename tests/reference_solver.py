@@ -264,7 +264,7 @@ def find_unit_element(module: IntertwinerModule):
             x = None
             for c, g in zip(coeffs, gens):
                 if c:
-                    term = g.scale(ctx.elem(c))
+                    term = g.scale(c)
                     x = term if x is None else x + term
             if not x.is_invertible():
                 raise VerificationFailed("lifted residue-span hit is not a unit")

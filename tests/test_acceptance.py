@@ -145,7 +145,7 @@ def test_criterion_06_completeness_at_len_two():
         reps = [m for _, m in enumerate3(ring_ctx(*desc))]
         buckets = {}
         for m in reps:
-            buckets.setdefault(tuple(c.val for c in m.charpoly()), []).append(m)
+            buckets.setdefault(m.charpoly(), []).append(m)
         # distinct characteristic polynomials already separate classes;
         # solver calls are only needed within a bucket
         checked += len(reps) * (len(reps) - 1) // 2

@@ -43,7 +43,7 @@ residue_type, classify_hard = c3._residue_type, c3._classify_hard
 
 
 def ep(ctx, m, a, b, c, d):
-    return HardForm(m, ctx.elem(a), ctx.elem(b), ctx.elem(c), ctx.elem(d))
+    return HardForm(ctx, m, a, b, c, d)
 
 
 def block_split(m):
@@ -69,7 +69,7 @@ def test_residue_type_defining_cases():
     assert residue_type(identity(f2, 3)) == ("scalar", 1)
     assert residue_type(diag(f2, [1, 0, 0])) == ("split", 1, 0)
     assert residue_type(j_matrix(f2, 0, 0)) == ("jtype", 0)
-    assert residue_type(companion(f2, tuple(f2.elem(v) for v in (1, 0, 0)))) == ("cyclic",)
+    assert residue_type(companion(f2, (1, 0, 0))) == ("cyclic",)
 
 
 def test_residue_type_is_computed_modulo_pi(rng):
@@ -99,7 +99,7 @@ def test_residue_eigenvalues_factor_the_charpoly(rng):
         assert (kind == "jtype") == (s == d)
         p = m.ctx.p
         expected = (s * d * d % p, -(2 * s * d + d * d) % p, (s + 2 * d) % p)
-        assert tuple(c.val for c in m.charpoly()) == expected
+        assert m.charpoly() == expected
         return kind
 
     f3 = ring_ctx("z", 3, 1)
@@ -125,14 +125,14 @@ def test_hensel_block_split_fixed_point():
     b = Mat.from_rows(ctx, [[0, 2], [2, 2]])
     m = block_diag(ctx, [1, b])
     a, blk, x = block_split(m)
-    assert a.val == 1 and blk == b and x == identity(ctx, 3)
+    assert a == 1 and blk == b and x == identity(ctx, 3)
 
 
 def test_hensel_block_split_worked_example():
     ctx = ring_ctx("z", 2, 2)
     m = Mat.from_rows(ctx, [[1, 0, 0], [1, 0, 2], [2, 2, 2]])
     a, blk, x = block_split(m)
-    assert a.val == 1
+    assert a == 1
     assert is_similar(blk, Mat.from_rows(ctx, [[0, 2], [2, 2]]))[0]
     assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
 
@@ -142,7 +142,7 @@ def test_hensel_block_split_round_trips(rng):
     b0 = Mat.from_rows(ctx, [[3, 3], [6, 3]])  # scalar residue 0
     for _ in range(200):
         g = rand_invertible(ctx, 3, rng)
-        av = ctx.elem(rng.choice([1, 2, 4, 5, 7, 8]))  # unit: distinct from 0
+        av = rng.choice([1, 2, 4, 5, 7, 8])  # unit: distinct from 0
         m = block_diag(ctx, [av, b0]).conjugate_by(g)
         a, blk, x = block_split(m)
         assert a == av
@@ -159,7 +159,7 @@ def test_reduce_to_e_form_fixed_point():
     m = e_matrix(ctx, 2, 2, 0, 2, 0)
     e, x = e_form(m)
     assert x == identity(ctx, 3)
-    assert (e.m, e.a.val, e.b.val, e.c.val, e.d.val) == (2, 2, 0, 2, 0)
+    assert (e.m, e.a, e.b, e.c, e.d) == (2, 2, 0, 2, 0)
 
 
 def test_reduce_to_e_form_normalizes_the_23_entry():
@@ -168,7 +168,7 @@ def test_reduce_to_e_form_normalizes_the_23_entry():
     e, x = e_form(m)
     assert m.conjugate_by(x) == e.rebuild()
     assert e.rebuild().raw(1, 2) == 1
-    assert (e.m, e.a.val, e.b.val, e.c.val, e.d.val) == (2, 0, 0, 0, 0)
+    assert (e.m, e.a, e.b, e.c, e.d) == (2, 0, 0, 0, 0)
 
 
 def test_reduce_to_e_form_round_trips(rng):
@@ -190,18 +190,18 @@ def test_classify_hard_type_examples():
     z4 = ring_ctx("z", 2, 2)
 
     h, x = classify_hard(ep(z4, 2, 0, 0, 2, 1))
-    assert h.tag == "I" and (h.c.val, h.d.val) == (2, 1)
+    assert h.tag == "I" and (h.c, h.d) == (2, 1)
     assert x == identity(z4, 3)
 
     h, x = classify_hard(ep(z4, 2, 2, 0, 2, 0))
     assert h.tag == "III0"
-    assert h.a.val == 2 and h.a.valuation() == 1  # a is exactly pi
+    assert h.a == 2 and z4.val_raw(h.a) == 1  # a is exactly pi
     assert not h.b and not h.d  # b cleared, d absorbed into c
-    assert h.c.val == 2
+    assert h.c == 2
 
     h, x = classify_hard(ep(z4, 1, 2, 2, 0, 0))
     assert h.tag == "II"
-    assert h.m == 1 and not h.a and h.b.val == 2  # m = val(b), a eliminated
+    assert h.m == 1 and not h.a and h.b == 2  # m = val(b), a eliminated
 
     h, x = classify_hard(ep(z4, 1, 2, 0, 0, 2))
     assert h.tag == "III1"
@@ -218,7 +218,7 @@ def test_classify_hard_witness_and_idempotence_exhaustive_z4():
                 h, x = classify_hard(e)
                 tags[h.tag] += 1
                 assert e.rebuild().conjugate_by(x) == h.rebuild()
-                again, x2 = classify_hard(HardForm(h.m, h.a, h.b, h.c, h.d))
+                again, x2 = classify_hard(HardForm(ctx, h.m, h.a, h.b, h.c, h.d))
                 assert again == h and x2 == identity(ctx, 3)
     assert all(v > 0 for v in tags.values())
 
@@ -230,7 +230,7 @@ def test_classify_hard_tag_matches_valuation_pattern(rng):
         m = rng.randrange(1, length + 1)
         a, b, c = (rng.randrange(4) * 2 for _ in range(3))
         e = ep(ctx, m, a, b, c, rng.randrange(8))
-        va, vb = e.a.valuation(), e.b.valuation()
+        va, vb = ctx.val_raw(e.a), ctx.val_raw(e.b)
         h, _ = classify_hard(e)
         if min(m, va, vb) >= length:
             assert h.tag == "I"
@@ -299,7 +299,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "    return code, err.getvalue()\n"
         "for name, fault, desc, (m, *vals) in cases:\n"
         "    ctx = ring_ctx(*desc)\n"
-        "    rows = HardForm(m, *(ctx.elem(v) for v in vals)).rebuild().rows()\n"
+        "    rows = HardForm(ctx, m, *vals).rebuild().rows()\n"
         "    if canon(ctx.descriptor, rows)[0] != 0:\n"
         "        sys.exit(f'canon of {rows} fails with a sound {name}')\n"
         "    real = getattr(c3, name)\n"
@@ -320,7 +320,7 @@ def test_hard_family_members_are_their_own_class_reps():
         fam = hard_family(ctx)
         assert len(fam) == len(set(fam))
         for h in fam:
-            again, x = classify_hard(HardForm(h.m, h.a, h.b, h.c, h.d))
+            again, x = classify_hard(HardForm(ctx, h.m, h.a, h.b, h.c, h.d))
             assert again == h and x == identity(ctx, 3)
 
 
@@ -349,7 +349,7 @@ def _reference_sweep(tctx):
     reps, buckets = [], {}
     for f in seen:
         rb = f.rebuild()
-        bucket = buckets.setdefault(tuple(x.val for x in rb.charpoly()), [])
+        bucket = buckets.setdefault(rb.charpoly(), [])
         if not any(ref.is_similar(g.rebuild(), rb)[0] for g in bucket):
             bucket.append(f)
             reps.append(f)
@@ -372,7 +372,7 @@ def test_hard_family_matches_the_global_sweep(desc):
     fam, ref = hard_family(ctx), _reference_sweep(ctx)
     assert Counter(f.tag for f in fam) == Counter(f.tag for f in ref)
     assert set(fam) == set(ref) and len(fam) == len(ref)
-    keys = [(f.m, f.a.val, f.b.val, f.c.val, f.d.val) for f in fam]
+    keys = [(f.m, f.a, f.b, f.c, f.d) for f in fam]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
@@ -382,9 +382,9 @@ def test_hard_family_checks_each_candidate_is_a_normal_form(monkeypatch):
 
     def moved(e):
         form, steps = real(e)
-        params = (form.m, form.a.val, form.b.val, form.c.val, form.d.val)
+        params = (form.m, form.a, form.b, form.c, form.d)
         if form.tag == "III1" and params == (1, 0, 0, 4, 1):
-            form = HardForm(form.m, form.a, form.b, form.c, e.ctx.elem(0))
+            form = HardForm(form.ctx, form.m, form.a, form.b, form.c, 0)
         return form, steps
 
     monkeypatch.setattr(c3, "_normalize_hard", moved)
@@ -415,8 +415,13 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert canon3(f.rebuild()) == f
 
 
-# the stages of canon3 that were public before they became private
+# the stages of canon3 that were public before they became private, and
+# the element wrappers that packed integers replaced
 REMOVED_NAMES = {
+    "RingElem",
+    "Section",
+    "section_of",
+    "DigitOutOfRange",
     "EParams",
     "as_e_params",
     "residue_type",
@@ -441,7 +446,11 @@ def test_hard_form_tag_is_read_off_the_valuations():
                                       (1, 2, 4, 0, 0))] == ["I", "II", "III0", "III1"]
     # the J shape with a nonzero a is type III0, not I
     assert ep(ctx, 3, 2, 0, 0, 0).tag == "III0"
-    for bad in ((0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 3, 0)):
+    # a slot exponent out of range, a unit a or c, then entries that are no
+    # packed value of the ring: out of [0, 8), or not an int
+    for bad in ((0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 3, 0),
+                (1, 8, 0, 0, 0), (1, 0, -2, 0, 0), (1, 0, 0, 0, 8), (1, 0, 0, 0, -1),
+                (1, 2.0, 0, 0, 0), (1, 0, 0, "0", 0), (1, 0, 0, 0, True), (1, 0, 0, 0, None)):
         with pytest.raises(simclass.BadParams):
             ep(ctx, *bad)
 
@@ -588,9 +597,9 @@ def test_once_split_iii0_pairs_are_one_class():
 def test_canon3_scalar_cyclic_split_examples():
     z4 = ring_ctx("z", 2, 2)
     f = canon3(scalar(z4, 3, 3))
-    assert isinstance(f.body, ScalarBody) and f.level == 2 and f.d.value.val == 3
+    assert isinstance(f.body, ScalarBody) and f.level == 2 and f.d == 3
 
-    coeffs = tuple(z4.elem(v) for v in (1, 2, 3))
+    coeffs = (1, 2, 3)
     c = companion(z4, coeffs)
     f = canon3(c)
     assert isinstance(f.body, CyclicBody) and f.body.coeffs == coeffs
@@ -598,10 +607,10 @@ def test_canon3_scalar_cyclic_split_examples():
 
     m = Mat.from_rows(z4, [[1, 0, 0], [1, 0, 2], [2, 2, 2]])
     f = canon3(m)
-    assert isinstance(f.body, SplitBody) and f.body.a.val == 1
+    assert isinstance(f.body, SplitBody) and f.body.a == 1
     inner = f.body.inner
-    assert (inner.level, inner.d.value.val) == (1, 0)
-    assert [c.val for c in inner.body.coeffs] == [1, 1]
+    assert (inner.level, inner.d) == (1, 0)
+    assert inner.body.coeffs == (1, 1)
 
 
 def test_canon3_witness_is_exact(rng):

@@ -12,6 +12,7 @@ from simclass import (
     base_vector,
     canon3,
     classify_form,
+    count2,
     count3,
     enumerate3,
     gf_coeffs,
@@ -23,7 +24,7 @@ from simclass import (
     type_histogram,
 )
 from simclass.cli import EX_MISMATCH
-from conftest import run_python, theta, transfer_power
+from conftest import count2_recursion, run_python, theta, transfer_power
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -135,6 +136,29 @@ def test_gf_coeffs_match_counts():
             coeffs = gf_coeffs(q, group, 11)
             assert coeffs == [count3(q, i, group) for i in range(11)]
             assert coeffs[0] == 1
+
+
+def test_the_three_counts_agree_for_every_q_and_level():
+    """count3, the transfer recursion and the generating function agree,
+    and so do count2 and its recursion, at every q >= 2 and level >= 1.
+
+    In the level l, every one of these sequences satisfies the order-4
+    linear recurrence with characteristic polynomial
+    (x-q)(x-q^2)^2(x-q^3): the closed forms and the series are sums of
+    q^l, q^(2l) and q^(3l) terms, and the transfer matrices are
+    triangular with eigenvalues among q, q^2, q^2, q^3.  So agreement at
+    l = 1..4 is agreement at every level.  At a fixed l <= 4, each side
+    times q^2 (q-1)(q^2-1) is a polynomial in q of degree at most
+    3l + 5 <= 17, so agreement at the 20 values q = 2..21 makes the two
+    polynomials equal, and the counts agree at every q.
+    """
+    for q in range(2, 22):
+        for group in ("M", "GL"):
+            series = gf_coeffs(q, group, 5)
+            for level in range(1, 5):
+                assert count3(q, level, group) == sum(level_vector(q, level, group))
+                assert count3(q, level, group) == series[level]
+                assert count2(q, level, group) == count2_recursion(q, level, group)
 
 
 def test_gf_coeffs_first_terms_at_q2():

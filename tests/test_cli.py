@@ -3,9 +3,10 @@
 import hashlib
 import importlib
 import json
+import sys
 import time
 
-from simclass import Mat, ring_ctx
+from simclass import Mat, count3, ring_ctx
 from simclass.cli import (
     EX_BUDGET,
     EX_DIFFERENT,
@@ -65,6 +66,21 @@ def test_gf_refuses_fewer_than_one_term_for_both_sizes(capsys):
             code, out, err = run(capsys, "gf", "--n", n, "--q", "2", "--terms", terms)
             assert (code, out) == (EX_USAGE, "")
             assert "need q >= 2 and terms >= 1" in err
+
+
+def test_count_prints_counts_past_the_int_digit_limit(capsys):
+    # count3(2, 5000) has 4516 digits; the interpreter's limit for an int
+    # to str conversion (4300 by default) is lifted for this output only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    code, out, err = run(capsys, "count", "--q", "2", "--level", "5000")
+    assert (code, err) == (EX_OK, "")
+    digits = out.strip()
+    value = 0
+    for i in range(0, len(digits), 1000):  # each chunk stays under the limit
+        value = value * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+    assert len(digits) == 4516 and value == count3(2, 5000)
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +194,15 @@ def test_centralizer_of_j_shape_over_f31(capsys):
     code, out, _ = run(capsys, "centralizer", "--ring", "z:31:1", "[[0,0,0],[0,0,1],[0,0,0]]")
     assert time.perf_counter() - t0 < 1
     assert code == EX_OK and json.loads(out)["order"] == 26811900
+
+
+def test_oversized_rings_are_refused_before_any_big_arithmetic():
+    # p^length is never computed for a length of 63 or more, and p is
+    # bounded before its primality test (whose message prints p)
+    for desc in ("z:3:100000000", f"z:{2**13000 + 1}:1"):
+        proc = run_python("-m", "simclass.cli", "canon", "--ring", desc, "[[1]]", timeout=20)
+        assert proc.returncode == EX_USAGE
+        assert proc.stderr == "simclass: ring cardinality must be below 2**63\n"
 
 
 def test_canon_hard_input_over_z125_returns():

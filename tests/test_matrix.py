@@ -24,7 +24,7 @@ def test_constructors_and_accessors():
     ctx = ring_ctx("z", 2, 2)
     m = Mat.from_rows(ctx, [[1, 2], [3, 0]])
     assert m.rows() == [[1, 2], [3, 0]]
-    assert m.entry(0, 1).val == 2 and m.raw(1, 0) == 3
+    assert m.raw(0, 1) == 2 and m.raw(1, 0) == 3
     assert identity(ctx, 3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert zero(ctx, 2) + m == m
     assert scalar(ctx, 2, 3).rows() == [[3, 0], [0, 3]]
@@ -34,7 +34,7 @@ def test_constructors_and_accessors():
 
 def test_entries_must_be_integers():
     ctx = ring_ctx("z", 2, 2)
-    m = Mat.from_rows(ctx, [[np.int64(5), np.uint8(2)], [ctx.elem(3), 0]])
+    m = Mat.from_rows(ctx, [[np.int64(5), np.uint8(2)], [3, 0]])
     assert m.rows() == [[1, 2], [3, 0]]
     for bad in (1.9, 1.0, True, np.True_, "1", None):
         with pytest.raises(BadParams):
@@ -124,7 +124,7 @@ def test_charpoly_convention_and_cayley_hamilton(rng):
     for _ in range(25):
         m = rand_mat(ctx, 2, rng)
         c, e = m.charpoly()
-        assert e == m.trace() and c == -m.det()
+        assert e == m.trace() and c == ctx.neg_raw(m.det())
         assert m @ m == scalar(ctx, 2, c) + m.scale(e)
 
 
@@ -137,11 +137,11 @@ def test_charpoly_is_similarity_invariant(rng):
 
 def test_companion_has_prescribed_charpoly():
     ctx = ring_ctx("z", 3, 2)
-    coeffs = (ctx.elem(4), ctx.elem(7), ctx.elem(2))
+    coeffs = (4, 7, 2)
     c = companion(ctx, coeffs)
     assert c.charpoly() == coeffs
     assert c.rows()[0] == [0, 1, 0] and c.rows()[1] == [0, 0, 1]
-    c2 = companion(ctx, (ctx.elem(4), ctx.elem(7)))
+    c2 = companion(ctx, (4, 7))
     assert c2.rows() == [[0, 1], [4, 7]]
 
 

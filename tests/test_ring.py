@@ -1,5 +1,7 @@
-"""Ring contexts: packed arithmetic, valuations, digits, sections."""
+"""Ring contexts: arithmetic on packed integers, units, valuations, digits,
+truncation, and the checks on a descriptor."""
 
+import operator
 import pickle
 import random
 
@@ -8,12 +10,12 @@ import pytest
 from simclass import (
     BadDescriptor,
     BadLevel,
+    CtxMismatch,
+    Mat,
     NonUnit,
     RingCtx,
-    RingElem,
     parse_ring,
     ring_ctx,
-    section_of,
 )
 from simclass.ring import _TABLE_LIMIT
 
@@ -99,27 +101,6 @@ def test_mod_pi_truncates_low_digits():
         assert ctx.digits_raw(ctx.mod_pi_raw(a, 2))[2] == 0
 
 
-def test_elem_wrappers_and_residue():
-    ctx = ring_ctx("z", 3, 2)
-    x, y = ctx.elem(4), ctx.elem(7)
-    assert (x + y).val == 2 and (x * y).val == (4 * 7) % 9
-    assert (-x).val == 5 and bool(ctx.elem(0)) is False
-    assert x.is_unit() and x.inverse() * x == ctx.elem(1)
-    assert x.residue().val == 1 and x.residue().ctx.length == 1
-    assert x.truncate(1).val == 1 and x.truncate(1).ctx is ctx.truncated(1)
-    assert ctx.truncated(1).elem(1).lift(2).val == 1
-
-
-def test_sections_hold_truncated_digit_vectors():
-    ctx = ring_ctx("z", 2, 3)
-    s = section_of(ctx.elem(7), 2)  # digits (1,1,1) cut to level 2
-    assert s.level == 2 and s.value.val == 3
-    # the level-l section of x is x mod pi^l
-    for a in range(8):
-        for lvl in range(4):
-            assert section_of(ctx.elem(a), lvl).value.val == ctx.mod_pi_raw(a, lvl)
-
-
 def test_truncate_and_extend():
     ctx = ring_ctx("t", 2, 3)
     assert ctx.truncated(2).length == 2 and ctx.truncated(2).flavor == "t"
@@ -128,18 +109,14 @@ def test_truncate_and_extend():
 
 
 def test_mixed_context_operations_are_rejected():
-    from simclass import CtxMismatch
-
-    a = ring_ctx("z", 2, 2).elem(1)
-    b = ring_ctx("t", 2, 2).elem(1)
-    with pytest.raises(CtxMismatch):
-        a + b
-
-
-def test_elem_validates_range():
-    ctx = ring_ctx("z", 2, 2)
-    with pytest.raises(Exception):
-        RingElem(ctx, 4)
+    # z:2:2 and t:2:2 have the same packed values and different arithmetic
+    for n in (2, 3):
+        a = Mat(ring_ctx("z", 2, 2), n, [1] * (n * n))
+        b = Mat(ring_ctx("t", 2, 2), n, [1] * (n * n))
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.matmul):
+                with pytest.raises(CtxMismatch):
+                    op(x, y)
 
 
 @pytest.mark.parametrize(
@@ -200,5 +177,5 @@ def test_t_rings_past_the_table_limit_build_no_table():
 def test_contexts_with_bound_ops_pickle_to_the_interned_context():
     for ctx in (ring_ctx("z", 2, 3), ring_ctx("t", 2, 3), ring_ctx("t", 3, 7)):
         ctx.mul_raw(1, 1)
-        back = pickle.loads(pickle.dumps(RingElem(ctx, 1)))
-        assert back.ctx is ctx and back.ctx.mul_raw(1, 1) == 1
+        back = pickle.loads(pickle.dumps(ctx))
+        assert back is ctx and back.mul_raw(1, 1) == 1
