@@ -9,8 +9,10 @@ import pytest
 
 from simclass import (
     BadDescriptor,
+    BadParams,
     BadLevel,
     CtxMismatch,
+    HardForm,
     Mat,
     NonUnit,
     RingCtx,
@@ -117,6 +119,17 @@ def test_mixed_context_operations_are_rejected():
             for op in (operator.add, operator.sub, operator.matmul):
                 with pytest.raises(CtxMismatch):
                     op(x, y)
+
+
+def test_elem_validates_range():
+    # packed values are range-checked where they enter: a hard form's
+    # entries, and the entries of a matrix over F_p[t]/(t^l); z:2:2 and
+    # t:2:2 have the values 0..3, so 4 is none of them
+    ctx = ring_ctx("z", 2, 2)
+    with pytest.raises(BadParams):
+        HardForm(ctx, 1, 0, 0, 0, 4)
+    with pytest.raises(BadParams):
+        Mat(ring_ctx("t", 2, 2), 2, [0, 0, 0, 4])
 
 
 @pytest.mark.parametrize(
