@@ -11,9 +11,11 @@ length-(l-j) ring:
   the shared cyclic branch; the coefficient triple of the
   characteristic polynomial is a complete invariant at every length.
 - split residue (diagonalizable with eigenvalues a, b, b and a != b):
-  an exact block refinement (_block_split) separates a 1x1 block
-  lifting a from a 2x2 block lifting b, and the block is finished by
-  canon2.  Again a complete invariant at every length.
+  a is a simple root of the residue characteristic polynomial, so it
+  lifts by Newton's method to a root a of f = (x - a) g over the ring,
+  and the projector g(beta) g(a)^-1 splits off a 1x1 block lifting a
+  from a 2x2 block lifting b in closed form (_block_split); the block
+  is finished by canon2.  Again a complete invariant at every length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
   beta is conjugated onto the pi-power shape HardForm (_e_form) and
   then normalized type by type (_classify_hard).  Types I, II and III1
@@ -138,93 +140,48 @@ def _residue_type(m: Mat) -> tuple:
 # split residue: exact 1+2 block refinement
 
 
-def _solve2(ctx: RingCtx, m00, m01, m10, m11, r0, r1):
-    """Solve the 2x2 system with a unit determinant; raw ints in and out."""
-    sub, mul = ctx.sub_raw, ctx.mul_raw
-    det = sub(mul(m00, m11), mul(m01, m10))
-    dinv = ctx.inv_raw(det)
-    x = mul(dinv, sub(mul(m11, r0), mul(m01, r1)))
-    y = mul(dinv, sub(mul(m00, r1), mul(m10, r0)))
-    return x, y
-
-
-def _shear(ctx: RingCtx, *cells) -> tuple:
-    """(I + N, I - N) for N = sum of x E_ij over the (i, j, x) cells.
-
-    The callers' N satisfy N^2 = 0 (one row or one column off the
-    diagonal), so I - N is the inverse of I + N.
-    """
-    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
-    y = x[:]
-    for i, j, v in cells:
-        x[3 * i + j], y[3 * i + j] = v, ctx.neg_raw(v)
-    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
-
-
-def _scaling(ctx: RingCtx, k: int, u: int) -> tuple:
-    """(D, D^-1) for D the identity with entry (k, k) the unit u."""
-    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
-    y = x[:]
-    x[4 * k], y[4 * k] = u, ctx.inv_raw(u)
-    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
-
-
 def _block_split(beta: Mat, abar: int, bbar: int):
     """Exact block refinement of a matrix whose residue is split, with
     eigenvalue abar once and bbar twice (see _residue_type).
 
     Returns (a, B, X) with X beta X^{-1} = diag(a) ++ B; a lifts abar,
-    B is 2x2 with both residue eigenvalues equal to bbar.  The first
-    conjugation diagonalizes the residue by left eigenvectors; a
-    quadratically convergent iteration then clears row 1 off the
-    diagonal, and one linear solve clears column 1 without touching the
-    cleared row.
+    B is 2x2 with both residue eigenvalues equal to bbar.  abar is a
+    simple root of the residue of the characteristic polynomial f, so by
+    Hensel's lemma f = (x - a) g over the ring, with g(a) a unit, and
+    E = g(beta) g(a)^{-1} projects rows onto the left a-eigenline along
+    the row space of beta - a.  With k_a, k_b1, k_b2 the residue
+    eigenvectors, row 1 of X is the a-eigenvector k_a g(beta), scaled to
+    k_a coordinate 1 in that basis, and rows 2 and 3 are k_bi - k_bi E,
+    which span the invariant complement.
     """
     ctx = beta.ctx
+    add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
+    c0, c1, c2 = beta.charpoly()
+    # Newton lift of abar to the root a of f = x^3 - c2 x^2 - c1 x - c0.
+    # f = (x - a)(x^2 + g1 x + g0) + f(a), so f'(a) = g(a); the last pass
+    # finds f(a) = 0 and leaves g1, g0 and g(a) those of the root
+    a = abar
+    for _ in range(ctx.length.bit_length() + 1):
+        g1 = sub(a, c2)
+        g0 = sub(mul(a, g1), c1)
+        ga = add(mul(a, add(a, g1)), g0)
+        a = sub(a, mul(sub(mul(a, g0), c0), ctx.inv_raw(ga)))
+
+    g_beta = beta @ (beta + scalar(ctx, 3, g1)) + scalar(ctx, 3, g0)
     res = beta.residue()
-    p = res.ctx.p
-    ka = _left_kernel(res - scalar(res.ctx, 3, abar))
+    ka = _left_kernel(res - scalar(res.ctx, 3, abar))[0]
     kb = _left_kernel(res - scalar(res.ctx, 3, bbar))
-    x_total = Mat(ctx, 3, list(ka[0]) + list(kb[0]) + list(kb[1]))
+    v = _row_times(ka, g_beta)
+    s = ctx.inv_raw(_row_times(v, Mat(ctx, 3, ka + kb[0] + kb[1]).inverse())[0])
+    rows = [mul(s, x) for x in v]
+    ga_inv = ctx.inv_raw(ga)
+    for k in kb:
+        rows += [sub(x, mul(y, ga_inv)) for x, y in zip(k, _row_times(k, g_beta))]
+    x_total = Mat._unchecked(ctx, 3, rows)
     gamma = beta.conjugate_by(x_total)
-    length = ctx.length
-    k = 1
-    while k < length:
-        # clear (0,1), (0,2) one doubling step; the correction terms are
-        # quadratic in the solved pair, so accuracy doubles each round
-        m00 = ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0))
-        m11 = ctx.sub_raw(gamma.raw(2, 2), gamma.raw(0, 0))
-        x, y = _solve2(
-            ctx,
-            m00,
-            gamma.raw(2, 1),
-            gamma.raw(1, 2),
-            m11,
-            ctx.neg_raw(gamma.raw(0, 1)),
-            ctx.neg_raw(gamma.raw(0, 2)),
-        )
-        u, u_inv = _shear(ctx, (0, 1, x), (0, 2, y))
-        gamma = u @ gamma @ u_inv
-        x_total = u @ x_total
-        k *= 2
-    # row 1 is clear, so clearing column 1 is exactly linear
-    m00 = ctx.sub_raw(gamma.raw(0, 0), gamma.raw(1, 1))
-    m11 = ctx.sub_raw(gamma.raw(0, 0), gamma.raw(2, 2))
-    x, y = _solve2(
-        ctx,
-        m00,
-        ctx.neg_raw(gamma.raw(1, 2)),
-        ctx.neg_raw(gamma.raw(2, 1)),
-        m11,
-        ctx.neg_raw(gamma.raw(1, 0)),
-        ctx.neg_raw(gamma.raw(2, 0)),
-    )
-    low, low_inv = _shear(ctx, (1, 0, x), (2, 0, y))
-    gamma = low @ gamma @ low_inv
-    x_total = low @ x_total
     a = gamma.raw(0, 0)
     b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    if a % p != abar:
+    if a % ctx.p != abar:
         raise VerificationFailed("block split lifted the wrong residue eigenvalue")
     return a, b, x_total
 
@@ -317,6 +274,27 @@ def _as_hard_form(m: Mat) -> HardForm | None:
     if any(ctx.is_unit_raw(v) for v in (a, b, c)):
         return None
     return HardForm(ctx, t, a, b, c, d)
+
+
+def _shear(ctx: RingCtx, *cells) -> tuple:
+    """(I + N, I - N) for N = sum of x E_ij over the (i, j, x) cells.
+
+    The callers' N satisfy N^2 = 0 (one row or one column off the
+    diagonal), so I - N is the inverse of I + N.
+    """
+    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    y = x[:]
+    for i, j, v in cells:
+        x[3 * i + j], y[3 * i + j] = v, ctx.neg_raw(v)
+    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
+
+
+def _scaling(ctx: RingCtx, k: int, u: int) -> tuple:
+    """(D, D^-1) for D the identity with entry (k, k) the unit u."""
+    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    y = x[:]
+    x[4 * k], y[4 * k] = u, ctx.inv_raw(u)
+    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
 
 
 def _e_form(beta: Mat, dbar: int):

@@ -79,6 +79,7 @@ def base_vector(q: int, group: str = "M") -> CountVector:
 def level_vector(q: int, level: int, group: str = "M") -> CountVector:
     """Bucket counts at the given length: transfer_matrix^(level-1) applied
     to the base vector."""
+    _check_ints(q=q, level=level)
     if q < 2 or level < 1:
         raise BadParams("need q >= 2 and level >= 1")
     v = base_vector(q, group)
@@ -88,8 +89,16 @@ def level_vector(q: int, level: int, group: str = "M") -> CountVector:
     return v
 
 
+def _check_ints(**args):
+    """Refuse a count parameter that is not an int (a float or bool too)."""
+    for name, v in args.items():
+        if type(v) is not int:
+            raise BadParams(f"{name} = {v!r} is not an integer")
+
+
 def _check_count_args(q: int, level: int, group: str):
     """Refuse what count2 and count3 cannot count, before any shortcut."""
+    _check_ints(q=q, level=level)
     if q < 2 or level < 0:
         raise BadParams("need q >= 2 and level >= 0")
     if group not in ("M", "GL"):
@@ -149,6 +158,7 @@ def gf_coeffs(q: int, group: str = "M", terms: int = 1):
     reusing the closed form of count3; the tests check the two agree
     coefficient by coefficient.
     """
+    _check_ints(q=q, terms=terms)
     if q < 2 or terms < 1:
         raise BadParams("need q >= 2 and terms >= 1")
     if group == "M":

@@ -11,8 +11,8 @@ integer, in range for a "t" ring, reduced for a "z" ring); from_rows
 also refuses rows that do not form a square matrix.  The shape
 constructors below (scalar, diag, companion, block_diag, elementary,
 e_matrix) put each value they are given through the same check once.
-Results of ring operations (products, sums, differences, negation,
-scaling, adjugates, truncation) and matrices assembled from checked
+Results of ring operations (products, sums, differences, scaling,
+adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
 are already reduced.
 
@@ -142,10 +142,6 @@ class Mat:
         self._check(other)
         sub = self.ctx.sub_raw
         return Mat._unchecked(self.ctx, self.n, [sub(a, b) for a, b in zip(self.vals, other.vals)])
-
-    def __neg__(self):
-        neg = self.ctx.neg_raw
-        return Mat._unchecked(self.ctx, self.n, [neg(a) for a in self.vals])
 
     def __matmul__(self, other):
         if other.ctx is not self.ctx or other.n != self.n:

@@ -14,7 +14,7 @@ A context binds its add_raw, sub_raw, mul_raw, neg_raw and unit inverse
 as plain functions once, when constructed, so a ring operation is one
 call with no flavor test.  It picks one of three arithmetic kinds:
 "z" contexts and every length-1 context (F_p, whatever the flavor) bind
-modular arithmetic; a "t" context of length >= 2 and at most 1024
+modular arithmetic; a "t" context of length >= 2 and at most 256
 elements builds its add, mul, negation and inverse tables and binds
 lookups into them.  The tables are built by digit recurrence: those of
 F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)), starting
@@ -38,8 +38,11 @@ from .errors import BadDescriptor, BadLevel, NonUnit
 
 MAX_CARDINALITY = 2**63
 
-# cardinality threshold below which "t" flavor arithmetic is table driven
-_TABLE_LIMIT = 1024
+# largest cardinality at which "t" flavor arithmetic is table driven: a
+# 256-element table pays for its build within a few thousand operations, a
+# 1024-element one only after tens of thousands, and one canon needs a few
+# thousand
+_TABLE_LIMIT = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -134,6 +137,11 @@ class RingCtx:
     cardinality: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # refuse a float or bool before any comparison can coerce it
+        if type(self.p) is not int:
+            raise BadDescriptor(f"p = {self.p!r} is not an integer")
+        if type(self.length) is not int:
+            raise BadLevel(f"length = {self.length!r} is not an integer")
         if self.flavor not in ("z", "t"):
             raise BadDescriptor(f"unknown flavor {self.flavor!r}")
         if self.p < 2:
@@ -322,9 +330,13 @@ class RingCtx:
         return ring_ctx(self.flavor, self.p, length)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ring_ctx(flavor: str, p: int, length: int) -> RingCtx:
-    """Interned RingCtx factory; equal descriptors share one instance."""
+    """Interned RingCtx factory; equal descriptors share one instance.
+
+    The cache is typed, so 2.0 never finds the context of 2 and is
+    refused by RingCtx instead.
+    """
     return RingCtx(flavor, p, length)
 
 

@@ -137,12 +137,30 @@ def test_hensel_block_split_worked_example():
     assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
 
 
-def test_hensel_block_split_round_trips(rng):
-    ctx = ring_ctx("z", 3, 2)
-    b0 = Mat.from_rows(ctx, [[3, 3], [6, 3]])  # scalar residue 0
+P6 = 1000003
+# a 2x2 block with a scalar residue per ring; the Newton lift of the
+# block split runs at long lengths (z:2:8, t:3:7) and at a large p
+SCALAR_RESIDUE_BLOCKS = {
+    "z:3:2": [[3, 3], [6, 3]],
+    "t:3:2": [[4, 6], [3, 7]],
+    "z:7:3": [[9, 14], [49, 23]],
+    "z:2:8": [[3, 4], [6, 9]],
+    "t:3:7": [[3, 9], [27, 6]],
+    "z:1000003:2": [[5 + P6, 2 * P6], [3 * P6, 5]],
+}
+
+
+@pytest.mark.parametrize("desc", list(SCALAR_RESIDUE_BLOCKS))
+def test_hensel_block_split_round_trips(rng, desc):
+    ctx = parse_ring(desc)
+    rows = SCALAR_RESIDUE_BLOCKS[desc]
+    b0 = Mat.from_rows(ctx, rows)
+    bbar = rows[0][0] % ctx.p
     for _ in range(200):
         g = rand_invertible(ctx, 3, rng)
-        av = rng.choice([1, 2, 4, 5, 7, 8])  # unit: distinct from 0
+        av = rng.randrange(ctx.cardinality)
+        if av % ctx.p == bbar:  # the residue eigenvalues must differ
+            av = ctx.add_raw(av, 1)
         m = block_diag(ctx, [av, b0]).conjugate_by(g)
         a, blk, x = block_split(m)
         assert a == av

@@ -114,6 +114,28 @@ def test_count3_rejects_bad_arguments():
         count3(2, 0, "bogus")
 
 
+NON_INT_COUNT_CALLS = [
+    (count3, (2.0, 2)),
+    (count3, (2, 2.0)),
+    (count2, (3.0, 2)),
+    (count2, (3, True)),
+    (level_vector, (2.0, 2)),
+    (level_vector, (2, 2.0)),
+    (gf_coeffs, (2.0,)),
+    (gf_coeffs, (2, "M", 3.0)),
+    (gf_coeffs, (True,)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", NON_INT_COUNT_CALLS, ids=[f"{f.__name__}{a}" for f, a in NON_INT_COUNT_CALLS]
+)
+def test_count_parameters_must_be_ints(fn, args):
+    # a float or bool is refused, not counted with: count3(2.0, 2) was 144.0
+    with pytest.raises(BadParams):
+        fn(*args)
+
+
 def test_vectors():
     assert base_vector(2) == CountVector(2, 2, 2, 8)
     assert base_vector(2, "GL") == CountVector(1, 0, 1, 4)

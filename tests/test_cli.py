@@ -327,14 +327,19 @@ def test_broken_similarity_witness_exits_70_under_optimize():
 
 
 def test_broken_block_split_raises_under_optimize():
-    # with the 2x2 solves zeroed the refinement never clears the blocks;
-    # the witness check of the whole form must fire under -O, and canon
-    # exit 70
+    # with pi added to the first entry of every row product the rows of
+    # the block split keep their residue, so X stays invertible but no
+    # longer splits the blocks; the witness check of the whole form must
+    # fire under -O, and canon exit 70
     script = (
         "import importlib, sys\n"
         "from simclass.cli import main\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
-        "c3._solve2 = lambda *args: (0, 0)\n"
+        "real = c3._row_times\n"
+        "def broken(w, m):\n"
+        "    r = real(w, m)\n"
+        "    return [m.ctx.add_raw(r[0], m.ctx.p)] + r[1:]\n"
+        "c3._row_times = broken\n"
         "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1, 0, 0], [1, 0, 2], [2, 2, 2]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -621,6 +626,15 @@ PINNED_CALLS = [
     ("centralizer", "--ring", "t:2:2", "[[0,0,0],[0,0,1],[0,0,0]]"),
     ("centralizer", "--ring", "z:5:2", "[[7,3],[10,2]]"),
     ("centralizer", "--ring", "t:3:2", "[[3,0],[0,3]]"),
+    # split residues at length >= 2 over t, at length 3 and over a large p
+    ("canon", "--ring", "t:3:2", "[[7,3,2],[7,2,7],[3,6,5]]"),
+    ("similar", "--ring", "t:3:2", "[[7,3,2],[7,2,7],[3,6,5]]", "[[5,0,6],[7,4,7],[3,3,5]]"),
+    ("canon", "--ring", "z:7:3", "[[53,19,217],[305,24,154],[19,104,274]]"),
+    ("similar", "--ring", "z:7:3", "[[53,19,217],[305,24,154],[19,104,274]]",
+     "[[15,28,28],[305,62,154],[19,85,274]]"),
+    ("canon", "--ring", "z:1000003:2",
+     "[[414640878072,512196731706,829272756101],[1000003024403,1000005853665,5048789],"
+     "[292694634182,243901195115,585365268286]]"),
 ]
 
 PINNED_SHA256 = {
@@ -690,6 +704,18 @@ PINNED_SHA256 = {
         "5a8fa28c4b34f58f6f3b5691edf55770a72f6431233aa2ed8ce3e170ae8c5bdc",
     "centralizer --ring t:3:2 [[3,0],[0,3]]":
         "0b236659c2b0d98f7cbf5e171bd6214de5f0e09db34c9415a6e4b58801c49a19",
+    "canon --ring t:3:2 [[7,3,2],[7,2,7],[3,6,5]]":
+        "4e879c453f5493ce2edba0e0d9ef54b0c4d119aaa457d4369d9b5617efae6df0",
+    "similar --ring t:3:2 [[7,3,2],[7,2,7],[3,6,5]] [[5,0,6],[7,4,7],[3,3,5]]":
+        "3ae83ef6c97850d19589063aa10a43af5dce5579585fdbf8876ed6f0e71f5e01",
+    "canon --ring z:7:3 [[53,19,217],[305,24,154],[19,104,274]]":
+        "85f2a3a521f735effaf4cecc427aad9c46c0da3993cbd4376350c012764a45bc",
+    "similar --ring z:7:3 [[53,19,217],[305,24,154],[19,104,274]] "
+    "[[15,28,28],[305,62,154],[19,85,274]]":
+        "42d2b48206fa1e16925eeb38cac82b99d6e1f3e22154e70e67b680fc1ba8a34d",
+    "canon --ring z:1000003:2 [[414640878072,512196731706,829272756101],"
+    "[1000003024403,1000005853665,5048789],[292694634182,243901195115,585365268286]]":
+        "f700efa05eb551194fb2959552a21b24f67b532a61869d6746d18c6c61a5461c",
 }
 
 

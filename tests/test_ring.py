@@ -20,6 +20,7 @@ from simclass import (
     ring_ctx,
 )
 from simclass.ring import _TABLE_LIMIT
+from conftest import run_python
 
 
 def test_parse_ring_round_trip():
@@ -35,6 +36,48 @@ def test_parse_ring_round_trip():
 def test_parse_ring_rejects_bad_descriptors(desc):
     with pytest.raises((BadDescriptor, BadLevel, ValueError)):
         parse_ring(desc)
+
+
+NON_INT_RINGS = [
+    (("z", 2.0, 2), BadDescriptor),
+    (("z", True, 2), BadDescriptor),
+    (("t", 3.0, 2), BadDescriptor),
+    (("z", 2, 2.0), BadLevel),
+    (("z", 3, True), BadLevel),
+    (("t", 3, 2.0), BadLevel),
+]
+
+
+@pytest.mark.parametrize(
+    "args,error", NON_INT_RINGS, ids=[":".join(map(str, a)) for a, _ in NON_INT_RINGS]
+)
+def test_ring_parameters_must_be_ints(args, error):
+    with pytest.raises(error):
+        RingCtx(*args)
+    with pytest.raises(error):
+        ring_ctx(*args)
+
+
+def test_a_float_ring_never_enters_the_context_cache():
+    # a refused float p leaves nothing behind, and an interned int
+    # context is not handed out for a float p either
+    script = (
+        "from simclass import BadDescriptor, Mat, ring_ctx\n"
+        "try:\n"
+        "    ring_ctx('z', 2.0, 2)\n"
+        "except BadDescriptor:\n"
+        "    pass\n"
+        "ctx = ring_ctx('z', 2, 2)\n"
+        "assert type(ctx.cardinality) is int and ctx.cardinality == 4\n"
+        "assert Mat.from_rows(ctx, [[1, 2], [3, 0]]).rows() == [[1, 2], [3, 0]]\n"
+        "try:\n"
+        "    ring_ctx('z', 2.0, 2)\n"
+        "except BadDescriptor:\n"
+        "    print('refused')\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
 
 
 def test_integer_flavor_matches_modular_arithmetic():
@@ -134,12 +177,13 @@ def test_elem_validates_range():
 
 @pytest.mark.parametrize(
     "p,length",
-    [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), (3, 7)],
+    [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (2, 8), (3, 6), (31, 2), (2, 10), (3, 7)],
 )
 def test_bound_t_ops_match_the_digit_loops(p, length):
     # every context binds when constructed: modular arithmetic at length 1
-    # (F_p, no tables), tables up to _TABLE_LIMIT elements (t:2:10 has
-    # exactly that many), and past it the digit loops themselves (t:3:7)
+    # (F_p, no tables), tables up to _TABLE_LIMIT elements (t:2:8 has
+    # exactly that many), and past it the digit loops themselves (t:3:6,
+    # t:31:2, t:2:10 and t:3:7)
     ctx = RingCtx("t", p, length)
     assert all(name in vars(ctx) for name in ("add_raw", "sub_raw", "mul_raw", "neg_raw"))
     assert ctx.mul_raw(1, 1) == 1
@@ -178,7 +222,7 @@ def test_length_one_t_rings_build_no_table():
 
 
 def test_t_rings_past_the_table_limit_build_no_table():
-    ctx = RingCtx("t", 2, 11)
+    ctx = RingCtx("t", 2, 9)
     assert ctx.cardinality == 2 * _TABLE_LIMIT
     assert ctx.mul_raw(3, 5) == ctx._poly_mul(3, 5)
     assert ctx._tables == (None, None, None, None)
