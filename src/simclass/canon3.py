@@ -159,13 +159,13 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     c0, c1, c2 = beta.charpoly()
     # Newton lift of abar to the root a of f = x^3 - c2 x^2 - c1 x - c0.
     # f = (x - a)(x^2 + g1 x + g0) + f(a), so f'(a) = g(a); the last pass
-    # finds f(a) = 0 and leaves g1, g0 and g(a) those of the root
+    # finds f(a) = 0 and leaves g1, g0 and g(a)^-1 those of the root
     a = abar
     for _ in range(ctx.length.bit_length() + 1):
         g1 = sub(a, c2)
         g0 = sub(mul(a, g1), c1)
-        ga = add(mul(a, add(a, g1)), g0)
-        a = sub(a, mul(sub(mul(a, g0), c0), ctx.inv_raw(ga)))
+        ga_inv = ctx.inv_raw(add(mul(a, add(a, g1)), g0))
+        a = sub(a, mul(sub(mul(a, g0), c0), ga_inv))
 
     g_beta = beta @ (beta + scalar(ctx, 3, g1)) + scalar(ctx, 3, g0)
     res = beta.residue()
@@ -174,7 +174,6 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     v = _row_times(ka, g_beta)
     s = ctx.inv_raw(_row_times(v, Mat(ctx, 3, ka + kb[0] + kb[1]).inverse())[0])
     rows = [mul(s, x) for x in v]
-    ga_inv = ctx.inv_raw(ga)
     for k in kb:
         rows += [sub(x, mul(y, ga_inv)) for x, y in zip(k, _row_times(k, g_beta))]
     x_total = Mat._unchecked(ctx, 3, rows)

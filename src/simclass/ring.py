@@ -14,7 +14,7 @@ A context binds its add_raw, sub_raw, mul_raw, neg_raw and unit inverse
 as plain functions once, when constructed, so a ring operation is one
 call with no flavor test.  It picks one of three arithmetic kinds:
 "z" contexts and every length-1 context (F_p, whatever the flavor) bind
-modular arithmetic; a "t" context of length >= 2 and at most 256
+modular arithmetic; a "t" context of length >= 2 and at most 1024
 elements builds its add, mul, negation and inverse tables and binds
 lookups into them.  The tables are built by digit recurrence: those of
 F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)), starting
@@ -38,11 +38,8 @@ from .errors import BadDescriptor, BadLevel, NonUnit
 
 MAX_CARDINALITY = 2**63
 
-# largest cardinality at which "t" flavor arithmetic is table driven: a
-# 256-element table pays for its build within a few thousand operations, a
-# 1024-element one only after tens of thousands, and one canon needs a few
-# thousand
-_TABLE_LIMIT = 256
+# cardinality threshold below which "t" flavor arithmetic is table driven
+_TABLE_LIMIT = 1024
 
 
 def _is_prime(n: int) -> bool:
