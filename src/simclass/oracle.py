@@ -15,8 +15,7 @@ orbit.  Each orbit size must divide the group order (orbit-stabilizer)
 and a census must cover every state, or VerificationFailed is raised.
 
 States pack the entries row-major, first entry most significant, so
-numeric order on states is lexicographic order on entry tuples and an
-ascending-seed sweep makes every orbit's seed its minimal member.  Each
+numeric order on states is lexicographic order on entry tuples.  Each
 entry is one digit mod p^length ("z") or length digits mod p ("t");
 digit s of entry k has place value card^(n^2-1-k) * mod^s, so decoding
 is (ids // place) % mod and encoding is place @ digits, exact in int64.
@@ -28,6 +27,15 @@ reductions mod `mod` (the digits of the ids and the matmul output) are
 written x - (x // mod) * mod, which equals x % mod because every x is
 >= 0; numpy divides by a scalar with libdivide's multiply-and-shift,
 but computes % with one hardware division per element.
+
+The census seeds by trace.  Each pass reads the least unvisited states
+and floods, together, the least state of each trace among them; the
+trace is a conjugation invariant, so these seeds lie in distinct orbits
+and each is its orbit's least member (see orbit_census).  A ring with
+many small orbits thus takes one pass per orbit of its most crowded
+trace, not one per orbit.  The trace is linear in the digits, so one
+check on the generators' action matrices proves it invariant for every
+state, and it costs two table lookups per state (see _trace_key).
 
 Frontiers are expanded BLOCK = 1024 states at a time, so a census's peak
 memory is bounded by its bitmap and labels, not by its widest frontier
@@ -43,7 +51,7 @@ import numpy as np
 
 from .canon3 import canon
 from .census import _enumerate, count2, count3
-from .errors import BadParams, BudgetExceeded, VerificationFailed
+from .errors import BadParams, BudgetExceeded, CtxMismatch, VerificationFailed
 from .matrix import Mat, diag, elementary
 from .modsolve import group_order
 from .ring import RingCtx
@@ -63,6 +71,7 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
+WINDOW = 1024  # least unvisited states read per census pass
 
 
 def _prime_factors(n: int):
@@ -152,6 +161,11 @@ def mat_of(ctx: RingCtx, n: int, state: int) -> Mat:
     return Mat(ctx, n, vals[::-1])
 
 
+def _digit_base(ctx: RingCtx) -> tuple[int, int]:
+    """(mod, per): each entry of a state is per base-mod digits."""
+    return (ctx.cardinality, 1) if ctx.flavor == "z" else (ctx.p, ctx.length)
+
+
 def _conj_action(ctx: RingCtx, n: int, g: Mat, mod: int, per: int) -> np.ndarray:
     """Integer matrix of A -> g A g^{-1} on the digit columns of states.
 
@@ -170,13 +184,15 @@ def _conj_action(ctx: RingCtx, n: int, g: Mat, mod: int, per: int) -> np.ndarray
 
 
 def _conjugator(ctx: RingCtx, n: int):
-    """Function mapping state ids to their conjugates by every generator.
+    """(images, actions): the function mapping state ids to their
+    conjugates by every generator, and the generators' actions on digits.
 
-    For ids of shape (B,) it returns the k * B image ids, generator by
-    generator, where k = len(gl_generators(ctx, n)).
+    For ids of shape (B,) images returns the k * B image ids, generator
+    by generator, where k = len(gl_generators(ctx, n)); actions stacks
+    the k (dim x dim) action matrices, as float64.
     """
     card, n2 = ctx.cardinality, n * n
-    mod, per = (card, 1) if ctx.flavor == "z" else (ctx.p, ctx.length)
+    mod, per = _digit_base(ctx)
     # state ids, below card^(n^2), must fit int64, and the float64 matmul
     # is exact only while every sum, below dim * mod^2, stays below 2^53
     if card**n2 > 2**63 or n2 * per * mod**2 > 2**53:
@@ -218,22 +234,70 @@ def _conjugator(ctx: RingCtx, n: int):
         reduce(img)
         return (place @ img.reshape(len(gens), dim, ids.size)).ravel()
 
-    return images
+    return images, actions
 
 
-def _flood(images, frontier: np.ndarray, claim) -> int:
-    """Size of the orbit reached from frontier, which is already claimed.
+def _flood(images, frontier: np.ndarray, claim) -> None:
+    """Visit every state reachable from frontier, which is already claimed.
 
     claim(ids) marks the not yet visited states among ids as visited and
     returns them, distinct.
     """
-    size = frontier.size
     while frontier.size:
         frontier = np.concatenate(
             [claim(images(frontier[i : i + BLOCK])) for i in range(0, frontier.size, BLOCK)]
         )
-        size += frontier.size
-    return size
+
+
+def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
+    """The (per x dim) 0/1 matrix taking a state's digits to its trace's
+    digits, before reduction mod `mod`: it adds digit s of every diagonal
+    entry into digit s, which is ring addition in both flavors."""
+    per = _digit_base(ctx)[1]
+    form = np.zeros((per, n * n * per), dtype=np.int64)
+    for i in range(n):
+        form[:, i * (n + 1) * per : (i * (n + 1) + 1) * per] = np.eye(per, dtype=np.int64)
+    return form
+
+
+def _trace_key(ctx: RingCtx, n: int, actions: np.ndarray):
+    """Function mapping state ids to the packed traces of their matrices.
+
+    The trace is linear in the digits (see _trace_form).  It is checked
+    to be a conjugation invariant once, on the generators' actions: every
+    action A must satisfy form @ A = form mod `mod`, or VerificationFailed
+    is raised.  Then every image has its source's trace, for every state.
+
+    Write id = hi * low + lo, where lo packs the last k entries and
+    low = card^k.  With T(hi) the packed trace of the diagonal entries in
+    hi, off[hi] = (T(hi) - hi) * low and table[t * low + lo] = t plus the
+    diagonal entries in lo, the trace of id is table[off[id // low] + id]:
+    two lookups per state, with the ring addition folded into table.  The
+    tables hold card^(n^2 - k) and card^(k + 1) entries.
+    """
+    card, n2 = ctx.cardinality, n * n
+    mod, per = _digit_base(ctx)
+    form = _trace_form(ctx, n)
+    acts = actions.astype(np.int64).reshape(-1, n2 * per, n2 * per)
+    if ((form @ acts - form) % mod).any():
+        raise VerificationFailed(f"the trace over {ctx.descriptor} is not a conjugation invariant")
+    k = (n2 - 1) // 2
+    low = card**k
+    split = (n2 - k) * per  # digit rows of the high part
+    powers = mod ** np.arange(per)
+
+    def sums(part: np.ndarray, count: int) -> np.ndarray:
+        """part @ digits, unreduced, for every value of count entries."""
+        place = [card ** (count - 1 - i // per) * mod ** (i % per) for i in range(count * per)]
+        digits = np.arange(card**count) // np.array(place, dtype=np.int64)[:, None] % mod
+        return part @ digits
+
+    high = powers @ (sums(form[:, :split], n2 - k) % mod)
+    off = (high - np.arange(high.size)) * low
+    digits = np.arange(card) // powers[:, None] % mod  # of every packed trace t
+    both = (digits[:, :, None] + sums(form[:, split:], k)[:, None, :]) % mod
+    table = powers @ both.reshape(per, -1)
+    return lambda ids: table[off[ids // low] + ids]
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
@@ -262,22 +326,24 @@ def _unvisited_mask(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return (bitmap[ids >> 3] & (1 << (ids & 7)).astype(np.uint8)) == 0
 
 
-_LOW_ZERO = [min(b for b in range(8) if not x >> b & 1) if x != 0xFF else 8 for x in range(256)]
+def _window(bitmap: np.ndarray, byte: int):
+    """(least unvisited states, index of the byte holding the first one).
 
-
-def _next_unvisited(bitmap: np.ndarray, byte_start: int):
-    """(state, byte index) of the first clear bit at or after byte_start."""
-    nbytes = bitmap.size
-    chunk = 1 << 20
-    off = byte_start
-    while off < nbytes:
-        view = bitmap[off : off + chunk]
-        hit = np.nonzero(view != 0xFF)[0]
-        if hit.size:
-            byte = off + int(hit[0])
-            return byte * 8 + _LOW_ZERO[bitmap[byte]], byte
-        off += chunk
-    return None, nbytes
+    Scans from byte on, whose predecessors must be full.  The states,
+    at most WINDOW, come in ascending order, and every unvisited state
+    below the largest of them is among them.  (None, bitmap.size) once
+    every state is visited.
+    """
+    while byte < bitmap.size:
+        chunk = bitmap[byte : byte + WINDOW]
+        open_bytes = np.flatnonzero(chunk != 0xFF)
+        if open_bytes.size:
+            open_bytes += byte
+            clear = np.unpackbits(bitmap[open_bytes], bitorder="little").reshape(-1, 8) == 0
+            states = (open_bytes[:, None] * 8 + np.arange(8))[clear]
+            return states[:WINDOW], int(open_bytes[0])
+        byte += chunk.size
+    return None, byte
 
 
 @dataclass
@@ -306,10 +372,13 @@ class OrbitCensus:
         return [mat_of(self.ctx, self.n, int(r)) for r in self.reps]
 
     def index_of(self, m: Mat) -> int:
-        s = state_of(m)
-        if self.labels is not None:
-            return int(self.labels[s])
-        raise BadParams("census was built without labels")
+        if m.ctx != self.ctx or m.n != self.n:
+            raise CtxMismatch(
+                f"census of {self.n}x{self.n} over {self.ctx} cannot index {m.n}x{m.n} over {m.ctx}"
+            )
+        if self.labels is None:
+            raise BadParams("census was built without labels")
+        return int(self.labels[state_of(m)])
 
 
 def orbit_census(
@@ -318,50 +387,85 @@ def orbit_census(
     max_states: int = DEFAULT_MAX_STATES,
     want_labels: bool = False,
 ) -> OrbitCensus:
-    """Full orbit census of n x n matrices over ctx.
+    """Full orbit census of n x n matrices over ctx, for n in 1, 2, 3.
 
     want_labels also fills the state -> orbit index array that
     `index_of` reads.
+
+    Each pass floods several orbits at once.  It reads the WINDOW least
+    unvisited states (see _window) and seeds, for each trace among them,
+    the least state of that trace.  Since the trace is a conjugation
+    invariant, the seeds lie in distinct orbits and no two floods meet;
+    each claimed state is counted, and labelled, under the seed of its
+    trace.  Each seed is also the least state of its orbit: a pass starts
+    with every orbit wholly visited or wholly unvisited, so the least
+    member of the seed's orbit is unvisited, no larger than the seed and
+    of the same trace, and would have been in the window as the least
+    state of that trace.  At the end the reps are sorted and the labels
+    renumbered to match.  The cover and divisibility checks alone cannot
+    refuse a batching key that is not a conjugation invariant: if one
+    window holds every state, each state seeds a one-state orbit.  So
+    _trace_key checks, on the generators' actions, that every generator
+    fixes the trace, before any state is flooded.
     """
+    if type(n) is not int or not 1 <= n <= 3:
+        raise BadParams(f"matrix size must be 1, 2 or 3, got {n!r}")
     nstates = ctx.cardinality ** (n * n)
     if nstates > max_states:
         raise BudgetExceeded(f"{nstates} states over {ctx.descriptor} exceed cap {max_states}")
-    images = _conjugator(ctx, n)
+    images, actions = _conjugator(ctx, n)
+    trace = _trace_key(ctx, n, actions)
     bitmap = np.zeros((nstates + 7) // 8, dtype=np.uint8)
     pad = nstates % 8
     if pad:  # mark the phantom tail bits of the last byte as used
         bitmap[-1] = (0xFF << pad) & 0xFF
     labels = np.full(nstates, -1, dtype=np.int32) if want_labels else None
     reps, sizes = [], []
+    found = 0  # orbits seeded in earlier passes
+    # the index of each trace's seed in this pass (stale for traces it did
+    # not seed, which its floods never reach), and the seeds' orbit sizes
+    slot_of = np.zeros(ctx.cardinality, dtype=np.int64)
+    counts = None
 
     def claim(ids):
         ids = _distinct(ids[_unvisited_mask(bitmap, ids)])
         _set_bits(bitmap, ids)
+        slot = slot_of[trace(ids)]
+        counts[:] += np.bincount(slot, minlength=counts.size)
         if labels is not None:
-            labels[ids] = len(reps)
+            labels[ids] = found + slot
         return ids
 
-    byte_ptr = 0
+    byte = 0
     while True:
-        seed, byte_ptr = _next_unvisited(bitmap, byte_ptr)
-        if seed is None:
+        window, byte = _window(bitmap, byte)
+        if window is None:
             break
-        sizes.append(_flood(images, claim(np.array([seed], dtype=np.int64)), claim))
-        reps.append(seed)
-    census = OrbitCensus(
-        ctx, n, np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64), labels
-    )
-    if int(census.sizes.sum()) != nstates:
+        seed_keys, first = np.unique(trace(window), return_index=True)
+        slot_of[seed_keys] = np.arange(seed_keys.size)
+        seeds = window[first]
+        counts = np.zeros(seeds.size, dtype=np.int64)
+        _flood(images, claim(seeds), claim)
+        reps.append(seeds)
+        sizes.append(counts)
+        found += seeds.size
+    reps, sizes = np.concatenate(reps), np.concatenate(sizes)
+    if int(sizes.sum()) != nstates:
         raise VerificationFailed(
-            f"orbits over {ctx.descriptor} cover {int(census.sizes.sum())} of {nstates} states"
+            f"orbits over {ctx.descriptor} cover {int(sizes.sum())} of {nstates} states"
         )
-    _check_orbit_sizes(ctx, n, sizes)
-    return census
+    _check_orbit_sizes(ctx, n, sizes.tolist())
+    order = np.argsort(reps)
+    if labels is not None:
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size)
+        labels = rank[labels]
+    return OrbitCensus(ctx, n, reps[order], sizes[order], labels)
 
 
 def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
     """Sorted state ids of the conjugation orbit of m."""
-    images = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
+    images, _ = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
     seen = np.array([state_of(m)], dtype=np.int64)
 
     def claim(ids):

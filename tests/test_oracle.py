@@ -1,10 +1,12 @@
 """Brute-force conjugation-orbit oracle."""
 
+import numpy as np
 import pytest
 
 from simclass import (
     BadParams,
     BudgetExceeded,
+    CtxMismatch,
     Mat,
     VerificationFailed,
     centralizer_order,
@@ -154,6 +156,8 @@ CENSUS_CASES = [
     (("z", 2, 2), 3, 144, 60),
     (("t", 2, 2), 3, 144, None),
     (("z", 3, 1), 3, 39, 24),
+    # many orbits share each trace, and p is odd
+    (("z", 5, 2), 2, 775, 620),
 ]
 
 
@@ -199,6 +203,34 @@ def test_orbit_census_labels(rng):
         assert same_class(census.rep_mats()[i], m)
 
 
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_orbit_census_does_not_depend_on_the_window(monkeypatch, window):
+    # one seed per pass at window 1; windows that end inside a byte at 5
+    ctx = ring_ctx("z", 3, 2)
+    full = orbit_census(ctx, 2, want_labels=True)
+    monkeypatch.setattr(oracle, "WINDOW", window)
+    narrow = orbit_census(ctx, 2, want_labels=True)
+    assert narrow.reps.tolist() == full.reps.tolist()
+    assert narrow.sizes.tolist() == full.sizes.tolist()
+    assert narrow.labels.tolist() == full.labels.tolist()
+
+
+@pytest.mark.parametrize("n", [-1, 0, 4, True, 2.0, "2", None])
+def test_orbit_census_refuses_sizes_outside_one_to_three(n):
+    with pytest.raises(BadParams):
+        orbit_census(ring_ctx("z", 2, 1), n)
+
+
+def test_index_of_refuses_matrices_of_another_ring_or_size():
+    census = orbit_census(ring_ctx("z", 2, 2), 2, want_labels=True)
+    for m in (Mat.from_rows(ring_ctx("z", 2, 1), [[1, 1], [0, 1]]),
+              identity(ring_ctx("t", 2, 2), 2),
+              identity(ring_ctx("z", 2, 2), 3),
+              Mat(ring_ctx("z", 2, 2), 1, [1])):
+        with pytest.raises(CtxMismatch):
+            census.index_of(m)
+
+
 def test_orbit_census_budget():
     with pytest.raises(BudgetExceeded):
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
@@ -240,7 +272,8 @@ def _reference_gens(ctx, n):
 
 
 @pytest.mark.parametrize(
-    "desc,n", [(("z", 2, 1), 3), (("z", 3, 1), 2), (("t", 2, 2), 2), (("t", 3, 1), 2)]
+    "desc,n",
+    [(("z", 2, 1), 3), (("z", 3, 1), 2), (("t", 2, 2), 2), (("t", 3, 1), 2), (("t", 3, 2), 2)],
 )
 def test_orbit_census_matches_reference_bfs(desc, n):
     ctx = ring_ctx(*desc)
@@ -292,6 +325,36 @@ def test_orbit_states_near_the_int64_ceiling_match_reference_bfs(rows, size):
     assert states.size == size
     assert int(states.max()) >= 2**62
     assert size * centralizer_order(m) == group_order(ctx, 3)
+
+
+def _entry_form(row, col):
+    """A batching form that reads entry (row, col) instead of the trace."""
+    def form(ctx, n):
+        per = oracle._digit_base(ctx)[1]
+        out = np.zeros((per, n * n * per), dtype=np.int64)
+        out[:, (row * n + col) * per : (row * n + col + 1) * per] = np.eye(per, dtype=np.int64)
+        return out
+    return form
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 1), 3), (("z", 3, 2), 2), (("t", 2, 2), 2)])
+@pytest.mark.parametrize("want_labels", [False, True])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_a_batching_key_that_is_no_invariant_is_refused(monkeypatch, desc, n, want_labels, entry):
+    # a single entry is no conjugation invariant: floods would share orbits
+    monkeypatch.setattr(oracle, "_trace_form", _entry_form(*entry))
+    with pytest.raises(VerificationFailed, match="not a conjugation invariant"):
+        orbit_census(ring_ctx(*desc), n, want_labels=want_labels)
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 2), 2), (("t", 2, 2), 2), (("t", 3, 2), 2),
+                                    (("z", 2, 1), 3), (("t", 3, 1), 3), (("z", 5, 2), 1)])
+def test_trace_key_is_the_ring_trace_of_every_state(desc, n):
+    ctx = ring_ctx(*desc)
+    _, actions = oracle._conjugator(ctx, n)
+    ids = np.arange(ctx.cardinality ** (n * n), dtype=np.int64)
+    keys = oracle._trace_key(ctx, n, actions)(ids)
+    assert keys.tolist() == [mat_of(ctx, n, s).trace() for s in range(ids.size)]
 
 
 def test_orbit_sizes_must_divide_the_group_order(monkeypatch):
