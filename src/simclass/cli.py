@@ -235,7 +235,8 @@ def _add_budget(sp):
 def _add_oracle_opts(sp):
     sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
     sp.add_argument("--max-states", type=_non_negative, default=2**28,
-                    help="largest state space the orbit search may visit")
+                    help="most states the orbit census may flood: |A|^(n^2-1) "
+                         "when p does not divide n, |A|^(n^2) otherwise")
 
 
 def build_parser() -> _Parser:

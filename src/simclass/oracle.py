@@ -1,28 +1,41 @@
 """Brute-force conjugation-orbit oracle.
 
 Independent cross-check for the canonical forms and counting formulas:
-enumerate every n x n matrix over the ring as a packed integer state,
-then flood-fill conjugation orbits under a generating set of GL_n:
-E_12(1), the n-cycle permutation matrix and diag(u, 1, ..., 1) for each
-generator u of the ring's unit group, 2 + |units| matrices (see
-gl_generators for why they generate the whole group).  One kernel
-serves the whole-ring census (visited states in a bitmap) and single
-orbits (a sorted array).
+pack n x n matrices over the ring as integer states, then flood-fill
+conjugation orbits under a generating set of GL_n: E_12(1), the n-cycle
+permutation matrix and diag(u, 1, ..., 1) for each generator u of the
+ring's unit group, 2 + |units| matrices (see gl_generators for why they
+generate the whole group).  One kernel serves the census (visited
+states in a bitmap) and single orbits (a sorted array).
 
 Only the generators act, not their inverses: in a finite group
 g^-1 = g^(ord g - 1), so the forward closure of a state is its whole
 orbit.  Each orbit size must divide the group order (orbit-stabilizer)
 and a census must cover every state, or VerificationFailed is raised.
 
+When p does not divide n the census floods only the trace-0 matrices,
+the slice, which is |A| times smaller than the whole space (Z/8 at
+n = 3: 2^24 of 2^27 states).  n is then a unit, so every matrix is
+uniquely B + dI with tr B = 0, and g(B + dI)g^-1 = gBg^-1 + dI: each
+orbit O of the slice gives the |A| orbits O + dI, each of size |O|.
+A slice state packs the n^2 - 1 entries other than (n, n), which is
+minus the sum of the other diagonal entries.  When p divides n the
+slice holds the scalars and is no complement to them, so the census
+floods every matrix, with the single shift d = 0, in the same loop.
+Single orbits (orbit_states) always act on whole matrices.
+
 States pack the entries row-major, first entry most significant, so
-numeric order on states is lexicographic order on entry tuples.  Each
-entry is one digit mod p^length ("z") or length digits mod p ("t");
-digit s of entry k has place value card^(n^2-1-k) * mod^s, so decoding
-is (ids // place) % mod and encoding is place @ digits, exact in int64.
+numeric order on states is lexicographic order on entry tuples; a slice
+state's id is its matrix's id // |A|.  Each entry is one digit mod
+p^length ("z") or length digits mod p ("t"); digit s of entry k has
+place value card^(m-1-k) * mod^s for m packed entries, so decoding is
+(ids // place) % mod and encoding is place @ digits, exact in int64.
 A ring and size whose ids or matmul sums would not fit raise
 BudgetExceeded before any state is packed.
 Conjugation is linear in the digits, and the actions of all generators
-are stacked into one (k*dim x dim) matrix: one matmul per block.  Both
+are stacked into one (k*dim x dim) matrix: one matmul per block.  On the
+slice a generator acts by P A L, with A its action on matrix digits, L
+embedding the slice's digits and P dropping entry (n, n).  Both
 reductions mod `mod` (the digits of the ids and the matmul output) are
 written x - (x // mod) * mod, which equals x % mod because every x is
 >= 0; numpy divides by a scalar with libdivide's multiply-and-shift,
@@ -31,15 +44,19 @@ but computes % with one hardware division per element.
 The census seeds by trace.  Each pass reads the least unvisited states
 and floods, together, the least state of each trace among them; the
 trace is a conjugation invariant, so these seeds lie in distinct orbits
-and each is its orbit's least member (see orbit_census).  A ring with
-many small orbits thus takes one pass per orbit of its most crowded
-trace, not one per orbit.  The trace is linear in the digits, so one
-check on the generators' action matrices proves it invariant for every
-state, and it costs two table lookups per state (see _trace_key).
+(see orbit_census).  A ring with many small orbits thus takes one pass
+per orbit of its most crowded trace, not one per orbit; on the slice,
+where the trace is 0, each pass floods one orbit.  The trace is linear
+in the digits, so one check on the generators' action matrices proves
+it invariant for every state, and it costs two table lookups per state
+(see _trace_key).  Reps are the least matrices of their orbits: the
+claims keep, for each d, the least id of B + dI over the states B they
+claim, read off one (|A| x |A|^(n-1)) table (see _shifter).
 
-Frontiers are expanded BLOCK = 1024 states at a time, so a census's peak
-memory is bounded by its bitmap and labels, not by its widest frontier
-(t:2:2 at n = 3: +7 MB, against +13.5 MB unblocked).
+Frontiers are expanded BLOCK = 1024 states at a time, and claimed one
+BFS level at a time: a level's images are sorted once, and orbit_states
+merges them into its sorted array once.  A census's peak memory is its
+bitmap, its labels and its widest level's images.
 """
 
 from __future__ import annotations
@@ -183,13 +200,35 @@ def _conj_action(ctx: RingCtx, n: int, g: Mat, mod: int, per: int) -> np.ndarray
     return out
 
 
-def _conjugator(ctx: RingCtx, n: int):
-    """(images, actions): the function mapping state ids to their
+def _embedding(ctx: RingCtx, n: int) -> np.ndarray:
+    """The (dim x sdim) matrix L taking a census state's digits to the
+    digits of its matrix, mod `mod`; dim = n^2 * per.
+
+    When p does not divide n a census state packs the n^2 - 1 entries
+    other than (n, n), which is minus the sum of the other diagonal
+    entries: below the identity, L's rows for the (n, n) digits are
+    (mod - 1) times the trace form of the other entries, so L embeds the
+    trace-0 matrices.  When p divides n it packs every entry: L = I.
+    """
+    mod, per = _digit_base(ctx)
+    dim = n * n * per
+    if n % ctx.p == 0:
+        return np.eye(dim, dtype=np.int64)
+    rest = _trace_form(ctx, n)[:, : dim - per]
+    return np.vstack([np.eye(dim - per, dtype=np.int64), (mod - 1) * rest])
+
+
+def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
+    """(images, actions): the function mapping census state ids to their
     conjugates by every generator, and the generators' actions on digits.
 
-    For ids of shape (B,) images returns the k * B image ids, generator
-    by generator, where k = len(gl_generators(ctx, n)); actions stacks
-    the k (dim x dim) action matrices, as float64.
+    Census states pack the digits that embed (see _embedding; by default
+    I, every entry) maps to their matrices' digits.  For ids of shape
+    (B,) images returns the k * B image ids, generator by generator, where
+    k = len(gl_generators(ctx, n)): the action of g on census digits is
+    P A_g L mod `mod`, with A_g its action on matrix digits, L = embed
+    and P dropping the digits a census state does not pack.  actions
+    stacks the k (dim x dim) matrices A_g, as int64.
     """
     card, n2 = ctx.cardinality, n * n
     mod, per = _digit_base(ctx)
@@ -200,21 +239,25 @@ def _conjugator(ctx: RingCtx, n: int):
             f"{n}x{n} states over {ctx.descriptor} are too large for the exact int64 kernel"
         )
     dim = n2 * per
+    embed = np.eye(dim, dtype=np.int64) if embed is None else embed
+    sdim = embed.shape[1]
     place = np.array(
-        [card ** (n2 - 1 - i // per) * mod ** (i % per) for i in range(dim)], dtype=np.int64
+        [card ** (sdim // per - 1 - i // per) * mod ** (i % per) for i in range(sdim)],
+        dtype=np.int64,
     )
     gens = gl_generators(ctx, n)
-    # float64 only for the matmul, where BLAS is several times faster than
-    # numpy's int64 loop; it is exact, as every sum is below dim * mod^2.
     # GL_1(F_2) is trivial and has no generators: then there are no rows
-    actions = [_conj_action(ctx, n, g, mod, per) for g in gens]
-    actions = np.concatenate([np.empty((0, dim))] + actions).astype(np.float64)
-    rows = actions.shape[0]
+    actions = np.array([_conj_action(ctx, n, g, mod, per) for g in gens], dtype=np.int64)
+    actions = actions.reshape(len(gens), dim, dim)
+    # float64 only for the matmul, where BLAS is several times faster than
+    # numpy's int64 loop; it is exact, as every sum is below sdim * mod^2
+    rows = len(gens) * sdim
+    stacked = ((actions @ embed)[:, :sdim] % mod).reshape(rows, sdim).astype(np.float64)
     # reused across blocks: fresh arrays this size cost a page fault per page
     fbuf = np.empty(rows * BLOCK)
     ibuf = np.empty(rows * BLOCK, dtype=np.int64)
-    qbuf = np.empty(max(rows, dim) * BLOCK, dtype=np.int64)
-    dbuf = np.empty(dim * BLOCK, dtype=np.int64)
+    qbuf = np.empty(max(rows, sdim) * BLOCK, dtype=np.int64)
+    dbuf = np.empty(sdim * BLOCK, dtype=np.int64)
 
     def reduce(x: np.ndarray) -> None:
         """x %= mod in place, for x >= 0, as x - (x // mod) * mod."""
@@ -224,15 +267,15 @@ def _conjugator(ctx: RingCtx, n: int):
         x -= quot
 
     def images(ids: np.ndarray) -> np.ndarray:
-        digits = dbuf[: dim * ids.size].reshape(dim, ids.size)
+        digits = dbuf[: sdim * ids.size].reshape(sdim, ids.size)
         prod = fbuf[: rows * ids.size].reshape(rows, ids.size)
         img = ibuf[: rows * ids.size].reshape(rows, ids.size)
         np.floor_divide(ids[None, :], place[:, None], out=digits)
         reduce(digits)
-        np.matmul(actions, digits, out=prod)
+        np.matmul(stacked, digits, out=prod)
         img[...] = prod
         reduce(img)
-        return (place @ img.reshape(len(gens), dim, ids.size)).ravel()
+        return (place @ img.reshape(len(gens), sdim, ids.size)).ravel()
 
     return images, actions
 
@@ -240,12 +283,13 @@ def _conjugator(ctx: RingCtx, n: int):
 def _flood(images, frontier: np.ndarray, claim) -> None:
     """Visit every state reachable from frontier, which is already claimed.
 
-    claim(ids) marks the not yet visited states among ids as visited and
-    returns them, distinct.
+    images runs BLOCK states at a time; claim(ids) gets one BFS level's
+    images at once, marks the not yet visited states among them as
+    visited and returns them, distinct: the next level.
     """
     while frontier.size:
-        frontier = np.concatenate(
-            [claim(images(frontier[i : i + BLOCK])) for i in range(0, frontier.size, BLOCK)]
+        frontier = claim(
+            np.concatenate([images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)])
         )
 
 
@@ -260,30 +304,44 @@ def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
     return form
 
 
-def _trace_key(ctx: RingCtx, n: int, actions: np.ndarray):
-    """Function mapping state ids to the packed traces of their matrices.
+def _trace_key(ctx: RingCtx, n: int, actions: np.ndarray, embed: np.ndarray | None = None):
+    """Function mapping census state ids (see _conjugator) to the packed
+    traces of their matrices.
 
     The trace is linear in the digits (see _trace_form).  It is checked
     to be a conjugation invariant once, on the generators' actions: every
     action A must satisfy form @ A = form mod `mod`, or VerificationFailed
     is raised.  Then every image has its source's trace, for every state.
+    A census that packs fewer digits than its matrices must pack exactly
+    the trace-0 matrices: P @ embed = I and form @ embed = 0 mod `mod`,
+    or VerificationFailed is raised.  As form is the identity on the
+    (n, n) digits, these two hold only for the embedding _embedding
+    derives, and then the key is 0 on every census state.
 
     Write id = hi * low + lo, where lo packs the last k entries and
     low = card^k.  With T(hi) the packed trace of the diagonal entries in
     hi, off[hi] = (T(hi) - hi) * low and table[t * low + lo] = t plus the
     diagonal entries in lo, the trace of id is table[off[id // low] + id]:
     two lookups per state, with the ring addition folded into table.  The
-    tables hold card^(n^2 - k) and card^(k + 1) entries.
+    tables hold card^(m - k) and card^(k + 1) entries, for m packed entries.
     """
-    card, n2 = ctx.cardinality, n * n
+    card = ctx.cardinality
     mod, per = _digit_base(ctx)
     form = _trace_form(ctx, n)
-    acts = actions.astype(np.int64).reshape(-1, n2 * per, n2 * per)
-    if ((form @ acts - form) % mod).any():
+    dim = form.shape[1]
+    if ((form @ actions - form) % mod).any():
         raise VerificationFailed(f"the trace over {ctx.descriptor} is not a conjugation invariant")
-    k = (n2 - 1) // 2
+    embed = np.eye(dim, dtype=np.int64) if embed is None else embed
+    sdim = embed.shape[1]
+    form = form @ embed % mod  # the trace form on census digits
+    if (embed[:sdim] != np.eye(sdim)).any() or (sdim < dim and form.any()):
+        raise VerificationFailed(
+            f"{n}x{n} census states over {ctx.descriptor} do not embed as the trace-0 matrices"
+        )
+    m = sdim // per
+    k = max(m - 1, 0) // 2
     low = card**k
-    split = (n2 - k) * per  # digit rows of the high part
+    split = (m - k) * per  # digit rows of the high part
     powers = mod ** np.arange(per)
 
     def sums(part: np.ndarray, count: int) -> np.ndarray:
@@ -292,12 +350,55 @@ def _trace_key(ctx: RingCtx, n: int, actions: np.ndarray):
         digits = np.arange(card**count) // np.array(place, dtype=np.int64)[:, None] % mod
         return part @ digits
 
-    high = powers @ (sums(form[:, :split], n2 - k) % mod)
+    high = powers @ (sums(form[:, :split], m - k) % mod)
     off = (high - np.arange(high.size)) * low
     digits = np.arange(card) // powers[:, None] % mod  # of every packed trace t
     both = (digits[:, :, None] + sums(form[:, split:], k)[:, None, :]) % mod
     table = powers @ both.reshape(per, -1)
     return lambda ids: table[off[ids // low] + ids]
+
+
+def _shifter(ctx: RingCtx, n: int, m: int):
+    """Function mapping census ids (B,) to the (shifts, B) ids of the
+    matrices B + dI, d = 0, 1, ..., shifts - 1 (as packed ring elements),
+    where B is the matrix of the census state.
+
+    A census over the whole space (m = n^2 packed entries) shifts by
+    d = 0 only.  On the trace-0 slice (m = n^2 - 1) it shifts by every d.
+    Only diagonal entries depend on d, and entry (n, n) is the least
+    significant, so id(B + dI) = c * card + T[d, key], where c is the
+    census id and key packs the first n - 1 diagonal entries v_i of B:
+    T[d, key] is the sum of place_i * (add(v_i, d) - v_i) over them, plus
+    add(v_nn, d), where add is the ring's addition, v_nn = -(v_1 + ...)
+    in the ring, and place_i is the place value of v_i in a matrix id.
+    """
+    card, n2 = ctx.cardinality, n * n
+    if m == n2:
+        return lambda ids: ids[None, :]
+    mod, per = _digit_base(ctx)
+    powers = mod ** np.arange(per)
+    digits = np.arange(card) // powers[:, None] % mod
+    sums = (digits[:, :, None] + digits[:, None, :]) % mod
+    add = (powers @ sums.reshape(per, -1)).reshape(card, card)  # add[u, v] = u + v
+    neg = powers @ (-digits % mod)
+    diag = [i * (n + 1) for i in range(n - 1)]  # the packed diagonal entries
+    keys = np.arange(card ** (n - 1))
+    shift = np.zeros((card, keys.size), dtype=np.int64)
+    total = np.zeros(keys.size, dtype=np.int64)  # sum of the v_i, in the ring
+    for i, entry in enumerate(diag):
+        v = keys // card ** (n - 2 - i) % card
+        shift += card ** (n2 - 1 - entry) * (add[:, v] - v)
+        total = add[total, v]
+    shift += add[:, neg[total]]
+    places = [card ** (m - 1 - entry) for entry in diag]
+
+    def shifted(ids: np.ndarray) -> np.ndarray:
+        key = np.zeros_like(ids)
+        for place in places:
+            key = key * card + ids // place % card
+        return ids * card + shift[:, key]
+
+    return shifted
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
@@ -390,50 +491,92 @@ def orbit_census(
     """Full orbit census of n x n matrices over ctx, for n in 1, 2, 3.
 
     want_labels also fills the state -> orbit index array that
-    `index_of` reads.
+    `index_of` reads.  max_states caps the states flooded, |A|^(n^2 - 1)
+    when p does not divide n and |A|^(n^2) otherwise; with want_labels
+    it also caps the |A|^(n^2) states labelled.
+
+    The census floods census states (see _embedding) and shifts each of
+    their orbits by every scalar d it shifts by (see _shifter).  When p
+    does not divide n, n is a unit and every matrix M is B + dI for one
+    trace-0 B and d = tr(M)/n; since g(B + dI)g^-1 = gBg^-1 + dI, the
+    orbit of B + dI is O + dI, where O is the orbit of B, and B -> B + dI
+    maps O onto O + dI, so |O + dI| = |O|.  So the orbits of the whole
+    space are the O + dI, for each orbit O of the trace-0 slice and each
+    d in A.  When p divides n the census states are every matrix and the
+    only shift is d = 0.
+
+    The slice is certified before any state is flooded.  _trace_key
+    checks that the embedding packs exactly the trace-0 matrices
+    (P L = I and form L = 0 mod `mod`, which hold only for the true
+    embedding) and that every generator fixes the trace (form A = form).
+    So conjugation maps the slice to itself, and P A L, which _conjugator
+    floods with, is each generator's action on it: P inverts L on the
+    trace-0 matrices.  That the shifted orbits are distinct orbits, which
+    needs n to be a unit, is checked at the end: no two reps may agree.
 
     Each pass floods several orbits at once.  It reads the WINDOW least
     unvisited states (see _window) and seeds, for each trace among them,
     the least state of that trace.  Since the trace is a conjugation
     invariant, the seeds lie in distinct orbits and no two floods meet;
     each claimed state is counted, and labelled, under the seed of its
-    trace.  Each seed is also the least state of its orbit: a pass starts
-    with every orbit wholly visited or wholly unvisited, so the least
-    member of the seed's orbit is unvisited, no larger than the seed and
-    of the same trace, and would have been in the window as the least
-    state of that trace.  At the end the reps are sorted and the labels
-    renumbered to match.  The cover and divisibility checks alone cannot
-    refuse a batching key that is not a conjugation invariant: if one
-    window holds every state, each state seeds a one-state orbit.  So
-    _trace_key checks, on the generators' actions, that every generator
-    fixes the trace, before any state is flooded.
+    trace.  On the slice the trace is 0, so each pass seeds one orbit.
+    A pass starts with every orbit wholly visited or wholly unvisited, so
+    its floods claim every member of each seed's orbit O exactly once.
+    The least member of O + dI is the least id of B + dI over B in O, as
+    B -> B + dI maps O onto O + dI, so the minimum over the pass's claimed
+    batches, taken for each d, is the rep of O + dI: the least state of
+    its orbit.  Orbit (seed s, shift d) is numbered s * shifts + d while
+    it is flooded; at the end the reps are sorted and the labels
+    renumbered to match.
+
+    The cover and divisibility checks alone cannot refuse a batching key
+    that is not a conjugation invariant: if one window holds every state,
+    each state seeds a one-state orbit.  Nor can they refuse a wrong
+    embedding, whose census keeps its sizes summing to |A|^(n^2).  So
+    both are checked, on the generators' actions and the embedding,
+    before any state is flooded.
     """
     if type(n) is not int or not 1 <= n <= 3:
         raise BadParams(f"matrix size must be 1, 2 or 3, got {n!r}")
-    nstates = ctx.cardinality ** (n * n)
-    if nstates > max_states:
-        raise BudgetExceeded(f"{nstates} states over {ctx.descriptor} exceed cap {max_states}")
-    images, actions = _conjugator(ctx, n)
-    trace = _trace_key(ctx, n, actions)
-    bitmap = np.zeros((nstates + 7) // 8, dtype=np.uint8)
-    pad = nstates % 8
+    card = ctx.cardinality
+    nstates = card ** (n * n)
+    embed = _embedding(ctx, n)
+    m = embed.shape[1] // _digit_base(ctx)[1]  # entries a census state packs
+    flooded = card**m
+    if flooded > max_states or (want_labels and nstates > max_states):
+        what = f"{flooded} states to flood" + (f" and {nstates} to label" if want_labels else "")
+        raise BudgetExceeded(f"{what} over {ctx.descriptor} exceed cap {max_states}")
+    images, actions = _conjugator(ctx, n, embed)
+    trace = _trace_key(ctx, n, actions, embed)
+    shifts, shifted = nstates // flooded, _shifter(ctx, n, m)
+    bitmap = np.zeros((flooded + 7) // 8, dtype=np.uint8)
+    pad = flooded % 8
     if pad:  # mark the phantom tail bits of the last byte as used
         bitmap[-1] = (0xFF << pad) & 0xFF
     labels = np.full(nstates, -1, dtype=np.int32) if want_labels else None
     reps, sizes = [], []
-    found = 0  # orbits seeded in earlier passes
+    found = 0  # census orbits seeded in earlier passes
     # the index of each trace's seed in this pass (stale for traces it did
-    # not seed, which its floods never reach), and the seeds' orbit sizes
-    slot_of = np.zeros(ctx.cardinality, dtype=np.int64)
-    counts = None
+    # not seed, which its floods never reach), the seeds' orbit sizes, and
+    # the least state of each seed's orbit shifted by each d
+    slot_of = np.zeros(card, dtype=np.int64)
+    counts = least = None
+    ds = np.arange(shifts)[:, None]
+    top = np.iinfo(np.int64).max
 
     def claim(ids):
         ids = _distinct(ids[_unvisited_mask(bitmap, ids)])
         _set_bits(bitmap, ids)
         slot = slot_of[trace(ids)]
         counts[:] += np.bincount(slot, minlength=counts.size)
+        full = shifted(ids)
+        if least.shape[1] == 1:  # one seed, as in every pass on the trace-0 slice
+            np.minimum(least[:, 0], full.min(axis=1, initial=top), out=least[:, 0])
+        else:
+            for d in range(shifts):
+                np.minimum.at(least[d], slot, full[d])
         if labels is not None:
-            labels[ids] = found + slot
+            labels[full] = (found + slot) * shifts + ds
         return ids
 
     byte = 0
@@ -445,9 +588,10 @@ def orbit_census(
         slot_of[seed_keys] = np.arange(seed_keys.size)
         seeds = window[first]
         counts = np.zeros(seeds.size, dtype=np.int64)
+        least = np.full((shifts, seeds.size), top)
         _flood(images, claim(seeds), claim)
-        reps.append(seeds)
-        sizes.append(counts)
+        reps.append(least.T.ravel())  # orbit (found + slot) * shifts + d
+        sizes.append(np.repeat(counts, shifts))
         found += seeds.size
     reps, sizes = np.concatenate(reps), np.concatenate(sizes)
     if int(sizes.sum()) != nstates:
@@ -456,11 +600,14 @@ def orbit_census(
         )
     _check_orbit_sizes(ctx, n, sizes.tolist())
     order = np.argsort(reps)
+    reps = reps[order]
+    if (reps[1:] == reps[:-1]).any():
+        raise VerificationFailed(f"two shifted orbits over {ctx.descriptor} meet")
     if labels is not None:
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size)
         labels = rank[labels]
-    return OrbitCensus(ctx, n, reps[order], sizes[order], labels)
+    return OrbitCensus(ctx, n, reps, sizes[order], labels)
 
 
 def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
@@ -468,7 +615,7 @@ def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
     images, _ = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
     seen = np.array([state_of(m)], dtype=np.int64)
 
-    def claim(ids):
+    def claim(ids):  # one BFS level: one merge into seen
         nonlocal seen
         ids = _distinct(ids)
         pos = np.searchsorted(seen, ids)

@@ -10,6 +10,7 @@ from simclass import (
     Mat,
     VerificationFailed,
     centralizer_order,
+    count3,
     gl_generators,
     group_order,
     identity,
@@ -203,6 +204,19 @@ def test_orbit_census_labels(rng):
         assert same_class(census.rep_mats()[i], m)
 
 
+def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
+    # the slice's (n, n) entry is solved digit by digit in the "t" flavor
+    ctx = ring_ctx("t", 2, 2)
+    census = shared_census(ctx, 3)
+    assert int(census.sizes.sum()) == ctx.cardinality**9
+    for _ in range(20):
+        m = rand_mat(ctx, 3, rng)
+        i = census.index_of(m)
+        assert i == census.index_of(m.conjugate_by(rand_invertible(ctx, 3, rng)))
+        assert same_class(census.rep_mats()[i], m)
+        assert census.sizes[i] == orbit_of(m)[0]
+
+
 @pytest.mark.parametrize("window", [1, 5, 64])
 def test_orbit_census_does_not_depend_on_the_window(monkeypatch, window):
     # one seed per pass at window 1; windows that end inside a byte at 5
@@ -229,6 +243,14 @@ def test_index_of_refuses_matrices_of_another_ring_or_size():
               Mat(ring_ctx("z", 2, 2), 1, [1])):
         with pytest.raises(CtxMismatch):
             census.index_of(m)
+
+
+@pytest.mark.slow
+def test_slow_f11_census_at_n_3():
+    # 11^8 trace-0 states flooded, out of 11^9 matrices
+    census = orbit_census(ring_ctx("z", 11, 1), 3)
+    assert census.class_count("M") == count3(11, 1, "M") == 1463
+    assert census.class_count("GL") == count3(11, 1, "GL") == 1320
 
 
 def test_orbit_census_budget():
@@ -273,7 +295,9 @@ def _reference_gens(ctx, n):
 
 @pytest.mark.parametrize(
     "desc,n",
-    [(("z", 2, 1), 3), (("z", 3, 1), 2), (("t", 2, 2), 2), (("t", 3, 1), 2), (("t", 3, 2), 2)],
+    [(("z", 2, 1), 3), (("z", 3, 1), 2), (("t", 2, 2), 2), (("t", 3, 1), 2), (("t", 3, 2), 2),
+     # 3 | n: the whole space is flooded, at n = 3
+     (("z", 3, 1), 3)],
 )
 def test_orbit_census_matches_reference_bfs(desc, n):
     ctx = ring_ctx(*desc)
@@ -345,6 +369,52 @@ def test_a_batching_key_that_is_no_invariant_is_refused(monkeypatch, desc, n, wa
     monkeypatch.setattr(oracle, "_trace_form", _entry_form(*entry))
     with pytest.raises(VerificationFailed, match="not a conjugation invariant"):
         orbit_census(ring_ctx(*desc), n, want_labels=want_labels)
+
+
+def _wrong_embedding(fault):
+    """A census embedding with one fault: the (n, n) entry solved with
+    the wrong sign or left 0, or entry (1, 1) solved and dropped instead."""
+    embedding = oracle._embedding
+
+    def embed(ctx, n):
+        out = embedding(ctx, n).copy()
+        mod, per = oracle._digit_base(ctx)
+        sdim = out.shape[1]
+        if fault == "sign":
+            out[sdim:] = oracle._trace_form(ctx, n)[:, :sdim]
+        elif fault == "zero":
+            out[sdim:] = 0
+        else:
+            form = oracle._trace_form(ctx, n)[:, per:]
+            out = np.vstack([(mod - 1) * form, np.eye(sdim, dtype=np.int64)])
+        return out
+
+    return embed
+
+
+@pytest.mark.parametrize(
+    "fault,desc,n",
+    [(fault, ("z", 2, 2), 3) for fault in ("sign", "zero", "entry")]
+    + [(fault, ("z", 5, 2), 2) for fault in ("sign", "zero", "entry")]
+    # digit by digit; mod 2 has -x = x, so the sign is tried mod 3
+    + [("zero", ("t", 2, 2), 3), ("entry", ("t", 2, 2), 3), ("sign", ("t", 3, 2), 2)],
+)
+@pytest.mark.parametrize("want_labels", [False, True])
+def test_a_wrong_slice_embedding_is_refused(monkeypatch, fault, desc, n, want_labels):
+    monkeypatch.setattr(oracle, "_embedding", _wrong_embedding(fault))
+    with pytest.raises(VerificationFailed, match="trace-0 matrices"):
+        orbit_census(ring_ctx(*desc), n, want_labels=want_labels)
+
+
+@pytest.mark.parametrize("want_labels", [False, True])
+def test_a_slice_where_n_is_no_unit_is_refused(monkeypatch, want_labels):
+    # over F_3 the trace-0 3x3 matrices hold the scalars, so the slice's
+    # orbits shifted by dI are not distinct orbits
+    ctx = ring_ctx("z", 3, 1)
+    trace_0 = np.vstack([np.eye(8, dtype=np.int64), 2 * oracle._trace_form(ctx, 3)[:, :8]])
+    monkeypatch.setattr(oracle, "_embedding", lambda ctx, n: trace_0)
+    with pytest.raises(VerificationFailed, match="meet"):
+        orbit_census(ctx, 3, want_labels=want_labels)
 
 
 @pytest.mark.parametrize("desc,n", [(("z", 2, 2), 2), (("t", 2, 2), 2), (("t", 3, 2), 2),
