@@ -39,7 +39,6 @@ from .census import (
     classify_form,
     count2,
     count3,
-    enumerate2,
     enumerate3,
     gf_coeffs,
     level_vector,
@@ -140,7 +139,6 @@ __all__ = [
     "diag",
     "e_matrix",
     "elementary",
-    "enumerate2",
     "enumerate3",
     "gf_coeffs",
     "gl_generators",

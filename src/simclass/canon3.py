@@ -469,17 +469,13 @@ def _normalize_hard(e: HardForm):
                 raise VerificationFailed("slot exponent lowering failed")
         return cur, steps
 
-    # III1: pin the digits of d at and above m
-    m = e.m
-    for s in range(ctx.length - 1, m - 1, -1):
-        delta = ctx.digits_raw(cur.d)[s]
-        if delta == 0:
-            continue
-        x = ctx.mul_raw(delta, ctx.pi_pow_raw(s - m))
-        low = ctx.mod_pi_raw(cur.d, s)
-        take(_lower_step(ctx, cur.m, x))
-        if ctx.digits_raw(cur.d)[s] or ctx.mod_pi_raw(cur.d, s) != low:
-            raise VerificationFailed(f"pinning digit {s} of d failed")
+    # III1: pin the digits of d at and above m in one step, as L(x) moves
+    # d to d - x pi^m
+    low = ctx.mod_pi_raw(e.d, e.m)
+    if low != e.d:
+        take(_lower_step(ctx, e.m, ctx.div_pi_raw(ctx.sub_raw(e.d, low), e.m)))
+        if cur.d != low:
+            raise VerificationFailed("pinning the digits of d failed")
     return cur, steps
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "count3",
     "gf_coeffs",
     "classify_form",
-    "enumerate2",
     "enumerate3",
     "type_histogram",
 ]
@@ -285,12 +284,6 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
             f"enumerate{n} over {ctx.descriptor} emitted {emitted} {group} classes, "
             f"count{n} gives {total}"
         )
-
-
-def enumerate2(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One CanonicalForm per 2x2 class over ctx, as a list in the order of
-    _enumerate, which raises unless there are count2 classes."""
-    return list(_enumerate(ctx, 2, group, budget))
 
 
 def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):

@@ -41,17 +41,14 @@ written x - (x // mod) * mod, which equals x % mod because every x is
 >= 0; numpy divides by a scalar with libdivide's multiply-and-shift,
 but computes % with one hardware division per element.
 
-The census seeds by trace.  Each pass reads the least unvisited states
-and floods, together, the least state of each trace among them; the
-trace is a conjugation invariant, so these seeds lie in distinct orbits
-(see orbit_census).  A ring with many small orbits thus takes one pass
-per orbit of its most crowded trace, not one per orbit; on the slice,
-where the trace is 0, each pass floods one orbit.  The trace is linear
-in the digits, so one check on the generators' action matrices proves
-it invariant for every state, and it costs two table lookups per state
-(see _trace_key).  Reps are the least matrices of their orbits: the
-claims keep, for each d, the least id of B + dI over the states B they
-claim, read off one (|A| x |A|^(n-1)) table (see _shifter).
+Each census pass floods one orbit, from the least unvisited state,
+which is the least member of its orbit.  Reps are the least matrices of
+their orbits: the claims keep, for each d, the least id of B + dI over
+the states B they claim, read off one (|A| x |A|^(n-1)) table (see
+_shifter).  The trace is linear in the digits (see _trace_form), so one
+check on the generators' action matrices proves it a conjugation
+invariant, and one on the embedding proves that the slice is the
+trace-0 matrices (see _check_slice).
 
 Frontiers are expanded BLOCK = 1024 states at a time, and claimed one
 BFS level at a time: a level's images are sorted once, and orbit_states
@@ -70,7 +67,7 @@ from .canon3 import canon
 from .census import _enumerate, count2, count3
 from .errors import BadParams, BudgetExceeded, CtxMismatch, VerificationFailed
 from .matrix import Mat, diag, elementary
-from .modsolve import group_order
+from .modsolve import centralizer_order, group_order
 from .ring import RingCtx
 
 __all__ = [
@@ -88,7 +85,6 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
-WINDOW = 1024  # least unvisited states read per census pass
 
 
 def _prime_factors(n: int):
@@ -304,58 +300,25 @@ def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
     return form
 
 
-def _trace_key(ctx: RingCtx, n: int, actions: np.ndarray, embed: np.ndarray | None = None):
-    """Function mapping census state ids (see _conjugator) to the packed
-    traces of their matrices.
+def _check_slice(ctx: RingCtx, n: int, actions: np.ndarray, embed: np.ndarray) -> None:
+    """Certify the census states and the trace, or raise VerificationFailed.
 
-    The trace is linear in the digits (see _trace_form).  It is checked
-    to be a conjugation invariant once, on the generators' actions: every
-    action A must satisfy form @ A = form mod `mod`, or VerificationFailed
-    is raised.  Then every image has its source's trace, for every state.
-    A census that packs fewer digits than its matrices must pack exactly
-    the trace-0 matrices: P @ embed = I and form @ embed = 0 mod `mod`,
-    or VerificationFailed is raised.  As form is the identity on the
-    (n, n) digits, these two hold only for the embedding _embedding
-    derives, and then the key is 0 on every census state.
-
-    Write id = hi * low + lo, where lo packs the last k entries and
-    low = card^k.  With T(hi) the packed trace of the diagonal entries in
-    hi, off[hi] = (T(hi) - hi) * low and table[t * low + lo] = t plus the
-    diagonal entries in lo, the trace of id is table[off[id // low] + id]:
-    two lookups per state, with the ring addition folded into table.  The
-    tables hold card^(m - k) and card^(k + 1) entries, for m packed entries.
+    The trace is linear in the digits (see _trace_form), so it is a
+    conjugation invariant when every generator's action A satisfies
+    form @ A = form mod `mod`.  A census that packs fewer digits than its
+    matrices must pack exactly the trace-0 matrices: P @ embed = I and
+    form @ embed = 0 mod `mod`.  As form is the identity on the (n, n)
+    digits, these two hold only for the embedding _embedding derives.
     """
-    card = ctx.cardinality
-    mod, per = _digit_base(ctx)
+    mod = _digit_base(ctx)[0]
     form = _trace_form(ctx, n)
-    dim = form.shape[1]
     if ((form @ actions - form) % mod).any():
         raise VerificationFailed(f"the trace over {ctx.descriptor} is not a conjugation invariant")
-    embed = np.eye(dim, dtype=np.int64) if embed is None else embed
-    sdim = embed.shape[1]
-    form = form @ embed % mod  # the trace form on census digits
-    if (embed[:sdim] != np.eye(sdim)).any() or (sdim < dim and form.any()):
+    dim, sdim = embed.shape
+    if (embed[:sdim] != np.eye(sdim)).any() or (sdim < dim and (form @ embed % mod).any()):
         raise VerificationFailed(
             f"{n}x{n} census states over {ctx.descriptor} do not embed as the trace-0 matrices"
         )
-    m = sdim // per
-    k = max(m - 1, 0) // 2
-    low = card**k
-    split = (m - k) * per  # digit rows of the high part
-    powers = mod ** np.arange(per)
-
-    def sums(part: np.ndarray, count: int) -> np.ndarray:
-        """part @ digits, unreduced, for every value of count entries."""
-        place = [card ** (count - 1 - i // per) * mod ** (i % per) for i in range(count * per)]
-        digits = np.arange(card**count) // np.array(place, dtype=np.int64)[:, None] % mod
-        return part @ digits
-
-    high = powers @ (sums(form[:, :split], m - k) % mod)
-    off = (high - np.arange(high.size)) * low
-    digits = np.arange(card) // powers[:, None] % mod  # of every packed trace t
-    both = (digits[:, :, None] + sums(form[:, split:], k)[:, None, :]) % mod
-    table = powers @ both.reshape(per, -1)
-    return lambda ids: table[off[ids // low] + ids]
 
 
 def _shifter(ctx: RingCtx, n: int, m: int):
@@ -371,25 +334,31 @@ def _shifter(ctx: RingCtx, n: int, m: int):
     T[d, key] is the sum of place_i * (add(v_i, d) - v_i) over them, plus
     add(v_nn, d), where add is the ring's addition, v_nn = -(v_1 + ...)
     in the ring, and place_i is the place value of v_i in a matrix id.
+    add runs on the digits of the pairs T needs, so no |A| x |A| table
+    is built.
     """
     card, n2 = ctx.cardinality, n * n
     if m == n2:
         return lambda ids: ids[None, :]
     mod, per = _digit_base(ctx)
     powers = mod ** np.arange(per)
-    digits = np.arange(card) // powers[:, None] % mod
-    sums = (digits[:, :, None] + digits[:, None, :]) % mod
-    add = (powers @ sums.reshape(per, -1)).reshape(card, card)  # add[u, v] = u + v
-    neg = powers @ (-digits % mod)
+    digits = np.arange(card)[:, None] // powers % mod  # row u: the digits of u
+
+    def add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u + v in the ring, for index arrays u and v that broadcast."""
+        return (digits[u] + digits[v]) % mod @ powers
+
+    d = np.arange(card)[:, None]  # every shift, down the rows of T
+    neg = -digits % mod @ powers
     diag = [i * (n + 1) for i in range(n - 1)]  # the packed diagonal entries
     keys = np.arange(card ** (n - 1))
     shift = np.zeros((card, keys.size), dtype=np.int64)
     total = np.zeros(keys.size, dtype=np.int64)  # sum of the v_i, in the ring
     for i, entry in enumerate(diag):
         v = keys // card ** (n - 2 - i) % card
-        shift += card ** (n2 - 1 - entry) * (add[:, v] - v)
-        total = add[total, v]
-    shift += add[:, neg[total]]
+        shift += card ** (n2 - 1 - entry) * (add(d, v) - v)
+        total = add(total, v)
+    shift += add(d, neg[total])
     places = [card ** (m - 1 - entry) for entry in diag]
 
     def shifted(ids: np.ndarray) -> np.ndarray:
@@ -427,24 +396,18 @@ def _unvisited_mask(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return (bitmap[ids >> 3] & (1 << (ids & 7)).astype(np.uint8)) == 0
 
 
-def _window(bitmap: np.ndarray, byte: int):
-    """(least unvisited states, index of the byte holding the first one).
-
-    Scans from byte on, whose predecessors must be full.  The states,
-    at most WINDOW, come in ascending order, and every unvisited state
-    below the largest of them is among them.  (None, bitmap.size) once
-    every state is visited.
-    """
+def _first_unvisited(bitmap: np.ndarray, byte: int) -> int | None:
+    """The least unvisited state, scanning BLOCK bytes at a time from byte
+    on, whose predecessors must be full; None once every state is
+    visited."""
     while byte < bitmap.size:
-        chunk = bitmap[byte : byte + WINDOW]
-        open_bytes = np.flatnonzero(chunk != 0xFF)
+        open_bytes = np.flatnonzero(bitmap[byte : byte + BLOCK] != 0xFF)
         if open_bytes.size:
-            open_bytes += byte
-            clear = np.unpackbits(bitmap[open_bytes], bitorder="little").reshape(-1, 8) == 0
-            states = (open_bytes[:, None] * 8 + np.arange(8))[clear]
-            return states[:WINDOW], int(open_bytes[0])
-        byte += chunk.size
-    return None, byte
+            byte += int(open_bytes[0])
+            clear = ~int(bitmap[byte]) & 0xFF
+            return byte * 8 + (clear & -clear).bit_length() - 1
+        byte += BLOCK
+    return None
 
 
 @dataclass
@@ -505,7 +468,7 @@ def orbit_census(
     d in A.  When p divides n the census states are every matrix and the
     only shift is d = 0.
 
-    The slice is certified before any state is flooded.  _trace_key
+    The slice is certified before any state is flooded.  _check_slice
     checks that the embedding packs exactly the trace-0 matrices
     (P L = I and form L = 0 mod `mod`, which hold only for the true
     embedding) and that every generator fixes the trace (form A = form).
@@ -513,28 +476,18 @@ def orbit_census(
     floods with, is each generator's action on it: P inverts L on the
     trace-0 matrices.  That the shifted orbits are distinct orbits, which
     needs n to be a unit, is checked at the end: no two reps may agree.
+    The cover and divisibility checks alone cannot refuse a wrong
+    embedding, whose census keeps its sizes summing to |A|^(n^2).
 
-    Each pass floods several orbits at once.  It reads the WINDOW least
-    unvisited states (see _window) and seeds, for each trace among them,
-    the least state of that trace.  Since the trace is a conjugation
-    invariant, the seeds lie in distinct orbits and no two floods meet;
-    each claimed state is counted, and labelled, under the seed of its
-    trace.  On the slice the trace is 0, so each pass seeds one orbit.
-    A pass starts with every orbit wholly visited or wholly unvisited, so
-    its floods claim every member of each seed's orbit O exactly once.
-    The least member of O + dI is the least id of B + dI over B in O, as
-    B -> B + dI maps O onto O + dI, so the minimum over the pass's claimed
-    batches, taken for each d, is the rep of O + dI: the least state of
-    its orbit.  Orbit (seed s, shift d) is numbered s * shifts + d while
-    it is flooded; at the end the reps are sorted and the labels
-    renumbered to match.
-
-    The cover and divisibility checks alone cannot refuse a batching key
-    that is not a conjugation invariant: if one window holds every state,
-    each state seeds a one-state orbit.  Nor can they refuse a wrong
-    embedding, whose census keeps its sizes summing to |A|^(n^2).  So
-    both are checked, on the generators' actions and the embedding,
-    before any state is flooded.
+    Each pass floods one orbit O from the least unvisited state.  Every
+    orbit is wholly visited or wholly unvisited when a pass starts, so
+    that seed is the least member of O, and the flood claims every member
+    of O exactly once.  The least member of O + dI is the least id of
+    B + dI over B in O, as B -> B + dI maps O onto O + dI, so the minimum
+    over the pass's claimed batches, taken for each d, is the rep of
+    O + dI.  Orbit (pass k, shift d) is numbered k * shifts + d while it
+    is flooded; at the end the reps are sorted and the labels renumbered
+    to match.
     """
     if type(n) is not int or not 1 <= n <= 3:
         raise BadParams(f"matrix size must be 1, 2 or 3, got {n!r}")
@@ -547,53 +500,35 @@ def orbit_census(
         what = f"{flooded} states to flood" + (f" and {nstates} to label" if want_labels else "")
         raise BudgetExceeded(f"{what} over {ctx.descriptor} exceed cap {max_states}")
     images, actions = _conjugator(ctx, n, embed)
-    trace = _trace_key(ctx, n, actions, embed)
+    _check_slice(ctx, n, actions, embed)
     shifts, shifted = nstates // flooded, _shifter(ctx, n, m)
     bitmap = np.zeros((flooded + 7) // 8, dtype=np.uint8)
     pad = flooded % 8
     if pad:  # mark the phantom tail bits of the last byte as used
         bitmap[-1] = (0xFF << pad) & 0xFF
     labels = np.full(nstates, -1, dtype=np.int32) if want_labels else None
-    reps, sizes = [], []
-    found = 0  # census orbits seeded in earlier passes
-    # the index of each trace's seed in this pass (stale for traces it did
-    # not seed, which its floods never reach), the seeds' orbit sizes, and
-    # the least state of each seed's orbit shifted by each d
-    slot_of = np.zeros(card, dtype=np.int64)
-    counts = least = None
+    reps, sizes = [], []  # per pass: the least state of O + dI for each d, and |O|
     ds = np.arange(shifts)[:, None]
     top = np.iinfo(np.int64).max
 
     def claim(ids):
+        nonlocal count
         ids = _distinct(ids[_unvisited_mask(bitmap, ids)])
         _set_bits(bitmap, ids)
-        slot = slot_of[trace(ids)]
-        counts[:] += np.bincount(slot, minlength=counts.size)
+        count += ids.size
         full = shifted(ids)
-        if least.shape[1] == 1:  # one seed, as in every pass on the trace-0 slice
-            np.minimum(least[:, 0], full.min(axis=1, initial=top), out=least[:, 0])
-        else:
-            for d in range(shifts):
-                np.minimum.at(least[d], slot, full[d])
+        np.minimum(least, full.min(axis=1, initial=top), out=least)
         if labels is not None:
-            labels[full] = (found + slot) * shifts + ds
+            labels[full] = len(sizes) * shifts + ds
         return ids
 
-    byte = 0
-    while True:
-        window, byte = _window(bitmap, byte)
-        if window is None:
-            break
-        seed_keys, first = np.unique(trace(window), return_index=True)
-        slot_of[seed_keys] = np.arange(seed_keys.size)
-        seeds = window[first]
-        counts = np.zeros(seeds.size, dtype=np.int64)
-        least = np.full((shifts, seeds.size), top)
-        _flood(images, claim(seeds), claim)
-        reps.append(least.T.ravel())  # orbit (found + slot) * shifts + d
-        sizes.append(np.repeat(counts, shifts))
-        found += seeds.size
-    reps, sizes = np.concatenate(reps), np.concatenate(sizes)
+    seed = 0
+    while (seed := _first_unvisited(bitmap, seed >> 3)) is not None:
+        count, least = 0, np.full(shifts, top)
+        _flood(images, claim(np.array([seed])), claim)
+        reps.append(least)
+        sizes.append(count)
+    reps, sizes = np.concatenate(reps), np.repeat(sizes, shifts)
     if int(sizes.sum()) != nstates:
         raise VerificationFailed(
             f"orbits over {ctx.descriptor} cover {int(sizes.sum())} of {nstates} states"
@@ -644,9 +579,13 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     For both matrix groups, compares the orbit count with the closed
     formula and the number of forms the enumeration streamed; a stream
     that refuses its count leaves its VerificationFailed message in the
-    row's "error" (None otherwise).  Also samples states and checks each
-    one gets the same canonical form as the minimal member of its orbit.
-    mismatches is 0 exactly when everything agrees.
+    row's "error" (None otherwise).  Also samples uniformly random states
+    and checks each one gets the same canonical form as the least member
+    of its orbit: a census orbit drawn with probability proportional to
+    its size, its rep conjugated by a uniformly random invertible g.
+    Each sampled orbit's size times its rep's centralizer order must be
+    |GL_n|, or VerificationFailed is raised.  mismatches is 0 exactly
+    when everything agrees.
     """
     if n not in (2, 3):
         raise BadParams("counts are implemented for n in {2, 3}")
@@ -670,12 +609,23 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
         if not ok:
             report["mismatches"] += 1
     rng = random.Random(seed)
-    nstates = ctx.cardinality ** (n * n)
+    card, order = ctx.cardinality, group_order(ctx, n)
+    ends = np.cumsum(census.sizes)  # orbit i holds the draws in [ends[i-1], ends[i])
     agreed = 0
     for _ in range(samples):
-        m = mat_of(ctx, n, rng.randrange(nstates))
-        _, rep = orbit_of(m)
-        if canon(m) == canon(rep):
+        i = int(np.searchsorted(ends, rng.randrange(card ** (n * n)), side="right"))
+        rep, size = mat_of(ctx, n, int(census.reps[i])), int(census.sizes[i])
+        cent = centralizer_order(rep)
+        if size * cent != order:
+            raise VerificationFailed(
+                f"an orbit of {size} states over {ctx.descriptor} has centralizer order "
+                f"{cent}, but |GL_{n}| = {order}"
+            )
+        while True:
+            g = Mat(ctx, n, [rng.randrange(card) for _ in range(n * n)])
+            if g.is_invertible():
+                break
+        if canon(rep.conjugate_by(g)) == canon(rep):
             agreed += 1
     report["canon_samples"] = samples
     report["canon_agreements"] = agreed

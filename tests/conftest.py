@@ -1,7 +1,7 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
-only tests use (j_matrix, theta, transfer_power, count2_recursion,
-same_class)."""
+only tests use (j_matrix, enumerate2, theta, transfer_power,
+count2_recursion, same_class)."""
 
 import functools
 import os
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from simclass import Mat, e_matrix, orbit_census, orbit_states, ring_ctx, transfer_matrix
+from simclass.census import _enumerate
 from simclass.oracle import state_of
 
 # every run draws the same examples, and no example database is written
@@ -66,6 +67,12 @@ def ctx_len2(request):
 def j_matrix(ctx, c, d):
     """The J(c, d) shape: the pi-power shape with a zero slot."""
     return e_matrix(ctx, ctx.length, 0, 0, c, d)
+
+
+def enumerate2(ctx, group="M", budget=10_000_000):
+    """The 2x2 forms of the enumeration stream over ctx, as a list; the
+    stream raises unless it emits count2 classes."""
+    return list(_enumerate(ctx, 2, group, budget))
 
 
 def same_class(a, b) -> bool:

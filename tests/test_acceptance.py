@@ -16,7 +16,6 @@ from simclass import (
     centralizer_shape,
     count2,
     count3,
-    enumerate2,
     enumerate3,
     gf_coeffs,
     group_order,
@@ -29,7 +28,7 @@ from simclass import (
     type_histogram,
 )
 import reference_solver as ref
-from conftest import j_matrix, rand_invertible, rand_mat, transfer_power
+from conftest import enumerate2, j_matrix, rand_invertible, rand_mat, transfer_power
 
 COUNT_ANCHORS = [
     (2, 1, "M", 14),

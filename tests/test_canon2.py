@@ -14,7 +14,6 @@ from simclass import (
     canon2,
     companion,
     count2,
-    enumerate2,
     recombine,
     ring_ctx,
     scalar,
@@ -22,7 +21,7 @@ from simclass import (
 )
 import reference_solver as ref
 from simclass.cli import EX_MISMATCH
-from conftest import count2_recursion, rand_invertible, rand_mat, run_python
+from conftest import count2_recursion, enumerate2, rand_invertible, rand_mat, run_python
 
 
 def test_split_scalar_examples():

@@ -260,6 +260,20 @@ def test_classify_hard_tag_matches_valuation_pattern(rng):
             assert h.tag == "III1"
 
 
+@pytest.mark.parametrize("desc,d", [("z:2:4", 0b1111), ("t:2:4", 0b1110), ("z:3:3", 26)])
+def test_iii1_digits_of_d_are_pinned_in_one_step(desc, d):
+    # every digit of d from m = 1 up is nonzero, and one L(x) clears them all
+    ctx = parse_ring(desc)
+    p = ctx.p
+    e = ep(ctx, 1, p, p * p, p, d)
+    assert e.tag == "III1"
+    form, steps = c3._normalize_hard(e)
+    assert len(steps) == 1
+    assert form.d == d % p
+    h, x = classify_hard(e)
+    assert h == form and e.rebuild().conjugate_by(x) == form.rebuild()
+
+
 @pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2"])
 def test_classify_hard_steps_come_with_their_inverses(desc, rng):
     ctx = parse_ring(desc)
@@ -433,9 +447,11 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
         assert canon3(f.rebuild()) == f
 
 
-# the stages of canon3 that were public before they became private, and
-# the element wrappers that packed integers replaced
+# the stages of canon3 that were public before they became private, the
+# element wrappers that packed integers replaced, and enumerate2, whose
+# only callers were tests
 REMOVED_NAMES = {
+    "enumerate2",
     "RingElem",
     "Section",
     "section_of",

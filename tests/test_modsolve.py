@@ -18,7 +18,6 @@ from simclass import (
     centralizer_order,
     companion,
     diag,
-    enumerate2,
     enumerate3,
     group_order,
     identity,
@@ -27,7 +26,7 @@ from simclass import (
     ring_ctx,
     scalar,
 )
-from conftest import j_matrix, rand_invertible, rand_mat
+from conftest import enumerate2, j_matrix, rand_invertible, rand_mat
 from reference_solver import find_unit_element, intertwiner
 
 

@@ -1,5 +1,7 @@
 """Brute-force conjugation-orbit oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,20 @@ def test_one_by_one_orbits_are_singletons(desc):
     assert orbit_of(Mat(ctx, 1, [1]))[0] == 1
 
 
+@pytest.mark.parametrize("desc", [("z", 2, 11), ("t", 2, 9)])
+def test_one_by_one_census_memory_is_linear_in_the_ring(desc):
+    # |A| one-state orbits need no |A| x |A| addition table (32 MB over Z/2^11)
+    ctx = ring_ctx(*desc)
+    tracemalloc.start()
+    try:
+        census = orbit_census(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.reps.tolist() == list(range(ctx.cardinality))
+    assert peak < 2 * 2**20
+
+
 def test_orbit_census_partition_properties():
     ctx = ring_ctx("z", 2, 2)
     census = orbit_census(ctx, 2)
@@ -215,18 +231,6 @@ def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
         assert i == census.index_of(m.conjugate_by(rand_invertible(ctx, 3, rng)))
         assert same_class(census.rep_mats()[i], m)
         assert census.sizes[i] == orbit_of(m)[0]
-
-
-@pytest.mark.parametrize("window", [1, 5, 64])
-def test_orbit_census_does_not_depend_on_the_window(monkeypatch, window):
-    # one seed per pass at window 1; windows that end inside a byte at 5
-    ctx = ring_ctx("z", 3, 2)
-    full = orbit_census(ctx, 2, want_labels=True)
-    monkeypatch.setattr(oracle, "WINDOW", window)
-    narrow = orbit_census(ctx, 2, want_labels=True)
-    assert narrow.reps.tolist() == full.reps.tolist()
-    assert narrow.sizes.tolist() == full.sizes.tolist()
-    assert narrow.labels.tolist() == full.labels.tolist()
 
 
 @pytest.mark.parametrize("n", [-1, 0, 4, True, 2.0, "2", None])
@@ -420,11 +424,15 @@ def test_a_slice_where_n_is_no_unit_is_refused(monkeypatch, want_labels):
 @pytest.mark.parametrize("desc,n", [(("z", 2, 2), 2), (("t", 2, 2), 2), (("t", 3, 2), 2),
                                     (("z", 2, 1), 3), (("t", 3, 1), 3), (("z", 5, 2), 1)])
 def test_trace_key_is_the_ring_trace_of_every_state(desc, n):
+    # the slice and its certificate rest on _trace_form: it must take
+    # every state's digits to its trace's digits
     ctx = ring_ctx(*desc)
-    _, actions = oracle._conjugator(ctx, n)
-    ids = np.arange(ctx.cardinality ** (n * n), dtype=np.int64)
-    keys = oracle._trace_key(ctx, n, actions)(ids)
-    assert keys.tolist() == [mat_of(ctx, n, s).trace() for s in range(ids.size)]
+    card, (mod, per) = ctx.cardinality, oracle._digit_base(ctx)
+    ids = np.arange(card ** (n * n), dtype=np.int64)
+    place = [card ** (n * n - 1 - i // per) * mod ** (i % per) for i in range(n * n * per)]
+    digits = ids // np.array(place, dtype=np.int64)[:, None] % mod
+    traces = mod ** np.arange(per) @ (oracle._trace_form(ctx, n) @ digits % mod)
+    assert traces.tolist() == [mat_of(ctx, n, s).trace() for s in range(ids.size)]
 
 
 def test_orbit_sizes_must_divide_the_group_order(monkeypatch):
@@ -455,3 +463,22 @@ def test_verify_counts_n2():
     assert report["mismatches"] == 0
     groups = {c["group"]: c for c in report["counts"]}
     assert groups["M"]["oracle"] == 28
+
+
+def test_verify_counts_samples_without_flooding(monkeypatch):
+    # the census already holds every orbit: no sample is flooded again
+    def no_flood(*args, **kwargs):
+        raise AssertionError("orbit_states called")
+
+    monkeypatch.setattr(oracle, "orbit_states", no_flood)
+    report = verify_counts(ring_ctx("t", 2, 2), 3, samples=20)
+    assert report["mismatches"] == 0
+    assert report["canon_agreements"] == 20
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 2), 2), (("z", 2, 1), 3)])
+def test_verify_counts_checks_orbit_times_centralizer(monkeypatch, desc, n):
+    real = oracle.centralizer_order
+    monkeypatch.setattr(oracle, "centralizer_order", lambda m: 2 * real(m))
+    with pytest.raises(VerificationFailed, match="centralizer order"):
+        verify_counts(ring_ctx(*desc), n, samples=5)
