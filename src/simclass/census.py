@@ -14,11 +14,13 @@ stream serves both sizes: scalar and cyclic bodies for either, then
 split and hard bodies for 3x3.  Hard bodies come from hard_family,
 which generates the canon3 normal forms of pi-power shapes from their
 tag conditions and checks each is a normalization fixed point, so
-enumeration and canon3 agree on representatives by construction.  The
-CLI prints each class as it is built.  Each enumeration checks its
-class count against count2 or count3 after its last class, which
-certifies, ring by ring, that those normal forms separate classes and
-miss none.
+enumeration and canon3 agree on representatives by construction.  Each
+class is streamed with its matrix d*I + pi^level * B, built from the
+values of the body's matrix B (those a level reuses are built once per
+level), and the CLI prints each class as it is built.  Each enumeration
+checks its class count against count2 or count3 after its last class,
+which certifies, ring by ring, that those normal forms separate classes
+and miss none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 from .canon2 import CanonicalForm, CyclicBody, ScalarBody
 from .canon3 import HardBody, SplitBody, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
-from .matrix import identity
+from .matrix import Mat, identity
 from .ring import RingCtx
 
 __all__ = [
@@ -211,18 +213,23 @@ def classify_form(form: CanonicalForm) -> int:
 
 
 def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
-    """A function that streams the bodies of the level-`level` forms over
-    ctx in enumeration order: the scalar body at level = length, else
-    the bodies over the length-(l-level) ring, cyclic ones first (by
-    coefficients, lexicographically), then, for n = 3, split and hard
-    ones (each family in lexicographic parameter order).  What the
-    stream reads is built here, once per level.
+    """A function that streams (body, B) for the level-`level` forms over
+    ctx in enumeration order, B the values of the body's matrix over the
+    length-(l-level) ring.  At level = length that is the scalar body,
+    with B zero; else the bodies over the length-(l-level) ring: cyclic
+    ones first (by coefficients, lexicographically; B the companion
+    matrix), then, for n = 3, split ones (a beside the matrix of a 2x2
+    form) and hard ones, each family in lexicographic parameter order.
+    What every scalar part d reads again is built here, once per level:
+    the 2x2 forms with the matrices the 2x2 stream gives them, and the
+    hard bodies with theirs.  Cyclic and split bodies are built as they
+    are streamed, since each level-0 body is read once.
 
     The GL filter on the scalar part d (a unit from level 1 on) is the
     caller's; at level 0 the bodies with a singular residue are dropped.
     """
     if level == ctx.length:
-        return lambda: (ScalarBody(),)
+        return lambda: ((ScalarBody(), (0,) * (n * n)),)
     tctx = ctx.truncated(ctx.length - level)
     p = tctx.p
     gl_zero = group == "GL" and level == 0
@@ -230,53 +237,65 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     # the residue determinant of a companion is its constant term up to
     # sign, and a split residue is invertible iff both blocks' are
     units = [x for x in elems if not gl_zero or x % p]
+    head = (0, 1, 0, 0, 0, 1)[: n * n - n]  # the companion rows above the coefficients
 
     def cyclic():
-        return map(CyclicBody, product(units, *[elems] * (n - 1)))
+        return ((CyclicBody(c), head + c) for c in product(units, *[elems] * (n - 1)))
 
     if n == 2:
         return cyclic
     # 2x2 forms with scalar residue, i.e. positive split level
-    inners = [f for f in _enumerate(tctx, 2, "M", budget)
+    inners = [(f, m.vals) for f, m in _enumerate(tctx, 2, "M", budget)
               if f.level >= 1 and (not gl_zero or f.d % p)]
     # a hard residue is J-shaped, so d decides invertibility
-    hards = [hf for hf in hard_family(tctx) if not gl_zero or hf.d % p]
+    hards = [(HardBody(hf), hf.rebuild().vals) for hf in hard_family(tctx)
+             if not gl_zero or hf.d % p]
 
     def bodies3():
         yield from cyclic()
         for a in units:
-            for inner in inners:
+            for inner, (x0, x1, x2, x3) in inners:
                 if inner.d % p != a % p:  # distinct residue eigenvalues
-                    yield SplitBody(a, inner)
-        for hf in hards:
-            yield HardBody(hf)
+                    yield SplitBody(a, inner), (a, 0, 0, 0, x0, x1, 0, x2, x3)
+        yield from hards
 
     return bodies3
 
 
 def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
-    """One CanonicalForm per n x n class over ctx, each its own canonical
-    matrix (identity witness), streamed.
+    """One (CanonicalForm, Mat) pair per n x n class over ctx, streamed:
+    the form, with the identity witness, and its canonical matrix
+    d*I + pi^level * B, for B the body's matrix from _bodies.
 
     Deterministic order: level ascending, then the scalar part d, then
     the bodies in the order of _bodies.  Bad parameters, and a class
-    count over budget, raise before the first form; a run that emits
+    count over budget, raise before the first pair; a run that emits
     other than count2 or count3 classes raises VerificationFailed after
     the last one.
     """
+    _check_ints(n=n, budget=budget)
+    if n not in (2, 3):
+        raise BadParams(f"enumeration needs n in {{2, 3}}, got {n}")
     total = (count2 if n == 2 else count3)(ctx.q, ctx.length, group)
     if total > budget:
         raise BudgetExceeded(f"enumerate{n} over {ctx.descriptor} exceeds budget {budget}")
     ident = identity(ctx, n)  # one shared witness: each form is a fixed point
+    add, diag = ctx.add_raw, range(0, n * n, n + 1)
     emitted = 0
     for level in range(ctx.length + 1):
         bodies = _bodies(ctx, level, n, group, budget)
+        # multiplying by pi^level shifts the packed digits up in both flavors
+        shift = ctx.p**level
         for d in range(ctx.p**level):
             if group == "GL" and level >= 1 and not ctx.is_unit_raw(d):
                 continue
-            for body in bodies():
+            for body, b in bodies():
+                if level:  # at level 0, d = 0 and the matrix is B itself
+                    b = [v * shift for v in b]
+                    for i in diag:
+                        b[i] = add(b[i], d)
                 emitted += 1
-                yield CanonicalForm(ctx, n, level, d, body, ident)
+                yield CanonicalForm(ctx, n, level, d, body, ident), Mat._unchecked(ctx, n, b)
     if emitted != total:
         # the hard transversal rests on normal forms alone, so a gap in
         # them shows up here as a count mismatch
@@ -287,11 +306,11 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
 
 
 def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """One representative per 3x3 class over ctx, as a list of
-    (CanonicalForm, Mat) pairs in the order of _enumerate, which raises
+    """One representative per 3x3 class over ctx, as the list of
+    (CanonicalForm, Mat) pairs that _enumerate streams, which raises
     unless there are count3 classes.  Every form is a canon3 fixed
-    point."""
-    return [(form, form.rebuild()) for form in _enumerate(ctx, 3, group, budget)]
+    point and its matrix is d*I + pi^level * B."""
+    return list(_enumerate(ctx, 3, group, budget))
 
 
 def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
@@ -300,7 +319,7 @@ def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
     for level in range(1, ctx.length + 1):
         tctx = ctx.truncated(level)
         counts = [0, 0, 0, 0]
-        for form in _enumerate(tctx, 3, group, budget):
+        for form, _ in _enumerate(tctx, 3, group, budget):
             counts[classify_form(form)] += 1
         out.append(CountVector(*counts))
     return out

@@ -133,8 +133,8 @@ def _cmd_gf(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ctx = parse_ring(args.ring)
-    for form in _enumerate(ctx, args.n, _group(args), args.budget):
-        _print_json({"form": form.to_json(), "matrix": form.rebuild().rows()})
+    for form, mat in _enumerate(ctx, args.n, _group(args), args.budget):
+        _print_json({"form": form.to_json(), "matrix": mat.rows()})
     return EX_OK
 
 

@@ -72,7 +72,7 @@ def j_matrix(ctx, c, d):
 def enumerate2(ctx, group="M", budget=10_000_000):
     """The 2x2 forms of the enumeration stream over ctx, as a list; the
     stream raises unless it emits count2 classes."""
-    return list(_enumerate(ctx, 2, group, budget))
+    return [form for form, _ in _enumerate(ctx, 2, group, budget)]
 
 
 def same_class(a, b) -> bool:

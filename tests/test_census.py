@@ -23,6 +23,7 @@ from simclass import (
     transfer_matrix,
     type_histogram,
 )
+from simclass.census import _enumerate
 from simclass.cli import EX_MISMATCH
 from conftest import count2_recursion, run_python, theta, transfer_power
 
@@ -275,7 +276,7 @@ def test_enumerate3_matches_count_past_length_two(desc):
 
 @pytest.mark.slow
 def test_enumerate3_matches_count_over_z125():
-    # 2542125 classes; about 35-45 s and 1.3 GB peak RSS on 2 vCPU
+    # 2542125 classes; about 20-25 s and 1.3 GB peak RSS on 2 vCPU
     assert len(enumerate3(ring_ctx("z", 5, 3))) == count3(5, 3) == 2542125
 
 
@@ -304,6 +305,29 @@ def test_enumerate3_checks_its_count(monkeypatch):
 def test_enumerate3_budget():
     with pytest.raises(BudgetExceeded):
         enumerate3(ring_ctx("z", 5, 3), budget=100)
+
+
+@pytest.mark.parametrize("budget", [2.5e9, True])
+def test_enumeration_refuses_a_budget_that_is_no_int(budget):
+    with pytest.raises(BadParams, match="budget"):
+        enumerate3(ring_ctx("z", 2, 2), budget=budget)
+
+
+@pytest.mark.parametrize("n", [1, 4, 3.0])
+def test_enumeration_refuses_a_size_other_than_two_or_three_before_any_form(n):
+    with pytest.raises(BadParams):
+        next(_enumerate(ring_ctx("z", 2, 2), n, "M"))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("group", ["M", "GL"])
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:3:2", "t:3:2", "z:5:2", "t:2:4"])
+def test_streamed_matrix_is_the_rebuilt_form(desc, group, n):
+    # the stream builds each matrix from per-level body matrices;
+    # CanonicalForm.rebuild builds it from the form alone
+    ctx = parse_ring(desc)
+    for form, mat in _enumerate(ctx, n, group):
+        assert mat == form.rebuild()
 
 
 # ----------------------------------------------------------------------

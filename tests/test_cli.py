@@ -635,6 +635,11 @@ PINNED_CALLS = [
     ("canon", "--ring", "z:1000003:2",
      "[[414640878072,512196731706,829272756101],[1000003024403,1000005853665,5048789],"
      "[292694634182,243901195115,585365268286]]"),
+    # 3x3 enumerations with split and hard bodies at several levels
+    ("enumerate", "--ring", "t:3:2", "--n", "3", "--group", "m"),
+    ("enumerate", "--ring", "t:3:2", "--n", "3", "--group", "gl"),
+    ("enumerate", "--ring", "z:2:3", "--n", "3", "--group", "m"),
+    ("enumerate", "--ring", "z:2:3", "--n", "3", "--group", "gl"),
 ]
 
 PINNED_SHA256 = {
@@ -716,6 +721,14 @@ PINNED_SHA256 = {
     "canon --ring z:1000003:2 [[414640878072,512196731706,829272756101],"
     "[1000003024403,1000005853665,5048789],[292694634182,243901195115,585365268286]]":
         "f700efa05eb551194fb2959552a21b24f67b532a61869d6746d18c6c61a5461c",
+    "enumerate --ring t:3:2 --n 3 --group m":
+        "7fc77be7dd3b4aa19415a8ae3499908742a459a075d80f18258214247d5676c4",
+    "enumerate --ring t:3:2 --n 3 --group gl":
+        "35241ca2d422b446886ab70cdf1386dcb4ebfd5f888b34e170a7b44b443ece48",
+    "enumerate --ring z:2:3 --n 3 --group m":
+        "0802b691b9e0f76ba826a782bc411dd03afc2e884da2e1a9383b0670a4cc64a3",
+    "enumerate --ring z:2:3 --n 3 --group gl":
+        "90569a8f2f625959d0f25a3fd3ccf24aa5e9e8c7608e069e9b3ea15c69842414",
 }
 
 
