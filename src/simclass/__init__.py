@@ -21,18 +21,9 @@ from .canon2 import (
     ScalarBody,
     ScalarSplit,
     canon2,
-    recombine,
     split_scalar,
 )
-from .canon3 import (
-    CentralizerShape,
-    HardBody,
-    HardForm,
-    SplitBody,
-    canon3,
-    centralizer_shape,
-    hard_family,
-)
+from .canon3 import HardBody, SplitBody, canon3, hard_family
 from .census import (
     CountVector,
     base_vector,
@@ -61,7 +52,6 @@ from .errors import (
 from .matrix import (
     Mat,
     block_diag,
-    companion,
     diag,
     e_matrix,
     elementary,
@@ -108,12 +98,10 @@ __all__ = [
     "BadParams",
     "BudgetExceeded",
     "CanonicalForm",
-    "CentralizerShape",
     "CountVector",
     "CtxMismatch",
     "CyclicBody",
     "HardBody",
-    "HardForm",
     "Mat",
     "NonIntegralDivision",
     "NonUnit",
@@ -131,9 +119,7 @@ __all__ = [
     "canon2",
     "canon3",
     "centralizer_order",
-    "centralizer_shape",
     "classify_form",
-    "companion",
     "count2",
     "count3",
     "diag",
@@ -151,7 +137,6 @@ __all__ = [
     "orbit_of",
     "orbit_states",
     "parse_ring",
-    "recombine",
     "ring_ctx",
     "scalar",
     "split_scalar",

@@ -19,10 +19,11 @@ the enumeration of classes, for both sizes, live in census.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .errors import BadParams, VerificationFailed
-from .matrix import Mat, _raw, companion, identity, scalar
+from .matrix import Mat, identity
 from .ring import RingCtx
 
 __all__ = [
@@ -72,24 +73,36 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
     return ScalarSplit(level, d, beta)
 
 
-def recombine(ctx: RingCtx, level: int, d: int, body: Mat | None, n: int) -> Mat:
-    """d*I + pi^level * lift(body) over ctx; inverse of split_scalar."""
-    if level == ctx.length:
-        return scalar(ctx, n, d)
-    dv = _raw(ctx, d)
-    if body is None or body.ctx.length != ctx.length - level:
-        raise BadParams("body must live over the length-(l-j) ring")
+def _placer(ctx: RingCtx, n: int, level: int, d: int):
+    """The function B -> d*I + pi^level * B over ctx, for B given by the
+    packed values of its matrix over the length-(l-level) ring; inverse
+    of split_scalar.
+
+    Every class matrix is placed here: by CanonicalForm.rebuild, and so
+    by the canon2 and canon3 witness checks, and by the enumeration
+    stream, which takes one placer per level and scalar part d.
+    """
+    if not level:  # d = 0 at level 0, so the matrix is B itself
+        return partial(Mat._unchecked, ctx, n)
     # multiplying by pi^level shifts the packed digits up in both flavors
-    shift = ctx.p**level
-    vals = [v * shift for v in body.vals]
-    for i in range(0, n * n, n + 1):
-        vals[i] = ctx.add_raw(vals[i], dv)
-    return Mat._unchecked(ctx, n, vals)
+    shift, add, diag = ctx.p**level, ctx.add_raw, range(0, n * n, n + 1)
+
+    def place(body_vals) -> Mat:
+        vals = [v * shift for v in body_vals]
+        for i in diag:
+            vals[i] = add(vals[i], d)
+        return Mat._unchecked(ctx, n, vals)
+
+    return place
 
 
 @dataclass(frozen=True)
 class ScalarBody:
-    """The body of a scalar matrix (level = length): there is none."""
+    """The body of a scalar matrix (level = length): there is none, and
+    its matrix is zero."""
+
+    def vals(self, n: int) -> tuple:
+        return (0,) * (n * n)
 
     def to_json(self) -> dict:
         return {"kind": "scalar"}
@@ -97,12 +110,14 @@ class ScalarBody:
 
 @dataclass(frozen=True)
 class CyclicBody:
-    """The companion matrix of coeffs (see matrix.companion)."""
+    """The companion matrix of coeffs: the identity band above the
+    diagonal and the coefficient row (a_0, ..., a_{n-1}) at the bottom,
+    so its charpoly() is exactly coeffs."""
 
     coeffs: tuple  # packed characteristic polynomial in companion convention
 
-    def matrix(self, tctx: RingCtx) -> Mat:
-        return companion(tctx, self.coeffs)
+    def vals(self, n: int) -> tuple:
+        return (0, 1, 0, 0, 0, 1)[: n * n - n] + self.coeffs
 
     def to_json(self) -> dict:
         return {"kind": "cyclic", "coeffs": list(self.coeffs)}
@@ -114,8 +129,9 @@ class CanonicalForm:
     with a witness X: X alpha X^{-1} is the rebuilt form.
 
     The canonical matrix is d*I + pi^level * B, with B the body's matrix
-    over the length-(l-level) ring.  Equal descriptors mean similar
-    matrices; the witness takes no part in equality.
+    over the length-(l-level) ring, whose values body.vals(n) lays out
+    (see _placer).  Equal descriptors mean similar matrices; the witness
+    takes no part in equality.
     """
 
     ctx: RingCtx
@@ -126,9 +142,7 @@ class CanonicalForm:
     witness: Mat = field(compare=False, repr=False)
 
     def rebuild(self) -> Mat:
-        ctx, level = self.ctx, self.level
-        body = None if level == ctx.length else self.body.matrix(ctx.truncated(ctx.length - level))
-        return recombine(ctx, level, self.d, body, self.n)
+        return _placer(self.ctx, self.n, self.level, self.d)(self.body.vals(self.n))
 
     def to_json(self) -> dict:
         if self.n == 2:  # 2x2 forms print the companion pair (c, e) of x^2 - e*x - c

@@ -17,7 +17,7 @@ length-(l-j) ring:
   from a 2x2 block lifting b in closed form (_block_split); the block
   is finished by canon2.  Again a complete invariant at every length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
-  beta is conjugated onto the pi-power shape HardForm (_e_form) and
+  beta is conjugated onto the pi-power shape HardBody (_e_form) and
   then normalized type by type (_classify_hard).  Types I, II and III1
   are normalized by explicit shape-preserving steps.  Type III0 goes
   through the transpose: E^T is conjugate to the shape swap(E) (see
@@ -25,7 +25,13 @@ length-(l-j) ring:
   form of E is the swap of swap(E)'s III1 form.  The normal form is the
   class representative itself: no similarity solver is consulted, and
   hard_family builds the forms of a ring directly from the type
-  conditions, one candidate per form.
+  conditions, one candidate per form.  The normal form is itself the
+  body, a HardBody.
+
+Each body lays out the values of its matrix once, in its vals method:
+a beside the inner 2x2 values for SplitBody (_split_vals, which the
+enumeration stream calls too), the pi-power shape of e_matrix for
+HardBody.  CanonicalForm.rebuild places them as d*I + pi^level * B.
 """
 
 from __future__ import annotations
@@ -46,13 +52,10 @@ from .matrix import Mat, block_diag, e_matrix, identity, scalar
 from .ring import RingCtx
 
 __all__ = [
-    "HardForm",
     "hard_family",
     "SplitBody",
     "HardBody",
     "canon3",
-    "CentralizerShape",
-    "centralizer_shape",
 ]
 
 
@@ -190,8 +193,9 @@ def _block_split(beta: Mat, abar: int, bbar: int):
 
 
 @dataclass(frozen=True)
-class HardForm:
-    """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]] over ctx.
+class HardBody:
+    """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]] over ctx,
+    the body's ring (see matrix.e_matrix).
 
     a, b, c and d are packed values of ctx, a, b and c lie in the
     maximal ideal, and 1 <= m <= length, with m = length exactly when the
@@ -228,8 +232,8 @@ class HardForm:
 
     def __post_init__(self):
         ctx = self.ctx
-        if not 1 <= self.m <= ctx.length:
-            raise BadParams(f"slot exponent {self.m} outside [1, {ctx.length}]")
+        if type(self.m) is not int or not 1 <= self.m <= ctx.length:
+            raise BadParams(f"slot exponent {self.m!r} is not an integer in [1, {ctx.length}]")
         for name, v in zip("abcd", (self.a, self.b, self.c, self.d)):
             if type(v) is not int or not 0 <= v < ctx.cardinality:
                 raise BadParams(f"{name} = {v!r} is not a packed value of {ctx.descriptor}")
@@ -247,8 +251,12 @@ class HardForm:
     def rebuild(self) -> Mat:
         return e_matrix(self.ctx, self.m, self.a, self.b, self.c, self.d)
 
+    def vals(self, n: int) -> tuple:
+        return self.rebuild().vals
+
     def to_json(self) -> dict:
         return {
+            "kind": "hard",
             "type": self.tag,
             "m": self.m,
             "a": self.a,
@@ -258,8 +266,8 @@ class HardForm:
         }
 
 
-def _as_hard_form(m: Mat) -> HardForm | None:
-    """Recognize the exact pi-power shape of HardForm; None if any entry is off."""
+def _as_hard_form(m: Mat) -> HardBody | None:
+    """Recognize the exact pi-power shape of HardBody; None if any entry is off."""
     ctx = m.ctx
     d = m.raw(0, 0)
     if m.raw(0, 2) or m.raw(1, 0) or m.raw(1, 1) != d or m.raw(1, 2) != 1:
@@ -272,7 +280,7 @@ def _as_hard_form(m: Mat) -> HardForm | None:
     c = ctx.sub_raw(m.raw(2, 2), d)
     if any(ctx.is_unit_raw(v) for v in (a, b, c)):
         return None
-    return HardForm(ctx, t, a, b, c, d)
+    return HardBody(ctx, t, a, b, c, d)
 
 
 def _shear(ctx: RingCtx, *cells) -> tuple:
@@ -300,7 +308,7 @@ def _e_form(beta: Mat, dbar: int):
     """Conjugate a matrix whose residue is jtype, with eigenvalue dbar,
     onto the pi-power shape.
 
-    Returns (HardForm, X) with X beta X^{-1} equal to the rebuilt shape.
+    Returns (HardBody, X) with X beta X^{-1} equal to the rebuilt shape.
     """
     ctx = beta.ctx
     res = beta.residue()
@@ -381,7 +389,7 @@ def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> tuple:
     return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, x_inv)
 
 
-def _swap(e: HardForm) -> tuple:
+def _swap(e: HardBody) -> tuple:
     """(swap(E), G) for the shape E = e.rebuild().
 
     With E = d*I + N(m, a, b, c) and a = pi^k * w (k = length and w = 1
@@ -393,13 +401,13 @@ def _swap(e: HardForm) -> tuple:
     k, w = ctx.unit_split_raw(e.a)
     a = ctx.mul_raw(ctx.pi_pow_raw(e.m), w)
     g = Mat._unchecked(ctx, 3, [ctx.inv_raw(w), 0, 0, 0, 0, 1, 0, 1, e.c])
-    return HardForm(ctx, k, a, e.b, e.c, e.d), g
+    return HardBody(ctx, k, a, e.b, e.c, e.d), g
 
 
-def _classify_hard(e: HardForm):
+def _classify_hard(e: HardBody):
     """Normalize a pi-power shape; returns (normal form, X).
 
-    X conjugates the rebuilt input onto the rebuilt form.  See HardForm
+    X conjugates the rebuilt input onto the rebuilt form.  See HardBody
     for the per-type normalizations.
     """
     form, steps = _normalize_hard(e)
@@ -413,7 +421,7 @@ def _classify_hard(e: HardForm):
     return form, x_total
 
 
-def _normalize_hard(e: HardForm):
+def _normalize_hard(e: HardBody):
     """(normal form, the step matrices taken, in order).
 
     hard_family needs the form only, so the steps are multiplied into a
@@ -484,7 +492,7 @@ def hard_family(tctx: RingCtx) -> tuple:
     """One normal form per hard-body class over tctx, in lexicographic
     (m, a, b, c, d) order.
 
-    The forms are built from the type conditions of HardForm, one
+    The forms are built from the type conditions of HardBody, one
     candidate per form, with c in the maximal ideal throughout:
 
     - I:    (length, 0, 0, c, d) for every d;
@@ -507,10 +515,10 @@ def hard_family(tctx: RingCtx) -> tuple:
     ideal = at_least(1)
     forms = []
 
-    def key(f: HardForm) -> tuple:
+    def key(f: HardBody) -> tuple:
         return f.m, f.a, f.b, f.c, f.d
 
-    def keep(e: HardForm):
+    def keep(e: HardBody):
         if _normalize_hard(e)[0] != e:
             raise VerificationFailed(
                 f"{e.tag} candidate {key(e)} over {tctx.descriptor} is no normal form"
@@ -518,13 +526,13 @@ def hard_family(tctx: RingCtx) -> tuple:
         forms.append(e)
 
     for c, d in product(ideal, elems):
-        keep(HardForm(tctx, length, 0, 0, c, d))
+        keep(HardBody(tctx, length, 0, 0, c, d))
     for m in range(1, length):
         for b, c, d in product(at_least(m), ideal, elems):
             if tctx.val_raw(b) == m:
-                keep(HardForm(tctx, m, 0, b, c, d))
+                keep(HardBody(tctx, m, 0, b, c, d))
         for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, range(p**m)):
-            e = HardForm(tctx, m, a, b, c, d)
+            e = HardBody(tctx, m, a, b, c, d)
             keep(e)
             if tctx.val_raw(a) > m:
                 keep(_swap(e)[0])
@@ -539,6 +547,12 @@ def hard_family(tctx: RingCtx) -> tuple:
 # full 3x3 canonical forms
 
 
+def _split_vals(a: int, inner) -> tuple:
+    """The values of diag(a) ++ B, for inner the values of the 2x2 B."""
+    x0, x1, x2, x3 = inner
+    return (a, 0, 0, 0, x0, x1, 0, x2, x3)
+
+
 @dataclass(frozen=True)
 class SplitBody:
     """diag(a) ++ the rebuilt 2x2 form inner, over the body's ring."""
@@ -546,24 +560,11 @@ class SplitBody:
     a: int
     inner: CanonicalForm
 
-    def matrix(self, tctx: RingCtx) -> Mat:
-        return block_diag(tctx, [self.a, self.inner.rebuild()])
+    def vals(self, n: int) -> tuple:
+        return _split_vals(self.a, self.inner.rebuild().vals)
 
     def to_json(self) -> dict:
         return {"kind": "split", "a": self.a, "inner": self.inner.to_json()}
-
-
-@dataclass(frozen=True)
-class HardBody:
-    """A hard normal form (see HardForm)."""
-
-    form: HardForm
-
-    def matrix(self, tctx: RingCtx) -> Mat:
-        return self.form.rebuild()
-
-    def to_json(self) -> dict:
-        return {"kind": "hard", **self.form.to_json()}
 
 
 def _body3(beta: Mat) -> tuple:
@@ -578,7 +579,7 @@ def _body3(beta: Mat) -> tuple:
         return SplitBody(a, inner), block_diag(beta.ctx, [1, inner.witness]) @ x1
     e, x1 = _e_form(beta, *eigenvalues)
     hard, x2 = _classify_hard(e)
-    return HardBody(hard), x2 @ x1
+    return hard, x2 @ x1
 
 
 def canon3(alpha: Mat) -> CanonicalForm:
@@ -600,22 +601,3 @@ def canon(alpha: Mat) -> CanonicalForm:
     if alpha.n == 3:
         return canon3(alpha)
     raise BadParams("canon expects a 2x2 or 3x3 matrix")
-
-
-@dataclass(frozen=True)
-class CentralizerShape:
-    """Centralizer order of a pi-power shape: (q-1)^unit_rank * q^affine_dim."""
-
-    unit_rank: int
-    affine_dim: int
-
-    def order(self, q: int) -> int:
-        return (q - 1) ** self.unit_rank * q**self.affine_dim
-
-
-def centralizer_shape(f: HardForm) -> CentralizerShape:
-    """Shape from (m, val(a), val(b)) alone, over the length-i ring of f."""
-    i = f.ctx.length
-    if f.tag in ("I", "II"):
-        return CentralizerShape(2, 3 * i + 2 * f.ctx.val_raw(f.b) - 2)
-    return CentralizerShape(1, 3 * i + 2 * min(f.m, f.ctx.val_raw(f.a)) - 1)

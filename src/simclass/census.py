@@ -15,12 +15,13 @@ split and hard bodies for 3x3.  Hard bodies come from hard_family,
 which generates the canon3 normal forms of pi-power shapes from their
 tag conditions and checks each is a normalization fixed point, so
 enumeration and canon3 agree on representatives by construction.  Each
-class is streamed with its matrix d*I + pi^level * B, built from the
-values of the body's matrix B (those a level reuses are built once per
-level), and the CLI prints each class as it is built.  Each enumeration
-checks its class count against count2 or count3 after its last class,
-which certifies, ring by ring, that those normal forms separate classes
-and miss none.
+class is streamed with its matrix d*I + pi^level * B: each body lays out
+the values of its matrix B (those a level reuses once per level), and
+the placement that CanonicalForm.rebuild uses puts them in place.  The
+CLI prints each class as it is built.  Each enumeration checks its
+class count against count2 or count3 after its last class, which
+certifies, ring by ring, that those normal forms separate classes and
+miss none.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .canon2 import CanonicalForm, CyclicBody, ScalarBody
-from .canon3 import HardBody, SplitBody, hard_family
+from .canon2 import CanonicalForm, CyclicBody, ScalarBody, _placer
+from .canon3 import HardBody, SplitBody, _split_vals, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
-from .matrix import Mat, identity
+from .matrix import identity
 from .ring import RingCtx
 
 __all__ = [
@@ -207,7 +208,7 @@ def classify_form(form: CanonicalForm) -> int:
         return 0
     if isinstance(b, SplitBody) and b.inner.level == b.inner.ctx.length:
         return 1
-    if isinstance(b, HardBody) and b.form.tag == "I":
+    if isinstance(b, HardBody) and b.tag == "I":
         return 2
     return 3
 
@@ -215,21 +216,23 @@ def classify_form(form: CanonicalForm) -> int:
 def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     """A function that streams (body, B) for the level-`level` forms over
     ctx in enumeration order, B the values of the body's matrix over the
-    length-(l-level) ring.  At level = length that is the scalar body,
-    with B zero; else the bodies over the length-(l-level) ring: cyclic
-    ones first (by coefficients, lexicographically; B the companion
-    matrix), then, for n = 3, split ones (a beside the matrix of a 2x2
-    form) and hard ones, each family in lexicographic parameter order.
-    What every scalar part d reads again is built here, once per level:
-    the 2x2 forms with the matrices the 2x2 stream gives them, and the
-    hard bodies with theirs.  Cyclic and split bodies are built as they
-    are streamed, since each level-0 body is read once.
+    length-(l-level) ring as the body's vals lays them out.  At level =
+    length that is the scalar body; else the bodies over the
+    length-(l-level) ring: cyclic ones first (by coefficients,
+    lexicographically), then, for n = 3, split ones and hard ones, each
+    family in lexicographic parameter order.  What every scalar part d
+    reads again is built here, once per level: the inner 2x2 forms with
+    the matrix values the 2x2 stream gives them, which _split_vals lays
+    out beside each a, and the hard bodies with their values.  Cyclic
+    and split bodies are built as they are streamed, since each level-0
+    body is read once.
 
     The GL filter on the scalar part d (a unit from level 1 on) is the
     caller's; at level 0 the bodies with a singular residue are dropped.
     """
     if level == ctx.length:
-        return lambda: ((ScalarBody(), (0,) * (n * n)),)
+        body = ScalarBody()
+        return lambda: ((body, body.vals(n)),)
     tctx = ctx.truncated(ctx.length - level)
     p = tctx.p
     gl_zero = group == "GL" and level == 0
@@ -237,10 +240,9 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     # the residue determinant of a companion is its constant term up to
     # sign, and a split residue is invertible iff both blocks' are
     units = [x for x in elems if not gl_zero or x % p]
-    head = (0, 1, 0, 0, 0, 1)[: n * n - n]  # the companion rows above the coefficients
 
     def cyclic():
-        return ((CyclicBody(c), head + c) for c in product(units, *[elems] * (n - 1)))
+        return ((b, b.vals(n)) for b in map(CyclicBody, product(units, *[elems] * (n - 1))))
 
     if n == 2:
         return cyclic
@@ -248,15 +250,14 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     inners = [(f, m.vals) for f, m in _enumerate(tctx, 2, "M", budget)
               if f.level >= 1 and (not gl_zero or f.d % p)]
     # a hard residue is J-shaped, so d decides invertibility
-    hards = [(HardBody(hf), hf.rebuild().vals) for hf in hard_family(tctx)
-             if not gl_zero or hf.d % p]
+    hards = [(hb, hb.vals(n)) for hb in hard_family(tctx) if not gl_zero or hb.d % p]
 
     def bodies3():
         yield from cyclic()
         for a in units:
-            for inner, (x0, x1, x2, x3) in inners:
+            for inner, x in inners:
                 if inner.d % p != a % p:  # distinct residue eigenvalues
-                    yield SplitBody(a, inner), (a, 0, 0, 0, x0, x1, 0, x2, x3)
+                    yield SplitBody(a, inner), _split_vals(a, x)
         yield from hards
 
     return bodies3
@@ -265,7 +266,8 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
 def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
     """One (CanonicalForm, Mat) pair per n x n class over ctx, streamed:
     the form, with the identity witness, and its canonical matrix
-    d*I + pi^level * B, for B the body's matrix from _bodies.
+    d*I + pi^level * B, for B the body's matrix from _bodies, placed as
+    form.rebuild() places it.
 
     Deterministic order: level ascending, then the scalar part d, then
     the bodies in the order of _bodies.  Bad parameters, and a class
@@ -280,22 +282,16 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
     if total > budget:
         raise BudgetExceeded(f"enumerate{n} over {ctx.descriptor} exceeds budget {budget}")
     ident = identity(ctx, n)  # one shared witness: each form is a fixed point
-    add, diag = ctx.add_raw, range(0, n * n, n + 1)
     emitted = 0
     for level in range(ctx.length + 1):
         bodies = _bodies(ctx, level, n, group, budget)
-        # multiplying by pi^level shifts the packed digits up in both flavors
-        shift = ctx.p**level
         for d in range(ctx.p**level):
             if group == "GL" and level >= 1 and not ctx.is_unit_raw(d):
                 continue
+            place = _placer(ctx, n, level, d)
             for body, b in bodies():
-                if level:  # at level 0, d = 0 and the matrix is B itself
-                    b = [v * shift for v in b]
-                    for i in diag:
-                        b[i] = add(b[i], d)
                 emitted += 1
-                yield CanonicalForm(ctx, n, level, d, body, ident), Mat._unchecked(ctx, n, b)
+                yield CanonicalForm(ctx, n, level, d, body, ident), place(b)
     if emitted != total:
         # the hard transversal rests on normal forms alone, so a gap in
         # them shows up here as a count mismatch

@@ -9,8 +9,10 @@ and exact.
 Mat(...) and Mat.from_rows validate every entry (an
 integer, in range for a "t" ring, reduced for a "z" ring); from_rows
 also refuses rows that do not form a square matrix.  The shape
-constructors below (scalar, diag, companion, block_diag, elementary,
-e_matrix) put each value they are given through the same check once.
+constructors below (identity, zero, scalar, diag, block_diag,
+elementary, e_matrix) put each value they are given through the same
+check once.  The class matrices of canonical forms are laid out by
+their bodies (see canon2.CanonicalForm), e_matrix for hard bodies.
 Results of ring operations (products, sums, differences, scaling,
 adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
@@ -23,7 +25,8 @@ ring's addition and multiplication tables directly.
 
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
-matrix, so companion(ctx, coeffs).charpoly() == coeffs.
+matrix, so the companion matrix of coeffs (canon2.CyclicBody) has
+charpoly() == coeffs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "zero",
     "scalar",
     "diag",
-    "companion",
     "block_diag",
     "elementary",
     "e_matrix",
@@ -336,20 +338,6 @@ def diag(ctx: RingCtx, entries) -> Mat:
     return Mat._unchecked(ctx, n, vals)
 
 
-def companion(ctx: RingCtx, coeffs) -> Mat:
-    """Companion matrix of f(x) = x^n - a_{n-1}x^{n-1} - ... - a_0.
-
-    Sub-diagonal identity band above, coefficient row (a_0,...,a_{n-1})
-    at the bottom; its charpoly() is exactly the coeffs tuple.
-    """
-    coeffs = [_raw(ctx, c) for c in coeffs]
-    if len(coeffs) == 2:
-        return Mat._unchecked(ctx, 2, (0, 1, *coeffs))
-    if len(coeffs) == 3:
-        return Mat._unchecked(ctx, 3, (0, 1, 0, 0, 0, 1, *coeffs))
-    raise BadParams("companion only for n in {2,3}")
-
-
 def block_diag(ctx: RingCtx, parts) -> Mat:
     """Block diagonal matrix from integer scalars and Mat blocks."""
     sizes = []
@@ -386,11 +374,12 @@ def elementary(ctx: RingCtx, n: int, i: int, j: int, x) -> Mat:
 def e_matrix(ctx: RingCtx, m: int, a, b, c, d) -> Mat:
     """The 3x3 shape [[0, pi^m, 0], [0, 0, 1], [a, b, c]] + d*I.
 
-    m >= 1; once m >= length the (1,2) entry is zero, so
-    e_matrix(ctx, length, 0, 0, c, d) is the J(c, d) shape.
+    m is an int >= 1; once m >= length the (1,2) entry is zero, so
+    e_matrix(ctx, length, 0, 0, c, d) is the J(c, d) shape.  This is the
+    one layout of the pi-power shape: HardBody builds its matrix here.
     """
-    if m < 1:
-        raise BadParams(f"e_matrix needs m >= 1, got {m}")
+    if type(m) is not int or m < 1:
+        raise BadParams(f"e_matrix needs an integer m >= 1, got {m!r}")
     ar, br, cr, dr = (_raw(ctx, x) for x in (a, b, c, d))
     add = ctx.add_raw
     return Mat._unchecked(ctx, 3, [dr, ctx.pi_pow_raw(m), 0, 0, dr, 1, ar, br, add(cr, dr)])

@@ -17,7 +17,9 @@ residue type of beta:
   of f mod pi;
 - split: diag(a) ++ B commutes only with block diagonal matrices, so
   |C| = |A_i^*| |C_GL2(B)|;
-- hard: the pi-power shape's CentralizerShape.
+- hard: a function of (m, val(a), val(b)) alone, read over the body's
+  ring A_i: (q-1)^2 q^(3i + 2 val(b) - 2) for types I and II, and
+  (q-1) q^(3i + 2 min(m, val(a)) - 1) for types III0 and III1.
 
 As the order of a subgroup it must divide |GL_n(A)|, which is checked.
 """
@@ -25,7 +27,7 @@ As the order of a subgroup it must divide |GL_n(A)|, which is checked.
 from __future__ import annotations
 
 from .canon2 import CyclicBody
-from .canon3 import SplitBody, canon, centralizer_shape
+from .canon3 import SplitBody, canon
 from .errors import CtxMismatch, VerificationFailed
 from .matrix import Mat, identity
 from .ring import RingCtx
@@ -139,13 +141,16 @@ def _form_order(form) -> int:
     i = ctx.length - j
     if i == 0:
         return group_order(ctx, n)
-    if isinstance(form.body, CyclicBody):
-        body = _cyclic_units(q, i, _residue_poly(form.body.coeffs, q))
-    elif isinstance(form.body, SplitBody):
-        body = (q - 1) * q ** (i - 1) * _form_order(form.body.inner)
+    b = form.body
+    if isinstance(b, CyclicBody):
+        units = _cyclic_units(q, i, _residue_poly(b.coeffs, q))
+    elif isinstance(b, SplitBody):
+        units = (q - 1) * q ** (i - 1) * _form_order(b.inner)
+    elif b.tag in ("I", "II"):  # a hard body: valuations over its ring b.ctx = A_i
+        units = (q - 1) ** 2 * q ** (3 * i + 2 * b.ctx.val_raw(b.b) - 2)
     else:
-        body = centralizer_shape(form.body.form).order(q)
-    return q ** (n * n * j) * body
+        units = (q - 1) * q ** (3 * i + 2 * min(b.m, b.ctx.val_raw(b.a)) - 1)
+    return q ** (n * n * j) * units
 
 
 def centralizer_order(a: Mat) -> int:

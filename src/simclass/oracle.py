@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon3 import canon
-from .census import _enumerate, count2, count3
+from .census import _check_ints, _enumerate, count2, count3
 from .errors import BadParams, BudgetExceeded, CtxMismatch, VerificationFailed
 from .matrix import Mat, diag, elementary
 from .modsolve import centralizer_order, group_order
@@ -432,9 +432,6 @@ class OrbitCensus:
             raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
         return sum(1 for r in self.reps if mat_of(self.ctx, self.n, int(r)).is_invertible())
 
-    def rep_mats(self):
-        return [mat_of(self.ctx, self.n, int(r)) for r in self.reps]
-
     def index_of(self, m: Mat) -> int:
         if m.ctx != self.ctx or m.n != self.n:
             raise CtxMismatch(
@@ -443,6 +440,15 @@ class OrbitCensus:
         if self.labels is None:
             raise BadParams("census was built without labels")
         return int(self.labels[state_of(m)])
+
+
+def _check_caps(**caps):
+    """Refuse a cap or a sample count that is not an int (a float or bool
+    too) or that is negative."""
+    _check_ints(**caps)
+    for name, v in caps.items():
+        if v < 0:
+            raise BadParams(f"{name} = {v} is negative")
 
 
 def orbit_census(
@@ -491,6 +497,7 @@ def orbit_census(
     """
     if type(n) is not int or not 1 <= n <= 3:
         raise BadParams(f"matrix size must be 1, 2 or 3, got {n!r}")
+    _check_caps(max_states=max_states)
     card = ctx.cardinality
     nstates = card ** (n * n)
     embed = _embedding(ctx, n)
@@ -547,6 +554,7 @@ def orbit_census(
 
 def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
     """Sorted state ids of the conjugation orbit of m."""
+    _check_caps(max_orbit=max_orbit)
     images, _ = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
     seen = np.array([state_of(m)], dtype=np.int64)
 
@@ -589,6 +597,7 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
     """
     if n not in (2, 3):
         raise BadParams("counts are implemented for n in {2, 3}")
+    _check_caps(samples=samples, max_states=max_states)
     count_fn = count2 if n == 2 else count3
     census = orbit_census(ctx, n, max_states=max_states)
     report = {"ring": ctx.descriptor, "n": n, "counts": [], "mismatches": 0}

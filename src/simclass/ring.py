@@ -6,7 +6,7 @@ An element is stored as a canonical integer in [0, p**length).  For the
 t^j packs to p**j.  In both flavors the base-p digits of the packed
 value are the digit vector of the element and the uniformizer pi (p
 resp. t) packs to p, so pi**j packs to p**j and all digit-level helpers
-(valuation, truncation, digits) are flavor independent.  Only
+(valuation, truncation) are flavor independent.  Only
 addition and multiplication differ: "z" arithmetic carries, "t"
 arithmetic is digit-wise mod p with polynomial convolution.
 
@@ -24,7 +24,7 @@ Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
 raw functions trust their arguments to be packed values of the ring:
 an element is its packed integer, with no wrapper type, and values
 are range-checked where they enter, by Mat and the shape builders (see
-matrix._raw) and by HardForm.
+matrix._raw) and by HardBody.
 """
 
 from __future__ import annotations
@@ -304,14 +304,6 @@ class RingCtx:
             return self.length, 1
         t = self.val_raw(a)
         return t, a // self.p**t
-
-    def digits_raw(self, a: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.length):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # levels

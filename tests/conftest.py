@@ -1,6 +1,6 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
-only tests use (j_matrix, enumerate2, theta, transfer_power,
+only tests use (j_matrix, placed, enumerate2, theta, transfer_power,
 count2_recursion, same_class)."""
 
 import functools
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from simclass import Mat, e_matrix, orbit_census, orbit_states, ring_ctx, transfer_matrix
+from simclass import (Mat, e_matrix, orbit_census, orbit_states, ring_ctx, scalar,
+                      transfer_matrix)
 from simclass.census import _enumerate
 from simclass.oracle import state_of
 
@@ -67,6 +68,13 @@ def ctx_len2(request):
 def j_matrix(ctx, c, d):
     """The J(c, d) shape: the pi-power shape with a zero slot."""
     return e_matrix(ctx, ctx.length, 0, 0, c, d)
+
+
+def placed(ctx, n, level, d, body):
+    """d*I + pi^level * body over ctx, from public Mat operations alone;
+    body is a matrix over the length-(l-level) ring, None for a scalar."""
+    m = scalar(ctx, n, d)
+    return m if body is None else m + body.lift(ctx.length).scale(ctx.p**level)
 
 
 def enumerate2(ctx, group="M", budget=10_000_000):

@@ -12,16 +12,14 @@ from simclass import (
     ScalarBody,
     VerificationFailed,
     canon2,
-    companion,
     count2,
-    recombine,
     ring_ctx,
     scalar,
     split_scalar,
 )
 import reference_solver as ref
 from simclass.cli import EX_MISMATCH
-from conftest import count2_recursion, enumerate2, rand_invertible, rand_mat, run_python
+from conftest import count2_recursion, enumerate2, placed, rand_invertible, rand_mat, run_python
 
 
 def test_split_scalar_examples():
@@ -43,8 +41,7 @@ def test_split_scalar_reconstructs_and_is_maximal(rng, ctx_len2):
     for _ in range(100):
         m = rand_mat(ctx_len2, 2, rng)
         sp = split_scalar(m)
-        body = None if sp.beta is None else sp.beta
-        assert recombine(ctx_len2, sp.level, sp.d, body, 2) == m
+        assert placed(ctx_len2, 2, sp.level, sp.d, sp.beta) == m
         if sp.beta is not None:
             assert not sp.beta.residue().is_scalar()
 
@@ -54,7 +51,7 @@ def test_split_scalar_shared_with_3x3(rng):
     for _ in range(50):
         m = rand_mat(ctx, 3, rng)
         sp = split_scalar(m)
-        assert recombine(ctx, sp.level, sp.d, sp.beta, 3) == m
+        assert placed(ctx, 3, sp.level, sp.d, sp.beta) == m
 
 
 def test_canon2_worked_example():
@@ -69,7 +66,7 @@ def test_canon2_worked_example():
 
 def test_canon2_fixed_points():
     ctx = ring_ctx("z", 3, 2)
-    c = companion(ctx, (5, 7))
+    c = Mat.from_rows(ctx, [[0, 1], [5, 7]])  # the companion matrix of (5, 7)
     form = canon2(c)
     assert (form.level, form.d) == (0, 0)
     assert form.rebuild() == c

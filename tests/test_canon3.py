@@ -10,10 +10,8 @@ import pytest
 
 import simclass
 from simclass import (
-    CentralizerShape,
     CyclicBody,
     HardBody,
-    HardForm,
     Mat,
     ScalarBody,
     SplitBody,
@@ -21,8 +19,7 @@ from simclass import (
     block_diag,
     canon2,
     canon3,
-    centralizer_shape,
-    companion,
+    centralizer_order,
     diag,
     e_matrix,
     hard_family,
@@ -43,7 +40,7 @@ residue_type, classify_hard = c3._residue_type, c3._classify_hard
 
 
 def ep(ctx, m, a, b, c, d):
-    return HardForm(ctx, m, a, b, c, d)
+    return HardBody(ctx, m, a, b, c, d)
 
 
 def block_split(m):
@@ -69,7 +66,7 @@ def test_residue_type_defining_cases():
     assert residue_type(identity(f2, 3)) == ("scalar", 1)
     assert residue_type(diag(f2, [1, 0, 0])) == ("split", 1, 0)
     assert residue_type(j_matrix(f2, 0, 0)) == ("jtype", 0)
-    assert residue_type(companion(f2, (1, 0, 0))) == ("cyclic",)
+    assert residue_type(Mat(f2, 3, (0, 1, 0, 0, 0, 1, 1, 0, 0))) == ("cyclic",)  # a companion
 
 
 def test_residue_type_is_computed_modulo_pi(rng):
@@ -236,7 +233,7 @@ def test_classify_hard_witness_and_idempotence_exhaustive_z4():
                 h, x = classify_hard(e)
                 tags[h.tag] += 1
                 assert e.rebuild().conjugate_by(x) == h.rebuild()
-                again, x2 = classify_hard(HardForm(ctx, h.m, h.a, h.b, h.c, h.d))
+                again, x2 = classify_hard(HardBody(ctx, h.m, h.a, h.b, h.c, h.d))
                 assert again == h and x2 == identity(ctx, 3)
     assert all(v > 0 for v in tags.values())
 
@@ -306,7 +303,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
     # statements, CLI canon must still refuse it and exit 70
     script = (
         "import contextlib, importlib, io, json, sys\n"
-        "from simclass import HardForm, ring_ctx\n"
+        "from simclass import HardBody, ring_ctx\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import Mat\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
@@ -331,7 +328,7 @@ def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
         "    return code, err.getvalue()\n"
         "for name, fault, desc, (m, *vals) in cases:\n"
         "    ctx = ring_ctx(*desc)\n"
-        "    rows = HardForm(ctx, m, *vals).rebuild().rows()\n"
+        "    rows = HardBody(ctx, m, *vals).rebuild().rows()\n"
         "    if canon(ctx.descriptor, rows)[0] != 0:\n"
         "        sys.exit(f'canon of {rows} fails with a sound {name}')\n"
         "    real = getattr(c3, name)\n"
@@ -352,7 +349,7 @@ def test_hard_family_members_are_their_own_class_reps():
         fam = hard_family(ctx)
         assert len(fam) == len(set(fam))
         for h in fam:
-            again, x = classify_hard(HardForm(ctx, h.m, h.a, h.b, h.c, h.d))
+            again, x = classify_hard(HardBody(ctx, h.m, h.a, h.b, h.c, h.d))
             assert again == h and x == identity(ctx, 3)
 
 
@@ -416,7 +413,7 @@ def test_hard_family_checks_each_candidate_is_a_normal_form(monkeypatch):
         form, steps = real(e)
         params = (form.m, form.a, form.b, form.c, form.d)
         if form.tag == "III1" and params == (1, 0, 0, 4, 1):
-            form = HardForm(form.ctx, form.m, form.a, form.b, form.c, 0)
+            form = HardBody(form.ctx, form.m, form.a, form.b, form.c, 0)
         return form, steps
 
     monkeypatch.setattr(c3, "_normalize_hard", moved)
@@ -448,9 +445,15 @@ def test_canon3_hard_inputs_past_the_global_sweep(desc, rng):
 
 
 # the stages of canon3 that were public before they became private, the
-# element wrappers that packed integers replaced, and enumerate2, whose
-# only callers were tests
+# element wrappers that packed integers replaced, enumerate2, whose only
+# callers were tests, and the builders and wrappers that the one
+# placement and the bodies' own layouts replaced
 REMOVED_NAMES = {
+    "HardForm",
+    "CentralizerShape",
+    "centralizer_shape",
+    "recombine",
+    "companion",
     "enumerate2",
     "RingElem",
     "Section",
@@ -484,7 +487,8 @@ def test_hard_form_tag_is_read_off_the_valuations():
     # packed value of the ring: out of [0, 8), or not an int
     for bad in ((0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 3, 0),
                 (1, 8, 0, 0, 0), (1, 0, -2, 0, 0), (1, 0, 0, 0, 8), (1, 0, 0, 0, -1),
-                (1, 2.0, 0, 0, 0), (1, 0, 0, "0", 0), (1, 0, 0, 0, True), (1, 0, 0, 0, None)):
+                (1, 2.0, 0, 0, 0), (1, 0, 0, "0", 0), (1, 0, 0, 0, True), (1, 0, 0, 0, None),
+                (1.0, 0, 0, 0, 0), (True, 0, 0, 0, 0)):
         with pytest.raises(simclass.BadParams):
             ep(ctx, *bad)
 
@@ -555,7 +559,7 @@ def test_canon3_hard_over_a_large_prime_makes_no_solver_calls(cold_hard_family, 
         for tag, shape in shapes.items():
             m = shape if tag == "I" else shape.conjugate_by(rand_invertible(ctx, 3, rng))
             f = canon3(m)
-            assert isinstance(f.body, HardBody) and f.body.form.tag == tag
+            assert isinstance(f.body, HardBody) and f.body.tag == tag
             assert m.conjugate_by(f.witness) == f.rebuild()
 
 
@@ -620,7 +624,7 @@ def test_once_split_iii0_pairs_are_one_class():
     for m, b, c, d in _SPLIT_III0_PAIRS:
         x, y = (e_matrix(ctx, m, a, b, c, d) for a in (2, 6))
         assert canon3(x) == canon3(y)
-        assert canon3(x).body.form.tag == "III0"
+        assert canon3(x).body.tag == "III0"
         assert orbit_states(x).size == 43008 and same_class(x, y)
 
 
@@ -634,7 +638,7 @@ def test_canon3_scalar_cyclic_split_examples():
     assert isinstance(f.body, ScalarBody) and f.level == 2 and f.d == 3
 
     coeffs = (1, 2, 3)
-    c = companion(z4, coeffs)
+    c = Mat(z4, 3, (0, 1, 0, 0, 0, 1, *coeffs))
     f = canon3(c)
     assert isinstance(f.body, CyclicBody) and f.body.coeffs == coeffs
     assert f.level == 0 and f.rebuild() == c  # companions are fixed points
@@ -703,17 +707,16 @@ def test_canon3_json_shape():
 def test_centralizer_shape_case_split():
     ctx = ring_ctx("z", 2, 2)
     # slot and both entries at full valuation: the two-unit case, dim 5i-2
-    assert centralizer_shape(ep(ctx, 2, 0, 0, 2, 0)) == CentralizerShape(2, 8)
-    assert centralizer_shape(ep(ctx, 2, 0, 0, 2, 0)).order(2) == 256
+    assert centralizer_order(ep(ctx, 2, 0, 0, 2, 0).rebuild()) == 256
     # val(b) minimal: still the two-unit case
-    assert centralizer_shape(ep(ctx, 1, 0, 2, 0, 0)).order(2) == 64
+    assert centralizer_order(ep(ctx, 1, 0, 2, 0, 0).rebuild()) == 64
     # val(a) < min(m, val(b)): the one-unit case
-    assert centralizer_shape(ep(ctx, 2, 2, 0, 0, 0)).order(2) == 128
+    assert centralizer_order(ep(ctx, 2, 2, 0, 0, 0).rebuild()) == 128
 
 
 def test_centralizer_shape_matches_exact_order_on_every_hard_rep():
     for desc in [("z", 2, 1), ("z", 2, 2), ("z", 3, 1), ("z", 3, 2)]:
         ctx = ring_ctx(*desc)
         for h in hard_family(ctx):
-            predicted = centralizer_shape(h).order(ctx.q)
+            predicted = centralizer_order(h.rebuild())
             assert predicted == ref.centralizer_order(h.rebuild())

@@ -8,12 +8,18 @@ from simclass import (
     BadParams,
     BudgetExceeded,
     CountVector,
+    CyclicBody,
+    Mat,
+    ScalarBody,
+    SplitBody,
     VerificationFailed,
     base_vector,
+    block_diag,
     canon3,
     classify_form,
     count2,
     count3,
+    e_matrix,
     enumerate3,
     gf_coeffs,
     level_vector,
@@ -25,7 +31,7 @@ from simclass import (
 )
 from simclass.census import _enumerate
 from simclass.cli import EX_MISMATCH
-from conftest import count2_recursion, run_python, theta, transfer_power
+from conftest import count2_recursion, placed, run_python, theta, transfer_power
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -328,6 +334,35 @@ def test_streamed_matrix_is_the_rebuilt_form(desc, group, n):
     ctx = parse_ring(desc)
     for form, mat in _enumerate(ctx, n, group):
         assert mat == form.rebuild()
+
+
+def _body_matrix(form):
+    """The matrix of the form's body over the length-(l-level) ring, built
+    from the body's fields with the public constructors; None for a
+    scalar body."""
+    body, ctx = form.body, form.ctx
+    if isinstance(body, ScalarBody):
+        return None
+    tctx = ctx.truncated(ctx.length - form.level)
+    if isinstance(body, CyclicBody):  # the identity band above the coefficient row
+        k = len(body.coeffs)
+        band = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)]
+        return Mat.from_rows(tctx, band + [list(body.coeffs)])
+    if isinstance(body, SplitBody):
+        inner = body.inner
+        return block_diag(tctx, [body.a, placed(tctx, 2, inner.level, inner.d, _body_matrix(inner))])
+    return e_matrix(tctx, body.m, body.a, body.b, body.c, body.d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("group", ["M", "GL"])
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:3:2", "t:3:2", "z:5:2", "t:2:4"])
+def test_streamed_matrix_is_built_from_the_body_fields(desc, group, n):
+    # the stream and CanonicalForm.rebuild share one builder; this derives
+    # each class matrix d*I + pi^level * B apart from it
+    ctx = parse_ring(desc)
+    for form, mat in _enumerate(ctx, n, group):
+        assert mat == placed(ctx, n, form.level, form.d, _body_matrix(form))
 
 
 # ----------------------------------------------------------------------

@@ -640,6 +640,12 @@ PINNED_CALLS = [
     ("enumerate", "--ring", "t:3:2", "--n", "3", "--group", "gl"),
     ("enumerate", "--ring", "z:2:3", "--n", "3", "--group", "m"),
     ("enumerate", "--ring", "z:2:3", "--n", "3", "--group", "gl"),
+    # hard bodies: centralizers at level 1 (types II and III1), canon of
+    # conjugated type II and III0 inputs
+    ("centralizer", "--ring", "z:2:3", "[[1,4,0],[0,1,2],[0,4,1]]"),
+    ("centralizer", "--ring", "t:2:3", "[[1,6,2],[4,7,2],[0,6,7]]"),
+    ("canon", "--ring", "z:3:2", "[[0,5,7],[3,8,1],[6,8,1]]"),
+    ("canon", "--ring", "z:2:3", "[[0,7,5],[2,3,3],[4,7,5]]"),
 ]
 
 PINNED_SHA256 = {
@@ -729,6 +735,14 @@ PINNED_SHA256 = {
         "0802b691b9e0f76ba826a782bc411dd03afc2e884da2e1a9383b0670a4cc64a3",
     "enumerate --ring z:2:3 --n 3 --group gl":
         "90569a8f2f625959d0f25a3fd3ccf24aa5e9e8c7608e069e9b3ea15c69842414",
+    "centralizer --ring z:2:3 [[1,4,0],[0,1,2],[0,4,1]]":
+        "e7fb566f557156f6bfee4e5490f3db00467bc58cfaa6ce7361c890a9484ad0bb",
+    "centralizer --ring t:2:3 [[1,6,2],[4,7,2],[0,6,7]]":
+        "738817f253aa3e8f7d778b1cdfde8b31852a1623db5c5f555a6f51f2ff419b58",
+    "canon --ring z:3:2 [[0,5,7],[3,8,1],[6,8,1]]":
+        "67befaefd6375f5d5ca96eb0f9884e421970f968019f240d4f62734444efa632",
+    "canon --ring z:2:3 [[0,7,5],[2,3,3],[4,7,5]]":
+        "7e2f107df1741d3fd486146c927ad6551a91e4f099b7c46cd5ca33fb8889f285",
 }
 
 

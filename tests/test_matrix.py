@@ -8,7 +8,6 @@ from simclass import (
     Mat,
     NotInvertible,
     block_diag,
-    companion,
     diag,
     e_matrix,
     elementary,
@@ -59,13 +58,16 @@ def test_public_constructors_validate_while_ring_results_skip_it(rng):
         for build in (
             lambda: scalar(t, 3, bad),
             lambda: diag(t, [0, bad, 1]),
-            lambda: companion(t, [1, bad]),
             lambda: e_matrix(t, 1, bad, 0, 0, 0),
             lambda: elementary(t, 3, 1, 2, bad),
             lambda: block_diag(t, [bad, identity(t, 2)]),
         ):
             with pytest.raises(BadParams):
                 build()
+    # a slot exponent that is not an int: pi^1.5 would be the float 3**1.5
+    for m in (1.5, True):
+        with pytest.raises(BadParams):
+            e_matrix(t, m, 0, 0, 0, 0)
     # results of ring operations equal their validated rebuilds
     for ctx in (t, ring_ctx("z", 2, 3)):
         a, b = rand_mat(ctx, 3, rng), rand_invertible(ctx, 3, rng)
@@ -136,13 +138,12 @@ def test_charpoly_is_similarity_invariant(rng):
 
 
 def test_companion_has_prescribed_charpoly():
+    # charpoly's companion convention: the identity band above the
+    # coefficient row (a_0, ..., a_{n-1})
     ctx = ring_ctx("z", 3, 2)
     coeffs = (4, 7, 2)
-    c = companion(ctx, coeffs)
-    assert c.charpoly() == coeffs
-    assert c.rows()[0] == [0, 1, 0] and c.rows()[1] == [0, 0, 1]
-    c2 = companion(ctx, (4, 7))
-    assert c2.rows() == [[0, 1], [4, 7]]
+    assert Mat(ctx, 3, (0, 1, 0, 0, 0, 1, *coeffs)).charpoly() == coeffs
+    assert Mat.from_rows(ctx, [[0, 1], [4, 7]]).charpoly() == (4, 7)
 
 
 def test_block_diag_and_shape_builders():

@@ -16,7 +16,6 @@ from simclass import (
     VerificationFailed,
     canon2,
     centralizer_order,
-    companion,
     diag,
     enumerate3,
     group_order,
@@ -113,8 +112,8 @@ def test_is_similar_finds_exact_witness(rng):
 
 def test_is_similar_rejects_different_charpoly():
     ctx = ring_ctx("z", 2, 2)
-    a = companion(ctx, (1, 0, 0))
-    b = companion(ctx, (1, 1, 0))
+    a = Mat(ctx, 3, (0, 1, 0, 0, 0, 1, 1, 0, 0))  # the companion matrices of
+    b = Mat(ctx, 3, (0, 1, 0, 0, 0, 1, 1, 1, 0))  # (1, 0, 0) and (1, 1, 0)
     ok, x = is_similar(a, b)
     assert not ok and x is None
 
@@ -147,7 +146,7 @@ def test_centralizer_of_companion_with_unit_discriminant():
     # distinct residue eigenvalues 1 and 2 over Z/9: centralizer is the
     # invertible diagonals in a basis of eigenvectors, (q-1)^2 q^2 = 36
     ctx = ring_ctx("z", 3, 2)
-    m = companion(ctx, (7, 3))  # x^2 - 3x + 2... wait: x^2 = 7 + 3x
+    m = Mat.from_rows(ctx, [[0, 1], [7, 3]])  # the companion matrix: x^2 = 7 + 3x
     # charpoly x^2 - 3x - 7 = x^2 - 3x + 2 mod 9: roots 1, 2
     assert centralizer_order(m) == 36
 

@@ -203,7 +203,7 @@ def test_orbit_census_partition_properties():
     order = group_order(ctx, 2)
     assert int(census.sizes.sum()) == ctx.cardinality**4
     assert all(order % int(s) == 0 for s in census.sizes)
-    reps = census.rep_mats()
+    reps = [mat_of(ctx, 2, int(r)) for r in census.reps]
     assert all(int(r) == state_of(m) for r, m in zip(census.reps, reps))
     # reps are the lexicographically minimal orbit members, hence distinct
     assert len(set(reps)) == census.class_count("M")
@@ -217,7 +217,7 @@ def test_orbit_census_labels(rng):
         g = rand_invertible(ctx, 2, rng)
         i = census.index_of(m)
         assert i == census.index_of(m.conjugate_by(g))
-        assert same_class(census.rep_mats()[i], m)
+        assert same_class(mat_of(ctx, 2, int(census.reps[i])), m)
 
 
 def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
@@ -229,7 +229,7 @@ def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
         m = rand_mat(ctx, 3, rng)
         i = census.index_of(m)
         assert i == census.index_of(m.conjugate_by(rand_invertible(ctx, 3, rng)))
-        assert same_class(census.rep_mats()[i], m)
+        assert same_class(mat_of(ctx, 3, int(census.reps[i])), m)
         assert census.sizes[i] == orbit_of(m)[0]
 
 
@@ -262,6 +262,30 @@ def test_orbit_census_budget():
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
     with pytest.raises(BudgetExceeded):
         verify_counts(ring_ctx("z", 2, 2), 3, max_states=1000)
+
+
+@pytest.mark.parametrize("call,bound", [
+    ("verify_counts", {"samples": -1}),
+    ("verify_counts", {"samples": True}),
+    ("verify_counts", {"samples": 2.0}),
+    ("verify_counts", {"max_states": 1e9}),
+    ("orbit_census", {"max_states": 1e9}),
+    ("orbit_census", {"max_states": -1}),
+    ("orbit_states", {"max_orbit": True}),
+    ("orbit_states", {"max_orbit": -5}),
+    ("orbit_of", {"max_orbit": 1e7}),
+])
+def test_oracle_refuses_a_bound_that_is_no_non_negative_int(monkeypatch, call, bound):
+    # refused before any state is packed: packing one fails the test
+    def packed(*args):
+        raise AssertionError("a state was packed")
+
+    monkeypatch.setattr(oracle, "_embedding", packed)
+    monkeypatch.setattr(oracle, "_conjugator", packed)
+    ctx = ring_ctx("z", 2, 1)
+    args = (identity(ctx, 2),) if call in ("orbit_states", "orbit_of") else (ctx, 2)
+    with pytest.raises(BadParams):
+        getattr(oracle, call)(*args, **bound)
 
 
 def test_orbit_census_labels_only_on_request():

@@ -12,7 +12,7 @@ from simclass import (
     BadParams,
     BadLevel,
     CtxMismatch,
-    HardForm,
+    HardBody,
     Mat,
     NonUnit,
     RingCtx,
@@ -133,17 +133,17 @@ def test_digits_round_trip():
     for flavor in ("z", "t"):
         ctx = ring_ctx(flavor, 5, 3)
         for a in [0, 1, 7, 24, 124, 66]:
-            ds = ctx.digits_raw(a)
-            assert len(ds) == 3 and all(0 <= d < 5 for d in ds)
-            assert sum(d * 5**k for k, d in enumerate(ds)) == a
+            ds = [a // 5**k % 5 for k in range(3)]
+            # the base-p digits are the coefficients of the expansion in pi
+            terms = [ctx.mul_raw(d, ctx.pi_pow_raw(k)) for k, d in enumerate(ds)]
+            assert ctx.add_raw(ctx.add_raw(*terms[:2]), terms[2]) == a
 
 
 def test_mod_pi_truncates_low_digits():
     ctx = ring_ctx("z", 2, 3)
     for a in range(8):
-        ds = ctx.digits_raw(a)
-        assert ctx.digits_raw(ctx.mod_pi_raw(a, 2))[:2] == ds[:2]
-        assert ctx.digits_raw(ctx.mod_pi_raw(a, 2))[2] == 0
+        low = ctx.mod_pi_raw(a, 2)
+        assert [low // 2**k % 2 for k in range(3)] == [a % 2, a // 2 % 2, 0]
 
 
 def test_truncate_and_extend():
@@ -170,7 +170,7 @@ def test_elem_validates_range():
     # t:2:2 have the values 0..3, so 4 is none of them
     ctx = ring_ctx("z", 2, 2)
     with pytest.raises(BadParams):
-        HardForm(ctx, 1, 0, 0, 0, 4)
+        HardBody(ctx, 1, 0, 0, 0, 4)
     with pytest.raises(BadParams):
         Mat(ring_ctx("t", 2, 2), 2, [0, 0, 0, 4])
 
