@@ -142,7 +142,20 @@ class CanonicalForm:
     witness: Mat = field(compare=False, repr=False)
 
     def rebuild(self) -> Mat:
-        return _placer(self.ctx, self.n, self.level, self.d)(self.body.vals(self.n))
+        """The canonical matrix.  A form may be built by hand, so its
+        values are checked before they are placed: raises BadParams
+        unless 0 <= level <= length, d is reduced mod pi^level and the
+        body gives n*n packed values of the length-(l-level) ring."""
+        ctx, n, level, d = self.ctx, self.n, self.level, self.d
+        if type(level) is not int or not 0 <= level <= ctx.length:
+            raise BadParams(f"level {level!r} is not in [0, {ctx.length}]")
+        if type(d) is not int or not 0 <= d < ctx.p**level:
+            raise BadParams(f"d = {d!r} is not reduced mod pi^{level} over {ctx.descriptor}")
+        vals, card = self.body.vals(n), ctx.p ** (ctx.length - level)
+        if len(vals) != n * n or any(type(v) is not int or not 0 <= v < card for v in vals):
+            raise BadParams(f"body {self.body} gives no {n}x{n} matrix over the length "
+                            f"{ctx.length - level} ring")
+        return _placer(ctx, n, level, d)(vals)
 
     def to_json(self) -> dict:
         if self.n == 2:  # 2x2 forms print the companion pair (c, e) of x^2 - e*x - c

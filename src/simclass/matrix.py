@@ -20,8 +20,12 @@ are already reduced.
 
 The 3x3 product, determinant and adjugate over a "z" ring work on plain
 integers and reduce each entry once mod p^length, which is exact because
-reduction is a ring map; over a small "t" ring the product indexes the
-ring's addition and multiplication tables directly.
+reduction is a ring map.  Over a "t" ring with lane arithmetic (see
+ring.py) the 3x3 product evaluates the same unrolled integer expression
+on the spread entries and gathers each output entry once: 9 gathers in
+place of 27 ring products and 18 ring sums, exact because the lane
+width bounds a sum of three convolution sums.  Over a small "t" ring the
+product indexes the ring's addition and multiplication tables directly.
 
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
@@ -163,6 +167,22 @@ class Mat:
                 (a6 * b0 + a7 * b3 + a8 * b6) % c,
                 (a6 * b1 + a7 * b4 + a8 * b7) % c,
                 (a6 * b2 + a7 * b5 + a8 * b8) % c,
+            )
+            return Mat._unchecked(ctx, 3, out)
+        if n == 3 and ctx._lanes:  # a large "t" ring: the same expression on spread values
+            spread, g = ctx._lanes
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(spread, self.vals)
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(spread, other.vals)
+            out = (
+                g(a0 * b0 + a1 * b3 + a2 * b6),
+                g(a0 * b1 + a1 * b4 + a2 * b7),
+                g(a0 * b2 + a1 * b5 + a2 * b8),
+                g(a3 * b0 + a4 * b3 + a5 * b6),
+                g(a3 * b1 + a4 * b4 + a5 * b7),
+                g(a3 * b2 + a4 * b5 + a5 * b8),
+                g(a6 * b0 + a7 * b3 + a8 * b6),
+                g(a6 * b1 + a7 * b4 + a8 * b7),
+                g(a6 * b2 + a7 * b5 + a8 * b8),
             )
             return Mat._unchecked(ctx, 3, out)
         a, b = self.vals, other.vals

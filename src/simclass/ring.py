@@ -13,20 +13,37 @@ arithmetic is digit-wise mod p with polynomial convolution.
 A context binds its add_raw, sub_raw, mul_raw, neg_raw and unit inverse
 as plain functions once, when constructed, so a ring operation is one
 call with no flavor test.  It picks one of three arithmetic kinds:
-"z" contexts and every length-1 context (F_p, whatever the flavor) bind
-modular arithmetic; a "t" context of length >= 2 and at most 1024
-elements builds its add, mul, negation and inverse tables and binds
-lookups into them.  The tables are built by digit recurrence: those of
-F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)), starting
-at F_p, with one table lookup per entry (see _t_tables).
-Larger "t" rings bind the digit-loop functions (_poly_add, _poly_mul,
-...), which are also the reference the tables are tested against.  The
-raw functions trust their arguments to be packed values of the ring:
-an element is its packed integer, with no wrapper type, and values
+
+- modular: "z" contexts and every length-1 context (F_p, whatever the
+  flavor).
+- tables: a "t" context of length >= 2 and at most _TABLE_LIMIT = 1024
+  elements builds its add, mul, negation and inverse tables and binds
+  lookups into them.  The tables are built by digit recurrence: those
+  of F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)),
+  starting at F_p, with one table lookup per entry (see _t_tables).
+- lanes: every larger "t" context of length >= 2 computes by Kronecker
+  substitution (see _lane_ops).  The base-p digits of an element are
+  spread into w-bit lanes of one int, so an element is the polynomial
+  evaluated at 2^w; a product is one int product of two spread values
+  and a sum or difference is one int addition.  The result is gathered
+  back: the low `length` lanes are each reduced mod p and repacked in
+  base p.  This is exact because no lane ever carries into the next:
+  lane k of a product of two spread values is the convolution sum
+  c_k = sum(a_i * b_(k-i)), at most length*(p-1)^2, and lanes of the
+  3x3 matrix product (see matrix.Mat.__matmul__) hold three such sums,
+  at most 3*length*(p-1)^2; sub_raw and neg_raw add p in every lane
+  first, so their lanes lie in [1, 2p-1]; and w is the bit length of
+  the largest of these bounds.  Lane k of the int is then c_k itself,
+  and c_k mod p is digit k of the result, since t^length = 0 drops the
+  higher lanes.  For p = 2 addition and subtraction are XOR and
+  negation is the identity.  The unit inverse is Newton's iteration on
+  the bound mul and sub.
+
+The raw functions trust their arguments to be packed values of the
+ring: an element is its packed integer, with no wrapper type, and values
 are range-checked where they enter, by Mat and the shape builders (see
 matrix._raw) and by HardBody.
 """
-
 from __future__ import annotations
 
 import operator
@@ -40,6 +57,8 @@ MAX_CARDINALITY = 2**63
 
 # cardinality threshold below which "t" flavor arithmetic is table driven
 _TABLE_LIMIT = 1024
+# most entries of any table that lane arithmetic builds
+_LANE_TABLE_CAP = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -119,6 +138,65 @@ def _t_tables(p: int, length: int):
     return add, mul, neg, inv
 
 
+def _lane_ops(p: int, length: int):
+    """(spread, gather, plus_p) of lane arithmetic over F_p[t]/(t^length).
+
+    spread takes a packed value to its digits in w-bit lanes, gather
+    takes an int of lanes (each below 2^w) to the packed value of its
+    low `length` lanes mod p, and plus_p holds p in each of those lanes.
+    w is the lane-width bound of the module docstring.  spread reads
+    chunks of k digits, p**k <= _LANE_TABLE_CAP, from a table of their
+    spread values, or one digit at a time (no table) when p alone
+    exceeds the cap, so no table has more than _LANE_TABLE_CAP entries
+    whatever p and length are; gather reads the lanes one at a time.
+    """
+    w = max(3 * length * (p - 1) ** 2, 2 * p - 1).bit_length()
+    plus_p = sum(p << w * i for i in range(length))
+    k = 0  # digits per spread chunk
+    while k < length and p ** (k + 1) <= _LANE_TABLE_CAP:
+        k += 1
+    if k:
+        table = [0]
+        for j in range(k):
+            table = [t + (d << w * j) for d in range(p) for t in table]
+    else:  # range(p)[c] == c: a single digit spreads to itself
+        table = range(p)
+    chunk, step = len(table), max(k, 1) * w
+    mask, shifts = (1 << w) - 1, range(w * (length - 1), -1, -w)
+
+    def spread(a: int) -> int:
+        out = s = 0
+        while a:
+            a, c = divmod(a, chunk)
+            out |= table[c] << s
+            s += step
+        return out
+
+    def gather(x: int) -> int:
+        out = 0
+        for s in shifts:  # Horner, from the top lane down
+            out = out * p + (x >> s & mask) % p
+        return out
+
+    return spread, gather, plus_p
+
+
+def _newton_inv(p: int, length: int, mul, sub):
+    """The unit inverse of F_p[t]/(t^length) by Newton's iteration
+    u <- u*(2 - a*u) on the bound mul and sub: the valuation of 1 - a*u
+    doubles each step."""
+    two = 2 % p  # the constant polynomial 2
+    steps = range(max(1, (length - 1).bit_length()))
+
+    def inv(a: int) -> int:
+        u = pow(a % p, -1, p)
+        for _ in steps:
+            u = mul(u, sub(two, mul(a, u)))
+        return u
+
+    return inv
+
+
 @dataclass(frozen=True)
 class RingCtx:
     """A ring A = Z/p^length ("z") or F_p[t]/(t^length) ("t").
@@ -155,6 +233,7 @@ class RingCtx:
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
+        lanes = None  # (spread, gather), see _lane_ops
         if self.flavor == "z" or self.length == 1:  # modular; length 1: both flavors are F_p
             ops = (
                 lambda a, b: (a + b) % card,
@@ -172,10 +251,25 @@ class RingCtx:
                 neg.__getitem__,
                 inv.__getitem__,
             )
-        else:  # the digit loops
-            padd, pneg = self._poly_add, self._poly_neg
-            ops = (padd, lambda a, b: padd(a, pneg(b)), self._poly_mul, pneg, self._poly_inv)
+        else:
+            spread, gather, plus_p = _lane_ops(self.p, self.length)
+            lanes = spread, gather
+
+            def lane_mul(a: int, b: int) -> int:
+                return gather(spread(a) * spread(b))
+
+            if self.p == 2:  # digit sums mod 2 are XOR, and -a = a
+                ops = (operator.xor, operator.xor, lane_mul, lambda a: a)
+            else:
+                ops = (
+                    lambda a, b: gather(spread(a) + spread(b)),
+                    lambda a, b: gather(spread(a) + plus_p - spread(b)),
+                    lane_mul,
+                    lambda a: gather(plus_p - spread(a)),
+                )
+            ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_lanes", lanes)
         for name, fn in zip(("add_raw", "sub_raw", "mul_raw", "neg_raw", "_unit_inv"), ops):
             object.__setattr__(self, name, fn)
 
@@ -196,64 +290,6 @@ class RingCtx:
 
     # ------------------------------------------------------------------
     # raw integer arithmetic on packed values
-
-    def _poly_add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out, shift = 0, 1
-        for _ in range(self.length):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def _poly_neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out, shift = 0, 1
-        for _ in range(self.length):
-            out += (-a % p) * shift
-            a //= p
-            shift *= p
-        return out
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p, n = self.p, self.length
-        da = []
-        while a:
-            da.append(a % p)
-            a //= p
-        acc = [0] * n
-        shift = 0
-        while b and shift < n:
-            db = b % p
-            if db:
-                for i, ai in enumerate(da):
-                    j = i + shift
-                    if j >= n:
-                        break
-                    acc[j] = (acc[j] + ai * db) % p
-            b //= p
-            shift += 1
-        out = 0
-        for d in reversed(acc):
-            out = out * p + d
-        return out
-
-    def _poly_inv(self, a: int) -> int:
-        # Newton iteration u <- u*(2 - a*u); valuation of (1 - a*u) doubles.
-        c0 = a % self.p
-        if c0 == 0:
-            raise NonUnit(f"{a} is not a unit in {self.descriptor}")
-        u = pow(c0, -1, self.p)
-        two = 2 % self.p  # constant polynomial 2
-        steps = max(1, (self.length - 1).bit_length())
-        for _ in range(steps):
-            u = self._poly_mul(u, self._poly_add(two, self._poly_neg(self._poly_mul(a, u))))
-        return u
 
     def __reduce__(self):
         # the bound functions are closures, so pickle the descriptor only

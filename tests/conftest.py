@@ -1,7 +1,9 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
 only tests use (j_matrix, placed, enumerate2, theta, transfer_power,
-count2_recursion, same_class)."""
+count2_recursion, same_class), and the digit loops of F_p[t]/(t^l)
+(poly_add, poly_neg, poly_mul, poly_inv) that every bound "t"
+arithmetic is tested against."""
 
 import functools
 import os
@@ -63,6 +65,63 @@ RINGS_LEN2 = [("z", 2, 2), ("z", 3, 2), ("t", 2, 2), ("t", 3, 2)]
 @pytest.fixture(params=RINGS_LEN2, ids=lambda r: f"{r[0]}:{r[1]}:{r[2]}")
 def ctx_len2(request):
     return ring_ctx(*request.param)
+
+
+def poly_add(ctx, a, b):
+    """a + b over a "t" ring, one digit at a time."""
+    p = ctx.p
+    out, shift = 0, 1
+    for _ in range(ctx.length):
+        out += ((a + b) % p) * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
+def poly_neg(ctx, a):
+    """-a over a "t" ring, one digit at a time."""
+    p = ctx.p
+    out, shift = 0, 1
+    for _ in range(ctx.length):
+        out += (-a % p) * shift
+        a //= p
+        shift *= p
+    return out
+
+
+def poly_mul(ctx, a, b):
+    """a * b over a "t" ring: the truncated digit convolution."""
+    p, n = ctx.p, ctx.length
+    da = []
+    while a:
+        da.append(a % p)
+        a //= p
+    acc = [0] * n
+    shift = 0
+    while b and shift < n:
+        db = b % p
+        if db:
+            for i, ai in enumerate(da):
+                j = i + shift
+                if j >= n:
+                    break
+                acc[j] = (acc[j] + ai * db) % p
+        b //= p
+        shift += 1
+    out = 0
+    for d in reversed(acc):
+        out = out * p + d
+    return out
+
+
+def poly_inv(ctx, a):
+    """The inverse of the unit a over a "t" ring by Newton's iteration
+    u <- u*(2 - a*u) on the digit loops."""
+    u = pow(a % ctx.p, -1, ctx.p)
+    for _ in range(max(1, (ctx.length - 1).bit_length())):
+        u = poly_mul(ctx, u, poly_add(ctx, 2 % ctx.p, poly_neg(ctx, poly_mul(ctx, a, u))))
+    return u
 
 
 def j_matrix(ctx, c, d):

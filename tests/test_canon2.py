@@ -8,11 +8,14 @@ import pytest
 from simclass import (
     BadParams,
     BudgetExceeded,
+    CanonicalForm,
+    CyclicBody,
     Mat,
     ScalarBody,
     VerificationFailed,
     canon2,
     count2,
+    identity,
     ring_ctx,
     scalar,
     split_scalar,
@@ -73,6 +76,30 @@ def test_canon2_fixed_points():
     form = canon2(scalar(ctx, 2, 6))
     assert form.level == 2 and form.d == 6
     assert form.body == ScalarBody()
+
+
+@pytest.mark.parametrize(
+    "level,d,body",
+    [
+        (0, 0, CyclicBody((1, 9))),  # 9 is no value of t:2:2
+        (1, 5, CyclicBody((1, 1))),  # d = 5 is not reduced mod t
+        (1, 1, CyclicBody((1, 2))),  # 2 is no value of the length-1 body ring
+        (0, 0, CyclicBody((1,))),  # three entries for a 2x2 matrix
+        (3, 0, ScalarBody()),  # past the length
+    ],
+)
+def test_rebuild_refuses_a_hand_built_form_off_its_ring(level, d, body):
+    ctx = ring_ctx("t", 2, 2)
+    form = CanonicalForm(ctx, 2, level, d, body, identity(ctx, 2))
+    with pytest.raises(BadParams):
+        form.rebuild()
+
+
+def test_rebuild_places_a_hand_built_form_on_its_ring():
+    ctx = ring_ctx("t", 2, 2)
+    form = CanonicalForm(ctx, 2, 1, 1, CyclicBody((1, 1)), identity(ctx, 2))
+    assert form.rebuild() == Mat.from_rows(ctx, [[1, 2], [2, 3]])
+    assert canon2(form.rebuild()) == form
 
 
 def test_canon2_witness_is_exact(rng, ctx_len2):

@@ -12,11 +12,12 @@ from simclass import (
     e_matrix,
     elementary,
     identity,
+    parse_ring,
     ring_ctx,
     scalar,
     zero,
 )
-from conftest import j_matrix, rand_invertible, rand_mat
+from conftest import j_matrix, poly_add, poly_mul, rand_invertible, rand_mat
 
 
 def test_constructors_and_accessors():
@@ -85,6 +86,27 @@ def test_matmul_matches_entry_formula(rng):
                 s = 0
                 for k in range(3):
                     s = ctx.add_raw(s, ctx.mul_raw(a.raw(i, k), b.raw(k, j)))
+                assert c.raw(i, j) == s
+
+
+@pytest.mark.parametrize(
+    "desc", ["t:3:7", "t:2:11", "t:5:5", "t:3:39", "t:2:62", "t:1000003:2", "t:2147483647:2"]
+)
+def test_lane_products_match_the_entry_formula(desc, rng):
+    # the 3x3 product over a lane ring gathers each entry once from three
+    # products of spread values: it equals the sum of the products of the
+    # entries, on the digit loops; the all-(card - 1) matrix fills every lane
+    ctx = parse_ring(desc)
+    assert ctx._lanes is not None
+    full = Mat(ctx, 3, [ctx.cardinality - 1] * 9)
+    pairs = [(full, full)] + [(rand_mat(ctx, 3, rng), rand_mat(ctx, 3, rng)) for _ in range(8)]
+    for a, b in pairs:
+        c = a @ b
+        for i in range(3):
+            for j in range(3):
+                s = 0
+                for k in range(3):
+                    s = poly_add(ctx, s, poly_mul(ctx, a.raw(i, k), b.raw(k, j)))
                 assert c.raw(i, j) == s
 
 

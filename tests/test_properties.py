@@ -1,9 +1,10 @@
 """Property tests: canonical forms, similarity decisions and centralizer
 orders are invariant under random conjugation.
 
-Rings: lengths 3-4 in both flavors, and the large primes 11 and 31 at
+Rings: lengths 3-4 in both flavors, the large primes 11 and 31 at
 lengths 1-2, where the reference solver's residue spans are out of
-reach.  Matrices are drawn as d + pi^k B with B random, a pi-power
+reach, and "t" rings with lane arithmetic (see ring.py): t:3:7, t:2:11
+and t:1000003:2.  Matrices are drawn as d + pi^k B with B random, a pi-power
 shape (a hard residue), or fully random, so every residue type and
 scalar level turns up.  The examples are fixed by the profile in
 conftest.py.
@@ -16,7 +17,8 @@ from simclass import Mat, canon2, canon3, centralizer_order, e_matrix, is_simila
 
 LONG = ["z:2:3", "t:2:3", "z:3:3", "t:3:3", "z:2:4", "t:2:4"]
 LARGE_P = ["z:11:1", "t:11:1", "z:11:2", "t:11:2", "z:31:1", "t:31:1", "z:31:2", "t:31:2"]
-RINGS = st.sampled_from(LONG + LARGE_P).map(parse_ring)
+LANES = ["t:3:7", "t:2:11", "t:1000003:2"]
+RINGS = st.sampled_from(LONG + LARGE_P + LANES).map(parse_ring)
 
 
 @st.composite

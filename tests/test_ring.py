@@ -4,6 +4,8 @@ truncation, and the checks on a descriptor."""
 import operator
 import pickle
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -19,8 +21,8 @@ from simclass import (
     parse_ring,
     ring_ctx,
 )
-from simclass.ring import _TABLE_LIMIT
-from conftest import run_python
+from simclass.ring import _LANE_TABLE_CAP, _TABLE_LIMIT
+from conftest import poly_add, poly_inv, poly_mul, poly_neg, run_python
 
 
 def test_parse_ring_round_trip():
@@ -175,33 +177,40 @@ def test_elem_validates_range():
         Mat(ring_ctx("t", 2, 2), 2, [0, 0, 0, 4])
 
 
+# lane rings: past _TABLE_LIMIT, one spread chunk (p**length <=
+# _LANE_TABLE_CAP), several chunks, and primes beyond the cap (one digit
+# at a time, and lanes past 64 bits)
+LANE_RINGS = [(3, 7), (2, 11), (5, 5), (3, 39), (2, 62), (1000003, 2), (2147483647, 2)]
+
+
 @pytest.mark.parametrize(
     "p,length",
-    [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), (3, 7)],
+    [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), *LANE_RINGS],
 )
 def test_bound_t_ops_match_the_digit_loops(p, length):
     # every context binds when constructed: modular arithmetic at length 1
     # (F_p, no tables), tables up to _TABLE_LIMIT elements (t:2:10 has
-    # exactly that many), and past it the digit loops themselves (t:3:7)
+    # exactly that many), and lane arithmetic past it
     ctx = RingCtx("t", p, length)
     assert all(name in vars(ctx) for name in ("add_raw", "sub_raw", "mul_raw", "neg_raw"))
     assert ctx.mul_raw(1, 1) == 1
     card = ctx.cardinality
-    if card > _TABLE_LIMIT:
-        rows = cols = range(0, card, 37)
+    if card > _TABLE_LIMIT:  # card - 1 has every digit p - 1 and fills every lane
+        grid = range(0, card, 37) if card < 4096 else random.Random(card).sample(range(card), 24)
+        rows = cols = [*grid, 1, p - 1, p, card - p, card - 1]
     elif card > 100:  # sampled rows against every column
         rows = [0, 1, p, card - 1, *random.Random(card).sample(range(card), 4)]
         cols = range(card)
     else:
         rows = cols = range(card)
     for a in rows:
-        assert ctx.neg_raw(a) == ctx._poly_neg(a)
+        assert ctx.neg_raw(a) == poly_neg(ctx, a)
         if a % p:
-            assert ctx.inv_raw(a) == ctx._poly_inv(a)
+            assert ctx.inv_raw(a) == poly_inv(ctx, a)
         for b in cols:
-            assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
-            assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
-            assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
+            assert ctx.add_raw(a, b) == poly_add(ctx, a, b)
+            assert ctx.sub_raw(a, b) == poly_add(ctx, a, poly_neg(ctx, b))
+            assert ctx.mul_raw(a, b) == poly_mul(ctx, a, b)
     if length > 1 and card <= _TABLE_LIMIT:
         # the tables hold one int object per ring value
         assert len({id(v) for tab in ctx._tables for v in tab}) <= card
@@ -211,23 +220,54 @@ def test_length_one_t_rings_build_no_table():
     ctx = RingCtx("t", 1021, 1)
     pairs = random.Random(1021).sample(range(1021 * 1021), 2000)
     for a, b in (divmod(x, 1021) for x in pairs):
-        assert ctx.add_raw(a, b) == ctx._poly_add(a, b)
-        assert ctx.sub_raw(a, b) == ctx._poly_add(a, ctx._poly_neg(b))
-        assert ctx.mul_raw(a, b) == ctx._poly_mul(a, b)
-        assert ctx.neg_raw(a) == ctx._poly_neg(a)
+        assert ctx.add_raw(a, b) == poly_add(ctx, a, b)
+        assert ctx.sub_raw(a, b) == poly_add(ctx, a, poly_neg(ctx, b))
+        assert ctx.mul_raw(a, b) == poly_mul(ctx, a, b)
+        assert ctx.neg_raw(a) == poly_neg(ctx, a)
         if a:
-            assert ctx.inv_raw(a) == ctx._poly_inv(a)
+            assert ctx.inv_raw(a) == poly_inv(ctx, a)
     assert ctx._tables == (None, None, None, None)
 
 
 def test_t_rings_past_the_table_limit_build_no_table():
     ctx = RingCtx("t", 2, 11)
     assert ctx.cardinality == 2 * _TABLE_LIMIT
-    assert ctx.mul_raw(3, 5) == ctx._poly_mul(3, 5)
+    assert ctx.mul_raw(3, 5) == poly_mul(ctx, 3, 5)
     assert ctx._tables == (None, None, None, None)
-    bound = vars(ctx)
-    assert bound["add_raw"] == ctx._poly_add and bound["mul_raw"] == ctx._poly_mul
-    assert bound["neg_raw"] == ctx._poly_neg
+    # lane arithmetic is bound instead: gather undoes spread
+    spread, gather = ctx._lanes
+    assert all(gather(spread(a)) == a for a in range(ctx.cardinality))
+    assert ctx.mul_raw(ctx.cardinality - 1, 1) == ctx.cardinality - 1
+
+
+def _lane_tables(ctx):
+    """The lists that the lane functions of ctx read."""
+    for f in ctx._lanes:
+        cells = getattr(f, "__closure__", None) or ()
+        held = [getattr(f, "__self__", None), *(c.cell_contents for c in cells)]
+        yield from (x for x in held if isinstance(x, list))
+
+
+@pytest.mark.parametrize("p,length", LANE_RINGS)
+def test_lane_rings_are_cheap_to_construct(p, length):
+    # the cost of construction does not grow with p: no table has more than
+    # _LANE_TABLE_CAP entries, and the peak allocation stays under a bound
+    # that holds for every p; the time bound is far above the ~1 ms a
+    # construction takes, so machine load cannot trip it
+    tracemalloc.start()
+    try:
+        RingCtx("t", p, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ctx = RingCtx("t", p, length)
+        seconds.append(time.perf_counter() - t0)
+    assert min(seconds) < 1.0
+    assert all(len(t) <= _LANE_TABLE_CAP for t in _lane_tables(ctx))
 
 
 def test_contexts_with_bound_ops_pickle_to_the_interned_context():
