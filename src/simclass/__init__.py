@@ -19,21 +19,15 @@ from .canon2 import (
     CanonicalForm,
     CyclicBody,
     ScalarBody,
-    ScalarSplit,
     canon2,
-    split_scalar,
 )
 from .canon3 import HardBody, SplitBody, canon3, hard_family
 from .census import (
     CountVector,
-    base_vector,
-    classify_form,
     count2,
     count3,
     enumerate3,
     gf_coeffs,
-    level_vector,
-    transfer_matrix,
     type_histogram,
 )
 from .errors import (
@@ -68,11 +62,8 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset(
     {
         "OrbitCensus",
-        "gl_generators",
         "orbit_census",
         "orbit_of",
-        "orbit_states",
-        "unit_group_generators",
         "verify_counts",
     }
 )
@@ -109,17 +100,14 @@ __all__ = [
     "OrbitCensus",
     "RingCtx",
     "ScalarBody",
-    "ScalarSplit",
     "SearchBudgetExceeded",
     "SimclassError",
     "SplitBody",
     "VerificationFailed",
-    "base_vector",
     "block_diag",
     "canon2",
     "canon3",
     "centralizer_order",
-    "classify_form",
     "count2",
     "count3",
     "diag",
@@ -127,22 +115,16 @@ __all__ = [
     "elementary",
     "enumerate3",
     "gf_coeffs",
-    "gl_generators",
     "group_order",
     "hard_family",
     "identity",
     "is_similar",
-    "level_vector",
     "orbit_census",
     "orbit_of",
-    "orbit_states",
     "parse_ring",
     "ring_ctx",
     "scalar",
-    "split_scalar",
-    "transfer_matrix",
     "type_histogram",
-    "unit_group_generators",
     "verify_counts",
     "zero",
 ]

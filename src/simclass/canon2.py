@@ -27,8 +27,6 @@ from .matrix import Mat, identity
 from .ring import RingCtx
 
 __all__ = [
-    "ScalarSplit",
-    "split_scalar",
     "ScalarBody",
     "CyclicBody",
     "CanonicalForm",
@@ -36,17 +34,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarSplit:
-    """alpha = d*I + pi^level * beta, with beta over the truncated ring."""
-
-    level: int
-    d: int  # reduced mod pi^level
-    beta: Mat | None  # None iff alpha is scalar (level = length)
-
-
-def split_scalar(alpha: Mat) -> ScalarSplit:
-    """Maximal scalar split; shared by the 2x2 and 3x3 pipelines."""
+def _split_scalar(alpha: Mat) -> tuple:
+    """The maximal scalar split (level, d, beta) of alpha: alpha =
+    d*I + pi^level * beta, d reduced mod pi^level and beta over the
+    length-(l-level) ring, or None iff alpha is scalar (level = length).
+    Shared by the 2x2 and 3x3 pipelines."""
     ctx, n = alpha.ctx, alpha.n
     length = ctx.length
     d0 = alpha.raw(0, 0)
@@ -58,7 +50,7 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
     )
     d = ctx.mod_pi_raw(d0, level)
     if level == length:
-        return ScalarSplit(level, d, None)
+        return level, d, None
     tctx = ctx.truncated(length - level)
     vals = []
     for i in range(n):
@@ -70,13 +62,13 @@ def split_scalar(alpha: Mat) -> ScalarSplit:
     beta = Mat(tctx, n, vals)
     if beta.residue().is_scalar():
         raise VerificationFailed("scalar split level not maximal")
-    return ScalarSplit(level, d, beta)
+    return level, d, beta
 
 
 def _placer(ctx: RingCtx, n: int, level: int, d: int):
     """The function B -> d*I + pi^level * B over ctx, for B given by the
     packed values of its matrix over the length-(l-level) ring; inverse
-    of split_scalar.
+    of _split_scalar.
 
     Every class matrix is placed here: by CanonicalForm.rebuild, and so
     by the canon2 and canon3 witness checks, and by the enumeration
@@ -235,13 +227,13 @@ def _canonical_form(alpha: Mat, body_of) -> CanonicalForm:
     matrix depends on that matrix mod pi^(l-level) only.
     """
     ctx, n = alpha.ctx, alpha.n
-    sp = split_scalar(alpha)
-    if sp.beta is None:
+    level, d, beta = _split_scalar(alpha)
+    if beta is None:
         body, x = ScalarBody(), identity(ctx, n)
     else:
-        body, x = body_of(sp.beta)
+        body, x = body_of(beta)
         x = x.lift(ctx.length)
-    form = CanonicalForm(ctx, n, sp.level, sp.d, body, x)
+    form = CanonicalForm(ctx, n, level, d, body, x)
     if not x.conjugates(alpha, form.rebuild()):
         raise VerificationFailed(f"canon{n} witness check failed")
     return form

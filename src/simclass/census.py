@@ -1,12 +1,13 @@
 """Class counts, enumeration and residue-type census for 2x2 and 3x3
 matrices.
 
-The 2x2 count has a closed form.  The 3x3 counts follow a 4-state
-linear recursion: classes at one length are bucketed as (scalar,
-split-with-scalar-block, pure-J, rest) and the transfer matrix maps the
-bucket vector of length l-1 to that of length l.  Closed forms for the
-totals are also implemented and cross-checked against the recursion in
-the tests.
+The 2x2 and 3x3 counts have closed forms, and gf_coeffs reads the 3x3
+counts off the generating function's partial fractions.  type_histogram
+buckets the classes at each length as (scalar, split-with-scalar-block,
+pure-J, rest).  The paper's 4-state transfer recursion on those buckets,
+which maps the bucket vector of length l-1 to that of length l, is the
+tests' reference (tests/conftest.py): the closed forms, the generating
+function and the histogram are each checked against it.
 
 Enumeration builds one representative per class directly, family by
 family; no orbit search and no similarity solver is involved.  One
@@ -38,57 +39,21 @@ from .ring import RingCtx
 
 __all__ = [
     "CountVector",
-    "transfer_matrix",
-    "base_vector",
-    "level_vector",
     "count2",
     "count3",
     "gf_coeffs",
-    "classify_form",
     "enumerate3",
     "type_histogram",
 ]
 
 
 class CountVector(NamedTuple):
-    """Class counts at one length, bucketed as in classify_form."""
+    """Class counts at one length, bucketed as in _classify_form."""
 
     scalar: int
     split_scalar_block: int
     pure_j: int
     rest: int
-
-
-def transfer_matrix(q: int):
-    """Bucket-count transfer matrix from length l-1 to length l."""
-    return [
-        [q, 0, 0, 0],
-        [q * q - q, q * q, 0, 0],
-        [q, 0, q * q, 0],
-        [q**3, q**3, q**3 + q, q**3],
-    ]
-
-
-def base_vector(q: int, group: str = "M") -> CountVector:
-    """Bucket counts at length 1 (over the residue field)."""
-    if group == "M":
-        return CountVector(q, q * q - q, q, q**3)
-    if group == "GL":
-        return CountVector(q - 1, (q - 1) * (q - 2), q - 1, q**3 - q * q)
-    raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-
-
-def level_vector(q: int, level: int, group: str = "M") -> CountVector:
-    """Bucket counts at the given length: transfer_matrix^(level-1) applied
-    to the base vector."""
-    _check_ints(q=q, level=level)
-    if q < 2 or level < 1:
-        raise BadParams("need q >= 2 and level >= 1")
-    v = base_vector(q, group)
-    t = transfer_matrix(q)
-    for _ in range(level - 1):
-        v = CountVector(*(sum(t[i][k] * v[k] for k in range(4)) for i in range(4)))
-    return v
 
 
 def _check_ints(**args):
@@ -197,8 +162,8 @@ def gf_coeffs(q: int, group: str = "M", terms: int = 1):
 # enumeration
 
 
-def classify_form(form: CanonicalForm) -> int:
-    """Bucket index used by the transfer recursion.
+def _classify_form(form: CanonicalForm) -> int:
+    """Bucket index of the transfer recursion.
 
     0 scalar matrix; 1 split body whose 2x2 block is scalar; 2 hard body
     of type I (pure J shape); 3 everything else.
@@ -310,12 +275,12 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
 
 
 def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """Bucket counts (see classify_form) at each length 1..l of ctx."""
+    """Bucket counts (see _classify_form) at each length 1..l of ctx."""
     out = []
     for level in range(1, ctx.length + 1):
         tctx = ctx.truncated(level)
         counts = [0, 0, 0, 0]
         for form, _ in _enumerate(tctx, 3, group, budget):
-            counts[classify_form(form)] += 1
+            counts[_classify_form(form)] += 1
         out.append(CountVector(*counts))
     return out

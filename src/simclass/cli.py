@@ -36,7 +36,7 @@ from .census import _enumerate, count2, count3, gf_coeffs, type_histogram
 from .errors import BadParams, BudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
 from .modsolve import centralizer_order, group_order, is_similar
-from .ring import parse_ring
+from .ring import _decimal, parse_ring
 
 EX_OK = 0
 EX_DIFFERENT = 1
@@ -212,11 +212,17 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _int(text: str) -> int:
+    """An integer argument in plain decimal: "1_1", "+3" or "03", which
+    int() would read, are refused (see ring._decimal)."""
+    n = _decimal(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
+
+
 def _non_negative(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
@@ -233,7 +239,7 @@ def _add_budget(sp):
 
 
 def _add_oracle_opts(sp):
-    sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
+    sp.add_argument("--n", type=_int, choices=[2, 3], default=3, help="matrix size")
     sp.add_argument("--max-states", type=_non_negative, default=2**28,
                     help="most states the orbit census may flood: |A|^(n^2-1) "
                          "when p does not divide n, |A|^(n^2) otherwise")
@@ -256,22 +262,22 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_similar)
 
     sp = sub.add_parser("count", help="closed-form class count")
-    sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
+    sp.add_argument("--n", type=_int, choices=[2, 3], default=3, help="matrix size")
     _add_group(sp)
-    sp.add_argument("--q", type=int, required=True, help="residue field size")
-    sp.add_argument("--level", type=int, required=True, help="ring length")
+    sp.add_argument("--q", type=_int, required=True, help="residue field size")
+    sp.add_argument("--level", type=_int, required=True, help="ring length")
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("gf", help="generating function coefficients")
-    sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
+    sp.add_argument("--n", type=_int, choices=[2, 3], default=3, help="matrix size")
     _add_group(sp)
-    sp.add_argument("--q", type=int, required=True, help="residue field size")
-    sp.add_argument("--terms", type=int, required=True, help="number of coefficients")
+    sp.add_argument("--q", type=_int, required=True, help="residue field size")
+    sp.add_argument("--terms", type=_int, required=True, help="number of coefficients")
     sp.set_defaults(fn=_cmd_gf)
 
     sp = sub.add_parser("enumerate", help="stream one JSON line per class representative")
     sp.add_argument("--ring", required=True)
-    sp.add_argument("--n", type=int, choices=[2, 3], default=3, help="matrix size")
+    sp.add_argument("--n", type=_int, choices=[2, 3], default=3, help="matrix size")
     _add_group(sp)
     _add_budget(sp)
     sp.set_defaults(fn=_cmd_enumerate)

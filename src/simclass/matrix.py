@@ -2,9 +2,9 @@
 
 Entries are stored row-major as packed integers (see ring.py), and
 the accessors, trace, determinant and characteristic polynomial hand
-out packed integers too.  Only n in {1, 2, 3} is supported, which
-keeps determinants, adjugates and characteristic polynomials explicit
-and exact.
+out packed integers too.  Only n in {2, 3} is supported, which keeps
+determinants, adjugates and characteristic polynomials explicit and
+exact.
 
 Mat(...) and Mat.from_rows validate every entry (an
 integer, in range for a "t" ring, reduced for a "z" ring); from_rows
@@ -18,13 +18,14 @@ adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
 are already reduced.
 
-The 3x3 product, determinant and adjugate over a "z" ring work on plain
-integers and reduce each entry once mod p^length, which is exact because
-reduction is a ring map.  Over a "t" ring with lane arithmetic (see
-ring.py) the 3x3 product evaluates the same unrolled integer expression
-on the spread entries and gathers each output entry once: 9 gathers in
-place of 27 ring products and 18 ring sums, exact because the lane
-width bounds a sum of three convolution sums.  Over a small "t" ring the
+The 3x3 product, determinant and adjugate over a ring with modular
+arithmetic (a "z" ring, or any ring of length 1, see ring.py) work on
+plain integers and reduce each entry once mod p^length, which is exact
+because reduction is a ring map.  Over a "t" ring with lane arithmetic
+(see ring.py) the 3x3 product evaluates the same unrolled integer
+expression on the spread entries and gathers each output entry once: 9
+gathers in place of 27 ring products and 18 ring sums, exact because
+the lane width bounds a sum of three convolution sums.  Over a small "t" ring the
 product indexes the ring's addition and multiplication tables directly.
 
 Characteristic polynomials are reported in companion convention: the
@@ -76,8 +77,8 @@ def _raw(ctx: RingCtx, x) -> int:
 
 
 def _check_size(n: int):
-    if n not in (1, 2, 3):
-        raise BadParams(f"only n in {{1,2,3}} supported, got {n}")
+    if n not in (2, 3):
+        raise BadParams(f"only n in {{2,3}} supported, got {n}")
 
 
 class Mat:
@@ -153,7 +154,7 @@ class Mat:
         if other.ctx is not self.ctx or other.n != self.n:
             self._check(other)
         ctx, n = self.ctx, self.n
-        if n == 3 and ctx.flavor == "z":  # the hot case: unrolled, one reduction per entry
+        if n == 3 and ctx._modular:  # the hot case: unrolled, one reduction per entry
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = self.vals
             b0, b1, b2, b3, b4, b5, b6, b7, b8 = other.vals
             c = ctx.cardinality
@@ -216,11 +217,9 @@ class Mat:
     def det(self) -> int:
         v, n = self.vals, self.n
         add, sub, mul = self.ctx.add_raw, self.ctx.sub_raw, self.ctx.mul_raw
-        if n == 1:
-            return v[0]
         if n == 2:
             return sub(mul(v[0], v[3]), mul(v[1], v[2]))
-        if self.ctx.flavor == "z":  # integer arithmetic, one reduction
+        if self.ctx._modular:  # integer arithmetic, one reduction
             v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
             d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
             return d % self.ctx.cardinality
@@ -235,10 +234,7 @@ class Mat:
         """Companion coefficients (a_0, ..., a_{n-1})."""
         ctx, v, n = self.ctx, self.vals, self.n
         sub, mul, add = ctx.sub_raw, ctx.mul_raw, ctx.add_raw
-        tr = self.trace()
-        if n == 1:
-            return (tr,)
-        det = self.det()
+        tr, det = self.trace(), self.det()
         if n == 2:
             return (ctx.neg_raw(det), tr)
         s2 = 0  # sum of principal 2x2 minors
@@ -255,11 +251,9 @@ class Mat:
     def adjugate(self) -> "Mat":
         v, n, ctx = self.vals, self.n, self.ctx
         sub, mul = ctx.sub_raw, ctx.mul_raw
-        if n == 1:
-            return Mat._unchecked(ctx, 1, [1])
         if n == 2:
             return Mat._unchecked(ctx, 2, [v[3], ctx.neg_raw(v[1]), ctx.neg_raw(v[2]), v[0]])
-        if ctx.flavor == "z":  # transposed cofactors, one reduction each
+        if ctx._modular:  # transposed cofactors, one reduction each
             v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
             c = ctx.cardinality
             out = (

@@ -1,10 +1,9 @@
 """Similarity decisions and centralizer orders read off canonical forms.
 
-Two n x n matrices (n <= 3) are similar iff their canonical forms are
-equal: equality for n = 1, the CanonicalForm of canon2 or canon3 for
-n = 2 or 3.  Each form carries its witness W with W alpha W^-1 = C, so
-equal forms give the similarity witness X = W_1^-1 W_2, which is
-checked exactly.
+Two 2x2 or 3x3 matrices are similar iff their canonical forms, the
+CanonicalForm of canon2 or canon3, are equal.  Each form carries its
+witness W with W alpha W^-1 = C, so equal forms give the similarity
+witness X = W_1^-1 W_2, which is checked exactly.
 
 Centralizer orders come from the form alpha = d + pi^j beta, with beta
 over A_i and i = l - j.  X commutes with alpha iff X mod pi^i commutes
@@ -49,8 +48,8 @@ def is_similar(a1: Mat, a2: Mat):
 
     Returns (True, X) with alpha_1 X = X alpha_2 and X a unit, or
     (False, None).  Equal matrices, scalar matrices (similar only to
-    themselves; every 1x1 matrix is one) and different characteristic
-    polynomials are decided before any canonical form is computed.
+    themselves) and different characteristic polynomials are decided
+    before any canonical form is computed.
     """
     if a1.ctx != a2.ctx or a1.n != a2.n:
         raise CtxMismatch("the two matrices need matching ring and size")
@@ -156,7 +155,7 @@ def _form_order(form) -> int:
 def centralizer_order(a: Mat) -> int:
     """|{X in GL_n(A) : Xa = aX}| from the canonical form of a."""
     ctx, n = a.ctx, a.n
-    order = group_order(ctx, 1) if n == 1 else _form_order(canon(a))
+    order = _form_order(canon(a))
     if not order or group_order(ctx, n) % order:
         raise VerificationFailed(f"centralizer order {order} does not divide |GL_{n}|")
     return order

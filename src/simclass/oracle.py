@@ -4,7 +4,7 @@ Independent cross-check for the canonical forms and counting formulas:
 pack n x n matrices over the ring as integer states, then flood-fill
 conjugation orbits under a generating set of GL_n: E_12(1), the n-cycle
 permutation matrix and diag(u, 1, ..., 1) for each generator u of the
-ring's unit group, 2 + |units| matrices (see gl_generators for why they
+ring's unit group, 2 + |units| matrices (see _gl_generators for why they
 generate the whole group).  One kernel serves the census (visited
 states in a bitmap) and single orbits (a sorted array).
 
@@ -22,7 +22,7 @@ A slice state packs the n^2 - 1 entries other than (n, n), which is
 minus the sum of the other diagonal entries.  When p divides n the
 slice holds the scalars and is no complement to them, so the census
 floods every matrix, with the single shift d = 0, in the same loop.
-Single orbits (orbit_states) always act on whole matrices.
+Single orbits (_orbit_states) always act on whole matrices.
 
 States pack the entries row-major, first entry most significant, so
 numeric order on states is lexicographic order on entry tuples; a slice
@@ -51,7 +51,7 @@ invariant, and one on the embedding proves that the slice is the
 trace-0 matrices (see _check_slice).
 
 Frontiers are expanded BLOCK = 1024 states at a time, and claimed one
-BFS level at a time: a level's images are sorted once, and orbit_states
+BFS level at a time: a level's images are sorted once, and _orbit_states
 merges them into its sorted array once.  A census's peak memory is its
 bitmap, its labels and its widest level's images.
 """
@@ -70,21 +70,12 @@ from .matrix import Mat, diag, elementary
 from .modsolve import centralizer_order, group_order
 from .ring import RingCtx
 
-__all__ = [
-    "group_order",
-    "unit_group_generators",
-    "gl_generators",
-    "state_of",
-    "mat_of",
-    "OrbitCensus",
-    "orbit_census",
-    "orbit_states",
-    "orbit_of",
-    "verify_counts",
-]
+__all__ = ["OrbitCensus", "orbit_census", "orbit_of", "verify_counts"]
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
+# verify_counts draws this many census orbits, from this seed
+_SAMPLES, _SEED = 20, 0
 
 
 def _prime_factors(n: int):
@@ -111,7 +102,7 @@ def _primitive_root(card: int, p: int, phi: int) -> int:
     raise VerificationFailed(f"no unit of order {phi} modulo {card}")
 
 
-def unit_group_generators(ctx: RingCtx):
+def _unit_group_generators(ctx: RingCtx):
     """Raw packed values generating the unit group of ctx."""
     p, length, card = ctx.p, ctx.length, ctx.cardinality
     if ctx.flavor == "z":
@@ -130,25 +121,22 @@ def unit_group_generators(ctx: RingCtx):
     return gens
 
 
-def gl_generators(ctx: RingCtx, n: int):
+def _gl_generators(ctx: RingCtx, n: int):
     """Generators of GL_n(ctx): E_12(1), the n-cycle and diag(u, 1, ..., 1).
 
-    u runs over unit_group_generators(ctx); for n = 1 only the diagonal
-    ones are returned.  They generate the whole group: conjugating
-    E_12(1) by the n-cycle gives every E_{i,i+1}(1), and the commutators
-    [E_ij(1), E_jk(1)] = E_ik(1) give every E_ij(1).  Conjugating by
-    diag(u) gives E_1j(u) for every unit u, and in a local ring every x
-    is a sum of units (x = (x + 1) - 1 when x is not one), so every
-    E_ij(x) is reached.  GL_n of a local ring is the elementary group
-    times the diagonal matrices.
+    u runs over _unit_group_generators(ctx).  They generate the whole
+    group: conjugating E_12(1) by the n-cycle gives every E_{i,i+1}(1),
+    and the commutators [E_ij(1), E_jk(1)] = E_ik(1) give every E_ij(1).
+    Conjugating by diag(u) gives E_1j(u) for every unit u, and in a
+    local ring every x is a sum of units (x = (x + 1) - 1 when x is not
+    one), so every E_ij(x) is reached.  GL_n of a local ring is the
+    elementary group times the diagonal matrices.
     """
-    gens = []
-    if n > 1:
-        cycle = [0] * (n * n)
-        for i in range(n):
-            cycle[i * n + (i + 1) % n] = 1
-        gens += [elementary(ctx, n, 1, 2, 1), Mat(ctx, n, cycle)]
-    for u in unit_group_generators(ctx):
+    cycle = [0] * (n * n)
+    for i in range(n):
+        cycle[i * n + (i + 1) % n] = 1
+    gens = [elementary(ctx, n, 1, 2, 1), Mat(ctx, n, cycle)]
+    for u in _unit_group_generators(ctx):
         gens.append(diag(ctx, [u] + [1] * (n - 1)))
     return gens
 
@@ -157,7 +145,7 @@ def gl_generators(ctx: RingCtx, n: int):
 # state packing
 
 
-def state_of(m: Mat) -> int:
+def _state_of(m: Mat) -> int:
     card = m.ctx.cardinality
     s = 0
     for v in m.vals:
@@ -165,7 +153,7 @@ def state_of(m: Mat) -> int:
     return s
 
 
-def mat_of(ctx: RingCtx, n: int, state: int) -> Mat:
+def _mat_of(ctx: RingCtx, n: int, state: int) -> Mat:
     card = ctx.cardinality
     vals = []
     for _ in range(n * n):
@@ -221,7 +209,7 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
     Census states pack the digits that embed (see _embedding; by default
     I, every entry) maps to their matrices' digits.  For ids of shape
     (B,) images returns the k * B image ids, generator by generator, where
-    k = len(gl_generators(ctx, n)): the action of g on census digits is
+    k = len(_gl_generators(ctx, n)): the action of g on census digits is
     P A_g L mod `mod`, with A_g its action on matrix digits, L = embed
     and P dropping the digits a census state does not pack.  actions
     stacks the k (dim x dim) matrices A_g, as int64.
@@ -229,7 +217,9 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
     card, n2 = ctx.cardinality, n * n
     mod, per = _digit_base(ctx)
     # state ids, below card^(n^2), must fit int64, and the float64 matmul
-    # is exact only while every sum, below dim * mod^2, stays below 2^53
+    # is exact only while every sum, below dim * mod^2, stays below 2^53;
+    # for n >= 2 the first bound implies the second, which stays as the
+    # matmul's own guard
     if card**n2 > 2**63 or n2 * per * mod**2 > 2**53:
         raise BudgetExceeded(
             f"{n}x{n} states over {ctx.descriptor} are too large for the exact int64 kernel"
@@ -241,10 +231,8 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
         [card ** (sdim // per - 1 - i // per) * mod ** (i % per) for i in range(sdim)],
         dtype=np.int64,
     )
-    gens = gl_generators(ctx, n)
-    # GL_1(F_2) is trivial and has no generators: then there are no rows
+    gens = _gl_generators(ctx, n)
     actions = np.array([_conj_action(ctx, n, g, mod, per) for g in gens], dtype=np.int64)
-    actions = actions.reshape(len(gens), dim, dim)
     # float64 only for the matmul, where BLAS is several times faster than
     # numpy's int64 loop; it is exact, as every sum is below sdim * mod^2
     rows = len(gens) * sdim
@@ -430,7 +418,7 @@ class OrbitCensus:
             return int(self.reps.size)
         if group != "GL":
             raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
-        return sum(1 for r in self.reps if mat_of(self.ctx, self.n, int(r)).is_invertible())
+        return sum(1 for r in self.reps if _mat_of(self.ctx, self.n, int(r)).is_invertible())
 
     def index_of(self, m: Mat) -> int:
         if m.ctx != self.ctx or m.n != self.n:
@@ -439,12 +427,12 @@ class OrbitCensus:
             )
         if self.labels is None:
             raise BadParams("census was built without labels")
-        return int(self.labels[state_of(m)])
+        return int(self.labels[_state_of(m)])
 
 
 def _check_caps(**caps):
-    """Refuse a cap or a sample count that is not an int (a float or bool
-    too) or that is negative."""
+    """Refuse a cap that is not an int (a float or bool too) or that is
+    negative."""
     _check_ints(**caps)
     for name, v in caps.items():
         if v < 0:
@@ -457,7 +445,7 @@ def orbit_census(
     max_states: int = DEFAULT_MAX_STATES,
     want_labels: bool = False,
 ) -> OrbitCensus:
-    """Full orbit census of n x n matrices over ctx, for n in 1, 2, 3.
+    """Full orbit census of n x n matrices over ctx, for n in 2, 3.
 
     want_labels also fills the state -> orbit index array that
     `index_of` reads.  max_states caps the states flooded, |A|^(n^2 - 1)
@@ -495,8 +483,8 @@ def orbit_census(
     is flooded; at the end the reps are sorted and the labels renumbered
     to match.
     """
-    if type(n) is not int or not 1 <= n <= 3:
-        raise BadParams(f"matrix size must be 1, 2 or 3, got {n!r}")
+    if type(n) is not int or n not in (2, 3):
+        raise BadParams(f"matrix size must be 2 or 3, got {n!r}")
     _check_caps(max_states=max_states)
     card = ctx.cardinality
     nstates = card ** (n * n)
@@ -552,11 +540,11 @@ def orbit_census(
     return OrbitCensus(ctx, n, reps, sizes[order], labels)
 
 
-def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
+def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
     """Sorted state ids of the conjugation orbit of m."""
     _check_caps(max_orbit=max_orbit)
     images, _ = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
-    seen = np.array([state_of(m)], dtype=np.int64)
+    seen = np.array([_state_of(m)], dtype=np.int64)
 
     def claim(ids):  # one BFS level: one merge into seen
         nonlocal seen
@@ -576,28 +564,28 @@ def orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
 
 def orbit_of(m: Mat, max_orbit: int = 10_000_000) -> tuple[int, Mat]:
     """(orbit size, lexicographically least orbit member) of m."""
-    states = orbit_states(m, max_orbit)
-    return int(states.size), mat_of(m.ctx, m.n, int(states[0]))
+    states = _orbit_states(m, max_orbit)
+    return int(states.size), _mat_of(m.ctx, m.n, int(states[0]))
 
 
-def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
-                  max_states: int = DEFAULT_MAX_STATES) -> dict:
+def verify_counts(ctx: RingCtx, n: int, max_states: int = DEFAULT_MAX_STATES) -> dict:
     """Cross-check the orbit census against every other count of classes.
 
     For both matrix groups, compares the orbit count with the closed
     formula and the number of forms the enumeration streamed; a stream
     that refuses its count leaves its VerificationFailed message in the
-    row's "error" (None otherwise).  Also samples uniformly random states
-    and checks each one gets the same canonical form as the least member
-    of its orbit: a census orbit drawn with probability proportional to
-    its size, its rep conjugated by a uniformly random invertible g.
+    row's "error" (None otherwise).  Also samples _SAMPLES uniformly
+    random states, from the seed _SEED, and checks each one gets the
+    same canonical form as the least member of its orbit: a census orbit
+    drawn with probability proportional to its size, its rep conjugated
+    by a uniformly random invertible g.
     Each sampled orbit's size times its rep's centralizer order must be
     |GL_n|, or VerificationFailed is raised.  mismatches is 0 exactly
     when everything agrees.
     """
     if n not in (2, 3):
         raise BadParams("counts are implemented for n in {2, 3}")
-    _check_caps(samples=samples, max_states=max_states)
+    _check_caps(max_states=max_states)
     count_fn = count2 if n == 2 else count3
     census = orbit_census(ctx, n, max_states=max_states)
     report = {"ring": ctx.descriptor, "n": n, "counts": [], "mismatches": 0}
@@ -617,13 +605,13 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
         )
         if not ok:
             report["mismatches"] += 1
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     card, order = ctx.cardinality, group_order(ctx, n)
     ends = np.cumsum(census.sizes)  # orbit i holds the draws in [ends[i-1], ends[i])
     agreed = 0
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         i = int(np.searchsorted(ends, rng.randrange(card ** (n * n)), side="right"))
-        rep, size = mat_of(ctx, n, int(census.reps[i])), int(census.sizes[i])
+        rep, size = _mat_of(ctx, n, int(census.reps[i])), int(census.sizes[i])
         cent = centralizer_order(rep)
         if size * cent != order:
             raise VerificationFailed(
@@ -636,8 +624,8 @@ def verify_counts(ctx: RingCtx, n: int, samples: int = 20, seed: int = 0,
                 break
         if canon(rep.conjugate_by(g)) == canon(rep):
             agreed += 1
-    report["canon_samples"] = samples
+    report["canon_samples"] = _SAMPLES
     report["canon_agreements"] = agreed
-    if agreed != samples:
-        report["mismatches"] += samples - agreed
+    if agreed != _SAMPLES:
+        report["mismatches"] += _SAMPLES - agreed
     return report

@@ -15,7 +15,8 @@ as plain functions once, when constructed, so a ring operation is one
 call with no flavor test.  It picks one of three arithmetic kinds:
 
 - modular: "z" contexts and every length-1 context (F_p, whatever the
-  flavor).
+  flavor).  A context marks this kind in _modular, and matrix.py runs
+  its unrolled integer expressions on every ring so marked.
 - tables: a "t" context of length >= 2 and at most _TABLE_LIMIT = 1024
   elements builds its add, mul, negation and inverse tables and binds
   lookups into them.  The tables are built by digit recurrence: those
@@ -234,7 +235,8 @@ class RingCtx:
         object.__setattr__(self, "cardinality", card)
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
         lanes = None  # (spread, gather), see _lane_ops
-        if self.flavor == "z" or self.length == 1:  # modular; length 1: both flavors are F_p
+        modular = self.flavor == "z" or self.length == 1  # length 1: both flavors are F_p
+        if modular:
             ops = (
                 lambda a, b: (a + b) % card,
                 lambda a, b: (a - b) % card,
@@ -268,6 +270,7 @@ class RingCtx:
                     lambda a: gather(plus_p - spread(a)),
                 )
             ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
+        object.__setattr__(self, "_modular", modular)
         object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_lanes", lanes)
         for name, fn in zip(("add_raw", "sub_raw", "mul_raw", "neg_raw", "_unit_inv"), ops):
@@ -365,14 +368,25 @@ def ring_ctx(flavor: str, p: int, length: int) -> RingCtx:
     return RingCtx(flavor, p, length)
 
 
-def parse_ring(descriptor: str) -> RingCtx:
-    """Parse "z:<p>:<length>" or "t:<p>:<length>"."""
-    parts = descriptor.strip().split(":")
-    if len(parts) != 3:
-        raise BadDescriptor(f"bad ring descriptor {descriptor!r}")
-    flavor = parts[0]
+def _decimal(text: str) -> int | None:
+    """The int that text spells in plain decimal, or None.
+
+    int() also reads "+3", " 3", "1_1", "03" and non-ASCII digits such
+    as "٣"; none of these is accepted, since only the text of str(v)
+    spells v.
+    """
     try:
-        p, length = int(parts[1]), int(parts[2])
+        v = int(text)
     except ValueError:
-        raise BadDescriptor(f"bad ring descriptor {descriptor!r}") from None
-    return ring_ctx(flavor, p, length)
+        return None
+    return v if str(v) == text else None
+
+
+def parse_ring(descriptor: str) -> RingCtx:
+    """Parse "z:<p>:<length>" or "t:<p>:<length>", p and length in plain
+    decimal (see _decimal)."""
+    parts = descriptor.strip().split(":")
+    ints = [_decimal(x) for x in parts[1:]]
+    if len(parts) != 3 or None in ints:
+        raise BadDescriptor(f"bad ring descriptor {descriptor!r}")
+    return ring_ctx(parts[0], *ints)

@@ -1,9 +1,10 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
 only tests use (j_matrix, placed, enumerate2, theta, transfer_power,
-count2_recursion, same_class), and the digit loops of F_p[t]/(t^l)
-(poly_add, poly_neg, poly_mul, poly_inv) that every bound "t"
-arithmetic is tested against."""
+same_class), the transfer recursions (transfer_matrix, base_vector,
+level_vector, count2_recursion) that the closed-form counts are tested
+against, and the digit loops of F_p[t]/(t^l) (poly_add, poly_neg,
+poly_mul, poly_inv) that every bound "t" arithmetic is tested against."""
 
 import functools
 import os
@@ -16,10 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from simclass import (Mat, e_matrix, orbit_census, orbit_states, ring_ctx, scalar,
-                      transfer_matrix)
+from simclass import CountVector, Mat, e_matrix, orbit_census, ring_ctx, scalar
 from simclass.census import _enumerate
-from simclass.oracle import state_of
+from simclass.oracle import _orbit_states, _state_of
 
 # every run draws the same examples, and no example database is written
 settings.register_profile("simclass", derandomize=True, deadline=None, max_examples=60,
@@ -144,9 +144,37 @@ def enumerate2(ctx, group="M", budget=10_000_000):
 
 def same_class(a, b) -> bool:
     """Orbit-based similarity check (independent of the canonical forms)."""
-    orb = orbit_states(a)
-    pos = np.searchsorted(orb, state_of(b))
-    return pos < orb.size and int(orb[pos]) == state_of(b)
+    orb = _orbit_states(a)
+    pos = np.searchsorted(orb, _state_of(b))
+    return pos < orb.size and int(orb[pos]) == _state_of(b)
+
+
+def transfer_matrix(q: int):
+    """3x3 bucket-count transfer matrix from length l-1 to length l; the
+    buckets are those of census.type_histogram."""
+    return [
+        [q, 0, 0, 0],
+        [q * q - q, q * q, 0, 0],
+        [q, 0, q * q, 0],
+        [q**3, q**3, q**3 + q, q**3],
+    ]
+
+
+def base_vector(q: int, group: str = "M") -> CountVector:
+    """Bucket counts at length 1 (over the residue field)."""
+    if group == "M":
+        return CountVector(q, q * q - q, q, q**3)
+    return CountVector(q - 1, (q - 1) * (q - 2), q - 1, q**3 - q * q)
+
+
+def level_vector(q: int, level: int, group: str = "M") -> CountVector:
+    """Bucket counts at the given length >= 1: transfer_matrix^(level-1)
+    applied to the base vector.  The sum is the 3x3 class count."""
+    v = base_vector(q, group)
+    t = transfer_matrix(q)
+    for _ in range(level - 1):
+        v = CountVector(*(sum(t[i][k] * v[k] for k in range(4)) for i in range(4)))
+    return v
 
 
 def count2_recursion(q: int, level: int, group: str = "M") -> int:
@@ -166,7 +194,7 @@ def count2_recursion(q: int, level: int, group: str = "M") -> int:
 
 def theta(q: int, level: int) -> int:
     """Closed form for the "rest" bucket: the corner entry [3][0] of the
-    level-th power of census.transfer_matrix.
+    level-th power of transfer_matrix.
 
     The intermediate quotients are not individually integral, so the
     product is taken over the rationals and checked at the end.
@@ -180,7 +208,7 @@ def theta(q: int, level: int) -> int:
 
 
 def transfer_power(q: int, level: int, mode: str = "iterate"):
-    """level-th power of census.transfer_matrix.
+    """level-th power of transfer_matrix.
 
     mode "iterate" multiplies the matrix out; any other mode fills in
     the closed-form entries.  The two agree for every level, which the

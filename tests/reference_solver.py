@@ -206,8 +206,6 @@ def _check_budget(p: int, r: int):
 
 
 def _det_mod_p(vals, n: int, p: int) -> int:
-    if n == 1:
-        return vals[0] % p
     if n == 2:
         return (vals[0] * vals[3] - vals[1] * vals[2]) % p
     return (

@@ -24,11 +24,11 @@ from simclass import (
     orbit_census,
     orbit_of,
     ring_ctx,
-    transfer_matrix,
     type_histogram,
 )
 import reference_solver as ref
-from conftest import enumerate2, j_matrix, rand_invertible, rand_mat, transfer_power
+from conftest import (enumerate2, j_matrix, rand_invertible, rand_mat, transfer_matrix,
+                      transfer_power)
 
 COUNT_ANCHORS = [
     (2, 1, "M", 14),

@@ -18,43 +18,41 @@ from simclass import (
     identity,
     ring_ctx,
     scalar,
-    split_scalar,
 )
 import reference_solver as ref
+from simclass.canon2 import _split_scalar
 from simclass.cli import EX_MISMATCH
 from conftest import count2_recursion, enumerate2, placed, rand_invertible, rand_mat, run_python
 
 
 def test_split_scalar_examples():
     z9 = ring_ctx("z", 3, 2)
-    sp = split_scalar(scalar(z9, 2, 3))
-    assert (sp.level, sp.d, sp.beta) == (2, 3, None)
+    assert _split_scalar(scalar(z9, 2, 3)) == (2, 3, None)
 
     z4 = ring_ctx("z", 2, 2)
-    sp = split_scalar(Mat.from_rows(z4, [[1, 2], [2, 1]]))
-    assert sp.level == 1 and sp.d == 1
-    assert sp.beta.rows() == [[0, 1], [1, 0]] and sp.beta.ctx.length == 1
+    level, d, beta = _split_scalar(Mat.from_rows(z4, [[1, 2], [2, 1]]))
+    assert level == 1 and d == 1
+    assert beta.rows() == [[0, 1], [1, 0]] and beta.ctx.length == 1
 
-    sp = split_scalar(Mat.from_rows(z4, [[0, 1], [0, 0]]))
-    assert sp.level == 0 and sp.d == 0
-    assert sp.beta.rows() == [[0, 1], [0, 0]]
+    level, d, beta = _split_scalar(Mat.from_rows(z4, [[0, 1], [0, 0]]))
+    assert level == 0 and d == 0
+    assert beta.rows() == [[0, 1], [0, 0]]
 
 
 def test_split_scalar_reconstructs_and_is_maximal(rng, ctx_len2):
     for _ in range(100):
         m = rand_mat(ctx_len2, 2, rng)
-        sp = split_scalar(m)
-        assert placed(ctx_len2, 2, sp.level, sp.d, sp.beta) == m
-        if sp.beta is not None:
-            assert not sp.beta.residue().is_scalar()
+        level, d, beta = _split_scalar(m)
+        assert placed(ctx_len2, 2, level, d, beta) == m
+        if beta is not None:
+            assert not beta.residue().is_scalar()
 
 
 def test_split_scalar_shared_with_3x3(rng):
     ctx = ring_ctx("z", 2, 3)
     for _ in range(50):
         m = rand_mat(ctx, 3, rng)
-        sp = split_scalar(m)
-        assert placed(ctx, 3, sp.level, sp.d, sp.beta) == m
+        assert placed(ctx, 3, *_split_scalar(m)) == m
 
 
 def test_canon2_worked_example():

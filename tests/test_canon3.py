@@ -25,12 +25,12 @@ from simclass import (
     hard_family,
     identity,
     is_similar,
-    orbit_states,
     parse_ring,
     ring_ctx,
     scalar,
 )
 from simclass.cli import EX_MISMATCH
+from simclass.oracle import _orbit_states
 import reference_solver as ref
 from conftest import j_matrix, rand_invertible, rand_mat, run_python, same_class
 
@@ -625,7 +625,7 @@ def test_once_split_iii0_pairs_are_one_class():
         x, y = (e_matrix(ctx, m, a, b, c, d) for a in (2, 6))
         assert canon3(x) == canon3(y)
         assert canon3(x).body.tag == "III0"
-        assert orbit_states(x).size == 43008 and same_class(x, y)
+        assert _orbit_states(x).size == 43008 and same_class(x, y)
 
 
 # ----------------------------------------------------------------------

@@ -13,25 +13,22 @@ from simclass import (
     ScalarBody,
     SplitBody,
     VerificationFailed,
-    base_vector,
     block_diag,
     canon3,
-    classify_form,
     count2,
     count3,
     e_matrix,
     enumerate3,
     gf_coeffs,
-    level_vector,
     parse_ring,
     ring_ctx,
     scalar,
-    transfer_matrix,
     type_histogram,
 )
-from simclass.census import _enumerate
+from simclass.census import _classify_form, _enumerate
 from simclass.cli import EX_MISMATCH
-from conftest import count2_recursion, placed, run_python, theta, transfer_power
+from conftest import (base_vector, count2_recursion, level_vector, placed, run_python, theta,
+                      transfer_matrix, transfer_power)
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -126,8 +123,6 @@ NON_INT_COUNT_CALLS = [
     (count3, (2, 2.0)),
     (count2, (3.0, 2)),
     (count2, (3, True)),
-    (level_vector, (2.0, 2)),
-    (level_vector, (2, 2.0)),
     (gf_coeffs, (2.0,)),
     (gf_coeffs, (2, "M", 3.0)),
     (gf_coeffs, (True,)),
@@ -373,8 +368,8 @@ def test_classify_form_buckets():
     ctx = ring_ctx("z", 2, 2)
     by_bucket = {0: 0, 1: 0, 2: 0, 3: 0}
     for form, _ in enumerate3(ctx):
-        by_bucket[classify_form(form)] += 1
-    assert classify_form(canon3(scalar(ctx, 3, 3))) == 0
+        by_bucket[_classify_form(form)] += 1
+    assert _classify_form(canon3(scalar(ctx, 3, 3))) == 0
     assert tuple(by_bucket[k] for k in range(4)) == (4, 12, 12, 116)
 
 

@@ -110,7 +110,22 @@ def test_lane_products_match_the_entry_formula(desc, rng):
                 assert c.raw(i, j) == s
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 31])
+def test_length_one_rings_of_both_flavors_take_the_same_path(p, rng):
+    # both are F_p: the "t" ring runs the "z" ring's unrolled expressions
+    z, t = ring_ctx("z", p, 1), ring_ctx("t", p, 1)
+    assert z._modular and t._modular
+    for n in (2, 3):
+        for _ in range(20):
+            a, b = ([rng.randrange(p) for _ in range(n * n)] for _ in range(2))
+            za, zb, ta, tb = Mat(z, n, a), Mat(z, n, b), Mat(t, n, a), Mat(t, n, b)
+            assert (za @ zb).vals == (ta @ tb).vals
+            assert za.det() == ta.det()
+            assert za.adjugate().vals == ta.adjugate().vals
+            assert za.charpoly() == ta.charpoly()
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_inverse_round_trip(n, rng):
     for desc in [("z", 2, 3), ("t", 3, 2)]:
         ctx = ring_ctx(*desc)

@@ -33,7 +33,9 @@ def test_parse_ring_round_trip():
 
 
 @pytest.mark.parametrize(
-    "desc", ["q:2:2", "z:4:2", "z:9:1", "z:2:0", "t:1:3", "z:2", "z:2:2:2", "z:x:1"]
+    "desc", ["q:2:2", "z:4:2", "z:9:1", "z:2:0", "t:1:3", "z:2", "z:2:2:2", "z:x:1",
+             # int() reads each of these as a valid p or length
+             "z:1_1:2", "z:\u0663:2", "z:+3:2", "z: 3:2", "t:2:0_2", "z:03:2"]
 )
 def test_parse_ring_rejects_bad_descriptors(desc):
     with pytest.raises((BadDescriptor, BadLevel, ValueError)):
