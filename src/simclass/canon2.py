@@ -88,10 +88,11 @@ def _placer(ctx: RingCtx, n: int, level: int, d: int):
     return place
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ScalarBody:
     """The body of a scalar matrix (level = length): there is none, and
-    its matrix is zero."""
+    its matrix is zero.  Slotted and immutable by convention, like every
+    body and CanonicalForm (see there)."""
 
     def vals(self, n: int) -> tuple:
         return (0,) * (n * n)
@@ -100,11 +101,12 @@ class ScalarBody:
         return {"kind": "scalar"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CyclicBody:
     """The companion matrix of coeffs: the identity band above the
     diagonal and the coefficient row (a_0, ..., a_{n-1}) at the bottom,
-    so its charpoly() is exactly coeffs."""
+    so its charpoly() is exactly coeffs.  Slotted and immutable by
+    convention (see CanonicalForm)."""
 
     coeffs: tuple  # packed characteristic polynomial in companion convention
 
@@ -115,7 +117,7 @@ class CyclicBody:
         return {"kind": "cyclic", "coeffs": list(self.coeffs)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CanonicalForm:
     """Complete class descriptor (n, level, d, body) of an n x n matrix,
     with a witness X: X alpha X^{-1} is the rebuilt form.
@@ -123,7 +125,13 @@ class CanonicalForm:
     The canonical matrix is d*I + pi^level * B, with B the body's matrix
     over the length-(l-level) ring, whose values body.vals(n) lays out
     (see _placer).  Equal descriptors mean similar matrices; the witness
-    takes no part in equality.
+    takes no part in equality or the hash.
+
+    Forms and bodies are slotted dataclasses that are immutable by
+    convention: nothing assigns to one after it is built, and
+    dataclasses.replace gives a changed copy.  They are not frozen, since
+    a frozen dataclass pays one object.__setattr__ per field on every
+    construction, and the enumeration stream builds one form per class.
     """
 
     ctx: RingCtx

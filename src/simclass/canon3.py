@@ -192,7 +192,7 @@ def _block_split(beta: Mat, abar: int, bbar: int):
 # jtype residue: reduction to the pi-power shape
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HardBody:
     """The pi-power shape [[d, pi^m, 0], [0, d, 1], [a, b, c+d]] over ctx,
     the body's ring (see matrix.e_matrix).
@@ -221,6 +221,10 @@ class HardBody:
     up to z:3:3 and t:2:4; the orbit census agrees with count3 on z:2:3
     and t:2:3; and the oracle confirms the III0 pairs over z:2:3 that
     the normal forms before the swap left apart.
+
+    Slotted and immutable by convention (see canon2.CanonicalForm): the
+    checks of __post_init__ run on every construction, dataclasses.replace
+    included, and nothing assigns to a field afterwards.
     """
 
     ctx: RingCtx
@@ -553,9 +557,10 @@ def _split_vals(a: int, inner) -> tuple:
     return (a, 0, 0, 0, x0, x1, 0, x2, x3)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SplitBody:
-    """diag(a) ++ the rebuilt 2x2 form inner, over the body's ring."""
+    """diag(a) ++ the rebuilt 2x2 form inner, over the body's ring.
+    Slotted and immutable by convention (see canon2.CanonicalForm)."""
 
     a: int
     inner: CanonicalForm

@@ -28,7 +28,7 @@ miss none.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 from .canon2 import CanonicalForm, CyclicBody, ScalarBody, _placer
@@ -187,10 +187,13 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     lexicographically), then, for n = 3, split ones and hard ones, each
     family in lexicographic parameter order.  What every scalar part d
     reads again is built here, once per level: the inner 2x2 forms with
-    the matrix values the 2x2 stream gives them, which _split_vals lays
-    out beside each a, and the hard bodies with their values.  Cyclic
-    and split bodies are built as they are streamed, since each level-0
-    body is read once.
+    the matrix values the 2x2 stream gives them, listed once for each
+    residue r as those whose residue eigenvalue is not r, and the hard
+    bodies with their values.  Cyclic and split bodies are built as they
+    are streamed, since each level-0 body is read once.
+
+    The stream is a chain of maps and zips, so the only Python generator
+    a class passes through is _enumerate's.
 
     The GL filter on the scalar part d (a unit from level 1 on) is the
     caller's; at level 0 the bodies with a singular residue are dropped.
@@ -205,25 +208,32 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
     # the residue determinant of a companion is its constant term up to
     # sign, and a split residue is invertible iff both blocks' are
     units = [x for x in elems if not gl_zero or x % p]
+    ranges = (units, *[elems] * (n - 1))  # of the coefficients a_0, ..., a_{n-1}
+    head = CyclicBody((0,) * n).vals(n)[:-n]  # the companion rows above them
 
     def cyclic():
-        return ((b, b.vals(n)) for b in map(CyclicBody, product(units, *[elems] * (n - 1))))
+        return zip(map(CyclicBody, product(*ranges)), map(head.__add__, product(*ranges)))
 
     if n == 2:
         return cyclic
     # 2x2 forms with scalar residue, i.e. positive split level
     inners = [(f, m.vals) for f, m in _enumerate(tctx, 2, "M", budget)
               if f.level >= 1 and (not gl_zero or f.d % p)]
+    # for each residue r, the inner forms and values whose residue
+    # eigenvalue differs from r: a split residue has distinct eigenvalues
+    others = []
+    for r in range(p):
+        kept = [(f, x) for f, x in inners if f.d % p != r]
+        others.append(([f for f, _ in kept], [x for _, x in kept]))
     # a hard residue is J-shaped, so d decides invertibility
     hards = [(hb, hb.vals(n)) for hb in hard_family(tctx) if not gl_zero or hb.d % p]
 
+    def split(a):
+        forms, xs = others[a % p]
+        return zip(map(SplitBody, repeat(a), forms), map(_split_vals, repeat(a), xs))
+
     def bodies3():
-        yield from cyclic()
-        for a in units:
-            for inner, x in inners:
-                if inner.d % p != a % p:  # distinct residue eigenvalues
-                    yield SplitBody(a, inner), _split_vals(a, x)
-        yield from hards
+        return chain(cyclic(), chain.from_iterable(map(split, units)), hards)
 
     return bodies3
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .canon2 import CyclicBody
 from .canon3 import SplitBody, canon
-from .errors import CtxMismatch, VerificationFailed
+from .errors import BadParams, CtxMismatch, VerificationFailed
 from .matrix import Mat, identity
 from .ring import RingCtx
 
@@ -35,7 +35,10 @@ __all__ = ["group_order", "is_similar", "centralizer_order"]
 
 
 def group_order(ctx: RingCtx, n: int) -> int:
-    """Order of the invertible n x n matrices over ctx."""
+    """Order of the invertible n x n matrices over ctx, for n the int 2
+    or 3; any other n raises BadParams."""
+    if type(n) is not int or n not in (2, 3):
+        raise BadParams(f"group_order needs n in {{2, 3}}, got {n!r}")
     p, length = ctx.p, ctx.length
     out = p ** ((length - 1) * n * n)
     for k in range(n):

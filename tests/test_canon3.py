@@ -1,6 +1,7 @@
 """3x3 pipeline: residue typing, block split, pi-power shapes, canon3."""
 
 import ast
+import dataclasses
 import importlib
 import itertools
 import pathlib
@@ -698,6 +699,69 @@ def test_canon3_json_shape():
     assert j["body"]["kind"] == "hard" and "witness" not in j
     j = canon3(scalar(ctx, 3, 2)).to_json()
     assert j["body"] == {"kind": "scalar"}
+
+
+# ----------------------------------------------------------------------
+# the form and body classes: slotted, hashable, immutable by convention
+
+
+def one_form_per_body_kind(ctx):
+    """canon3 forms of ctx with a scalar, cyclic, split and hard body."""
+    return [canon3(scalar(ctx, 3, 2)),
+            canon3(Mat(ctx, 3, (0, 1, 0, 0, 0, 1, 1, 2, 3))),
+            canon3(Mat.from_rows(ctx, [[1, 0, 0], [1, 0, 2], [2, 2, 2]])),
+            canon3(j_matrix(ctx, 0, 0))]
+
+
+def test_form_equality_and_hash_ignore_the_witness():
+    # replace gives an equal form, with an equal hash, that carries w
+    ctx = ring_ctx("z", 2, 2)
+    w = diag(ctx, [1, 3, 1])
+    for f in one_form_per_body_kind(ctx):
+        g = dataclasses.replace(f, witness=w)
+        assert g.witness is w and g.witness != f.witness
+        assert g == f and hash(g) == hash(f) and len({f, g}) == 1
+        # the fields that are compared still are
+        assert dataclasses.replace(g, level=f.level + 1) != f
+    split = one_form_per_body_kind(ctx)[2].body
+    inner = dataclasses.replace(split.inner, witness=diag(ctx, [3, 1]))
+    moved = SplitBody(split.a, inner)
+    assert moved == split and hash(moved) == hash(split)
+    assert SplitBody(3, inner) != split
+
+
+def test_forms_and_bodies_have_no_instance_dict():
+    ctx = ring_ctx("z", 2, 2)
+    for f in one_form_per_body_kind(ctx):
+        for obj in (f, f.body):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert {type(f.body) for f in one_form_per_body_kind(ctx)} == {
+        ScalarBody, CyclicBody, SplitBody, HardBody}
+
+
+def test_form_repr_leaves_out_the_witness():
+    ctx = ring_ctx("z", 2, 2)
+    scalar_form, _, split_form, _ = one_form_per_body_kind(ctx)
+    ring = "RingCtx(flavor='z', p=2, length=2)"
+    assert repr(scalar_form) == (
+        f"CanonicalForm(ctx={ring}, n=3, level=2, d=2, body=ScalarBody())")
+    assert repr(split_form) == (
+        f"CanonicalForm(ctx={ring}, n=3, level=0, d=0, body=SplitBody(a=1, "
+        f"inner=CanonicalForm(ctx={ring}, n=2, level=1, d=0, "
+        f"body=CyclicBody(coeffs=(1, 1)))))")
+    assert repr(ep(ctx, 1, 0, 2, 0, 1)) == f"HardBody(ctx={ring}, m=1, a=0, b=2, c=0, d=1)"
+
+
+def test_a_hand_built_bad_hard_body_still_raises():
+    ctx = ring_ctx("z", 2, 2)
+    with pytest.raises(simclass.BadParams, match="non-unit"):
+        HardBody(ctx, 1, 1, 0, 0, 0)
+    with pytest.raises(simclass.BadParams, match="slot exponent"):
+        HardBody(ctx, 3, 0, 0, 0, 0)
+    # replace builds anew, so it checks too
+    good = ep(ctx, 1, 0, 2, 0, 1)
+    with pytest.raises(simclass.BadParams, match="packed value"):
+        dataclasses.replace(good, d=4)
 
 
 # ----------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_enumerate3_matches_count_past_length_two(desc):
 
 @pytest.mark.slow
 def test_enumerate3_matches_count_over_z125():
-    # 2542125 classes; about 20-25 s and 1.3 GB peak RSS on 2 vCPU
+    # 2542125 classes; about 12-15 s and 1.1 GB peak RSS on 2 vCPU
     assert len(enumerate3(ring_ctx("z", 5, 3))) == count3(5, 3) == 2542125
 
 

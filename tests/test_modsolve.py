@@ -11,6 +11,7 @@ import pytest
 
 import reference_solver as ref
 from simclass import (
+    BadParams,
     Mat,
     SearchBudgetExceeded,
     VerificationFailed,
@@ -140,6 +141,12 @@ def test_centralizer_anchor_values():
     assert group_order(ring_ctx("z", 2, 2), 3) == 86016
     assert group_order(ring_ctx("z", 3, 2), 2) == 3888
     assert group_order(ring_ctx("z", 2, 3), 2) == 1536
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, True, 2.0])
+def test_group_order_refuses_a_size_other_than_the_int_2_or_3(n):
+    with pytest.raises(BadParams, match="group_order needs n in"):
+        group_order(ring_ctx("z", 2, 2), n)
 
 
 def test_centralizer_of_companion_with_unit_discriminant():
