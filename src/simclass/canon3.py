@@ -19,7 +19,9 @@ length-(l-j) ring:
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
   beta is conjugated onto the pi-power shape HardBody (_e_form) and
   then normalized type by type (_classify_hard).  Types I, II and III1
-  are normalized by explicit shape-preserving steps.  Type III0 goes
+  are normalized by steps that move the parameters (m, a, b, c, d) of
+  the shape by closed formulas (see _lower); the step matrices are
+  built for the witness only, which is checked exactly.  Type III0 goes
   through the transpose: E^T is conjugate to the shape swap(E) (see
   _swap), which is of type III1, and A ~ B iff A^T ~ B^T, so the III0
   form of E is the swap of swap(E)'s III1 form.  The normal form is the
@@ -200,7 +202,9 @@ class HardBody:
     a, b, c and d are packed values of ctx, a, b and c lie in the
     maximal ideal, and 1 <= m <= length, with m = length exactly when the
     (1,2) slot is zero.  The type tag is read off (m, val(a), val(b)),
-    and _normalize_hard takes each type to its normal form, which has:
+    and _normalize_hard takes each type to its normal form on these five
+    parameters alone, each step by its closed formula (see _lower).
+    The normal form has:
 
     tag "I":    val(b) = length, so m = val(a) = length too: a = b = 0
                 and the slot is zero (pure J shape).
@@ -355,42 +359,47 @@ def _e_form(beta: Mat, dbar: int):
 # jtype normal forms
 
 
-# Each normalization step is unipotent or diagonal, so its builder
-# returns the step matrix together with its inverse in closed form.
+# Each normalization step moves the parameters (m, a, b, c, d) of the
+# shape by a closed formula (see _lower); its matrix, built below, is
+# needed for the witness alone.
 
 
-def _lower_step(ctx: RingCtx, m: int, x: int) -> tuple:
-    """L(x) = [[1,0,0],[x,1,0],[x^2 pi^m, 2x pi^m, 1]] and L(-x).
+def _lower(e: HardBody, x: int) -> HardBody:
+    """The shape L(x) E L(-x), for E = e.rebuild() and L(x) = _lower_step(ctx, e.m, x).
 
-    L preserves the shape, and L(x) L(y) = L(x + y), so L(x)^-1 = L(-x).
+    With P = pi^m, L(x) moves (m, a, b, c, d) to
+
+        (m, a - b x + P x^2 (c + P x), b - P x (2c + 3P x), c + 3P x, d - P x),
+
+    the Taylor shift of the characteristic polynomial by P x.  The slot
+    step S = _slot_step(ctx, m - val(b), unit(b)^-1, c) takes a shape
+    with a = 0 and val(b) < m to m = val(b), and fixes a, b, c and d.
     """
-    pim = ctx.pi_pow_raw(m)
-
-    def lower(x):
-        x2 = ctx.mul_raw(x, x)
-        two_x = ctx.add_raw(x, x)
-        return Mat._unchecked(
-            ctx, 3, [1, 0, 0, x, 1, 0, ctx.mul_raw(x2, pim), ctx.mul_raw(two_x, pim), 1]
-        )
-
-    return lower(x), lower(ctx.neg_raw(x))
+    ctx = e.ctx
+    add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
+    px = mul(ctx.pi_pow_raw(e.m), x)
+    px3 = add(px, add(px, px))
+    a = add(sub(e.a, mul(e.b, x)), mul(mul(px, x), add(e.c, px)))
+    b = sub(e.b, mul(px, add(add(e.c, e.c), px3)))
+    return HardBody(ctx, e.m, a, b, add(e.c, px3), sub(e.d, px))
 
 
-def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> tuple:
-    """The slot-lowering triangle for k = m - val(b) >= 1, and its inverse.
+def _lower_step(ctx: RingCtx, m: int, x: int) -> Mat:
+    """L(x) = [[1,0,0],[x,1,0],[x^2 pi^m, 2x pi^m, 1]]; L(x) L(y) = L(x + y)."""
+    px = ctx.mul_raw(ctx.pi_pow_raw(m), x)
+    return Mat._unchecked(ctx, 3, [1, 0, 0, x, 1, 0, ctx.mul_raw(px, x), ctx.add_raw(px, px), 1])
 
-    The inverse has columns f1 = mu*e1, f2 = e2 - c*lam*e1 and
-    f3 = lam*e1 + e3, with mu = pi^k - 1 a unit: first row
-    (mu, -c*lam, lam).  The step itself has first row
-    (mu^-1, mu^-1*c*lam, -mu^-1*lam).
+
+def _slot_step(ctx: RingCtx, k: int, lam: int, c: int) -> Mat:
+    """The slot-lowering triangle for k = m - val(b) >= 1 and lam = unit(b)^-1.
+
+    Its first row is mu^-1 (1, c*lam, -lam) for the unit mu = pi^k - 1,
+    and its other rows are those of the identity.
     """
-    mul, neg = ctx.mul_raw, ctx.neg_raw
-    mu = ctx.sub_raw(ctx.pi_pow_raw(k), 1)
-    mu_inv = ctx.inv_raw(mu)
-    c_lam = mul(c, lam)
-    x = [mu_inv, mul(mu_inv, c_lam), neg(mul(mu_inv, lam)), 0, 1, 0, 0, 0, 1]
-    x_inv = [mu, neg(c_lam), lam, 0, 1, 0, 0, 0, 1]
-    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, x_inv)
+    mul = ctx.mul_raw
+    mu_inv = ctx.inv_raw(ctx.sub_raw(ctx.pi_pow_raw(k), 1))
+    r = mul(mu_inv, lam)
+    return Mat._unchecked(ctx, 3, [mu_inv, mul(r, c), ctx.neg_raw(r), 0, 1, 0, 0, 0, 1])
 
 
 def _swap(e: HardBody) -> tuple:
@@ -416,8 +425,8 @@ def _classify_hard(e: HardBody):
     """
     form, steps = _normalize_hard(e)
     x_total = identity(e.ctx, 3)
-    for x in steps:
-        x_total = x @ x_total
+    for build, *args in steps:
+        x_total = build(e.ctx, *args) @ x_total
     if form.tag == "III0":
         # the steps X' took swap(E) to swap(form), so with G_E and G_form
         # from _swap, Y = G_form ((X' G_E)^T)^-1 takes E to the form
@@ -426,11 +435,14 @@ def _classify_hard(e: HardBody):
 
 
 def _normalize_hard(e: HardBody):
-    """(normal form, the step matrices taken, in order).
+    """(normal form, the steps taken, in order).
 
-    hard_family needs the form only, so the steps are multiplied into a
-    witness by _classify_hard alone.  For type III0 they are the steps of
-    the III1 normalization of swap(e).
+    Each step moves the parameters by its formula (see _lower) and
+    builds no matrix.  A step is listed as (builder, *args), and only
+    _classify_hard calls builder(ctx, *args) for the witness, which
+    _canonical_form checks exactly; hard_family needs the form only.
+    For type III0 the steps are those of the III1 normalization of
+    swap(e).
     """
     tag = e.tag
     if tag == "III0":
@@ -444,51 +456,36 @@ def _normalize_hard(e: HardBody):
         return e, []
 
     ctx = e.ctx
-    gamma = e.rebuild()
-    steps = []
-    cur = e
-
-    def take(step: tuple):
-        # every step comes with its inverse in closed form; a wrong inverse
-        # fails the shape check below or the witness check of the whole form
-        nonlocal gamma, cur
-        x, x_inv = step
-        gamma = x @ gamma @ x_inv
-        cur = _as_hard_form(gamma)
-        if cur is None:
-            raise VerificationFailed("hard normalization step left the pi-power shape")
-        steps.append(x)
-
     if tag == "II":
         vb = ctx.val_raw(e.b)
-        # first eliminate a: each step multiplies b by a unit mod higher
-        # valuation and strictly raises val(a), so it ends within length
-        # steps; a step that does not is a stall and raises
+        # first eliminate a: x = (a / pi^val(b)) unit(b)^-1 makes a - b x
+        # vanish, so each pass strictly raises val(a) and the loop ends
+        # within length passes; a pass that does not is a stall and
+        # raises.  The passes keep m, and L(x) L(y) = L(x + y), so they
+        # make one step
+        cur, total = e, 0
         while cur.a:
             _, ub = ctx.unit_split_raw(cur.b)
             x = ctx.mul_raw(ctx.div_pi_raw(cur.a, vb), ctx.inv_raw(ub))
             old = ctx.val_raw(cur.a)
-            take(_lower_step(ctx, cur.m, x))
+            cur, total = _lower(cur, x), ctx.add_raw(total, x)
             if ctx.val_raw(cur.a) <= old:
                 raise VerificationFailed("a elimination stalled")
+        steps = [] if cur is e else [(_lower_step, e.m, total)]
         if cur.m > vb:
-            # with a = 0 the slot-lowering triangle (lam = unit part of b,
-            # inverted) lowers the slot exponent to val(b) exactly, fixing
-            # a = 0 and b, c, d on the nose
+            # with a = 0 the slot step lowers the slot exponent to val(b)
             _, ub = ctx.unit_split_raw(cur.b)
-            take(_slot_step(ctx, cur.m - vb, ctx.inv_raw(ub), cur.c))
-            if cur.m != vb or cur.a:
-                raise VerificationFailed("slot exponent lowering failed")
+            steps.append((_slot_step, cur.m - vb, ctx.inv_raw(ub), cur.c))
+            cur = HardBody(ctx, vb, 0, cur.b, cur.c, cur.d)
         return cur, steps
 
     # III1: pin the digits of d at and above m in one step, as L(x) moves
     # d to d - x pi^m
     low = ctx.mod_pi_raw(e.d, e.m)
-    if low != e.d:
-        take(_lower_step(ctx, e.m, ctx.div_pi_raw(ctx.sub_raw(e.d, low), e.m)))
-        if cur.d != low:
-            raise VerificationFailed("pinning the digits of d failed")
-    return cur, steps
+    if low == e.d:
+        return e, []
+    x = ctx.div_pi_raw(ctx.sub_raw(e.d, low), e.m)
+    return _lower(e, x), [(_lower_step, e.m, x)]
 
 
 @lru_cache(maxsize=None)

@@ -77,8 +77,9 @@ def _raw(ctx: RingCtx, x) -> int:
 
 
 def _check_size(n: int):
-    if n not in (2, 3):
-        raise BadParams(f"only n in {{2,3}} supported, got {n}")
+    # refuse a float or bool before the membership test can coerce it
+    if type(n) is not int or n not in (2, 3):
+        raise BadParams(f"only n in {{2,3}} supported, got {n!r}")
 
 
 class Mat:
@@ -333,7 +334,7 @@ def identity(ctx: RingCtx, n: int) -> Mat:
 
 
 def zero(ctx: RingCtx, n: int) -> Mat:
-    return Mat(ctx, n, [0] * (n * n))
+    return scalar(ctx, n, 0)
 
 
 def scalar(ctx: RingCtx, n: int, d) -> Mat:

@@ -211,6 +211,8 @@ class RingCtx:
     length: int
     # p**length, stored once: every ring operation reads it
     cardinality: int = field(init=False, repr=False, compare=False)
+    # "flavor:p:length", stored once: every enumerate line prints it
+    descriptor: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # refuse a float or bool before any comparison can coerce it
@@ -233,6 +235,7 @@ class RingCtx:
             raise BadDescriptor(f"p = {self.p} is not prime")
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
+        object.__setattr__(self, "descriptor", f"{self.flavor}:{self.p}:{self.length}")
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
         lanes = None  # (spread, gather), see _lane_ops
         modular = self.flavor == "z" or self.length == 1  # length 1: both flavors are F_p
@@ -278,10 +281,6 @@ class RingCtx:
 
     # ------------------------------------------------------------------
     # descriptors
-
-    @property
-    def descriptor(self) -> str:
-        return f"{self.flavor}:{self.p}:{self.length}"
 
     def __str__(self):
         return self.descriptor

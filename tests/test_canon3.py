@@ -272,54 +272,71 @@ def test_iii1_digits_of_d_are_pinned_in_one_step(desc, d):
     assert h == form and e.rebuild().conjugate_by(x) == form.rebuild()
 
 
-@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2"])
-def test_classify_hard_steps_come_with_their_inverses(desc, rng):
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2", "t:3:4"])
+def test_each_parameter_move_is_conjugation_by_its_step_matrix(desc, rng):
+    # _normalize_hard moves (m, a, b, c, d) by formula alone, and the
+    # witness is built from the step matrices: the two must agree
     ctx = parse_ring(desc)
-    card, length = ctx.cardinality, ctx.length
+    card, p, length = ctx.cardinality, ctx.p, ctx.length
     ident = identity(ctx, 3)
 
-    def elem():
-        return rng.randrange(card)
+    def nonunit():
+        return rng.randrange(0, card, p)
 
     def unit():
         while True:
-            u = elem()
+            u = rng.randrange(card)
             if ctx.is_unit_raw(u):
                 return u
 
-    for _ in range(50):
-        steps = [
-            c3._lower_step(ctx, rng.randrange(1, length + 1), elem()),
-            c3._slot_step(ctx, rng.randrange(1, length + 1), unit(), elem()),
-        ]
-        for x, x_inv in steps:
-            assert x @ x_inv == ident and x_inv @ x == ident
-            assert x_inv == x.inverse()
+    for _ in range(30):
+        m, d = rng.randrange(1, length + 1), rng.randrange(card)
+        e = ep(ctx, m, nonunit(), nonunit(), nonunit(), d)
+        for v in range(length + 1):  # x of every valuation, x = 0 at v = length
+            x = ctx.mul_raw(ctx.pi_pow_raw(v), unit())
+            lx, lx_inv = c3._lower_step(ctx, e.m, x), c3._lower_step(ctx, e.m, ctx.neg_raw(x))
+            assert lx @ lx_inv == ident
+            assert c3._lower(e, x).rebuild() == lx @ e.rebuild() @ lx_inv
+        # the slot step on a type II shape with a = 0 and val(b) < m
+        m = rng.randrange(2, length + 1)
+        vb, ub = rng.randrange(1, m), unit()
+        e = ep(ctx, m, 0, ctx.mul_raw(ctx.pi_pow_raw(vb), ub), nonunit(), rng.randrange(card))
+        assert e.tag == "II"
+        s = c3._slot_step(ctx, m - vb, ctx.inv_raw(ub), e.c)
+        moved = ep(ctx, vb, 0, e.b, e.c, e.d)
+        assert s @ e.rebuild() @ s.inverse() == moved.rebuild()
+        assert c3._normalize_hard(e)[0] == moved
 
 
-def test_classify_hard_refuses_a_wrong_step_inverse_under_optimize():
-    # each step builder gets an inverse off by pi in one entry, and _swap a
-    # wrong III0 conjugator, each fed a shape that takes its step; the
-    # normal form then goes wrong, and under -O, which strips assert
-    # statements, CLI canon must still refuse it and exit 70
+def test_classify_hard_refuses_a_wrong_step_under_optimize():
+    # each step builder gets a matrix off by pi in entry (2, 1), _lower a d
+    # off by pi, and _swap a wrong III0 conjugator, each fed a shape that
+    # takes its step; the witness or the normal form then goes wrong, and
+    # under -O, which strips assert statements, CLI canon must still
+    # refuse it and exit 70
     script = (
-        "import contextlib, importlib, io, json, sys\n"
+        "import contextlib, dataclasses, importlib, io, json, sys\n"
         "from simclass import HardBody, ring_ctx\n"
         "from simclass.cli import main\n"
         "from simclass.matrix import Mat\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
         "def off_by_pi(build):\n"
         "    def wrong(ctx, *args):\n"
-        "        x, x_inv = build(ctx, *args)\n"
-        "        vals = list(x_inv.vals)\n"
-        "        vals[0] = ctx.add_raw(vals[0], ctx.pi_pow_raw(1))\n"
-        "        return x, Mat(ctx, 3, vals)\n"
+        "        vals = list(build(ctx, *args).vals)\n"
+        "        vals[7] = ctx.add_raw(vals[7], ctx.pi_pow_raw(1))\n"
+        "        return Mat(ctx, 3, vals)\n"
+        "    return wrong\n"
+        "def d_off_by_pi(lower):\n"
+        "    def wrong(e, x):\n"
+        "        f = lower(e, x)\n"
+        "        return dataclasses.replace(f, d=f.ctx.add_raw(f.d, f.ctx.pi_pow_raw(1)))\n"
         "    return wrong\n"
         "def identity_conjugator(swap):\n"
         "    return lambda e: (swap(e)[0], Mat(e.ctx, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))\n"
         "cases = [\n"
         "    ('_lower_step', off_by_pi, ('z', 2, 2), (1, 0, 0, 0, 3)),\n"
         "    ('_slot_step', off_by_pi, ('z', 2, 2), (2, 0, 2, 0, 1)),\n"
+        "    ('_lower', d_off_by_pi, ('z', 2, 2), (1, 0, 0, 0, 3)),\n"
         "    ('_swap', identity_conjugator, ('z', 3, 2), (2, 6, 0, 0, 0)),\n"
         "]\n"
         "def canon(desc, rows):\n"

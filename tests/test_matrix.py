@@ -76,6 +76,20 @@ def test_public_constructors_validate_while_ring_results_skip_it(rng):
             assert type(m.vals) is tuple and m == Mat(m.ctx, m.n, m.vals)
 
 
+@pytest.mark.parametrize("n", [2.0, 3.0, True, 1, 4])
+def test_sizes_other_than_the_int_2_or_3_are_refused(n):
+    # 2.0 in (2, 3) is true, so a bare membership test lets floats through
+    ctx = ring_ctx("z", 2, 2)
+    for build in (
+        lambda: Mat(ctx, n, [1, 2, 3, 4]),
+        lambda: identity(ctx, n),
+        lambda: scalar(ctx, n, 1),
+        lambda: zero(ctx, n),
+    ):
+        with pytest.raises(BadParams, match="only n in"):
+            build()
+
+
 def test_matmul_matches_entry_formula(rng):
     ctx = ring_ctx("z", 3, 2)
     for _ in range(20):
