@@ -18,8 +18,10 @@ the enumeration of classes, for both sizes, live in census.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from math import gcd
 from itertools import product
 
 from .errors import BadParams, VerificationFailed
@@ -40,26 +42,21 @@ def _split_scalar(alpha: Mat) -> tuple:
     length-(l-level) ring, or None iff alpha is scalar (level = length).
     Shared by the 2x2 and 3x3 pipelines."""
     ctx, n = alpha.ctx, alpha.n
-    length = ctx.length
-    d0 = alpha.raw(0, 0)
-    # the least valuation of alpha - d0*I; val(0) = length
-    level = min(
-        ctx.val_raw(alpha.raw(i, j) if i != j else ctx.sub_raw(alpha.raw(i, j), d0))
-        for i in range(n)
-        for j in range(n)
-    )
+    length, card, v = ctx.length, ctx.cardinality, alpha.vals
+    d0 = v[0]
+    diag = range(0, n * n, n + 1)
+    # level is the least valuation of an entry of alpha - d0*I.  The
+    # valuation of a difference is the first digit where the two values
+    # differ, in both flavors, so it is read off the plain integers: the
+    # gcd with p^length is p^level (p^length when all entries are 0)
+    level = ctx.val_raw(gcd(card, *(x - d0 if i in diag else x for i, x in enumerate(v))) % card)
     d = ctx.mod_pi_raw(d0, level)
     if level == length:
         return level, d, None
-    tctx = ctx.truncated(length - level)
-    vals = []
-    for i in range(n):
-        for j in range(n):
-            x = alpha.raw(i, j)
-            if i == j:
-                x = ctx.sub_raw(x, d)
-            vals.append(tctx.mod_pi_raw(ctx.div_pi_raw(x, level), length - level))
-    beta = Mat(tctx, n, vals)
+    sub, div = ctx.sub_raw, ctx.div_pi_raw
+    vals = [div(sub(x, d) if i in diag else x, level) for i, x in enumerate(v)]
+    # the quotients are below p^(length - level): values of the shorter ring
+    beta = Mat._unchecked(ctx.truncated(length - level), n, vals)
     if beta.residue().is_scalar():
         raise VerificationFailed("scalar split level not maximal")
     return level, d, beta
@@ -172,16 +169,19 @@ class CanonicalForm:
 
 
 def _row_times(w, m: Mat) -> list:
-    """Row vector w times m, on raw entries."""
-    ctx, n = m.ctx, m.n
-    add, mul = ctx.add_raw, ctx.mul_raw
-    out = []
-    for j in range(n):
-        s = 0
-        for i in range(n):
-            s = add(s, mul(w[i], m.raw(i, j)))
-        out.append(s)
-    return out
+    """Row vector w times m, on raw entries: each output entry is one
+    integer expression, reduced once over a modular ring and gathered
+    once over a lane ring (see matrix.py)."""
+    ctx, n, v = m.ctx, m.n, m.vals
+    dot = operator.mul
+    if ctx._modular:
+        c = ctx.cardinality
+        return [sum(map(dot, w, v[j::n])) % c for j in range(n)]
+    if ctx._lanes:
+        spread, gather, _ = ctx._lanes
+        sw = [spread(x) for x in w]
+        return [gather(sum(map(dot, sw, map(spread, v[j::n])))) for j in range(n)]
+    return [reduce(ctx.add_raw, map(ctx.mul_raw, w, v[j::n])) for j in range(n)]
 
 
 def _cyclic_row_witness(beta: Mat) -> Mat:

@@ -5,7 +5,10 @@ scalar and cyclic branches (canon2._canonical_form).  After the scalar
 split alpha = d*I + pi^j * beta the residue of beta is non-scalar.
 canon3 reads its type once, off the minimal polynomial of the residue
 (see _residue_type), and takes one of three exact reductions over the
-length-(l-j) ring:
+length-(l-j) ring.  The residue field algebra they need is closed-form,
+with no elimination: the minimal polynomial comes off one entry and is
+checked on all nine, and an eigenspace basis is a row of an adjugate or
+is read off one column (see _left_kernel).
 
 - cyclic residue (minimal polynomial of the residue has degree 3):
   the shared cyclic branch; the coefficient triple of the
@@ -14,11 +17,14 @@ length-(l-j) ring:
   a is a simple root of the residue characteristic polynomial, so it
   lifts by Newton's method to a root a of f = (x - a) g over the ring,
   and the projector g(beta) g(a)^-1 splits off a 1x1 block lifting a
-  from a 2x2 block lifting b in closed form (_block_split); the block
-  is finished by canon2.  Again a complete invariant at every length.
+  from a 2x2 block lifting b in closed form, every row of the witness
+  from one product K g(beta), K the residue eigenvectors (_block_split);
+  the block is finished by canon2.  Again a complete invariant at every
+  length.
 - jtype residue (one eigenvalue, minimal polynomial of degree 2):
-  beta is conjugated onto the pi-power shape HardBody (_e_form) and
-  then normalized type by type (_classify_hard).  Types I, II and III1
+  beta is conjugated onto the pi-power shape HardBody by five steps,
+  each one row and one column operation on entries (_e_form), and then
+  normalized type by type (_classify_hard).  Types I, II and III1
   are normalized by steps that move the parameters (m, a, b, c, d) of
   the shape by closed formulas (see _lower); the step matrices are
   built for the witness only, which is checked exactly.  Type III0 goes
@@ -39,14 +45,13 @@ HardBody.  CanonicalForm.rebuild places them as d*I + pi^level * B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .canon2 import (
     CanonicalForm,
     _canonical_form,
     _cyclic_body,
-    _row_times,
     canon2,
 )
 from .errors import BadParams, VerificationFailed
@@ -62,44 +67,38 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# residue field linear algebra (plain ints mod p)
+# residue field linear algebra (plain ints mod p, no elimination)
 
 
-def _rref(rows, p: int):
-    """Reduced row echelon form over F_p; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    piv = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], piv
+def _left_kernel(m: Mat) -> list:
+    """Basis of {w : w m = 0} for a 3x3 m of rank 1 or 2 over a residue
+    field: the basis that the reduced row echelon form of m^T gives,
+    one vector per free column f, with 1 at f.
 
-
-def _left_kernel(m: Mat):
-    """Basis of {w : w m = 0} for m over a residue field."""
-    p, n = m.ctx.p, m.n
-    rr, piv = _rref([[m.raw(j, i) for j in range(n)] for i in range(n)], p)
+    Rank 2: the kernel is a line, and adj(m) m = det(m) I = 0 puts every
+    row of adj(m) on it, while adj(m) != 0.  The echelon vector is a
+    nonzero row scaled so its last nonzero entry is 1.  Rank 1: every
+    column is a multiple of one nonzero column c, so w m = 0 iff
+    w . c = 0.  With c0 the first nonzero entry of c (the one pivot of
+    the echelon form), the basis is e_f - (c_f / c_c0) e_c0 for each
+    f != c0, in order.  Its callers pass only these ranks: the eigenspace
+    matrices of split and jtype residues.
+    """
+    p, v = m.ctx.p, m.vals
+    adj = m.adjugate().vals
+    row = next((adj[i : i + 3] for i in (0, 3, 6) if any(adj[i : i + 3])), None)
+    if row is not None:
+        scale = pow(next(x for x in reversed(row) if x), -1, p)
+        return [tuple(x * scale % p for x in row)]
+    col = next(v[j::3] for j in range(3) if any(v[j::3]))
+    c0 = next(i for i in range(3) if col[i])
+    scale = pow(col[c0], -1, p)
     basis = []
-    for f in (c for c in range(n) if c not in piv):
-        v = [0] * n
-        v[f] = 1
-        for ri, c in enumerate(piv):
-            v[c] = -rr[ri][f] % p
-        basis.append(tuple(v))
+    for f in range(3):
+        if f != c0:
+            w = [0, 0, 0]
+            w[f], w[c0] = 1, -col[f] * scale % p
+            basis.append(tuple(w))
     return basis
 
 
@@ -112,28 +111,33 @@ def _residue_type(m: Mat) -> tuple:
 
     One of ("scalar", s), ("cyclic",), ("split", single, double) with
     single != double, or ("jtype", d); eigenvalues are ints in [0, p).
-    A non-scalar, non-cyclic residue has minimal polynomial x^2 - s x - t,
-    whose roots sum to s.  It splits, since an irreducible quadratic
-    minimal polynomial is impossible in odd dimension, and the root that
-    the characteristic polynomial doubles is read off the trace
-    single + 2 double: double = tr - s and single = s - double.  So the
-    eigenvalues cost no search over the residue field.
+    The residue r is cyclic unless r^2 = s r + t I for some s and t,
+    which are then unique, as r is not a multiple of I.  So s is read off
+    one entry where r is not: off the diagonal r2_ij = s r_ij, on it
+    r2_ii - r2_00 = s (r_ii - r_00).  Then t = r2_00 - s r_00, and r is
+    cyclic iff one of the nine entries breaks r^2 = s r + t I.
+    Otherwise the minimal polynomial x^2 - s x - t splits, since an
+    irreducible quadratic minimal polynomial is impossible in odd
+    dimension, and the root that the characteristic polynomial doubles
+    is read off the trace single + 2 double: double = tr - s and
+    single = s - double.  So the eigenvalues cost no search over the
+    residue field.
     """
     r = m if m.ctx.length == 1 else m.residue()
     p = r.ctx.p
     if r.is_scalar():
         return "scalar", r.raw(0, 0)
-    r2 = r @ r
-    # minimal polynomial degree: is r^2 = s*r + t*I solvable?
-    aug = []
-    for i in range(3):
-        for j in range(3):
-            aug.append([r.raw(i, j), 1 if i == j else 0, r2.raw(i, j)])
-    rr, piv = _rref(aug, p)
-    if 2 in piv:
+    v, r2 = r.vals, (r @ r).vals
+    # the entries of r - r_00 I beside those of r^2 - r2_00 I (k % 4 == 0
+    # on the diagonal); with them r^2 = s r + t I reads y = s x entrywise
+    pairs = [
+        (x - v[0], y - r2[0]) if k % 4 == 0 else (x, y) for k, (x, y) in enumerate(zip(v, r2))
+    ]
+    x, y = next((x, y) for x, y in pairs if x)
+    s = y * pow(x, -1, p) % p
+    t = (r2[0] - s * v[0]) % p
+    if any((y - s * x) % p for x, y in pairs):
         return ("cyclic",)
-    # r is non-scalar, so {r, I} is independent and piv == [0, 1]
-    s, t = rr[0][2], rr[1][2]
     double = (r.trace() - s) % p
     single = (s - double) % p
     if (double * double - s * double - t) % p:
@@ -155,9 +159,11 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     Hensel's lemma f = (x - a) g over the ring, with g(a) a unit, and
     E = g(beta) g(a)^{-1} projects rows onto the left a-eigenline along
     the row space of beta - a.  With k_a, k_b1, k_b2 the residue
-    eigenvectors, row 1 of X is the a-eigenvector k_a g(beta), scaled to
-    k_a coordinate 1 in that basis, and rows 2 and 3 are k_bi - k_bi E,
-    which span the invariant complement.
+    eigenvectors, the rows of K = [k_a; k_b1; k_b2], one product K g(beta)
+    gives every row of X: row 1 is the a-eigenvector k_a g(beta), scaled
+    to k_a coordinate 1 in the basis K (its dot product with column 0 of
+    K^{-1}), and rows 2 and 3 are k_bi - k_bi E, which span the
+    invariant complement.
     """
     ctx = beta.ctx
     add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
@@ -176,15 +182,17 @@ def _block_split(beta: Mat, abar: int, bbar: int):
     res = beta.residue()
     ka = _left_kernel(res - scalar(res.ctx, 3, abar))[0]
     kb = _left_kernel(res - scalar(res.ctx, 3, bbar))
-    v = _row_times(ka, g_beta)
-    s = ctx.inv_raw(_row_times(v, Mat(ctx, 3, ka + kb[0] + kb[1]).inverse())[0])
-    rows = [mul(s, x) for x in v]
-    for k in kb:
-        rows += [sub(x, mul(y, ga_inv)) for x, y in zip(k, _row_times(k, g_beta))]
+    # residue digits are packed values of ctx
+    k = Mat._unchecked(ctx, 3, ka + kb[0] + kb[1])
+    kg = (k @ g_beta).vals
+    s = ctx.inv_raw(reduce(add, map(mul, kg[:3], k.inverse().vals[0::3])))
+    rows = [mul(s, x) for x in kg[:3]]
+    for i, kbi in enumerate(kb, 1):
+        rows += [sub(x, mul(y, ga_inv)) for x, y in zip(kbi, kg[3 * i : 3 * i + 3])]
     x_total = Mat._unchecked(ctx, 3, rows)
     gamma = beta.conjugate_by(x_total)
     a = gamma.raw(0, 0)
-    b = Mat(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
+    b = Mat._unchecked(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
     if a % ctx.p != abar:
         raise VerificationFailed("block split lifted the wrong residue eigenvalue")
     return a, b, x_total
@@ -291,68 +299,63 @@ def _as_hard_form(m: Mat) -> HardBody | None:
     return HardBody(ctx, t, a, b, c, d)
 
 
-def _shear(ctx: RingCtx, *cells) -> tuple:
-    """(I + N, I - N) for N = sum of x E_ij over the (i, j, x) cells.
-
-    The callers' N satisfy N^2 = 0 (one row or one column off the
-    diagonal), so I - N is the inverse of I + N.
-    """
-    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
-    y = x[:]
-    for i, j, v in cells:
-        x[3 * i + j], y[3 * i + j] = v, ctx.neg_raw(v)
-    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
-
-
-def _scaling(ctx: RingCtx, k: int, u: int) -> tuple:
-    """(D, D^-1) for D the identity with entry (k, k) the unit u."""
-    x = [1, 0, 0, 0, 1, 0, 0, 0, 1]
-    y = x[:]
-    x[4 * k], y[4 * k] = u, ctx.inv_raw(u)
-    return Mat._unchecked(ctx, 3, x), Mat._unchecked(ctx, 3, y)
-
-
 def _e_form(beta: Mat, dbar: int):
     """Conjugate a matrix whose residue is jtype, with eigenvalue dbar,
     onto the pi-power shape.
 
     Returns (HardBody, X) with X beta X^{-1} equal to the rebuilt shape.
+    N = residue(beta) - dbar I has N^2 = 0 and rank 1.  The first X has
+    rows w1, w2, w3: w2 the unit row of the first nonzero row of N,
+    w3 = w2 N that row, and w1 the first kernel row of N independent
+    from w3.  Five steps then fix one entry of gamma = X beta X^{-1}
+    each: (1,2) = 1, (0,2) = 0, (1,0) = 0, (1,1) = (0,0), then (0,1) an
+    exact pi power.  Each step conjugates by a scaling or a shear Y
+    whose inverse is known, and is applied on entries: one row
+    operation on gamma and X (Y gamma, Y X) and one column operation on
+    gamma (times Y^-1), which give the entries of the 3x3 products.
     """
     ctx = beta.ctx
+    add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
     res = beta.residue()
     p = res.ctx.p
     nbar = res - scalar(res.ctx, 3, dbar)
-    ker = _left_kernel(nbar)
-    w2 = next(
-        tuple(1 if k == i else 0 for k in range(3))
-        for i in range(3)
-        if any(nbar.raw(i, j) for j in range(3))
+    i = next(i for i in (0, 3, 6) if any(nbar.vals[i : i + 3]))
+    w2 = tuple(int(j == i) for j in (0, 3, 6))
+    w3 = nbar.vals[i : i + 3]
+    # a kernel row independent from w3: some 2x2 minor of [w1; w3] is nonzero
+    w1 = next(
+        w
+        for w in _left_kernel(nbar)
+        if any((w[j] * w3[k] - w[k] * w3[j]) % p for j, k in ((0, 1), (0, 2), (1, 2)))
     )
-    w3 = tuple(_row_times(w2, nbar))
-    # pick a kernel row independent from w3 (rank test over the field)
-    w1 = next(k for k in ker if len(_rref([list(k), list(w3)], p)[0]) == 2)
-    x_total = Mat(ctx, 3, list(w1) + list(w2) + list(w3))
-    gamma = beta.conjugate_by(x_total)
+    x = Mat._unchecked(ctx, 3, w1 + w2 + w3)  # residue digits are packed values of ctx
+    g = list(beta.conjugate_by(x).vals)
+    x = list(x.vals)
 
-    def step(pair: tuple):
-        nonlocal gamma, x_total
-        x, x_inv = pair
-        gamma = x @ gamma @ x_inv
-        x_total = x @ x_total
+    def scaling(k: int, u: int, u_inv: int):
+        # Y = I with entry (k, k) the unit u: row k times u, column k times u^-1
+        for v in (g, x):
+            v[3 * k : 3 * k + 3] = [mul(u, e) for e in v[3 * k : 3 * k + 3]]
+        g[k::3] = [mul(e, u_inv) for e in g[k::3]]
 
-    # each step fixes one entry of the shape: (1,2) = 1, (0,2) = 0,
-    # (1,0) = 0, (1,1) = (0,0), then (0,1) an exact pi power; each is
-    # diagonal or a shear, with its inverse in closed form
-    step(_scaling(ctx, 2, gamma.raw(1, 2)))
-    step(_shear(ctx, (0, 1, ctx.neg_raw(gamma.raw(0, 2)))))
-    step(_shear(ctx, (2, 0, gamma.raw(1, 0))))
-    step(_shear(ctx, (2, 1, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)))))
-    _, u = ctx.unit_split_raw(gamma.raw(0, 1))
-    step(_scaling(ctx, 0, ctx.inv_raw(u)))
-    e = _as_hard_form(gamma)
+    def shear(r: int, q: int, c: int):
+        # Y = I + c E_rq, Y^-1 = I - c E_rq: row r plus c row q, column q minus c column r
+        for v in (g, x):
+            row, other = v[3 * r : 3 * r + 3], v[3 * q : 3 * q + 3]
+            v[3 * r : 3 * r + 3] = [add(e, mul(c, f)) for e, f in zip(row, other)]
+        g[q::3] = [sub(e, mul(c, f)) for e, f in zip(g[q::3], g[r::3])]
+
+    u = g[5]
+    scaling(2, u, ctx.inv_raw(u))
+    shear(0, 1, ctx.neg_raw(g[2]))
+    shear(2, 0, g[3])
+    shear(2, 1, sub(g[4], g[0]))
+    _, u = ctx.unit_split_raw(g[1])
+    scaling(0, ctx.inv_raw(u), u)
+    e = _as_hard_form(Mat._unchecked(ctx, 3, g))
     if e is None:
         raise VerificationFailed("pi-power shape reduction failed")
-    return e, x_total
+    return e, Mat._unchecked(ctx, 3, x)
 
 
 # ----------------------------------------------------------------------

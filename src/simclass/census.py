@@ -285,7 +285,17 @@ def enumerate3(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
 
 
 def type_histogram(ctx: RingCtx, group: str = "M", budget: int = 10_000_000):
-    """Bucket counts (see _classify_form) at each length 1..l of ctx."""
+    """Bucket counts (see _classify_form) at each length 1..l of ctx.
+
+    The budget bounds the classes of all lengths together, and is
+    checked against their count3 sum before any length is enumerated.
+    """
+    _check_ints(budget=budget)
+    total = sum(count3(ctx.q, level, group) for level in range(1, ctx.length + 1))
+    if total > budget:
+        raise BudgetExceeded(
+            f"type_histogram over {ctx.descriptor} builds {total} classes, exceeds budget {budget}"
+        )
     out = []
     for level in range(1, ctx.length + 1):
         tctx = ctx.truncated(level)

@@ -18,15 +18,22 @@ adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
 are already reduced.
 
-The 3x3 product, determinant and adjugate over a ring with modular
-arithmetic (a "z" ring, or any ring of length 1, see ring.py) work on
-plain integers and reduce each entry once mod p^length, which is exact
-because reduction is a ring map.  Over a "t" ring with lane arithmetic
-(see ring.py) the 3x3 product evaluates the same unrolled integer
-expression on the spread entries and gathers each output entry once: 9
-gathers in place of 27 ring products and 18 ring sums, exact because
-the lane width bounds a sum of three convolution sums.  Over a small "t" ring the
-product indexes the ring's addition and multiplication tables directly.
+The 3x3 product, determinant, adjugate and characteristic polynomial,
+and scaling, over a ring with modular arithmetic (a "z" ring, or any
+ring of length 1, see ring.py) work on plain integers and reduce each
+entry once mod p^length, which is exact because reduction is a ring
+map.  Over a "t"
+ring with lane arithmetic (see ring.py) the same methods, scaling and
+canon2's row-times-matrix evaluate the same integer expressions on the
+spread entries and gather each output once: the 3x3 product makes 9
+gathers in place of 27 ring products and 18 ring sums, and a
+determinant one in place of 14 ring operations.  An expression with a
+difference gets the ring's bias (a multiple of p in each low lane) added
+before its gather, so no lane that gather reads is negative; the lane
+width bounds the widest expression, a determinant plus the bias.  Over a
+small "t" ring the product indexes the ring's addition and
+multiplication tables directly, and the other methods take one ring
+operation per term.
 
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
@@ -172,7 +179,7 @@ class Mat:
             )
             return Mat._unchecked(ctx, 3, out)
         if n == 3 and ctx._lanes:  # a large "t" ring: the same expression on spread values
-            spread, g = ctx._lanes
+            spread, g, _ = ctx._lanes
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(spread, self.vals)
             b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(spread, other.vals)
             out = (
@@ -204,9 +211,17 @@ class Mat:
         return Mat._unchecked(ctx, n, out)
 
     def scale(self, e) -> "Mat":
-        v = _raw(self.ctx, e)
-        mul = self.ctx.mul_raw
-        return Mat._unchecked(self.ctx, self.n, [mul(v, a) for a in self.vals])
+        ctx = self.ctx
+        v = _raw(ctx, e)
+        if ctx._modular:
+            c = ctx.cardinality
+            return Mat._unchecked(ctx, self.n, [v * a % c for a in self.vals])
+        if ctx._lanes:  # spread v once, gather each product once
+            spread, gather, _ = ctx._lanes
+            sv = spread(v)
+            return Mat._unchecked(ctx, self.n, [gather(sv * spread(a)) for a in self.vals])
+        mul = ctx.mul_raw
+        return Mat._unchecked(ctx, self.n, [mul(v, a) for a in self.vals])
 
     def trace(self) -> int:
         add = self.ctx.add_raw
@@ -216,14 +231,19 @@ class Mat:
         return s
 
     def det(self) -> int:
-        v, n = self.vals, self.n
-        add, sub, mul = self.ctx.add_raw, self.ctx.sub_raw, self.ctx.mul_raw
+        v, n, ctx = self.vals, self.n, self.ctx
+        add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
         if n == 2:
             return sub(mul(v[0], v[3]), mul(v[1], v[2]))
-        if self.ctx._modular:  # integer arithmetic, one reduction
+        if ctx._modular:  # integer arithmetic, one reduction
             v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
             d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
-            return d % self.ctx.cardinality
+            return d % ctx.cardinality
+        if ctx._lanes:  # the same expression on spread values, one gather
+            spread, gather, bias = ctx._lanes
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
+            d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
+            return gather(d + bias)
         m = [
             mul(v[0], sub(mul(v[4], v[8]), mul(v[5], v[7]))),
             mul(v[1], sub(mul(v[3], v[8]), mul(v[5], v[6]))),
@@ -232,19 +252,30 @@ class Mat:
         return add(sub(m[0], m[1]), m[2])
 
     def charpoly(self) -> tuple[int, ...]:
-        """Companion coefficients (a_0, ..., a_{n-1})."""
+        """Companion coefficients (a_0, ..., a_{n-1}): the determinant,
+        minus the sum s2 of the principal 2x2 minors, and the trace."""
         ctx, v, n = self.ctx, self.vals, self.n
-        sub, mul, add = ctx.sub_raw, ctx.mul_raw, ctx.add_raw
-        tr, det = self.trace(), self.det()
         if n == 2:
-            return (ctx.neg_raw(det), tr)
-        s2 = 0  # sum of principal 2x2 minors
+            return (ctx.neg_raw(self.det()), self.trace())
+        if ctx._modular:  # integer arithmetic, one reduction per coefficient
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
+            c = ctx.cardinality
+            neg_s2 = v1 * v3 + v2 * v6 + v5 * v7 - v0 * v4 - v0 * v8 - v4 * v8
+            return (self.det(), neg_s2 % c, (v0 + v4 + v8) % c)
+        if ctx._lanes:  # the same expressions on spread values, one gather each
+            spread, gather, bias = ctx._lanes
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
+            det = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
+            neg_s2 = v1 * v3 + v2 * v6 + v5 * v7 - v0 * v4 - v0 * v8 - v4 * v8
+            return (gather(det + bias), gather(neg_s2 + bias), gather(v0 + v4 + v8))
+        sub, mul, add = ctx.sub_raw, ctx.mul_raw, ctx.add_raw
+        s2 = 0
         for i, j in ((0, 1), (0, 2), (1, 2)):
             s2 = add(
                 s2,
                 sub(mul(v[i * 3 + i], v[j * 3 + j]), mul(v[i * 3 + j], v[j * 3 + i])),
             )
-        return (det, ctx.neg_raw(s2), tr)
+        return (self.det(), ctx.neg_raw(s2), self.trace())
 
     def is_invertible(self) -> bool:
         return self.ctx.is_unit_raw(self.det())
@@ -269,6 +300,21 @@ class Mat:
                 (v0 * v4 - v1 * v3) % c,
             )
             return Mat._unchecked(ctx, 3, out)
+        if ctx._lanes:  # the same expressions on spread values, one gather each
+            spread, gather, bias = ctx._lanes
+            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
+            out = (
+                v4 * v8 - v5 * v7,
+                v2 * v7 - v1 * v8,
+                v1 * v5 - v2 * v4,
+                v5 * v6 - v3 * v8,
+                v0 * v8 - v2 * v6,
+                v2 * v3 - v0 * v5,
+                v3 * v7 - v4 * v6,
+                v1 * v6 - v0 * v7,
+                v0 * v4 - v1 * v3,
+            )
+            return Mat._unchecked(ctx, 3, [gather(x + bias) for x in out])
 
         def minor(r0, r1, c0, c1):
             return sub(mul(v[r0 * 3 + c0], v[r1 * 3 + c1]), mul(v[r0 * 3 + c1], v[r1 * 3 + c0]))
@@ -313,7 +359,8 @@ class Mat:
         return Mat._unchecked(ctx, self.n, [mod(a, level) for a in self.vals])
 
     def lift(self, length: int) -> "Mat":
-        return Mat(self.ctx.extended(length), self.n, self.vals)
+        # a packed value of a shorter ring is one of the longer ring too
+        return Mat._unchecked(self.ctx.extended(length), self.n, self.vals)
 
     def is_scalar(self) -> bool:
         n, v = self.n, self.vals

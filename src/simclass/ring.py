@@ -28,15 +28,25 @@ call with no flavor test.  It picks one of three arithmetic kinds:
   evaluated at 2^w; a product is one int product of two spread values
   and a sum or difference is one int addition.  The result is gathered
   back: the low `length` lanes are each reduced mod p and repacked in
-  base p.  This is exact because no lane ever carries into the next:
-  lane k of a product of two spread values is the convolution sum
-  c_k = sum(a_i * b_(k-i)), at most length*(p-1)^2, and lanes of the
-  3x3 matrix product (see matrix.Mat.__matmul__) hold three such sums,
-  at most 3*length*(p-1)^2; sub_raw and neg_raw add p in every lane
-  first, so their lanes lie in [1, 2p-1]; and w is the bit length of
-  the largest of these bounds.  Lane k of the int is then c_k itself,
-  and c_k mod p is digit k of the result, since t^length = 0 drops the
-  higher lanes.  For p = 2 addition and subtraction are XOR and
+  base p.  This is exact because no lane ever carries into the next.
+  Lane k of a product of two spread values is the convolution sum
+  c_k = sum(a_i * b_(k-i)), at most length*(p-1)^2; lane k of a triple
+  product is at most length^2*(p-1)^3, since two of the three indices
+  fix the third.  matrix.py evaluates the integer expressions of its
+  "z" branches on spread entries (the 3x3 product, det, adjugate,
+  charpoly), and the widest of them is the 3x3 determinant: three
+  triple products added and three subtracted, so each lane lies within
+  N = 3*length^2*(p-1)^3 of zero.  A difference may leave a lane
+  negative, so every such expression is gathered after adding the bias:
+  K*p in each low lane, the least multiple of p that is at least N.
+  The lanes that gather reads then lie in [0, N + K*p], and adding K*p
+  leaves each of them unchanged mod p.  The lanes above `length` may
+  stay negative: a borrow moves only upward, so the low lanes of the
+  int are still exactly the low lanes of the expression, and gather
+  never reads the others.  One width serves every operation: w is the
+  bit length of N + K*p, which also bounds the 3x3 product (three
+  convolution sums) and sub_raw and neg_raw, which add the bias before
+  they subtract.  For p = 2 addition and subtraction are XOR and
   negation is the identity.  The unit inverse is Newton's iteration on
   the bound mul and sub.
 
@@ -140,19 +150,22 @@ def _t_tables(p: int, length: int):
 
 
 def _lane_ops(p: int, length: int):
-    """(spread, gather, plus_p) of lane arithmetic over F_p[t]/(t^length).
+    """(spread, gather, bias) of lane arithmetic over F_p[t]/(t^length).
 
     spread takes a packed value to its digits in w-bit lanes, gather
-    takes an int of lanes (each below 2^w) to the packed value of its
-    low `length` lanes mod p, and plus_p holds p in each of those lanes.
-    w is the lane-width bound of the module docstring.  spread reads
-    chunks of k digits, p**k <= _LANE_TABLE_CAP, from a table of their
-    spread values, or one digit at a time (no table) when p alone
-    exceeds the cap, so no table has more than _LANE_TABLE_CAP entries
-    whatever p and length are; gather reads the lanes one at a time.
+    takes an int whose low `length` lanes each lie in [0, 2^w) to the
+    packed value of those lanes mod p, and bias holds K*p in each of
+    those lanes.  w and K*p are the width and bias of the module
+    docstring.  spread reads chunks of k digits, p**k <= _LANE_TABLE_CAP,
+    from a table of their spread values, or one digit at a time (no
+    table) when p alone exceeds the cap, so no table has more than
+    _LANE_TABLE_CAP entries whatever p and length are; gather reads the
+    lanes one at a time.
     """
-    w = max(3 * length * (p - 1) ** 2, 2 * p - 1).bit_length()
-    plus_p = sum(p << w * i for i in range(length))
+    widest = 3 * length**2 * (p - 1) ** 3  # the negative part of a determinant
+    lane_bias = -(-widest // p) * p
+    w = (widest + lane_bias).bit_length()
+    bias = sum(lane_bias << w * i for i in range(length))
     k = 0  # digits per spread chunk
     while k < length and p ** (k + 1) <= _LANE_TABLE_CAP:
         k += 1
@@ -179,7 +192,7 @@ def _lane_ops(p: int, length: int):
             out = out * p + (x >> s & mask) % p
         return out
 
-    return spread, gather, plus_p
+    return spread, gather, bias
 
 
 def _newton_inv(p: int, length: int, mul, sub):
@@ -237,7 +250,7 @@ class RingCtx:
         object.__setattr__(self, "cardinality", card)
         object.__setattr__(self, "descriptor", f"{self.flavor}:{self.p}:{self.length}")
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
-        lanes = None  # (spread, gather), see _lane_ops
+        lanes = None  # (spread, gather, bias), see _lane_ops
         modular = self.flavor == "z" or self.length == 1  # length 1: both flavors are F_p
         if modular:
             ops = (
@@ -257,8 +270,7 @@ class RingCtx:
                 inv.__getitem__,
             )
         else:
-            spread, gather, plus_p = _lane_ops(self.p, self.length)
-            lanes = spread, gather
+            lanes = spread, gather, bias = _lane_ops(self.p, self.length)
 
             def lane_mul(a: int, b: int) -> int:
                 return gather(spread(a) * spread(b))
@@ -268,9 +280,9 @@ class RingCtx:
             else:
                 ops = (
                     lambda a, b: gather(spread(a) + spread(b)),
-                    lambda a, b: gather(spread(a) + plus_p - spread(b)),
+                    lambda a, b: gather(spread(a) + bias - spread(b)),
                     lane_mul,
-                    lambda a: gather(plus_p - spread(a)),
+                    lambda a: gather(bias - spread(a)),
                 )
             ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
         object.__setattr__(self, "_modular", modular)

@@ -3,8 +3,11 @@ a fresh-interpreter runner, the Hypothesis profile, and the helpers that
 only tests use (j_matrix, placed, enumerate2, theta, transfer_power,
 same_class), the transfer recursions (transfer_matrix, base_vector,
 level_vector, count2_recursion) that the closed-form counts are tested
-against, and the digit loops of F_p[t]/(t^l) (poly_add, poly_neg,
-poly_mul, poly_inv) that every bound "t" arithmetic is tested against."""
+against, the digit loops of F_p[t]/(t^l) (poly_add, poly_neg, poly_mul,
+poly_inv, and the matrix entries poly_det, poly_adjugate, poly_charpoly)
+that every bound "t" arithmetic is tested against, and the reduced row
+echelon form over F_p (rref, rref_left_kernel, rref_residue_type) that
+canon3's residue algebra is tested against."""
 
 import functools
 import os
@@ -122,6 +125,103 @@ def poly_inv(ctx, a):
     for _ in range(max(1, (ctx.length - 1).bit_length())):
         u = poly_mul(ctx, u, poly_add(ctx, 2 % ctx.p, poly_neg(ctx, poly_mul(ctx, a, u))))
     return u
+
+
+def _poly_minor(ctx, v, r0, r1, c0, c1):
+    """The 2x2 minor of rows r0, r1 and columns c0, c1 of the 3x3 values v."""
+    return poly_add(ctx, poly_mul(ctx, v[3 * r0 + c0], v[3 * r1 + c1]),
+                    poly_neg(ctx, poly_mul(ctx, v[3 * r0 + c1], v[3 * r1 + c0])))
+
+
+def poly_adjugate(ctx, v):
+    """The adjugate of the 3x3 values v over a "t" ring: transposed
+    cofactors, on the digit loops."""
+    rest = ((1, 2), (0, 2), (0, 1))
+    out = []
+    for j in range(3):
+        for i in range(3):
+            m = _poly_minor(ctx, v, *rest[i], *rest[j])
+            out.append(m if (i + j) % 2 == 0 else poly_neg(ctx, m))
+    return out
+
+
+def poly_det(ctx, v):
+    """The determinant of the 3x3 values v over a "t" ring, expanded along
+    row 0 on the digit loops."""
+    adj = poly_adjugate(ctx, v)
+    out = 0
+    for j in range(3):
+        out = poly_add(ctx, out, poly_mul(ctx, v[j], adj[3 * j]))
+    return out
+
+
+def poly_charpoly(ctx, v):
+    """Companion coefficients (det, -s2, trace) of the 3x3 values v over a
+    "t" ring, s2 the sum of the principal 2x2 minors, on the digit loops."""
+    s2 = tr = 0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s2 = poly_add(ctx, s2, _poly_minor(ctx, v, i, j, i, j))
+    for i in (0, 4, 8):
+        tr = poly_add(ctx, tr, v[i])
+    return (poly_det(ctx, v), poly_neg(ctx, s2), tr)
+
+
+def rref(rows, p: int):
+    """Reduced row echelon form over F_p; returns (rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    piv = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(r, nr) if rows[i][c] % p), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows[:r], piv
+
+
+def rref_left_kernel(m):
+    """Basis of {w : w m = 0} for m over a residue field, read off the
+    reduced row echelon form of m^T: one vector per free column."""
+    p, n = m.ctx.p, m.n
+    rr, piv = rref([[m.raw(j, i) for j in range(n)] for i in range(n)], p)
+    basis = []
+    for f in (c for c in range(n) if c not in piv):
+        v = [0] * n
+        v[f] = 1
+        for ri, c in enumerate(piv):
+            v[c] = -rr[ri][f] % p
+        basis.append(tuple(v))
+    return basis
+
+
+def rref_residue_type(m):
+    """The residue type of the 3x3 m (see canon3._residue_type), with
+    r^2 = s r + t I solved by elimination over the residue field."""
+    r = m if m.ctx.length == 1 else m.residue()
+    p = r.ctx.p
+    if r.is_scalar():
+        return "scalar", r.raw(0, 0)
+    r2 = r @ r
+    aug = [[r.raw(i, j), int(i == j), r2.raw(i, j)] for i in range(3) for j in range(3)]
+    rr, piv = rref(aug, p)
+    if 2 in piv:
+        return ("cyclic",)
+    s, t = rr[0][2], rr[1][2]
+    double = (r.trace() - s) % p
+    single = (s - double) % p
+    assert (double * double - s * double - t) % p == 0
+    return ("jtype", double) if single == double else ("split", single, double)
 
 
 def j_matrix(ctx, c, d):

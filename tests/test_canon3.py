@@ -33,7 +33,8 @@ from simclass import (
 from simclass.cli import EX_MISMATCH
 from simclass.oracle import _orbit_states
 import reference_solver as ref
-from conftest import j_matrix, rand_invertible, rand_mat, run_python, same_class
+from conftest import (j_matrix, rand_invertible, rand_mat, rref, rref_left_kernel,
+                      rref_residue_type, run_python, same_class)
 
 # the module, not the function simclass.canon3: the pipeline stages are private
 c3 = importlib.import_module("simclass.canon3")
@@ -84,6 +85,55 @@ def test_residue_type_partitions_all_of_f3():
         kinds[residue_type(Mat(f3, 3, list(vals)))[0]] += 1
     assert sum(kinds.values()) == 3**9
     assert kinds["scalar"] == 3
+
+
+def _rank(m):
+    return len(rref([m.vals[i : i + 3] for i in (0, 3, 6)], m.ctx.p)[0])
+
+
+def test_residue_algebra_matches_the_echelon_form_on_all_of_f2_and_f3():
+    # the closed forms of _residue_type and _left_kernel give what the
+    # reduced row echelon form gives, on every 3x3 matrix over F_2 and
+    # F_3, and _left_kernel on every matrix of rank 1 or 2 among them
+    kernels = 0
+    for p in (2, 3):
+        f = ring_ctx("z", p, 1)
+        for vals in itertools.product(range(p), repeat=9):
+            m = Mat(f, 3, vals)
+            assert residue_type(m) == rref_residue_type(m)
+            if 1 <= _rank(m) <= 2:
+                assert c3._left_kernel(m) == rref_left_kernel(m)
+                kernels += 1
+    assert kernels == (2**9 - 1 - 168) + (3**9 - 1 - 11232)  # less 0 and GL_3
+
+
+@pytest.mark.parametrize("p", [5, 7, 1000003])
+def test_residue_algebra_matches_the_echelon_form_on_random_matrices(p, rng):
+    # 2000 matrices per field: random ones (mostly cyclic),
+    # conjugates of split and jtype shapes and of their eigenspace
+    # matrices, and products of rank 1 and 2
+    f = ring_ctx("z", p, 1)
+    kinds = Counter()
+    for i in range(2000):
+        g = rand_invertible(f, 3, rng)
+        s, d = rng.randrange(p), rng.randrange(p)
+        if i % 4 == 0:
+            m = rand_mat(f, 3, rng)
+        elif i % 4 == 1:
+            m = diag(f, [s, d, d]).conjugate_by(g)
+        elif i % 4 == 2:
+            m = e_matrix(f, 1, 0, 0, 0, d).conjugate_by(g)
+        else:
+            r = 1 + i % 8 // 4  # rank 1 or 2, unless the product drops it
+            m = diag(f, [1] * r + [0] * (3 - r)).conjugate_by(g) @ rand_mat(f, 3, rng)
+        kinds[residue_type(m)[0]] += 1
+        assert residue_type(m) == rref_residue_type(m)
+        for e in (0, s, d):
+            k = m - scalar(f, 3, e)
+            if 1 <= _rank(k) <= 2:
+                assert c3._left_kernel(k) == rref_left_kernel(k)
+                kinds["kernel"] += 1
+    assert min(kinds[k] for k in ("cyclic", "split", "jtype", "kernel")) >= 400
 
 
 def test_residue_eigenvalues_factor_the_charpoly(rng):
@@ -196,6 +246,61 @@ def test_reduce_to_e_form_round_trips(rng):
         e, x = e_form(m)
         assert m.conjugate_by(x) == e.rebuild()
         assert ref.is_similar(e.rebuild(), base)[0]
+
+
+def _five_conjugations(beta, dbar):
+    """_e_form as five full 3x3 conjugations by (Y, Y^-1), with the
+    first X from the echelon form: the reference for its steps on
+    entries."""
+    ctx = beta.ctx
+    res = beta.residue()
+    p = res.ctx.p
+    nbar = res - scalar(res.ctx, 3, dbar)
+    w2 = next(tuple(int(k == i) for k in range(3)) for i in range(3)
+              if any(nbar.raw(i, j) for j in range(3)))
+    w3 = tuple(sum(w2[k] * nbar.raw(k, j) for k in range(3)) % p for j in range(3))
+    w1 = next(k for k in rref_left_kernel(nbar) if len(rref([k, w3], p)[0]) == 2)
+    x_total = Mat(ctx, 3, w1 + w2 + w3)
+    gamma = beta.conjugate_by(x_total)
+
+    def step(i, j, v, w):  # conjugate by Y: I with entry (i, j) v, Y^-1 with w there
+        nonlocal gamma, x_total
+        y, y_inv = [1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0, 1]
+        y[3 * i + j], y_inv[3 * i + j] = v, w
+        y, y_inv = Mat(ctx, 3, y), Mat(ctx, 3, y_inv)
+        gamma = y @ gamma @ y_inv
+        x_total = y @ x_total
+
+    def shear(i, j, v):
+        step(i, j, v, ctx.neg_raw(v))
+
+    def scaling(k, u):
+        step(k, k, u, ctx.inv_raw(u))
+
+    scaling(2, gamma.raw(1, 2))
+    shear(0, 1, ctx.neg_raw(gamma.raw(0, 2)))
+    shear(2, 0, gamma.raw(1, 0))
+    shear(2, 1, ctx.sub_raw(gamma.raw(1, 1), gamma.raw(0, 0)))
+    scaling(0, ctx.inv_raw(ctx.unit_split_raw(gamma.raw(0, 1))[1]))
+    return c3._as_hard_form(gamma), x_total
+
+
+@pytest.mark.parametrize("desc", ["z:2:3", "t:2:3", "z:5:2", "t:3:4"])
+def test_e_form_steps_on_entries_match_five_conjugations(desc, rng):
+    # every shape of a random conjugate of a jtype residue, at every
+    # slot exponent, gets the shape and the X of the full conjugations
+    ctx = parse_ring(desc)
+    p, card = ctx.p, ctx.cardinality
+    for _ in range(60):
+        m = rng.randrange(1, ctx.length + 1)
+        a, b, c = (rng.randrange(card) * p % card for _ in range(3))
+        beta = e_matrix(ctx, m, a, b, c, rng.randrange(card)).conjugate_by(
+            rand_invertible(ctx, 3, rng))
+        kind, dbar = residue_type(beta)
+        assert kind == "jtype"
+        e, x = c3._e_form(beta, dbar)
+        assert (e, x) == _five_conjugations(beta, dbar)
+        assert beta.conjugate_by(x) == e.rebuild()
 
 
 # ----------------------------------------------------------------------

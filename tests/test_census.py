@@ -385,3 +385,18 @@ def test_type_histogram_matches_transfer_recursion():
 def test_type_histogram_gl_base():
     hist = type_histogram(ring_ctx("z", 2, 1), "GL")
     assert hist == [CountVector(1, 0, 1, 4)]
+
+
+@pytest.mark.parametrize("budget", [1000, 1453])
+def test_type_histogram_checks_its_budget_before_any_length(monkeypatch, budget):
+    # over z:2:3 the lengths hold 14 + 144 + 1296 = 1454 classes: every
+    # length fits a budget of 1453, and the first two fit 1000, but the
+    # budget bounds their sum, which is refused before any enumeration
+    census = importlib.import_module("simclass.census")
+    built = []
+    monkeypatch.setattr(census, "_enumerate", lambda ctx, *args: built.append(ctx) or iter(()))
+    with pytest.raises(BudgetExceeded, match="1454 classes"):
+        type_histogram(ring_ctx("z", 2, 3), budget=budget)
+    assert built == []
+    monkeypatch.undo()
+    assert sum(map(sum, type_histogram(ring_ctx("z", 2, 3), budget=1454))) == 1454

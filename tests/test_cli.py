@@ -383,19 +383,23 @@ def test_broken_similarity_witness_exits_70_under_optimize():
 
 
 def test_broken_block_split_raises_under_optimize():
-    # with pi added to the first entry of every row product the rows of
-    # the block split keep their residue, so X stays invertible but no
-    # longer splits the blocks; the witness check of the whole form must
-    # fire under -O, and canon exit 70
+    # with pi added to entry (1, 0) of the block split's X, its rows keep
+    # their residue, so X stays invertible, but row 1 leaves the invariant
+    # complement (e_0 is the residue a-eigenvector here), so X no longer
+    # splits the blocks; the witness check of the whole form must fire
+    # under -O, and canon exit 70
     script = (
         "import importlib, sys\n"
+        "from simclass import Mat\n"
         "from simclass.cli import main\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
-        "real = c3._row_times\n"
-        "def broken(w, m):\n"
-        "    r = real(w, m)\n"
-        "    return [m.ctx.add_raw(r[0], m.ctx.p)] + r[1:]\n"
-        "c3._row_times = broken\n"
+        "real = c3._block_split\n"
+        "def broken(beta, abar, bbar):\n"
+        "    a, b, x = real(beta, abar, bbar)\n"
+        "    v = list(x.vals)\n"
+        "    v[3] = x.ctx.add_raw(v[3], x.ctx.p)\n"
+        "    return a, b, Mat(x.ctx, 3, v)\n"
+        "c3._block_split = broken\n"
         "sys.exit(main(['canon', '--ring', 'z:2:2', '[[1, 0, 0], [1, 0, 2], [2, 2, 2]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -630,6 +634,15 @@ def test_negative_max_states_exits_64(capsys):
 def test_budget_exit_65(capsys):
     code, _, _ = run(capsys, "enumerate", "--ring", "z:5:3", "--budget", "10")
     assert code == EX_BUDGET
+
+
+def test_histogram_budget_bounds_the_classes_of_every_length(capsys):
+    # z:2:3 has 14 + 144 + 1296 = 1454 classes over its three lengths
+    for budget in ("1000", "1300", "1453"):
+        code, out, err = run(capsys, "histogram", "--ring", "z:2:3", "--budget", budget)
+        assert code == EX_BUDGET and out == "" and "1454 classes" in err
+    code, out, _ = run(capsys, "histogram", "--ring", "z:2:3", "--budget", "1454")
+    assert code == EX_OK and json.loads(out)["count"] == 1296
 
 
 def test_budget_bounds_the_group_class_count(capsys):

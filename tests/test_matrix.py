@@ -1,5 +1,7 @@
 """Matrix layer: arithmetic, determinants, charpoly, builders."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,11 @@ from simclass import (
     scalar,
     zero,
 )
-from conftest import j_matrix, poly_add, poly_mul, rand_invertible, rand_mat
+from conftest import (j_matrix, poly_add, poly_adjugate, poly_charpoly, poly_det, poly_inv,
+                      poly_mul, rand_invertible, rand_mat)
+
+# the module, not the function simclass.canon2: _row_times is private
+canon2_module = importlib.import_module("simclass.canon2")
 
 
 def test_constructors_and_accessors():
@@ -103,9 +109,10 @@ def test_matmul_matches_entry_formula(rng):
                 assert c.raw(i, j) == s
 
 
-@pytest.mark.parametrize(
-    "desc", ["t:3:7", "t:2:11", "t:5:5", "t:3:39", "t:2:62", "t:1000003:2", "t:2147483647:2"]
-)
+LANE_RINGS = ["t:3:7", "t:2:11", "t:5:5", "t:3:39", "t:2:62", "t:1000003:2", "t:2147483647:2"]
+
+
+@pytest.mark.parametrize("desc", LANE_RINGS)
 def test_lane_products_match_the_entry_formula(desc, rng):
     # the 3x3 product over a lane ring gathers each entry once from three
     # products of spread values: it equals the sum of the products of the
@@ -122,6 +129,40 @@ def test_lane_products_match_the_entry_formula(desc, rng):
                 for k in range(3):
                     s = poly_add(ctx, s, poly_mul(ctx, a.raw(i, k), b.raw(k, j)))
                 assert c.raw(i, j) == s
+
+
+@pytest.mark.parametrize("desc", LANE_RINGS)
+def test_lane_det_adjugate_charpoly_and_inverse_match_the_digit_loops(desc, rng):
+    # each is one integer expression of spread entries per output, gathered
+    # once with the bias added: it equals the cofactor formulas on the
+    # digit loops.  With every entry card - 1, each triple product fills
+    # its lanes: the first matrix cancels them, the second adds two
+    # (v0 v4 v8 + v1 v5 v6) and the third subtracts two (v0 v5 v7 + v1 v3 v8)
+    ctx = parse_ring(desc)
+    top = ctx.cardinality - 1
+    extremes = [[top] * 9, [top, top, 0, 0, top, top, top, 0, top],
+                [top, top, 0, top, 0, top, 0, top, top]]
+    mats = [Mat(ctx, 3, v) for v in extremes]
+    mats += [rand_mat(ctx, 3, rng) for _ in range(4)] + [rand_invertible(ctx, 3, rng)]
+    for m in mats:
+        v = m.vals
+        assert m.det() == poly_det(ctx, v)
+        assert m.charpoly() == poly_charpoly(ctx, v)
+        assert list(m.adjugate().vals) == poly_adjugate(ctx, v)
+        assert list(m.scale(top).vals) == [poly_mul(ctx, top, x) for x in v]
+        if m.is_invertible():
+            d_inv = poly_inv(ctx, poly_det(ctx, v))
+            adj = poly_adjugate(ctx, v)
+            assert list(m.inverse().vals) == [poly_mul(ctx, d_inv, x) for x in adj]
+    assert mats[-1].is_invertible()
+    # canon2's row vector times matrix, the same sums of products
+    for w in ([top] * 3, mats[-1].vals[:3]):
+        assert canon2_module._row_times(w, mats[0]) == [
+            poly_add(ctx, poly_add(ctx, poly_mul(ctx, w[0], mats[0].raw(0, j)),
+                                   poly_mul(ctx, w[1], mats[0].raw(1, j))),
+                     poly_mul(ctx, w[2], mats[0].raw(2, j)))
+            for j in range(3)
+        ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 31])

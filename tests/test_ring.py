@@ -237,9 +237,23 @@ def test_t_rings_past_the_table_limit_build_no_table():
     assert ctx.mul_raw(3, 5) == poly_mul(ctx, 3, 5)
     assert ctx._tables == (None, None, None, None)
     # lane arithmetic is bound instead: gather undoes spread
-    spread, gather = ctx._lanes
+    spread, gather, _ = ctx._lanes
     assert all(gather(spread(a)) == a for a in range(ctx.cardinality))
     assert ctx.mul_raw(ctx.cardinality - 1, 1) == ctx.cardinality - 1
+
+
+@pytest.mark.parametrize("p,length", LANE_RINGS)
+def test_lane_bias_covers_the_negative_part_of_a_determinant(p, length):
+    # every low lane of the bias is a multiple of p, so adding it changes
+    # no digit, and at least 3 l^2 (p-1)^3, the most that the three
+    # subtracted triple products of a determinant take from a lane; the
+    # lanes above `length` are empty
+    spread, gather, bias = RingCtx("t", p, length)._lanes
+    w = spread(p).bit_length() - 1  # pi spreads to 2^w
+    lanes = [bias >> w * k & (1 << w) - 1 for k in range(length)]
+    assert bias >> w * length == 0
+    assert all(x % p == 0 and x >= 3 * length**2 * (p - 1) ** 3 for x in lanes)
+    assert gather(bias) == 0
 
 
 def _lane_tables(ctx):
