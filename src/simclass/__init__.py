@@ -10,9 +10,14 @@ their submodules, so ``simclass.canon3`` (and ``import simclass.canon3
 as c3``) is the function; the module itself is reached with
 ``importlib.import_module("simclass.canon3")``.
 
-The orbit-oracle names (orbit_census, verify_counts, ...) are resolved
-on first access, so only a process that uses the oracle imports
-simclass.oracle and numpy.
+The names of simclass.census (counts, enumeration, the generating
+function), simclass.modsolve (is_similar and the group and centralizer
+orders) and simclass.oracle (orbit_census, verify_counts, ...) are
+resolved on first access; the core that canon needs (errors, ring,
+matrix, canon2, canon3) loads with the package.  A process without a
+bytecode cache compiles every module it imports, so a command loads
+only the code it runs: only the oracle imports numpy, and only the
+generating function imports fractions.
 """
 
 from .canon2 import (
@@ -22,14 +27,6 @@ from .canon2 import (
     canon2,
 )
 from .canon3 import HardBody, SplitBody, canon3, hard_family
-from .census import (
-    CountVector,
-    count2,
-    count3,
-    enumerate3,
-    gf_coeffs,
-    type_histogram,
-)
 from .errors import (
     BadDescriptor,
     BadLevel,
@@ -53,34 +50,35 @@ from .matrix import (
     scalar,
     zero,
 )
-from .modsolve import centralizer_order, group_order, is_similar
 from .ring import RingCtx, parse_ring, ring_ctx
 
 __version__ = "0.1.0"
 
-# the orbit oracle, and numpy with it, loads on first use of one of these
-_ORACLE_NAMES = frozenset(
-    {
-        "OrbitCensus",
-        "orbit_census",
-        "orbit_of",
-        "verify_counts",
-    }
-)
+# name -> the submodule that defines it, imported on first use of one of
+# its names; the oracle brings numpy with it
+_LAZY = {
+    **dict.fromkeys(
+        ("CountVector", "count2", "count3", "enumerate3", "gf_coeffs", "type_histogram"),
+        "census",
+    ),
+    **dict.fromkeys(("centralizer_order", "group_order", "is_similar"), "modsolve"),
+    **dict.fromkeys(("OrbitCensus", "orbit_census", "orbit_of", "verify_counts"), "oracle"),
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    if name in _LAZY:
+        from importlib import import_module
 
-        value = getattr(oracle, name)
+        module = import_module(f"{__name__}.{_LAZY[name]}")
+        value = getattr(module, name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))
 
 
 __all__ = [

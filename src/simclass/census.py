@@ -27,7 +27,6 @@ miss none.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import NamedTuple
 
@@ -125,6 +124,8 @@ def gf_coeffs(q: int, group: str = "M", terms: int = 1):
     reusing the closed form of count3; the tests check the two agree
     coefficient by coefficient.
     """
+    from fractions import Fraction  # here only: the other commands need not load it
+
     _check_ints(q=q, terms=terms)
     if q < 2 or terms < 1:
         raise BadParams("need q >= 2 and terms >= 1")

@@ -32,11 +32,12 @@ import json
 import sys
 
 from .canon3 import canon
-from .census import _enumerate, count2, count3, gf_coeffs, type_histogram
 from .errors import BadParams, BudgetExceeded, SimclassError, VerificationFailed
 from .matrix import Mat
-from .modsolve import centralizer_order, group_order, is_similar
 from .ring import _decimal, parse_ring
+
+# census and modsolve are imported by the commands that call them: a
+# process without a bytecode cache compiles every module it imports
 
 EX_OK = 0
 EX_DIFFERENT = 1
@@ -60,8 +61,11 @@ def _read_matrix(ctx, text: str) -> Mat:
     return Mat.from_rows(ctx, rows)
 
 
+_encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds an encoder per call
+
+
 def _print_json(obj):
-    print(json.dumps(obj, sort_keys=True))
+    print(_encode_json(obj))
 
 
 def _print_counts(counts):
@@ -102,6 +106,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_similar(args) -> int:
+    from .modsolve import is_similar
+
     ctx = parse_ring(args.ring)
     a = _read_matrix(ctx, args.a)
     b = _read_matrix(ctx, args.b)
@@ -115,12 +121,16 @@ def _group(args) -> str:
 
 
 def _cmd_count(args) -> int:
+    from .census import count2, count3
+
     fn = count2 if args.n == 2 else count3
     _print_counts([fn(args.q, args.level, _group(args))])
     return EX_OK
 
 
 def _cmd_gf(args) -> int:
+    from .census import count2, gf_coeffs
+
     if args.n == 3:
         coeffs = gf_coeffs(args.q, _group(args), args.terms)
     else:
@@ -132,6 +142,8 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .census import _enumerate
+
     ctx = parse_ring(args.ring)
     for form, mat in _enumerate(ctx, args.n, _group(args), args.budget):
         _print_json({"form": form.to_json(), "matrix": mat.rows()})
@@ -139,6 +151,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    from .census import type_histogram
+
     ctx = parse_ring(args.ring)
     hist = type_histogram(ctx, _group(args), args.budget)
     _print_json(
@@ -170,6 +184,8 @@ def _cmd_oracle_census(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
+    from .modsolve import centralizer_order, group_order
+
     ctx = parse_ring(args.ring)
     m = _read_matrix(ctx, args.matrix)
     order = centralizer_order(m)

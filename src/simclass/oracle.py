@@ -61,14 +61,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
+# simclass's modules first: without a bytecode cache, compiling them after numpy raises peak RSS
 from .canon3 import canon
 from .census import _check_ints, _enumerate, count2, count3
 from .errors import BadParams, BudgetExceeded, CtxMismatch, VerificationFailed
 from .matrix import Mat, diag, elementary
 from .modsolve import centralizer_order, group_order
 from .ring import RingCtx
+
+import numpy as np
 
 __all__ = ["OrbitCensus", "orbit_census", "orbit_of", "verify_counts"]
 

@@ -244,29 +244,64 @@ def test_canon_hard_input_over_z31_len2_returns():
 
 
 def test_numpy_loads_only_with_the_oracle():
-    # a fresh interpreter: importing the package and running the non-oracle
-    # commands leaves numpy unloaded; the oracle names still resolve
+    # a fresh interpreter: the package loads only the core canon needs, and
+    # each command loads only the modules it runs (census, modsolve,
+    # fractions, the oracle with numpy); every public name still resolves
+    # to its submodule's object, and canon2 and canon3 stay the functions
     script = (
         "import contextlib, importlib, io, sys\n"
-        "def check(step):\n"
-        "    if 'numpy' in sys.modules:\n"
-        "        sys.exit('numpy loaded by ' + step)\n"
+        "LAZY = ('simclass.census', 'simclass.modsolve', 'simclass.oracle', 'fractions', 'numpy')\n"
+        "def check(step, *want):\n"
+        "    got = sorted(name for name in LAZY if name in sys.modules)\n"
+        "    if got != sorted(want):\n"
+        "        sys.exit(f'{step} loaded {got}, expected {sorted(want)}')\n"
+        "def cli(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if simclass.cli.main(list(argv)) != 0:\n"
+        "            sys.exit(' '.join(argv) + ' failed')\n"
         "import simclass\n"
         "check('import simclass')\n"
+        "if set(simclass.__all__) - set(dir(simclass)):\n"
+        "    sys.exit('dir(simclass) misses a public name')\n"
         "import simclass.cli\n"
         "check('import simclass.cli')\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    if simclass.cli.main(['count', '--q', '2', '--level', '2']) != 0:\n"
-        "        sys.exit('count failed')\n"
-        "    check('count')\n"
-        "    if simclass.cli.main(['canon', '--ring', 'z:2:2', '[[0,0,0],[0,0,1],[0,0,0]]']) != 0:\n"
-        "        sys.exit('canon failed')\n"
-        "    check('a hard canon')\n"
+        "cli('canon', '--ring', 'z:2:2', '[[0,0,0],[0,0,1],[0,0,0]]')\n"
+        "check('a hard canon')\n"
+        "cli('similar', '--ring', 'z:3:1', '[[1,0,0],[0,2,0],[0,0,0]]', '[[0,0,0],[0,1,0],[0,0,2]]')\n"
+        "check('similar', 'simclass.modsolve')\n"
+        "cli('count', '--q', '2', '--level', '2')\n"
+        "check('count', 'simclass.census', 'simclass.modsolve')\n"
+        "cli('gf', '--q', '2', '--terms', '3')\n"
+        "check('gf', 'fractions', 'simclass.census', 'simclass.modsolve')\n"
+        "DEFINED = {\n"
+        "    'errors': ('BadDescriptor', 'BadLevel', 'BadParams', 'BudgetExceeded', 'CtxMismatch',\n"
+        "               'NonIntegralDivision', 'NonUnit', 'NotInvertible', 'SearchBudgetExceeded',\n"
+        "               'SimclassError', 'VerificationFailed'),\n"
+        "    'ring': ('RingCtx', 'parse_ring', 'ring_ctx'),\n"
+        "    'matrix': ('Mat', 'block_diag', 'diag', 'e_matrix', 'elementary', 'identity',\n"
+        "               'scalar', 'zero'),\n"
+        "    'canon2': ('CanonicalForm', 'CyclicBody', 'ScalarBody', 'canon2'),\n"
+        "    'canon3': ('HardBody', 'SplitBody', 'canon3', 'hard_family'),\n"
+        "    'census': ('CountVector', 'count2', 'count3', 'enumerate3', 'gf_coeffs',\n"
+        "               'type_histogram'),\n"
+        "    'modsolve': ('centralizer_order', 'group_order', 'is_similar'),\n"
+        "    'oracle': ('OrbitCensus', 'orbit_census', 'orbit_of', 'verify_counts'),\n"
+        "}\n"
+        "if sorted(n for names in DEFINED.values() for n in names) != sorted(simclass.__all__):\n"
+        "    sys.exit('__all__ is not the union of the submodules names')\n"
         "resolved = {name: getattr(simclass, name) for name in simclass.__all__}\n"
-        "oracle = importlib.import_module('simclass.oracle')\n"
-        "for name in ('OrbitCensus', 'orbit_census', 'orbit_of', 'verify_counts'):\n"
-        "    if resolved[name] is not getattr(oracle, name):\n"
-        "        sys.exit(name + ' is not the oracle object')\n"
+        "check('resolving __all__', *LAZY)\n"
+        "for sub, names in DEFINED.items():\n"
+        "    module = importlib.import_module('simclass.' + sub)\n"
+        "    for name in names:\n"
+        "        if resolved[name] is not getattr(module, name):\n"
+        "            sys.exit(name + ' is not the object simclass.' + sub + ' defines')\n"
+        "import simclass.canon2 as c2\n"
+        "import simclass.canon3 as c3\n"
+        "for sub, fn in (('canon2', c2), ('canon3', c3)):\n"
+        "    want = getattr(sys.modules['simclass.' + sub], sub)\n"
+        "    if not (fn is want and getattr(simclass, sub) is want):\n"
+        "        sys.exit('simclass.' + sub + ' is not the function')\n"
         "print('ok')\n"
     )
     proc = run_python("-c", script, timeout=60)
