@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from math import gcd
 from itertools import product
 
@@ -37,9 +37,10 @@ __all__ = [
 
 
 def _split_scalar(alpha: Mat) -> tuple:
-    """The maximal scalar split (level, d, beta) of alpha: alpha =
-    d*I + pi^level * beta, d reduced mod pi^level and beta over the
-    length-(l-level) ring, or None iff alpha is scalar (level = length).
+    """The maximal scalar split (level, d, beta, res) of alpha: alpha =
+    d*I + pi^level * beta, d reduced mod pi^level, beta over the
+    length-(l-level) ring and res its residue, which the maximality check
+    takes; beta and res are None iff alpha is scalar (level = length).
     Shared by the 2x2 and 3x3 pipelines."""
     ctx, n = alpha.ctx, alpha.n
     length, card, v = ctx.length, ctx.cardinality, alpha.vals
@@ -52,14 +53,15 @@ def _split_scalar(alpha: Mat) -> tuple:
     level = ctx.val_raw(gcd(card, *(x - d0 if i in diag else x for i, x in enumerate(v))) % card)
     d = ctx.mod_pi_raw(d0, level)
     if level == length:
-        return level, d, None
+        return level, d, None, None
     sub, div = ctx.sub_raw, ctx.div_pi_raw
     vals = [div(sub(x, d) if i in diag else x, level) for i, x in enumerate(v)]
     # the quotients are below p^(length - level): values of the shorter ring
     beta = Mat._unchecked(ctx.truncated(length - level), n, vals)
-    if beta.residue().is_scalar():
+    res = beta.residue()
+    if res.is_scalar():
         raise VerificationFailed("scalar split level not maximal")
-    return level, d, beta
+    return level, d, beta, res
 
 
 def _placer(ctx: RingCtx, n: int, level: int, d: int):
@@ -170,18 +172,13 @@ class CanonicalForm:
 
 def _row_times(w, m: Mat) -> list:
     """Row vector w times m, on raw entries: each output entry is one
-    integer expression, reduced once over a modular ring and gathered
-    once over a lane ring (see matrix.py)."""
+    integer expression of the lifted entries with one reduce (see
+    matrix.py)."""
     ctx, n, v = m.ctx, m.n, m.vals
-    dot = operator.mul
-    if ctx._modular:
-        c = ctx.cardinality
-        return [sum(map(dot, w, v[j::n])) % c for j in range(n)]
-    if ctx._lanes:
-        spread, gather, _ = ctx._lanes
-        sw = [spread(x) for x in w]
-        return [gather(sum(map(dot, sw, map(spread, v[j::n])))) for j in range(n)]
-    return [reduce(ctx.add_raw, map(ctx.mul_raw, w, v[j::n])) for j in range(n)]
+    lift, red = ctx._lift, ctx._reduce
+    if lift is not None:
+        w, v = [lift(x) for x in w], [lift(x) for x in v]
+    return [red(sum(map(operator.mul, w, v[j::n]))) for j in range(n)]
 
 
 def _cyclic_row_witness(beta: Mat) -> Mat:
@@ -219,9 +216,10 @@ def _cyclic_row_witness(beta: Mat) -> Mat:
     raise VerificationFailed("no cyclic row vector for a cyclic residue")
 
 
-def _cyclic_body(beta: Mat) -> tuple:
-    """(CyclicBody, X) for a beta with cyclic residue: X beta X^{-1} is
-    the companion matrix of its characteristic polynomial."""
+def _cyclic_body(beta: Mat, res: Mat) -> tuple:
+    """(CyclicBody, X) for a beta with cyclic residue res: X beta X^{-1}
+    is the companion matrix of its characteristic polynomial.  res is
+    not read: the witness rows are products with beta itself."""
     return CyclicBody(beta.charpoly()), _cyclic_row_witness(beta)
 
 
@@ -229,17 +227,18 @@ def _canonical_form(alpha: Mat, body_of) -> CanonicalForm:
     """The form of alpha with its witness, checked exactly against alpha.
 
     A scalar alpha gets ScalarBody and the identity.  Otherwise
-    body_of(beta), for the body beta of the scalar split, returns
-    (body, X) with X beta X^{-1} the body's matrix, and the witness is X
+    body_of(beta, res), for the body beta of the scalar split and its
+    residue res, returns (body, X) with X beta X^{-1} the body's matrix,
+    so no stage takes the residue again, and the witness is X
     lifted to the ring of alpha: d*I is central, and pi^level times a
     matrix depends on that matrix mod pi^(l-level) only.
     """
     ctx, n = alpha.ctx, alpha.n
-    level, d, beta = _split_scalar(alpha)
+    level, d, beta, res = _split_scalar(alpha)
     if beta is None:
         body, x = ScalarBody(), identity(ctx, n)
     else:
-        body, x = body_of(beta)
+        body, x = body_of(beta, res)
         x = x.lift(ctx.length)
     form = CanonicalForm(ctx, n, level, d, body, x)
     if not x.conjugates(alpha, form.rebuild()):

@@ -123,7 +123,7 @@ def _residue_type(m: Mat) -> tuple:
     single = s - double.  So the eigenvalues cost no search over the
     residue field.
     """
-    r = m if m.ctx.length == 1 else m.residue()
+    r = m.residue()
     p = r.ctx.p
     if r.is_scalar():
         return "scalar", r.raw(0, 0)
@@ -149,9 +149,9 @@ def _residue_type(m: Mat) -> tuple:
 # split residue: exact 1+2 block refinement
 
 
-def _block_split(beta: Mat, abar: int, bbar: int):
-    """Exact block refinement of a matrix whose residue is split, with
-    eigenvalue abar once and bbar twice (see _residue_type).
+def _block_split(beta: Mat, res: Mat, abar: int, bbar: int):
+    """Exact block refinement of a matrix whose residue res is split,
+    with eigenvalue abar once and bbar twice (see _residue_type).
 
     Returns (a, B, X) with X beta X^{-1} = diag(a) ++ B; a lifts abar,
     B is 2x2 with both residue eigenvalues equal to bbar.  abar is a
@@ -179,7 +179,6 @@ def _block_split(beta: Mat, abar: int, bbar: int):
         a = sub(a, mul(sub(mul(a, g0), c0), ga_inv))
 
     g_beta = beta @ (beta + scalar(ctx, 3, g1)) + scalar(ctx, 3, g0)
-    res = beta.residue()
     ka = _left_kernel(res - scalar(res.ctx, 3, abar))[0]
     kb = _left_kernel(res - scalar(res.ctx, 3, bbar))
     # residue digits are packed values of ctx
@@ -299,12 +298,12 @@ def _as_hard_form(m: Mat) -> HardBody | None:
     return HardBody(ctx, t, a, b, c, d)
 
 
-def _e_form(beta: Mat, dbar: int):
-    """Conjugate a matrix whose residue is jtype, with eigenvalue dbar,
-    onto the pi-power shape.
+def _e_form(beta: Mat, res: Mat, dbar: int):
+    """Conjugate a matrix whose residue res is jtype, with eigenvalue
+    dbar, onto the pi-power shape.
 
     Returns (HardBody, X) with X beta X^{-1} equal to the rebuilt shape.
-    N = residue(beta) - dbar I has N^2 = 0 and rank 1.  The first X has
+    N = res - dbar I has N^2 = 0 and rank 1.  The first X has
     rows w1, w2, w3: w2 the unit row of the first nonzero row of N,
     w3 = w2 N that row, and w1 the first kernel row of N independent
     from w3.  Five steps then fix one entry of gamma = X beta X^{-1}
@@ -316,7 +315,6 @@ def _e_form(beta: Mat, dbar: int):
     """
     ctx = beta.ctx
     add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
-    res = beta.residue()
     p = res.ctx.p
     nbar = res - scalar(res.ctx, 3, dbar)
     i = next(i for i in (0, 3, 6) if any(nbar.vals[i : i + 3]))
@@ -572,17 +570,17 @@ class SplitBody:
         return {"kind": "split", "a": self.a, "inner": self.inner.to_json()}
 
 
-def _body3(beta: Mat) -> tuple:
+def _body3(beta: Mat, res: Mat) -> tuple:
     """(body, X) with X beta X^{-1} the body's matrix, for a 3x3 beta
-    with non-scalar residue."""
-    kind, *eigenvalues = _residue_type(beta)
+    with non-scalar residue res."""
+    kind, *eigenvalues = _residue_type(res)
     if kind == "cyclic":
-        return _cyclic_body(beta)
+        return _cyclic_body(beta, res)
     if kind == "split":
-        a, block, x1 = _block_split(beta, *eigenvalues)
+        a, block, x1 = _block_split(beta, res, *eigenvalues)
         inner = canon2(block)
         return SplitBody(a, inner), block_diag(beta.ctx, [1, inner.witness]) @ x1
-    e, x1 = _e_form(beta, *eigenvalues)
+    e, x1 = _e_form(beta, res, *eigenvalues)
     hard, x2 = _classify_hard(e)
     return hard, x2 @ x1
 

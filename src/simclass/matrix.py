@@ -18,22 +18,14 @@ adjugates, truncation) and matrices assembled from checked
 values are built with the unchecked Mat._unchecked, since their entries
 are already reduced.
 
-The 3x3 product, determinant, adjugate and characteristic polynomial,
-and scaling, over a ring with modular arithmetic (a "z" ring, or any
-ring of length 1, see ring.py) work on plain integers and reduce each
-entry once mod p^length, which is exact because reduction is a ring
-map.  Over a "t"
-ring with lane arithmetic (see ring.py) the same methods, scaling and
-canon2's row-times-matrix evaluate the same integer expressions on the
-spread entries and gather each output once: the 3x3 product makes 9
-gathers in place of 27 ring products and 18 ring sums, and a
-determinant one in place of 14 ring operations.  An expression with a
-difference gets the ring's bias (a multiple of p in each low lane) added
-before its gather, so no lane that gather reads is negative; the lane
-width bounds the widest expression, a determinant plus the bias.  Over a
-small "t" ring the product indexes the ring's addition and
-multiplication tables directly, and the other methods take one ring
-operation per term.
+The product, determinant and characteristic polynomial, scaling, and
+the 3x3 adjugate are one integer expression per output on every ring:
+the entries are lifted once by the ring's _lift (see ring.py), each
+output is evaluated on plain ints, with signs, and mapped back by one
+_reduce.  Over a "z" ring or any ring of length 1 that is one reduction
+mod p^length; over a "t" ring of length >= 2 it is one gather of spread
+lanes, so the 3x3 product makes 9 gathers in place of 27 ring products
+and 18 ring sums, and a determinant one in place of 14 ring operations.
 
 Characteristic polynomials are reported in companion convention: the
 tuple (a_0, ..., a_{n-1}) with x^n = a_{n-1} x^{n-1} + ... + a_0 at the
@@ -44,7 +36,6 @@ charpoly() == coeffs.
 from __future__ import annotations
 
 import operator
-from functools import reduce
 
 from .errors import BadParams, CtxMismatch, NotInvertible
 from .ring import RingCtx
@@ -161,67 +152,43 @@ class Mat:
     def __matmul__(self, other):
         if other.ctx is not self.ctx or other.n != self.n:
             self._check(other)
-        ctx, n = self.ctx, self.n
-        if n == 3 and ctx._modular:  # the hot case: unrolled, one reduction per entry
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = self.vals
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = other.vals
-            c = ctx.cardinality
-            out = (
-                (a0 * b0 + a1 * b3 + a2 * b6) % c,
-                (a0 * b1 + a1 * b4 + a2 * b7) % c,
-                (a0 * b2 + a1 * b5 + a2 * b8) % c,
-                (a3 * b0 + a4 * b3 + a5 * b6) % c,
-                (a3 * b1 + a4 * b4 + a5 * b7) % c,
-                (a3 * b2 + a4 * b5 + a5 * b8) % c,
-                (a6 * b0 + a7 * b3 + a8 * b6) % c,
-                (a6 * b1 + a7 * b4 + a8 * b7) % c,
-                (a6 * b2 + a7 * b5 + a8 * b8) % c,
-            )
-            return Mat._unchecked(ctx, 3, out)
-        if n == 3 and ctx._lanes:  # a large "t" ring: the same expression on spread values
-            spread, g, _ = ctx._lanes
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(spread, self.vals)
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(spread, other.vals)
-            out = (
-                g(a0 * b0 + a1 * b3 + a2 * b6),
-                g(a0 * b1 + a1 * b4 + a2 * b7),
-                g(a0 * b2 + a1 * b5 + a2 * b8),
-                g(a3 * b0 + a4 * b3 + a5 * b6),
-                g(a3 * b1 + a4 * b4 + a5 * b7),
-                g(a3 * b2 + a4 * b5 + a5 * b8),
-                g(a6 * b0 + a7 * b3 + a8 * b6),
-                g(a6 * b1 + a7 * b4 + a8 * b7),
-                g(a6 * b2 + a7 * b5 + a8 * b8),
-            )
-            return Mat._unchecked(ctx, 3, out)
+        ctx = self.ctx
+        lift, red = ctx._lift, ctx._reduce
         a, b = self.vals, other.vals
-        rows = [a[i : i + n] for i in range(0, n * n, n)]
-        cols = [b[j::n] for j in range(n)]
-        tadd, tmul, _, _ = ctx._tables
-        if n == 3 and tadd is not None:  # a small "t" ring: index its tables inline
-            P = ctx.cardinality
-            out = [
-                tadd[tadd[tmul[x0 * P + y0] * P + tmul[x1 * P + y1]] * P + tmul[x2 * P + y2]]
-                for x0, x1, x2 in rows
-                for y0, y1, y2 in cols
-            ]
-        else:
-            add, mul = ctx.add_raw, ctx.mul_raw
-            out = [reduce(add, map(mul, r, c)) for r in rows for c in cols]
-        return Mat._unchecked(ctx, n, out)
+        if lift is not None:
+            a, b = map(lift, a), map(lift, b)
+        if self.n == 2:
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            out = (
+                red(a0 * b0 + a1 * b2),
+                red(a0 * b1 + a1 * b3),
+                red(a2 * b0 + a3 * b2),
+                red(a2 * b1 + a3 * b3),
+            )
+            return Mat._unchecked(ctx, 2, out)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        out = (
+            red(a0 * b0 + a1 * b3 + a2 * b6),
+            red(a0 * b1 + a1 * b4 + a2 * b7),
+            red(a0 * b2 + a1 * b5 + a2 * b8),
+            red(a3 * b0 + a4 * b3 + a5 * b6),
+            red(a3 * b1 + a4 * b4 + a5 * b7),
+            red(a3 * b2 + a4 * b5 + a5 * b8),
+            red(a6 * b0 + a7 * b3 + a8 * b6),
+            red(a6 * b1 + a7 * b4 + a8 * b7),
+            red(a6 * b2 + a7 * b5 + a8 * b8),
+        )
+        return Mat._unchecked(ctx, 3, out)
 
     def scale(self, e) -> "Mat":
         ctx = self.ctx
-        v = _raw(ctx, e)
-        if ctx._modular:
-            c = ctx.cardinality
-            return Mat._unchecked(ctx, self.n, [v * a % c for a in self.vals])
-        if ctx._lanes:  # spread v once, gather each product once
-            spread, gather, _ = ctx._lanes
-            sv = spread(v)
-            return Mat._unchecked(ctx, self.n, [gather(sv * spread(a)) for a in self.vals])
-        mul = ctx.mul_raw
-        return Mat._unchecked(ctx, self.n, [mul(v, a) for a in self.vals])
+        lift, red = ctx._lift, ctx._reduce
+        v, vals = _raw(ctx, e), self.vals
+        if lift is not None:
+            v, vals = lift(v), map(lift, vals)
+        return Mat._unchecked(ctx, self.n, [red(v * a) for a in vals])
 
     def trace(self) -> int:
         add = self.ctx.add_raw
@@ -231,101 +198,48 @@ class Mat:
         return s
 
     def det(self) -> int:
-        v, n, ctx = self.vals, self.n, self.ctx
-        add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
-        if n == 2:
-            return sub(mul(v[0], v[3]), mul(v[1], v[2]))
-        if ctx._modular:  # integer arithmetic, one reduction
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
-            d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
-            return d % ctx.cardinality
-        if ctx._lanes:  # the same expression on spread values, one gather
-            spread, gather, bias = ctx._lanes
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
-            d = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
-            return gather(d + bias)
-        m = [
-            mul(v[0], sub(mul(v[4], v[8]), mul(v[5], v[7]))),
-            mul(v[1], sub(mul(v[3], v[8]), mul(v[5], v[6]))),
-            mul(v[2], sub(mul(v[3], v[7]), mul(v[4], v[6]))),
-        ]
-        return add(sub(m[0], m[1]), m[2])
+        lift, red = self.ctx._lift, self.ctx._reduce
+        v = self.vals if lift is None else map(lift, self.vals)
+        if self.n == 2:
+            v0, v1, v2, v3 = v
+            return red(v0 * v3 - v1 * v2)
+        v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
+        return red(v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6))
 
     def charpoly(self) -> tuple[int, ...]:
         """Companion coefficients (a_0, ..., a_{n-1}): the determinant,
-        minus the sum s2 of the principal 2x2 minors, and the trace."""
-        ctx, v, n = self.ctx, self.vals, self.n
-        if n == 2:
-            return (ctx.neg_raw(self.det()), self.trace())
-        if ctx._modular:  # integer arithmetic, one reduction per coefficient
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
-            c = ctx.cardinality
-            neg_s2 = v1 * v3 + v2 * v6 + v5 * v7 - v0 * v4 - v0 * v8 - v4 * v8
-            return (self.det(), neg_s2 % c, (v0 + v4 + v8) % c)
-        if ctx._lanes:  # the same expressions on spread values, one gather each
-            spread, gather, bias = ctx._lanes
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
-            det = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
-            neg_s2 = v1 * v3 + v2 * v6 + v5 * v7 - v0 * v4 - v0 * v8 - v4 * v8
-            return (gather(det + bias), gather(neg_s2 + bias), gather(v0 + v4 + v8))
-        sub, mul, add = ctx.sub_raw, ctx.mul_raw, ctx.add_raw
-        s2 = 0
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            s2 = add(
-                s2,
-                sub(mul(v[i * 3 + i], v[j * 3 + j]), mul(v[i * 3 + j], v[j * 3 + i])),
-            )
-        return (self.det(), ctx.neg_raw(s2), self.trace())
+        minus the sum s2 of the principal 2x2 minors, and the trace; for
+        n = 2, minus the determinant and the trace."""
+        lift, red = self.ctx._lift, self.ctx._reduce
+        v = self.vals if lift is None else map(lift, self.vals)
+        if self.n == 2:
+            v0, v1, v2, v3 = v
+            return (red(v1 * v2 - v0 * v3), red(v0 + v3))
+        v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
+        det = v0 * (v4 * v8 - v5 * v7) - v1 * (v3 * v8 - v5 * v6) + v2 * (v3 * v7 - v4 * v6)
+        neg_s2 = v1 * v3 + v2 * v6 + v5 * v7 - v0 * v4 - v0 * v8 - v4 * v8
+        return (red(det), red(neg_s2), red(v0 + v4 + v8))
 
     def is_invertible(self) -> bool:
         return self.ctx.is_unit_raw(self.det())
 
     def adjugate(self) -> "Mat":
-        v, n, ctx = self.vals, self.n, self.ctx
-        sub, mul = ctx.sub_raw, ctx.mul_raw
-        if n == 2:
+        v, ctx = self.vals, self.ctx
+        if self.n == 2:
             return Mat._unchecked(ctx, 2, [v[3], ctx.neg_raw(v[1]), ctx.neg_raw(v[2]), v[0]])
-        if ctx._modular:  # transposed cofactors, one reduction each
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = v
-            c = ctx.cardinality
-            out = (
-                (v4 * v8 - v5 * v7) % c,
-                (v2 * v7 - v1 * v8) % c,
-                (v1 * v5 - v2 * v4) % c,
-                (v5 * v6 - v3 * v8) % c,
-                (v0 * v8 - v2 * v6) % c,
-                (v2 * v3 - v0 * v5) % c,
-                (v3 * v7 - v4 * v6) % c,
-                (v1 * v6 - v0 * v7) % c,
-                (v0 * v4 - v1 * v3) % c,
-            )
-            return Mat._unchecked(ctx, 3, out)
-        if ctx._lanes:  # the same expressions on spread values, one gather each
-            spread, gather, bias = ctx._lanes
-            v0, v1, v2, v3, v4, v5, v6, v7, v8 = map(spread, v)
-            out = (
-                v4 * v8 - v5 * v7,
-                v2 * v7 - v1 * v8,
-                v1 * v5 - v2 * v4,
-                v5 * v6 - v3 * v8,
-                v0 * v8 - v2 * v6,
-                v2 * v3 - v0 * v5,
-                v3 * v7 - v4 * v6,
-                v1 * v6 - v0 * v7,
-                v0 * v4 - v1 * v3,
-            )
-            return Mat._unchecked(ctx, 3, [gather(x + bias) for x in out])
-
-        def minor(r0, r1, c0, c1):
-            return sub(mul(v[r0 * 3 + c0], v[r1 * 3 + c1]), mul(v[r0 * 3 + c1], v[r1 * 3 + c0]))
-
-        rows = (1, 2), (0, 2), (0, 1)
-        out = []
-        for j in range(3):  # adjugate = transposed cofactors
-            for i in range(3):
-                r, c = rows[i], rows[j]
-                m = minor(r[0], r[1], c[0], c[1])
-                out.append(m if (i + j) % 2 == 0 else ctx.neg_raw(m))
+        lift, red = ctx._lift, ctx._reduce
+        v0, v1, v2, v3, v4, v5, v6, v7, v8 = v if lift is None else map(lift, v)
+        out = (  # transposed cofactors
+            red(v4 * v8 - v5 * v7),
+            red(v2 * v7 - v1 * v8),
+            red(v1 * v5 - v2 * v4),
+            red(v5 * v6 - v3 * v8),
+            red(v0 * v8 - v2 * v6),
+            red(v2 * v3 - v0 * v5),
+            red(v3 * v7 - v4 * v6),
+            red(v1 * v6 - v0 * v7),
+            red(v0 * v4 - v1 * v3),
+        )
         return Mat._unchecked(ctx, 3, out)
 
     def inverse(self) -> "Mat":
@@ -351,7 +265,8 @@ class Mat:
     # level maps
 
     def residue(self) -> "Mat":
-        return self.truncate(1)
+        """The matrix mod pi; a matrix over a length-1 ring is its own."""
+        return self if self.ctx.length == 1 else self.truncate(1)
 
     def truncate(self, level: int) -> "Mat":
         ctx = self.ctx.truncated(level)

@@ -10,45 +10,52 @@ resp. t) packs to p, so pi**j packs to p**j and all digit-level helpers
 addition and multiplication differ: "z" arithmetic carries, "t"
 arithmetic is digit-wise mod p with polynomial convolution.
 
-A context binds its add_raw, sub_raw, mul_raw, neg_raw and unit inverse
-as plain functions once, when constructed, so a ring operation is one
-call with no flavor test.  It picks one of three arithmetic kinds:
+Every context carries one private pair (_lift, _reduce) for integer
+expressions: a sum of products of lifted entries, with any signs, maps
+back to its ring value by one _reduce, as long as it adds and subtracts
+at most three triple products or their shorter kin (see N below).
+matrix.py evaluates its products, scalings, determinants, adjugates
+and characteristic polynomials, and canon2 its row-times-matrix, this
+way on every ring.
 
-- modular: "z" contexts and every length-1 context (F_p, whatever the
-  flavor).  A context marks this kind in _modular, and matrix.py runs
-  its unrolled integer expressions on every ring so marked.
-- tables: a "t" context of length >= 2 and at most _TABLE_LIMIT = 1024
-  elements builds its add, mul, negation and inverse tables and binds
-  lookups into them.  The tables are built by digit recurrence: those
-  of F_p[t]/(t^k) follow row by row from those of F_p[t]/(t^(k-1)),
-  starting at F_p, with one table lookup per entry (see _t_tables).
-- lanes: every larger "t" context of length >= 2 computes by Kronecker
-  substitution (see _lane_ops).  The base-p digits of an element are
-  spread into w-bit lanes of one int, so an element is the polynomial
-  evaluated at 2^w; a product is one int product of two spread values
-  and a sum or difference is one int addition.  The result is gathered
-  back: the low `length` lanes are each reduced mod p and repacked in
-  base p.  This is exact because no lane ever carries into the next.
-  Lane k of a product of two spread values is the convolution sum
-  c_k = sum(a_i * b_(k-i)), at most length*(p-1)^2; lane k of a triple
-  product is at most length^2*(p-1)^3, since two of the three indices
-  fix the third.  matrix.py evaluates the integer expressions of its
-  "z" branches on spread entries (the 3x3 product, det, adjugate,
-  charpoly), and the widest of them is the 3x3 determinant: three
-  triple products added and three subtracted, so each lane lies within
-  N = 3*length^2*(p-1)^3 of zero.  A difference may leave a lane
-  negative, so every such expression is gathered after adding the bias:
-  K*p in each low lane, the least multiple of p that is at least N.
-  The lanes that gather reads then lie in [0, N + K*p], and adding K*p
-  leaves each of them unchanged mod p.  The lanes above `length` may
-  stay negative: a borrow moves only upward, so the low lanes of the
-  int are still exactly the low lanes of the expression, and gather
-  never reads the others.  One width serves every operation: w is the
-  bit length of N + K*p, which also bounds the 3x3 product (three
-  convolution sums) and sub_raw and neg_raw, which add the bias before
-  they subtract.  For p = 2 addition and subtraction are XOR and
-  negation is the identity.  The unit inverse is Newton's iteration on
-  the bound mul and sub.
+- "z" contexts and every length-1 context (F_p, whatever the flavor):
+  _lift is None, as the packed value is already the int, and _reduce is
+  "mod p^length", which is exact because reduction is a ring map.
+- every "t" context of length >= 2: Kronecker substitution (see
+  _lane_ops).  _lift spreads the base-p digits of an element into w-bit
+  lanes of one int, so an element is its polynomial evaluated at 2^w,
+  and a product of lifted values is the product polynomial.  _reduce
+  adds a bias and gathers: the low `length` lanes are each reduced mod
+  p and repacked in base p.  This is exact because no lane that gather
+  reads ever carries into the next.  Lane k < length of a product of
+  two lifted values is the convolution sum c_k = sum(a_i * b_(k-i)) of
+  k + 1 terms, at most length*(p-1)^2; lane k of a triple product sums
+  over the C(k+2, 2) index triples with sum k, so it is at most
+  C(length+1, 2)*(p-1)^3 on the lanes that gather reads.  The widest
+  expression is the 3x3 determinant: three triple products added and
+  three subtracted, so each low lane lies within
+  N = 3*C(length+1, 2)*(p-1)^3 of zero.  The bias is K*p in each low
+  lane, the least multiple of p that is at least N, so the lanes that
+  gather reads lie in [0, N + K*p] and keep their value mod p.  The
+  lanes at and above `length` may stay negative: a borrow moves only
+  upward, so the low lanes of the int are still exactly the low lanes
+  of the expression, and gather never reads the others.  w is the bit
+  length of N + K*p; the 3x3 product (three convolution sums) and every
+  shorter expression fit the same width.
+
+Scalar ring operations keep one kind per context: add_raw, sub_raw,
+mul_raw, neg_raw and the unit inverse are plain functions bound once,
+when the context is constructed, so a ring operation is one call with
+no flavor test.  "z" and length-1 contexts bind the modular
+expressions.  A "t" context of length >= 2 and at most _TABLE_LIMIT =
+1024 elements builds its add, mul, negation and inverse tables and binds
+lookups into them; the tables are built by digit recurrence, those of
+F_p[t]/(t^k) following row by row from those of F_p[t]/(t^(k-1)),
+starting at F_p, with one table lookup per entry (see _t_tables).  A
+larger "t" context binds one _reduce of one lifted expression per
+operation; for p = 2 addition and subtraction are XOR and negation is
+the identity.  Its unit inverse is Newton's iteration on the bound mul
+and sub.
 
 The raw functions trust their arguments to be packed values of the
 ring: an element is its packed integer, with no wrapper type, and values
@@ -150,19 +157,21 @@ def _t_tables(p: int, length: int):
 
 
 def _lane_ops(p: int, length: int):
-    """(spread, gather, bias) of lane arithmetic over F_p[t]/(t^length).
+    """(spread, gather) of lane arithmetic over F_p[t]/(t^length), the
+    _lift and _reduce of the module docstring.
 
-    spread takes a packed value to its digits in w-bit lanes, gather
-    takes an int whose low `length` lanes each lie in [0, 2^w) to the
-    packed value of those lanes mod p, and bias holds K*p in each of
-    those lanes.  w and K*p are the width and bias of the module
-    docstring.  spread reads chunks of k digits, p**k <= _LANE_TABLE_CAP,
-    from a table of their spread values, or one digit at a time (no
-    table) when p alone exceeds the cap, so no table has more than
-    _LANE_TABLE_CAP entries whatever p and length are; gather reads the
-    lanes one at a time.
+    spread takes a packed value to its digits in w-bit lanes.  gather
+    takes an int whose low `length` lanes each lie within N of zero,
+    adds the bias K*p to each of them and returns the packed value of
+    those lanes mod p.  spread reads chunks of k digits, p**k <=
+    _LANE_TABLE_CAP, from a table of their spread values, or one digit
+    at a time (no table) when p alone exceeds the cap, so no table has
+    more than _LANE_TABLE_CAP entries whatever p and length are; when
+    one chunk holds every digit, spread is that table's lookup.  gather
+    reads the lanes one at a time.
     """
-    widest = 3 * length**2 * (p - 1) ** 3  # the negative part of a determinant
+    # the negative part of a determinant on the lanes that gather reads
+    widest = 3 * (length * (length + 1) // 2) * (p - 1) ** 3
     lane_bias = -(-widest // p) * p
     w = (widest + lane_bias).bit_length()
     bias = sum(lane_bias << w * i for i in range(length))
@@ -178,21 +187,26 @@ def _lane_ops(p: int, length: int):
     chunk, step = len(table), max(k, 1) * w
     mask, shifts = (1 << w) - 1, range(w * (length - 1), -1, -w)
 
-    def spread(a: int) -> int:
-        out = s = 0
-        while a:
-            a, c = divmod(a, chunk)
-            out |= table[c] << s
-            s += step
-        return out
+    if k == length:
+        spread = table.__getitem__
+    else:
+
+        def spread(a: int) -> int:
+            out = s = 0
+            while a:
+                a, c = divmod(a, chunk)
+                out |= table[c] << s
+                s += step
+            return out
 
     def gather(x: int) -> int:
+        x += bias
         out = 0
         for s in shifts:  # Horner, from the top lane down
             out = out * p + (x >> s & mask) % p
         return out
 
-    return spread, gather, bias
+    return spread, gather
 
 
 def _newton_inv(p: int, length: int, mul, sub):
@@ -215,8 +229,9 @@ def _newton_inv(p: int, length: int, mul, sub):
 class RingCtx:
     """A ring A = Z/p^length ("z") or F_p[t]/(t^length) ("t").
 
-    add_raw, sub_raw, mul_raw, neg_raw and the unit inverse behind
-    inv_raw are instance attributes, bound in __post_init__.
+    add_raw, sub_raw, mul_raw, neg_raw, the unit inverse behind inv_raw
+    and the integer-expression pair _lift, _reduce (see the module
+    docstring) are instance attributes, bound in __post_init__.
     """
 
     flavor: str
@@ -250,9 +265,8 @@ class RingCtx:
         object.__setattr__(self, "cardinality", card)
         object.__setattr__(self, "descriptor", f"{self.flavor}:{self.p}:{self.length}")
         tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
-        lanes = None  # (spread, gather, bias), see _lane_ops
-        modular = self.flavor == "z" or self.length == 1  # length 1: both flavors are F_p
-        if modular:
+        if self.flavor == "z" or self.length == 1:  # length 1: both flavors are F_p
+            lift, reduce = None, card.__rmod__
             ops = (
                 lambda a, b: (a + b) % card,
                 lambda a, b: (a - b) % card,
@@ -260,34 +274,35 @@ class RingCtx:
                 lambda a: -a % card,
                 lambda a: pow(a, -1, card),
             )
-        elif card <= _TABLE_LIMIT:
-            tables = add, mul, neg, inv = _t_tables(self.p, self.length)
-            ops = (
-                lambda a, b: add[a * card + b],
-                lambda a, b: add[a * card + neg[b]],
-                lambda a, b: mul[a * card + b],
-                neg.__getitem__,
-                inv.__getitem__,
-            )
         else:
-            lanes = spread, gather, bias = _lane_ops(self.p, self.length)
-
-            def lane_mul(a: int, b: int) -> int:
-                return gather(spread(a) * spread(b))
-
-            if self.p == 2:  # digit sums mod 2 are XOR, and -a = a
-                ops = (operator.xor, operator.xor, lane_mul, lambda a: a)
-            else:
+            lift, reduce = _lane_ops(self.p, self.length)
+            if card <= _TABLE_LIMIT:
+                tables = add, mul, neg, inv = _t_tables(self.p, self.length)
                 ops = (
-                    lambda a, b: gather(spread(a) + spread(b)),
-                    lambda a, b: gather(spread(a) + bias - spread(b)),
-                    lane_mul,
-                    lambda a: gather(bias - spread(a)),
+                    lambda a, b: add[a * card + b],
+                    lambda a, b: add[a * card + neg[b]],
+                    lambda a, b: mul[a * card + b],
+                    neg.__getitem__,
+                    inv.__getitem__,
                 )
-            ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
-        object.__setattr__(self, "_modular", modular)
+            else:
+
+                def lane_mul(a: int, b: int) -> int:
+                    return reduce(lift(a) * lift(b))
+
+                if self.p == 2:  # digit sums mod 2 are XOR, and -a = a
+                    ops = (operator.xor, operator.xor, lane_mul, lambda a: a)
+                else:
+                    ops = (
+                        lambda a, b: reduce(lift(a) + lift(b)),
+                        lambda a, b: reduce(lift(a) - lift(b)),
+                        lane_mul,
+                        lambda a: reduce(-lift(a)),
+                    )
+                ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
         object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_lanes", lanes)
+        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_reduce", reduce)
         for name, fn in zip(("add_raw", "sub_raw", "mul_raw", "neg_raw", "_unit_inv"), ops):
             object.__setattr__(self, name, fn)
 

@@ -27,32 +27,34 @@ from conftest import count2_recursion, enumerate2, placed, rand_invertible, rand
 
 def test_split_scalar_examples():
     z9 = ring_ctx("z", 3, 2)
-    assert _split_scalar(scalar(z9, 2, 3)) == (2, 3, None)
+    assert _split_scalar(scalar(z9, 2, 3)) == (2, 3, None, None)
 
     z4 = ring_ctx("z", 2, 2)
-    level, d, beta = _split_scalar(Mat.from_rows(z4, [[1, 2], [2, 1]]))
+    level, d, beta, res = _split_scalar(Mat.from_rows(z4, [[1, 2], [2, 1]]))
     assert level == 1 and d == 1
     assert beta.rows() == [[0, 1], [1, 0]] and beta.ctx.length == 1
+    assert res == beta  # length 1: beta is its own residue
 
-    level, d, beta = _split_scalar(Mat.from_rows(z4, [[0, 1], [0, 0]]))
+    level, d, beta, res = _split_scalar(Mat.from_rows(z4, [[0, 1], [0, 0]]))
     assert level == 0 and d == 0
-    assert beta.rows() == [[0, 1], [0, 0]]
+    assert beta.rows() == [[0, 1], [0, 0]] and res == beta.residue()
 
 
 def test_split_scalar_reconstructs_and_is_maximal(rng, ctx_len2):
     for _ in range(100):
         m = rand_mat(ctx_len2, 2, rng)
-        level, d, beta = _split_scalar(m)
+        level, d, beta, res = _split_scalar(m)
         assert placed(ctx_len2, 2, level, d, beta) == m
         if beta is not None:
-            assert not beta.residue().is_scalar()
+            assert res == beta.residue() and not res.is_scalar()
 
 
 def test_split_scalar_shared_with_3x3(rng):
     ctx = ring_ctx("z", 2, 3)
     for _ in range(50):
         m = rand_mat(ctx, 3, rng)
-        assert placed(ctx, 3, *_split_scalar(m)) == m
+        level, d, beta, _ = _split_scalar(m)
+        assert placed(ctx, 3, level, d, beta) == m
 
 
 def test_canon2_worked_example():

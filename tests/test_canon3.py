@@ -49,14 +49,14 @@ def block_split(m):
     """The split stage of canon3, fed the residue eigenvalues it is fed there."""
     kind, *eigenvalues = residue_type(m)
     assert kind == "split"
-    return c3._block_split(m, *eigenvalues)
+    return c3._block_split(m, m.residue(), *eigenvalues)
 
 
 def e_form(m):
     """The jtype stage of canon3, fed the residue eigenvalue it is fed there."""
     kind, *eigenvalues = residue_type(m)
     assert kind == "jtype"
-    return c3._e_form(m, *eigenvalues)
+    return c3._e_form(m, m.residue(), *eigenvalues)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_e_form_steps_on_entries_match_five_conjugations(desc, rng):
             rand_invertible(ctx, 3, rng))
         kind, dbar = residue_type(beta)
         assert kind == "jtype"
-        e, x = c3._e_form(beta, dbar)
+        e, x = c3._e_form(beta, beta.residue(), dbar)
         assert (e, x) == _five_conjugations(beta, dbar)
         assert beta.conjugate_by(x) == e.rebuild()
 

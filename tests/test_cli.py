@@ -429,8 +429,8 @@ def test_broken_block_split_raises_under_optimize():
         "from simclass.cli import main\n"
         "c3 = importlib.import_module('simclass.canon3')\n"
         "real = c3._block_split\n"
-        "def broken(beta, abar, bbar):\n"
-        "    a, b, x = real(beta, abar, bbar)\n"
+        "def broken(beta, res, abar, bbar):\n"
+        "    a, b, x = real(beta, res, abar, bbar)\n"
         "    v = list(x.vals)\n"
         "    v[3] = x.ctx.add_raw(v[3], x.ctx.p)\n"
         "    return a, b, Mat(x.ctx, 3, v)\n"
@@ -750,6 +750,54 @@ PINNED_CALLS = [
     ("centralizer", "--ring", "t:2:3", "[[1,6,2],[4,7,2],[0,6,7]]"),
     ("canon", "--ring", "z:3:2", "[[0,5,7],[3,8,1],[6,8,1]]"),
     ("canon", "--ring", "z:2:3", "[[0,7,5],[2,3,3],[4,7,5]]"),
+    # lane rings (t:3:7, t:2:11) and table rings of more than 9 elements
+    # (t:3:6, t:2:10): per ring a split, a hard and a 2x2 input, each a
+    # conjugate of its base form, through canon, similar (against another
+    # conjugate) and centralizer
+    ("canon", "--ring", "t:3:7", "[[14,1326,2169],[1099,829,1735],[672,522,1271]]"),
+    ("similar", "--ring", "t:3:7", "[[14,1326,2169],[1099,829,1735],[672,522,1271]]",
+     "[[1667,1642,1769],[2064,295,1435],[63,510,431]]"),
+    ("centralizer", "--ring", "t:3:7", "[[14,1326,2169],[1099,829,1735],[672,522,1271]]"),
+    ("canon", "--ring", "t:3:7", "[[661,733,2045],[1035,2021,278],[1653,1117,1263]]"),
+    ("similar", "--ring", "t:3:7", "[[661,733,2045],[1035,2021,278],[1653,1117,1263]]",
+     "[[61,573,162],[1473,935,1669],[1284,1679,1473]]"),
+    ("centralizer", "--ring", "t:3:7", "[[661,733,2045],[1035,2021,278],[1653,1117,1263]]"),
+    ("canon", "--ring", "t:3:7", "[[1697,1449],[561,218]]"),
+    ("similar", "--ring", "t:3:7", "[[1697,1449],[561,218]]", "[[335,624],[783,1985]]"),
+    ("centralizer", "--ring", "t:3:7", "[[1697,1449],[561,218]]"),
+    ("canon", "--ring", "t:2:11", "[[531,360,1240],[1083,1746,409],[190,12,503]]"),
+    ("similar", "--ring", "t:2:11", "[[531,360,1240],[1083,1746,409],[190,12,503]]",
+     "[[849,1714,1510],[1940,389,111],[1950,92,2018]]"),
+    ("centralizer", "--ring", "t:2:11", "[[531,360,1240],[1083,1746,409],[190,12,503]]"),
+    ("canon", "--ring", "t:2:11", "[[1772,1444,606],[1888,1572,2000],[273,98,1146]]"),
+    ("similar", "--ring", "t:2:11", "[[1772,1444,606],[1888,1572,2000],[273,98,1146]]",
+     "[[106,1606,1518],[2009,145,1209],[1745,231,1097]]"),
+    ("centralizer", "--ring", "t:2:11", "[[1772,1444,606],[1888,1572,2000],[273,98,1146]]"),
+    ("canon", "--ring", "t:2:11", "[[1003,1145],[1876,333]]"),
+    ("similar", "--ring", "t:2:11", "[[1003,1145],[1876,333]]", "[[1853,31],[1212,1435]]"),
+    ("centralizer", "--ring", "t:2:11", "[[1003,1145],[1876,333]]"),
+    ("canon", "--ring", "t:3:6", "[[313,6,615],[514,557,78],[631,3,185]]"),
+    ("similar", "--ring", "t:3:6", "[[313,6,615],[514,557,78],[631,3,185]]",
+     "[[275,99,492],[183,566,177],[75,315,214]]"),
+    ("centralizer", "--ring", "t:3:6", "[[313,6,615],[514,557,78],[631,3,185]]"),
+    ("canon", "--ring", "t:3:6", "[[177,564,687],[484,165,667],[312,0,288]]"),
+    ("similar", "--ring", "t:3:6", "[[177,564,687],[484,165,667],[312,0,288]]",
+     "[[111,412,515],[15,467,100],[342,449,109]]"),
+    ("centralizer", "--ring", "t:3:6", "[[177,564,687],[484,165,667],[312,0,288]]"),
+    ("canon", "--ring", "t:3:6", "[[530,183],[303,400]]"),
+    ("similar", "--ring", "t:3:6", "[[530,183],[303,400]]", "[[561,377],[323,366]]"),
+    ("centralizer", "--ring", "t:3:6", "[[530,183],[303,400]]"),
+    ("canon", "--ring", "t:2:10", "[[153,76,762],[77,8,10],[311,784,390]]"),
+    ("similar", "--ring", "t:2:10", "[[153,76,762],[77,8,10],[311,784,390]]",
+     "[[503,840,564],[586,644,648],[593,864,612]]"),
+    ("centralizer", "--ring", "t:2:10", "[[153,76,762],[77,8,10],[311,784,390]]"),
+    ("canon", "--ring", "t:2:10", "[[11,421,958],[495,237,922],[497,425,806]]"),
+    ("similar", "--ring", "t:2:10", "[[11,421,958],[495,237,922],[497,425,806]]",
+     "[[1004,514,674],[838,508,202],[715,159,464]]"),
+    ("centralizer", "--ring", "t:2:10", "[[11,421,958],[495,237,922],[497,425,806]]"),
+    ("canon", "--ring", "t:2:10", "[[628,563],[793,795]]"),
+    ("similar", "--ring", "t:2:10", "[[628,563],[793,795]]", "[[929,411],[479,718]]"),
+    ("centralizer", "--ring", "t:2:10", "[[628,563],[793,795]]"),
 ]
 
 PINNED_SHA256 = {
@@ -847,6 +895,86 @@ PINNED_SHA256 = {
         "67befaefd6375f5d5ca96eb0f9884e421970f968019f240d4f62734444efa632",
     "canon --ring z:2:3 [[0,7,5],[2,3,3],[4,7,5]]":
         "7e2f107df1741d3fd486146c927ad6551a91e4f099b7c46cd5ca33fb8889f285",
+    "canon --ring t:3:7 [[14,1326,2169],[1099,829,1735],[672,522,1271]]":
+        "b56b0e120caf730b09d7c192f0173371eac0eaee2ce53ee0a885eef4e9251bbc",
+    "similar --ring t:3:7 [[14,1326,2169],[1099,829,1735],[672,522,1271]] "
+    "[[1667,1642,1769],[2064,295,1435],[63,510,431]]":
+        "5e5bafc2bf492946992660640474b8461ace0863179f2c3da120936b35b40a3c",
+    "centralizer --ring t:3:7 [[14,1326,2169],[1099,829,1735],[672,522,1271]]":
+        "6b0076919a9e03bb5e8c2130992f7c1542bc73a6f1bee9ca4bd5dc9ab31d9dba",
+    "canon --ring t:3:7 [[661,733,2045],[1035,2021,278],[1653,1117,1263]]":
+        "23597e10e2ac11fb605560a909299b988714c389d12464dc0ac27277f5e068be",
+    "similar --ring t:3:7 [[661,733,2045],[1035,2021,278],[1653,1117,1263]] "
+    "[[61,573,162],[1473,935,1669],[1284,1679,1473]]":
+        "4d7fd5299a5baf8f1f3570d6afda0729cbf55404ec31d8aecbd212c4a9eb9f74",
+    "centralizer --ring t:3:7 [[661,733,2045],[1035,2021,278],[1653,1117,1263]]":
+        "57879d8c37206aa59d7a1909d769e2563e5466fe2308147a6886de174b6e5bfb",
+    "canon --ring t:3:7 [[1697,1449],[561,218]]":
+        "f389d1443da8eff43d58be990c6091091aebf20cf8ee7fe09df3dbe33fd18487",
+    "similar --ring t:3:7 [[1697,1449],[561,218]] [[335,624],[783,1985]]":
+        "dcd69c53dc17d65cb81def8911ac76d96bbc07ad0eb6ae2ed475ce5f2590b9fe",
+    "centralizer --ring t:3:7 [[1697,1449],[561,218]]":
+        "ce57d85bdfe9a609ddf50035becd868d99794dd3d4f5feeedb1875bfc295d0b7",
+    "canon --ring t:2:11 [[531,360,1240],[1083,1746,409],[190,12,503]]":
+        "cf65d0d284d87f72ef6b820bde1e964fe937c6717aa2b3d36cd2672e9f7b3ee4",
+    "similar --ring t:2:11 [[531,360,1240],[1083,1746,409],[190,12,503]] "
+    "[[849,1714,1510],[1940,389,111],[1950,92,2018]]":
+        "25da5239663836fda67fcc41e2a4bde08b843fe0ebdf24c20c75aa8b31287587",
+    "centralizer --ring t:2:11 [[531,360,1240],[1083,1746,409],[190,12,503]]":
+        "4a14df545d4cc38c4bbfd0470512e1d88f2fa544da419985d0a5dd1bb60eef0e",
+    "canon --ring t:2:11 [[1772,1444,606],[1888,1572,2000],[273,98,1146]]":
+        "7db121d8e0b9b32b379c054fd2027ad690d382a12396ab6687607cc87ef035b6",
+    "similar --ring t:2:11 [[1772,1444,606],[1888,1572,2000],[273,98,1146]] "
+    "[[106,1606,1518],[2009,145,1209],[1745,231,1097]]":
+        "2b05de4fde193869d473cbba10bfd7fd0598ed5d7ce30bebf236f4178c31d869",
+    "centralizer --ring t:2:11 [[1772,1444,606],[1888,1572,2000],[273,98,1146]]":
+        "4a14df545d4cc38c4bbfd0470512e1d88f2fa544da419985d0a5dd1bb60eef0e",
+    "canon --ring t:2:11 [[1003,1145],[1876,333]]":
+        "8df78385fe6f5cc5c9ae77f9a33b8ea3a4e701a70190f06f3d3ecd84015584e1",
+    "similar --ring t:2:11 [[1003,1145],[1876,333]] [[1853,31],[1212,1435]]":
+        "af77071af6a3bbd164263776c7a5dd0df571951a05bf9b96b0f8787f570c1ffa",
+    "centralizer --ring t:2:11 [[1003,1145],[1876,333]]":
+        "b6fd07347e839371b55dc96dc9c68de93d3690b49ead2ec6ce7a9ce8e5d4c237",
+    "canon --ring t:3:6 [[313,6,615],[514,557,78],[631,3,185]]":
+        "5b7a273f6ab4814a400cef20f1fa989a2050e02de81b07560bbe07031bfd5c08",
+    "similar --ring t:3:6 [[313,6,615],[514,557,78],[631,3,185]] "
+    "[[275,99,492],[183,566,177],[75,315,214]]":
+        "5cd9ac006a35ea65be11432aad022fd85453216ce04d7771b014ee9898660805",
+    "centralizer --ring t:3:6 [[313,6,615],[514,557,78],[631,3,185]]":
+        "7df4eb72e9fe9c1461b0cb3cfe4b62909e278aebc321057d8ae7c7d9b46ddcd0",
+    "canon --ring t:3:6 [[177,564,687],[484,165,667],[312,0,288]]":
+        "481386b559b7bb7ec2a68e6c4441c05863a38af9ac653981c07b0627513f470a",
+    "similar --ring t:3:6 [[177,564,687],[484,165,667],[312,0,288]] "
+    "[[111,412,515],[15,467,100],[342,449,109]]":
+        "1128b65c62ea4db1617692324ccead8cb42b71ba3bb2aea96fa12affbc9c9d30",
+    "centralizer --ring t:3:6 [[177,564,687],[484,165,667],[312,0,288]]":
+        "450d6ab97d0d3a80964e12f19d3a4d3ff04152b860d80e6ae3407e0f5667bf70",
+    "canon --ring t:3:6 [[530,183],[303,400]]":
+        "758971d05169d1f436cdfad3ff68416e159278bd39fbafedaca546a987512d08",
+    "similar --ring t:3:6 [[530,183],[303,400]] [[561,377],[323,366]]":
+        "63be1e415c8c86c1f0f2c8a9735f1722d62d829d8cb8e796b9867148c91074b0",
+    "centralizer --ring t:3:6 [[530,183],[303,400]]":
+        "3642bb682d10025b160ad3e22643f73d2dc9ac7fff37cdc3bcb52ba3e775f362",
+    "canon --ring t:2:10 [[153,76,762],[77,8,10],[311,784,390]]":
+        "1f19aa66a4677a126f9650284192ecbc5255d5c4d0904eb5b63c1d2167c1092f",
+    "similar --ring t:2:10 [[153,76,762],[77,8,10],[311,784,390]] "
+    "[[503,840,564],[586,644,648],[593,864,612]]":
+        "6829bc27291db1ddffee17617478d29afe4c951a5364f4b68b7d29fdacfd497f",
+    "centralizer --ring t:2:10 [[153,76,762],[77,8,10],[311,784,390]]":
+        "2a7ff6ba1c808bd1563d6062efe33a6d8b5e5231f4596eecdbfad7c903c70179",
+    "canon --ring t:2:10 [[11,421,958],[495,237,922],[497,425,806]]":
+        "402d482d9d238b9b0df53e9d3fd190790f211899e8aca1c46bcd38b9ed6478e8",
+    "similar --ring t:2:10 [[11,421,958],[495,237,922],[497,425,806]] "
+    "[[1004,514,674],[838,508,202],[715,159,464]]":
+        "2b7e1e1576a5246d9ab46d9b472f6b654cd3ebec801bbf244bae021e192212d9",
+    "centralizer --ring t:2:10 [[11,421,958],[495,237,922],[497,425,806]]":
+        "2a7ff6ba1c808bd1563d6062efe33a6d8b5e5231f4596eecdbfad7c903c70179",
+    "canon --ring t:2:10 [[628,563],[793,795]]":
+        "8f803c125995d2bef339338ca7368e738ff4f5750230339c9880ab095df09305",
+    "similar --ring t:2:10 [[628,563],[793,795]] [[929,411],[479,718]]":
+        "b8c484cbe39f41e3f17bccebce7c8f12870203dd01a8cf9d9235d6e74dbd613f",
+    "centralizer --ring t:2:10 [[628,563],[793,795]]":
+        "b53fa46787e814fe9e1b9716690324150d46357399ddae934cc28d6b5dad468a",
 }
 
 

@@ -1,6 +1,7 @@
 """Matrix layer: arithmetic, determinants, charpoly, builders."""
 
 import importlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from simclass import (
     zero,
 )
 from conftest import (j_matrix, poly_add, poly_adjugate, poly_charpoly, poly_det, poly_inv,
-                      poly_mul, rand_invertible, rand_mat)
+                      poly_mul, poly_neg, rand_invertible, rand_mat)
 
 # the module, not the function simclass.canon2: _row_times is private
 canon2_module = importlib.import_module("simclass.canon2")
@@ -109,16 +110,32 @@ def test_matmul_matches_entry_formula(rng):
                 assert c.raw(i, j) == s
 
 
+# "t" rings of length >= 2: past the table limit, and small enough for the
+# scalar tables; the matrix expressions run on lanes over both
 LANE_RINGS = ["t:3:7", "t:2:11", "t:5:5", "t:3:39", "t:2:62", "t:1000003:2", "t:2147483647:2"]
+TABLE_RINGS = ["t:2:2", "t:2:3", "t:3:2", "t:2:10", "t:3:6"]
+# "z" rings and length-1 rings: lift is None and reduce is mod p^l
+MODULAR_RINGS = ["z:3:2", "z:2:5", "z:1000003:2", "t:7:1"]
 
 
-@pytest.mark.parametrize("desc", LANE_RINGS)
+def _reference_ops(ctx):
+    """(add, mul, neg, inv) on the digit loops over a "t" ring, and on
+    plain integers mod p^l over a "z" ring."""
+    if ctx.flavor == "t":
+        return tuple(partial(f, ctx) for f in (poly_add, poly_mul, poly_neg, poly_inv))
+    c = ctx.cardinality
+    return (lambda a, b: (a + b) % c, lambda a, b: a * b % c, lambda a: -a % c,
+            lambda a: pow(a, -1, c))
+
+
+@pytest.mark.parametrize("desc", LANE_RINGS + TABLE_RINGS)
 def test_lane_products_match_the_entry_formula(desc, rng):
-    # the 3x3 product over a lane ring gathers each entry once from three
-    # products of spread values: it equals the sum of the products of the
-    # entries, on the digit loops; the all-(card - 1) matrix fills every lane
+    # the 3x3 product over a "t" ring of length >= 2 reduces each entry
+    # once from three products of lifted values: it equals the sum of the
+    # products of the entries, on the digit loops; the all-(card - 1)
+    # matrix fills every lane
     ctx = parse_ring(desc)
-    assert ctx._lanes is not None
+    assert ctx._lift is not None
     full = Mat(ctx, 3, [ctx.cardinality - 1] * 9)
     pairs = [(full, full)] + [(rand_mat(ctx, 3, rng), rand_mat(ctx, 3, rng)) for _ in range(8)]
     for a, b in pairs:
@@ -131,13 +148,13 @@ def test_lane_products_match_the_entry_formula(desc, rng):
                 assert c.raw(i, j) == s
 
 
-@pytest.mark.parametrize("desc", LANE_RINGS)
+@pytest.mark.parametrize("desc", LANE_RINGS + TABLE_RINGS)
 def test_lane_det_adjugate_charpoly_and_inverse_match_the_digit_loops(desc, rng):
-    # each is one integer expression of spread entries per output, gathered
-    # once with the bias added: it equals the cofactor formulas on the
-    # digit loops.  With every entry card - 1, each triple product fills
-    # its lanes: the first matrix cancels them, the second adds two
-    # (v0 v4 v8 + v1 v5 v6) and the third subtracts two (v0 v5 v7 + v1 v3 v8)
+    # each is one integer expression of lifted entries per output, reduced
+    # once: it equals the cofactor formulas on the digit loops.  With every
+    # entry card - 1, each triple product fills its lanes: the first matrix
+    # cancels them, the second adds two (v0 v4 v8 + v1 v5 v6) and the third
+    # subtracts two (v0 v5 v7 + v1 v3 v8)
     ctx = parse_ring(desc)
     top = ctx.cardinality - 1
     extremes = [[top] * 9, [top, top, 0, 0, top, top, top, 0, top],
@@ -165,11 +182,46 @@ def test_lane_det_adjugate_charpoly_and_inverse_match_the_digit_loops(desc, rng)
         ]
 
 
+@pytest.mark.parametrize("desc", MODULAR_RINGS + TABLE_RINGS + LANE_RINGS)
+def test_2x2_expressions_match_the_reference_on_every_kind(desc, rng):
+    # the 2x2 product, det, charpoly, adjugate, scale, inverse and
+    # row-times-matrix against the entry formulas on the reference ops;
+    # the extremes fill every lane, cancel (all card - 1), add (diagonal)
+    # and subtract (anti-diagonal) a full product
+    ctx = parse_ring(desc)
+    add, mul, neg, inv = _reference_ops(ctx)
+    top = ctx.cardinality - 1
+    extremes = [[top] * 4, [top, 0, 0, top], [0, top, top, 0], [top, top, 0, top]]
+    mats = [Mat(ctx, 2, v) for v in extremes]
+    mats += [rand_mat(ctx, 2, rng) for _ in range(6)] + [rand_invertible(ctx, 2, rng)]
+    for a in mats:
+        v0, v1, v2, v3 = v = a.vals
+        det = add(mul(v0, v3), neg(mul(v1, v2)))
+        assert a.det() == det
+        assert a.charpoly() == (neg(det), add(v0, v3))
+        adj = [v3, neg(v1), neg(v2), v0]
+        assert list(a.adjugate().vals) == adj
+        assert list(a.scale(top).vals) == [mul(top, x) for x in v]
+        if a.is_invertible():
+            assert list(a.inverse().vals) == [mul(inv(det), x) for x in adj]
+        for b in (mats[0], mats[-1]):
+            assert [(a @ b).raw(i, j) for i in range(2) for j in range(2)] == [
+                add(mul(a.raw(i, 0), b.raw(0, j)), mul(a.raw(i, 1), b.raw(1, j)))
+                for i in range(2) for j in range(2)
+            ]
+        w = [top, v1]
+        assert canon2_module._row_times(w, a) == [add(mul(w[0], v[j]), mul(w[1], v[2 + j]))
+                                                  for j in range(2)]
+    assert mats[-1].is_invertible()
+
+
 @pytest.mark.parametrize("p", [2, 3, 31])
 def test_length_one_rings_of_both_flavors_take_the_same_path(p, rng):
-    # both are F_p: the "t" ring runs the "z" ring's unrolled expressions
+    # both are F_p: the "t" ring takes the "z" ring's pair, no lift and
+    # reduction mod p, so it runs the same integer expressions
     z, t = ring_ctx("z", p, 1), ring_ctx("t", p, 1)
-    assert z._modular and t._modular
+    assert z._lift is None and t._lift is None
+    assert all(z._reduce(x) == t._reduce(x) == x % p for x in (-p * p - 1, -1, 0, p, p**3 + 1))
     for n in (2, 3):
         for _ in range(20):
             a, b = ([rng.randrange(p) for _ in range(n * n)] for _ in range(2))

@@ -1,6 +1,7 @@
 """Ring contexts: arithmetic on packed integers, units, valuations, digits,
 truncation, and the checks on a descriptor."""
 
+import math
 import operator
 import pickle
 import random
@@ -236,29 +237,38 @@ def test_t_rings_past_the_table_limit_build_no_table():
     assert ctx.cardinality == 2 * _TABLE_LIMIT
     assert ctx.mul_raw(3, 5) == poly_mul(ctx, 3, 5)
     assert ctx._tables == (None, None, None, None)
-    # lane arithmetic is bound instead: gather undoes spread
-    spread, gather, _ = ctx._lanes
-    assert all(gather(spread(a)) == a for a in range(ctx.cardinality))
+    # lane arithmetic is bound instead: reduce undoes lift
+    lift, reduce = ctx._lift, ctx._reduce
+    assert all(reduce(lift(a)) == a for a in range(ctx.cardinality))
     assert ctx.mul_raw(ctx.cardinality - 1, 1) == ctx.cardinality - 1
 
 
 @pytest.mark.parametrize("p,length", LANE_RINGS)
 def test_lane_bias_covers_the_negative_part_of_a_determinant(p, length):
-    # every low lane of the bias is a multiple of p, so adding it changes
-    # no digit, and at least 3 l^2 (p-1)^3, the most that the three
-    # subtracted triple products of a determinant take from a lane; the
-    # lanes above `length` are empty
-    spread, gather, bias = RingCtx("t", p, length)._lanes
-    w = spread(p).bit_length() - 1  # pi spreads to 2^w
-    lanes = [bias >> w * k & (1 << w) - 1 for k in range(length)]
-    assert bias >> w * length == 0
-    assert all(x % p == 0 and x >= 3 * length**2 * (p - 1) ** 3 for x in lanes)
-    assert gather(bias) == 0
+    # reduce is exact on every int whose low `length` lanes each lie within
+    # N = 3 C(l+1, 2) (p-1)^3 of zero, the most that the three added or the
+    # three subtracted triple products of a determinant put in a lane that
+    # gather reads, whatever the lanes above hold; a lane one bit narrower
+    # carries the lanes at +N into the next
+    ctx = RingCtx("t", p, length)
+    lift, reduce = ctx._lift, ctx._reduce
+    w = lift(p).bit_length() - 1  # pi lifts to 2^w
+    widest = 3 * math.comb(length + 1, 2) * (p - 1) ** 3
+    rng = random.Random(p * length)
+    vectors = [[-widest] * length, [widest] * length,
+               [widest if k % 2 else -widest for k in range(length)],
+               [rng.randint(-widest, widest) for _ in range(length)]]
+    top = 1 << w * length
+    for lanes in vectors:
+        x = sum(c << w * k for k, c in enumerate(lanes))
+        digits = sum(c % p * p**k for k, c in enumerate(lanes))
+        for high in (0, top * rng.randrange(1, top), -top * rng.randrange(1, top)):
+            assert reduce(x + high) == digits
 
 
 def _lane_tables(ctx):
-    """The lists that the lane functions of ctx read."""
-    for f in ctx._lanes:
+    """The lists that the lift and reduce functions of ctx read."""
+    for f in (ctx._lift, ctx._reduce):
         cells = getattr(f, "__closure__", None) or ()
         held = [getattr(f, "__self__", None), *(c.cell_contents for c in cells)]
         yield from (x for x in held if isinstance(x, list))
