@@ -264,7 +264,6 @@ class RingCtx:
         card = self.p**self.length
         object.__setattr__(self, "cardinality", card)
         object.__setattr__(self, "descriptor", f"{self.flavor}:{self.p}:{self.length}")
-        tables = (None, None, None, None)  # (add, mul, neg, inv), see _t_tables
         if self.flavor == "z" or self.length == 1:  # length 1: both flavors are F_p
             lift, reduce = None, card.__rmod__
             ops = (
@@ -277,7 +276,7 @@ class RingCtx:
         else:
             lift, reduce = _lane_ops(self.p, self.length)
             if card <= _TABLE_LIMIT:
-                tables = add, mul, neg, inv = _t_tables(self.p, self.length)
+                add, mul, neg, inv = _t_tables(self.p, self.length)
                 ops = (
                     lambda a, b: add[a * card + b],
                     lambda a, b: add[a * card + neg[b]],
@@ -300,7 +299,6 @@ class RingCtx:
                         lambda a: reduce(-lift(a)),
                     )
                 ops += (_newton_inv(self.p, self.length, lane_mul, ops[1]),)
-        object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_lift", lift)
         object.__setattr__(self, "_reduce", reduce)
         for name, fn in zip(("add_raw", "sub_raw", "mul_raw", "neg_raw", "_unit_inv"), ops):

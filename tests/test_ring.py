@@ -186,6 +186,27 @@ def test_elem_validates_range():
 LANE_RINGS = [(3, 7), (2, 11), (5, 5), (3, 39), (2, 62), (1000003, 2), (2147483647, 2)]
 
 
+def _lists_read_by(*fns):
+    """The distinct lists that fns read: their closure cells' contents, or
+    the list a bound method such as table.__getitem__ belongs to."""
+    found = {}
+    for f in fns:
+        cells = getattr(f, "__closure__", None) or ()
+        held = [getattr(f, "__self__", None), *(c.cell_contents for c in cells)]
+        found.update((id(x), x) for x in held if isinstance(x, list))
+    return list(found.values())
+
+
+def _op_tables(ctx):
+    """The tables that the scalar ring operations of ctx read."""
+    return _lists_read_by(ctx.add_raw, ctx.sub_raw, ctx.mul_raw, ctx.neg_raw, ctx._unit_inv)
+
+
+def _lane_tables(ctx):
+    """The lists that the lift and reduce functions of ctx read."""
+    return _lists_read_by(ctx._lift, ctx._reduce)
+
+
 @pytest.mark.parametrize(
     "p,length",
     [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (5, 2), (3, 6), (31, 2), (2, 10), *LANE_RINGS],
@@ -215,8 +236,11 @@ def test_bound_t_ops_match_the_digit_loops(p, length):
             assert ctx.sub_raw(a, b) == poly_add(ctx, a, poly_neg(ctx, b))
             assert ctx.mul_raw(a, b) == poly_mul(ctx, a, b)
     if length > 1 and card <= _TABLE_LIMIT:
-        # the tables hold one int object per ring value
-        assert len({id(v) for tab in ctx._tables for v in tab}) <= card
+        # four tables, add, mul, neg and inv, that hold one int object per
+        # ring value
+        tables = _op_tables(ctx)
+        assert len(tables) == 4
+        assert len({id(v) for tab in tables for v in tab}) <= card
 
 
 def test_length_one_t_rings_build_no_table():
@@ -229,14 +253,14 @@ def test_length_one_t_rings_build_no_table():
         assert ctx.neg_raw(a) == poly_neg(ctx, a)
         if a:
             assert ctx.inv_raw(a) == poly_inv(ctx, a)
-    assert ctx._tables == (None, None, None, None)
+    assert _op_tables(ctx) == []
 
 
 def test_t_rings_past_the_table_limit_build_no_table():
     ctx = RingCtx("t", 2, 11)
     assert ctx.cardinality == 2 * _TABLE_LIMIT
     assert ctx.mul_raw(3, 5) == poly_mul(ctx, 3, 5)
-    assert ctx._tables == (None, None, None, None)
+    assert _op_tables(ctx) == []
     # lane arithmetic is bound instead: reduce undoes lift
     lift, reduce = ctx._lift, ctx._reduce
     assert all(reduce(lift(a)) == a for a in range(ctx.cardinality))
@@ -264,14 +288,6 @@ def test_lane_bias_covers_the_negative_part_of_a_determinant(p, length):
         digits = sum(c % p * p**k for k, c in enumerate(lanes))
         for high in (0, top * rng.randrange(1, top), -top * rng.randrange(1, top)):
             assert reduce(x + high) == digits
-
-
-def _lane_tables(ctx):
-    """The lists that the lift and reduce functions of ctx read."""
-    for f in (ctx._lift, ctx._reduce):
-        cells = getattr(f, "__closure__", None) or ()
-        held = [getattr(f, "__self__", None), *(c.cell_contents for c in cells)]
-        yield from (x for x in held if isinstance(x, list))
 
 
 @pytest.mark.parametrize("p,length", LANE_RINGS)
