@@ -42,7 +42,6 @@ from .errors import (
 )
 from .matrix import (
     Mat,
-    block_diag,
     diag,
     e_matrix,
     elementary,
@@ -102,7 +101,6 @@ __all__ = [
     "SimclassError",
     "SplitBody",
     "VerificationFailed",
-    "block_diag",
     "canon2",
     "canon3",
     "centralizer_order",

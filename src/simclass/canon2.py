@@ -21,7 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd
 from itertools import product
 
 from .errors import BadParams, VerificationFailed
@@ -42,21 +41,25 @@ def _split_scalar(alpha: Mat) -> tuple:
     length-(l-level) ring and res its residue, which the maximality check
     takes; beta and res are None iff alpha is scalar (level = length).
     Shared by the 2x2 and 3x3 pipelines."""
-    ctx, n = alpha.ctx, alpha.n
-    length, card, v = ctx.length, ctx.cardinality, alpha.vals
-    d0 = v[0]
+    ctx, n, v = alpha.ctx, alpha.n, alpha.vals
+    length, sub, d0 = ctx.length, ctx.sub_raw, v[0]
     diag = range(0, n * n, n + 1)
-    # level is the least valuation of an entry of alpha - d0*I.  The
-    # valuation of a difference is the first digit where the two values
-    # differ, in both flavors, so it is read off the plain integers: the
-    # gcd with p^length is p^level (p^length when all entries are 0)
-    level = ctx.val_raw(gcd(card, *(x - d0 if i in diag else x for i, x in enumerate(v))) % card)
+    # level is the least valuation of an entry of alpha - d0*I, whose
+    # (0, 0) entry is 0; the first unit entry, (0, 1) for most inputs,
+    # ends the scan
+    level = length
+    for i in range(1, n * n):
+        x = sub(v[i], d0) if i in diag else v[i]
+        if x:
+            level = min(level, ctx.val_raw(x))
+            if not level:
+                break
     d = ctx.mod_pi_raw(d0, level)
     if level == length:
         return level, d, None, None
-    sub, div = ctx.sub_raw, ctx.div_pi_raw
+    div = ctx.div_pi_raw
     vals = [div(sub(x, d) if i in diag else x, level) for i, x in enumerate(v)]
-    # the quotients are below p^(length - level): values of the shorter ring
+    # the quotients are values of the length-(l - level) ring
     beta = Mat._unchecked(ctx.truncated(length - level), n, vals)
     res = beta.residue()
     if res.is_scalar():
@@ -75,8 +78,8 @@ def _placer(ctx: RingCtx, n: int, level: int, d: int):
     """
     if not level:  # d = 0 at level 0, so the matrix is B itself
         return partial(Mat._unchecked, ctx, n)
-    # multiplying by pi^level shifts the packed digits up in both flavors
-    shift, add, diag = ctx.p**level, ctx.add_raw, range(0, n * n, n + 1)
+    # pi^level * B, for B over the shorter ring, is a plain product (see ring.py)
+    shift, add, diag = ctx.pi_pow_raw(level), ctx.add_raw, range(0, n * n, n + 1)
 
     def place(body_vals) -> Mat:
         vals = [v * shift for v in body_vals]
@@ -148,9 +151,11 @@ class CanonicalForm:
         ctx, n, level, d = self.ctx, self.n, self.level, self.d
         if type(level) is not int or not 0 <= level <= ctx.length:
             raise BadParams(f"level {level!r} is not in [0, {ctx.length}]")
-        if type(d) is not int or not 0 <= d < ctx.p**level:
+        # the length-k ring has the q^k packed values below q^k (see ring.py)
+        q = ctx.q
+        if type(d) is not int or not 0 <= d < q**level:
             raise BadParams(f"d = {d!r} is not reduced mod pi^{level} over {ctx.descriptor}")
-        vals, card = self.body.vals(n), ctx.p ** (ctx.length - level)
+        vals, card = self.body.vals(n), q ** (ctx.length - level)
         if len(vals) != n * n or any(type(v) is not int or not 0 <= v < card for v in vals):
             raise BadParams(f"body {self.body} gives no {n}x{n} matrix over the length "
                             f"{ctx.length - level} ring")
@@ -192,7 +197,7 @@ def _cyclic_row_witness(beta: Mat) -> Mat:
     exists whenever the residue of beta is cyclic, which every
     non-scalar 2x2 residue is.
 
-    The entries after the leading 1 range over min(p, 4) digits only,
+    The entries after the leading 1 range over min(q, 4) residues only,
     so the cost does not grow with p, and the first hit is that of the
     full scan.  A non-cyclic row lies in one of at most n <= 3 maximal
     proper invariant subspaces (one per distinct irreducible factor of
@@ -204,7 +209,7 @@ def _cyclic_row_witness(beta: Mat) -> Mat:
     entry below 4.
     """
     ctx, n = beta.ctx, beta.n
-    digits = range(min(ctx.p, 4))
+    digits = range(min(ctx.q, 4))  # residues, as packed values of ctx (see ring.py)
     for lead in range(n - 1, -1, -1):
         for tail in product(digits, repeat=n - 1 - lead):
             rows = [[0] * lead + [1, *tail]]

@@ -55,7 +55,7 @@ from .canon2 import (
     canon2,
 )
 from .errors import BadParams, VerificationFailed
-from .matrix import Mat, block_diag, e_matrix, identity, scalar
+from .matrix import Mat, e_matrix, identity, scalar
 from .ring import RingCtx
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# residue field linear algebra (plain ints mod p, no elimination)
+# residue field linear algebra (the residue context's ops, no elimination)
 
 
 def _left_kernel(m: Mat) -> list:
@@ -84,20 +84,21 @@ def _left_kernel(m: Mat) -> list:
     f != c0, in order.  Its callers pass only these ranks: the eigenspace
     matrices of split and jtype residues.
     """
-    p, v = m.ctx.p, m.vals
+    ctx, v = m.ctx, m.vals
+    mul = ctx.mul_raw
     adj = m.adjugate().vals
     row = next((adj[i : i + 3] for i in (0, 3, 6) if any(adj[i : i + 3])), None)
     if row is not None:
-        scale = pow(next(x for x in reversed(row) if x), -1, p)
-        return [tuple(x * scale % p for x in row)]
+        scale = ctx.inv_raw(next(x for x in reversed(row) if x))
+        return [tuple(mul(x, scale) for x in row)]
     col = next(v[j::3] for j in range(3) if any(v[j::3]))
     c0 = next(i for i in range(3) if col[i])
-    scale = pow(col[c0], -1, p)
+    scale = ctx.inv_raw(col[c0])
     basis = []
     for f in range(3):
         if f != c0:
             w = [0, 0, 0]
-            w[f], w[c0] = 1, -col[f] * scale % p
+            w[f], w[c0] = 1, ctx.neg_raw(mul(col[f], scale))
             basis.append(tuple(w))
     return basis
 
@@ -110,7 +111,8 @@ def _residue_type(m: Mat) -> tuple:
     """Type of the residue of the 3x3 matrix m, with its eigenvalues.
 
     One of ("scalar", s), ("cyclic",), ("split", single, double) with
-    single != double, or ("jtype", d); eigenvalues are ints in [0, p).
+    single != double, or ("jtype", d); eigenvalues are residues, packed
+    values of the residue context.
     The residue r is cyclic unless r^2 = s r + t I for some s and t,
     which are then unique, as r is not a multiple of I.  So s is read off
     one entry where r is not: off the diagonal r2_ij = s r_ij, on it
@@ -124,23 +126,24 @@ def _residue_type(m: Mat) -> tuple:
     residue field.
     """
     r = m.residue()
-    p = r.ctx.p
     if r.is_scalar():
         return "scalar", r.raw(0, 0)
+    sub, mul = r.ctx.sub_raw, r.ctx.mul_raw
     v, r2 = r.vals, (r @ r).vals
     # the entries of r - r_00 I beside those of r^2 - r2_00 I (k % 4 == 0
     # on the diagonal); with them r^2 = s r + t I reads y = s x entrywise
     pairs = [
-        (x - v[0], y - r2[0]) if k % 4 == 0 else (x, y) for k, (x, y) in enumerate(zip(v, r2))
+        (sub(x, v[0]), sub(y, r2[0])) if k % 4 == 0 else (x, y)
+        for k, (x, y) in enumerate(zip(v, r2))
     ]
     x, y = next((x, y) for x, y in pairs if x)
-    s = y * pow(x, -1, p) % p
-    t = (r2[0] - s * v[0]) % p
-    if any((y - s * x) % p for x, y in pairs):
+    s = mul(y, r.ctx.inv_raw(x))
+    t = sub(r2[0], mul(s, v[0]))
+    if any(y != mul(s, x) for x, y in pairs):
         return ("cyclic",)
-    double = (r.trace() - s) % p
-    single = (s - double) % p
-    if (double * double - s * double - t) % p:
+    double = sub(r.trace(), s)
+    single = sub(s, double)
+    if mul(double, sub(double, s)) != t:
         raise VerificationFailed(f"residue minimal polynomial x^2 - {s}x - {t} fits no shape")
     return ("jtype", double) if single == double else ("split", single, double)
 
@@ -192,7 +195,7 @@ def _block_split(beta: Mat, res: Mat, abar: int, bbar: int):
     gamma = beta.conjugate_by(x_total)
     a = gamma.raw(0, 0)
     b = Mat._unchecked(ctx, 2, [gamma.raw(1, 1), gamma.raw(1, 2), gamma.raw(2, 1), gamma.raw(2, 2)])
-    if a % ctx.p != abar:
+    if ctx.mod_pi_raw(a, 1) != abar:
         raise VerificationFailed("block split lifted the wrong residue eigenvalue")
     return a, b, x_total
 
@@ -315,7 +318,7 @@ def _e_form(beta: Mat, res: Mat, dbar: int):
     """
     ctx = beta.ctx
     add, sub, mul = ctx.add_raw, ctx.sub_raw, ctx.mul_raw
-    p = res.ctx.p
+    rmul = res.ctx.mul_raw
     nbar = res - scalar(res.ctx, 3, dbar)
     i = next(i for i in (0, 3, 6) if any(nbar.vals[i : i + 3]))
     w2 = tuple(int(j == i) for j in (0, 3, 6))
@@ -324,7 +327,7 @@ def _e_form(beta: Mat, res: Mat, dbar: int):
     w1 = next(
         w
         for w in _left_kernel(nbar)
-        if any((w[j] * w3[k] - w[k] * w3[j]) % p for j, k in ((0, 1), (0, 2), (1, 2)))
+        if any(rmul(w[j], w3[k]) != rmul(w[k], w3[j]) for j, k in ((0, 1), (0, 2), (1, 2)))
     )
     x = Mat._unchecked(ctx, 3, w1 + w2 + w3)  # residue digits are packed values of ctx
     g = list(beta.conjugate_by(x).vals)
@@ -500,7 +503,8 @@ def hard_family(tctx: RingCtx) -> tuple:
     - I:    (length, 0, 0, c, d) for every d;
     - II:   (m, 0, b, c, d) for 1 <= m < length, val(b) = m, every d;
     - III1: (m, a, b, c, d) for 1 <= m < length, val(a) >= m,
-            val(b) > m and d < p^m, i.e. no digit of d at or above m;
+            val(b) > m and d reduced mod pi^m, i.e. no digit of d at
+            or above m;
     - III0: the swap (see _swap) of each III1 candidate with val(a) > m.
 
     Each candidate must come back unchanged from _normalize_hard and the
@@ -508,13 +512,8 @@ def hard_family(tctx: RingCtx) -> tuple:
     every normal form is a candidate is certified by enumerate3, whose
     class count is checked against count3.
     """
-    length, card, p = tctx.length, tctx.cardinality, tctx.p
-    elems = range(card)
-
-    def at_least(v):  # the elements of valuation >= v
-        return range(0, card, p ** min(v, length))
-
-    ideal = at_least(1)
+    length, card, at_least = tctx.length, tctx.cardinality, tctx.ideal_raw
+    elems, ideal = range(card), at_least(1)
     forms = []
 
     def key(f: HardBody) -> tuple:
@@ -533,7 +532,7 @@ def hard_family(tctx: RingCtx) -> tuple:
         for b, c, d in product(at_least(m), ideal, elems):
             if tctx.val_raw(b) == m:
                 keep(HardBody(tctx, m, 0, b, c, d))
-        for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, range(p**m)):
+        for a, b, c, d in product(at_least(m), at_least(m + 1), ideal, range(tctx.q**m)):
             e = HardBody(tctx, m, a, b, c, d)
             keep(e)
             if tctx.val_raw(a) > m:
@@ -579,7 +578,8 @@ def _body3(beta: Mat, res: Mat) -> tuple:
     if kind == "split":
         a, block, x1 = _block_split(beta, res, *eigenvalues)
         inner = canon2(block)
-        return SplitBody(a, inner), block_diag(beta.ctx, [1, inner.witness]) @ x1
+        x = Mat._unchecked(beta.ctx, 3, _split_vals(1, inner.witness.vals))
+        return SplitBody(a, inner), x @ x1
     e, x1 = _e_form(beta, res, *eigenvalues)
     hard, x2 = _classify_hard(e)
     return hard, x2 @ x1

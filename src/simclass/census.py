@@ -203,12 +203,12 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
         body = ScalarBody()
         return lambda: ((body, body.vals(n)),)
     tctx = ctx.truncated(ctx.length - level)
-    p = tctx.p
+    unit, residue = tctx.is_unit_raw, tctx.mod_pi_raw
     gl_zero = group == "GL" and level == 0
     elems = range(tctx.cardinality)
     # the residue determinant of a companion is its constant term up to
     # sign, and a split residue is invertible iff both blocks' are
-    units = [x for x in elems if not gl_zero or x % p]
+    units = [x for x in elems if not gl_zero or unit(x)]
     ranges = (units, *[elems] * (n - 1))  # of the coefficients a_0, ..., a_{n-1}
     head = CyclicBody((0,) * n).vals(n)[:-n]  # the companion rows above them
 
@@ -219,18 +219,18 @@ def _bodies(ctx: RingCtx, level: int, n: int, group: str, budget: int):
         return cyclic
     # 2x2 forms with scalar residue, i.e. positive split level
     inners = [(f, m.vals) for f, m in _enumerate(tctx, 2, "M", budget)
-              if f.level >= 1 and (not gl_zero or f.d % p)]
+              if f.level >= 1 and (not gl_zero or unit(f.d))]
     # for each residue r, the inner forms and values whose residue
     # eigenvalue differs from r: a split residue has distinct eigenvalues
     others = []
-    for r in range(p):
-        kept = [(f, x) for f, x in inners if f.d % p != r]
+    for r in range(tctx.q):  # the residues (see ring.py)
+        kept = [(f, x) for f, x in inners if residue(f.d, 1) != r]
         others.append(([f for f, _ in kept], [x for _, x in kept]))
     # a hard residue is J-shaped, so d decides invertibility
-    hards = [(hb, hb.vals(n)) for hb in hard_family(tctx) if not gl_zero or hb.d % p]
+    hards = [(hb, hb.vals(n)) for hb in hard_family(tctx) if not gl_zero or unit(hb.d)]
 
     def split(a):
-        forms, xs = others[a % p]
+        forms, xs = others[residue(a, 1)]
         return zip(map(SplitBody, repeat(a), forms), map(_split_vals, repeat(a), xs))
 
     def bodies3():
@@ -261,7 +261,7 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
     emitted = 0
     for level in range(ctx.length + 1):
         bodies = _bodies(ctx, level, n, group, budget)
-        for d in range(ctx.p**level):
+        for d in range(ctx.q**level):  # d reduced mod pi^level (see ring.py)
             if group == "GL" and level >= 1 and not ctx.is_unit_raw(d):
                 continue
             place = _placer(ctx, n, level, d)

@@ -7,9 +7,9 @@ determinants, adjugates and characteristic polynomials explicit and
 exact.
 
 Mat(...) and Mat.from_rows validate every entry (an
-integer, in range for a "t" ring, reduced for a "z" ring); from_rows
-also refuses rows that do not form a square matrix.  The shape
-constructors below (identity, zero, scalar, diag, block_diag,
+integer, taken to its packed value by RingCtx.packed_raw); from_rows
+also refuses rows that are not sequences or do not form a square
+matrix.  The shape constructors below (identity, zero, scalar, diag,
 elementary, e_matrix) put each value they are given through the same
 check once.  The class matrices of canonical forms are laid out by
 their bodies (see canon2.CanonicalForm), e_matrix for hard bodies.
@@ -46,7 +46,6 @@ __all__ = [
     "zero",
     "scalar",
     "diag",
-    "block_diag",
     "elementary",
     "e_matrix",
 ]
@@ -67,11 +66,7 @@ def _raw(ctx: RingCtx, x) -> int:
             v = operator.index(x)
         except TypeError:
             raise BadParams(f"matrix entry {x!r} is not an integer") from None
-    if ctx.flavor == "z":
-        return v % ctx.cardinality
-    if not 0 <= v < ctx.cardinality:
-        raise BadParams(f"packed value {v} outside ring {ctx.descriptor}")
-    return v
+    return ctx.packed_raw(v)
 
 
 def _check_size(n: int):
@@ -103,7 +98,15 @@ class Mat:
 
     @classmethod
     def from_rows(cls, ctx: RingCtx, rows) -> "Mat":
-        rows = [list(r) for r in rows]
+        try:
+            rows = list(rows)
+        except TypeError:
+            raise BadParams(f"matrix {rows!r} is not a list of rows") from None
+        for i, r in enumerate(rows):
+            try:
+                rows[i] = list(r)
+            except TypeError:
+                raise BadParams(f"matrix row {r!r} is not a list of entries") from None
         if any(len(r) != len(rows) for r in rows):
             lengths = [len(r) for r in rows]
             raise BadParams(f"{len(rows)} rows of lengths {lengths} do not form a square matrix")
@@ -312,29 +315,6 @@ def diag(ctx: RingCtx, entries) -> Mat:
     vals = list(out.vals)
     for i, e in enumerate(entries):
         vals[i * n + i] = _raw(ctx, e)
-    return Mat._unchecked(ctx, n, vals)
-
-
-def block_diag(ctx: RingCtx, parts) -> Mat:
-    """Block diagonal matrix from integer scalars and Mat blocks."""
-    sizes = []
-    for p in parts:
-        sizes.append(p.n if isinstance(p, Mat) else 1)
-    n = sum(sizes)
-    if n not in (2, 3):
-        raise BadParams(f"block diagonal size {n} unsupported")
-    vals = [0] * (n * n)
-    off = 0
-    for p, s in zip(parts, sizes):
-        if isinstance(p, Mat):
-            if p.ctx != ctx:
-                raise CtxMismatch(f"{p.ctx} vs {ctx}")
-            for i in range(s):
-                for j in range(s):
-                    vals[(off + i) * n + (off + j)] = p.raw(i, j)
-        else:
-            vals[off * n + off] = _raw(ctx, p)
-        off += s
     return Mat._unchecked(ctx, n, vals)
 
 

@@ -39,10 +39,10 @@ def group_order(ctx: RingCtx, n: int) -> int:
     or 3; any other n raises BadParams."""
     if type(n) is not int or n not in (2, 3):
         raise BadParams(f"group_order needs n in {{2, 3}}, got {n!r}")
-    p, length = ctx.p, ctx.length
-    out = p ** ((length - 1) * n * n)
+    q, length = ctx.q, ctx.length
+    out = q ** ((length - 1) * n * n)
     for k in range(n):
-        out *= p**n - p**k
+        out *= q**n - q**k
     return out
 
 
@@ -69,39 +69,46 @@ def is_similar(a1: Mat, a2: Mat):
     return True, x
 
 
-def _poly_divmod(a: list, f: list, q: int) -> tuple:
-    """(quotient, remainder) of a by monic f over F_q, leading coefficient first."""
+# polynomials over the residue field F_q, the context res = ctx.truncated(1),
+# are lists of its packed values, leading coefficient first
+
+
+def _poly_divmod(a: list, f: list, res: RingCtx) -> tuple:
+    """(quotient, remainder) of a by monic f over res."""
+    sub, mul = res.sub_raw, res.mul_raw
     a, quot = list(a), []
     while len(a) >= len(f):
         c = a.pop(0)
         quot.append(c)
         for k in range(len(f) - 1):
-            a[k] = (a[k] - c * f[k + 1]) % q
+            a[k] = sub(a[k], mul(c, f[k + 1]))
     while a and not a[0]:
         a.pop(0)
     return quot, a
 
 
-def _poly_gcd(a: list, b: list, q: int) -> list:
-    """Monic gcd of a and b over F_q."""
+def _poly_gcd(a: list, b: list, res: RingCtx) -> list:
+    """Monic gcd of a and b over res."""
     while b:
-        inv = pow(b[0], -1, q)
-        b = [c * inv % q for c in b]
-        a, b = b, _poly_divmod(a, b, q)[1]
+        inv = res.inv_raw(b[0])
+        b = [res.mul_raw(c, inv) for c in b]
+        a, b = b, _poly_divmod(a, b, res)[1]
     return a
 
 
-def _poly_mul(a: list, b: list, q: int) -> list:
-    """Product of a and b over F_q."""
+def _poly_mul(a: list, b: list, res: RingCtx) -> list:
+    """Product of a and b over res."""
+    add, mul = res.add_raw, res.mul_raw
     out = [0] * (len(a) + len(b) - 1)
     for s, x in enumerate(a):
         for t, y in enumerate(b):
-            out[s + t] = (out[s + t] + x * y) % q
+            out[s + t] = add(out[s + t], mul(x, y))
     return out
 
 
-def _cyclic_units(q: int, i: int, f: list) -> int:
-    """Units of A_i[x]/(F), from the residue f = F mod pi, monic over F_q.
+def _cyclic_units(res: RingCtx, i: int, f: list) -> int:
+    """Units of A_i[x]/(F), from the residue f = F mod pi, monic over the
+    residue field res = F_q.
 
     f has degree n <= 3, leading coefficient first.  Its distinct roots
     in F_q are those of gcd(f, x^q - x), with x^q mod f computed by
@@ -109,31 +116,30 @@ def _cyclic_units(q: int, i: int, f: list) -> int:
     once per multiplicity leaves a factor of degree 0, 2 or 3 with no
     root, which is one irreducible factor (or none).
     """
-    n = len(f) - 1
+    n, q = len(f) - 1, res.q
     xq = [1]
     for bit in bin(q)[2:]:
-        xq = _poly_divmod(_poly_mul(xq, xq, q), f, q)[1]
+        xq = _poly_divmod(_poly_mul(xq, xq, res), f, res)[1]
         if bit == "1":
-            xq = _poly_divmod(xq + [0], f, q)[1]
+            xq = _poly_divmod(xq + [0], f, res)[1]
     xq = [0] * (2 - len(xq)) + xq  # x^q - x, as deg f >= 2
-    xq[-2] = (xq[-2] - 1) % q
+    xq[-2] = res.sub_raw(xq[-2], 1)
     while xq and not xq[0]:
         xq.pop(0)
-    roots = _poly_gcd(f, xq, q)
+    roots = _poly_gcd(f, xq, res)
     k = len(roots) - 1  # distinct roots
-    units = q ** (n * i - k) * (q - 1) ** k
     while len(roots) > 1:
-        f = _poly_divmod(f, roots, q)[0]
-        roots = _poly_gcd(f, roots, q)
-    deg = len(f) - 1
-    if deg:
-        units = units // q**deg * (q**deg - 1)
-    return units
+        f = _poly_divmod(f, roots, res)[0]
+        roots = _poly_gcd(f, roots, res)
+    deg = len(f) - 1  # of the factor with no root: irreducible, or none
+    return q ** (n * i - k - deg) * (q - 1) ** k * (q**deg - 1 if deg else 1)
 
 
-def _residue_poly(coeffs, q: int) -> list:
-    """x^n - sum a_k x^k mod pi from companion coeffs (a_0, ..., a_{n-1})."""
-    return [1] + [-c % q for c in reversed(coeffs)]
+def _residue_poly(coeffs, ctx: RingCtx) -> list:
+    """x^n - sum a_k x^k mod pi over the residue field of ctx, from
+    companion coeffs (a_0, ..., a_{n-1}) over ctx."""
+    neg = ctx.truncated(1).neg_raw
+    return [1] + [neg(ctx.mod_pi_raw(c, 1)) for c in reversed(coeffs)]
 
 
 def _form_order(form) -> int:
@@ -145,7 +151,7 @@ def _form_order(form) -> int:
         return group_order(ctx, n)
     b = form.body
     if isinstance(b, CyclicBody):
-        units = _cyclic_units(q, i, _residue_poly(b.coeffs, q))
+        units = _cyclic_units(ctx.truncated(1), i, _residue_poly(b.coeffs, ctx))
     elif isinstance(b, SplitBody):
         units = (q - 1) * q ** (i - 1) * _form_order(b.inner)
     elif b.tag in ("I", "II"):  # a hard body: valuations over its ring b.ctx = A_i

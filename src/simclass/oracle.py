@@ -26,9 +26,11 @@ Single orbits (_orbit_states) always act on whole matrices.
 
 States pack the entries row-major, first entry most significant, so
 numeric order on states is lexicographic order on entry tuples; a slice
-state's id is its matrix's id // |A|.  Each entry is one digit mod
-p^length ("z") or length digits mod p ("t"); digit s of entry k has
-place value card^(m-1-k) * mod^s for m packed entries, so decoding is
+state's id is its matrix's id // |A|.  The ring says how its packed
+values split into digits: each entry is `per` base-`mod` digits, the
+pair (mod, per) of RingCtx._digit_base, and ring addition adds them
+digit by digit mod `mod`.  Digit s of entry k has place value
+card^(m-1-k) * mod^s for m packed entries, so decoding is
 (ids // place) % mod and encoding is place @ digits, exact in int64.
 A ring and size whose ids or matmul sums would not fit raise
 BudgetExceeded before any state is packed.
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 # simclass's modules first: without a bytecode cache, compiling them after numpy raises peak RSS
 from .canon3 import canon
@@ -79,53 +82,10 @@ BLOCK = 1024
 _SAMPLES, _SEED = 20, 0
 
 
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return sorted(out)
-
-
-def _primitive_root(card: int, p: int, phi: int) -> int:
-    """Smallest unit of multiplicative order phi modulo card."""
-    factors = _prime_factors(phi)
-    for g in range(2, card):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // f, card) != 1 for f in factors):
-            return g
-    raise VerificationFailed(f"no unit of order {phi} modulo {card}")
-
-
-def _unit_group_generators(ctx: RingCtx):
-    """Raw packed values generating the unit group of ctx."""
-    p, length, card = ctx.p, ctx.length, ctx.cardinality
-    if ctx.flavor == "z":
-        if p == 2:
-            if length == 1:
-                return []
-            if length == 2:
-                return [3]
-            return [card - 1, 5]  # {-1} x <5> is the whole 2-adic unit group
-        return [_primitive_root(card, p, (p - 1) * p ** (length - 1))]
-    gens = []
-    if p > 2:
-        gens.append(_primitive_root(p, p, p - 1))
-    # 1 + pi^s filtration generators for the 1-units
-    gens.extend(1 + p**s for s in range(1, length))
-    return gens
-
-
 def _gl_generators(ctx: RingCtx, n: int):
     """Generators of GL_n(ctx): E_12(1), the n-cycle and diag(u, 1, ..., 1).
 
-    u runs over _unit_group_generators(ctx).  They generate the whole
+    u runs over ctx._unit_group_generators().  They generate the whole
     group: conjugating E_12(1) by the n-cycle gives every E_{i,i+1}(1),
     and the commutators [E_ij(1), E_jk(1)] = E_ik(1) give every E_ij(1).
     Conjugating by diag(u) gives E_1j(u) for every unit u, and in a
@@ -137,7 +97,7 @@ def _gl_generators(ctx: RingCtx, n: int):
     for i in range(n):
         cycle[i * n + (i + 1) % n] = 1
     gens = [elementary(ctx, n, 1, 2, 1), Mat(ctx, n, cycle)]
-    for u in _unit_group_generators(ctx):
+    for u in ctx._unit_group_generators():
         gens.append(diag(ctx, [u] + [1] * (n - 1)))
     return gens
 
@@ -161,11 +121,6 @@ def _mat_of(ctx: RingCtx, n: int, state: int) -> Mat:
         vals.append(state % card)
         state //= card
     return Mat(ctx, n, vals[::-1])
-
-
-def _digit_base(ctx: RingCtx) -> tuple[int, int]:
-    """(mod, per): each entry of a state is per base-mod digits."""
-    return (ctx.cardinality, 1) if ctx.flavor == "z" else (ctx.p, ctx.length)
 
 
 def _conj_action(ctx: RingCtx, n: int, g: Mat, mod: int, per: int) -> np.ndarray:
@@ -195,9 +150,9 @@ def _embedding(ctx: RingCtx, n: int) -> np.ndarray:
     (mod - 1) times the trace form of the other entries, so L embeds the
     trace-0 matrices.  When p divides n it packs every entry: L = I.
     """
-    mod, per = _digit_base(ctx)
+    mod, per = ctx._digit_base()
     dim = n * n * per
-    if n % ctx.p == 0:
+    if gcd(n, ctx.q) > 1:  # p | n: n is no unit
         return np.eye(dim, dtype=np.int64)
     rest = _trace_form(ctx, n)[:, : dim - per]
     return np.vstack([np.eye(dim - per, dtype=np.int64), (mod - 1) * rest])
@@ -216,7 +171,7 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
     stacks the k (dim x dim) matrices A_g, as int64.
     """
     card, n2 = ctx.cardinality, n * n
-    mod, per = _digit_base(ctx)
+    mod, per = ctx._digit_base()
     # state ids, below card^(n^2), must fit int64, and the float64 matmul
     # is exact only while every sum, below dim * mod^2, stays below 2^53;
     # for n >= 2 the first bound implies the second, which stays as the
@@ -282,7 +237,7 @@ def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
     """The (per x dim) 0/1 matrix taking a state's digits to its trace's
     digits, before reduction mod `mod`: it adds digit s of every diagonal
     entry into digit s, which is ring addition in both flavors."""
-    per = _digit_base(ctx)[1]
+    per = ctx._digit_base()[1]
     form = np.zeros((per, n * n * per), dtype=np.int64)
     for i in range(n):
         form[:, i * (n + 1) * per : (i * (n + 1) + 1) * per] = np.eye(per, dtype=np.int64)
@@ -299,7 +254,7 @@ def _check_slice(ctx: RingCtx, n: int, actions: np.ndarray, embed: np.ndarray) -
     form @ embed = 0 mod `mod`.  As form is the identity on the (n, n)
     digits, these two hold only for the embedding _embedding derives.
     """
-    mod = _digit_base(ctx)[0]
+    mod = ctx._digit_base()[0]
     form = _trace_form(ctx, n)
     if ((form @ actions - form) % mod).any():
         raise VerificationFailed(f"the trace over {ctx.descriptor} is not a conjugation invariant")
@@ -329,7 +284,7 @@ def _shifter(ctx: RingCtx, n: int, m: int):
     card, n2 = ctx.cardinality, n * n
     if m == n2:
         return lambda ids: ids[None, :]
-    mod, per = _digit_base(ctx)
+    mod, per = ctx._digit_base()
     powers = mod ** np.arange(per)
     digits = np.arange(card)[:, None] // powers % mod  # row u: the digits of u
 
@@ -490,7 +445,7 @@ def orbit_census(
     card = ctx.cardinality
     nstates = card ** (n * n)
     embed = _embedding(ctx, n)
-    m = embed.shape[1] // _digit_base(ctx)[1]  # entries a census state packs
+    m = embed.shape[1] // ctx._digit_base()[1]  # entries a census state packs
     flooded = card**m
     if flooded > max_states or (want_labels and nstates > max_states):
         what = f"{flooded} states to flood" + (f" and {nstates} to label" if want_labels else "")

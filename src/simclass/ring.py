@@ -1,4 +1,26 @@
-"""Finite chain rings Z/p^l and F_p[t]/(t^l).
+"""Finite chain rings Z/p^l and F_p[t]/(t^l), and the encoding of their
+elements.
+
+This module is the only one that knows what the digits of a packed
+value mean.  Every other module reads digits, residues and flavors
+through these hooks of RingCtx:
+
+- val_raw, is_unit_raw, mod_pi_raw, div_pi_raw, unit_split_raw and
+  pi_pow_raw: valuation, units, truncation and pi powers.  A value b of
+  the length-(l-t) ring times pi_pow_raw(t), as plain ints, is the
+  packed value of pi^t * b over the length-l ring (a digit upshift);
+  canon2._placer places bodies so.
+- The packed values of truncated(k), the length-k ring, are
+  range(q**k).  As values of a longer ring they are its representatives
+  mod pi^k: Mat.lift and Mat.truncate move values so.  So range(q) is
+  the residues, and a residue is also a value of the longer ring.
+- ideal_raw(v): the elements of valuation >= v, the ideal pi^v A.
+- truncated(1): the residue field, a context of its own, whose add_raw,
+  sub_raw, mul_raw, neg_raw and inv_raw do the residue arithmetic of
+  canon3, census and modsolve, and whose size is q.
+- packed_raw: the packed value that an integer matrix entry names.
+- _digit_base and _unit_group_generators: the oracle's digit packing of
+  states and the generators of the unit group.
 
 An element is stored as a canonical integer in [0, p**length).  For the
 "z" flavor (Z/p^l) this is the usual residue; for the "t" flavor
@@ -60,7 +82,7 @@ and sub.
 The raw functions trust their arguments to be packed values of the
 ring: an element is its packed integer, with no wrapper type, and values
 are range-checked where they enter, by Mat and the shape builders (see
-matrix._raw) and by HardBody.
+packed_raw) and by HardBody.
 """
 from __future__ import annotations
 
@@ -69,7 +91,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .errors import BadDescriptor, BadLevel, NonUnit
+from .errors import BadDescriptor, BadLevel, BadParams, NonUnit, VerificationFailed
 
 MAX_CARDINALITY = 2**63
 
@@ -101,6 +123,30 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int):
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return sorted(out)
+
+
+def _primitive_root(card: int, p: int, phi: int) -> int:
+    """Smallest unit of multiplicative order phi modulo card."""
+    factors = _prime_factors(phi)
+    for g in range(2, card):
+        if g % p == 0:
+            continue
+        if all(pow(g, phi // f, card) != 1 for f in factors):
+            return g
+    raise VerificationFailed(f"no unit of order {phi} modulo {card}")
 
 
 def _t_tables(p: int, length: int):
@@ -312,7 +358,7 @@ class RingCtx:
 
     @property
     def q(self) -> int:
-        """Residue field size (= p: the residue field is F_p)."""
+        """Size of the residue field truncated(1) (= p: it is F_p)."""
         return self.p
 
     # ------------------------------------------------------------------
@@ -367,6 +413,49 @@ class RingCtx:
             return self.length, 1
         t = self.val_raw(a)
         return t, a // self.p**t
+
+    def ideal_raw(self, v: int) -> range:
+        """The packed values of valuation >= v, the ideal pi^v A, in
+        increasing order: only 0 once v >= length."""
+        return range(0, self.cardinality, self.p**v) if v < self.length else range(1)
+
+    def packed_raw(self, v: int) -> int:
+        """The packed value that the integer matrix entry v names: over
+        "z" every integer names its residue mod p^length; over "t" v must
+        already be a packed value, or BadParams is raised."""
+        if self.flavor == "z":
+            return v % self.cardinality
+        if not 0 <= v < self.cardinality:
+            raise BadParams(f"packed value {v} outside ring {self.descriptor}")
+        return v
+
+    # ------------------------------------------------------------------
+    # the oracle's view of the encoding
+
+    def _digit_base(self) -> tuple[int, int]:
+        """(mod, per): a packed value is per base-mod digits, least
+        significant first, and ring addition adds them digit by digit
+        mod `mod` (one digit mod p^length over "z", length digits mod p
+        over "t")."""
+        return (self.cardinality, 1) if self.flavor == "z" else (self.p, self.length)
+
+    def _unit_group_generators(self) -> list:
+        """Packed values generating the unit group."""
+        p, length, card = self.p, self.length, self.cardinality
+        if self.flavor == "z":
+            if p == 2:
+                if length == 1:
+                    return []
+                if length == 2:
+                    return [3]
+                return [card - 1, 5]  # {-1} x <5> is the whole 2-adic unit group
+            return [_primitive_root(card, p, (p - 1) * p ** (length - 1))]
+        gens = []
+        if p > 2:
+            gens.append(_primitive_root(p, p, p - 1))
+        # 1 + pi^s filtration generators for the 1-units
+        gens.extend(1 + p**s for s in range(1, length))
+        return gens
 
     # ------------------------------------------------------------------
     # levels

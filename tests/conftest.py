@@ -1,9 +1,9 @@
 """Shared fixtures: a per-session orbit census memo, random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
-only tests use (j_matrix, placed, enumerate2, theta, transfer_power,
-same_class), the transfer recursions (transfer_matrix, base_vector,
-level_vector, count2_recursion) that the closed-form counts are tested
-against, the digit loops of F_p[t]/(t^l) (poly_add, poly_neg, poly_mul,
+only tests use (block_diag, j_matrix, placed, enumerate2, theta,
+transfer_power, same_class), the transfer recursions (transfer_matrix,
+base_vector, level_vector, count2_recursion) that the closed-form counts
+are tested against, the digit loops of F_p[t]/(t^l) (poly_add, poly_neg, poly_mul,
 poly_inv, and the matrix entries poly_det, poly_adjugate, poly_charpoly)
 that every bound "t" arithmetic is tested against, and the reduced row
 echelon form over F_p (rref, rref_left_kernel, rref_residue_type) that
@@ -44,6 +44,13 @@ def shared_census():
     """census(ctx, n): the labelled orbit census, built once per session
     for each ring and size; callers only read it."""
     return functools.cache(lambda ctx, n: orbit_census(ctx, n, want_labels=True))
+
+
+def block_diag(ctx, a, block):
+    """diag(a) ++ the 2x2 block over ctx, built through the validating
+    Mat constructor."""
+    (x0, x1), (x2, x3) = block.rows()
+    return Mat(ctx, 3, [a, 0, 0, 0, x0, x1, 0, x2, x3])
 
 
 def rand_mat(ctx, n, rng):

@@ -17,7 +17,6 @@ from simclass import (
     ScalarBody,
     SplitBody,
     VerificationFailed,
-    block_diag,
     canon2,
     canon3,
     centralizer_order,
@@ -33,8 +32,8 @@ from simclass import (
 from simclass.cli import EX_MISMATCH
 from simclass.oracle import _orbit_states
 import reference_solver as ref
-from conftest import (j_matrix, rand_invertible, rand_mat, rref, rref_left_kernel,
-                      rref_residue_type, run_python, same_class)
+from conftest import (block_diag, j_matrix, rand_invertible, rand_mat, rref,
+                      rref_left_kernel, rref_residue_type, run_python, same_class)
 
 # the module, not the function simclass.canon3: the pipeline stages are private
 c3 = importlib.import_module("simclass.canon3")
@@ -171,7 +170,7 @@ def test_residue_eigenvalues_factor_the_charpoly(rng):
 def test_hensel_block_split_fixed_point():
     ctx = ring_ctx("z", 2, 2)
     b = Mat.from_rows(ctx, [[0, 2], [2, 2]])
-    m = block_diag(ctx, [1, b])
+    m = block_diag(ctx, 1, b)
     a, blk, x = block_split(m)
     assert a == 1 and blk == b and x == identity(ctx, 3)
 
@@ -182,7 +181,7 @@ def test_hensel_block_split_worked_example():
     a, blk, x = block_split(m)
     assert a == 1
     assert is_similar(blk, Mat.from_rows(ctx, [[0, 2], [2, 2]]))[0]
-    assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
+    assert m.conjugate_by(x) == block_diag(ctx, a, blk)
 
 
 P6 = 1000003
@@ -209,11 +208,11 @@ def test_hensel_block_split_round_trips(rng, desc):
         av = rng.randrange(ctx.cardinality)
         if av % ctx.p == bbar:  # the residue eigenvalues must differ
             av = ctx.add_raw(av, 1)
-        m = block_diag(ctx, [av, b0]).conjugate_by(g)
+        m = block_diag(ctx, av, b0).conjugate_by(g)
         a, blk, x = block_split(m)
         assert a == av
         assert canon2(blk) == canon2(b0)
-        assert m.conjugate_by(x) == block_diag(ctx, [a, blk])
+        assert m.conjugate_by(x) == block_diag(ctx, a, blk)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from simclass import (
     ScalarBody,
     SplitBody,
     VerificationFailed,
-    block_diag,
     canon3,
     count2,
     count3,
@@ -27,8 +26,8 @@ from simclass import (
 )
 from simclass.census import _classify_form, _enumerate
 from simclass.cli import EX_MISMATCH
-from conftest import (base_vector, count2_recursion, level_vector, placed, run_python, theta,
-                      transfer_matrix, transfer_power)
+from conftest import (base_vector, block_diag, count2_recursion, level_vector, placed,
+                      run_python, theta, transfer_matrix, transfer_power)
 
 ANCHORS = [
     (2, 1, "M", 14),
@@ -345,7 +344,7 @@ def _body_matrix(form):
         return Mat.from_rows(tctx, band + [list(body.coeffs)])
     if isinstance(body, SplitBody):
         inner = body.inner
-        return block_diag(tctx, [body.a, placed(tctx, 2, inner.level, inner.d, _body_matrix(inner))])
+        return block_diag(tctx, body.a, placed(tctx, 2, inner.level, inner.d, _body_matrix(inner)))
     return e_matrix(tctx, body.m, body.a, body.b, body.c, body.d)
 
 

@@ -278,8 +278,7 @@ def test_numpy_loads_only_with_the_oracle():
         "               'NonIntegralDivision', 'NonUnit', 'NotInvertible', 'SearchBudgetExceeded',\n"
         "               'SimclassError', 'VerificationFailed'),\n"
         "    'ring': ('RingCtx', 'parse_ring', 'ring_ctx'),\n"
-        "    'matrix': ('Mat', 'block_diag', 'diag', 'e_matrix', 'elementary', 'identity',\n"
-        "               'scalar', 'zero'),\n"
+        "    'matrix': ('Mat', 'diag', 'e_matrix', 'elementary', 'identity', 'scalar', 'zero'),\n"
         "    'canon2': ('CanonicalForm', 'CyclicBody', 'ScalarBody', 'canon2'),\n"
         "    'canon3': ('HardBody', 'SplitBody', 'canon3', 'hard_family'),\n"
         "    'census': ('CountVector', 'count2', 'count3', 'enumerate3', 'gf_coeffs',\n"
@@ -312,7 +311,7 @@ PUBLIC_NAMES = [
     "BadDescriptor", "BadLevel", "BadParams", "BudgetExceeded", "CanonicalForm", "CountVector",
     "CtxMismatch", "CyclicBody", "HardBody", "Mat", "NonIntegralDivision", "NonUnit",
     "NotInvertible", "OrbitCensus", "RingCtx", "ScalarBody", "SearchBudgetExceeded",
-    "SimclassError", "SplitBody", "VerificationFailed", "block_diag", "canon2", "canon3",
+    "SimclassError", "SplitBody", "VerificationFailed", "canon2", "canon3",
     "centralizer_order", "count2", "count3", "diag", "e_matrix", "elementary", "enumerate3",
     "gf_coeffs", "group_order", "hard_family", "identity", "is_similar", "orbit_census",
     "orbit_of", "parse_ring", "ring_ctx", "scalar", "type_histogram", "verify_counts", "zero",
@@ -392,7 +391,7 @@ def test_centralizer_not_dividing_the_group_order_exits_70_under_optimize():
         "from simclass.cli import main\n"
         "ms = importlib.import_module('simclass.modsolve')\n"
         "real = ms._cyclic_units\n"
-        "ms._cyclic_units = lambda q, i, coeffs: q * real(q, i, coeffs)\n"
+        "ms._cyclic_units = lambda res, i, f: res.q * real(res, i, f)\n"
         "sys.exit(main(['centralizer', '--ring', 'z:2:1', '[[0,1],[0,0]]']))\n"
     )
     proc = run_python("-O", "-c", script, timeout=60)
@@ -512,8 +511,8 @@ def test_oracle_partition_mismatch_exits_70_under_optimize():
 def test_failed_primitive_root_search_exits_70(capsys, monkeypatch):
     # with phi itself as the only "prime factor" every unit fails the
     # order test, so the unit-group generator search finds none
-    oracle = importlib.import_module("simclass.oracle")
-    monkeypatch.setattr(oracle, "_prime_factors", lambda n: [1])
+    ring = importlib.import_module("simclass.ring")
+    monkeypatch.setattr(ring, "_prime_factors", lambda n: [1])
     code, _, err = run(capsys, "oracle-census", "--ring", "z:3:1", "--n", "2")
     assert code == EX_MISMATCH
     assert "no unit of order 2 modulo 3" in err
@@ -652,6 +651,18 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "nonsense")[0] == EX_USAGE
     for q in ("1", "0", "-1"):
         assert run(capsys, "gf", "--q", q, "--terms", "3")[0] == EX_USAGE
+
+
+def test_a_row_that_is_not_a_list_exits_64_and_is_named(capsys, tmp_path):
+    for text, row in (("[1,2]", "1"), ("[null]", "None"), ("[[0,1],5]", "5")):
+        code, out, err = run(capsys, "canon", "--ring", "z:2:3", text)
+        assert (code, out) == (EX_USAGE, ""), text
+        assert err == f"simclass: matrix row {row} is not a list of entries\n", text
+    # a matrix file may hold any JSON value, so the matrix itself is checked too
+    path = tmp_path / "five.json"
+    path.write_text("5\n")
+    assert run(capsys, "canon", "--ring", "z:2:3", str(path)) == (
+        EX_USAGE, "", "simclass: matrix 5 is not a list of rows\n")
 
 
 def test_negative_budget_exits_64(capsys):

@@ -74,11 +74,12 @@ def test_cyclic_units_match_the_root_scan(q):
     # every monic residue polynomial of degree 2 and 3: distinct and
     # repeated roots, irreducible quadratics and cubics
     cyclic_units = importlib.import_module("simclass.modsolve")._cyclic_units
+    res = ring_ctx("z", q, 1)  # the residue field F_q, whose packed values are the ints mod q
     for deg in (2, 3):
         for tail in itertools.product(range(q), repeat=deg):
             f = [1, *tail]
             for i in (1, 2):
-                assert cyclic_units(q, i, f) == ref.cyclic_units_by_scan(q, i, f), (f, i)
+                assert cyclic_units(res, i, f) == ref.cyclic_units_by_scan(q, i, f), (f, i)
 
 
 def test_centralizer_order_must_divide_the_group_order(monkeypatch):
@@ -86,7 +87,7 @@ def test_centralizer_order_must_divide_the_group_order(monkeypatch):
     # Jordan block over F_2, which does not divide |GL_2(F_2)| = 6
     modsolve = importlib.import_module("simclass.modsolve")
     real = modsolve._cyclic_units
-    monkeypatch.setattr(modsolve, "_cyclic_units", lambda q, i, coeffs: q * real(q, i, coeffs))
+    monkeypatch.setattr(modsolve, "_cyclic_units", lambda res, i, f: res.q * real(res, i, f))
     with pytest.raises(VerificationFailed, match="does not divide"):
         centralizer_order(Mat.from_rows(ring_ctx("z", 2, 1), [[0, 1], [0, 0]]))
 

@@ -21,8 +21,7 @@ from simclass import (
     verify_counts,
 )
 import simclass.oracle as oracle
-from simclass.oracle import (_gl_generators, _mat_of, _orbit_states, _state_of,
-                             _unit_group_generators)
+from simclass.oracle import _gl_generators, _mat_of, _orbit_states, _state_of
 from conftest import j_matrix, rand_invertible, rand_mat, same_class
 
 
@@ -68,7 +67,7 @@ def _closure(gens):
 def test_gl_generators_generate_the_whole_group(flavor, p, length, n):
     ctx = ring_ctx(flavor, p, length)
     gens = _gl_generators(ctx, n)
-    assert len(gens) == 2 + len(_unit_group_generators(ctx))
+    assert len(gens) == 2 + len(ctx._unit_group_generators())
     assert all(g.is_invertible() for g in gens)
     assert len(_closure(list(gens))) == group_order(ctx, n)
 
@@ -349,7 +348,7 @@ def test_orbit_states_near_the_int64_ceiling_match_reference_bfs(rows, size):
 def _entry_form(row, col):
     """A batching form that reads entry (row, col) instead of the trace."""
     def form(ctx, n):
-        per = oracle._digit_base(ctx)[1]
+        per = ctx._digit_base()[1]
         out = np.zeros((per, n * n * per), dtype=np.int64)
         out[:, (row * n + col) * per : (row * n + col + 1) * per] = np.eye(per, dtype=np.int64)
         return out
@@ -373,7 +372,7 @@ def _wrong_embedding(fault):
 
     def embed(ctx, n):
         out = embedding(ctx, n).copy()
-        mod, per = oracle._digit_base(ctx)
+        mod, per = ctx._digit_base()
         sdim = out.shape[1]
         if fault == "sign":
             out[sdim:] = oracle._trace_form(ctx, n)[:, :sdim]
@@ -418,7 +417,7 @@ def test_trace_key_is_the_ring_trace_of_every_state(desc, n):
     # the slice and its certificate rest on _trace_form: it must take
     # every state's digits to its trace's digits
     ctx = ring_ctx(*desc)
-    card, (mod, per) = ctx.cardinality, oracle._digit_base(ctx)
+    card, (mod, per) = ctx.cardinality, ctx._digit_base()
     ids = np.arange(card ** (n * n), dtype=np.int64)
     place = [card ** (n * n - 1 - i // per) * mod ** (i % per) for i in range(n * n * per)]
     digits = ids // np.array(place, dtype=np.int64)[:, None] % mod

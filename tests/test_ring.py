@@ -1,12 +1,15 @@
 """Ring contexts: arithmetic on packed integers, units, valuations, digits,
 truncation, and the checks on a descriptor."""
 
+import ast
 import math
 import operator
+import os
 import pickle
 import random
 import time
 import tracemalloc
+from itertools import chain, product
 
 import pytest
 
@@ -23,7 +26,8 @@ from simclass import (
     ring_ctx,
 )
 from simclass.ring import _LANE_TABLE_CAP, _TABLE_LIMIT
-from conftest import poly_add, poly_inv, poly_mul, poly_neg, run_python
+from conftest import SRC, poly_add, poly_inv, poly_mul, poly_neg, run_python
+from test_properties import LANES, LARGE_P, LONG
 
 
 def test_parse_ring_round_trip():
@@ -317,3 +321,50 @@ def test_contexts_with_bound_ops_pickle_to_the_interned_context():
         ctx.mul_raw(1, 1)
         back = pickle.loads(pickle.dumps(ctx))
         assert back is ctx and back.mul_raw(1, 1) == 1
+
+
+def test_no_module_but_ring_py_reads_the_encoding():
+    # ring.py owns the element encoding: every other module reads digits,
+    # residues and flavors through RingCtx, never a context's p or flavor
+    package = os.path.join(SRC, "simclass")
+    reads = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "ring.py":
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            reads += [f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("p", "flavor")]
+    assert reads == []
+
+
+@pytest.mark.parametrize("desc", LONG + LARGE_P + LANES)
+def test_residue_context_ops_are_the_ints_mod_p(desc):
+    # canon3, census and modsolve do residue arithmetic with the ops of
+    # ctx.truncated(1) and take a residue as a packed value of ctx too
+    ctx = parse_ring(desc)
+    res, p = ctx.truncated(1), ctx.p
+    residues = range(res.q)
+    assert res.q == ctx.q == p
+    assert all(ctx.mod_pi_raw(r, 1) == r for r in residues)
+    # every pair below p = 31; a pass over every residue against two
+    # partners for t:1000003:2
+    pairs = (product(residues, repeat=2) if p <= 31
+             else chain(zip(residues, residues), zip(residues, reversed(residues))))
+    for a, b in pairs:
+        assert (res.add_raw(a, b), res.mul_raw(a, b)) == ((a + b) % p, a * b % p)
+    assert all(u * res.inv_raw(u) % p == 1 for u in residues[1:])
+
+
+@pytest.mark.parametrize("desc", ["z:2:4", "t:2:4", "z:3:3", "t:3:2"])
+def test_ideals_and_representatives_by_valuation_and_truncation(desc):
+    # the two ranges that callers take without reading digits: ideal_raw(v)
+    # and the packed values range(q**k) of the length-k ring, which are
+    # the representatives mod pi^k
+    ctx = parse_ring(desc)
+    for v in range(ctx.length + 2):
+        want = [x for x in range(ctx.cardinality) if ctx.val_raw(x) >= min(v, ctx.length)]
+        assert list(ctx.ideal_raw(v)) == want, v
+    for k in range(1, ctx.length + 1):
+        reps = range(ctx.q**k)
+        assert len(reps) == ctx.truncated(k).cardinality
+        assert sorted({ctx.mod_pi_raw(x, k) for x in range(ctx.cardinality)}) == list(reps)
