@@ -809,6 +809,10 @@ PINNED_CALLS = [
     ("canon", "--ring", "t:2:10", "[[628,563],[793,795]]"),
     ("similar", "--ring", "t:2:10", "[[628,563],[793,795]]", "[[929,411],[479,718]]"),
     ("centralizer", "--ring", "t:2:10", "[[628,563],[793,795]]"),
+    # the orbit oracle: a census over the trace-0 slice (2 does not divide
+    # 3), and a verify whose census floods the whole space (2 | 2)
+    ("oracle-census", "--ring", "z:2:2", "--n", "3"),
+    ("verify", "--ring", "z:2:2", "--n", "2"),
 ]
 
 PINNED_SHA256 = {
@@ -986,6 +990,10 @@ PINNED_SHA256 = {
         "b8c484cbe39f41e3f17bccebce7c8f12870203dd01a8cf9d9235d6e74dbd613f",
     "centralizer --ring t:2:10 [[628,563],[793,795]]":
         "b53fa46787e814fe9e1b9716690324150d46357399ddae934cc28d6b5dad468a",
+    "oracle-census --ring z:2:2 --n 3":
+        "3b98b3727db3c66c4246b8073ff13e23673a2561122944fb42253480a6f13369",
+    "verify --ring z:2:2 --n 2":
+        "ed704482e59e50c9fcd03489e0394db266f07c9b629b320d7e1c7f6e00c5fbe8",
 }
 
 

@@ -1,5 +1,7 @@
 """Brute-force conjugation-orbit oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,77 @@ def test_orbit_census_class_counts(shared_census, desc, n, m_classes, gl_classes
     assert census.class_count("M") == m_classes
     if gl_classes is not None:
         assert census.class_count("GL") == gl_classes
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(" ".join(map(str, np.asarray(values).tolist())).encode()).hexdigest()
+
+
+# sha256 of the space-separated reps, sizes and labels: every census that
+# the default tier and the census benchmark run
+CENSUS_PINS = [
+    (("z", 2, 1), 2, False, 6,
+     "e164a78f651cba5056d8533623460c2f42ee4d69021f8ba9f255276e2793e450",
+     "88839e69a4a96ab48dd54f8f76ab8b551ba3ddeb452a106a7a0f16aa1cb98b1d", None),
+    (("z", 2, 2), 2, False, 28,
+     "a5bd73d63e65476392567086aceeff68d12c65b003a9097d80a5b6f6d0a4a56a",
+     "a8e62b84f05b81fe8182e912fd1f0ddfe69327c75b6907252ac3a834a650847e", None),
+    (("z", 2, 3), 2, False, 120,
+     "00c29cd2ae2d4318f70eabe582a7cd36f56c225f0648b27edc18a38acddfc618",
+     "b781f0cd5e3f8028aec69e8b5178a76b0c05424698bb538bd5adbd97bd7f2a7e", None),
+    (("z", 3, 2), 2, False, 117,
+     "9abdbd96c1839d4d43b411888f736c15558771a7a5a558071625a239ad407148",
+     "f66dc5f7b58fb5b5cfa379252dd407ae91dd14ffe7bee0291d2d7a7f1a93f9a4", None),
+    (("z", 2, 2), 3, True, 144,
+     "c68cc09bedc5a890ab993a0d19d3c6328ef0d2cf791e94fb4299f9aa9a745c60",
+     "dd8ee054e8bd23f3102e596ebeb2765d390434078ec03c94f4cfcc197cfa6052",
+     "d66ed5f47d0b63ebd4de70aa469ec16be6667b66eab625f3a13d54e02478259c"),
+    (("t", 2, 2), 3, False, 144,
+     "c68cc09bedc5a890ab993a0d19d3c6328ef0d2cf791e94fb4299f9aa9a745c60",
+     "dd8ee054e8bd23f3102e596ebeb2765d390434078ec03c94f4cfcc197cfa6052", None),
+    (("t", 3, 2), 2, False, 117,
+     "9abdbd96c1839d4d43b411888f736c15558771a7a5a558071625a239ad407148",
+     "f66dc5f7b58fb5b5cfa379252dd407ae91dd14ffe7bee0291d2d7a7f1a93f9a4", None),
+    (("z", 5, 2), 2, False, 775,
+     "4bd81526d01a75d782c04f4ad35c05a0ce7bfbf63603fa2f4e1784e641feac24",
+     "c5fc9ccb64ba6279e3ba011c8876fa5985d8932bb717ef222ea44cf45cd1f988", None),
+    (("z", 3, 1), 3, False, 39,
+     "42f1431f73ec9d34ef078484072572e8deddc053c6c6d79847a319a7681d6a72",
+     "ec8e6e0bead968a6dc89bd75c28ec12d430073f14fe941c998846213aacdfb4e", None),
+]
+
+# the six orbit_of inputs of the census benchmark at seed 1, over z:3:2:
+# conjugated hard shapes, with their orbit sizes and least members
+ORBIT_OF_PINS = [
+    ([[4, 4, 4], [0, 5, 7], [0, 2, 6]], 75816, [[0, 0, 1], [0, 1, 3], [8, 6, 5]]),
+    ([[5, 3, 8], [0, 5, 8], [6, 0, 5]], 75816, [[0, 0, 1], [0, 2, 0], [8, 0, 4]]),
+    ([[4, 1, 5], [4, 7, 5], [8, 5, 4]], 75816, [[0, 0, 1], [0, 3, 1], [3, 3, 3]]),
+    ([[6, 3, 4], [6, 3, 3], [0, 3, 6]], 50544, [[0, 0, 1], [0, 3, 1], [3, 6, 3]]),
+    ([[7, 2, 5], [8, 4, 7], [5, 4, 1]], 75816, [[0, 0, 0], [0, 0, 1], [0, 3, 3]]),
+    ([[7, 1, 6], [2, 0, 3], [2, 7, 5]], 50544, [[0, 0, 1], [0, 2, 0], [2, 3, 1]]),
+]
+
+
+def _check_census_pins():
+    for desc, n, want_labels, classes, reps, sizes, labels in CENSUS_PINS:
+        census = orbit_census(ring_ctx(*desc), n, want_labels=want_labels)
+        assert census.reps.size == classes
+        assert (_digest(census.reps), _digest(census.sizes)) == (reps, sizes)
+        assert labels is None or _digest(census.labels) == labels
+
+
+def _check_orbit_of_pins():
+    ctx = ring_ctx("z", 3, 2)
+    for rows, size, least in ORBIT_OF_PINS:
+        assert orbit_of(Mat.from_rows(ctx, rows)) == (size, Mat.from_rows(ctx, least))
+
+
+def test_orbit_census_outputs_are_pinned():
+    _check_census_pins()
+
+
+def test_orbit_of_outputs_are_pinned():
+    _check_orbit_of_pins()
 
 
 def test_orbit_census_partition_properties():
