@@ -257,8 +257,9 @@ def _add_budget(sp):
 def _add_oracle_opts(sp):
     sp.add_argument("--n", type=_int, choices=[2, 3], default=3, help="matrix size")
     sp.add_argument("--max-states", type=_non_negative, default=2**28,
-                    help="most states the orbit census may flood: |A|^(n^2-1) "
-                         "when p does not divide n, |A|^(n^2) otherwise")
+                    help="most states the orbit census may flood, counting each coset "
+                         "of the kernel of reduction mod pi^(l-1) as one (every state "
+                         "is its own coset at length 1)")
 
 
 def build_parser() -> _Parser:

@@ -5,57 +5,67 @@ pack n x n matrices over the ring as integer states, then flood-fill
 conjugation orbits under a generating set of GL_n: E_12(1), the n-cycle
 permutation matrix and diag(u, 1, ..., 1) for each generator u of the
 ring's unit group, 2 + |units| matrices (see _gl_generators for why they
-generate the whole group).  One kernel serves the census (visited
-states in a bitmap) and single orbits (a sorted array).
+generate the whole group).  It computes no normal form.
 
 Only the generators act, not their inverses: in a finite group
 g^-1 = g^(ord g - 1), so the forward closure of a state is its whole
 orbit.  Each orbit size must divide the group order (orbit-stabilizer)
 and a census must cover every state, or VerificationFailed is raised.
 
+The flood visits cosets, not states.  For l >= 2 the kernel
+K = I + pi^(l-1) M_n(A) of reduction mod pi^(l-1) is normal in GL_n(A),
+so conjugation permutes the K-orbits and every orbit is a union of
+them.  The K-orbit of a is the coset a + pi^(l-1) im(ad r), r the
+residue of a: a change of the top digits by a subspace of M_n(F_q), of
+q^rank(ad r) states (see _Cosets).  A coset stands for itself by its
+least member, which one RREF over F_q per residue finds: reduce the top
+digits modulo im(ad r), zeroing the pivot coordinates, the most
+significant ones.  The flood conjugates these reps by the generators and
+reduces each image's top digits again.  An orbit's size is its number
+of cosets times q^rank, and its least member is the least of its reps.
+Over a length-1 ring the kernel is trivial: a coset is one state.
+
 When p does not divide n the census floods only the trace-0 matrices,
-the slice, which is |A| times smaller than the whole space (Z/8 at
-n = 3: 2^24 of 2^27 states).  n is then a unit, so every matrix is
-uniquely B + dI with tr B = 0, and g(B + dI)g^-1 = gBg^-1 + dI: each
-orbit O of the slice gives the |A| orbits O + dI, each of size |O|.
-A slice state packs the n^2 - 1 entries other than (n, n), which is
-minus the sum of the other diagonal entries.  When p divides n the
-slice holds the scalars and is no complement to them, so the census
-floods every matrix, with the single shift d = 0, in the same loop.
-Single orbits (_orbit_states) always act on whole matrices.
+the slice, which is |A| times smaller than the whole space.  n is then
+a unit, so every matrix is uniquely B + dI with tr B = 0, and
+g(B + dI)g^-1 = gBg^-1 + dI: each orbit O of the slice gives the |A|
+orbits O + dI, each of size |O|.  A slice state packs the n^2 - 1
+entries other than (n, n), which is minus the sum of the other diagonal
+entries.  When p divides n the slice holds the scalars and is no
+complement to them, so the census floods every matrix, with the single
+shift d = 0, in the same loop.  Single orbits (_orbit_states) always
+act on whole matrices.
 
 States pack the entries row-major, first entry most significant, so
 numeric order on states is lexicographic order on entry tuples; a slice
 state's id is its matrix's id // |A|.  The ring says how its packed
 values split into digits: each entry is `per` base-`mod` digits, the
 pair (mod, per) of RingCtx._digit_base, and ring addition adds them
-digit by digit mod `mod`.  Digit s of entry k has place value
-card^(m-1-k) * mod^s for m packed entries, so decoding is
-(ids // place) % mod and encoding is place @ digits, exact in int64.
-A ring and size whose ids or matmul sums would not fit raise
-BudgetExceeded before any state is packed.
-Conjugation is linear in the digits, and the actions of all generators
-are stacked into one (k*dim x dim) matrix: one matmul per block.  On the
-slice a generator acts by P A L, with A its action on matrix digits, L
-embedding the slice's digits and P dropping entry (n, n).  Both
-reductions mod `mod` (the digits of the ids and the matmul output) are
-written x - (x // mod) * mod, which equals x % mod because every x is
->= 0; numpy divides by a scalar with libdivide's multiply-and-shift,
-but computes % with one hardware division per element.
+digit by digit mod `mod`; pi^(l-1) = RingCtx.pi_pow_raw(l - 1) is the
+place of an entry's top digit, and q its base.  A ring and size whose
+ids or matmul sums would not fit raise BudgetExceeded before any state
+is packed.  Conjugation is linear in the digits, and the actions of all
+generators are stacked into one (sdim x k*sdim) matrix: one float64
+matmul per block of states, exact below 2^53.  On the slice a generator
+acts by P A L, with A its action on matrix digits, L embedding the
+slice's digits and P dropping entry (n, n).
 
-Each census pass floods one orbit, from the least unvisited state,
-which is the least member of its orbit.  Reps are the least matrices of
-their orbits: the claims keep, for each d, the least id of B + dI over
-the states B they claim, read off one (|A| x |A|^(n-1)) table (see
-_shifter).  The trace is linear in the digits (see _trace_form), so one
-check on the generators' action matrices proves it a conjugation
-invariant, and one on the embedding proves that the slice is the
-trace-0 matrices (see _check_slice).
+The census indexes the cosets densely (see _Cosets.count) and keeps one
+visited flag per coset.  Each pass floods one orbit from the least
+unvisited coset; the trace is linear in the digits (see _trace_form),
+so one check on the generators' action matrices proves it a
+conjugation invariant, and one on the embedding proves that the slice
+is the trace-0 matrices (see _check_slice).  A pass's reps give the
+least member of O + dI for each d: reduce B + dI over the pass's reps B
+and keep the least (see _Cosets.least).  Labels, when asked for, come
+from one blockwise pass over every state, each mapped to its coset's
+index (see _Cosets.every_state).
 
 Frontiers are expanded BLOCK = 1024 states at a time, and claimed one
-BFS level at a time: a level's images are sorted once, and _orbit_states
-merges them into its sorted array once.  A census's peak memory is its
-bitmap, its labels and its widest level's images.
+BFS level at a time: a level's images are deduplicated once, and
+_orbit_states merges them into its sorted array once.  A census's peak
+memory is its coset tables, its visited flags, its labels and its
+widest level's images.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ __all__ = ["OrbitCensus", "orbit_census", "orbit_of", "verify_counts"]
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
+_RREF_BLOCK = 4096  # residues per batched elimination
 # verify_counts draws this many census orbits, from this seed
 _SAMPLES, _SEED = 20, 0
 
@@ -159,16 +170,18 @@ def _embedding(ctx: RingCtx, n: int) -> np.ndarray:
 
 
 def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
-    """(images, actions): the function mapping census state ids to their
+    """(images, actions): the function mapping census states to their
     conjugates by every generator, and the generators' actions on digits.
 
     Census states pack the digits that embed (see _embedding; by default
-    I, every entry) maps to their matrices' digits.  For ids of shape
-    (B,) images returns the k * B image ids, generator by generator, where
-    k = len(_gl_generators(ctx, n)): the action of g on census digits is
-    P A_g L mod `mod`, with A_g its action on matrix digits, L = embed
-    and P dropping the digits a census state does not pack.  actions
-    stacks the k (dim x dim) matrices A_g, as int64.
+    I, every entry) maps to their matrices' digits.  images takes the
+    (B, m) packed entries of B census states and returns the (k * B, m)
+    entries of their images, state by state and generator by generator
+    within a state, where k = len(_gl_generators(ctx, n)): the action of
+    g on census digits is P A_g L mod `mod`, with A_g its action on
+    matrix digits, L = embed and P dropping the digits a census state
+    does not pack.  actions stacks the k (dim x dim) matrices A_g, as
+    int64.
     """
     card, n2 = ctx.cardinality, n * n
     mod, per = ctx._digit_base()
@@ -183,39 +196,24 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
     dim = n2 * per
     embed = np.eye(dim, dtype=np.int64) if embed is None else embed
     sdim = embed.shape[1]
-    place = np.array(
-        [card ** (sdim // per - 1 - i // per) * mod ** (i % per) for i in range(sdim)],
-        dtype=np.int64,
-    )
     gens = _gl_generators(ctx, n)
     actions = np.array([_conj_action(ctx, n, g, mod, per) for g in gens], dtype=np.int64)
     # float64 only for the matmul, where BLAS is several times faster than
     # numpy's int64 loop; it is exact, as every sum is below sdim * mod^2
     rows = len(gens) * sdim
-    stacked = ((actions @ embed)[:, :sdim] % mod).reshape(rows, sdim).astype(np.float64)
+    stacked = ((actions @ embed)[:, :sdim] % mod).reshape(rows, sdim).T.astype(np.float64)
     # reused across blocks: fresh arrays this size cost a page fault per page
     fbuf = np.empty(rows * BLOCK)
-    ibuf = np.empty(rows * BLOCK, dtype=np.int64)
-    qbuf = np.empty(max(rows, sdim) * BLOCK, dtype=np.int64)
-    dbuf = np.empty(sdim * BLOCK, dtype=np.int64)
+    spread = mod ** np.arange(per)
 
-    def reduce(x: np.ndarray) -> None:
-        """x %= mod in place, for x >= 0, as x - (x // mod) * mod."""
-        quot = qbuf[: x.size].reshape(x.shape)
-        np.floor_divide(x, mod, out=quot)
-        quot *= mod
-        x -= quot
-
-    def images(ids: np.ndarray) -> np.ndarray:
-        digits = dbuf[: sdim * ids.size].reshape(sdim, ids.size)
-        prod = fbuf[: rows * ids.size].reshape(rows, ids.size)
-        img = ibuf[: rows * ids.size].reshape(rows, ids.size)
-        np.floor_divide(ids[None, :], place[:, None], out=digits)
-        reduce(digits)
-        np.matmul(stacked, digits, out=prod)
-        img[...] = prod
-        reduce(img)
-        return (place @ img.reshape(len(gens), sdim, ids.size)).ravel()
+    def images(v: np.ndarray) -> np.ndarray:
+        digits = v if per == 1 else (v[:, :, None] // spread % mod).reshape(len(v), sdim)
+        prod = fbuf[: rows * len(v)].reshape(len(v), rows)
+        np.matmul(digits, stacked, out=prod)
+        np.fmod(prod, mod, out=prod)
+        if per > 1:
+            prod = prod.reshape(-1, per) @ spread
+        return prod.astype(np.int64).reshape(-1, sdim // per)
 
     return images, actions
 
@@ -223,14 +221,14 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
 def _flood(images, frontier: np.ndarray, claim) -> None:
     """Visit every state reachable from frontier, which is already claimed.
 
-    images runs BLOCK states at a time; claim(ids) gets one BFS level's
-    images at once, marks the not yet visited states among them as
-    visited and returns them, distinct: the next level.
+    images runs BLOCK states at a time and returns a tuple of arrays;
+    claim gets them for one BFS level's images at once, marks the not yet
+    visited states among them as visited and returns them, distinct: the
+    next level.
     """
     while frontier.size:
-        frontier = claim(
-            np.concatenate([images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)])
-        )
+        parts = [images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)]
+        frontier = claim(*(np.concatenate(p) for p in zip(*parts)))
 
 
 def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
@@ -332,26 +330,214 @@ def _check_orbit_sizes(ctx: RingCtx, n: int, sizes) -> None:
         )
 
 
-def _set_bits(bitmap: np.ndarray, ids: np.ndarray):
-    np.bitwise_or.at(bitmap, ids >> 3, (1 << (ids & 7)).astype(np.uint8))
+def _mark(visited: np.ndarray, idx: np.ndarray) -> None:
+    visited[idx] = True
 
 
-def _unvisited_mask(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return (bitmap[ids >> 3] & (1 << (ids & 7)).astype(np.uint8)) == 0
-
-
-def _first_unvisited(bitmap: np.ndarray, byte: int) -> int | None:
-    """The least unvisited state, scanning BLOCK bytes at a time from byte
-    on, whose predecessors must be full; None once every state is
-    visited."""
-    while byte < bitmap.size:
-        open_bytes = np.flatnonzero(bitmap[byte : byte + BLOCK] != 0xFF)
-        if open_bytes.size:
-            byte += int(open_bytes[0])
-            clear = ~int(bitmap[byte]) & 0xFF
-            return byte * 8 + (clear & -clear).bit_length() - 1
-        byte += BLOCK
+def _first_unvisited(visited: np.ndarray, start: int) -> int | None:
+    """The least unvisited index, scanning from start on, whose
+    predecessors must all be visited; None once every index is."""
+    while start < visited.size:
+        chunk = visited[start : start + 8 * BLOCK]
+        first = int(chunk.argmin())
+        if not chunk[first]:
+            return start + first
+        start += chunk.size
     return None
+
+
+# ----------------------------------------------------------------------
+# cosets of the congruence kernel
+
+
+def _rref(rows: np.ndarray, q: int, inv) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over F_q of a stack of (R x D) matrices.
+
+    Returns (C, pivots): pivots (K, D) marks each form's pivot columns,
+    and column c of C[k] (D x D) is the row of form k whose pivot is c
+    (0 where c is no pivot), so t - C[k] t, mod q, subtracts from t the
+    rows that zero its pivot coordinates.  inv maps an array of nonzero
+    residues to their inverses.
+    """
+    m = rows % q
+    K, R, D = m.shape
+    rank = np.zeros(K, dtype=np.int64)
+    pivots = np.zeros((K, D), dtype=bool)
+    for c in range(D):
+        live = (m[:, :, c] != 0) & (np.arange(R) >= rank[:, None])
+        k = np.flatnonzero(live.any(axis=1))
+        if not k.size:
+            continue
+        src, dst = live[k].argmax(axis=1), rank[k]
+        row = m[k, src]
+        m[k, src] = m[k, dst]
+        row = row * inv(row[:, c])[:, None] % q
+        factor = m[k, :, c]
+        factor[np.arange(k.size), dst] = 0
+        m[k] = (m[k] - factor[:, :, None] * row[:, None, :]) % q
+        m[k, dst] = row
+        pivots[k, c] = True
+        rank[k] += 1
+    forms = np.zeros((K, D, D), dtype=np.int64)
+    kk, cc = np.nonzero(pivots)
+    forms[kk, :, cc] = m[kk, (np.cumsum(pivots, axis=1) - 1)[kk, cc]]
+    return forms, pivots
+
+
+class _Cosets:
+    """The least members of the cosets of the congruence kernel.
+
+    For l >= 2 the kernel K = I + pi^(l-1) M_n(A) of reduction mod
+    pi^(l-1) is normal in GL_n(A), and the K-orbit of a matrix a is the
+    coset a + pi^(l-1) W, where W = im(ad r) in M_n(F_q) for the residue
+    r of a: (I + pi^(l-1) X) a (I - pi^(l-1) X) = a + pi^(l-1) (X r - r X),
+    as pi^(2l-2) = 0.  Over a length-1 ring the kernel is trivial and so
+    is W: the residue modulus `res` is then 1, and every state has key 0,
+    the zero matrix, whose W is 0.
+
+    States of m packed entries (the census states of _embedding) are
+    handled as arrays of entries, shape (N, m).  An entry is low + P t
+    with P = pi^(l-1) packed, low < P and t < q its top digit; adding
+    pi^(l-1) y adds y to t mod q and leaves low alone.  The states of a
+    coset share their low parts and residue, and differ in their top
+    digits by exactly the vectors of W.  As states are ordered
+    lexicographically by entries, first entry most significant, the least
+    member has the lexicographically least top digits in t + W: t minus
+    the rows of the RREF of W (pivots leftmost) that zero t's pivot
+    coordinates.  W is trace-0, so no pivot is the (n, n) entry that the
+    trace-0 slice leaves out, and the slice's reduction is the first m
+    coordinates of the full one.
+
+    keys are the residues covered, sorted: the residue of a state, as a
+    state of F_q (`res`-adic over its m entries), indexes the tables.
+    Over the census they are every residue, and each state's coset has a
+    dense index: base[L] + the free (non-pivot) top digits, packed base q,
+    where L packs the low parts and base counts the cosets of every
+    smaller L.
+    """
+
+    def __init__(self, ctx: RingCtx, n: int, m: int, keys: np.ndarray):
+        q, self.card, self.m = ctx.q, ctx.cardinality, m
+        self.q, self.top = q, ctx.pi_pow_raw(ctx.length - 1)
+        self.res = res = q if ctx.length > 1 else 1
+        desc = np.arange(m - 1, -1, -1)
+        self.res_place, self.low_place, self.place = res**desc, self.top**desc, self.card**desc
+        self.full_place = self.card ** np.arange(n * n - 1, -1, -1)
+        self.row_of = np.full(res**m, -1, dtype=np.int64)
+        self.row_of[keys] = np.arange(keys.size)
+        field = ctx.truncated(1)
+
+        def inv(values):
+            distinct, back = np.unique(values, return_inverse=True)
+            return np.array([field.inv_raw(int(a)) for a in distinct])[back]
+
+        # the residue's entries from its census entries
+        embed = _embedding(field, n) if m < n * n else np.eye(m, dtype=np.int64)
+        forms, pivots = [], []
+        for i in range(0, keys.size, _RREF_BLOCK):
+            digits = keys[i : i + _RREF_BLOCK, None] // self.res_place % res
+            r = (digits @ embed.T % q).reshape(-1, n, n)
+            eye = np.eye(n, dtype=np.int64)
+            # row (i, j) of ad r: r E_ij - E_ij r, entry (a, b)
+            ad = np.einsum("kai,jb->kijab", r, eye) - np.einsum("ai,kjb->kijab", eye, r)
+            f, piv = _rref(ad.reshape(-1, n * n, n * n), q, inv)
+            forms.append(f.astype(np.min_scalar_type(q - 1)))
+            pivots.append(piv)
+        self.full_forms, pivots = np.concatenate(forms), np.concatenate(pivots)
+        self.forms = np.ascontiguousarray(self.full_forms[:, :m, :m])
+        self.rank = pivots.sum(axis=1)
+        free = ~pivots[:, :m]
+        after = np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free
+        self.free_place = np.where(free, q**after, 0)
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        """Table rows of the residues of the states with entries v."""
+        return self.row_of[(v % self.res) @ self.res_place]
+
+    def _settle(self, v: np.ndarray, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
+        top = v // self.top
+        step = np.matmul(forms[rows], top[:, :, None])[:, :, 0]
+        return v + ((top - step) % self.q - top) * self.top
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Ids of the least members of the cosets of the states with
+        entries v (N, m); over a length-1 ring every coset is one state."""
+        if self.top != 1:
+            v = self._settle(v, self.rows(v), self.forms)
+        return v @ self.place
+
+    def settle(self, v: np.ndarray):
+        """(ids, indices): the least members of the cosets of the states
+        with entries v (N, m), and the cosets' dense indices (see count);
+        over a length-1 ring both are the states' ids."""
+        if self.top == 1:
+            ids = v @ self.place
+            return ids, ids
+        rows = self.rows(v)
+        v = self._settle(v, rows, self.forms)
+        top = v // self.top
+        low = (v - top * self.top) @ self.low_place
+        return v @ self.place, self.base[low] + (top * self.free_place[rows]).sum(axis=1)
+
+    def least(self, ids: np.ndarray, ends: np.ndarray, shifted):
+        """(reps, sizes) of the orbits whose cosets' reps are ids, orbit k
+        the run ids[ends[k-1]:ends[k]], for shifted (see _shifter): reps
+        (orbits x shifts) holds the least member of O + dI for each shift
+        d, as O + dI is the union of the cosets of B + dI, B a rep in O,
+        and ad(r + d) = ad r; sizes are the orbits' sizes, their numbers
+        of cosets times q^rank, which is the same for every coset of an
+        orbit as their residues are conjugate."""
+        starts = np.concatenate([[0], ends[:-1]])
+        full = shifted(ids)
+        if self.top == 1:
+            return np.minimum.reduceat(full, starts, axis=1).T, ends - starts
+        rows = self.rows(ids[:, None] // self.place % self.card)
+        v = full.reshape(-1)[:, None] // self.full_place % self.card
+        least = self._settle(v, np.tile(rows, len(full)), self.full_forms) @ self.full_place
+        reps = np.minimum.reduceat(least.reshape(full.shape), starts, axis=1).T
+        return reps, (ends - starts) * self.q ** self.rank[rows[starts]]
+
+    def size(self, v: np.ndarray) -> int:
+        """Size of the coset of the state with entries v (1, m)."""
+        return self.q ** int(self.rank[self.rows(v)[0]])
+
+    def count(self) -> int:
+        """Number of cosets; builds the dense index's base table."""
+        low = np.arange(self.top**self.m)[:, None] // self.low_place % self.top
+        sizes = self.q ** (self.m - self.rank[self.rows(low)])
+        self.base = np.concatenate([[0], np.cumsum(sizes)])
+        return int(self.base[-1])
+
+    def every_state(self):
+        """(ids, dense indices) of every census state, in blocks of about
+        8 * BLOCK: top-digit vectors t, for a run of low parts L at once,
+        each block's settling one batched product per L."""
+        q, m, top = self.q, self.m, self.top
+        ntops = q**m
+        tstep = min(ntops, 8 * BLOCK)
+        lstep = max(1, 8 * BLOCK // tstep)
+        desc = q ** np.arange(m - 1, -1, -1)
+        for t0 in range(0, ntops, tstep):
+            t = np.arange(t0, min(t0 + tstep, ntops))[:, None] // desc % q
+            tids = (top * t) @ self.place
+            for l0 in range(0, top**m, lstep):
+                low_code = np.arange(l0, min(l0 + lstep, top**m))
+                low = low_code[:, None] // self.low_place % top
+                rows = self.rows(low)
+                forms = self.forms[rows].transpose(0, 2, 1)
+                red = (t - np.matmul(t, forms)) % q
+                free = np.matmul(red, self.free_place[rows][:, :, None])[:, :, 0]
+                yield ((low @ self.place)[:, None] + tids).ravel(), (self.base[low_code][:, None] + free).ravel()
+
+    def decode(self, idx: np.ndarray) -> np.ndarray:
+        """Entries of the least members of the cosets with dense indices idx."""
+        if self.top == 1:
+            return idx[:, None] // self.place % self.card
+        low_code = np.searchsorted(self.base, idx, side="right") - 1
+        low = low_code[:, None] // self.low_place % self.top
+        free = self.free_place[self.rows(low)]
+        t = (idx - self.base[low_code])[:, None] // np.maximum(free, 1) % self.q
+        return low + self.top * np.where(free > 0, t, 0)
 
 
 @dataclass
@@ -404,9 +590,10 @@ def orbit_census(
     """Full orbit census of n x n matrices over ctx, for n in 2, 3.
 
     want_labels also fills the state -> orbit index array that
-    `index_of` reads.  max_states caps the states flooded, |A|^(n^2 - 1)
-    when p does not divide n and |A|^(n^2) otherwise; with want_labels
-    it also caps the |A|^(n^2) states labelled.
+    `index_of` reads.  max_states caps the cosets flooded (see _Cosets:
+    the census states over a length-1 ring, about q^rank times fewer
+    over longer ones); with want_labels it also caps the |A|^(n^2)
+    states labelled.
 
     The census floods census states (see _embedding) and shifts each of
     their orbits by every scalar d it shifts by (see _shifter).  When p
@@ -429,15 +616,15 @@ def orbit_census(
     The cover and divisibility checks alone cannot refuse a wrong
     embedding, whose census keeps its sizes summing to |A|^(n^2).
 
-    Each pass floods one orbit O from the least unvisited state.  Every
-    orbit is wholly visited or wholly unvisited when a pass starts, so
-    that seed is the least member of O, and the flood claims every member
-    of O exactly once.  The least member of O + dI is the least id of
-    B + dI over B in O, as B -> B + dI maps O onto O + dI, so the minimum
-    over the pass's claimed batches, taken for each d, is the rep of
-    O + dI.  Orbit (pass k, shift d) is numbered k * shifts + d while it
-    is flooded; at the end the reps are sorted and the labels renumbered
-    to match.
+    Each pass floods one orbit O, coset by coset, from the least
+    unvisited coset index.  Every orbit is wholly visited or wholly
+    unvisited when a pass starts, so the flood claims every coset of O
+    exactly once, and |O| is their number times q^rank, the same for
+    every coset of O as their residues are conjugate.  The cosets of
+    O + dI are those of the B + dI, B a rep of a coset of O, as
+    ad(r + d) = ad r; so the least of their reduced ids is the rep of
+    O + dI.  Orbit (pass k, shift d) is numbered k * shifts + d; at the
+    end the reps are sorted and the labels numbered to match.
     """
     if type(n) is not int or n not in (2, 3):
         raise BadParams(f"matrix size must be 2 or 3, got {n!r}")
@@ -447,39 +634,53 @@ def orbit_census(
     embed = _embedding(ctx, n)
     m = embed.shape[1] // ctx._digit_base()[1]  # entries a census state packs
     flooded = card**m
-    if flooded > max_states or (want_labels and nstates > max_states):
-        what = f"{flooded} states to flood" + (f" and {nstates} to label" if want_labels else "")
-        raise BudgetExceeded(f"{what} over {ctx.descriptor} exceed cap {max_states}")
+    if want_labels and nstates > max_states:
+        raise BudgetExceeded(f"{nstates} states to label over {ctx.descriptor} exceed cap {max_states}")
+    # every low part has a coset: a lower bound before any table is built
+    if ctx.pi_pow_raw(ctx.length - 1) ** m > max_states:
+        raise BudgetExceeded(f"cosets to flood over {ctx.descriptor} exceed cap {max_states}")
     images, actions = _conjugator(ctx, n, embed)
     _check_slice(ctx, n, actions, embed)
+    cosets = _Cosets(ctx, n, m, np.arange((ctx.q if ctx.length > 1 else 1) ** m))
+    total = cosets.count()
+    if total > max_states:
+        raise BudgetExceeded(f"{total} cosets to flood over {ctx.descriptor} exceed cap {max_states}")
     shifts, shifted = nstates // flooded, _shifter(ctx, n, m)
-    bitmap = np.zeros((flooded + 7) // 8, dtype=np.uint8)
-    pad = flooded % 8
-    if pad:  # mark the phantom tail bits of the last byte as used
-        bitmap[-1] = (0xFF << pad) & 0xFF
-    labels = np.full(nstates, -1, dtype=np.int32) if want_labels else None
+    visited = np.zeros(total, dtype=bool)
+    owner = np.empty(total, dtype=np.int32) if want_labels else None
     reps, sizes = [], []  # per pass: the least state of O + dI for each d, and |O|
-    ds = np.arange(shifts)[:, None]
-    top = np.iinfo(np.int64).max
+    claimed, ends = [], []  # the reps of the passes whose orbits are not yet summed up
 
-    def claim(ids):
-        nonlocal count
-        ids = _distinct(ids[_unvisited_mask(bitmap, ids)])
-        _set_bits(bitmap, ids)
-        count += ids.size
-        full = shifted(ids)
-        np.minimum(least, full.min(axis=1, initial=top), out=least)
-        if labels is not None:
-            labels[full] = len(sizes) * shifts + ds
+    def neighbours(ids):
+        return cosets.settle(images(ids[:, None] // cosets.place % card))
+
+    def claim(ids, idx):
+        fresh = np.flatnonzero(~visited[idx])
+        idx, first = np.unique(idx[fresh], return_index=True)
+        _mark(visited, idx)
+        if owner is not None:
+            owner[idx] = passes
+        ids = ids[fresh[first]]
+        claimed.append(ids)
         return ids
 
-    seed = 0
-    while (seed := _first_unvisited(bitmap, seed >> 3)) is not None:
-        count, least = 0, np.full(shifts, top)
-        _flood(images, claim(np.array([seed])), claim)
-        reps.append(least)
-        sizes.append(count)
-    reps, sizes = np.concatenate(reps), np.repeat(sizes, shifts)
+    def sum_up():  # many small orbits at once: one array op per batch
+        r, z = cosets.least(np.concatenate(claimed), np.cumsum(ends), shifted)
+        reps.append(r)
+        sizes.append(z)
+        claimed.clear()
+        ends.clear()
+
+    seed = passes = 0
+    while (seed := _first_unvisited(visited, seed)) is not None:
+        held = sum(map(len, claimed))
+        _flood(neighbours, claim(cosets.decode(np.array([seed])) @ cosets.place, np.array([seed])), claim)
+        ends.append(sum(map(len, claimed)) - held)
+        passes += 1
+        if held >= 8 * BLOCK:
+            sum_up()
+    sum_up()
+    reps, sizes = np.concatenate(reps).ravel(), np.repeat(np.concatenate(sizes), shifts)
     if int(sizes.sum()) != nstates:
         raise VerificationFailed(
             f"orbits over {ctx.descriptor} cover {int(sizes.sum())} of {nstates} states"
@@ -489,18 +690,32 @@ def orbit_census(
     reps = reps[order]
     if (reps[1:] == reps[:-1]).any():
         raise VerificationFailed(f"two shifted orbits over {ctx.descriptor} meet")
-    if labels is not None:
+    labels = None
+    if want_labels:
         rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size)
-        labels = rank[labels]
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        labels = np.empty(nstates, dtype=np.int32)
+        ds = np.arange(shifts)[:, None]
+        for ids, idx in cosets.every_state():
+            labels[shifted(ids)] = rank[owner[idx] * shifts + ds]
     return OrbitCensus(ctx, n, reps, sizes[order], labels)
 
 
-def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
-    """Sorted state ids of the conjugation orbit of m."""
+def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> tuple[np.ndarray, int]:
+    """(reps, size): the sorted ids of the least members of the kernel
+    cosets (see _Cosets) that make up the conjugation orbit of m, and the
+    orbit's size.  max_orbit caps the cosets."""
     _check_caps(max_orbit=max_orbit)
-    images, _ = _conjugator(m.ctx, m.n)  # refuses rings too large to pack first
-    seen = np.array([_state_of(m)], dtype=np.int64)
+    ctx, n = m.ctx, m.n
+    images, _ = _conjugator(ctx, n)  # refuses rings too large to pack first
+    # the residues of the orbit are the class of m's residue over F_q
+    keys = _orbit_states(m.residue(), max_orbit)[0] if ctx.length > 1 else np.zeros(1, dtype=np.int64)
+    cosets = _Cosets(ctx, n, n * n, keys)
+    v = np.array([m.vals], dtype=np.int64)
+    seen = cosets.reduce(v)
+
+    def neighbours(ids):
+        return (cosets.reduce(images(ids[:, None] // cosets.place % ctx.cardinality)),)
 
     def claim(ids):  # one BFS level: one merge into seen
         nonlocal seen
@@ -513,15 +728,20 @@ def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> np.ndarray:
         seen = np.insert(seen, pos[new], fresh)
         return fresh
 
-    _flood(images, seen, claim)
-    _check_orbit_sizes(m.ctx, m.n, [seen.size])
-    return seen
+    _flood(neighbours, seen, claim)
+    size = seen.size * cosets.size(v)
+    _check_orbit_sizes(ctx, n, [size])
+    return seen, size
 
 
 def orbit_of(m: Mat, max_orbit: int = 10_000_000) -> tuple[int, Mat]:
-    """(orbit size, lexicographically least orbit member) of m."""
-    states = _orbit_states(m, max_orbit)
-    return int(states.size), _mat_of(m.ctx, m.n, int(states[0]))
+    """(orbit size, lexicographically least orbit member) of m.
+
+    max_orbit caps the kernel cosets flooded (see _Cosets), which are
+    q^rank(ad r) times fewer than the orbit's states, r the residue of m.
+    """
+    reps, size = _orbit_states(m, max_orbit)
+    return size, _mat_of(m.ctx, m.n, int(reps[0]))
 
 
 def verify_counts(ctx: RingCtx, n: int, max_states: int = DEFAULT_MAX_STATES) -> dict:

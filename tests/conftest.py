@@ -16,13 +16,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from simclass import CountVector, Mat, e_matrix, orbit_census, ring_ctx, scalar
+from simclass import CountVector, Mat, e_matrix, orbit_census, orbit_of, ring_ctx, scalar
 from simclass.census import _enumerate
-from simclass.oracle import _orbit_states, _state_of
 
 # every run draws the same examples, and no example database is written
 settings.register_profile("simclass", derandomize=True, deadline=None, max_examples=60,
@@ -250,10 +248,10 @@ def enumerate2(ctx, group="M", budget=10_000_000):
 
 
 def same_class(a, b) -> bool:
-    """Orbit-based similarity check (independent of the canonical forms)."""
-    orb = _orbit_states(a)
-    pos = np.searchsorted(orb, _state_of(b))
-    return pos < orb.size and int(orb[pos]) == _state_of(b)
+    """Orbit-based similarity check (independent of the canonical forms):
+    two matrices are similar exactly when their orbits have the same
+    least member."""
+    return orbit_of(a)[1] == orbit_of(b)[1]
 
 
 def transfer_matrix(q: int):

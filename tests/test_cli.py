@@ -484,18 +484,18 @@ def test_canon_and_similar_over_a_61_bit_prime():
 
 
 def test_oracle_partition_mismatch_exits_70_under_optimize():
-    # a bitmap marker that also marks one neighbour of every batch loses
+    # a visited marker that also marks one neighbour of every batch loses
     # states from the census; the partition check must fire under -O
     script = (
         "import importlib, sys\n"
         "from simclass import VerificationFailed, ring_ctx\n"
         "from simclass.cli import main\n"
         "o = importlib.import_module('simclass.oracle')\n"
-        "real = o._set_bits\n"
-        "def leaky(bitmap, ids):\n"
-        "    real(bitmap, ids)\n"
-        "    real(bitmap, ids[:1] ^ 1)\n"
-        "o._set_bits = leaky\n"
+        "real = o._mark\n"
+        "def leaky(visited, ids):\n"
+        "    real(visited, ids)\n"
+        "    real(visited, ids[:1] ^ 1)\n"
+        "o._mark = leaky\n"
         "try:\n"
         "    o.orbit_census(ring_ctx('z', 2, 1), 3, want_labels=True)\n"
         "    sys.exit('no VerificationFailed')\n"

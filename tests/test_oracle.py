@@ -1,6 +1,7 @@
 """Brute-force conjugation-orbit oracle."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -117,8 +118,8 @@ def test_orbit_of_min_rep_is_class_invariant(rng):
 
 def test_orbit_states_sorted_and_budget(rng):
     ctx = ring_ctx("z", 2, 2)
-    states = _orbit_states(j_matrix(ctx, 1, 0))
-    assert list(states) == sorted(states)
+    reps, size = _orbit_states(j_matrix(ctx, 1, 0))
+    assert list(reps) == sorted(reps) and reps.size < size
     with pytest.raises(BudgetExceeded):
         _orbit_states(j_matrix(ctx, 1, 0), max_orbit=2)
 
@@ -237,6 +238,73 @@ def test_orbit_of_outputs_are_pinned():
     _check_orbit_of_pins()
 
 
+def test_the_oracle_uses_no_normal_form(monkeypatch):
+    # the oracle is a ground truth of its own: with every canonical form
+    # and the enumeration refused, it still returns the pinned results
+    def refused(*args, **kwargs):
+        raise AssertionError("a normal form was computed")
+
+    for module, name in (("canon2", "canon2"), ("canon3", "canon3"), ("canon3", "canon"),
+                         ("modsolve", "canon"), ("oracle", "canon"),
+                         ("census", "_enumerate"), ("oracle", "_enumerate")):
+        monkeypatch.setattr(importlib.import_module(f"simclass.{module}"), name, refused)
+    _check_census_pins()
+    _check_orbit_of_pins()
+
+
+def _span(vectors, q):
+    """Every F_q combination of vectors, as a set of tuples, by closure."""
+    span = {tuple([0] * len(vectors[0]))}
+    for v in vectors:
+        span = {tuple((a + c * b) % q for a, b in zip(w, v)) for w in span for c in range(q)}
+    return span
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 2), 3), (("z", 3, 2), 2), (("t", 5, 2), 2)])
+def test_coset_reduction_is_the_least_member_by_brute_force(desc, n):
+    # every residue r over F_q: the least member of t + im(ad r) is what
+    # the reduction returns, and the coset has q^rank members; ad r comes
+    # from ring arithmetic over F_q here.  t runs over every top-digit
+    # vector at n = 2 and over a fixed sample of 64 at n = 3
+    ctx = ring_ctx(*desc)
+    field, q, n2 = ctx.truncated(1), ctx.q, n * n
+    keys = np.arange(q**n2)
+    cosets = oracle._Cosets(ctx, n, n2, keys)
+    place = ctx.cardinality ** np.arange(n2 - 1, -1, -1)
+    tops = keys if n == 2 else np.random.default_rng(0).choice(keys, 64, replace=False)
+    tops = tops[:, None] // q ** np.arange(n2 - 1, -1, -1) % q
+    basis = [Mat(field, n, [int(i == k) for i in range(n2)]) for k in range(n2)]
+    for key in keys:
+        r = _mat_of(field, n, int(key))
+        span = np.array(sorted(_span([(r @ e - e @ r).vals for e in basis], q)))
+        assert span.shape[0] == q ** int(cosets.rank[key])
+        low = np.array(r.vals)  # the residue, as entries of the length-2 ring
+        got = cosets.reduce(low + q * tops)
+        # (t + w) mod q for every t and every w in the span
+        members = (low + q * ((tops[:, None, :] + span[None, :, :]) % q)) @ place
+        assert got.tolist() == members.min(axis=1).tolist()
+
+
+@pytest.mark.parametrize("desc,n", [(("z", 2, 2), 3), (("t", 3, 2), 2), (("z", 2, 3), 2),
+                                    (("z", 3, 1), 3)])
+def test_dense_coset_index_is_a_bijection(desc, n):
+    # every census state's coset gets an index below the coset count, the
+    # indices are onto, and decoding an index gives its coset's least member
+    ctx = ring_ctx(*desc)
+    m = oracle._embedding(ctx, n).shape[1] // ctx._digit_base()[1]
+    cosets = oracle._Cosets(ctx, n, m, np.arange((ctx.q if ctx.length > 1 else 1) ** m))
+    total = cosets.count()
+    ids, idx = (np.concatenate(a) for a in zip(*cosets.every_state()))
+    assert np.array_equal(np.sort(ids), np.arange(ctx.cardinality**m))
+    assert np.array_equal(np.unique(idx), np.arange(total))
+    v = ids[:, None] // cosets.place % ctx.cardinality
+    reps, rep_idx = cosets.settle(v)
+    assert np.array_equal(rep_idx, idx)
+    assert np.array_equal(cosets.decode(idx) @ cosets.place, reps)
+    # a coset's size is q^rank; its members are the states with its index
+    assert np.bincount(idx).tolist() == [cosets.size(cosets.decode(np.array([i]))) for i in range(total)]
+
+
 def test_orbit_census_partition_properties():
     ctx = ring_ctx("z", 2, 2)
     census = orbit_census(ctx, 2)
@@ -299,6 +367,10 @@ def test_slow_f11_census_at_n_3():
 def test_orbit_census_budget():
     with pytest.raises(BudgetExceeded):
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
+    # the cap counts the cosets flooded: 1864 of them over z:2:2 at n = 3
+    assert orbit_census(ring_ctx("z", 2, 2), 3, max_states=1864).class_count("M") == 144
+    with pytest.raises(BudgetExceeded):
+        orbit_census(ring_ctx("z", 2, 2), 3, max_states=1863)
     with pytest.raises(BudgetExceeded):
         verify_counts(ring_ctx("z", 2, 2), 3, max_states=1000)
 
@@ -410,10 +482,11 @@ def test_orbit_states_near_the_int64_ceiling_match_reference_bfs(rows, size):
     # near the top of int64
     ctx = ring_ctx("z", 2, 7)
     m = Mat.from_rows(ctx, rows)
-    states = _orbit_states(m)
+    # the residue I has ad = 0: every coset is one state
+    states, orbit_size = _orbit_states(m)
     reference = _reference_orbit(m, _reference_gens(ctx, 3))
     assert states.tolist() == sorted(_state_of(x) for x in reference)
-    assert states.size == size
+    assert states.size == orbit_size == size
     assert int(states.max()) >= 2**62
     assert size * centralizer_order(m) == group_order(ctx, 3)
 
