@@ -227,8 +227,11 @@ def _flood(images, frontier: np.ndarray, claim) -> None:
     next level.
     """
     while frontier.size:
-        parts = [images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)]
-        frontier = claim(*(np.concatenate(p) for p in zip(*parts)))
+        if frontier.size <= BLOCK:
+            frontier = claim(*images(frontier))
+        else:
+            parts = [images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)]
+            frontier = claim(*(np.concatenate(p) for p in zip(*parts)))
 
 
 def _trace_form(ctx: RingCtx, n: int) -> np.ndarray:
@@ -408,18 +411,17 @@ class _Cosets:
     trace-0 slice leaves out, and the slice's reduction is the first m
     coordinates of the full one.
 
-    keys are the residues covered, sorted: the residue of a state, as a
-    state of F_q (`res`-adic over its m entries), indexes the tables.
-    Over the census they are every residue, and each state's coset has a
-    dense index: base[L] + the free (non-pivot) top digits, packed base q,
-    where L packs the low parts and base counts the cosets of every
-    smaller L.
+    keys are the residues covered, sorted, by default every one: the
+    residue of a state, as a state of F_q (`res`-adic over its m
+    entries), picks its row of the tables.  Over the census each state's
+    coset has a dense index (see count).
     """
 
-    def __init__(self, ctx: RingCtx, n: int, m: int, keys: np.ndarray):
+    def __init__(self, ctx: RingCtx, n: int, m: int, keys: np.ndarray | None = None):
         q, self.card, self.m = ctx.q, ctx.cardinality, m
         self.q, self.top = q, ctx.pi_pow_raw(ctx.length - 1)
         self.res = res = q if ctx.length > 1 else 1
+        keys = np.arange(res**m) if keys is None else keys
         desc = np.arange(m - 1, -1, -1)
         self.res_place, self.low_place, self.place = res**desc, self.top**desc, self.card**desc
         self.full_place = self.card ** np.arange(n * n - 1, -1, -1)
@@ -461,9 +463,13 @@ class _Cosets:
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Ids of the least members of the cosets of the states with
-        entries v (N, m); over a length-1 ring every coset is one state."""
+        entries v (N, m); over a length-1 ring every coset is one state.
+        A residue outside keys raises VerificationFailed."""
         if self.top != 1:
-            v = self._settle(v, self.rows(v), self.forms)
+            rows = self.rows(v)
+            if (rows < 0).any():
+                raise VerificationFailed("a conjugate's residue left its residue class")
+            v = self._settle(v, rows, self.forms)
         return v @ self.place
 
     def settle(self, v: np.ndarray):
@@ -479,30 +485,40 @@ class _Cosets:
         low = (v - top * self.top) @ self.low_place
         return v @ self.place, self.base[low] + (top * self.free_place[rows]).sum(axis=1)
 
-    def least(self, ids: np.ndarray, ends: np.ndarray, shifted):
-        """(reps, sizes) of the orbits whose cosets' reps are ids, orbit k
-        the run ids[ends[k-1]:ends[k]], for shifted (see _shifter): reps
+    def least(self, ids: np.ndarray, counts: np.ndarray, shifted):
+        """(reps, sizes) of the orbits whose cosets' reps are ids, run by
+        run, the runs counts long, for shifted (see _shifter).  reps
         (orbits x shifts) holds the least member of O + dI for each shift
         d, as O + dI is the union of the cosets of B + dI, B a rep in O,
         and ad(r + d) = ad r; sizes are the orbits' sizes, their numbers
         of cosets times q^rank, which is the same for every coset of an
-        orbit as their residues are conjugate."""
-        starts = np.concatenate([[0], ends[:-1]])
-        full = shifted(ids)
-        if self.top == 1:
-            return np.minimum.reduceat(full, starts, axis=1).T, ends - starts
-        rows = self.rows(ids[:, None] // self.place % self.card)
-        v = full.reshape(-1)[:, None] // self.full_place % self.card
-        least = self._settle(v, np.tile(rows, len(full)), self.full_forms) @ self.full_place
-        reps = np.minimum.reduceat(least.reshape(full.shape), starts, axis=1).T
-        return reps, (ends - starts) * self.q ** self.rank[rows[starts]]
+        orbit as their residues are conjugate.  About 8 * BLOCK states
+        are settled at a time."""
+        orbit = np.repeat(np.arange(counts.size), counts)
+        shifts = len(shifted(ids[:1]))
+        reps = np.full((counts.size, shifts), np.iinfo(np.int64).max)
+        d = np.arange(shifts)[:, None]
+        step = max(1, 8 * BLOCK // shifts)
+        for i in range(0, ids.size, step):
+            full = shifted(ids[i : i + step])
+            if self.top != 1:
+                rows = np.tile(self.rows(ids[i : i + step, None] // self.place % self.card), shifts)
+                v = full.reshape(-1)[:, None] // self.full_place % self.card
+                full = (self._settle(v, rows, self.full_forms) @ self.full_place).reshape(shifts, -1)
+            np.minimum.at(reps, (orbit[i : i + step][None, :], d), full)
+        firsts = ids[np.cumsum(counts) - counts]
+        coset = self.q ** self.rank[self.rows(firsts[:, None] // self.place % self.card)]
+        return reps, counts * coset
 
     def size(self, v: np.ndarray) -> int:
         """Size of the coset of the state with entries v (1, m)."""
         return self.q ** int(self.rank[self.rows(v)[0]])
 
     def count(self) -> int:
-        """Number of cosets; builds the dense index's base table."""
+        """The number of cosets.  Builds base, which numbers them densely:
+        a coset's index is base[L] plus its free (non-pivot) top digits,
+        packed base q, where L packs its low parts and base[L] counts the
+        cosets of every smaller L, q^(m - rank) each."""
         low = np.arange(self.top**self.m)[:, None] // self.low_place % self.top
         sizes = self.q ** (self.m - self.rank[self.rows(low)])
         self.base = np.concatenate([[0], np.cumsum(sizes)])
@@ -641,7 +657,7 @@ def orbit_census(
         raise BudgetExceeded(f"cosets to flood over {ctx.descriptor} exceed cap {max_states}")
     images, actions = _conjugator(ctx, n, embed)
     _check_slice(ctx, n, actions, embed)
-    cosets = _Cosets(ctx, n, m, np.arange((ctx.q if ctx.length > 1 else 1) ** m))
+    cosets = _Cosets(ctx, n, m)
     total = cosets.count()
     if total > max_states:
         raise BudgetExceeded(f"{total} cosets to flood over {ctx.descriptor} exceed cap {max_states}")
@@ -665,7 +681,7 @@ def orbit_census(
         return ids
 
     def sum_up():  # many small orbits at once: one array op per batch
-        r, z = cosets.least(np.concatenate(claimed), np.cumsum(ends), shifted)
+        r, z = cosets.least(np.concatenate(claimed), np.array(ends), shifted)
         reps.append(r)
         sizes.append(z)
         claimed.clear()
@@ -709,7 +725,7 @@ def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> tuple[np.ndarray, int]
     ctx, n = m.ctx, m.n
     images, _ = _conjugator(ctx, n)  # refuses rings too large to pack first
     # the residues of the orbit are the class of m's residue over F_q
-    keys = _orbit_states(m.residue(), max_orbit)[0] if ctx.length > 1 else np.zeros(1, dtype=np.int64)
+    keys = _orbit_states(m.residue(), max_orbit)[0] if ctx.length > 1 else None
     cosets = _Cosets(ctx, n, n * n, keys)
     v = np.array([m.vals], dtype=np.int64)
     seen = cosets.reduce(v)

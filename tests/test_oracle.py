@@ -364,6 +364,24 @@ def test_slow_f11_census_at_n_3():
     assert census.class_count("GL") == count3(11, 1, "GL") == 1320
 
 
+def test_a_residue_outside_the_residue_class_is_refused():
+    # orbit_of builds its tables for the residue class it flooded first;
+    # a conjugate whose residue is not in it would read a wrong table row
+    cosets = oracle._Cosets(ring_ctx("z", 3, 2), 2, 4, np.array([0]))
+    assert cosets.reduce(np.array([[3, 6, 0, 3]])).tolist() == [3 * 9**3 + 6 * 9**2 + 3]
+    with pytest.raises(VerificationFailed, match="residue class"):
+        cosets.reduce(np.array([[1, 0, 0, 1]]))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flavor", ["z", "t"])
+def test_slow_q5_len2_census_at_n_3(flavor):
+    # 25^8 trace-0 states, flooded as 12,462,625 kernel cosets
+    census = orbit_census(ring_ctx(flavor, 5, 2), 3)
+    assert census.class_count("M") == count3(5, 2, "M") == 20175
+    assert census.class_count("GL") == count3(5, 2, "GL") == 15540
+
+
 def test_orbit_census_budget():
     with pytest.raises(BudgetExceeded):
         orbit_census(ring_ctx("z", 2, 2), 3, max_states=1000)
