@@ -435,6 +435,8 @@ class _Cosets:
 
         # the residue's entries from its census entries
         embed = _embedding(field, n) if m < n * n else np.eye(m, dtype=np.int64)
+        # the narrowest type that holds a form's products with top digits
+        dtype = np.min_scalar_type(n * n * (q - 1) ** 2)
         forms, pivots = [], []
         for i in range(0, keys.size, _RREF_BLOCK):
             digits = keys[i : i + _RREF_BLOCK, None] // self.res_place % res
@@ -443,7 +445,7 @@ class _Cosets:
             # row (i, j) of ad r: r E_ij - E_ij r, entry (a, b)
             ad = np.einsum("kai,jb->kijab", r, eye) - np.einsum("ai,kjb->kijab", eye, r)
             f, piv = _rref(ad.reshape(-1, n * n, n * n), q, inv)
-            forms.append(f.astype(np.min_scalar_type(q - 1)))
+            forms.append(f.astype(dtype))
             pivots.append(piv)
         self.full_forms, pivots = np.concatenate(forms), np.concatenate(pivots)
         self.forms = np.ascontiguousarray(self.full_forms[:, :m, :m])
@@ -458,7 +460,7 @@ class _Cosets:
 
     def _settle(self, v: np.ndarray, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
         top = v // self.top
-        step = np.matmul(forms[rows], top[:, :, None])[:, :, 0]
+        step = np.matmul(forms[rows], top.astype(forms.dtype)[:, :, None])[:, :, 0]
         return v + ((top - step) % self.q - top) * self.top
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
@@ -492,13 +494,13 @@ class _Cosets:
         d, as O + dI is the union of the cosets of B + dI, B a rep in O,
         and ad(r + d) = ad r; sizes are the orbits' sizes, their numbers
         of cosets times q^rank, which is the same for every coset of an
-        orbit as their residues are conjugate.  About 8 * BLOCK states
+        orbit as their residues are conjugate.  About 4 * BLOCK states
         are settled at a time."""
         orbit = np.repeat(np.arange(counts.size), counts)
         shifts = len(shifted(ids[:1]))
         reps = np.full((counts.size, shifts), np.iinfo(np.int64).max)
         d = np.arange(shifts)[:, None]
-        step = max(1, 8 * BLOCK // shifts)
+        step = max(1, 4 * BLOCK // shifts)
         for i in range(0, ids.size, step):
             full = shifted(ids[i : i + step])
             if self.top != 1:
@@ -526,12 +528,12 @@ class _Cosets:
 
     def every_state(self):
         """(ids, dense indices) of every census state, in blocks of about
-        8 * BLOCK: top-digit vectors t, for a run of low parts L at once,
+        4 * BLOCK: top-digit vectors t, for a run of low parts L at once,
         each block's settling one batched product per L."""
         q, m, top = self.q, self.m, self.top
         ntops = q**m
-        tstep = min(ntops, 8 * BLOCK)
-        lstep = max(1, 8 * BLOCK // tstep)
+        tstep = min(ntops, 4 * BLOCK)
+        lstep = max(1, 4 * BLOCK // tstep)
         desc = q ** np.arange(m - 1, -1, -1)
         for t0 in range(0, ntops, tstep):
             t = np.arange(t0, min(t0 + tstep, ntops))[:, None] // desc % q
@@ -540,8 +542,9 @@ class _Cosets:
                 low_code = np.arange(l0, min(l0 + lstep, top**m))
                 low = low_code[:, None] // self.low_place % top
                 rows = self.rows(low)
-                forms = self.forms[rows].transpose(0, 2, 1)
-                red = (t - np.matmul(t, forms)) % q
+                red = np.matmul(t, self.forms[rows].transpose(0, 2, 1))
+                np.subtract(t, red, out=red)
+                np.remainder(red, q, out=red)
                 free = np.matmul(red, self.free_place[rows][:, :, None])[:, :, 0]
                 yield ((low @ self.place)[:, None] + tids).ravel(), (self.base[low_code][:, None] + free).ravel()
 
