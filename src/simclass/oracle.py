@@ -202,18 +202,28 @@ def _conjugator(ctx: RingCtx, n: int, embed: np.ndarray | None = None):
     # numpy's int64 loop; it is exact, as every sum is below sdim * mod^2
     rows = len(gens) * sdim
     stacked = ((actions @ embed)[:, :sdim] % mod).reshape(rows, sdim).T.astype(np.float64)
+    spread = mod ** np.arange(per)
     # reused across blocks: fresh arrays this size cost a page fault per page
     fbuf = np.empty(rows * BLOCK)
-    spread = mod ** np.arange(per)
+    ibuf = np.empty(rows * BLOCK, dtype=np.int64)
+    qbuf = np.empty(rows * BLOCK, dtype=np.int64)
 
     def images(v: np.ndarray) -> np.ndarray:
+        """The result lives in a buffer that the next call overwrites."""
         digits = v if per == 1 else (v[:, :, None] // spread % mod).reshape(len(v), sdim)
         prod = fbuf[: rows * len(v)].reshape(len(v), rows)
         np.matmul(digits, stacked, out=prod)
-        np.fmod(prod, mod, out=prod)
+        img, quot = ibuf[: prod.size].reshape(prod.shape), qbuf[: prod.size].reshape(prod.shape)
+        img[...] = prod
+        # img % mod as img - (img // mod) * mod, as img >= 0: numpy divides
+        # by a scalar with libdivide's multiply-and-shift, but computes %
+        # with one hardware division per element
+        np.floor_divide(img, mod, out=quot)
+        quot *= mod
+        img -= quot
         if per > 1:
-            prod = prod.reshape(-1, per) @ spread
-        return prod.astype(np.int64).reshape(-1, sdim // per)
+            img = img.reshape(-1, per) @ spread
+        return img.reshape(-1, sdim // per)
 
     return images, actions
 
@@ -454,6 +464,13 @@ class _Cosets:
         after = np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free
         self.free_place = np.where(free, q**after, 0)
 
+    def entries(self, ids: np.ndarray, place: np.ndarray | None = None) -> np.ndarray:
+        """The (N, d) packed entries of the states with ids, whose entries
+        have place values place (by default the census states')."""
+        v = ids[:, None] // (self.place if place is None else place)
+        v -= v // self.card * self.card  # v % card, dividing as _conjugator does
+        return v
+
     def rows(self, v: np.ndarray) -> np.ndarray:
         """Table rows of the residues of the states with entries v."""
         return self.row_of[(v % self.res) @ self.res_place]
@@ -494,22 +511,23 @@ class _Cosets:
         d, as O + dI is the union of the cosets of B + dI, B a rep in O,
         and ad(r + d) = ad r; sizes are the orbits' sizes, their numbers
         of cosets times q^rank, which is the same for every coset of an
-        orbit as their residues are conjugate.  About 4 * BLOCK states
+        orbit as their residues are conjugate.  About 16 * BLOCK states
         are settled at a time."""
         orbit = np.repeat(np.arange(counts.size), counts)
         shifts = len(shifted(ids[:1]))
         reps = np.full((counts.size, shifts), np.iinfo(np.int64).max)
-        d = np.arange(shifts)[:, None]
-        step = max(1, 4 * BLOCK // shifts)
+        step = max(1, 16 * BLOCK // shifts)
         for i in range(0, ids.size, step):
             full = shifted(ids[i : i + step])
             if self.top != 1:
-                rows = np.tile(self.rows(ids[i : i + step, None] // self.place % self.card), shifts)
-                v = full.reshape(-1)[:, None] // self.full_place % self.card
+                rows = np.tile(self.rows(self.entries(ids[i : i + step])), shifts)
+                v = self.entries(full.reshape(-1), self.full_place)
                 full = (self._settle(v, rows, self.full_forms) @ self.full_place).reshape(shifts, -1)
-            np.minimum.at(reps, (orbit[i : i + step][None, :], d), full)
+            chunk = orbit[i : i + step]  # the runs of orbits within this step
+            runs = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1])))
+            np.minimum.at(reps, chunk[runs], np.minimum.reduceat(full, runs, axis=1).T)
         firsts = ids[np.cumsum(counts) - counts]
-        coset = self.q ** self.rank[self.rows(firsts[:, None] // self.place % self.card)]
+        coset = self.q ** self.rank[self.rows(self.entries(firsts))]
         return reps, counts * coset
 
     def size(self, v: np.ndarray) -> int:
@@ -551,7 +569,7 @@ class _Cosets:
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Entries of the least members of the cosets with dense indices idx."""
         if self.top == 1:
-            return idx[:, None] // self.place % self.card
+            return self.entries(idx)
         low_code = np.searchsorted(self.base, idx, side="right") - 1
         low = low_code[:, None] // self.low_place % self.top
         free = self.free_place[self.rows(low)]
@@ -671,15 +689,19 @@ def orbit_census(
     claimed, ends = [], []  # the reps of the passes whose orbits are not yet summed up
 
     def neighbours(ids):
-        return cosets.settle(images(ids[:, None] // cosets.place % card))
+        return cosets.settle(images(cosets.entries(ids)))
 
     def claim(ids, idx):
         fresh = np.flatnonzero(~visited[idx])
-        idx, first = np.unique(idx[fresh], return_index=True)
+        order = fresh[np.argsort(idx[fresh])]
+        idx = idx[order]
+        keep = np.empty(idx.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+        idx, ids = idx[keep], ids[order[keep]]
         _mark(visited, idx)
         if owner is not None:
             owner[idx] = passes
-        ids = ids[fresh[first]]
         claimed.append(ids)
         return ids
 
@@ -698,7 +720,8 @@ def orbit_census(
         passes += 1
         if held >= 8 * BLOCK:
             sum_up()
-    sum_up()
+    if ends:
+        sum_up()
     reps, sizes = np.concatenate(reps).ravel(), np.repeat(np.concatenate(sizes), shifts)
     if int(sizes.sum()) != nstates:
         raise VerificationFailed(
@@ -734,7 +757,7 @@ def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> tuple[np.ndarray, int]
     seen = cosets.reduce(v)
 
     def neighbours(ids):
-        return (cosets.reduce(images(ids[:, None] // cosets.place % ctx.cardinality)),)
+        return (cosets.reduce(images(cosets.entries(ids))),)
 
     def claim(ids):  # one BFS level: one merge into seen
         nonlocal seen
