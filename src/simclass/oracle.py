@@ -88,7 +88,7 @@ __all__ = ["OrbitCensus", "orbit_census", "orbit_of", "verify_counts"]
 
 DEFAULT_MAX_STATES = 2**28
 BLOCK = 1024
-_RREF_BLOCK = 4096  # residues per batched elimination
+_RREF_BLOCK = 512  # residues per batched elimination
 # verify_counts draws this many census orbits, from this seed
 _SAMPLES, _SEED = 20, 0
 
@@ -387,8 +387,11 @@ def _rref(rows: np.ndarray, q: int, inv) -> tuple[np.ndarray, np.ndarray]:
         row = row * inv(row[:, c])[:, None] % q
         factor = m[k, :, c]
         factor[np.arange(k.size), dst] = 0
-        m[k] = (m[k] - factor[:, :, None] * row[:, None, :]) % q
-        m[k, dst] = row
+        mk = m[k]
+        mk -= factor[:, :, None] * row[:, None, :]
+        mk %= q
+        mk[np.arange(k.size), dst] = row
+        m[k] = mk
         pivots[k, c] = True
         rank[k] += 1
     forms = np.zeros((K, D, D), dtype=np.int64)
@@ -477,8 +480,12 @@ class _Cosets:
 
     def _settle(self, v: np.ndarray, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
         top = v // self.top
-        step = np.matmul(forms[rows], top.astype(forms.dtype)[:, :, None])[:, :, 0]
-        return v + ((top - step) % self.q - top) * self.top
+        t = top - np.matmul(forms[rows], top.astype(forms.dtype)[:, :, None])[:, :, 0]
+        t %= self.q
+        t -= top
+        t *= self.top
+        t += v
+        return t
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Ids of the least members of the cosets of the states with
@@ -511,12 +518,13 @@ class _Cosets:
         d, as O + dI is the union of the cosets of B + dI, B a rep in O,
         and ad(r + d) = ad r; sizes are the orbits' sizes, their numbers
         of cosets times q^rank, which is the same for every coset of an
-        orbit as their residues are conjugate.  About 16 * BLOCK states
+        orbit as their residues are conjugate.  About 2 * BLOCK states
         are settled at a time."""
         orbit = np.repeat(np.arange(counts.size), counts)
         shifts = len(shifted(ids[:1]))
         reps = np.full((counts.size, shifts), np.iinfo(np.int64).max)
-        step = max(1, 16 * BLOCK // shifts)
+        # settling takes some 200 bytes a state, a bare shift 8
+        step = max(1, (64 if self.top == 1 else 2) * BLOCK // shifts)
         for i in range(0, ids.size, step):
             full = shifted(ids[i : i + step])
             if self.top != 1:
