@@ -450,11 +450,11 @@ class _Cosets:
         embed = _embedding(field, n) if m < n * n else np.eye(m, dtype=np.int64)
         # the narrowest type that holds a form's products with top digits
         dtype = np.min_scalar_type(n * n * (q - 1) ** 2)
+        eye = np.eye(n, dtype=np.int64)
         forms, pivots = [], []
         for i in range(0, keys.size, _RREF_BLOCK):
             digits = keys[i : i + _RREF_BLOCK, None] // self.res_place % res
             r = (digits @ embed.T % q).reshape(-1, n, n)
-            eye = np.eye(n, dtype=np.int64)
             # row (i, j) of ad r: r E_ij - E_ij r, entry (a, b)
             ad = np.einsum("kai,jb->kijab", r, eye) - np.einsum("ai,kjb->kijab", eye, r)
             f, piv = _rref(ad.reshape(-1, n * n, n * n), q, inv)
