@@ -44,9 +44,11 @@ pair (mod, per) of RingCtx._digit_base, and ring addition adds them
 digit by digit mod `mod`; pi^(l-1) = RingCtx.pi_pow_raw(l - 1) is the
 place of an entry's top digit, and q its base.  A ring and size whose
 ids or matmul sums would not fit raise BudgetExceeded before any state
-is packed.  Conjugation is linear in the digits, and the actions of all
-generators are stacked into one (sdim x k*sdim) matrix: one float64
-matmul per block of states, exact below 2^53.  On the slice a generator
+is packed, and so does a census with more cosets than its cap by the
+bound rank(ad r) <= n^2 - n (the centralizer of r has dimension >= n),
+before any coset table is built.  Conjugation is linear in the digits,
+and the actions of all generators are stacked into one (sdim x k*sdim)
+matrix: one float64 matmul per block of states, exact below 2^53.  On the slice a generator
 acts by P A L, with A its action on matrix digits, L embedding the
 slice's digits and P dropping entry (n, n).
 
@@ -237,7 +239,7 @@ def _flood(images, frontier: np.ndarray, claim) -> None:
     next level.
     """
     while frontier.size:
-        if frontier.size <= BLOCK:
+        if frontier.size <= BLOCK:  # most levels of a small census: no copy
             frontier = claim(*images(frontier))
         else:
             parts = [images(frontier[i : i + BLOCK]) for i in range(0, frontier.size, BLOCK)]
@@ -409,7 +411,9 @@ class _Cosets:
     r of a: (I + pi^(l-1) X) a (I - pi^(l-1) X) = a + pi^(l-1) (X r - r X),
     as pi^(2l-2) = 0.  Over a length-1 ring the kernel is trivial and so
     is W: the residue modulus `res` is then 1, and every state has key 0,
-    the zero matrix, whose W is 0.
+    the zero matrix, whose W is 0.  Settling is then the identity, and
+    reduce, settle, least and decode skip it: through the tables, a
+    length-1 census takes several times as long.
 
     States of m packed entries (the census states of _embedding) are
     handled as arrays of entries, shape (N, m).  An entry is low + P t
@@ -426,20 +430,20 @@ class _Cosets:
 
     keys are the residues covered, sorted, by default every one: the
     residue of a state, as a state of F_q (`res`-adic over its m
-    entries), picks its row of the tables.  Over the census each state's
-    coset has a dense index (see count).
+    entries), is its row of the tables, or, with keys, its position in
+    them.  Over the census each state's coset has a dense index (see
+    count).
     """
 
     def __init__(self, ctx: RingCtx, n: int, m: int, keys: np.ndarray | None = None):
         q, self.card, self.m = ctx.q, ctx.cardinality, m
         self.q, self.top = q, ctx.pi_pow_raw(ctx.length - 1)
         self.res = res = q if ctx.length > 1 else 1
+        self.keys = keys
         keys = np.arange(res**m) if keys is None else keys
         desc = np.arange(m - 1, -1, -1)
         self.res_place, self.low_place, self.place = res**desc, self.top**desc, self.card**desc
         self.full_place = self.card ** np.arange(n * n - 1, -1, -1)
-        self.row_of = np.full(res**m, -1, dtype=np.int64)
-        self.row_of[keys] = np.arange(keys.size)
         field = ctx.truncated(1)
 
         def inv(values):
@@ -463,9 +467,7 @@ class _Cosets:
         self.full_forms, pivots = np.concatenate(forms), np.concatenate(pivots)
         self.forms = np.ascontiguousarray(self.full_forms[:, :m, :m])
         self.rank = pivots.sum(axis=1)
-        free = ~pivots[:, :m]
-        after = np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free
-        self.free_place = np.where(free, q**after, 0)
+        self.free = ~pivots[:, :m]  # the non-pivot coordinates, for count
 
     def entries(self, ids: np.ndarray, place: np.ndarray | None = None) -> np.ndarray:
         """The (N, d) packed entries of the states with ids, whose entries
@@ -475,8 +477,15 @@ class _Cosets:
         return v
 
     def rows(self, v: np.ndarray) -> np.ndarray:
-        """Table rows of the residues of the states with entries v."""
-        return self.row_of[(v % self.res) @ self.res_place]
+        """Table rows of the residues of the states with entries v.  A
+        residue outside keys raises VerificationFailed."""
+        code = (v % self.res) @ self.res_place
+        if self.keys is None:
+            return code
+        rows = np.searchsorted(self.keys, code)
+        if (self.keys.take(rows, mode="clip") != code).any():
+            raise VerificationFailed("a conjugate's residue left its residue class")
+        return rows
 
     def _settle(self, v: np.ndarray, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
         top = v // self.top
@@ -489,13 +498,9 @@ class _Cosets:
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Ids of the least members of the cosets of the states with
-        entries v (N, m); over a length-1 ring every coset is one state.
-        A residue outside keys raises VerificationFailed."""
+        entries v (N, m); over a length-1 ring every coset is one state."""
         if self.top != 1:
-            rows = self.rows(v)
-            if (rows < 0).any():
-                raise VerificationFailed("a conjugate's residue left its residue class")
-            v = self._settle(v, rows, self.forms)
+            v = self._settle(v, self.rows(v), self.forms)
         return v @ self.place
 
     def settle(self, v: np.ndarray):
@@ -546,10 +551,17 @@ class _Cosets:
         """The number of cosets.  Builds base, which numbers them densely:
         a coset's index is base[L] plus its free (non-pivot) top digits,
         packed base q, where L packs its low parts and base[L] counts the
-        cosets of every smaller L, q^(m - rank) each."""
-        low = np.arange(self.top**self.m)[:, None] // self.low_place % self.top
-        sizes = self.q ** (self.m - self.rank[self.rows(low)])
-        self.base = np.concatenate([[0], np.cumsum(sizes)])
+        cosets of every smaller L, q^(m - rank) each.  A coset's free top
+        digit has place q^k, k the number of free coordinates after it."""
+        free = self.free
+        after = np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free
+        self.free_place = np.where(free, self.q**after, 0)
+        lows, step = self.top**self.m, 64 * BLOCK
+        self.base = np.zeros(lows + 1, dtype=np.int64)
+        for i in range(0, lows, step):
+            low = np.arange(i, min(i + step, lows))[:, None] // self.low_place % self.top
+            self.base[i + 1 : i + 1 + low.shape[0]] = self.q ** (self.m - self.rank[self.rows(low)])
+        np.cumsum(self.base, out=self.base)
         return int(self.base[-1])
 
     def every_state(self):
@@ -638,7 +650,9 @@ def orbit_census(
     `index_of` reads.  max_states caps the cosets flooded (see _Cosets:
     the census states over a length-1 ring, about q^rank times fewer
     over longer ones); with want_labels it also caps the |A|^(n^2)
-    states labelled.
+    states labelled.  A census whose census states exceed the cap even
+    at q^(n^2 - n) states a coset, the most rank(ad r) <= n^2 - n
+    allows, is refused before any coset table is built.
 
     The census floods census states (see _embedding) and shifts each of
     their orbits by every scalar d it shifts by (see _shifter).  When p
@@ -681,8 +695,10 @@ def orbit_census(
     flooded = card**m
     if want_labels and nstates > max_states:
         raise BudgetExceeded(f"{nstates} states to label over {ctx.descriptor} exceed cap {max_states}")
-    # every low part has a coset: a lower bound before any table is built
-    if ctx.pi_pow_raw(ctx.length - 1) ** m > max_states:
+    # a lower bound on the cosets, before any table is built: the
+    # centralizer of a residue r has dimension >= n, so rank(ad r) <= n^2 - n,
+    # and a coset holds at most q^(n^2 - n) states (one over a length-1 ring)
+    if flooded // ctx.q ** ((n * n - n) * (ctx.length > 1)) > max_states:
         raise BudgetExceeded(f"cosets to flood over {ctx.descriptor} exceed cap {max_states}")
     images, actions = _conjugator(ctx, n, embed)
     _check_slice(ctx, n, actions, embed)

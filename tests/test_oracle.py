@@ -393,6 +393,50 @@ def test_orbit_census_budget():
         verify_counts(ring_ctx("z", 2, 2), 3, max_states=1000)
 
 
+def _no_tables(*args):
+    raise AssertionError("coset tables built")
+
+
+@pytest.mark.parametrize("desc", [("z", 11, 2), ("t", 11, 2), ("z", 7, 2)])
+def test_census_beyond_the_coset_lower_bound_builds_no_tables(desc, monkeypatch):
+    # rank(ad r) <= n^2 - n, so there are at least |A|^8 / q^6 cosets on the
+    # trace-0 slice at n = 3: 11^10 and 7^10, both above the default cap of
+    # 2^28, are refused before any coset table is built
+    monkeypatch.setattr(oracle, "_Cosets", _no_tables)
+    with pytest.raises(BudgetExceeded):
+        orbit_census(ring_ctx(*desc), 3)
+    with pytest.raises(BudgetExceeded):
+        verify_counts(ring_ctx(*desc), 3)
+
+
+def test_the_coset_lower_bound_is_the_census_states_over_q_to_the_n2_minus_n(monkeypatch):
+    # z:2:2 at n = 3: 4^8 / 2^6 = 1024 cosets at least (1864 in fact)
+    with pytest.raises(BudgetExceeded):
+        orbit_census(ring_ctx("z", 2, 2), 3, max_states=1864 - 1)
+    monkeypatch.setattr(oracle, "_Cosets", _no_tables)
+    with pytest.raises(BudgetExceeded):
+        orbit_census(ring_ctx("z", 2, 2), 3, max_states=1023)
+    with pytest.raises(AssertionError, match="coset tables built"):
+        orbit_census(ring_ctx("z", 2, 2), 3, max_states=1024)
+
+
+@pytest.mark.parametrize("flavor", ["z", "t"])
+def test_orbit_of_a_scalar_over_a_large_ring_builds_one_table_row(flavor):
+    # the coset tables cover the residue class flooded first, here one
+    # scalar: 11^9 residues at n = 3 would take gigabytes
+    import tracemalloc
+
+    ctx = ring_ctx(flavor, 11, 2)
+    tracemalloc.start()
+    try:
+        got = orbit_of(scalar(ctx, 3, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (1, scalar(ctx, 3, 13))
+    assert peak < 2**25
+
+
 @pytest.mark.parametrize("call,bound", [
     ("verify_counts", {"max_states": -1}),
     ("verify_counts", {"max_states": True}),
