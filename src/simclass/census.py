@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .canon2 import CanonicalForm, CyclicBody, ScalarBody, _placer
 from .canon3 import HardBody, SplitBody, _split_vals, hard_family
 from .errors import BadParams, BudgetExceeded, NonIntegralDivision, VerificationFailed
-from .matrix import identity
+from .matrix import _check_size, identity
 from .ring import RingCtx
 
 __all__ = [
@@ -251,9 +251,8 @@ def _enumerate(ctx: RingCtx, n: int, group: str, budget: int = 10_000_000):
     other than count2 or count3 classes raises VerificationFailed after
     the last one.
     """
-    _check_ints(n=n, budget=budget)
-    if n not in (2, 3):
-        raise BadParams(f"enumeration needs n in {{2, 3}}, got {n}")
+    _check_size(n)
+    _check_ints(budget=budget)
     total = (count2 if n == 2 else count3)(ctx.q, ctx.length, group)
     if total > budget:
         raise BudgetExceeded(f"enumerate{n} over {ctx.descriptor} exceeds budget {budget}")

@@ -16,9 +16,10 @@ Exit codes: 0 success (for `similar`: the matrices are similar), 1 not
 similar, 64 usage or input error, 65 budget exceeded (an enumeration's
 --budget or the orbit oracle's --max-states), 70 verification mismatch:
 `verify` found counts that disagree, or an exact identity a result must
-satisfy (a witness identity, a centralizer order dividing |GL_n|, the
-orbit oracle's partition of the states) failed, which is raised as
-VerificationFailed and is never skipped by `python -O`.  `enumerate`
+satisfy (a witness identity, a centralizer order dividing |GL_n|, an
+exact division in a class count, the orbit oracle's partition of the
+states) failed, which is raised as VerificationFailed and is never
+skipped by `python -O`.  `enumerate`
 streams one line per class as it builds it and compares the number of
 classes with count2 or count3 after the last line, so a count mismatch
 exits 70 after the output.  Its --budget bounds that class count, for

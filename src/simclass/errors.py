@@ -40,11 +40,11 @@ class BudgetExceeded(SimclassError):
     """An enumeration or census would exceed the configured budget."""
 
 
-class NonIntegralDivision(SimclassError):
-    """An exact integer division left a remainder (formula transcription bug)."""
-
-
 class VerificationFailed(SimclassError):
     """An exact identity that a result must satisfy did not hold.
 
     Raised explicitly, never by assert, so it also fires under python -O."""
+
+
+class NonIntegralDivision(VerificationFailed):
+    """An exact integer division left a remainder (formula transcription bug)."""

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .canon2 import CyclicBody
 from .canon3 import SplitBody, canon
-from .errors import BadParams, CtxMismatch, VerificationFailed
-from .matrix import Mat, identity
+from .errors import CtxMismatch, VerificationFailed
+from .matrix import Mat, _check_size, identity
 from .ring import RingCtx
 
 __all__ = ["group_order", "is_similar", "centralizer_order"]
@@ -37,8 +37,7 @@ __all__ = ["group_order", "is_similar", "centralizer_order"]
 def group_order(ctx: RingCtx, n: int) -> int:
     """Order of the invertible n x n matrices over ctx, for n the int 2
     or 3; any other n raises BadParams."""
-    if type(n) is not int or n not in (2, 3):
-        raise BadParams(f"group_order needs n in {{2, 3}}, got {n!r}")
+    _check_size(n)
     q, length = ctx.q, ctx.length
     out = q ** ((length - 1) * n * n)
     for k in range(n):

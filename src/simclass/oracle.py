@@ -60,8 +60,8 @@ conjugation invariant, and one on the embedding proves that the slice
 is the trace-0 matrices (see _check_slice).  A pass's reps give the
 least member of O + dI for each d: reduce B + dI over the pass's reps B
 and keep the least (see _Cosets.least).  Labels, when asked for, come
-from one blockwise pass over every state, each mapped to its coset's
-index (see _Cosets.every_state).
+from settling every census state, block by block, as the flood settles
+its images: its coset's index names the pass that claimed it.
 
 Frontiers are expanded BLOCK = 1024 states at a time, and claimed one
 BFS level at a time: a level's images are deduplicated once, and
@@ -79,8 +79,8 @@ from math import gcd
 # simclass's modules first: without a bytecode cache, compiling them after numpy raises peak RSS
 from .canon3 import canon
 from .census import _check_ints, _enumerate, count2, count3
-from .errors import BadParams, BudgetExceeded, CtxMismatch, VerificationFailed
-from .matrix import Mat, diag, elementary
+from .errors import BadParams, BudgetExceeded, VerificationFailed
+from .matrix import Mat, _check_size, diag, elementary
 from .modsolve import centralizer_order, group_order
 from .ring import RingCtx
 
@@ -117,14 +117,6 @@ def _gl_generators(ctx: RingCtx, n: int):
 
 # ----------------------------------------------------------------------
 # state packing
-
-
-def _state_of(m: Mat) -> int:
-    card = m.ctx.cardinality
-    s = 0
-    for v in m.vals:
-        s = s * card + v
-    return s
 
 
 def _mat_of(ctx: RingCtx, n: int, state: int) -> Mat:
@@ -327,12 +319,14 @@ def _shifter(ctx: RingCtx, n: int, m: int):
     return shifted
 
 
-def _distinct(ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ids; several times faster than np.unique."""
-    ids = np.sort(ids)
-    keep = np.ones(ids.size, dtype=bool)
-    keep[1:] = ids[1:] != ids[:-1]
-    return ids[keep]
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values of keys, the position in keys of one of
+    each); several times faster than np.unique."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep], order[keep]
 
 
 def _check_orbit_sizes(ctx: RingCtx, n: int, sizes) -> None:
@@ -432,7 +426,8 @@ class _Cosets:
     residue of a state, as a state of F_q (`res`-adic over its m
     entries), is its row of the tables, or, with keys, its position in
     them.  Over the census each state's coset has a dense index (see
-    count).
+    count), which settle gives: the one way from a state to its coset,
+    for the flood and for the labels alike.
     """
 
     def __init__(self, ctx: RingCtx, n: int, m: int, keys: np.ndarray | None = None):
@@ -539,13 +534,11 @@ class _Cosets:
             chunk = orbit[i : i + step]  # the runs of orbits within this step
             runs = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1])))
             np.minimum.at(reps, chunk[runs], np.minimum.reduceat(full, runs, axis=1).T)
-        firsts = ids[np.cumsum(counts) - counts]
-        coset = self.q ** self.rank[self.rows(self.entries(firsts))]
-        return reps, counts * coset
+        return reps, counts * self.size(self.entries(ids[np.cumsum(counts) - counts]))
 
-    def size(self, v: np.ndarray) -> int:
-        """Size of the coset of the state with entries v (1, m)."""
-        return self.q ** int(self.rank[self.rows(v)[0]])
+    def size(self, v: np.ndarray) -> np.ndarray:
+        """Sizes of the cosets of the states with entries v (N, m)."""
+        return self.q ** self.rank[self.rows(v)]
 
     def count(self) -> int:
         """The number of cosets.  Builds base, which numbers them densely:
@@ -563,28 +556,6 @@ class _Cosets:
             self.base[i + 1 : i + 1 + low.shape[0]] = self.q ** (self.m - self.rank[self.rows(low)])
         np.cumsum(self.base, out=self.base)
         return int(self.base[-1])
-
-    def every_state(self):
-        """(ids, dense indices) of every census state, in blocks of about
-        4 * BLOCK: top-digit vectors t, for a run of low parts L at once,
-        each block's settling one batched product per L."""
-        q, m, top = self.q, self.m, self.top
-        ntops = q**m
-        tstep = min(ntops, 4 * BLOCK)
-        lstep = max(1, 4 * BLOCK // tstep)
-        desc = q ** np.arange(m - 1, -1, -1)
-        for t0 in range(0, ntops, tstep):
-            t = np.arange(t0, min(t0 + tstep, ntops))[:, None] // desc % q
-            tids = (top * t) @ self.place
-            for l0 in range(0, top**m, lstep):
-                low_code = np.arange(l0, min(l0 + lstep, top**m))
-                low = low_code[:, None] // self.low_place % top
-                rows = self.rows(low)
-                red = np.matmul(t, self.forms[rows].transpose(0, 2, 1))
-                np.subtract(t, red, out=red)
-                np.remainder(red, q, out=red)
-                free = np.matmul(red, self.free_place[rows][:, :, None])[:, :, 0]
-                yield ((low @ self.place)[:, None] + tids).ravel(), (self.base[low_code][:, None] + free).ravel()
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Entries of the least members of the cosets with dense indices idx."""
@@ -619,15 +590,6 @@ class OrbitCensus:
             raise BadParams(f"group must be 'M' or 'GL', got {group!r}")
         return sum(1 for r in self.reps if _mat_of(self.ctx, self.n, int(r)).is_invertible())
 
-    def index_of(self, m: Mat) -> int:
-        if m.ctx != self.ctx or m.n != self.n:
-            raise CtxMismatch(
-                f"census of {self.n}x{self.n} over {self.ctx} cannot index {m.n}x{m.n} over {m.ctx}"
-            )
-        if self.labels is None:
-            raise BadParams("census was built without labels")
-        return int(self.labels[_state_of(m)])
-
 
 def _check_caps(**caps):
     """Refuse a cap that is not an int (a float or bool too) or that is
@@ -646,8 +608,8 @@ def orbit_census(
 ) -> OrbitCensus:
     """Full orbit census of n x n matrices over ctx, for n in 2, 3.
 
-    want_labels also fills the state -> orbit index array that
-    `index_of` reads.  max_states caps the cosets flooded (see _Cosets:
+    want_labels also fills labels, the state -> orbit index array.
+    max_states caps the cosets flooded (see _Cosets:
     the census states over a length-1 ring, about q^rank times fewer
     over longer ones); with want_labels it also caps the |A|^(n^2)
     states labelled.  A census whose census states exceed the cap even
@@ -683,10 +645,11 @@ def orbit_census(
     O + dI are those of the B + dI, B a rep of a coset of O, as
     ad(r + d) = ad r; so the least of their reduced ids is the rep of
     O + dI.  Orbit (pass k, shift d) is numbered k * shifts + d; at the
-    end the reps are sorted and the labels numbered to match.
+    end the reps are sorted and the labels numbered to match.  A census
+    state's label is read from the pass that claimed its coset, whose
+    index _Cosets.settle gives, as in the flood.
     """
-    if type(n) is not int or n not in (2, 3):
-        raise BadParams(f"matrix size must be 2 or 3, got {n!r}")
+    _check_size(n)
     _check_caps(max_states=max_states)
     card = ctx.cardinality
     nstates = card ** (n * n)
@@ -717,12 +680,8 @@ def orbit_census(
 
     def claim(ids, idx):
         fresh = np.flatnonzero(~visited[idx])
-        order = fresh[np.argsort(idx[fresh])]
-        idx = idx[order]
-        keep = np.empty(idx.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(idx[1:], idx[:-1], out=keep[1:])
-        idx, ids = idx[keep], ids[order[keep]]
+        idx, first = _distinct(idx[fresh])
+        ids = ids[fresh[first]]
         _mark(visited, idx)
         if owner is not None:
             owner[idx] = passes
@@ -762,7 +721,9 @@ def orbit_census(
         rank[order] = np.arange(order.size, dtype=np.int32)
         labels = np.empty(nstates, dtype=np.int32)
         ds = np.arange(shifts)[:, None]
-        for ids, idx in cosets.every_state():
+        for i in range(0, flooded, 4 * BLOCK):
+            ids = np.arange(i, min(i + 4 * BLOCK, flooded))
+            idx = cosets.settle(cosets.entries(ids))[1]
             labels[shifted(ids)] = rank[owner[idx] * shifts + ds]
     return OrbitCensus(ctx, n, reps, sizes[order], labels)
 
@@ -785,7 +746,7 @@ def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> tuple[np.ndarray, int]
 
     def claim(ids):  # one BFS level: one merge into seen
         nonlocal seen
-        ids = _distinct(ids)
+        ids = _distinct(ids)[0]
         pos = np.searchsorted(seen, ids)
         new = seen.take(pos, mode="clip") != ids
         if seen.size + int(new.sum()) > max_orbit:
@@ -795,7 +756,7 @@ def _orbit_states(m: Mat, max_orbit: int = 10_000_000) -> tuple[np.ndarray, int]
         return fresh
 
     _flood(neighbours, seen, claim)
-    size = seen.size * cosets.size(v)
+    size = seen.size * int(cosets.size(v)[0])
     _check_orbit_sizes(ctx, n, [size])
     return seen, size
 
@@ -825,11 +786,8 @@ def verify_counts(ctx: RingCtx, n: int, max_states: int = DEFAULT_MAX_STATES) ->
     |GL_n|, or VerificationFailed is raised.  mismatches is 0 exactly
     when everything agrees.
     """
-    if n not in (2, 3):
-        raise BadParams("counts are implemented for n in {2, 3}")
-    _check_caps(max_states=max_states)
+    census = orbit_census(ctx, n, max_states=max_states)  # checks n and max_states first
     count_fn = count2 if n == 2 else count3
-    census = orbit_census(ctx, n, max_states=max_states)
     report = {"ring": ctx.descriptor, "n": n, "counts": [], "mismatches": 0}
     for group in ("M", "GL"):
         oracle_ct = census.class_count(group)

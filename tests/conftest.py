@@ -1,4 +1,5 @@
-"""Shared fixtures: a per-session orbit census memo, random matrix helpers,
+"""Shared fixtures: a per-session orbit census memo, the matrix -> state
+packing that reads a census's labels (state_of), random matrix helpers,
 a fresh-interpreter runner, the Hypothesis profile, and the helpers that
 only tests use (block_diag, j_matrix, placed, enumerate2, theta,
 transfer_power, same_class), the transfer recursions (transfer_matrix,
@@ -42,6 +43,16 @@ def shared_census():
     """census(ctx, n): the labelled orbit census, built once per session
     for each ring and size; callers only read it."""
     return functools.cache(lambda ctx, n: orbit_census(ctx, n, want_labels=True))
+
+
+def state_of(m) -> int:
+    """The orbit oracle's state id of m: its entries packed row-major,
+    base |A|, first entry most significant; a census's labels[state_of(m)]
+    is m's orbit index."""
+    s = 0
+    for v in m.vals:
+        s = s * m.ctx.cardinality + v
+    return s
 
 
 def block_diag(ctx, a, block):

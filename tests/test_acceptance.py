@@ -27,8 +27,8 @@ from simclass import (
     type_histogram,
 )
 import reference_solver as ref
-from conftest import (enumerate2, j_matrix, rand_invertible, rand_mat, transfer_matrix,
-                      transfer_power)
+from conftest import (enumerate2, j_matrix, rand_invertible, rand_mat, state_of,
+                      transfer_matrix, transfer_power)
 
 COUNT_ANCHORS = [
     (2, 1, "M", 14),
@@ -202,7 +202,7 @@ def test_criterion_10_is_similar_vs_oracle(shared_census):
     for _ in range(1000):
         a, b = rand_mat(ctx, 3, rng), rand_mat(ctx, 3, rng)
         ok, x = is_similar(a, b)
-        assert ok == (census.index_of(a) == census.index_of(b))
+        assert ok == (census.labels[state_of(a)] == census.labels[state_of(b)])
         if ok:
             hits += 1
             assert x.is_invertible() and a @ x == x @ b

@@ -508,6 +508,41 @@ def test_oracle_partition_mismatch_exits_70_under_optimize():
     assert "verification failed" in proc.stderr
 
 
+# each fault leaves a remainder in one exact division of a count
+_BROKEN_DIVISION = (
+    "def broken(num, den):\n"
+    "    raise c.NonIntegralDivision(f'{num} not divisible by {den}')\n"
+    "c._exact_div = broken\n"
+)
+# a term of the generating function off by 1/2
+_BROKEN_SERIES = (
+    "import builtins, fractions\n"
+    "c.sum = lambda terms: builtins.sum(terms) + fractions.Fraction(1, 2)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("fault,argv", [
+    (_BROKEN_DIVISION, ["count", "--q", "2", "--level", "1"]),
+    (_BROKEN_DIVISION, ["gf", "--n", "2", "--q", "2", "--terms", "3"]),
+    (_BROKEN_SERIES, ["gf", "--q", "2", "--terms", "3"]),
+], ids=["count", "gf-n2", "gf-n3"])
+def test_a_non_integral_count_exits_70(flags, fault, argv):
+    # a count whose exact division leaves a remainder failed an exact
+    # identity: exit 70, not a usage error, also under -O
+    script = (
+        "import importlib, sys\n"
+        "from simclass.cli import main\n"
+        "c = importlib.import_module('simclass.census')\n"
+        + fault
+        + f"sys.exit(main({argv!r}))\n"
+    )
+    proc = run_python(*flags, "-c", script, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EX_MISMATCH, ""), proc.stderr
+    assert "verification failed" in proc.stderr
+    assert "not integral" in proc.stderr or "not divisible" in proc.stderr
+
+
 def test_failed_primitive_root_search_exits_70(capsys, monkeypatch):
     # with phi itself as the only "prime factor" every unit fails the
     # order test, so the unit-group generator search finds none

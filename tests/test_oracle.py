@@ -9,7 +9,6 @@ import pytest
 from simclass import (
     BadParams,
     BudgetExceeded,
-    CtxMismatch,
     Mat,
     VerificationFailed,
     centralizer_order,
@@ -24,8 +23,8 @@ from simclass import (
     verify_counts,
 )
 import simclass.oracle as oracle
-from simclass.oracle import _gl_generators, _mat_of, _orbit_states, _state_of
-from conftest import j_matrix, rand_invertible, rand_mat, same_class
+from simclass.oracle import _gl_generators, _mat_of, _orbit_states
+from conftest import j_matrix, rand_invertible, rand_mat, same_class, state_of
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +82,8 @@ def test_state_packing_round_trip(rng):
     ctx = ring_ctx("z", 3, 2)
     for _ in range(50):
         m = rand_mat(ctx, 3, rng)
-        assert _mat_of(ctx, 3, _state_of(m)) == m
-    assert _state_of(_mat_of(ctx, 2, 1234)) == 1234
+        assert _mat_of(ctx, 3, state_of(m)) == m
+    assert state_of(_mat_of(ctx, 2, 1234)) == 1234
 
 
 # ----------------------------------------------------------------------
@@ -288,21 +287,17 @@ def test_coset_reduction_is_the_least_member_by_brute_force(desc, n):
 @pytest.mark.parametrize("desc,n", [(("z", 2, 2), 3), (("t", 3, 2), 2), (("z", 2, 3), 2),
                                     (("z", 3, 1), 3)])
 def test_dense_coset_index_is_a_bijection(desc, n):
-    # every census state's coset gets an index below the coset count, the
-    # indices are onto, and decoding an index gives its coset's least member
+    # settling every census state gives indices onto range(count), and
+    # decoding an index gives its coset's least member
     ctx = ring_ctx(*desc)
     m = oracle._embedding(ctx, n).shape[1] // ctx._digit_base()[1]
     cosets = oracle._Cosets(ctx, n, m, np.arange((ctx.q if ctx.length > 1 else 1) ** m))
     total = cosets.count()
-    ids, idx = (np.concatenate(a) for a in zip(*cosets.every_state()))
-    assert np.array_equal(np.sort(ids), np.arange(ctx.cardinality**m))
+    reps, idx = cosets.settle(cosets.entries(np.arange(ctx.cardinality**m)))
     assert np.array_equal(np.unique(idx), np.arange(total))
-    v = ids[:, None] // cosets.place % ctx.cardinality
-    reps, rep_idx = cosets.settle(v)
-    assert np.array_equal(rep_idx, idx)
     assert np.array_equal(cosets.decode(idx) @ cosets.place, reps)
     # a coset's size is q^rank; its members are the states with its index
-    assert np.bincount(idx).tolist() == [cosets.size(cosets.decode(np.array([i]))) for i in range(total)]
+    assert np.bincount(idx).tolist() == cosets.size(cosets.decode(np.arange(total))).tolist()
 
 
 def test_orbit_census_partition_properties():
@@ -312,7 +307,7 @@ def test_orbit_census_partition_properties():
     assert int(census.sizes.sum()) == ctx.cardinality**4
     assert all(order % int(s) == 0 for s in census.sizes)
     reps = [_mat_of(ctx, 2, int(r)) for r in census.reps]
-    assert all(int(r) == _state_of(m) for r, m in zip(census.reps, reps))
+    assert all(int(r) == state_of(m) for r, m in zip(census.reps, reps))
     # reps are the lexicographically minimal orbit members, hence distinct
     assert len(set(reps)) == census.class_count("M")
 
@@ -323,8 +318,8 @@ def test_orbit_census_labels(rng):
     for _ in range(20):
         m = rand_mat(ctx, 2, rng)
         g = rand_invertible(ctx, 2, rng)
-        i = census.index_of(m)
-        assert i == census.index_of(m.conjugate_by(g))
+        i = census.labels[state_of(m)]
+        assert i == census.labels[state_of(m.conjugate_by(g))]
         assert same_class(_mat_of(ctx, 2, int(census.reps[i])), m)
 
 
@@ -333,10 +328,12 @@ def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
     ctx = ring_ctx("t", 2, 2)
     census = shared_census(ctx, 3)
     assert int(census.sizes.sum()) == ctx.cardinality**9
+    # each orbit labels exactly its states: no pin covers these labels
+    assert np.bincount(census.labels).tolist() == census.sizes.tolist()
     for _ in range(20):
         m = rand_mat(ctx, 3, rng)
-        i = census.index_of(m)
-        assert i == census.index_of(m.conjugate_by(rand_invertible(ctx, 3, rng)))
+        i = census.labels[state_of(m)]
+        assert i == census.labels[state_of(m.conjugate_by(rand_invertible(ctx, 3, rng)))]
         assert same_class(_mat_of(ctx, 3, int(census.reps[i])), m)
         assert census.sizes[i] == orbit_of(m)[0]
 
@@ -345,15 +342,6 @@ def test_orbit_census_labels_on_the_trace_0_slice(shared_census, rng):
 def test_orbit_census_refuses_sizes_outside_one_to_three(n):
     with pytest.raises(BadParams):
         orbit_census(ring_ctx("z", 2, 1), n)
-
-
-def test_index_of_refuses_matrices_of_another_ring_or_size():
-    census = orbit_census(ring_ctx("z", 2, 2), 2, want_labels=True)
-    for m in (Mat.from_rows(ring_ctx("z", 2, 1), [[1, 1], [0, 1]]),
-              identity(ring_ctx("t", 2, 2), 2),
-              identity(ring_ctx("z", 2, 2), 3)):
-        with pytest.raises(CtxMismatch):
-            census.index_of(m)
 
 
 @pytest.mark.slow
@@ -465,12 +453,10 @@ def test_orbit_census_labels_only_on_request():
     ctx = ring_ctx("z", 2, 2)
     plain = orbit_census(ctx, 2)
     assert plain.labels is None
-    with pytest.raises(BadParams):
-        plain.index_of(identity(ctx, 2))
     labelled = orbit_census(ctx, 2, want_labels=True)
     assert labelled.labels is not None
     assert list(labelled.reps) == list(plain.reps)
-    assert labelled.index_of(identity(ctx, 2)) == labelled.index_of(scalar(ctx, 2, 1))
+    assert labelled.labels[state_of(identity(ctx, 2))] == labelled.labels[state_of(scalar(ctx, 2, 1))]
 
 
 def _reference_orbit(m, gens):
@@ -509,7 +495,7 @@ def test_orbit_census_matches_reference_bfs(desc, n):
         if labels[seed] < 0:
             orbit = _reference_orbit(_mat_of(ctx, n, seed), gens)
             for m in orbit:
-                labels[_state_of(m)] = len(reps)
+                labels[state_of(m)] = len(reps)
             reps.append(seed)
             sizes.append(len(orbit))
     census = orbit_census(ctx, n, want_labels=True)
@@ -525,7 +511,7 @@ def test_orbit_of_over_a_t_flavor_ring_matches_reference_bfs(rng):
     for rows in ([[0, 2, 0], [0, 0, 0], [0, 0, 0]], [[1, 2, 0], [0, 1, 2], [0, 0, 1]],
                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]]):
         m = Mat.from_rows(ctx, rows)
-        least = min(_reference_orbit(m, gens), key=_state_of)
+        least = min(_reference_orbit(m, gens), key=state_of)
         for x in (m, m.conjugate_by(rand_invertible(ctx, 3, rng))):
             size, rep = orbit_of(x)
             assert size * centralizer_order(x) == total
@@ -547,7 +533,7 @@ def test_orbit_states_near_the_int64_ceiling_match_reference_bfs(rows, size):
     # the residue I has ad = 0: every coset is one state
     states, orbit_size = _orbit_states(m)
     reference = _reference_orbit(m, _reference_gens(ctx, 3))
-    assert states.tolist() == sorted(_state_of(x) for x in reference)
+    assert states.tolist() == sorted(state_of(x) for x in reference)
     assert states.size == orbit_size == size
     assert int(states.max()) >= 2**62
     assert size * centralizer_order(m) == group_order(ctx, 3)
