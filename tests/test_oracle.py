@@ -456,7 +456,10 @@ def test_orbit_census_labels_only_on_request():
     labelled = orbit_census(ctx, 2, want_labels=True)
     assert labelled.labels is not None
     assert list(labelled.reps) == list(plain.reps)
-    assert labelled.labels[state_of(identity(ctx, 2))] == labelled.labels[state_of(scalar(ctx, 2, 1))]
+    # E_12 and E_21 are conjugate by the swap; the identity is a class alone
+    e12, e21 = (Mat.from_rows(ctx, rows) for rows in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]))
+    label = labelled.labels[[state_of(e12), state_of(e21), state_of(identity(ctx, 2))]]
+    assert label[0] == label[1] != label[2]
 
 
 def _reference_orbit(m, gens):
